@@ -6,16 +6,28 @@ field.  The star product is the exponential bidifferential series
     f * g = sum_k (nu/2)^k / k! * L^{i1 j1} .. L^{ik jk}
             (d_{i1} .. d_{ik} f)(d_{j1} .. d_{jk} g)
 
-truncated at the scenario order.  On polynomials every term with k beyond
-min(deg f, deg g) vanishes, so the expansion is finite and exact.
+truncated at the scenario order.  The operators d_a (x) d_b commute, so for
+any constant bivector the exponential factorizes over the nonzero entries
+e = (a, b, L_e).  On two monomials it is a sum over counts k_e >= 0 whose
+row sums r stay within alpha and column sums c within beta:
+
+    x^alpha * x^beta = sum nu^k prod_e (L_e/2)^{k_e} / k_e!
+                       * [alpha]_r [beta]_c x^(alpha + beta - r - c)
+
+with k = sum_e k_e and the falling factorials [alpha]_r = prod_a
+alpha_a! / (alpha_a - r_a)!.  This holds for every constant bivector, not
+only for Darboux blocks.  The kernel enumerates the counts depth first over
+the entries whose two variables both occur and keeps the integer part as
+one integer, so each step and each leaf costs one field multiplication.
+Every term with k beyond min(deg f, deg g) vanishes, so the expansion is
+finite and exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import factorial
+from operator import add
 
 from .errors import ContextError, ShapeError
 from .linalg import matrix_rank
@@ -50,10 +62,16 @@ class PoissonData:
                 if v
             ),
         )
+        half = tuple((a, b, v * Fraction(1, 2)) for a, b, v in self._entries)
+        object.__setattr__(self, "_half_entries", half)
 
     def entries(self):
         """Nonzero entries as (i, j, value) triples."""
         return self._entries
+
+    def half_entries(self):
+        """Nonzero entries of Lambda / 2, the weights of the star product."""
+        return self._half_entries
 
 
 def poisson_data(ctx, entries):
@@ -85,54 +103,54 @@ def poisson_bracket(f, g, lam):
     return out
 
 
-def _derivative(cache, p, indices):
-    """Iterated partial derivative with caching keyed by sorted index tuple."""
-    key = tuple(sorted(indices))
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if not key:
-        cache[key] = p
-        return p
-    prev = _derivative(cache, p, key[:-1])
-    out = prev.diff(key[-1])
-    cache[key] = out
-    return out
+def _moyal_into(out, f, g, entries, lo=0):
+    """Add the Moyal terms of f, g with lo <= k < len(out) into the dicts out[k].
+
+    Counts k_e over `entries` (a, b, w) weigh prod_e w^{k_e} / k_e!, so w is
+    L_e for the bare coefficient and L_e / 2 for the star product.
+    """
+    for alpha, cf in f.terms.items():
+        rows = [e for e in entries if alpha[e[0]]]
+        for beta, cg in g.terms.items():
+            live = [e for e in rows if beta[e[1]]]
+            if live:
+                _visit(out, lo, live, 0, 0, list(alpha), list(beta), cf * cg, 1)
+            elif lo == 0:
+                _add(out[0], tuple(map(add, alpha, beta)), cf * cg)
 
 
-def moyal_term(f, g, lam, k, f_cache=None, g_cache=None):
+def _visit(out, lo, live, t, k, ra, rb, c, n):
+    """Choose the counts of live[t:], given field part c and integer part n."""
+    hi = len(out) - 1
+    if t == len(live) or k == hi:
+        if k >= lo:
+            _add(out[k], tuple(map(add, ra, rb)), c * n if n != 1 else c)
+        return
+    _visit(out, lo, live, t + 1, k, ra, rb, c, n)
+    a, b, w = live[t]
+    ea, eb = ra[a], rb[b]
+    for j in range(1, min(ea, eb, hi - k) + 1):
+        c = c * w
+        n = n * (ea - j + 1) * (eb - j + 1) // j
+        ra[a], rb[b] = ea - j, eb - j
+        _visit(out, lo, live, t + 1, k + j, ra, rb, c, n)
+    ra[a], rb[b] = ea, eb
+
+
+def _add(terms, m, c):
+    s = terms.get(m)
+    terms[m] = c if s is None else s + c
+
+
+def _poly(ctx, terms):
+    return Poly(ctx, {m: c for m, c in terms.items() if c}, _clean=True)
+
+
+def moyal_term(f, g, lam, k):
     """The k-th bidifferential coefficient (without the (nu/2)^k factor)."""
-    ctx = f.ctx
-    if k == 0:
-        return f * g
-    if k > f.degree() or k > g.degree():
-        return Poly.zero(ctx)
-    if f_cache is None:
-        f_cache = {(): f}
-    if g_cache is None:
-        g_cache = {(): g}
-    entries = lam.entries()
-    out = Poly.zero(ctx)
-    for combo in combinations_with_replacement(range(len(entries)), k):
-        mult = 1
-        counts = {}
-        for idx in combo:
-            counts[idx] = counts.get(idx, 0) + 1
-        for c in counts.values():
-            mult *= factorial(c)
-        coeff = ctx.field.one
-        for idx in combo:
-            coeff = coeff * entries[idx][2]
-        fi = tuple(entries[idx][0] for idx in combo)
-        gi = tuple(entries[idx][1] for idx in combo)
-        df = _derivative(f_cache, f, fi)
-        if df.is_zero():
-            continue
-        dg = _derivative(g_cache, g, gi)
-        if dg.is_zero():
-            continue
-        out = out + (df * dg).scale(coeff * Fraction(1, mult))
-    return out
+    out = [{} for _ in range(k + 1)]
+    _moyal_into(out, f, g, lam.entries(), lo=k)
+    return _poly(f.ctx, out[k])
 
 
 def moyal_star(f, g, lam, order):
@@ -140,41 +158,34 @@ def moyal_star(f, g, lam, order):
     ctx = f.ctx
     if g.ctx != ctx or lam.ctx != ctx:
         raise ContextError("star operands live in different contexts")
-    coeffs = []
-    f_cache, g_cache = {(): f}, {(): g}
     kmax = min(order, max(f.degree(), 0), max(g.degree(), 0))
-    for k in range(order + 1):
-        if k > kmax:
-            coeffs.append(Poly.zero(ctx))
-            continue
-        term = moyal_term(f, g, lam, k, f_cache, g_cache)
-        coeffs.append(term.scale(Fraction(1, 2**k)))
+    coeffs = [
+        moyal_term(f, g, lam, k).scale(Fraction(1, 2**k)) for k in range(kmax + 1)
+    ]
     return Series(ctx, order, coeffs)
 
 
 def moyal_star_series(a, b, lam, order=None):
-    """Moyal star product of two Series, slotwise with truncation."""
+    """Moyal star product of two Series (or a Series and a Poly), truncated."""
     if isinstance(a, Poly):
+        if order is None and isinstance(b, Poly):
+            raise ContextError("moyal_star_series of two polynomials needs an order")
         a = Series.from_poly(a, order if order is not None else b.order)
     if isinstance(b, Poly):
         b = Series.from_poly(b, a.order)
     if a.order != b.order:
         raise ContextError("series truncation orders differ")
-    n = a.order
     ctx = a.ctx
-    zero = Poly.zero(ctx)
-    out = [zero] * (n + 1)
+    if b.ctx != ctx or lam.ctx != ctx:
+        raise ContextError("star operands live in different contexts")
+    n = a.order
+    half = lam.half_entries()
+    out = [{} for _ in range(n + 1)]
     for i, ci in enumerate(a.coeffs):
-        if ci.is_zero():
-            continue
-        for j, cj in enumerate(b.coeffs):
-            if i + j > n or cj.is_zero():
-                continue
-            prod = moyal_star(ci, cj, lam, n - i - j)
-            for k, p in enumerate(prod.coeffs):
-                if not p.is_zero():
-                    out[i + j + k] = out[i + j + k] + p
-    return Series(ctx, n, out, min(a.reliable, b.reliable))
+        for j, cj in enumerate(b.coeffs[: n + 1 - i]):
+            if ci.terms and cj.terms:
+                _moyal_into(out[i + j :], ci, cj, half)
+    return Series(ctx, n, [_poly(ctx, t) for t in out], min(a.reliable, b.reliable))
 
 
 def moyal_commutator(f, g, lam, order):

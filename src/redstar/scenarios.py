@@ -42,12 +42,15 @@ DEFAULT_PROBES = {
 }
 
 
+FIELDS = {"rational": QQ, "gaussian": QQ_I}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str
     description: str = ""
     variables: tuple = ()
-    field_name: str = "rational"  # "rational" | "gaussian"
+    field_name: str = "rational"  # a key of FIELDS
     grading_names: tuple = ()
     gradings: tuple = ()  # rows of ints, parallel to grading_names
     torus_rows: tuple = ()  # indices into gradings
@@ -69,6 +72,12 @@ class ScenarioConfig:
     params: tuple = ()  # (key, value) echo-only
     justification: str = ""
 
+    def __post_init__(self):
+        if self.field_name not in FIELDS:
+            raise ConfigError(
+                f"unknown field {self.field_name!r}: expected 'rational' or 'gaussian'"
+            )
+
     def probe_counts(self):
         counts = dict(DEFAULT_PROBES)
         for k, v in self.probe_overrides:
@@ -76,7 +85,7 @@ class ScenarioConfig:
         return counts
 
     def build_context(self):
-        fld = QQ if self.field_name == "rational" else QQ_I
+        fld = FIELDS[self.field_name]
         return VarContext(tuple(self.variables), fld, tuple(tuple(r) for r in self.gradings))
 
     def echo(self):

@@ -1,17 +1,27 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import factorial, prod
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from redstar.errors import ContextError
 from redstar.koszul import MomentMapData
 from redstar.poisson import (
     check_quantum_covariance,
     check_strong_invariance,
     moyal_commutator,
     moyal_star,
+    moyal_star_series,
+    moyal_term,
     poisson_bracket,
     poisson_data,
 )
 from redstar.poly import Poly, VarContext, poly_ring
 from redstar.probes import random_poly
+from redstar.scalars import QQ, QQ_I, GaussianRational
 from redstar.series import Series
 from redstar.superalg import LieAlgebraData
 
@@ -180,3 +190,123 @@ def test_strong_invariance_cubic_fails_at_nu3():
     bad = out.failures()[0].residual
     assert bad.coefficient(1).is_zero() and bad.coefficient(2).is_zero()
     assert not bad.coefficient(3).is_zero()
+
+
+# -- the Moyal kernel against the defining enumeration ----------------------
+
+
+def reference_term(f, g, lam, k):
+    """k-th Moyal coefficient from the definition: a sum over multisets of k
+    bivector entries of prod L_e / prod mult_e! times iterated derivatives."""
+    out = Poly.zero(f.ctx)
+    if k > min(f.degree(), g.degree()):
+        return out
+    entries = lam.entries()
+    for combo in combinations_with_replacement(range(len(entries)), k):
+        df, dg, coeff = f, g, f.ctx.field.one
+        for idx in combo:
+            a, b, v = entries[idx]
+            df, dg, coeff = df.diff(a), dg.diff(b), coeff * v
+            if df.is_zero() or dg.is_zero():
+                break
+        mult = prod(factorial(combo.count(e)) for e in set(combo))
+        out = out + (df * dg).scale(coeff * Fraction(1, mult))
+    return out
+
+
+def reference_series(a, b, lam):
+    n = a.order
+    out = [Poly.zero(a.ctx)] * (n + 1)
+    for i, ci in enumerate(a.coeffs):
+        for j, cj in enumerate(b.coeffs):
+            for k in range(n + 1 - i - j):
+                term = reference_term(ci, cj, lam, k).scale(Fraction(1, 2**k))
+                out[i + j + k] = out[i + j + k] + term
+    return Series(a.ctx, n, out)
+
+
+def non_darboux(field, values):
+    # rows with several nonzero entries; Pfaffian L12 L34 - L13 L24 + L14 L23
+    ctx = VarContext(("x1", "x2", "x3", "x4"), field)
+    pairs = [("x1", "x2"), ("x1", "x3"), ("x1", "x4"), ("x2", "x4"), ("x3", "x4")]
+    return ctx, poisson_data(ctx, [(a, b, v) for (a, b), v in zip(pairs, values)])
+
+
+def s1_c4_pairs():
+    names = tuple(f"z{k}" for k in range(1, 5)) + tuple(f"zb{k}" for k in range(1, 5))
+    ctx = VarContext(names, QQ_I)
+    two_i = GaussianRational(0, 2)
+    return ctx, poisson_data(ctx, [(f"z{k}", f"zb{k}", two_i) for k in range(1, 5)])
+
+
+BIVECTORS = {
+    "non-darboux-rational": lambda: non_darboux(QQ, [1, 2, 1, -1, Fraction(1, 3)]),
+    "non-darboux-gaussian": lambda: non_darboux(
+        QQ_I,
+        [
+            GaussianRational(0, 1),
+            GaussianRational(2, -1),
+            GaussianRational(Fraction(1, 2)),
+            GaussianRational(-1, 3),
+            GaussianRational(1, 1),
+        ],
+    ),
+    "s1-c4-gaussian": s1_c4_pairs,
+}
+
+
+def polys(ctx, min_terms=0):
+    nonzero = st.integers(-4, 4).filter(bool)
+    coeff = st.builds(Fraction, nonzero, st.integers(1, 3))
+    if ctx.field == QQ_I:
+        coeff = st.builds(GaussianRational, coeff, st.integers(-3, 3))
+    mono = st.lists(st.integers(0, ctx.nvars - 1), max_size=4).map(
+        lambda idx: tuple(idx.count(i) for i in range(ctx.nvars))
+    )
+    return st.dictionaries(mono, coeff, min_size=min_terms, max_size=3).map(
+        lambda terms: Poly(ctx, terms)
+    )
+
+
+def series(ctx, order, min_terms=0):
+    slots = st.lists(polys(ctx, min_terms), min_size=order + 1, max_size=order + 1)
+    return slots.map(lambda cs: Series(ctx, order, cs))
+
+
+ORACLE = settings(max_examples=6, deadline=None, derandomize=True, database=None)
+
+
+@pytest.mark.parametrize("order", range(6))
+@pytest.mark.parametrize("case", sorted(BIVECTORS))
+@ORACLE
+@given(data=st.data())
+def test_moyal_star_and_term_match_reference(case, order, data):
+    ctx, lam = BIVECTORS[case]()
+    f, g = data.draw(polys(ctx)), data.draw(polys(ctx))
+    terms = [reference_term(f, g, lam, k) for k in range(order + 1)]
+    scaled = [t.scale(Fraction(1, 2**k)) for k, t in enumerate(terms)]
+    expected = Series(ctx, order, scaled)
+    assert moyal_star(f, g, lam, order) == expected
+    for k, t in enumerate(terms):
+        assert moyal_term(f, g, lam, k) == t
+    assert moyal_star_series(f, g, lam, order) == expected
+
+
+@pytest.mark.parametrize("order", range(6))
+@pytest.mark.parametrize("case", sorted(BIVECTORS))
+@ORACLE
+@given(data=st.data())
+def test_moyal_star_series_matches_reference(case, order, data):
+    # every slot of a is nonzero, so the higher nu-slots all take part
+    ctx, lam = BIVECTORS[case]()
+    a = data.draw(series(ctx, order, min_terms=1))
+    b = data.draw(series(ctx, order))
+    assert moyal_star_series(a, b, lam) == reference_series(a, b, lam)
+    assert moyal_star_series(b, a, lam) == reference_series(b, a, lam)
+
+
+def test_moyal_star_series_of_two_polys_needs_an_order():
+    ctx, q, p, lam = canonical_qp()
+    with pytest.raises(ContextError, match="order"):
+        moyal_star_series(q, p, lam)
+    assert moyal_star_series(q, p, lam, 2) == moyal_star(q, p, lam, 2)

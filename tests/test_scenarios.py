@@ -120,6 +120,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "cubic-moment-map", "--report", bad]) == 2
 
 
+def test_cli_rejects_unknown_field(tmp_path, capsys):
+    text = open(CFG).read()
+    assert "field = gaussian" in text
+    bad = tmp_path / "misspelled.cfg"
+    bad.write_text(text.replace("field = gaussian", "field = ratonal"))
+    with pytest.raises(ConfigError, match="ratonal"):
+        load_config(str(bad))
+    assert main(["run", str(bad), "--format", "text"]) == 2
+    assert "unknown field 'ratonal'" in capsys.readouterr().err
+
+
 def test_cli_check_single_stage(capsys):
     rc = main(["check", "acyclicity", "negative-control-qq"])
     out = capsys.readouterr().out
