@@ -246,13 +246,6 @@ class KoszulSpace:
         pivset = set(pivots)
         return tuple(m for k, m in enumerate(monos) if k not in pivset)
 
-    def in_complement(self, p):
-        for grade, comp in p.grade_components().items():
-            allowed = set(self.complement_monomials(grade))
-            if any(m not in allowed for m in comp.terms):
-                return False
-        return True
-
 
 class KoszulContraction:
     """The contraction (quotient model, 0) <-> (Koszul complex, diff).
@@ -435,20 +428,6 @@ def build_koszul_contraction(moment, degree_bound):
     return c
 
 
-def build_res_prol(moment, degree_bound):
-    """Just the (restriction, prolongation) pair of the Koszul contraction."""
-    kc = KoszulContraction(moment, degree_bound)
-    res, prol, _, _ = kc.operators()
-    return res, prol
-
-
-def build_homotopy(moment, degree_bound):
-    """Just the contracting homotopy, assembled from canonical slice solves."""
-    kc = KoszulContraction(moment, degree_bound)
-    _, _, h, _ = kc.operators()
-    return h
-
-
 def enforce_side_conditions(c):
     """Normalize the homotopy so the three side conditions hold.
 
@@ -510,8 +489,7 @@ def check_acyclicity(moment, degree_bound):
     witness_slice = None
     grades = set()
     for deg in range(degree_bound + 1):
-        for m in ctx.monomials_of_degree(deg):
-            grades.add(ctx.grade_of_mono(m))
+        grades.update(ctx.grades_of_degree(deg))
     for grade in sorted(grades):
         h0[grade] = len(space.complement_monomials(grade))
     for i in range(1, moment.lie.dim + 1):

@@ -127,14 +127,6 @@ class SliceSolver:
             basis.append(v)
         return basis
 
-    def apply(self, x):
-        """Multiply the original matrix by a coordinate vector.
-
-        The reduced rows are not the original matrix, so this replays the
-        stored column structure instead; used by consistency checks.
-        """
-        raise NotImplementedError("SliceSolver does not retain the original matrix")
-
 
 def matrix_rank(rows, ncols, field):
     """Exact rank of a dense matrix given as a list of rows."""

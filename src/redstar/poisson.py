@@ -88,19 +88,12 @@ def poisson_data(ctx, entries):
 
 
 def poisson_bracket(f, g, lam):
-    """{f, g} = sum_ij L^{ij} d_i f d_j g."""
+    """{f, g} = sum_ij L^{ij} d_i f d_j g, the k = 1 Moyal term at weights L_e."""
     if f.ctx != g.ctx or f.ctx != lam.ctx:
         raise ContextError("bracket operands live in different contexts")
-    out = Poly.zero(f.ctx)
-    for a, b, v in lam.entries():
-        df = f.diff(a)
-        if df.is_zero():
-            continue
-        dg = g.diff(b)
-        if dg.is_zero():
-            continue
-        out = out + (df * dg).scale(v)
-    return out
+    out = [{}, {}]
+    _moyal_into(out, f, g, lam.entries(), lo=1)
+    return _poly(f.ctx, out[1])
 
 
 def _moyal_into(out, f, g, entries, lo=0):

@@ -54,21 +54,26 @@ class VarContext:
 
     def grade_of_mono(self, mono):
         """Full grade vector of a monomial: (degree, *weights)."""
-        deg = sum(mono)
-        return (deg,) + tuple(
-            sum(w * e for w, e in zip(row, mono)) for row in self.gradings
-        )
+        return _grade(self.gradings, mono)
 
     def monomials_of_degree(self, deg):
         return _monomials_of_degree(self.nvars, deg)
 
+    def grades_of_degree(self, deg):
+        """The grade vectors that occur among the monomials of one degree."""
+        return _grade_buckets(self.nvars, self.gradings, deg).keys()
+
     def monomials_of_grade(self, grade):
-        """All monomials with the given full grade vector, in canonical order."""
-        deg = grade[0]
-        if deg < 0:
-            return ()
-        out = [m for m in self.monomials_of_degree(deg) if self.grade_of_mono(m) == grade]
-        return tuple(out)
+        """All monomials with the given full grade vector, in canonical order.
+
+        A lookup in the per-degree bucket map of `_grade_buckets`; `()` for a
+        grade that does not occur or a negative degree.
+        """
+        return _grade_buckets(self.nvars, self.gradings, grade[0]).get(grade, ())
+
+
+def _grade(gradings, mono):
+    return (sum(mono),) + tuple(sum(w * e for w, e in zip(row, mono)) for row in gradings)
 
 
 @lru_cache(maxsize=None)
@@ -86,6 +91,15 @@ def _monomials_of_degree(nvars, deg):
                 yield (e,) + tail
 
     return tuple(gen(deg, nvars))
+
+
+@lru_cache(maxsize=None)
+def _grade_buckets(nvars, gradings, deg):
+    """{grade vector: monomials of that grade} over one degree, descending grlex."""
+    buckets = {}
+    for m in _monomials_of_degree(nvars, deg):
+        buckets.setdefault(_grade(gradings, m), []).append(m)
+    return {g: tuple(ms) for g, ms in buckets.items()}
 
 
 def mono_key(mono):

@@ -21,16 +21,6 @@ def random_poly(ctx, rng, max_degree=3, terms=4, span=5):
     return Poly(ctx, out)
 
 
-def random_homogeneous_poly(ctx, rng, degree, terms=3, span=5):
-    monos = ctx.monomials_of_degree(degree)
-    if not monos:
-        return Poly.zero(ctx)
-    out = {}
-    for _ in range(terms):
-        out[monos[rng.randrange(len(monos))]] = ctx.field.random(rng, span)
-    return Poly(ctx, out)
-
-
 def random_series(ctx, rng, order, max_degree=3, terms=3):
     return Series(
         ctx,
@@ -104,22 +94,6 @@ def random_bounded_chain(ctx, dim, order, rng, bound, jgrade_degs, hdegree, term
         deg = rng.randint(0, room)
         coeff = Series.from_poly(random_poly(ctx, rng, deg, terms=2), order)
         key = ((), a)
-        cur = out.get(key)
-        out[key] = coeff if cur is None else cur + coeff
-    return SuperElement(ctx, dim, order, out)
-
-
-def random_cochain(ctx, dim, order, rng, space, max_degree=3, terms=3):
-    """A random quotient-model cochain: ghosts only, complement coefficients."""
-    out = {}
-    subsets = [()]
-    for r in range(1, dim + 1):
-        subsets.extend(combinations(range(1, dim + 1), r))
-    for _ in range(terms):
-        g = subsets[rng.randrange(len(subsets))]
-        p = space.normal_form_poly(random_poly(ctx, rng, max_degree, terms=2))
-        key = (g, ())
-        coeff = Series.from_poly(p, order)
         cur = out.get(key)
         out[key] = coeff if cur is None else cur + coeff
     return SuperElement(ctx, dim, order, out)

@@ -84,12 +84,6 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def summarize_residual(record_like):
-    """(nonzero coefficient count, max total degree) for a residual object."""
-    terms = record_like.nonzero_term_count()
-    return terms, record_like.max_degree()
-
-
 def emit_report(report, fmt="json", path=None):
     """Write the report; returns the rendered text."""
     text = report.to_json() if fmt == "json" else report.to_text()

@@ -3,95 +3,112 @@
 Every algebraic object in the engine stores coefficients as exact field
 elements; there is no floating point anywhere.  The rational field is
 `fractions.Fraction`.  Scenarios with complex coordinates use Gaussian
-rationals a + b*i with exact rational parts.
+rationals (a + b*i)/d, stored as three integers in lowest terms: d > 0 and
+gcd(a, b, d) = 1.  Each operation is integer arithmetic followed by one
+three-way gcd; the real and imaginary parts a/d and b/d are derived
+`Fraction`s, built only when read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 class GaussianRational:
-    """A Gaussian rational a + b*i with Fraction components.
+    """A Gaussian rational (a + b*i)/d with integers d > 0, gcd(a, b, d) = 1.
 
-    Immutable.  Supports mixed arithmetic with int and Fraction.
+    `re` and `im` are the canonical `Fraction` parts a/d and b/d.
+    Immutable.  Supports mixed arithmetic with int and Fraction; equal to an
+    int or Fraction of the same value, and hashes like it when `im` is 0.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        (ar, dr), (ai, di) = _ratio(re), _ratio(im)
+        d = dr * di // gcd(dr, di)
+        # both parts are in lowest terms, so gcd(a, b, lcm) is already 1
+        _set_a(self, ar * (d // dr))
+        _set_b(self, ai * (d // di))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    @property
+    def re(self):
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self):
+        return Fraction(self._b, self._d)
+
     # -- arithmetic -------------------------------------------------------
 
-    @staticmethod
-    def _lift(x):
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x, 0)
-        return None
-
     def __add__(self, other):
-        o = self._lift(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        a, b, d = o
+        sd = self._d
+        if sd == d:
+            return _make(self._a + a, self._b + b, d)
+        return _make(self._a * d + a * sd, self._b * d + b * sd, sd * d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        a, b, d = o
+        sd = self._d
+        if sd == d:
+            return _make(self._a - a, self._b - b, d)
+        return _make(self._a * d - a * sd, self._b * d - b * sd, sd * d)
 
     def __rsub__(self, other):
-        o = self._lift(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _make(*o) - self
 
     def __mul__(self, other):
-        o = self._lift(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, d = o
+        sa, sb = self._a, self._b
+        return _make(sa * a - sb * b, sa * b + sb * a, self._d * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._lift(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        n = o.re * o.re + o.im * o.im
+        a, b, d = o
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        # (sa + sb i)/sd * d (a - b i) / (a^2 + b^2)
+        sa, sb = self._a, self._b
+        return _make((sa * a + sb * b) * d, (sb * a - sa * b) * d, self._d * n)
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _make(*o) / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _canonical(-self._a, -self._b, self._d)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = GaussianRational(1, 0)
+        out = _ONE
         base = self
         while n:
             if n & 1:
@@ -101,40 +118,89 @@ class GaussianRational:
         return out
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _canonical(self._a, -self._b, self._d)
 
     # -- comparisons ------------------------------------------------------
 
     def __eq__(self, other):
-        o = self._lift(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._a == o[0] and self._b == o[1] and self._d == o[2]
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
+        if self._b == 0:
+            return hash(self._a) if self._d == 1 else hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{self.im}*i"
-        sign = "-" if self.im < 0 else "+"
-        mag = abs(self.im)
+            return f"{im}*i"
+        sign = "-" if im < 0 else "+"
+        mag = abs(im)
         imag = "i" if mag == 1 else f"{mag}*i"
-        return f"({self.re} {sign} {imag})"
+        return f"({re} {sign} {imag})"
+
+
+_new = object.__new__
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+
+
+def _canonical(a, b, d):
+    """The GaussianRational (a + b*i)/d, for a triple already in lowest terms."""
+    z = _new(GaussianRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _make(a, b, d):
+    """The GaussianRational (a + b*i)/d in lowest terms; needs d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _canonical(a, b, d)
+
+
+def _ratio(x):
+    """(numerator, denominator) of x in lowest terms, as a Fraction would hold it."""
+    if type(x) is int:
+        return x, 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _parts(x):
+    """The integer triple (a, b, d) of a Gaussian rational, int or Fraction."""
+    if type(x) is GaussianRational:
+        return x._a, x._b, x._d
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
+
+
+_ONE = _canonical(1, 0, 1)
 
 
 class Field:

@@ -77,6 +77,17 @@ class ScenarioConfig:
             raise ConfigError(
                 f"unknown field {self.field_name!r}: expected 'rational' or 'gaussian'"
             )
+        for stage in self.stages:
+            if stage not in FULL_STAGES:
+                raise ConfigError(
+                    f"unknown stage {stage!r}: expected one of {', '.join(FULL_STAGES)}"
+                )
+        for key, value in self.probe_overrides:
+            if key not in DEFAULT_PROBES:
+                raise ConfigError(
+                    f"unknown probe count {key!r}: expected one of {', '.join(DEFAULT_PROBES)}"
+                )
+            _int(value, f"probe count {key}")
 
     def probe_counts(self):
         counts = dict(DEFAULT_PROBES)
@@ -490,51 +501,74 @@ def get_scenario(name):
 # -- config files ----------------------------------------------------------------
 
 
+def _int(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{what} must be an integer, got {text!r}") from None
+
+
+def _section(cp, name):
+    if not cp.has_section(name):
+        raise ConfigError(f"missing section [{name}]")
+    return cp[name]
+
+
 def load_config(path):
-    """Read a scenario from a key-value config file with section headers."""
-    cp = configparser.ConfigParser()
+    """Read a scenario from a key-value config file with section headers.
+
+    A missing section or key, a malformed key or a non-integer numeric
+    value raises ConfigError.
+    """
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # keep case
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path!r}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    try:
-        sc = cp["scenario"]
-        variables = tuple(cp["variables"]["names"].split())
-    except KeyError as exc:
-        raise ConfigError(f"missing section or key: {exc}") from None
+    sc = _section(cp, "scenario")
+    var_section = _section(cp, "variables")
+    if "names" not in var_section:
+        raise ConfigError("missing key 'names' in section [variables]")
+    variables = tuple(var_section["names"].split())
 
     grading_names = []
     gradings = []
-    for key, value in cp["variables"].items():
+    for key, value in var_section.items():
         if key.startswith("grading."):
             grading_names.append(key.split(".", 1)[1])
-            row = tuple(int(x) for x in value.split())
+            row = tuple(_int(x, f"grading row {key}") for x in value.split())
             if len(row) != len(variables):
                 raise ConfigError(f"grading row {key} has wrong length")
             gradings.append(row)
-    torus_names = cp["variables"].get("torus_rows", "").split()
+    torus_names = var_section.get("torus_rows", "").split()
     try:
         torus_rows = tuple(grading_names.index(n) for n in torus_names)
     except ValueError as exc:
         raise ConfigError(f"unknown torus grading row: {exc}") from None
 
     poisson = []
-    for key, value in cp["poisson"].items():
+    for key, value in _section(cp, "poisson").items():
         parts = key.split()
         if len(parts) != 2:
             raise ConfigError(f"poisson key must be two variable names: {key!r}")
         poisson.append((parts[0], parts[1], value))
 
-    lie_dim = int(cp["lie"].get("dim", "1"))
+    lie = _section(cp, "lie")
+    lie_dim = _int(lie.get("dim", "1"), "lie dim")
     f_entries = []
-    for key, value in cp["lie"].items():
+    for key, value in lie.items():
         if key.startswith("f."):
-            _, a, b, c = key.split(".")
-            f_entries.append((int(a), int(b), int(c), value))
+            parts = key.split(".")
+            if len(parts) != 4:
+                raise ConfigError(f"structure constant key must be 'f.a.b.c': {key!r}")
+            a, b, c = (_int(x, f"structure constant index in {key!r}") for x in parts[1:])
+            f_entries.append((a, b, c, value))
 
-    moment = []
-    for key in sorted(cp["moment-map"]):
-        moment.append(cp["moment-map"][key])
+    moment_section = _section(cp, "moment-map")
+    moment = [moment_section[key] for key in sorted(moment_section)]
 
     action = []
     if cp.has_section("action"):
@@ -542,14 +576,15 @@ def load_config(path):
             parts = key.split()
             if len(parts) != 2:
                 raise ConfigError(f"action key must be 'component variable': {key!r}")
-            action.append((int(parts[0].lstrip("J")), parts[1], value))
+            component = _int(parts[0].lstrip("J"), f"action component in {key!r}")
+            action.append((component, parts[1], value))
 
     invariants = []
     mode = "weights"
     cap = 4
     if cp.has_section("invariants"):
         mode = cp["invariants"].get("mode", "weights")
-        cap = int(cp["invariants"].get("degree_cap", "4"))
+        cap = _int(cp["invariants"].get("degree_cap", "4"), "invariants degree_cap")
         for key in sorted(cp["invariants"]):
             if key.startswith("g"):
                 invariants.append(cp["invariants"][key])
@@ -573,9 +608,9 @@ def load_config(path):
         structure_constants=tuple(f_entries),
         moment_map=tuple(moment),
         action=tuple(action),
-        order=int(sc.get("order", "4")),
-        degree_bound=int(sc.get("degree_bound", "8")),
-        seed=int(sc.get("seed", "7")),
+        order=_int(sc.get("order", "4"), "order"),
+        degree_bound=_int(sc.get("degree_bound", "8"), "degree_bound"),
+        seed=_int(sc.get("seed", "7"), "seed"),
         invariant_mode=mode,
         declared_invariants=tuple(invariants),
         generator_cap=cap,

@@ -237,15 +237,6 @@ class SuperElement:
                 out[key] = s
         return SuperElement(self.ctx, self.dim, self.order, out, _clean=True)
 
-    def scale_series(self, s):
-        """Multiply every coefficient by a Series (central, even)."""
-        out = {}
-        for key, coeff in self.terms.items():
-            prod = coeff * s
-            if not all(p.is_zero() for p in prod.coeffs):
-                out[key] = prod
-        return SuperElement(self.ctx, self.dim, self.order, out, _clean=True)
-
     def shift_nu(self, k):
         return SuperElement(
             self.ctx,
@@ -605,14 +596,6 @@ class OperatorHandle:
         return f"<op {self.name} (degree {self.degree:+d})>"
 
 
-def op_identity(name="id"):
-    return OperatorHandle(name, lambda x: x, 0)
-
-
-def op_zero_like(name="0"):
-    return OperatorHandle(name, lambda x: x.scale(0), 0)
-
-
 def op_compose(f, g, name=None):
     """f after g."""
     return OperatorHandle(
@@ -620,28 +603,6 @@ def op_compose(f, g, name=None):
         lambda x: f(g(x)),
         f.degree + g.degree,
         f.raises_filtration | g.raises_filtration,
-    )
-
-
-def op_add(f, g, name=None):
-    if f.degree != g.degree:
-        raise ValueError("cannot add operators of different degree")
-    return OperatorHandle(
-        name or f"({f.name}+{g.name})",
-        lambda x: f(x) + g(x),
-        f.degree,
-        f.raises_filtration & g.raises_filtration,
-    )
-
-
-def op_sub(f, g, name=None):
-    if f.degree != g.degree:
-        raise ValueError("cannot subtract operators of different degree")
-    return OperatorHandle(
-        name or f"({f.name}-{g.name})",
-        lambda x: f(x) - g(x),
-        f.degree,
-        f.raises_filtration & g.raises_filtration,
     )
 
 

@@ -214,6 +214,20 @@ def reference_term(f, g, lam, k):
     return out
 
 
+def reference_bracket(f, g, lam):
+    """{f, g} from the definition: one derivative pair per bivector entry."""
+    out = Poly.zero(f.ctx)
+    for a, b, v in lam.entries():
+        df = f.diff(a)
+        if df.is_zero():
+            continue
+        dg = g.diff(b)
+        if dg.is_zero():
+            continue
+        out = out + (df * dg).scale(v)
+    return out
+
+
 def reference_series(a, b, lam):
     n = a.order
     out = [Poly.zero(a.ctx)] * (n + 1)
@@ -303,6 +317,17 @@ def test_moyal_star_series_matches_reference(case, order, data):
     b = data.draw(series(ctx, order))
     assert moyal_star_series(a, b, lam) == reference_series(a, b, lam)
     assert moyal_star_series(b, a, lam) == reference_series(b, a, lam)
+
+
+@pytest.mark.parametrize("case", sorted(BIVECTORS))
+@ORACLE
+@given(data=st.data())
+def test_poisson_bracket_matches_reference(case, data):
+    # full weights L_e: the bracket is the k = 1 kernel term, not its half
+    ctx, lam = BIVECTORS[case]()
+    f, g = data.draw(polys(ctx, 1)), data.draw(polys(ctx, 1))
+    assert poisson_bracket(f, g, lam) == reference_bracket(f, g, lam)
+    assert poisson_bracket(f, g, lam) == moyal_term(f, g, lam, 1)
 
 
 def test_moyal_star_series_of_two_polys_needs_an_order():

@@ -88,3 +88,42 @@ def test_determinism_bit_identical():
 def test_monomials_of_degree_order():
     ctx, _ = setup_qp()
     assert ctx.monomials_of_degree(2) == ((2, 0), (1, 1), (0, 2))
+
+
+GRADED_CONTEXTS = {
+    "ungraded": VarContext(("q", "p")),
+    "one-row": VarContext(("q", "p"), gradings=((2, -1),)),
+    # t2-c4: eight variables, two torus rows with negative weights, holomorphic row
+    "t2-c4": VarContext(
+        ("z1", "z2", "z3", "z4", "zb1", "zb2", "zb3", "zb4"),
+        gradings=(
+            (-1, 0, 1, 0, 1, 0, -1, 0),
+            (1, -1, 0, 1, -1, 1, 0, -1),
+            (1, 1, 1, 1, -1, -1, -1, -1),
+        ),
+    ),
+}
+
+
+def brute_force_grade(ctx, grade):
+    # the definition: filter every monomial of the degree by its grade vector
+    if grade[0] < 0:
+        return ()
+    return tuple(m for m in ctx.monomials_of_degree(grade[0]) if ctx.grade_of_mono(m) == grade)
+
+
+@pytest.mark.parametrize("name", sorted(GRADED_CONTEXTS))
+def test_monomials_of_grade_matches_brute_force(name):
+    ctx = GRADED_CONTEXTS[name]
+    rows = len(ctx.gradings)
+    for deg in range(7):
+        grades = {ctx.grade_of_mono(m) for m in ctx.monomials_of_degree(deg)}
+        assert set(ctx.grades_of_degree(deg)) == grades
+        for grade in grades:
+            monos = ctx.monomials_of_grade(grade)
+            assert monos and monos == brute_force_grade(ctx, grade)
+        if rows:  # a grade vector that no monomial of this degree has
+            missing = (deg,) + (7 * deg + 1,) * rows
+            assert missing not in grades
+            assert ctx.monomials_of_grade(missing) == () == brute_force_grade(ctx, missing)
+    assert ctx.monomials_of_grade((-1,) + (0,) * rows) == ()

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redstar.scalars import QQ, QQ_I, GaussianRational
 
@@ -52,3 +54,97 @@ def test_coercion_errors():
     assert QQ.coerce(GaussianRational(3, 0)) == 3
     with pytest.raises(TypeError):
         QQ.coerce(0.5)
+
+
+# -- GaussianRational against a reference model: a pair of Fractions --------
+
+MODEL = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+fractions = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+gaussians = st.builds(GaussianRational, fractions, fractions)
+reals = st.one_of(st.integers(-20, 20), fractions)
+
+
+def model(x):
+    if isinstance(x, GaussianRational):
+        return x.re, x.im
+    return Fraction(x), Fraction(0)
+
+
+def m_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def m_sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def m_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def m_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return (x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n
+
+
+def agrees(z, pair):
+    # exact type, canonical Fraction parts, and equality with the pair
+    assert type(z) is GaussianRational
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == pair
+    assert z == GaussianRational(*pair)
+    assert bool(z) == (pair != (0, 0))
+
+
+@MODEL
+@given(gaussians, st.one_of(gaussians, reals))
+def test_gaussian_field_ops_match_model(z, w):
+    mz, mw = model(z), model(w)
+    agrees(z + w, m_add(mz, mw))
+    agrees(w + z, m_add(mw, mz))
+    agrees(z - w, m_sub(mz, mw))
+    agrees(w - z, m_sub(mw, mz))
+    agrees(z * w, m_mul(mz, mw))
+    agrees(w * z, m_mul(mw, mz))
+    agrees(-z, (-mz[0], -mz[1]))
+    agrees(z.conjugate(), (mz[0], -mz[1]))
+    if mw != (0, 0):
+        agrees(z / w, m_div(mz, mw))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            z / w
+    if mz != (0, 0):
+        agrees(w / z, m_div(mw, mz))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            w / z
+
+
+@MODEL
+@given(gaussians, st.integers(0, 6))
+def test_gaussian_power_matches_model(z, n):
+    expected = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        expected = m_mul(expected, model(z))
+    agrees(z**n, expected)
+
+
+@MODEL
+@given(fractions, fractions)
+def test_gaussian_canonical_parts_and_hash(re, im):
+    z = GaussianRational(re, im)
+    assert (z.re, z.im) == (re, im)
+    assert z.re.denominator == re.denominator and z.im.numerator == im.numerator
+    assert z == GaussianRational(re, im) and hash(z) == hash(GaussianRational(re, im))
+    assert repr(z) == f"GaussianRational({re!r}, {im!r})"
+    real = GaussianRational(re)
+    assert real == re and re == real and hash(real) == hash(re)
+    if re.denominator == 1:
+        assert real == re.numerator and re.numerator == real
+        assert hash(real) == hash(re.numerator)
+    assert (z == re) == (im == 0) and (z != re) == (im != 0)
+    if im:  # the hash of a non-real value is that of its pair of parts
+        assert hash(z) == hash((re, im))
+    assert bool(z) == bool(re or im) and bool(real) == bool(re)
+    with pytest.raises(AttributeError):
+        z.re = 0

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -7,7 +8,7 @@ from redstar.cli import main
 from redstar.errors import ConfigError
 from redstar.report import emit_report
 from redstar.runner import run_scenario
-from redstar.scenarios import get_scenario, load_config, registry, t2_c4
+from redstar.scenarios import ScenarioConfig, get_scenario, load_config, registry, t2_c4
 
 HERE = os.path.dirname(__file__)
 CFG = os.path.join(HERE, "..", "demos", "circle_c2.cfg")
@@ -129,6 +130,51 @@ def test_cli_rejects_unknown_field(tmp_path, capsys):
         load_config(str(bad))
     assert main(["run", str(bad), "--format", "text"]) == 2
     assert "unknown field 'ratonal'" in capsys.readouterr().err
+
+
+# (text in demos/circle_c2.cfg, its replacement, expected error message)
+MALFORMED = {
+    "non-integer order": ("order = 3", "order = abc", "order must be an integer, got 'abc'"),
+    "non-integer degree bound": ("degree_bound = 6", "degree_bound = 6.5", "degree_bound must be"),
+    "non-integer seed": ("seed = 11", "seed = eleven", "seed must be an integer"),
+    "non-integer grading": ("torus = -1 1 1 -1", "torus = -1 1 1 x", "grading row grading.torus"),
+    "non-integer lie dim": ("dim = 1", "dim = one", "lie dim must be an integer"),
+    "non-integer degree cap": ("degree_cap = 4", "degree_cap = 4x", "degree_cap must be"),
+    "non-integer probe count": ("splitting = 25", "splitting = many", "probe count splitting"),
+    "unknown probe count": ("splitting = 25", "splittin = 25", "unknown probe count 'splittin'"),
+    "missing poisson section": (
+        "[poisson]\nz1 zb1 = 2*i\nz2 zb2 = 2*i\n",
+        "",
+        "missing section [poisson]",
+    ),
+    "missing lie section": ("[lie]\ndim = 1\n", "", "missing section [lie]"),
+    "missing variable names": ("names = z1 z2 zb1 zb2\n", "", "missing key 'names'"),
+    "line without a value": ("[lie]\n", "[lie]\nnot a key value line\n", "malformed config file"),
+    "misspelled stage": (
+        "stages = load covariance",
+        "stages = load acyclicty",
+        "unknown stage 'acyclicty'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_cli_rejects_malformed_config(case, tmp_path, capsys):
+    old, new, message = MALFORMED[case]
+    text = open(CFG).read()
+    assert old in text
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text.replace(old, new, 1))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(str(bad))
+    assert main(["run", str(bad), "--format", "text"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_scenario_config_rejects_unknown_stage():
+    # the registry path: before validation an unknown stage was dropped silently
+    with pytest.raises(ConfigError, match="unknown stage 'reduced_star'"):
+        ScenarioConfig(name="x", stages=("load", "reduced_star"))
 
 
 def test_cli_check_single_stage(capsys):
