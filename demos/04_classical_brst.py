@@ -16,6 +16,7 @@ from redstar.brst import (
     check_classical_splitting,
     classical_charge,
     classical_reduction,
+    poisson_action,
     reduced_poisson,
 )
 from redstar.koszul import MomentMapData, build_koszul_contraction, enforce_side_conditions
@@ -63,7 +64,7 @@ ghost_cubics = sum(1 for k in theta.terms if len(k[0]) == 2 and len(k[1]) == 1)
 print("charge has", ghost_cubics, "structure-constant (ghost-cubic) terms")
 print("{theta, theta} = 0:", graded_poisson(theta, theta, lam).is_zero())
 
-delta = build_delta(moment, lam)
+delta = build_delta(moment, poisson_action(lam))
 rng = random.Random(2)
 probes = [random_bounded_super(ctx, 3, 0, rng, 4, (2, 2, 2), terms=2) for _ in range(10)]
 residuals = check_classical_splitting(moment, lam, theta, delta, probes)

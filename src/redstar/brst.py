@@ -79,11 +79,18 @@ def build_koszul_operator(moment):
     )
 
 
-def build_delta(moment, lam):
+def poisson_action(lam):
+    """The classical coefficient action (j, x) -> {j, .} on every coefficient of x."""
+    return lambda j, x: x.map_coefficients(lambda p: poisson_bracket(j, p, lam))
+
+
+def build_delta(moment, action, name="delta"):
     """The Lie-algebra codifferential on the BRST algebra.
 
-    delta = -1/2 f_ab^c e^a e^b i_c + f_ab^c e^a e_c i^b + e^a {J_a, .},
-    where the last piece acts on coefficients only.
+    delta = -1/2 f_ab^c e^a e^b i_c + f_ab^c e^a e_c i^b + e^a action(J_a, .),
+    where the last piece acts on coefficients only: the Poisson bracket
+    (`poisson_action`) classically, the (1/nu) star commutator
+    (`quantum.star_action`) for the deformed codifferential.
     """
     ctx = moment.ctx
     dim = moment.lie.dim
@@ -113,13 +120,12 @@ def build_delta(moment, lam):
                 )
                 out = out + super_mul(ga_ec, ib).scale(v)
         for a in range(dim):
-            j = moment.components[a]
-            acted = x.map_coefficients(lambda p, _j=j: poisson_bracket(_j, p, lam))
+            acted = action(moment.components[a], x)
             if acted.terms:
-                out = out + super_mul(_ghost(ctx, dim, x.order, a + 1), acted)
+                out = out + super_mul(_ghost(ctx, dim, order, a + 1), acted)
         return out
 
-    return OperatorHandle("delta", fn, +1, frozenset({"ghost"}))
+    return OperatorHandle(name, fn, +1, frozenset({"ghost"}))
 
 
 def lie_action(moment, lam, a):
@@ -133,9 +139,10 @@ def lie_action(moment, lam, a):
     dim = moment.lie.dim
     f = moment.lie.f
     j = moment.components[a]
+    act = poisson_action(lam)
 
     def fn(x):
-        out = x.map_coefficients(lambda p: poisson_bracket(j, p, lam))
+        out = act(j, x)
         for b in range(dim):
             ib = contract_antighost(x, b + 1)
             if ib.terms:
@@ -200,29 +207,38 @@ def build_rep_Lz(moment, lam, res, prol):
     return RepresentationHandle(moment.lie, ops)
 
 
-def check_classical_splitting(moment, lam, theta, delta, probes):
-    """Residuals of the splitting identities on each probe."""
-    dop = classical_brst_diff(theta, lam)
-    kop = build_koszul_operator(moment)
+def splitting_residuals(D, delta, koszul, probes, s=""):
+    """Residuals of D = delta + 2 koszul, the three squares and the supercommutator.
+
+    Labels carry the operator suffix `s` ("" classically, "_nu" for the
+    deformed operators) and the probe index in brackets.
+    """
     out = []
     for k, x in enumerate(probes):
-        dx = dop(x)
-        out.append((f"D-delta-2koszul[{k}]", dx - delta(x) - kop(x).scale(2)))
-        out.append((f"D^2[{k}]", dop(dx)))
-        out.append((f"delta^2[{k}]", delta(delta(x))))
-        out.append((f"koszul^2[{k}]", kop(kop(x))))
+        dx = D(x)
+        out.append((f"D{s}-delta{s}-2koszul{s}[{k}]", dx - delta(x) - koszul(x).scale(2)))
+        out.append((f"D{s}^2[{k}]", D(dx)))
+        out.append((f"delta{s}^2[{k}]", delta(delta(x))))
+        out.append((f"koszul{s}^2[{k}]", koszul(koszul(x))))
         out.append(
-            (f"delta.koszul+koszul.delta[{k}]", delta(kop(x)) + kop(delta(x)))
+            (f"delta{s}.koszul{s}+koszul{s}.delta{s}[{k}]", delta(koszul(x)) + koszul(delta(x)))
         )
     return out
 
 
+def check_classical_splitting(moment, lam, theta, delta, probes):
+    """Residuals of the splitting identities on each probe."""
+    D = classical_brst_diff(theta, lam)
+    return splitting_residuals(D, delta, build_koszul_operator(moment), probes)
+
+
 def brst_base_contraction(koszul_contraction):
-    """Extend the Koszul contraction to the full BRST algebra with d_Y = 2*koszul.
+    """Extend a Koszul contraction to the full BRST algebra with d_Y = 2*koszul.
 
     The restriction, prolongation and homotopy already act on elements with
     ghosts (the homotopy with the odd Koszul sign), so the extension only
-    rescales: the homotopy for 2*koszul is h/2.
+    rescales: the homotopy for 2*koszul is h/2.  The quantum transfer
+    extends the deformed contraction (koszul_nu, h_nu) the same way.
     """
     c = koszul_contraction
     return Contraction(
@@ -234,7 +250,7 @@ def brst_base_contraction(koszul_contraction):
         sc1=c.sc1,
         sc2=c.sc2,
         sc3=c.sc3,
-        meta=dict(c.meta, extended="brst"),
+        meta=dict(c.meta),
     )
 
 
@@ -252,7 +268,7 @@ def classical_reduction(moment, lam, koszul_contraction, probes_X=(), probes_Y=(
     perturbation lemma applied to the perturbation D of 2*koszul.
     """
     base = brst_base_contraction(koszul_contraction)
-    delta = build_delta(moment, lam)
+    delta = build_delta(moment, poisson_action(lam))
     d_z = quotient_codifferential(delta, base.p, base.i)
     out = perturb_v1(base, delta, d_z, probes_X, probes_Y, upto=upto)
     return out.i, out.h, out, d_z

@@ -79,20 +79,31 @@ def _homotopy_denominator(c, t_y, cap, order_hint):
     return neumann_inverse(a, cap)
 
 
+def _perturbed_differentials(c, t_y, t_x, probes_X, probes_Y, upto):
+    """d_Y + t_Y and d_X + t_X, each verified to square to zero on the probes."""
+    d_y = OperatorHandle(
+        f"({c.d_Y.name}+{t_y.name})", lambda x: c.d_Y(x) + t_y(x), c.d_Y.degree
+    )
+    d_x = OperatorHandle(
+        f"({c.d_X.name}+{t_x.name})", lambda x: c.d_X(x) + t_x(x), c.d_X.degree
+    )
+    for y in probes_Y:
+        _verify("(d_Y + t_Y)^2 = 0", d_y(d_y(y)), upto)
+    for x in probes_X:
+        _verify("(d_X + t_X)^2 = 0", d_x(d_x(x)), upto)
+    return d_y, d_x
+
+
 def perturb_v1(c, t_y, t_x, probes_X=(), probes_Y=(), upto=None, cap=32):
     """Transfer a perturbation keeping p: output has perturbed i and h.
 
-    Preconditions (verified on probes): p h = 0; (d_Y + t_Y)^2 = 0;
-    (d_X + t_X)^2 = 0; t_X p = p t_Y.
+    Preconditions (verified on probes): p h = 0; t_X p = p t_Y;
+    (d_Y + t_Y)^2 = 0; (d_X + t_X)^2 = 0.
     """
     for y in probes_Y:
         _verify("p h = 0 (sc3)", c.p(c.h(y)), upto)
-        dy = lambda z: c.d_Y(z) + t_y(z)
-        _verify("(d_Y + t_Y)^2 = 0", dy(dy(y)), upto)
         _verify("t_X p = p t_Y", t_x(c.p(y)) - c.p(t_y(y)), upto)
-    for x in probes_X:
-        dx = lambda z: c.d_X(z) + t_x(z)
-        _verify("(d_X + t_X)^2 = 0", dx(dx(x)), upto)
+    d_y_new, d_x_new = _perturbed_differentials(c, t_y, t_x, probes_X, probes_Y, upto)
 
     inv = _homotopy_denominator(c, t_y, cap, upto)
     h_new = op_compose(c.h, inv, name="H")
@@ -102,12 +113,6 @@ def perturb_v1(c, t_y, t_x, probes_X=(), probes_Y=(), upto=None, cap=32):
         return ix - h_new(t_y(ix) - c.i(t_x(x)))
 
     i_new = OperatorHandle("I", i_fn, c.i.degree, equivariant=c.i.equivariant)
-    d_y_new = OperatorHandle(
-        f"({c.d_Y.name}+{t_y.name})", lambda x: c.d_Y(x) + t_y(x), c.d_Y.degree
-    )
-    d_x_new = OperatorHandle(
-        f"({c.d_X.name}+{t_x.name})", lambda x: c.d_X(x) + t_x(x), c.d_X.degree
-    )
     all_sc = c.sc1 and c.sc2 and c.sc3
     return Contraction(
         p=c.p,
@@ -125,27 +130,17 @@ def perturb_v1(c, t_y, t_x, probes_X=(), probes_Y=(), upto=None, cap=32):
 def perturb_v2(c, t_y, t_x, probes_X=(), probes_Y=(), upto=None, cap=32):
     """Transfer a perturbation keeping i: output has perturbed p and h.
 
-    Preconditions (verified on probes): h i = 0; (d_Y + t_Y)^2 = 0;
-    (d_X + t_X)^2 = 0; t_Y i = i t_X.
+    Preconditions (verified on probes): h i = 0; t_Y i = i t_X;
+    (d_Y + t_Y)^2 = 0; (d_X + t_X)^2 = 0.
     """
-    for y in probes_Y:
-        dy = lambda z: c.d_Y(z) + t_y(z)
-        _verify("(d_Y + t_Y)^2 = 0", dy(dy(y)), upto)
     for x in probes_X:
         _verify("h i = 0 (sc2)", c.h(c.i(x)), upto)
         _verify("t_Y i = i t_X", t_y(c.i(x)) - c.i(t_x(x)), upto)
-        dx = lambda z: c.d_X(z) + t_x(z)
-        _verify("(d_X + t_X)^2 = 0", dx(dx(x)), upto)
+    d_y_new, d_x_new = _perturbed_differentials(c, t_y, t_x, probes_X, probes_Y, upto)
 
     inv = _homotopy_denominator(c, t_y, cap, upto)
     h_new = op_compose(c.h, inv, name="H'")
     p_new = op_compose(c.p, inv, name="P")
-    d_y_new = OperatorHandle(
-        f"({c.d_Y.name}+{t_y.name})", lambda x: c.d_Y(x) + t_y(x), c.d_Y.degree
-    )
-    d_x_new = OperatorHandle(
-        f"({c.d_X.name}+{t_x.name})", lambda x: c.d_X(x) + t_x(x), c.d_X.degree
-    )
     all_sc = c.sc1 and c.sc2 and c.sc3
     return Contraction(
         p=p_new,

@@ -20,10 +20,9 @@ from .superalg import (
     OperatorHandle,
     SuperElement,
     contract_antighost,
-    contract_ghost,
     super_mul,
 )
-from .brst import classical_charge, _ghost, _antighost
+from .brst import _antighost, build_delta, classical_charge, splitting_residuals
 
 
 def quantum_charge_raw(moment, order):
@@ -139,55 +138,26 @@ def build_quantum_koszul(moment, star):
     return OperatorHandle("koszul_nu", fn, +1)
 
 
-def build_quantum_delta(moment, star):
-    """The deformed codifferential: structure terms plus e^a (1/nu)[J_a, .]*.
+def star_action(star):
+    """The quantum coefficient action (j, x) -> (1/nu)[j, .]* on every coefficient of x.
 
-    The star-commutator piece acts on coefficients; the division by nu is
-    exact under quantum covariance and drops one reliable order.
+    The division by nu is exact under quantum covariance and drops one
+    reliable order.
     """
-    ctx = moment.ctx
-    dim = moment.lie.dim
-    f = moment.lie.f
-    triples = [
-        (a, b, c, f[a][b][c])
-        for a in range(dim)
-        for b in range(dim)
-        for c in range(dim)
-        if f[a][b][c]
-    ]
 
-    def fn(x):
-        order = x.order
-        out = SuperElement.zero(ctx, dim, order)
-        for a, b, c, v in triples:
-            ic = contract_ghost(x, c + 1)
-            if ic.terms:
-                ghost2 = super_mul(
-                    _ghost(ctx, dim, order, a + 1), _ghost(ctx, dim, order, b + 1)
-                )
-                out = out + super_mul(ghost2, ic).scale(Fraction(-1, 2) * v)
-            ib = contract_antighost(x, b + 1)
-            if ib.terms:
-                ga_ec = super_mul(
-                    _ghost(ctx, dim, order, a + 1), _antighost(ctx, dim, order, c + 1)
-                )
-                out = out + super_mul(ga_ec, ib).scale(v)
-        for a in range(dim):
-            j = Series.from_poly(moment.components[a], order)
-            acted = {}
-            for key, coeff in x.terms.items():
-                comm = (
-                    moyal_star_series(j, coeff, star.lam)
-                    - moyal_star_series(coeff, j, star.lam)
-                ).div_nu()
-                if not all(p.is_zero() for p in comm.coeffs):
-                    acted[key] = comm
-            el = SuperElement(ctx, dim, order, acted, _clean=True)
-            if el.terms:
-                out = out + super_mul(_ghost(ctx, dim, order, a + 1), el)
-        return out
+    def act(j, x):
+        jser = Series.from_poly(j, x.order)
+        acted = {}
+        for key, coeff in x.terms.items():
+            comm = (
+                moyal_star_series(jser, coeff, star.lam)
+                - moyal_star_series(coeff, jser, star.lam)
+            ).div_nu()
+            if not all(p.is_zero() for p in comm.coeffs):
+                acted[key] = comm
+        return SuperElement(x.ctx, x.dim, x.order, acted, _clean=True)
 
-    return OperatorHandle("delta_nu", fn, +1, frozenset({"ghost"}))
+    return act
 
 
 def quantum_brst_diff(theta_nu, star):
@@ -205,43 +175,22 @@ class QuantumOperators:
     D: OperatorHandle
     koszul_nu: OperatorHandle
     delta_nu: OperatorHandle
-    R: OperatorHandle
-    q: OperatorHandle
-    u: OperatorHandle
 
 
-def build_quantum_operators(moment, star, order):
-    theta_nu = quantum_charge(moment, star, order)
+def build_quantum_operators(moment, star, theta_nu):
+    """The deformed operators around the charge theta_nu (see `quantum_charge`)."""
     return QuantumOperators(
         theta_nu=theta_nu,
         D=quantum_brst_diff(theta_nu, star),
         koszul_nu=build_quantum_koszul(moment, star),
-        delta_nu=build_quantum_delta(moment, star),
-        R=build_R(moment, star),
-        q=build_q(moment),
-        u=build_u(moment),
+        delta_nu=build_delta(moment, star_action(star), "delta_nu"),
     )
 
 
-def check_quantum_splitting(ops, probes, upto=None):
+def check_quantum_splitting(ops, probes):
     """Residuals of the quantum splitting identities on each probe.
 
     D_nu = delta_nu + 2 koszul_nu, each square zero, and the two pieces
-    anticommute; all modulo the truncation (to `upto` when given).
+    anticommute; all modulo the truncation.
     """
-    out = []
-    for k, x in enumerate(probes):
-        dx = ops.D(x)
-        out.append(
-            (f"D_nu-delta_nu-2koszul_nu[{k}]", dx - ops.delta_nu(x) - ops.koszul_nu(x).scale(2))
-        )
-        out.append((f"D_nu^2[{k}]", ops.D(dx)))
-        out.append((f"delta_nu^2[{k}]", ops.delta_nu(ops.delta_nu(x))))
-        out.append((f"koszul_nu^2[{k}]", ops.koszul_nu(ops.koszul_nu(x))))
-        out.append(
-            (
-                f"delta_nu.koszul_nu+koszul_nu.delta_nu[{k}]",
-                ops.delta_nu(ops.koszul_nu(x)) + ops.koszul_nu(ops.delta_nu(x)),
-            )
-        )
-    return out
+    return splitting_residuals(ops.D, ops.delta_nu, ops.koszul_nu, probes, "_nu")

@@ -11,16 +11,20 @@ product routes through the perturbed inclusion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .brst import certify_invariant, quotient_codifferential
+from .brst import (
+    RepresentationHandle,
+    brst_base_contraction,
+    build_delta,
+    certify_invariant,
+    quotient_codifferential,
+)
 from .errors import ClosednessError
 from .hpt import neumann_inverse, perturb_v1, perturb_v2
-from .koszul import Contraction
-from .poisson import moyal_star_series
 from .poly import Poly
+from .quantum import build_quantum_koszul, star_action
 from .series import Series
-from .superalg import OperatorHandle, SuperElement, op_compose, op_scale
+from .superalg import OperatorHandle, SuperElement, op_compose
 
 
 def deformed_restriction(koszul_contraction, moment, star, probes_X=(), probes_Y=(), upto=None):
@@ -29,8 +33,6 @@ def deformed_restriction(koszul_contraction, moment, star, probes_X=(), probes_Y
     Returns (contraction, t) where the contraction carries res_nu and the
     deformed homotopy, and t = koszul_nu - koszul is the initiator.
     """
-    from .quantum import build_quantum_koszul
-
     knu = build_quantum_koszul(moment, star)
     t = OperatorHandle(
         "(koszul_nu-koszul)",
@@ -58,79 +60,23 @@ def closed_form_res_nu(koszul_contraction, t, order, name="res_nu_closed"):
 
 def quantized_representation(moment, star, res_nu, prol):
     """L^z deformed: res_nu after the star-commutator action after prol."""
-    from .brst import RepresentationHandle
-
-    dim = moment.lie.dim
+    act = star_action(star)
 
     def make(a):
         j = moment.components[a]
+        # adjoint part on antighosts vanishes on quotient cochains
+        return OperatorHandle(f"Lz_nu_{a + 1}", lambda x: res_nu(act(j, prol(x))), 0)
 
-        def fn(x):
-            px = prol(x)
-            jser = Series.from_poly(j, px.order)
-            acted = {}
-            for key, coeff in px.terms.items():
-                comm = (
-                    moyal_star_series(jser, coeff, star.lam)
-                    - moyal_star_series(coeff, jser, star.lam)
-                ).div_nu()
-                if not all(p.is_zero() for p in comm.coeffs):
-                    acted[key] = comm
-            # adjoint part on antighosts vanishes on quotient cochains
-            return res_nu(SuperElement(px.ctx, px.dim, px.order, acted, _clean=True))
-
-        return OperatorHandle(f"Lz_nu_{a + 1}", fn, 0)
-
-    return RepresentationHandle(moment.lie, tuple(make(a) for a in range(dim)))
+    return RepresentationHandle(moment.lie, tuple(make(a) for a in range(moment.lie.dim)))
 
 
 def quantum_reduction(moment, star, deformed_contraction, probes_X=(), probes_Y=(), upto=None):
     """Transfer the quantum BRST differential: returns (Phi_nu, H_nu, contraction, d_z_nu)."""
-    c = deformed_contraction
-    base = Contraction(
-        p=c.p,
-        i=c.i,
-        h=op_scale(c.h, Fraction(1, 2), name="h_nu/2"),
-        d_X=OperatorHandle("0", lambda x: x.scale(0), +1),
-        d_Y=op_scale(c.d_Y, 2, name="2*koszul_nu"),
-        sc1=c.sc1,
-        sc2=c.sc2,
-        sc3=c.sc3,
-        meta=dict(c.meta, extended="quantum-brst"),
-    )
-    from .quantum import build_quantum_delta
-
-    delta_nu = build_quantum_delta(moment, star)
+    base = brst_base_contraction(deformed_contraction)
+    delta_nu = build_delta(moment, star_action(star), "delta_nu")
     d_z = quotient_codifferential(delta_nu, base.p, base.i, name="d_z_nu")
     out = perturb_v1(base, delta_nu, d_z, probes_X, probes_Y, upto=upto)
     return out.i, out.h, out, d_z
-
-
-def closed_form_H_nu(deformed_contraction, delta_nu, lie_dim):
-    """H_nu = 1/2 h_nu sum_j (-1/2)^j (h_nu delta_nu + delta_nu h_nu)^j."""
-    h = deformed_contraction.h
-
-    def fn(x):
-        acc = SuperElement.zero(x.ctx, x.dim, x.order)
-        term = x
-        for j in range(lie_dim + 1):
-            acc = acc + term.scale(Fraction(-1, 2) ** j)
-            term = h(delta_nu(term)) + delta_nu(h(term))
-            if not term.terms:
-                break
-        return h(acc).scale(Fraction(1, 2))
-
-    return OperatorHandle("H_nu_closed", fn, -1)
-
-
-def closed_form_Phi_nu(deformed_contraction, delta_nu, h_nu, d_z_nu):
-    prol = deformed_contraction.i
-
-    def fn(x):
-        px = prol(x)
-        return px - h_nu(delta_nu(px) - prol(d_z_nu(x)))
-
-    return OperatorHandle("Phi_nu_closed", fn, 0)
 
 
 @dataclass

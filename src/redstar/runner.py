@@ -1,16 +1,28 @@
 """Scenario execution: the ordered verification pipeline with reporting.
 
 Stages run in a fixed order; a failing stage marks everything after it as
-skipped.  All randomness is seeded from the scenario configuration, so two
-runs of the same config produce identical reports up to timing fields.
+skipped.  Each stage function builds the objects it verifies and states
+the identities it checks; one executor, `StageRun`, does the rest once for
+every stage: it prefixes check ids with the stage, seeds the stage's random
+generator from `f"{seed}:{stage}"`, tests residuals for exact zero (modulo
+nu^(upto+1) where a truncation is given), counts probes (the number of
+residual items unless a check says otherwise), groups residuals by identity
+label, loops over the contraction axioms, and turns a perturbation-lemma
+transfer into a "build" record or a failed "hypotheses" record.  A record's
+wall time runs from the stage's previous record (or its start) to its own
+verdict, so it includes building the check's residuals.  All randomness is
+seeded from the scenario configuration, so two runs of the same config
+produce identical reports up to timing fields.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 from . import __version__
 from .brst import (
@@ -18,24 +30,21 @@ from .brst import (
     build_rep_Lz,
     certify_invariant,
     check_classical_splitting,
+    classical_brst_diff,
     classical_charge,
     classical_reduction,
     closed_form_H,
     closed_form_Phi,
-    classical_brst_diff,
+    poisson_action,
     reduced_poisson,
 )
-from .errors import (
-    ConfigError,
-    InvarianceError,
-    LemmaHypothesisError,
-    RedstarError,
-)
+from .errors import ConfigError, InvarianceError, LemmaHypothesisError, RedstarError
 from .koszul import (
     MomentMapData,
     build_koszul_contraction,
     check_acyclicity,
     enforce_side_conditions,
+    koszul_diff,
 )
 from .parsing import parse_polynomial
 from .poisson import (
@@ -45,16 +54,15 @@ from .poisson import (
     poisson_data,
 )
 from .poly import Poly
-from .probes import (
-    random_bounded_chain,
-    random_bounded_super,
-    random_poly,
+from .probes import random_bounded_chain, random_bounded_super, random_poly
+from .quantum import (
+    build_quantum_operators,
+    check_quantum_splitting,
+    quantum_charge_raw,
+    star_action,
 )
-from .quantum import check_quantum_splitting
 from .reduction import (
     ReductionPipeline,
-    closed_form_H_nu,
-    closed_form_Phi_nu,
     closed_form_res_nu,
     deformed_restriction,
     invariant_generators,
@@ -66,14 +74,61 @@ from .reduction import (
 from .report import CheckRecord, Report
 from .scenarios import FULL_STAGES as STAGE_ORDER
 from .series import Series
-from .superalg import (
-    LieAlgebraData,
-    StarProduct,
-    SuperElement,
-    graded_poisson,
-)
+from .superalg import LieAlgebraData, StarProduct, SuperElement, graded_poisson
 
 NU_HEADROOM = 2  # extra truncation orders to absorb divisions by nu
+
+# Anchors of the seven contraction axioms (labels of Contraction.axiom_residuals),
+# per stage that checks a contraction.
+AXIOM_ANCHORS = {
+    "contraction": {
+        "p.i=id": "res prol = id",
+        "d h+h d=id-i.p": "koszul h + h koszul = id - prol res",
+        "p d=d p": "res is a chain map",
+        "d i=i d": "prol is a chain map",
+        "h h=0": "side condition 1",
+        "h i=0": "side condition 2 (h prol = 0)",
+        "p h=0": "side condition 3 (res h = 0)",
+    },
+    "classical-reduction": {
+        "p.i=id": "res Phi = id",
+        "d h+h d=id-i.p": "D H + H D = id - Phi res",
+        "p d=d p": "res is a chain map for (D, d_z)",
+        "d i=i d": "Phi is a chain map",
+        "h h=0": "H^2 = 0",
+        "h i=0": "H Phi = 0",
+        "p h=0": "res H = 0",
+    },
+    "deformed-restriction": {
+        "p.i=id": "res_nu prol = id",
+        "d h+h d=id-i.p": "koszul_nu h_nu + h_nu koszul_nu = id - prol res_nu",
+        "p d=d p": "res_nu is a chain map",
+        "d i=i d": "prol is a chain map for koszul_nu",
+        "h h=0": "h_nu^2 = 0",
+        "h i=0": "h_nu prol = 0",
+        "p h=0": "res_nu h_nu = 0",
+    },
+    "quantum-reduction": {
+        "p.i=id": "res_nu Phi_nu = id",
+        "d h+h d=id-i.p": "D_nu H_nu + H_nu D_nu = id - Phi_nu res_nu",
+        "p d=d p": "res_nu is a chain map for (D_nu, d_z_nu)",
+        "d i=i d": "Phi_nu is a chain map",
+        "h h=0": "H_nu^2 = 0",
+        "h i=0": "H_nu Phi_nu = 0",
+        "p h=0": "res_nu H_nu = 0",
+    },
+}
+
+
+def _splitting_anchors(s):
+    """Anchors of the BRST splitting identities; `s` is "" or "_nu"."""
+    return {
+        f"D{s}-delta{s}-2koszul{s}": f"D{s} = delta{s} + 2 koszul{s}",
+        f"D{s}^2": f"D{s}^2 = 0",
+        f"delta{s}^2": f"delta{s}^2 = 0",
+        f"koszul{s}^2": f"koszul{s}^2 = 0",
+        f"delta{s}.koszul{s}+koszul{s}.delta{s}": f"delta{s} and koszul{s} supercommute",
+    }
 
 
 @dataclass
@@ -81,7 +136,6 @@ class RunState:
     config: object
     ctx: object = None
     lam: object = None
-    lie: object = None
     moment: object = None
     star: object = None
     order: int = 4
@@ -90,26 +144,16 @@ class RunState:
     jdegs: tuple = ()
     kc: object = None
     space: object = None
-    theta: object = None
     delta: object = None
     phi: object = None
     H: object = None
-    d_z: object = None
-    classical_contraction: object = None
-    qops: object = None
     dc: object = None
-    initiator: object = None
     phi_nu: object = None
     h_nu: object = None
     d_z_nu: object = None
     quantum_contraction: object = None
-    pipe: object = None
     generators: list = field(default_factory=list)
     torus: bool = False
-
-
-def _rng(state, stage):
-    return random.Random(f"{state.config.seed}:{stage}")
 
 
 def _summary(obj):
@@ -126,56 +170,76 @@ def _trim(text, n=400):
     return text if len(text) <= n else text[: n - 4] + " ..."
 
 
-def _record(stage, check_id, anchor, residual_items, probes=0, upto=None, detail=None):
-    """Build a CheckRecord from (label, residual) pairs; exact zero means pass."""
-    t0 = time.perf_counter()
-    status = "pass"
-    witness = None
-    terms, maxdeg = 0, -1
-    for label, residual in residual_items:
-        ok = residual.is_zero(upto) if upto is not None else residual.is_zero()
-        if not ok:
-            status = "fail"
-            witness = _trim(f"{label}: {residual}")
-            terms, maxdeg = _summary(residual)
-            break
-    return CheckRecord(
-        check_id=check_id,
-        stage=stage,
-        anchor=anchor,
-        status=status,
-        residual_terms=terms,
-        residual_max_degree=maxdeg,
-        probes=probes,
-        wall_time_s=time.perf_counter() - t0,
-        witness=witness,
-        detail=detail,
-    )
+class StageRun:
+    """The check executor of one stage: records, ids, seeding and timing."""
 
+    def __init__(self, state, stage):
+        self.state = state
+        self.stage = stage
+        self.prefix = stage  # of check ids; a stage may switch it for a group
+        self.rng = random.Random(f"{state.config.seed}:{stage}")
+        self.records = []
+        self._lap = time.perf_counter()
 
-def _timed(record, t0):
-    record.wall_time_s = time.perf_counter() - t0
-    return record
-
-
-def _aggregate(stage, prefix, anchor_map, residual_items, probes, upto=None):
-    """One record per identity label, aggregated over all probes."""
-    grouped = {}
-    for label, residual in residual_items:
-        base = label.split("[")[0]
-        grouped.setdefault(base, []).append((label, residual))
-    records = []
-    for base, items in grouped.items():
-        rec = _record(
-            stage,
-            f"{prefix}.{base}",
-            anchor_map.get(base, base),
-            items,
-            probes=len(items),
-            upto=upto,
+    def record(self, name, anchor, status="pass", **fields):
+        """Append a record; its wall time is the time since the previous one."""
+        now = time.perf_counter()
+        rec = CheckRecord(
+            f"{self.prefix}.{name}", self.stage, anchor, status,
+            wall_time_s=now - self._lap, **fields,
         )
-        records.append(rec)
-    return records
+        self._lap = now
+        self.records.append(rec)
+        return rec
+
+    def check(self, name, anchor, items, probes=None, upto=None, detail=None):
+        """One record from (label, residual) items; exact zero means pass.
+
+        The first nonzero residual is the witness.  `probes` defaults to
+        the number of items; `upto` truncates the zero test in nu.
+        """
+        fields = dict(probes=len(items) if probes is None else probes, detail=detail)
+        for label, residual in items:
+            if not (residual.is_zero() if upto is None else residual.is_zero(upto)):
+                terms, maxdeg = _summary(residual)
+                return self.record(
+                    name, anchor, "fail", witness=_trim(f"{label}: {residual}"),
+                    residual_terms=terms, residual_max_degree=maxdeg, **fields,
+                )
+        return self.record(name, anchor, **fields)
+
+    def by_label(self, anchors, items, upto=None):
+        """One check per identity label (the text before `[`), over all its probes."""
+        grouped = {}
+        for label, residual in items:
+            grouped.setdefault(label.split("[")[0], []).append((label, residual))
+        for base, group in grouped.items():
+            self.check(base, anchors.get(base, base), group, upto=upto)
+
+    def axioms(self, contraction, probes_X, probes_Y, upto=None):
+        """The contraction axioms on probe pairs, one check per axiom."""
+        items = []
+        for x, y in zip(probes_X, probes_Y):
+            items.extend(contraction.axiom_residuals(x, y).items())
+        self.by_label(AXIOM_ANCHORS[self.stage], items, upto)
+
+    def transfer(self, anchor, build):
+        """Run a perturbation-lemma transfer; None after a failed hypothesis."""
+        try:
+            out = build()
+        except LemmaHypothesisError as exc:
+            self.record("hypotheses", "transfer lemma hypotheses", "fail", witness=_trim(exc))
+            return None
+        self.record("build", anchor)
+        return out
+
+    def element(self, order, bound=None, terms=2):
+        """A random BRST element within the degree bound (the scenario's by default)."""
+        st = self.state
+        bound = st.bound if bound is None else bound
+        return random_bounded_super(
+            st.ctx, st.moment.lie.dim, order, self.rng, bound, st.jdegs, terms=terms
+        )
 
 
 # -- stages -----------------------------------------------------------------------
@@ -183,10 +247,8 @@ def _aggregate(stage, prefix, anchor_map, residual_items, probes, upto=None):
 
 def stage_load(state):
     cfg = state.config
-    records = []
-    t0 = time.perf_counter()
-    ctx = cfg.build_context()
-    state.ctx = ctx
+    run = StageRun(state, "load")
+    ctx = state.ctx = cfg.build_context()
     state.order = cfg.order
     state.work_order = cfg.order + NU_HEADROOM
     state.bound = cfg.degree_bound
@@ -200,17 +262,8 @@ def stage_load(state):
 
     lam = poisson_data(ctx, [(a, b, parse_scalar(v)) for a, b, v in cfg.poisson_entries])
     state.lam = lam
-    records.append(
-        _timed(
-            CheckRecord(
-                "load.poisson", "load",
-                "Lambda antisymmetric and invertible", "pass",
-            ),
-            t0,
-        )
-    )
+    run.record("poisson", "Lambda antisymmetric and invertible")
 
-    t0 = time.perf_counter()
     try:
         lie = LieAlgebraData.build(
             cfg.lie_dim,
@@ -219,16 +272,10 @@ def stage_load(state):
         )
     except ValueError as exc:
         raise ConfigError(f"Lie data rejected: {exc}") from None
-    state.lie = lie
-    records.append(
-        _timed(
-            CheckRecord(
-                "load.lie", "load",
-                "f antisymmetric; Jacobi identity; flags consistent", "pass",
-                detail=f"abelian={lie.abelian} unimodular={lie.unimodular}",
-            ),
-            t0,
-        )
+    run.record(
+        "lie",
+        "f antisymmetric; Jacobi identity; flags consistent",
+        detail=f"abelian={lie.abelian} unimodular={lie.unimodular}",
     )
 
     comps = tuple(parse_polynomial(src, ctx) for src in cfg.moment_map)
@@ -240,9 +287,7 @@ def stage_load(state):
             (f"J_{a + 1} homogeneous", Poly.zero(ctx) if j.is_homogeneous() else j)
             for a, j in enumerate(comps)
         ]
-        records.append(
-            _record("load", "load.homogeneity", "components homogeneous per grading", items)
-        )
+        run.check("homogeneity", "components homogeneous per grading", items, probes=0)
         if state.torus:
             bad = Poly.zero(ctx)
             for r in cfg.torus_rows:
@@ -250,24 +295,15 @@ def stage_load(state):
                     g = j.grade()
                     if g[1 + r] != 0:
                         bad = j
-            records.append(
-                _record(
-                    "load", "load.weight-zero",
-                    "components invariant (weight zero) on torus rows",
-                    [("torus weight of J", bad)],
-                )
+            run.check(
+                "weight-zero",
+                "components invariant (weight zero) on torus rows",
+                [("torus weight of J", bad)],
+                probes=0,
             )
 
     eq = state.moment.check_equivariance(lam)
-    records.append(
-        _record(
-            "load",
-            "load.equivariance",
-            "{J_a,J_b} = f_ab^c J_c",
-            [(f"pair {ab}", r) for ab, r in eq],
-            probes=len(eq),
-        )
-    )
+    run.check("equivariance", "{J_a,J_b} = f_ab^c J_c", [(f"pair {ab}", r) for ab, r in eq])
 
     if cfg.action:
         items = []
@@ -275,203 +311,124 @@ def stage_load(state):
             want = parse_polynomial(expr, ctx)
             got = poisson_bracket(comps[a - 1], Poly.variable(ctx, var), lam)
             items.append((f"{{J_{a}, {var}}}", got - want))
-        records.append(
-            _record(
-                "load",
-                "load.calibration",
-                "{J_a, v} equals the declared infinitesimal action",
-                items,
-                probes=len(items),
-            )
-        )
+        run.check("calibration", "{J_a, v} equals the declared infinitesimal action", items)
 
-    from fractions import Fraction
-
-    state.star = StarProduct(
-        lam, lie.dim, state.work_order, Fraction(cfg.clifford_coeff)
-    )
-    return records
+    state.star = StarProduct(lam, lie.dim, state.work_order, Fraction(cfg.clifford_coeff))
+    return run.records
 
 
 def stage_covariance(state):
+    run = StageRun(state, "covariance")
     outcome = check_quantum_covariance(state.moment, state.lam, state.work_order)
-    return [
-        _record(
-            "covariance",
-            "covariance.pairs",
-            "J_a*J_b - J_b*J_a = nu f_ab^c J_c",
-            [(r.label, r.residual) for r in outcome.records],
-            probes=len(outcome.records),
-            upto=state.order,
-        )
-    ]
+    run.check(
+        "pairs",
+        "J_a*J_b - J_b*J_a = nu f_ab^c J_c",
+        [(r.label, r.residual) for r in outcome.records],
+        upto=state.order,
+    )
+    return run.records
 
 
 def stage_strong_invariance(state):
-    rng = _rng(state, "strong-invariance")
+    run = StageRun(state, "strong-invariance")
     n = state.config.probe_counts()["strong_invariance"]
     probes = [Poly.const(state.ctx, 1)] + [
-        random_poly(state.ctx, rng, 4, 4) for _ in range(n - 1)
+        random_poly(state.ctx, run.rng, 4, 4) for _ in range(n - 1)
     ]
     outcome = check_strong_invariance(state.moment, state.lam, state.work_order, probes)
-    return [
-        _record(
-            "strong-invariance",
-            "strong-invariance.probes",
-            "J_a*f - f*J_a = nu {J_a, f}",
-            [(r.label, r.residual) for r in outcome.records],
-            probes=len(outcome.records),
-            upto=state.order,
-        )
-    ]
+    run.check(
+        "probes",
+        "J_a*f - f*J_a = nu {J_a, f}",
+        [(r.label, r.residual) for r in outcome.records],
+        upto=state.order,
+    )
+    return run.records
 
 
 def stage_acyclicity(state):
-    t0 = time.perf_counter()
+    run = StageRun(state, "acyclicity")
     rep = check_acyclicity(state.moment, state.bound)
-    records = []
     by_degree = {}
     for g, d in rep.h0_dims.items():
         by_degree[g[0]] = by_degree.get(g[0], 0) + d
-    records.append(
-        _timed(
-            CheckRecord(
-                "acyclicity.H0",
-                "acyclicity",
-                "H_0 realized as the canonical monomial complement",
-                "pass",
-                detail="dim H_0 by degree: "
-                + " ".join(f"{d}:{v}" for d, v in sorted(by_degree.items())),
-            ),
-            t0,
-        )
+    run.record(
+        "H0",
+        "H_0 realized as the canonical monomial complement",
+        detail="dim H_0 by degree: "
+        + " ".join(f"{d}:{v}" for d, v in sorted(by_degree.items())),
     )
     for i in range(1, state.moment.lie.dim + 1):
         total = rep.total(i)
-        status = "pass" if total == 0 else "fail"
         witness = None
-        if status == "fail" and rep.witness_slice and rep.witness_slice[0] == i:
+        if total and rep.witness_slice and rep.witness_slice[0] == i:
             chain = " + ".join(
                 f"({p})*e_{'e_'.join(str(a) for a in aset)}" if len(aset) > 1 else f"({p})*e_{aset[0]}"
                 for aset, p in rep.witness.items()
             )
             witness = _trim(f"nontrivial cycle at slice {rep.witness_slice[1]}: {chain}")
-        records.append(
-            CheckRecord(
-                f"acyclicity.H{i}",
-                "acyclicity",
-                f"dim H_{i} = 0 in all graded slices up to degree {state.bound}",
-                status,
-                residual_terms=total,
-                residual_max_degree=max(
-                    (g[0] for (j, g), v in rep.dims.items() if j == i and v), default=-1
-                ),
-                witness=witness,
-                detail=f"total dim H_{i} over slices: {total}",
-            )
+        run.record(
+            f"H{i}",
+            f"dim H_{i} = 0 in all graded slices up to degree {state.bound}",
+            "pass" if total == 0 else "fail",
+            residual_terms=total,
+            residual_max_degree=max(
+                (g[0] for (j, g), v in rep.dims.items() if j == i and v), default=-1
+            ),
+            witness=witness,
+            detail=f"total dim H_{i} over slices: {total}",
         )
-    return records
+    return run.records
 
 
 def stage_contraction(state):
-    cfg = state.config
-    rng = _rng(state, "contraction")
-    t0 = time.perf_counter()
+    run = StageRun(state, "contraction")
     kc = enforce_side_conditions(build_koszul_contraction(state.moment, state.bound))
     state.kc = kc
     state.space = kc.meta["space"]
-    build_rec = _timed(
-        CheckRecord(
-            "contraction.build",
-            "contraction",
-            "res/prol/h assembled from canonical slice solves; side conditions normalized",
-            "pass",
-        ),
-        t0,
+    run.record(
+        "build", "res/prol/h assembled from canonical slice solves; side conditions normalized"
     )
-    n_per = cfg.probe_counts()["contraction"]
     dim = state.moment.lie.dim
-    items = []
-    probes = 0
-    t0 = time.perf_counter()
+    probes_X, probes_Y = [], []
     for i in range(0, dim + 1):
-        for _ in range(n_per):
-            y = random_bounded_chain(
-                state.ctx, dim, 0, rng, state.bound, state.jdegs, i, terms=2
+        for _ in range(state.config.probe_counts()["contraction"]):
+            probes_Y.append(
+                random_bounded_chain(
+                    state.ctx, dim, 0, run.rng, state.bound, state.jdegs, i, terms=2
+                )
             )
-            x = kc.p(
-                random_bounded_super(state.ctx, dim, 0, rng, state.bound, state.jdegs, terms=2)
-            )
-            for label, residual in kc.axiom_residuals(x, y).items():
-                items.append((label, residual))
-            probes += 1
-    anchors = {
-        "p.i=id": "res prol = id",
-        "d h+h d=id-i.p": "koszul h + h koszul = id - prol res",
-        "p d=d p": "res is a chain map",
-        "d i=i d": "prol is a chain map",
-        "h h=0": "side condition 1",
-        "h i=0": "side condition 2 (h prol = 0)",
-        "p h=0": "side condition 3 (res h = 0)",
-    }
-    records = [build_rec] + _aggregate("contraction", "contraction", anchors, items, probes)
+            probes_X.append(kc.p(run.element(0)))
+    run.axioms(kc, probes_X, probes_Y)
     # determinism: a rebuilt contraction is the same operator
-    t0 = time.perf_counter()
     kc2 = enforce_side_conditions(build_koszul_contraction(state.moment, state.bound))
-    det_items = []
+    items = []
     for _ in range(5):
-        y = random_bounded_super(state.ctx, dim, 0, rng, state.bound, state.jdegs, terms=2)
-        det_items.append(("h rebuilt minus h", kc.h(y) - kc2.h(y)))
-        det_items.append(("res rebuilt minus res", kc.p(y) - kc2.p(y)))
-    records.append(
-        _timed(
-            _record(
-                "contraction",
-                "contraction.determinism",
-                "rebuilt homotopy is bit-identical on probes",
-                det_items,
-                probes=5,
-            ),
-            t0,
-        )
-    )
-    return records
+        y = run.element(0)
+        items.append(("h rebuilt minus h", kc.h(y) - kc2.h(y)))
+        items.append(("res rebuilt minus res", kc.p(y) - kc2.p(y)))
+    run.check("determinism", "rebuilt homotopy is bit-identical on probes", items, probes=5)
+    return run.records
 
 
 def stage_classical_brst(state):
-    cfg = state.config
-    rng = _rng(state, "classical-brst")
-    dim = state.moment.lie.dim
+    run = StageRun(state, "classical-brst")
     theta = classical_charge(state.moment, 0)
-    state.theta = theta
-    records = [
-        _record(
-            "classical-brst",
-            "classical-brst.charge",
-            "{theta, theta} = 0",
-            [("{theta,theta}", graded_poisson(theta, theta, state.lam))],
-        )
-    ]
-    delta = build_delta(state.moment, state.lam)
-    state.delta = delta
-    n = cfg.probe_counts()["splitting"]
-    probes = [
-        random_bounded_super(state.ctx, dim, 0, rng, state.bound, state.jdegs, terms=2)
-        for _ in range(n)
-    ]
+    run.check(
+        "charge",
+        "{theta, theta} = 0",
+        [("{theta,theta}", graded_poisson(theta, theta, state.lam))],
+        probes=0,
+    )
+    delta = state.delta = build_delta(state.moment, poisson_action(state.lam))
+    n = state.config.probe_counts()["splitting"]
+    probes = [run.element(0) for _ in range(n)]
     items = check_classical_splitting(state.moment, state.lam, theta, delta, probes)
-    anchors = {
-        "D-delta-2koszul": "D = delta + 2 koszul",
-        "D^2": "D^2 = 0",
-        "delta^2": "delta^2 = 0",
-        "koszul^2": "koszul^2 = 0",
-        "delta.koszul+koszul.delta": "delta and koszul supercommute",
-    }
-    records += _aggregate("classical-brst", "classical-brst", anchors, items, n)
-    return records
+    run.by_label(_splitting_anchors(""), items)
+    return run.records
 
 
-def _build_generators(state, records, stage):
+def _build_generators(run):
+    state = run.state
     cfg = state.config
     if state.generators:
         return
@@ -492,249 +449,118 @@ def _build_generators(state, records, stage):
             )
             kept.append(g)
             items.append((f"generator {g}", Poly.zero(state.ctx)))
-        except InvarianceError as exc:
+        except InvarianceError:
             items.append((f"generator {g}", g))
-    records.append(
-        _record(
-            stage,
-            f"{stage}.generators",
-            "invariant generators certified (weight zero or bracket into the ideal)",
-            items,
-            probes=len(gens),
-            detail=f"{len(kept)} generator(s)",
-        )
+    run.check(
+        "generators",
+        "invariant generators certified (weight zero or bracket into the ideal)",
+        items,
+        detail=f"{len(kept)} generator(s)",
     )
     state.generators = kept
 
 
 def stage_classical_reduction(state):
     cfg = state.config
-    rng = _rng(state, "classical-reduction")
+    run = StageRun(state, "classical-reduction")
     dim = state.moment.lie.dim
-    records = []
-    mk_y = lambda: random_bounded_super(
-        state.ctx, dim, 0, rng, state.bound, state.jdegs, terms=2
-    )
-    probes_Y = [mk_y() for _ in range(6)]
+    probes_Y = [run.element(0) for _ in range(6)]
     probes_X = [state.kc.p(y) for y in probes_Y]
-    t0 = time.perf_counter()
-    try:
-        phi, H, cc, d_z = classical_reduction(
+    built = run.transfer(
+        "transfer of D along the extended contraction (lemma version 1)",
+        lambda: classical_reduction(
             state.moment, state.lam, state.kc, probes_X[:3], probes_Y[:3]
-        )
-    except LemmaHypothesisError as exc:
-        return [
-            CheckRecord(
-                "classical-reduction.hypotheses",
-                "classical-reduction",
-                "transfer lemma hypotheses",
-                "fail",
-                witness=_trim(exc),
-            )
-        ]
-    state.phi, state.H, state.classical_contraction, state.d_z = phi, H, cc, d_z
-    records.append(
-        _timed(
-            CheckRecord(
-                "classical-reduction.build",
-                "classical-reduction",
-                "transfer of D along the extended contraction (lemma version 1)",
-                "pass",
-            ),
-            t0,
-        )
+        ),
     )
-    items = []
-    for x, y in zip(probes_X, probes_Y):
-        items.extend(cc.axiom_residuals(x, y).items())
-    anchors = {
-        "p.i=id": "res Phi = id",
-        "d h+h d=id-i.p": "D H + H D = id - Phi res",
-        "p d=d p": "res is a chain map for (D, d_z)",
-        "d i=i d": "Phi is a chain map",
-        "h h=0": "H^2 = 0",
-        "h i=0": "H Phi = 0",
-        "p h=0": "res H = 0",
-    }
-    records += _aggregate(
-        "classical-reduction", "classical-reduction", anchors, items, len(probes_Y)
-    )
-    # closed forms
+    if built is None:
+        return run.records
+    phi, H, cc, d_z = built
+    state.phi, state.H = phi, H
+    run.axioms(cc, probes_X, probes_Y)
     Hcf = closed_form_H(state.kc, state.delta, dim)
     Phicf = closed_form_Phi(state.kc, state.delta, H, d_z)
-    items = []
-    for y in probes_Y:
-        items.append(("H - closed form", H(y) - Hcf(y)))
-    for x in probes_X:
-        items.append(("Phi - closed form", phi(x) - Phicf(x)))
-    records.append(
-        _record(
-            "classical-reduction",
-            "classical-reduction.closed-forms",
-            "lemma output equals H = h/2 sum (-1/2)^j (h delta + delta h)^j and "
-            "Phi = prol - H(delta prol - prol d_z)",
-            items,
-            probes=len(items),
-        )
+    items = [("H - closed form", H(y) - Hcf(y)) for y in probes_Y]
+    items += [("Phi - closed form", phi(x) - Phicf(x)) for x in probes_X]
+    run.check(
+        "closed-forms",
+        "lemma output equals H = h/2 sum (-1/2)^j (h delta + delta h)^j and "
+        "Phi = prol - H(delta prol - prol d_z)",
+        items,
     )
     if state.torus:
         items = [("Phi - prol", phi(x) - state.kc.i(x)) for x in probes_X]
-        records.append(
-            _record(
-                "classical-reduction",
-                "classical-reduction.equivariant-phi",
-                "equivariant prolongation: Phi = prol",
-                items,
-                probes=len(items),
-            )
-        )
-    _build_generators(state, records, "classical-reduction")
+        run.check("equivariant-phi", "equivariant prolongation: Phi = prol", items)
+    _build_generators(run)
     # reduced Poisson bracket checks
     gens = state.generators
-    if gens:
-        nf = state.space.normal_form_poly
-        rp = lambda f, g: reduced_poisson(
-            f, g, phi, state.kc.p, state.lam, dim,
-            state.moment, state.space, cfg.torus_rows, certify=False,
+    if not gens:
+        return run.records
+    run.prefix = "reduced-poisson"
+    nf = state.space.normal_form_poly
+    rp = lambda f, g: reduced_poisson(
+        f, g, phi, state.kc.p, state.lam, dim,
+        state.moment, state.space, cfg.torus_rows, certify=False,
+    )
+    items = [("antisymmetry {f,f}", Poly.zero(state.ctx))]
+    for a, b in itertools.combinations(range(min(len(gens), 6)), 2):
+        items.append(
+            (f"antisym ({a},{b})", rp(nf(gens[a]), nf(gens[b])) + rp(nf(gens[b]), nf(gens[a])))
         )
-        pairs = list(itertools.combinations(range(min(len(gens), 6)), 2))
-        items = [("antisymmetry {f,f}", Poly.zero(state.ctx))]
-        for a, b in pairs:
-            items.append(
-                (f"antisym ({a},{b})", rp(nf(gens[a]), nf(gens[b])) + rp(nf(gens[b]), nf(gens[a])))
-            )
-        for a in range(min(len(gens), 4)):
-            items.append((f"{{f,f}} ({a})", rp(nf(gens[a]), nf(gens[a]))))
-            items.append(
-                (f"constants central ({a})", rp(Poly.const(state.ctx, 1), nf(gens[a])))
-            )
-        records.append(
-            _record(
-                "classical-reduction",
-                "reduced-poisson.algebra",
-                "reduced bracket antisymmetric; constants central",
-                items,
-                probes=len(items),
-            )
+    for a in range(min(len(gens), 4)):
+        items.append((f"{{f,f}} ({a})", rp(nf(gens[a]), nf(gens[a]))))
+        items.append((f"constants central ({a})", rp(Poly.const(state.ctx, 1), nf(gens[a]))))
+    run.check("algebra", "reduced bracket antisymmetric; constants central", items)
+    items = []
+    for a, b, c in itertools.islice(itertools.combinations(range(min(len(gens), 5)), 3), 6):
+        fa, fb, fc = nf(gens[a]), nf(gens[b]), nf(gens[c])
+        jac = rp(fa, rp(fb, fc)) + rp(fb, rp(fc, fa)) + rp(fc, rp(fa, fb))
+        items.append((f"jacobi ({a},{b},{c})", jac))
+    if items:
+        run.check("jacobi", "reduced bracket satisfies the Jacobi identity", items)
+    # representative independence and the direct Dirac route
+    items = []
+    items2 = []
+    for k in range(6):
+        f = nf(gens[k % len(gens)])
+        g = random_poly(state.ctx, run.rng, 2, 2)
+        other = nf(gens[(k + 1) % len(gens)])
+        ja = state.moment.components[k % dim]
+        lhs = nf(poisson_bracket(f + ja * g, other, state.lam))
+        rhs = nf(poisson_bracket(f, other, state.lam))
+        items.append((f"ideal shift ({k})", lhs - rhs))
+        items2.append(
+            (f"Dirac route ({k})", rp(f, other) - nf(poisson_bracket(f, other, state.lam)))
         )
-        items = []
-        for a, b, c in itertools.islice(itertools.combinations(range(min(len(gens), 5)), 3), 6):
-            fa, fb, fc = nf(gens[a]), nf(gens[b]), nf(gens[c])
-            jac = (
-                rp(fa, rp(fb, fc)) + rp(fb, rp(fc, fa)) + rp(fc, rp(fa, fb))
-            )
-            items.append((f"jacobi ({a},{b},{c})", jac))
-        if items:
-            records.append(
-                _record(
-                    "classical-reduction",
-                    "reduced-poisson.jacobi",
-                    "reduced bracket satisfies the Jacobi identity",
-                    items,
-                    probes=len(items),
-                )
-            )
-        # representative independence and the direct Dirac route
-        items = []
-        items2 = []
-        for k in range(6):
-            f = nf(gens[k % len(gens)])
-            g = random_poly(state.ctx, rng, 2, 2)
-            other = nf(gens[(k + 1) % len(gens)])
-            ja = state.moment.components[k % dim]
-            lhs = state.space.normal_form_poly(
-                poisson_bracket(f + ja * g, other, state.lam)
-            )
-            rhs = state.space.normal_form_poly(poisson_bracket(f, other, state.lam))
-            items.append((f"ideal shift ({k})", lhs - rhs))
-            items2.append(
-                (
-                    f"Dirac route ({k})",
-                    rp(f, other)
-                    - state.space.normal_form_poly(poisson_bracket(f, other, state.lam)),
-                )
-            )
-        records.append(
-            _record(
-                "classical-reduction",
-                "reduced-poisson.ideal-invariance",
-                "bracket unchanged when a representative shifts by J_a g",
-                items,
-                probes=len(items),
-            )
-        )
-        records.append(
-            _record(
-                "classical-reduction",
-                "reduced-poisson.dirac-route",
-                "res{Phi f, Phi g} = res{prol f, prol g}",
-                items2,
-                probes=len(items2),
-            )
-        )
-    return records
+    run.check(
+        "ideal-invariance", "bracket unchanged when a representative shifts by J_a g", items
+    )
+    run.check("dirac-route", "res{Phi f, Phi g} = res{prol f, prol g}", items2)
+    return run.records
 
 
 def stage_quantum_brst(state):
     cfg = state.config
-    rng = _rng(state, "quantum-brst")
-    dim = state.moment.lie.dim
-    records = []
-    from .quantum import (
-        build_quantum_delta,
-        build_quantum_koszul,
-        quantum_brst_diff,
-        quantum_charge_raw,
-    )
-
+    run = StageRun(state, "quantum-brst")
+    star = state.star
     theta_nu = quantum_charge_raw(state.moment, state.work_order)
-    square = state.star.star(theta_nu, theta_nu)
-    rec = _record(
-        "quantum-brst",
-        "quantum-brst.charge",
+    charge = run.check(
+        "charge",
         "theta_nu * theta_nu = 0",
-        [("theta_nu*theta_nu", square)],
+        [("theta_nu*theta_nu", star.star(theta_nu, theta_nu))],
+        probes=0,
         upto=state.order,
     )
-    records.append(rec)
-    if rec.status == "fail":
-        return records
-
-    class _Q:
-        pass
-
-    qops = _Q()
-    qops.theta_nu = theta_nu
-    qops.D = quantum_brst_diff(theta_nu, state.star)
-    qops.koszul_nu = build_quantum_koszul(state.moment, state.star)
-    qops.delta_nu = build_quantum_delta(state.moment, state.star)
-    state.qops = qops
-
-    n = cfg.probe_counts()["splitting"]
-    probes = [
-        random_bounded_super(
-            state.ctx, dim, state.work_order, rng, state.bound, state.jdegs, terms=2
-        )
-        for _ in range(n)
-    ]
+    if charge.status == "fail":
+        return run.records
+    qops = build_quantum_operators(state.moment, star, theta_nu)
+    probes = [run.element(state.work_order) for _ in range(cfg.probe_counts()["splitting"])]
     items = check_quantum_splitting(qops, probes)
-    anchors = {
-        "D_nu-delta_nu-2koszul_nu": "D_nu = delta_nu + 2 koszul_nu",
-        "D_nu^2": "D_nu^2 = 0",
-        "delta_nu^2": "delta_nu^2 = 0",
-        "koszul_nu^2": "koszul_nu^2 = 0",
-        "delta_nu.koszul_nu+koszul_nu.delta_nu": "delta_nu and koszul_nu supercommute",
-    }
-    records += _aggregate(
-        "quantum-brst", "quantum-brst", anchors, items, n, upto=state.order
-    )
+    run.by_label(_splitting_anchors("_nu"), items, upto=state.order)
 
     # classical limits
     theta0 = classical_charge(state.moment, 0)
     D0 = classical_brst_diff(theta0, state.lam)
-    delta0 = build_delta(state.moment, state.lam)
-    from .koszul import koszul_diff
-
+    delta0 = build_delta(state.moment, poisson_action(state.lam))
     items = []
     for x in probes[:8]:
         x0 = x.classical_part()
@@ -743,118 +569,61 @@ def stage_quantum_brst(state):
         )
         items.append(("delta_nu|nu=0 - delta", qops.delta_nu(x).classical_part() - delta0(x0)))
         items.append(("D_nu|nu=0 - D", qops.D(x).classical_part() - D0(x0)))
-    records.append(
-        _record(
-            "quantum-brst",
-            "quantum-brst.classical-limit",
-            "each deformed operator restricts to its classical counterpart at nu = 0",
-            items,
-            probes=8,
-        )
+    run.check(
+        "classical-limit",
+        "each deformed operator restricts to its classical counterpart at nu = 0",
+        items,
+        probes=8,
     )
 
     # left-module property of the deformed Koszul differential
     items = []
     for k in range(8):
-        fpoly = random_poly(state.ctx, rng, 2, 2)
-        fel = SuperElement.from_poly(fpoly, dim, state.work_order)
-        x = random_bounded_super(
-            state.ctx, dim, state.work_order, rng, state.bound - 2, state.jdegs, terms=2
-        )
-        lhs = qops.koszul_nu(state.star.star(fel, x))
-        rhs = state.star.star(fel, qops.koszul_nu(x))
+        fpoly = random_poly(state.ctx, run.rng, 2, 2)
+        fel = SuperElement.from_poly(fpoly, state.moment.lie.dim, state.work_order)
+        x = run.element(state.work_order, state.bound - 2)
+        lhs = qops.koszul_nu(star.star(fel, x))
+        rhs = star.star(fel, qops.koszul_nu(x))
         items.append((f"module ({k})", lhs - rhs))
-    records.append(
-        _record(
-            "quantum-brst",
-            "quantum-brst.left-module",
-            "koszul_nu(f * x) = f * koszul_nu(x) for scalar f",
-            items,
-            probes=8,
-            upto=state.order,
-        )
+    run.check(
+        "left-module",
+        "koszul_nu(f * x) = f * koszul_nu(x) for scalar f",
+        items,
+        upto=state.order,
     )
 
     # star associativity sample
-    nass = cfg.probe_counts()["associativity_sample"]
     items = []
-    for k in range(nass):
-        a = random_bounded_super(state.ctx, dim, state.work_order, rng, 4, state.jdegs, terms=2)
-        b = random_bounded_super(state.ctx, dim, state.work_order, rng, 4, state.jdegs, terms=2)
-        c = random_bounded_super(state.ctx, dim, state.work_order, rng, 4, state.jdegs, terms=2)
-        items.append(
-            (
-                f"assoc ({k})",
-                state.star.star(state.star.star(a, b), c)
-                - state.star.star(a, state.star.star(b, c)),
-            )
-        )
-    records.append(
-        _record(
-            "quantum-brst",
-            "quantum-brst.associativity",
-            "(x*y)*z = x*(y*z) for the graded star product",
-            items,
-            probes=nass,
-            upto=state.order,
-        )
+    for k in range(cfg.probe_counts()["associativity_sample"]):
+        a, b, c = (run.element(state.work_order, 4) for _ in range(3))
+        lhs = star.star(star.star(a, b), c)
+        items.append((f"assoc ({k})", lhs - star.star(a, star.star(b, c))))
+    run.check(
+        "associativity",
+        "(x*y)*z = x*(y*z) for the graded star product",
+        items,
+        upto=state.order,
     )
-    return records
+    return run.records
 
 
 def stage_deformed_restriction(state):
-    cfg = state.config
-    rng = _rng(state, "deformed-restriction")
+    run = StageRun(state, "deformed-restriction")
     dim = state.moment.lie.dim
-    n = cfg.probe_counts()["restriction"]
-    mk = lambda: random_bounded_super(
-        state.ctx, dim, state.work_order, rng, state.bound, state.jdegs, terms=2
-    )
-    probes_Y = [mk() for _ in range(n)]
+    n = state.config.probe_counts()["restriction"]
+    probes_Y = [run.element(state.work_order) for _ in range(n)]
     probes_X = [state.kc.p(y) for y in probes_Y]
-    t0 = time.perf_counter()
-    try:
-        dc, t = deformed_restriction(
+    built = run.transfer(
+        "lemma version 2 applied to the deformed Koszul differential",
+        lambda: deformed_restriction(
             state.kc, state.moment, state.star, probes_X[:3], probes_Y[:3], upto=state.order
-        )
-    except LemmaHypothesisError as exc:
-        return [
-            CheckRecord(
-                "deformed-restriction.hypotheses",
-                "deformed-restriction",
-                "transfer lemma hypotheses",
-                "fail",
-                witness=_trim(exc),
-            )
-        ]
-    state.dc, state.initiator = dc, t
-    records = [
-        _timed(
-            CheckRecord(
-                "deformed-restriction.build",
-                "deformed-restriction",
-                "lemma version 2 applied to the deformed Koszul differential",
-                "pass",
-            ),
-            t0,
-        )
-    ]
-    items = []
-    for x, y in zip(probes_X, probes_Y):
-        items.extend(dc.axiom_residuals(x, y).items())
-    anchors = {
-        "p.i=id": "res_nu prol = id",
-        "d h+h d=id-i.p": "koszul_nu h_nu + h_nu koszul_nu = id - prol res_nu",
-        "p d=d p": "res_nu is a chain map",
-        "d i=i d": "prol is a chain map for koszul_nu",
-        "h h=0": "h_nu^2 = 0",
-        "h i=0": "h_nu prol = 0",
-        "p h=0": "res_nu h_nu = 0",
-    }
-    records += _aggregate(
-        "deformed-restriction", "deformed-restriction", anchors, items,
-        len(probes_Y), upto=state.order,
+        ),
     )
+    if built is None:
+        return run.records
+    dc, t = built
+    state.dc = dc
+    run.axioms(dc, probes_X, probes_Y, upto=state.order)
     # closed form on the antighost-free sector
     cf = closed_form_res_nu(state.kc, t, state.work_order)
     items = []
@@ -865,253 +634,151 @@ def stage_deformed_restriction(state):
             _clean=True,
         )
         items.append(("res_nu - closed form", dc.p(y0) - cf(y0)))
-    records.append(
-        _record(
-            "deformed-restriction",
-            "deformed-restriction.closed-form",
-            "res_nu = res (id + (koszul_nu - koszul) h)^{-1} on functions",
-            items,
-            probes=len(items),
-            upto=state.order,
-        )
+    run.check(
+        "closed-form",
+        "res_nu = res (id + (koszul_nu - koszul) h)^{-1} on functions",
+        items,
+        upto=state.order,
     )
     # classical limit and exactness of the components
-    items = [("res_nu|nu=0 - res", dc.p(y).classical_part() - state.kc.p(y).classical_part()) for y in probes_Y]
-    records.append(
-        _record(
-            "deformed-restriction",
-            "deformed-restriction.classical-limit",
-            "res_nu = res + O(nu)",
-            items,
-            probes=len(items),
-        )
-    )
+    items = [
+        ("res_nu|nu=0 - res", dc.p(y).classical_part() - state.kc.p(y).classical_part())
+        for y in probes_Y
+    ]
+    run.check("classical-limit", "res_nu = res + O(nu)", items)
     items = []
     for a in range(dim):
         ja = SuperElement.from_poly(state.moment.components[a], dim, state.work_order)
         items.append((f"res_nu(J_{a + 1})", dc.p(ja)))
-    records.append(
-        _record(
-            "deformed-restriction",
-            "deformed-restriction.kills-constraints",
-            "res_nu(J_a) = 0 (constraints are exact)",
-            items,
-            probes=dim,
-            upto=state.order,
-        )
+    run.check(
+        "kills-constraints", "res_nu(J_a) = 0 (constraints are exact)", items, upto=state.order
     )
-    return records
+    return run.records
 
 
 def stage_equivariance_lemma(state):
     cfg = state.config
-    rng = _rng(state, "equivariance-lemma")
+    run = StageRun(state, "equivariance-lemma")
     dim = state.moment.lie.dim
-    n = cfg.probe_counts()["lemma"]
-    records = []
+    nf = state.space.normal_form_poly
+
+    def torus_weights(el):
+        """(coefficient, torus weight) for every monomial of el."""
+        for coeff in el.terms.values():
+            for p in coeff.coeffs:
+                for m in p.terms:
+                    grade = state.ctx.grade_of_mono(m)
+                    yield p, tuple(grade[1 + r] for r in cfg.torus_rows)
+
     # h preserves the torus weights
     items = []
     for _ in range(10):
-        y = random_bounded_super(state.ctx, dim, 0, rng, state.bound, state.jdegs, terms=1)
-        hy = state.kc.h(y)
-        in_w = set()
-        for (g, a), coeff in y.terms.items():
-            for p in coeff.coeffs:
-                for m in p.terms:
-                    grade = state.ctx.grade_of_mono(m)
-                    in_w.add(tuple(grade[1 + r] for r in cfg.torus_rows))
+        y = run.element(0, terms=1)
+        seen = {w for _, w in torus_weights(y)}
         bad = Poly.zero(state.ctx)
-        for (g, a), coeff in hy.terms.items():
-            for p in coeff.coeffs:
-                for m in p.terms:
-                    grade = state.ctx.grade_of_mono(m)
-                    if tuple(grade[1 + r] for r in cfg.torus_rows) not in in_w:
-                        bad = p
+        for p, w in torus_weights(state.kc.h(y)):
+            if w not in seen:
+                bad = p
         items.append(("weights preserved", bad))
-    records.append(
-        _record(
-            "equivariance-lemma",
-            "equivariance-lemma.h-weights",
-            "homotopy output carries the same torus weights as its input",
-            items,
-            probes=10,
-        )
+    run.check(
+        "h-weights", "homotopy output carries the same torus weights as its input", items
     )
     # deformed equals classical quotient representation
     repLz = build_rep_Lz(state.moment, state.lam, state.kc.p, state.kc.i)
     repLz_nu = quantized_representation(state.moment, state.star, state.dc.p, state.dc.i)
+    n = cfg.probe_counts()["lemma"]
     items = []
     for k in range(n):
-        fpoly = state.space.normal_form_poly(random_poly(state.ctx, rng, 4, 3))
+        fpoly = nf(random_poly(state.ctx, run.rng, 4, 3))
         fx = SuperElement.from_poly(fpoly, dim, state.work_order)
         for a in range(dim):
-            lhs = repLz_nu.ops[a](fx)
-            rhs = repLz.ops[a](fx)
-            items.append((f"component {a + 1}, probe {k}", lhs - rhs))
-    records.append(
-        _record(
-            "equivariance-lemma",
-            "equivariance-lemma.representations",
-            "deformed quotient representation equals the classical one",
-            items,
-            probes=n,
-            upto=state.order,
-        )
+            items.append((f"component {a + 1}, probe {k}", repLz_nu.ops[a](fx) - repLz.ops[a](fx)))
+    run.check(
+        "representations",
+        "deformed quotient representation equals the classical one",
+        items,
+        probes=n,
+        upto=state.order,
     )
     # representation property of the deformed representation
     probes = [
-        SuperElement.from_poly(
-            state.space.normal_form_poly(random_poly(state.ctx, rng, 3, 2)),
-            dim,
-            state.work_order,
-        )
+        SuperElement.from_poly(nf(random_poly(state.ctx, run.rng, 3, 2)), dim, state.work_order)
         for _ in range(5)
     ]
-    items = []
-    for (a, b, k), r in repLz_nu.commutator_residuals(probes):
-        items.append((f"[Lz_{a},Lz_{b}] probe {k}", r))
-    records.append(
-        _record(
-            "equivariance-lemma",
-            "equivariance-lemma.representation-property",
-            "[Lz_a, Lz_b] = f_ab^c Lz_c for the deformed representation",
-            items,
-            probes=len(probes),
-            upto=state.order,
-        )
+    items = [
+        (f"[Lz_{a},Lz_{b}] probe {k}", r)
+        for (a, b, k), r in repLz_nu.commutator_residuals(probes)
+    ]
+    run.check(
+        "representation-property",
+        "[Lz_a, Lz_b] = f_ab^c Lz_c for the deformed representation",
+        items,
+        probes=len(probes),
+        upto=state.order,
     )
-    return records
+    return run.records
 
 
 def stage_quantum_reduction(state):
-    cfg = state.config
-    rng = _rng(state, "quantum-reduction")
+    run = StageRun(state, "quantum-reduction")
     dim = state.moment.lie.dim
-    mk = lambda: random_bounded_super(
-        state.ctx, dim, state.work_order, rng, state.bound, state.jdegs, terms=2
-    )
-    probes_Y = [mk() for _ in range(5)]
+    probes_Y = [run.element(state.work_order) for _ in range(5)]
     probes_X = [state.kc.p(y) for y in probes_Y]
-    t0 = time.perf_counter()
-    try:
-        phi_nu, h_nu, qc, d_z_nu = quantum_reduction(
+    built = run.transfer(
+        "lemma version 1 applied to the quantum BRST differential",
+        lambda: quantum_reduction(
             state.moment, state.star, state.dc, probes_X[:2], probes_Y[:2], upto=state.order
-        )
-    except LemmaHypothesisError as exc:
-        return [
-            CheckRecord(
-                "quantum-reduction.hypotheses",
-                "quantum-reduction",
-                "transfer lemma hypotheses",
-                "fail",
-                witness=_trim(exc),
-            )
-        ]
-    state.phi_nu, state.h_nu, state.quantum_contraction, state.d_z_nu = (
-        phi_nu,
-        h_nu,
-        qc,
-        d_z_nu,
+        ),
     )
-    records = [
-        _timed(
-            CheckRecord(
-                "quantum-reduction.build",
-                "quantum-reduction",
-                "lemma version 1 applied to the quantum BRST differential",
-                "pass",
-            ),
-            t0,
-        )
-    ]
-    items = []
-    for x, y in zip(probes_X, probes_Y):
-        items.extend(qc.axiom_residuals(x, y).items())
-    anchors = {
-        "p.i=id": "res_nu Phi_nu = id",
-        "d h+h d=id-i.p": "D_nu H_nu + H_nu D_nu = id - Phi_nu res_nu",
-        "p d=d p": "res_nu is a chain map for (D_nu, d_z_nu)",
-        "d i=i d": "Phi_nu is a chain map",
-        "h h=0": "H_nu^2 = 0",
-        "h i=0": "H_nu Phi_nu = 0",
-        "p h=0": "res_nu H_nu = 0",
-    }
-    records += _aggregate(
-        "quantum-reduction", "quantum-reduction", anchors, items,
-        len(probes_Y), upto=state.order,
-    )
-    from .quantum import build_quantum_delta
-
-    delta_nu = state.qops.delta_nu if state.qops else build_quantum_delta(state.moment, state.star)
-    Hcf = closed_form_H_nu(state.dc, delta_nu, dim)
-    Phicf = closed_form_Phi_nu(state.dc, delta_nu, h_nu, d_z_nu)
-    items = []
-    for y in probes_Y:
-        items.append(("H_nu - closed form", h_nu(y) - Hcf(y)))
-    for x in probes_X:
-        items.append(("Phi_nu - closed form", phi_nu(x) - Phicf(x)))
-    records.append(
-        _record(
-            "quantum-reduction",
-            "quantum-reduction.closed-forms",
-            "H_nu = h_nu/2 sum (-1/2)^j (h_nu delta_nu + delta_nu h_nu)^j; "
-            "Phi_nu = prol - H_nu(delta_nu prol - prol d_z_nu)",
-            items,
-            probes=len(items),
-            upto=state.order,
-        )
+    if built is None:
+        return run.records
+    phi_nu, h_nu, qc, d_z_nu = built
+    state.phi_nu, state.h_nu, state.quantum_contraction, state.d_z_nu = built
+    run.axioms(qc, probes_X, probes_Y, upto=state.order)
+    delta_nu = build_delta(state.moment, star_action(state.star), "delta_nu")
+    Hcf = closed_form_H(state.dc, delta_nu, dim)
+    Phicf = closed_form_Phi(state.dc, delta_nu, h_nu, d_z_nu)
+    items = [("H_nu - closed form", h_nu(y) - Hcf(y)) for y in probes_Y]
+    items += [("Phi_nu - closed form", phi_nu(x) - Phicf(x)) for x in probes_X]
+    run.check(
+        "closed-forms",
+        "H_nu = h_nu/2 sum (-1/2)^j (h_nu delta_nu + delta_nu h_nu)^j; "
+        "Phi_nu = prol - H_nu(delta_nu prol - prol d_z_nu)",
+        items,
+        upto=state.order,
     )
     if state.torus:
         items = [("Phi_nu - prol", phi_nu(x) - state.dc.i(x)) for x in probes_X]
-        records.append(
-            _record(
-                "quantum-reduction",
-                "quantum-reduction.equivariant-phi",
-                "equivariant prolongation: Phi_nu = prol",
-                items,
-                probes=len(items),
-                upto=state.order,
-            )
+        run.check(
+            "equivariant-phi", "equivariant prolongation: Phi_nu = prol", items, upto=state.order
         )
     if state.H is not None:
-        items = []
-        for y in probes_Y:
-            items.append(
-                (
-                    "H_nu|nu=0 - H",
-                    h_nu(y).classical_part() - state.H(y.classical_part()),
-                )
-            )
-        records.append(
-            _record(
-                "quantum-reduction",
-                "quantum-reduction.classical-limit",
-                "H_nu = H + O(nu) (classical contraction recovered at nu = 0)",
-                items,
-                probes=len(items),
-            )
+        items = [
+            ("H_nu|nu=0 - H", h_nu(y).classical_part() - state.H(y.classical_part()))
+            for y in probes_Y
+        ]
+        run.check(
+            "classical-limit",
+            "H_nu = H + O(nu) (classical contraction recovered at nu = 0)",
+            items,
         )
-    return records
+    return run.records
 
 
 def stage_reduced_star(state):
     cfg = state.config
-    rng = _rng(state, "reduced-star")
+    run = StageRun(state, "reduced-star")
     dim = state.moment.lie.dim
-    records = []
-    _build_generators(state, records, "reduced-star")
+    _build_generators(run)
     gens = [state.space.normal_form_poly(g) for g in state.generators]
     if not gens:
-        records.append(
-            CheckRecord(
-                "reduced-star.generators",
-                "reduced-star",
-                "invariant generators available",
-                "fail",
-                detail="no certified invariant generators",
-            )
+        run.record(
+            "generators",
+            "invariant generators available",
+            "fail",
+            detail="no certified invariant generators",
         )
-        return records
+        return run.records
     pipe = ReductionPipeline(
         state.moment,
         state.lam,
@@ -1126,88 +793,50 @@ def stage_reduced_star(state):
         state.d_z_nu,
         torus_rows=cfg.torus_rows,
     )
-    state.pipe = pipe
     nf = state.space.normal_form_poly
     one = Poly.const(state.ctx, 1)
+    star = state.star.star
 
-    cache = {}
-
+    @functools.cache
     def star_pair(ia, ib):
-        key = (ia, ib)
-        hit = cache.get(key)
-        if hit is None:
-            hit = reduced_star(gens[ia], gens[ib], pipe, certify=False)
-            cache[key] = hit
-        return hit
+        return reduced_star(gens[ia], gens[ib], pipe, certify=False)
 
     # unit
     items = []
     for k in range(min(len(gens), 8)):
-        items.append(
-            (
-                f"1*g ({k})",
-                reduced_star(one, gens[k], pipe, certify=False)
-                - Series.from_poly(gens[k], state.work_order),
-            )
-        )
-        items.append(
-            (
-                f"g*1 ({k})",
-                reduced_star(gens[k], one, pipe, certify=False)
-                - Series.from_poly(gens[k], state.work_order),
-            )
-        )
-    records.append(
-        _record(
-            "reduced-star",
-            "reduced-star.unit",
-            "f * 1 = 1 * f = f",
-            items,
-            probes=len(items),
-            upto=state.order,
-        )
-    )
+        g = Series.from_poly(gens[k], state.work_order)
+        items.append((f"1*g ({k})", reduced_star(one, gens[k], pipe, certify=False) - g))
+        items.append((f"g*1 ({k})", reduced_star(gens[k], one, pipe, certify=False) - g))
+    run.check("unit", "f * 1 = 1 * f = f", items, upto=state.order)
 
     # classical part and first-order correspondence on all pairs
-    t0 = time.perf_counter()
     items0 = []
     items1 = []
-    npairs = 0
     for ia in range(len(gens)):
         for ib in range(len(gens)):
             if gens[ia].degree() + gens[ib].degree() > state.bound:
                 continue
-            s = star_pair(ia, ib)
-            npairs += 1
-            items0.append((f"nu^0 ({ia},{ib})", s.classical() - nf(gens[ia] * gens[ib])))
+            product = star_pair(ia, ib)
+            items0.append((f"nu^0 ({ia},{ib})", product.classical() - nf(gens[ia] * gens[ib])))
             if ib > ia:
-                anti = s - star_pair(ib, ia)
+                anti = product - star_pair(ib, ia)
                 rp = reduced_poisson(
                     gens[ia], gens[ib], state.phi, state.kc.p, state.lam, dim,
                     state.moment, state.space, cfg.torus_rows, certify=False,
                 )
                 items1.append((f"nu^1 ({ia},{ib})", anti.coefficient(1) - rp))
-    rec0 = _record(
-        "reduced-star",
-        "reduced-star.classical-part",
+    run.check(
+        "classical-part",
         "nu^0 coefficient of f*g equals the product in the quotient model",
         items0,
-        probes=npairs,
     )
-    rec0.wall_time_s = time.perf_counter() - t0
-    records.append(rec0)
-    records.append(
-        _record(
-            "reduced-star",
-            "reduced-star.first-order",
-            "antisymmetrized nu^1 coefficient equals the reduced Poisson bracket",
-            items1,
-            probes=len(items1),
-        )
+    run.check(
+        "first-order",
+        "antisymmetrized nu^1 coefficient equals the reduced Poisson bracket",
+        items1,
     )
 
     # associativity
-    t0 = time.perf_counter()
     idx = range(len(gens))
     triples = [
         (a, b, c)
@@ -1218,111 +847,83 @@ def stage_reduced_star(state):
     ]
     if cfg.star_triples != "all":
         k = min(len(triples), max(cfg.probe_counts()["associativity_sample"], 20))
-        triples = [triples[rng.randrange(len(triples))] for _ in range(k)]
+        triples = [triples[run.rng.randrange(len(triples))] for _ in range(k)]
     items = []
     for a, b, c in triples:
         lhs = reduced_star(star_pair(a, b), gens[c], pipe, certify=False)
         rhs = reduced_star(gens[a], star_pair(b, c), pipe, certify=False)
         items.append((f"assoc ({a},{b},{c})", lhs - rhs))
-    rec = _record(
-        "reduced-star",
-        "reduced-star.associativity",
+    run.check(
+        "associativity",
         "(f*g)*h = f*(g*h) on generator triples",
         items,
-        probes=len(triples),
         upto=state.order,
         detail=f"{len(triples)} triple(s), mode {cfg.star_triples}",
     )
-    rec.wall_time_s = time.perf_counter() - t0
-    records.append(rec)
 
     # representative independence: adding a right star multiple of J changes nothing
     nid = cfg.probe_counts()["ideal"]
     items = []
     for k in range(nid):
-        a = rng.randrange(dim)
-        G = gens[rng.randrange(len(gens))]
+        a = run.rng.randrange(dim)
+        G = gens[run.rng.randrange(len(gens))]
         room = max(0, state.bound - state.jdegs[a] - G.degree())
-        g = random_poly(state.ctx, rng, room, 2)
-        ideal_el = state.star.star(
+        g = random_poly(state.ctx, run.rng, room, 2)
+        ideal_el = star(
             SuperElement.from_poly(g, dim, state.work_order),
             SuperElement.from_poly(state.moment.components[a], dim, state.work_order),
         )
         Gx = SuperElement.from_poly(G, dim, state.work_order)
-        items.append((f"left shift ({k})", pipe.res_nu(state.star.star(ideal_el, Gx))))
-        items.append((f"right shift ({k})", pipe.res_nu(state.star.star(Gx, ideal_el))))
-    records.append(
-        _record(
-            "reduced-star",
-            "reduced-star.ideal-invariance",
-            "res_nu((g*J_a)*G) = 0 = res_nu(G*(g*J_a)): representatives may shift "
-            "by right star multiples of the constraints",
-            items,
-            probes=nid,
-            upto=state.order,
-        )
+        items.append((f"left shift ({k})", pipe.res_nu(star(ideal_el, Gx))))
+        items.append((f"right shift ({k})", pipe.res_nu(star(Gx, ideal_el))))
+    run.check(
+        "ideal-invariance",
+        "res_nu((g*J_a)*G) = 0 = res_nu(G*(g*J_a)): representatives may shift "
+        "by right star multiples of the constraints",
+        items,
+        probes=nid,
+        upto=state.order,
     )
 
     # cohomology-level product
+    run.prefix = "cohomology-star"
     items = []
     for k in range(4):
-        ga = pipe.embed(gens[k % len(gens)])
-        gb = pipe.embed(gens[(k + 1) % len(gens)])
-        via_classes = reduced_star_cohomology(ga, gb, pipe, check_closed=True, upto=state.order)
-        direct = reduced_star(gens[k % len(gens)], gens[(k + 1) % len(gens)], pipe, certify=False)
-        items.append(
-            (f"degree-0 classes ({k})", via_classes - SuperElement.scalar(direct, dim))
+        f, g = gens[k % len(gens)], gens[(k + 1) % len(gens)]
+        via_classes = reduced_star_cohomology(
+            pipe.embed(f), pipe.embed(g), pipe, check_closed=True, upto=state.order
         )
-    records.append(
-        _record(
-            "reduced-star",
-            "cohomology-star.degree-zero",
-            "on degree-zero classes the transferred product agrees with the direct formula",
-            items,
-            probes=4,
-            upto=state.order,
-        )
+        direct = reduced_star(f, g, pipe, certify=False)
+        items.append((f"degree-0 classes ({k})", via_classes - SuperElement.scalar(direct, dim)))
+    run.check(
+        "degree-zero",
+        "on degree-zero classes the transferred product agrees with the direct formula",
+        items,
+        upto=state.order,
     )
     items = []
     onex = pipe.embed(Series.from_poly(one, state.work_order))
     for k in range(3):
         ga = pipe.embed(gens[k % len(gens)])
         items.append(
-            (
-                f"[1]*[g] ({k})",
-                reduced_star_cohomology(onex, ga, pipe, check_closed=False) - ga,
-            )
+            (f"[1]*[g] ({k})", reduced_star_cohomology(onex, ga, pipe, check_closed=False) - ga)
         )
-    records.append(
-        _record(
-            "reduced-star",
-            "cohomology-star.unit",
-            "the class of 1 is a two-sided unit",
-            items,
-            probes=3,
-            upto=state.order,
-        )
-    )
+    run.check("unit", "the class of 1 is a two-sided unit", items, upto=state.order)
     # exact shifts multiply to exact elements, with an explicit primitive
     items = []
     for k in range(3):
         a_el = pipe.embed(gens[k % len(gens)])
         room = min(3, state.bound - gens[k % len(gens)].degree())
-        cpoly = state.space.normal_form_poly(random_poly(state.ctx, rng, room, 2))
-        c_el = pipe.embed(cpoly)
+        c_el = pipe.embed(nf(random_poly(state.ctx, run.rng, room, 2)))
         dc_el = state.d_z_nu(c_el)
-        lhs = pipe.res_nu(state.star.star(state.phi_nu(a_el), state.phi_nu(dc_el)))
-        prim = pipe.res_nu(state.star.star(state.phi_nu(a_el), state.phi_nu(c_el)))
+        lhs = pipe.res_nu(star(state.phi_nu(a_el), state.phi_nu(dc_el)))
+        prim = pipe.res_nu(star(state.phi_nu(a_el), state.phi_nu(c_el)))
         items.append((f"exact shift ({k})", lhs - state.d_z_nu(prim)))
-    records.append(
-        _record(
-            "reduced-star",
-            "cohomology-star.exact-shift",
-            "[a]*[d_z c] is exact, with primitive [a]*[c]",
-            items,
-            probes=3,
-            upto=state.order - 1,
-        )
+    run.check(
+        "exact-shift",
+        "[a]*[d_z c] is exact, with primitive [a]*[c]",
+        items,
+        upto=state.order - 1,
     )
     if state.torus:
         # mixed ghost degrees: a closed degree-one cochain times a degree-zero
@@ -1332,40 +933,26 @@ def stage_reduced_star(state):
             f = gens[k % len(gens)]
             g = gens[(k + 2) % len(gens)]
             cochain = SuperElement(
-                state.ctx,
-                dim,
-                state.work_order,
+                state.ctx, dim, state.work_order,
                 {((1,), ()): Series.from_poly(f, state.work_order)},
             )
-            closed = state.d_z_nu(cochain)
-            items.append((f"degree-one closed ({k})", closed))
-            prod = reduced_star_cohomology(
-                pipe.embed(g), cochain, pipe, check_closed=False
-            )
+            items.append((f"degree-one closed ({k})", state.d_z_nu(cochain)))
+            prod = reduced_star_cohomology(pipe.embed(g), cochain, pipe, check_closed=False)
             items.append((f"product closed ({k})", state.d_z_nu(prod)))
             bad = SuperElement(
-                state.ctx,
-                dim,
-                state.work_order,
-                {
-                    key: coeff
-                    for key, coeff in prod.terms.items()
-                    if len(key[0]) != 1 or key[1]
-                },
+                state.ctx, dim, state.work_order,
+                {key: c for key, c in prod.terms.items() if len(key[0]) != 1 or key[1]},
             )
             items.append((f"product ghost degree one ({k})", bad))
-        records.append(
-            _record(
-                "reduced-star",
-                "cohomology-star.degree-one",
-                "invariant-coefficient degree-one cochains are closed and multiply "
-                "degree-zero classes to closed degree-one cochains",
-                items,
-                probes=3,
-                upto=state.order - 1,
-            )
+        run.check(
+            "degree-one",
+            "invariant-coefficient degree-one cochains are closed and multiply "
+            "degree-zero classes to closed degree-one cochains",
+            items,
+            probes=3,
+            upto=state.order - 1,
         )
-    return records
+    return run.records
 
 
 STAGE_FUNCTIONS = {
@@ -1387,8 +974,6 @@ STAGE_FUNCTIONS = {
 def run_scenario(config, order=None, degree_bound=None, only_stage=None):
     """Execute the scenario's verification stages and assemble the report."""
     if order is not None or degree_bound is not None:
-        from dataclasses import replace
-
         config = replace(
             config,
             order=order if order is not None else config.order,
@@ -1419,6 +1004,7 @@ def run_scenario(config, order=None, degree_bound=None, only_stage=None):
             continue
         t0 = time.perf_counter()
         try:
+            # looked up per call: tracing replaces the table's entries
             records = STAGE_FUNCTIONS[stage](state)
         except RedstarError as exc:
             records = [
@@ -1431,8 +1017,6 @@ def run_scenario(config, order=None, degree_bound=None, only_stage=None):
                     wall_time_s=time.perf_counter() - t0,
                 )
             ]
-        if records and all(r.wall_time_s == 0.0 for r in records):
-            records[-1].wall_time_s = time.perf_counter() - t0
         if any(r.status in ("fail", "error") for r in records):
             failed = True
         if only_stage is None or stage == only_stage:

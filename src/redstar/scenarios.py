@@ -31,6 +31,24 @@ FULL_STAGES = (
     "reduced-star",
 )
 
+# The stages whose results (RunState fields) each stage reads.  A stage list
+# must hold the prerequisites of every stage in it, so the requirement is
+# transitive.
+PREREQUISITES = {
+    "load": (),
+    "covariance": ("load",),
+    "strong-invariance": ("load",),
+    "acyclicity": ("load",),
+    "contraction": ("load",),
+    "classical-brst": ("load",),
+    "classical-reduction": ("contraction", "classical-brst"),  # kc, space; delta
+    "quantum-brst": ("load",),
+    "deformed-restriction": ("contraction",),  # kc
+    "equivariance-lemma": ("deformed-restriction",),  # dc
+    "quantum-reduction": ("deformed-restriction",),  # dc
+    "reduced-star": ("classical-reduction", "quantum-reduction"),  # phi; the quantum transfer
+}
+
 DEFAULT_PROBES = {
     "strong_invariance": 20,
     "contraction": 50,  # per homological degree
@@ -82,12 +100,18 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"unknown stage {stage!r}: expected one of {', '.join(FULL_STAGES)}"
                 )
+            for need in PREREQUISITES[stage]:
+                if need not in self.stages:
+                    raise ConfigError(f"stage {stage!r} needs stage {need!r}, which is not listed")
+        if self.order < 1:
+            raise ConfigError(f"order must be at least 1, got {self.order}")
         for key, value in self.probe_overrides:
             if key not in DEFAULT_PROBES:
                 raise ConfigError(
                     f"unknown probe count {key!r}: expected one of {', '.join(DEFAULT_PROBES)}"
                 )
-            _int(value, f"probe count {key}")
+            if _int(value, f"probe count {key}") < 1:
+                raise ConfigError(f"probe count {key} must be at least 1, got {value}")
 
     def probe_counts(self):
         counts = dict(DEFAULT_PROBES)

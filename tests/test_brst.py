@@ -12,6 +12,7 @@ from redstar.brst import (
     classical_charge,
     classical_reduction,
     closed_form_H,
+    poisson_action,
     reduced_poisson,
 )
 from redstar.errors import InvarianceError
@@ -110,7 +111,7 @@ def test_splitting_identities():
         out = setup()
         ctx, lam, moment = out[0], out[-2], out[-1]
         theta = classical_charge(moment, 0)
-        delta = build_delta(moment, lam)
+        delta = build_delta(moment, poisson_action(lam))
         rng = random.Random(5)
         jdegs = tuple(j.degree() for j in moment.components)
         probes = [
@@ -123,7 +124,7 @@ def test_splitting_identities():
 
 def test_delta_basics():
     ctx, lam, moment = so3_commuting()
-    delta = build_delta(moment, lam)
+    delta = build_delta(moment, poisson_action(lam))
     one = SuperElement.from_poly(Poly.const(ctx, 1), 3, 0)
     assert delta(one).is_zero()
     rng = random.Random(6)
@@ -146,7 +147,7 @@ def test_corrupted_charge_fails_splitting():
         ctx, 1, 0,
         {((1,), ()): Series.from_poly(q ** 3, 0)},
     )
-    delta = build_delta(moment, lam)
+    delta = build_delta(moment, poisson_action(lam))
     rng = random.Random(8)
     probes = [random_bounded_super(ctx, 1, 0, rng, 4, (2,), terms=2) for _ in range(6)]
     resid = check_classical_splitting(moment, lam, theta, delta, probes)
@@ -169,7 +170,7 @@ def test_classical_reduction_axioms():
     probes_X = [kc.p(y) for y in probes_Y]
     phi, H, cc, d_z = classical_reduction(moment, lam, kc, probes_X[:3], probes_Y[:3])
     assert all(ok for _, ok, _ in check_contraction(cc, probes_X, probes_Y))
-    delta = build_delta(moment, lam)
+    delta = build_delta(moment, poisson_action(lam))
     Hcf = closed_form_H(kc, delta, 1)
     for y in probes_Y:
         assert (H(y) - Hcf(y)).is_zero()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from redstar.brst import build_delta, classical_charge
+from redstar.brst import build_delta, classical_charge, poisson_action
 from redstar.errors import ConventionError, DivisibilityError
 from redstar.koszul import MomentMapData, koszul_diff
 from redstar.poisson import poisson_bracket, poisson_data
@@ -95,7 +95,7 @@ def test_u_vanishes_so3():
 
 def test_quantum_koszul_abelian_is_right_multiplication():
     ctx, lam, moment, star = abelian_two()
-    ops = build_quantum_operators(moment, star, N)
+    ops = build_quantum_operators(moment, star, quantum_charge(moment, star, N))
     rng = random.Random(2)
     from redstar.quantum import star_right_multiply
     from redstar.superalg import contract_antighost
@@ -112,7 +112,7 @@ def test_quantum_koszul_abelian_is_right_multiplication():
 
 def test_quantum_koszul_classical_limit():
     ctx, lam, moment, star = so3()
-    ops = build_quantum_operators(moment, star, N)
+    ops = build_quantum_operators(moment, star, quantum_charge(moment, star, N))
     rng = random.Random(3)
     for _ in range(6):
         x = random_bounded_super(ctx, 3, N, rng, 5, (2, 2, 2), terms=2)
@@ -123,7 +123,7 @@ def test_quantum_koszul_classical_limit():
 
 def test_quantum_koszul_squares_to_zero():
     ctx, lam, moment, star = so3()
-    ops = build_quantum_operators(moment, star, N)
+    ops = build_quantum_operators(moment, star, quantum_charge(moment, star, N))
     rng = random.Random(4)
     for _ in range(6):
         x = random_bounded_super(ctx, 3, N, rng, 5, (2, 2, 2), terms=2)
@@ -132,8 +132,8 @@ def test_quantum_koszul_squares_to_zero():
 
 def test_delta_nu_equals_delta_under_strong_invariance():
     ctx, lam, moment, star = so3()
-    ops = build_quantum_operators(moment, star, N)
-    delta = build_delta(moment, lam)
+    ops = build_quantum_operators(moment, star, quantum_charge(moment, star, N))
+    delta = build_delta(moment, poisson_action(lam))
     rng = random.Random(5)
     one = SuperElement.from_poly(Poly.const(ctx, 1), 3, N)
     assert ops.delta_nu(one).is_zero()
@@ -164,7 +164,7 @@ def _slot(x, k):
 
 def test_brst_diff_ghost_free_strong_invariance():
     ctx, lam, moment, star = abelian_two()
-    ops = build_quantum_operators(moment, star, N)
+    ops = build_quantum_operators(moment, star, quantum_charge(moment, star, N))
     rng = random.Random(6)
     for _ in range(6):
         f = random_poly(ctx, rng, 3, 3)
@@ -186,7 +186,7 @@ def test_brst_diff_ghost_free_strong_invariance():
 def test_quantum_splitting_all_zero():
     for setup in (abelian_two, so3):
         ctx, lam, moment, star = setup()
-        ops = build_quantum_operators(moment, star, N)
+        ops = build_quantum_operators(moment, star, quantum_charge(moment, star, N))
         rng = random.Random(7)
         jdegs = tuple(j.degree() for j in moment.components)
         probes = [

@@ -155,6 +155,19 @@ MALFORMED = {
         "stages = load acyclicty",
         "unknown stage 'acyclicty'",
     ),
+    "missing prerequisite stage": (
+        "stages = load covariance strong-invariance acyclicity contraction classical-brst "
+        "classical-reduction quantum-brst deformed-restriction equivariance-lemma "
+        "quantum-reduction reduced-star",
+        "stages = load reduced-star",
+        "stage 'reduced-star' needs stage 'classical-reduction'",
+    ),
+    "zero order": ("order = 3", "order = 0", "order must be at least 1, got 0"),
+    "zero probe count": (
+        "splitting = 25",
+        "splitting = 0",
+        "probe count splitting must be at least 1, got 0",
+    ),
 }
 
 
@@ -227,3 +240,23 @@ def test_run_scenario_with_overrides():
     report = run_scenario(cfg, order=3, degree_bound=5)
     assert report.config_echo["order"] == 3
     assert report.config_echo["degree_bound"] == 5
+    with pytest.raises(ConfigError, match="order must be at least 1"):
+        run_scenario(cfg, order=0)
+
+
+def test_check_wall_time_covers_building_its_residuals(monkeypatch):
+    import time
+    from dataclasses import replace
+
+    import redstar.runner
+
+    original = redstar.runner.check_quantum_covariance
+
+    def slow(*args):
+        time.sleep(0.2)
+        return original(*args)
+
+    monkeypatch.setattr(redstar.runner, "check_quantum_covariance", slow)
+    cfg = replace(get_scenario("cubic-moment-map"), stages=("load", "covariance"))
+    rec = {r.check_id: r for r in run_scenario(cfg).records}
+    assert rec["covariance.pairs"].wall_time_s >= 0.2
