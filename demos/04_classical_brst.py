@@ -14,8 +14,8 @@ from fractions import Fraction
 from redstar.brst import (
     build_delta,
     check_classical_splitting,
+    brst_transfer,
     classical_charge,
-    classical_reduction,
     poisson_action,
     reduced_poisson,
 )
@@ -81,7 +81,7 @@ zv = lambda n: Poly.variable(zctx, n)
 zJ = (zv("z1") * zv("zb1") - zv("z2") * zv("zb2")).scale(Fraction(1, 2))
 zmoment = MomentMapData(zctx, (zJ,), LieAlgebraData.build(1, torus_rows=(0,)), "")
 kc = enforce_side_conditions(build_koszul_contraction(zmoment, 6))
-phi, H, contraction, d_z = classical_reduction(zmoment, zlam, kc)
+phi = brst_transfer(kc, build_delta(zmoment, poisson_action(zlam)))[0].i
 space = kc.meta["space"]
 
 a = space.normal_form_poly(zv("z1") * zv("zb1"))

@@ -11,7 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from redstar.brst import classical_reduction, reduced_poisson
+from redstar.brst import brst_transfer, build_delta, poisson_action, reduced_poisson
 from redstar.koszul import MomentMapData, build_koszul_contraction, enforce_side_conditions
 from redstar.poisson import poisson_data
 from redstar.poly import Poly, VarContext
@@ -43,15 +43,13 @@ star = StarProduct(lam, 1, WORK)
 print("building the Koszul contraction ...")
 kc = enforce_side_conditions(build_koszul_contraction(moment, 6))
 space = kc.meta["space"]
-phi, H, _, _ = classical_reduction(moment, lam, kc)
+phi = brst_transfer(kc, build_delta(moment, poisson_action(lam)))[0].i
 
 print("deforming the restriction ...")
 dc, t = deformed_restriction(kc, moment, star)
 print("transferring the quantum differential ...")
-phi_nu, h_nu, qc, d_z_nu = quantum_reduction(moment, star, dc)
-pipe = ReductionPipeline(
-    moment, lam, star, space, WORK, kc, dc, qc, phi_nu, h_nu, d_z_nu, torus_rows=(0,)
-)
+qc, d_z_nu = quantum_reduction(moment, star, dc)
+pipe = ReductionPipeline(moment, lam, star, space, WORK, dc, qc, torus_rows=(0,))
 
 gens = [g for g in invariant_generators(ctx, (0,), 4) if g.degree() > 0]
 print(f"\n{len(gens)} quadratic invariant generators on the cone, e.g.",

@@ -2,9 +2,11 @@
 
 The charge combines the structure constants and the moment map; its graded
 self-bracket vanishes exactly and its adjoint action splits as the
-codifferential plus twice the Koszul differential.  Transfer to the
-quotient cochains goes through the first perturbation lemma applied to the
-extended Koszul contraction.
+codifferential plus twice the Koszul differential.  The codifferential,
+the quotient representation and the transfer to the quotient cochains (the
+first perturbation lemma applied to an extended contraction) are written
+once for a given coefficient action, so the quantum side reuses them with
+the star commutator in place of the Poisson bracket.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .superalg import (
     contract_antighost,
     contract_ghost,
     graded_poisson,
-    op_compose,
     op_scale,
     super_mul,
 )
@@ -128,52 +129,12 @@ def build_delta(moment, action, name="delta"):
     return OperatorHandle(name, fn, +1, frozenset({"ghost"}))
 
 
-def lie_action(moment, lam, a):
-    """The infinitesimal action of the a-th basis vector on the BRST algebra.
-
-    Poisson action on coefficients, adjoint on antighosts, coadjoint on
-    ghosts.  Restricting to the antighost sector gives the module structure
-    behind the codifferential.
-    """
-    ctx = moment.ctx
-    dim = moment.lie.dim
-    f = moment.lie.f
-    j = moment.components[a]
-    act = poisson_action(lam)
-
-    def fn(x):
-        out = act(j, x)
-        for b in range(dim):
-            ib = contract_antighost(x, b + 1)
-            if ib.terms:
-                for c in range(dim):
-                    v = f[a][b][c]
-                    if v:
-                        out = out + super_mul(
-                            _antighost(ctx, dim, x.order, c + 1), ib
-                        ).scale(v)
-            gb = contract_ghost(x, b + 1)
-            if gb.terms:
-                for c in range(dim):
-                    v = f[a][c][b]
-                    if v:
-                        out = out + super_mul(
-                            _ghost(ctx, dim, x.order, c + 1), gb
-                        ).scale(-v)
-        return out
-
-    return OperatorHandle(f"L_{a + 1}", fn, 0)
-
-
 @dataclass
 class RepresentationHandle:
     """Per-basis operators realizing a Lie algebra representation."""
 
     lie: object
     ops: tuple
-
-    def __call__(self, a):
-        return self.ops[a]
 
     def commutator_residuals(self, probes):
         """[L_a, L_b] - sum_c f_ab^c L_c on each probe."""
@@ -191,20 +152,21 @@ class RepresentationHandle:
         return out
 
 
-def build_rep_L(moment, lam):
-    return RepresentationHandle(
-        moment.lie, tuple(lie_action(moment, lam, a) for a in range(moment.lie.dim))
-    )
+def quotient_representation(moment, action, res, prol):
+    """The quotient-model representation: L^z_a = res after action(J_a, .) after prol.
 
+    `action` is `poisson_action(lam)` for the classical representation and
+    `quantum.star_action(star)`, with the deformed restriction as `res`, for
+    the deformed one.  It acts on coefficients only, so this is the quotient
+    representation on ghost- and antighost-free quotient elements, where the
+    adjoint and coadjoint terms vanish.
+    """
 
-def build_rep_Lz(moment, lam, res, prol):
-    """The quotient-model representation: res after the action after prol."""
-    full = build_rep_L(moment, lam)
-    ops = tuple(
-        op_compose(res, op_compose(full.ops[a], prol), name=f"Lz_{a + 1}")
-        for a in range(moment.lie.dim)
-    )
-    return RepresentationHandle(moment.lie, ops)
+    def make(a):
+        j = moment.components[a]
+        return OperatorHandle(f"Lz_{a + 1}", lambda x: res(action(j, prol(x))), 0)
+
+    return RepresentationHandle(moment.lie, tuple(make(a) for a in range(moment.lie.dim)))
 
 
 def splitting_residuals(D, delta, koszul, probes, s=""):
@@ -254,24 +216,26 @@ def brst_base_contraction(koszul_contraction):
     )
 
 
-def quotient_codifferential(delta, res, prol, name="d_z"):
+def quotient_codifferential(delta, res, prol):
     """The transferred codifferential on quotient cochains: res delta prol."""
     return OperatorHandle(
-        name, lambda x: res(delta(prol(x))), +1, frozenset({"ghost"})
+        "d_z", lambda x: res(delta(prol(x))), +1, frozenset({"ghost"})
     )
 
 
-def classical_reduction(moment, lam, koszul_contraction, probes_X=(), probes_Y=(), upto=None):
-    """Transfer the BRST differential to the quotient cochains.
+def brst_transfer(contraction, delta, probes_X=(), probes_Y=(), upto=None):
+    """Transfer D = delta + 2 d_Y to the quotient cochains along `contraction`.
 
-    Returns (Phi, H, contraction, d_z).  Phi and H come out of the first
-    perturbation lemma applied to the perturbation D of 2*koszul.
+    The first perturbation lemma, applied to the extension of `contraction`
+    with the codifferential `delta` as perturbation, gives the transferred
+    contraction: its `i` is Phi, its `h` is H and its `d_X` equals d_z.  Returns
+    (contraction, d_z).  Classically `contraction` is the Koszul contraction
+    and `delta` the classical codifferential; `reduction.quantum_reduction`
+    passes the deformed contraction and delta_nu.
     """
-    base = brst_base_contraction(koszul_contraction)
-    delta = build_delta(moment, poisson_action(lam))
+    base = brst_base_contraction(contraction)
     d_z = quotient_codifferential(delta, base.p, base.i)
-    out = perturb_v1(base, delta, d_z, probes_X, probes_Y, upto=upto)
-    return out.i, out.h, out, d_z
+    return perturb_v1(base, delta, d_z, probes_X, probes_Y, upto=upto), d_z
 
 
 def closed_form_H(koszul_contraction, delta, lie_dim):

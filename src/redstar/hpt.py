@@ -69,7 +69,7 @@ def _verify(label, residual, upto=None):
         raise LemmaHypothesisError(f"hypothesis failed: {label}; residual {residual}")
 
 
-def _homotopy_denominator(c, t_y, cap, order_hint):
+def _homotopy_denominator(c, t_y, cap):
     a = OperatorHandle(
         f"({t_y.name}.h+h.{t_y.name})",
         lambda x: t_y(c.h(x)) + c.h(t_y(x)),
@@ -105,7 +105,7 @@ def perturb_v1(c, t_y, t_x, probes_X=(), probes_Y=(), upto=None, cap=32):
         _verify("t_X p = p t_Y", t_x(c.p(y)) - c.p(t_y(y)), upto)
     d_y_new, d_x_new = _perturbed_differentials(c, t_y, t_x, probes_X, probes_Y, upto)
 
-    inv = _homotopy_denominator(c, t_y, cap, upto)
+    inv = _homotopy_denominator(c, t_y, cap)
     h_new = op_compose(c.h, inv, name="H")
 
     def i_fn(x):
@@ -123,7 +123,7 @@ def perturb_v1(c, t_y, t_x, probes_X=(), probes_Y=(), upto=None, cap=32):
         sc1=all_sc,
         sc2=all_sc,
         sc3=True,
-        meta=dict(c.meta, perturbed="v1"),
+        meta=dict(c.meta),
     )
 
 
@@ -138,7 +138,7 @@ def perturb_v2(c, t_y, t_x, probes_X=(), probes_Y=(), upto=None, cap=32):
         _verify("t_Y i = i t_X", t_y(c.i(x)) - c.i(t_x(x)), upto)
     d_y_new, d_x_new = _perturbed_differentials(c, t_y, t_x, probes_X, probes_Y, upto)
 
-    inv = _homotopy_denominator(c, t_y, cap, upto)
+    inv = _homotopy_denominator(c, t_y, cap)
     h_new = op_compose(c.h, inv, name="H'")
     p_new = op_compose(c.p, inv, name="P")
     all_sc = c.sc1 and c.sc2 and c.sc3
@@ -151,5 +151,5 @@ def perturb_v2(c, t_y, t_x, probes_X=(), probes_Y=(), upto=None, cap=32):
         sc1=all_sc,
         sc2=True,
         sc3=all_sc,
-        meta=dict(c.meta, perturbed="v2"),
+        meta=dict(c.meta),
     )

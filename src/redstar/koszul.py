@@ -70,15 +70,23 @@ class MomentMapData:
         return out
 
 
-def koszul_diff(x, moment):
-    """The Koszul differential: multiply by J_a for each antighost slot."""
+def koszul_sum(x, moment, multiply):
+    """sum_a multiply(i^a x, J_a): a Koszul differential for a coefficient product.
+
+    The product is pointwise for `koszul_diff` and right star multiplication
+    for the deformed Koszul differential (`quantum.build_R`).
+    """
     out = SuperElement.zero(x.ctx, x.dim, x.order)
     for a in range(1, moment.lie.dim + 1):
         piece = contract_antighost(x, a)
         if piece.terms:
-            j = moment.components[a - 1]
-            out = out + piece.map_coefficients(lambda p, _j=j: p * _j)
+            out = out + multiply(piece, moment.components[a - 1])
     return out
+
+
+def koszul_diff(x, moment):
+    """The Koszul differential: multiply by J_a for each antighost slot."""
+    return koszul_sum(x, moment, lambda piece, j: piece.map_coefficients(lambda p: p * j))
 
 
 def _add_grades(g1, g2):
@@ -423,7 +431,7 @@ def build_koszul_contraction(moment, degree_bound):
         h=h,
         d_X=zero_dx,
         d_Y=d,
-        meta={"kind": "koszul", "space": kc.space, "builder": kc},
+        meta={"space": kc.space},
     )
     return c
 

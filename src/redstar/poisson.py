@@ -186,39 +186,11 @@ def moyal_commutator(f, g, lam, order):
     return moyal_star(f, g, lam, order) - moyal_star(g, f, lam, order)
 
 
-@dataclass
-class ResidualRecord:
-    """One residual from an identity check; zero means the identity held."""
-
-    label: str
-    residual: Series
-
-    @property
-    def passed(self):
-        return self.residual.is_zero()
-
-    def witness(self):
-        return None if self.passed else str(self.residual)
-
-
-@dataclass
-class CheckOutcome:
-    name: str
-    records: list
-
-    @property
-    def passed(self):
-        return all(r.passed for r in self.records)
-
-    def failures(self):
-        return [r for r in self.records if not r.passed]
-
-
 def check_quantum_covariance(moment, lam, order):
-    """J_a * J_b - J_b * J_a = nu * sum_c f_ab^c J_c for every basis pair."""
+    """J_a * J_b - J_b * J_a = nu * sum_c f_ab^c J_c: (label, residual) per basis pair."""
     comps = moment.components
     lie = moment.lie
-    records = []
+    out = []
     for a in range(lie.dim):
         for b in range(a + 1, lie.dim):
             lhs = moyal_commutator(comps[a], comps[b], lam, order)
@@ -228,19 +200,17 @@ def check_quantum_covariance(moment, lam, order):
                 if fc:
                     rhs = rhs + comps[c].scale(fc)
             residual = lhs - Series.from_poly(rhs, order).shift_nu(1)
-            records.append(ResidualRecord(f"pair ({a + 1},{b + 1})", residual))
-    return CheckOutcome("quantum-covariance", records)
+            out.append((f"pair ({a + 1},{b + 1})", residual))
+    return out
 
 
 def check_strong_invariance(moment, lam, order, probes):
-    """J_a * f - f * J_a = nu {J_a, f} on every probe polynomial."""
+    """J_a * f - f * J_a = nu {J_a, f}: (label, residual) per component and probe."""
     comps = moment.components
-    records = []
+    out = []
     for a, j in enumerate(comps):
         for k, f in enumerate(probes):
             lhs = moyal_commutator(j, f, lam, order)
             rhs = Series.from_poly(poisson_bracket(j, f, lam), order).shift_nu(1)
-            records.append(
-                ResidualRecord(f"component {a + 1}, probe {k + 1}", lhs - rhs)
-            )
-    return CheckOutcome("strong-invariance", records)
+            out.append((f"component {a + 1}, probe {k + 1}", lhs - rhs))
+    return out

@@ -277,12 +277,6 @@ class Poly:
             g: Poly(self.ctx, t, _clean=True) for g, t in sorted(buckets.items())
         }
 
-    def degree_components(self):
-        buckets = {}
-        for m, c in self.terms.items():
-            buckets.setdefault(sum(m), {})[m] = c
-        return {d: Poly(self.ctx, t, _clean=True) for d, t in sorted(buckets.items())}
-
     # -- comparisons / display ------------------------------------------------
 
     def __eq__(self, other):
@@ -292,10 +286,6 @@ class Poly:
 
     def __hash__(self):
         return hash((self.ctx, frozenset(self.terms.items())))
-
-    def sorted_terms(self):
-        """Terms in descending graded-lex order (the canonical print order)."""
-        return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]), reverse=True)
 
     def __str__(self):
         from .parsing import poly_to_text

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConventionError
+from .koszul import koszul_sum
 from .poisson import moyal_star_series
 from .series import Series
 from .superalg import (
@@ -71,16 +72,9 @@ def star_right_multiply(x, j, star):
 
 def build_R(moment, star):
     """R(x) = sum_a (i^a x) * J_a: right star multiplication."""
-
-    def fn(x):
-        out = SuperElement.zero(x.ctx, x.dim, x.order)
-        for a in range(1, moment.lie.dim + 1):
-            piece = contract_antighost(x, a)
-            if piece.terms:
-                out = out + star_right_multiply(piece, moment.components[a - 1], star)
-        return out
-
-    return OperatorHandle("R", fn, +1)
+    return OperatorHandle(
+        "R", lambda x: koszul_sum(x, moment, lambda y, j: star_right_multiply(y, j, star)), +1
+    )
 
 
 def build_q(moment):

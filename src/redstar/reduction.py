@@ -12,15 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .brst import (
-    RepresentationHandle,
-    brst_base_contraction,
-    build_delta,
-    certify_invariant,
-    quotient_codifferential,
-)
+from .brst import brst_transfer, build_delta, certify_invariant
 from .errors import ClosednessError
-from .hpt import neumann_inverse, perturb_v1, perturb_v2
+from .hpt import neumann_inverse, perturb_v2
 from .poly import Poly
 from .quantum import build_quantum_koszul, star_action
 from .series import Series
@@ -44,7 +38,6 @@ def deformed_restriction(koszul_contraction, moment, star, probes_X=(), probes_Y
     out = perturb_v2(
         koszul_contraction, t, t_x, probes_X, probes_Y, upto=upto
     )
-    out.meta["initiator"] = t
     return out, t
 
 
@@ -58,25 +51,14 @@ def closed_form_res_nu(koszul_contraction, t, order, name="res_nu_closed"):
     return op_compose(c.p, inv, name=name)
 
 
-def quantized_representation(moment, star, res_nu, prol):
-    """L^z deformed: res_nu after the star-commutator action after prol."""
-    act = star_action(star)
-
-    def make(a):
-        j = moment.components[a]
-        # adjoint part on antighosts vanishes on quotient cochains
-        return OperatorHandle(f"Lz_nu_{a + 1}", lambda x: res_nu(act(j, prol(x))), 0)
-
-    return RepresentationHandle(moment.lie, tuple(make(a) for a in range(moment.lie.dim)))
-
-
 def quantum_reduction(moment, star, deformed_contraction, probes_X=(), probes_Y=(), upto=None):
-    """Transfer the quantum BRST differential: returns (Phi_nu, H_nu, contraction, d_z_nu)."""
-    base = brst_base_contraction(deformed_contraction)
+    """Transfer the quantum BRST differential: `brst_transfer` of delta_nu.
+
+    Returns (contraction, d_z_nu) with Phi_nu and H_nu as the contraction's
+    `i` and `h`.
+    """
     delta_nu = build_delta(moment, star_action(star), "delta_nu")
-    d_z = quotient_codifferential(delta_nu, base.p, base.i, name="d_z_nu")
-    out = perturb_v1(base, delta_nu, d_z, probes_X, probes_Y, upto=upto)
-    return out.i, out.h, out, d_z
+    return brst_transfer(deformed_contraction, delta_nu, probes_X, probes_Y, upto)
 
 
 @dataclass
@@ -88,12 +70,8 @@ class ReductionPipeline:
     star: object
     space: object
     order: int
-    koszul_contraction: object
     deformed_contraction: object
-    quantum_contraction: object
-    phi_nu: OperatorHandle
-    h_nu: OperatorHandle
-    d_z_nu: OperatorHandle
+    quantum_contraction: object  # from `quantum_reduction`: Phi_nu, H_nu, d_z_nu
     torus_rows: tuple = ()
 
     @property
@@ -135,12 +113,13 @@ def reduced_star(f, g, pipe, certify=True):
 
 def reduced_star_cohomology(a, b, pipe, check_closed=True, upto=None):
     """[a] * [b] = res_nu(Phi_nu a * Phi_nu b) on closed quotient cochains."""
+    qc = pipe.quantum_contraction
     if check_closed:
         for name, x in (("left", a), ("right", b)):
-            res = pipe.d_z_nu(x)
+            res = qc.d_X(x)
             if not res.is_zero(upto):
                 raise ClosednessError(f"{name} cochain is not closed: d_z residual {res}")
-    return pipe.res_nu(pipe.star.star(pipe.phi_nu(a), pipe.phi_nu(b)))
+    return pipe.res_nu(pipe.star.star(qc.i(a), qc.i(b)))
 
 
 def weight_zero_monomials(ctx, torus_rows, max_degree):

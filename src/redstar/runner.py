@@ -26,16 +26,16 @@ from fractions import Fraction
 
 from . import __version__
 from .brst import (
+    brst_transfer,
     build_delta,
-    build_rep_Lz,
     certify_invariant,
     check_classical_splitting,
     classical_brst_diff,
     classical_charge,
-    classical_reduction,
     closed_form_H,
     closed_form_Phi,
     poisson_action,
+    quotient_representation,
     reduced_poisson,
 )
 from .errors import ConfigError, InvarianceError, LemmaHypothesisError, RedstarError
@@ -66,7 +66,6 @@ from .reduction import (
     closed_form_res_nu,
     deformed_restriction,
     invariant_generators,
-    quantized_representation,
     quantum_reduction,
     reduced_star,
     reduced_star_cohomology,
@@ -131,6 +130,28 @@ def _splitting_anchors(s):
     }
 
 
+# The BRST transfer of the two reduction stages: probes drawn, how many of
+# them the lemma checks its hypotheses on, the operator suffix and anchors.
+TRANSFERS = {
+    "classical-reduction": dict(
+        probes=6,
+        lemma=3,
+        s="",
+        build="transfer of D along the extended contraction (lemma version 1)",
+        closed_forms="lemma output equals H = h/2 sum (-1/2)^j (h delta + delta h)^j and "
+        "Phi = prol - H(delta prol - prol d_z)",
+    ),
+    "quantum-reduction": dict(
+        probes=5,
+        lemma=2,
+        s="_nu",
+        build="lemma version 1 applied to the quantum BRST differential",
+        closed_forms="H_nu = h_nu/2 sum (-1/2)^j (h_nu delta_nu + delta_nu h_nu)^j; "
+        "Phi_nu = prol - H_nu(delta_nu prol - prol d_z_nu)",
+    ),
+}
+
+
 @dataclass
 class RunState:
     config: object
@@ -145,13 +166,9 @@ class RunState:
     kc: object = None
     space: object = None
     delta: object = None
-    phi: object = None
-    H: object = None
+    cc: object = None  # classical transfer: Phi, H and d_z
     dc: object = None
-    phi_nu: object = None
-    h_nu: object = None
-    d_z_nu: object = None
-    quantum_contraction: object = None
+    qc: object = None  # quantum transfer: Phi_nu, H_nu and d_z_nu
     generators: list = field(default_factory=list)
     torus: bool = False
 
@@ -232,6 +249,40 @@ class StageRun:
             return None
         self.record("build", anchor)
         return out
+
+    def reduction(self, contraction, delta, transfer, order, upto):
+        """The BRST transfer of a reduction stage and its checks.
+
+        Draws the probes at nu-order `order`, runs `transfer(probes_X,
+        probes_Y, upto=upto)` (a `brst_transfer` of `delta` along
+        `contraction`) with the lemma hypotheses checked on the first few,
+        then checks the contraction axioms, the closed forms of H and Phi
+        and, on torus scenarios, Phi = prol; `upto` truncates every zero test
+        (None: exact).  Returns the transferred contraction (None after a
+        failed hypothesis) and the Y probes.
+        """
+        st, spec = self.state, TRANSFERS[self.stage]
+        s, k = spec["s"], spec["lemma"]
+        probes_Y = [self.element(order) for _ in range(spec["probes"])]
+        probes_X = [st.kc.p(y) for y in probes_Y]
+        built = self.transfer(
+            spec["build"], lambda: transfer(probes_X[:k], probes_Y[:k], upto=upto)
+        )
+        if built is None:
+            return None, probes_Y
+        out, d_z = built
+        self.axioms(out, probes_X, probes_Y, upto)
+        Hcf = closed_form_H(contraction, delta, st.moment.lie.dim)
+        Phicf = closed_form_Phi(contraction, delta, out.h, d_z)
+        items = [(f"H{s} - closed form", out.h(y) - Hcf(y)) for y in probes_Y]
+        items += [(f"Phi{s} - closed form", out.i(x) - Phicf(x)) for x in probes_X]
+        self.check("closed-forms", spec["closed_forms"], items, upto=upto)
+        if st.torus:
+            items = [(f"Phi{s} - prol", out.i(x) - contraction.i(x)) for x in probes_X]
+            self.check(
+                "equivariant-phi", f"equivariant prolongation: Phi{s} = prol", items, upto=upto
+            )
+        return out, probes_Y
 
     def element(self, order, bound=None, terms=2):
         """A random BRST element within the degree bound (the scenario's by default)."""
@@ -319,11 +370,10 @@ def stage_load(state):
 
 def stage_covariance(state):
     run = StageRun(state, "covariance")
-    outcome = check_quantum_covariance(state.moment, state.lam, state.work_order)
     run.check(
         "pairs",
         "J_a*J_b - J_b*J_a = nu f_ab^c J_c",
-        [(r.label, r.residual) for r in outcome.records],
+        check_quantum_covariance(state.moment, state.lam, state.work_order),
         upto=state.order,
     )
     return run.records
@@ -335,11 +385,10 @@ def stage_strong_invariance(state):
     probes = [Poly.const(state.ctx, 1)] + [
         random_poly(state.ctx, run.rng, 4, 4) for _ in range(n - 1)
     ]
-    outcome = check_strong_invariance(state.moment, state.lam, state.work_order, probes)
     run.check(
         "probes",
         "J_a*f - f*J_a = nu {J_a, f}",
-        [(r.label, r.residual) for r in outcome.records],
+        check_strong_invariance(state.moment, state.lam, state.work_order, probes),
         upto=state.order,
     )
     return run.records
@@ -464,32 +513,12 @@ def stage_classical_reduction(state):
     cfg = state.config
     run = StageRun(state, "classical-reduction")
     dim = state.moment.lie.dim
-    probes_Y = [run.element(0) for _ in range(6)]
-    probes_X = [state.kc.p(y) for y in probes_Y]
-    built = run.transfer(
-        "transfer of D along the extended contraction (lemma version 1)",
-        lambda: classical_reduction(
-            state.moment, state.lam, state.kc, probes_X[:3], probes_Y[:3]
-        ),
+    cc, _ = run.reduction(
+        state.kc, state.delta, functools.partial(brst_transfer, state.kc, state.delta), 0, None
     )
-    if built is None:
+    if cc is None:
         return run.records
-    phi, H, cc, d_z = built
-    state.phi, state.H = phi, H
-    run.axioms(cc, probes_X, probes_Y)
-    Hcf = closed_form_H(state.kc, state.delta, dim)
-    Phicf = closed_form_Phi(state.kc, state.delta, H, d_z)
-    items = [("H - closed form", H(y) - Hcf(y)) for y in probes_Y]
-    items += [("Phi - closed form", phi(x) - Phicf(x)) for x in probes_X]
-    run.check(
-        "closed-forms",
-        "lemma output equals H = h/2 sum (-1/2)^j (h delta + delta h)^j and "
-        "Phi = prol - H(delta prol - prol d_z)",
-        items,
-    )
-    if state.torus:
-        items = [("Phi - prol", phi(x) - state.kc.i(x)) for x in probes_X]
-        run.check("equivariant-phi", "equivariant prolongation: Phi = prol", items)
+    state.cc = cc
     _build_generators(run)
     # reduced Poisson bracket checks
     gens = state.generators
@@ -498,7 +527,7 @@ def stage_classical_reduction(state):
     run.prefix = "reduced-poisson"
     nf = state.space.normal_form_poly
     rp = lambda f, g: reduced_poisson(
-        f, g, phi, state.kc.p, state.lam, dim,
+        f, g, cc.i, state.kc.p, state.lam, dim,
         state.moment, state.space, cfg.torus_rows, certify=False,
     )
     items = [("antisymmetry {f,f}", Poly.zero(state.ctx))]
@@ -528,9 +557,7 @@ def stage_classical_reduction(state):
         lhs = nf(poisson_bracket(f + ja * g, other, state.lam))
         rhs = nf(poisson_bracket(f, other, state.lam))
         items.append((f"ideal shift ({k})", lhs - rhs))
-        items2.append(
-            (f"Dirac route ({k})", rp(f, other) - nf(poisson_bracket(f, other, state.lam)))
-        )
+        items2.append((f"Dirac route ({k})", rp(f, other) - rhs))
     run.check(
         "ideal-invariance", "bracket unchanged when a representative shifts by J_a g", items
     )
@@ -684,8 +711,12 @@ def stage_equivariance_lemma(state):
         "h-weights", "homotopy output carries the same torus weights as its input", items
     )
     # deformed equals classical quotient representation
-    repLz = build_rep_Lz(state.moment, state.lam, state.kc.p, state.kc.i)
-    repLz_nu = quantized_representation(state.moment, state.star, state.dc.p, state.dc.i)
+    repLz = quotient_representation(
+        state.moment, poisson_action(state.lam), state.kc.p, state.kc.i
+    )
+    repLz_nu = quotient_representation(
+        state.moment, star_action(state.star), state.dc.p, state.dc.i
+    )
     n = cfg.probe_counts()["lemma"]
     items = []
     for k in range(n):
@@ -721,40 +752,20 @@ def stage_equivariance_lemma(state):
 
 def stage_quantum_reduction(state):
     run = StageRun(state, "quantum-reduction")
-    dim = state.moment.lie.dim
-    probes_Y = [run.element(state.work_order) for _ in range(5)]
-    probes_X = [state.kc.p(y) for y in probes_Y]
-    built = run.transfer(
-        "lemma version 1 applied to the quantum BRST differential",
-        lambda: quantum_reduction(
-            state.moment, state.star, state.dc, probes_X[:2], probes_Y[:2], upto=state.order
-        ),
-    )
-    if built is None:
-        return run.records
-    phi_nu, h_nu, qc, d_z_nu = built
-    state.phi_nu, state.h_nu, state.quantum_contraction, state.d_z_nu = built
-    run.axioms(qc, probes_X, probes_Y, upto=state.order)
     delta_nu = build_delta(state.moment, star_action(state.star), "delta_nu")
-    Hcf = closed_form_H(state.dc, delta_nu, dim)
-    Phicf = closed_form_Phi(state.dc, delta_nu, h_nu, d_z_nu)
-    items = [("H_nu - closed form", h_nu(y) - Hcf(y)) for y in probes_Y]
-    items += [("Phi_nu - closed form", phi_nu(x) - Phicf(x)) for x in probes_X]
-    run.check(
-        "closed-forms",
-        "H_nu = h_nu/2 sum (-1/2)^j (h_nu delta_nu + delta_nu h_nu)^j; "
-        "Phi_nu = prol - H_nu(delta_nu prol - prol d_z_nu)",
-        items,
-        upto=state.order,
+    qc, probes_Y = run.reduction(
+        state.dc,
+        delta_nu,
+        functools.partial(quantum_reduction, state.moment, state.star, state.dc),
+        state.work_order,
+        state.order,
     )
-    if state.torus:
-        items = [("Phi_nu - prol", phi_nu(x) - state.dc.i(x)) for x in probes_X]
-        run.check(
-            "equivariant-phi", "equivariant prolongation: Phi_nu = prol", items, upto=state.order
-        )
-    if state.H is not None:
+    if qc is None:
+        return run.records
+    state.qc = qc
+    if state.cc is not None:
         items = [
-            ("H_nu|nu=0 - H", h_nu(y).classical_part() - state.H(y.classical_part()))
+            ("H_nu|nu=0 - H", qc.h(y).classical_part() - state.cc.h(y.classical_part()))
             for y in probes_Y
         ]
         run.check(
@@ -779,18 +790,15 @@ def stage_reduced_star(state):
             detail="no certified invariant generators",
         )
         return run.records
+    qc = state.qc
     pipe = ReductionPipeline(
         state.moment,
         state.lam,
         state.star,
         state.space,
         state.work_order,
-        state.kc,
         state.dc,
-        state.quantum_contraction,
-        state.phi_nu,
-        state.h_nu,
-        state.d_z_nu,
+        qc,
         torus_rows=cfg.torus_rows,
     )
     nf = state.space.normal_form_poly
@@ -821,7 +829,7 @@ def stage_reduced_star(state):
             if ib > ia:
                 anti = product - star_pair(ib, ia)
                 rp = reduced_poisson(
-                    gens[ia], gens[ib], state.phi, state.kc.p, state.lam, dim,
+                    gens[ia], gens[ib], state.cc.i, state.kc.p, state.lam, dim,
                     state.moment, state.space, cfg.torus_rows, certify=False,
                 )
                 items1.append((f"nu^1 ({ia},{ib})", anti.coefficient(1) - rp))
@@ -915,10 +923,10 @@ def stage_reduced_star(state):
         a_el = pipe.embed(gens[k % len(gens)])
         room = min(3, state.bound - gens[k % len(gens)].degree())
         c_el = pipe.embed(nf(random_poly(state.ctx, run.rng, room, 2)))
-        dc_el = state.d_z_nu(c_el)
-        lhs = pipe.res_nu(star(state.phi_nu(a_el), state.phi_nu(dc_el)))
-        prim = pipe.res_nu(star(state.phi_nu(a_el), state.phi_nu(c_el)))
-        items.append((f"exact shift ({k})", lhs - state.d_z_nu(prim)))
+        dc_el = qc.d_X(c_el)
+        lhs = pipe.res_nu(star(qc.i(a_el), qc.i(dc_el)))
+        prim = pipe.res_nu(star(qc.i(a_el), qc.i(c_el)))
+        items.append((f"exact shift ({k})", lhs - qc.d_X(prim)))
     run.check(
         "exact-shift",
         "[a]*[d_z c] is exact, with primitive [a]*[c]",
@@ -936,9 +944,9 @@ def stage_reduced_star(state):
                 state.ctx, dim, state.work_order,
                 {((1,), ()): Series.from_poly(f, state.work_order)},
             )
-            items.append((f"degree-one closed ({k})", state.d_z_nu(cochain)))
+            items.append((f"degree-one closed ({k})", qc.d_X(cochain)))
             prod = reduced_star_cohomology(pipe.embed(g), cochain, pipe, check_closed=False)
-            items.append((f"product closed ({k})", state.d_z_nu(prod)))
+            items.append((f"product closed ({k})", qc.d_X(prod)))
             bad = SuperElement(
                 state.ctx, dim, state.work_order,
                 {key: c for key, c in prod.terms.items() if len(key[0]) != 1 or key[1]},

@@ -204,20 +204,15 @@ _ONE = _canonical(1, 0, 1)
 
 
 class Field:
-    """A coefficient field: coercion, constants and random sampling."""
+    """A coefficient field: coercion, constants and random sampling.
+
+    `zero` and `one` are one stored (immutable) element per field.
+    """
 
     name = "abstract"
 
     def coerce(self, x):
         raise NotImplementedError
-
-    @property
-    def zero(self):
-        return self.coerce(0)
-
-    @property
-    def one(self):
-        return self.coerce(1)
 
     def random(self, rng, span=6):
         """A small random nonzero element, for probe generation."""
@@ -235,6 +230,8 @@ class Field:
 
 class RationalField(Field):
     name = "rational"
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -259,6 +256,8 @@ class RationalField(Field):
 
 class GaussianField(Field):
     name = "gaussian"
+    zero = _canonical(0, 0, 1)
+    one = _ONE
 
     @property
     def i(self):

@@ -182,9 +182,6 @@ class Series:
             )
         return all(self.coeffs[j].is_zero() for j in range(0, k + 1))
 
-    def eq_upto(self, other, upto=None):
-        return (self - other).is_zero(upto)
-
     def __eq__(self, other):
         if isinstance(other, Poly):
             other = Series.from_poly(other, self.order)

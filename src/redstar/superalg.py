@@ -286,24 +286,6 @@ class SuperElement:
         mk = lambda t: SuperElement(self.ctx, self.dim, self.order, t, _clean=True)
         return mk(even), mk(odd)
 
-    def degree_components(self):
-        buckets = {}
-        for key, coeff in self.terms.items():
-            buckets.setdefault(term_degree(key), {})[key] = coeff
-        return {
-            d: SuperElement(self.ctx, self.dim, self.order, t, _clean=True)
-            for d, t in sorted(buckets.items())
-        }
-
-    def max_antighost_degree(self):
-        return max((len(k[1]) for k in self.terms), default=0)
-
-    def ghost_free(self):
-        return all(not k[0] for k in self.terms)
-
-    def antighost_free(self):
-        return all(not k[1] for k in self.terms)
-
     def as_series(self):
         """The scalar part of a ghost- and antighost-free element."""
         if any(k != ((), ()) for k in self.terms):
@@ -325,9 +307,6 @@ class SuperElement:
     def coefficient(self, ghosts=(), antighosts=()):
         key = (tuple(ghosts), tuple(antighosts))
         return self.terms.get(key, Series.zero(self.ctx, self.order))
-
-    def eq_upto(self, other, upto=None):
-        return (self - other).is_zero(upto)
 
     def __eq__(self, other):
         if not isinstance(other, SuperElement):
@@ -486,9 +465,6 @@ class StarProduct:
     dim: int
     order: int
     clifford_coeff: Fraction = Fraction(-2)
-
-    def moyal(self, a, b):
-        return moyal_star_series(a, b, self.lam)
 
     def star(self, x, y):
         x._check(y)

@@ -4,15 +4,15 @@ from fractions import Fraction
 import pytest
 
 from redstar.brst import (
+    brst_transfer,
     build_delta,
-    build_rep_L,
     certify_invariant,
     check_classical_splitting,
     classical_brst_diff,
     classical_charge,
-    classical_reduction,
     closed_form_H,
     poisson_action,
+    quotient_representation,
     reduced_poisson,
 )
 from redstar.errors import InvarianceError
@@ -133,12 +133,20 @@ def test_delta_basics():
         assert delta(delta(x)).is_zero()
 
 
-def test_representation_property():
+def test_quotient_representation_property():
+    # [Lz_a, Lz_b] = f_ab^c Lz_c for the classical quotient representation
     ctx, lam, moment = so3_commuting()
-    rep = build_rep_L(moment, lam)
+    kc = build_koszul_contraction(moment, 4)
+    space = kc.meta["space"]
+    rep = quotient_representation(moment, poisson_action(lam), kc.p, kc.i)
     rng = random.Random(7)
-    probes = [random_bounded_super(ctx, 3, 0, rng, 4, (2, 2, 2), terms=2) for _ in range(4)]
-    assert all(r.is_zero() for _, r in rep.commutator_residuals(probes))
+    probes = [
+        SuperElement.from_poly(space.normal_form_poly(random_poly(ctx, rng, 4, 3)), 3, 0)
+        for _ in range(4)
+    ]
+    residuals = rep.commutator_residuals(probes)
+    assert len(residuals) == 3 * len(probes)
+    assert all(r.is_zero() for _, r in residuals)
 
 
 def test_corrupted_charge_fails_splitting():
@@ -168,9 +176,10 @@ def test_classical_reduction_axioms():
     rng = random.Random(9)
     probes_Y = [random_bounded_super(ctx, 1, 0, rng, 8, (1,), terms=2) for _ in range(8)]
     probes_X = [kc.p(y) for y in probes_Y]
-    phi, H, cc, d_z = classical_reduction(moment, lam, kc, probes_X[:3], probes_Y[:3])
-    assert all(ok for _, ok, _ in check_contraction(cc, probes_X, probes_Y))
     delta = build_delta(moment, poisson_action(lam))
+    cc, d_z = brst_transfer(kc, delta, probes_X[:3], probes_Y[:3])
+    assert all(ok for _, ok, _ in check_contraction(cc, probes_X, probes_Y))
+    phi, H = cc.i, cc.h
     Hcf = closed_form_H(kc, delta, 1)
     for y in probes_Y:
         assert (H(y) - Hcf(y)).is_zero()
@@ -193,7 +202,7 @@ def test_reduced_poisson_on_invariants():
     moment = MomentMapData(ctx, (J,), lie, "")
     kc = enforce_side_conditions(build_koszul_contraction(moment, 6))
     space = kc.meta["space"]
-    phi, H, cc, d_z = classical_reduction(moment, lam, kc)
+    phi = brst_transfer(kc, build_delta(moment, poisson_action(lam)))[0].i
     f = space.normal_form_poly(v("z1") * v("zb1"))
     g = space.normal_form_poly(v("z1") * v("z2"))
     # certification passes on both routes

@@ -3,18 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+from redstar.brst import poisson_action, quotient_representation
 from redstar.errors import ClosednessError, InvarianceError
 from redstar.hpt import check_contraction
 from redstar.koszul import MomentMapData, build_koszul_contraction, enforce_side_conditions
 from redstar.poisson import poisson_data
 from redstar.poly import Poly, VarContext
 from redstar.probes import random_bounded_super, random_poly
+from redstar.quantum import star_action
 from redstar.reduction import (
     ReductionPipeline,
     closed_form_res_nu,
     deformed_restriction,
     invariant_generators,
-    quantized_representation,
     quantum_reduction,
     reduced_star,
     reduced_star_cohomology,
@@ -48,13 +49,8 @@ def build_pipe(ctx, lam, moment, kc, star):
     probes_Y = [random_bounded_super(ctx, 1, NW, rng, 6, (2,), terms=2) for _ in range(4)]
     probes_X = [kc.p(y) for y in probes_Y]
     dc, t = deformed_restriction(kc, moment, star, probes_X[:2], probes_Y[:2], upto=N)
-    phi_nu, h_nu, qc, d_z_nu = quantum_reduction(
-        moment, star, dc, probes_X[:2], probes_Y[:2], upto=N
-    )
-    return ReductionPipeline(
-        moment, lam, star, kc.meta["space"], NW, kc, dc, qc, phi_nu, h_nu, d_z_nu,
-        torus_rows=(0,),
-    )
+    qc, d_z_nu = quantum_reduction(moment, star, dc, probes_X[:2], probes_Y[:2], upto=N)
+    return ReductionPipeline(moment, lam, star, kc.meta["space"], NW, dc, qc, torus_rows=(0,))
 
 
 def test_deformed_restriction_properties():
@@ -81,10 +77,8 @@ def test_quantized_representation_matches_classical():
     ctx, lam, moment, kc, star = circle_c2()
     rng = random.Random(52)
     dc, t = deformed_restriction(kc, moment, star)
-    from redstar.brst import build_rep_Lz
-
-    repLz = build_rep_Lz(moment, lam, kc.p, kc.i)
-    repLz_nu = quantized_representation(moment, star, dc.p, dc.i)
+    repLz = quotient_representation(moment, poisson_action(lam), kc.p, kc.i)
+    repLz_nu = quotient_representation(moment, star_action(star), dc.p, dc.i)
     space = kc.meta["space"]
     for _ in range(10):
         f = space.normal_form_poly(random_poly(ctx, rng, 4, 3))
@@ -98,13 +92,14 @@ def test_quantum_reduction_contraction():
     probes_Y = [random_bounded_super(ctx, 1, NW, rng, 6, (2,), terms=2) for _ in range(6)]
     probes_X = [kc.p(y) for y in probes_Y]
     dc, t = deformed_restriction(kc, moment, star, probes_X[:2], probes_Y[:2], upto=N)
-    phi_nu, h_nu, qc, d_z_nu = quantum_reduction(
-        moment, star, dc, probes_X[:2], probes_Y[:2], upto=N
-    )
+    qc, d_z_nu = quantum_reduction(moment, star, dc, probes_X[:2], probes_Y[:2], upto=N)
     assert all(ok for _, ok, _ in check_contraction(qc, probes_X, probes_Y, upto=N))
     # equivariant scenario: the perturbed inclusion is the prolongation
     for x in probes_X:
-        assert (phi_nu(x) - dc.i(x)).is_zero(upto=N)
+        assert (qc.i(x) - dc.i(x)).is_zero(upto=N)
+    # the contraction's quotient differential is d_z_nu
+    for x in probes_X:
+        assert qc.d_X(x) == d_z_nu(x)
 
 
 def test_reduced_star_unit_and_classical_part():
