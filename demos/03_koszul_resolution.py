@@ -15,7 +15,6 @@ from redstar.koszul import (
     MomentMapData,
     build_koszul_contraction,
     check_acyclicity,
-    enforce_side_conditions,
     koszul_diff,
 )
 from redstar.poly import Poly, VarContext, poly_ring
@@ -40,7 +39,7 @@ for g, d in report.h0_dims.items():
     by_degree[g[0]] = by_degree.get(g[0], 0) + d
 print("dim of the quotient model per degree:", dict(sorted(by_degree.items())))
 
-c = enforce_side_conditions(build_koszul_contraction(moment, 6))
+c = build_koszul_contraction(moment, 6)
 f = SuperElement.from_poly(v("z1") * v("zb1"), 1, 0)
 print("\nnormal form of z1*zb1 modulo the constraint:", c.p(f))
 print("restriction kills the constraint:", c.p(SuperElement.from_poly(J, 1, 0)).is_zero())

@@ -19,7 +19,7 @@ from redstar.brst import (
     poisson_action,
     reduced_poisson,
 )
-from redstar.koszul import MomentMapData, build_koszul_contraction, enforce_side_conditions
+from redstar.koszul import MomentMapData, build_koszul_contraction
 from redstar.poisson import poisson_data
 from redstar.poly import Poly, VarContext
 from redstar.probes import random_bounded_super
@@ -80,7 +80,7 @@ zlam = poisson_data(
 zv = lambda n: Poly.variable(zctx, n)
 zJ = (zv("z1") * zv("zb1") - zv("z2") * zv("zb2")).scale(Fraction(1, 2))
 zmoment = MomentMapData(zctx, (zJ,), LieAlgebraData.build(1, torus_rows=(0,)), "")
-kc = enforce_side_conditions(build_koszul_contraction(zmoment, 6))
+kc = build_koszul_contraction(zmoment, 6)
 phi = brst_transfer(kc, build_delta(zmoment, poisson_action(zlam)))[0].i
 space = kc.meta["space"]
 

@@ -236,6 +236,13 @@ class Poly:
         return self.scale(other)
 
     def scale(self, c):
+        # Koszul signs scale by the ints 1 and -1; a Poly is never mutated,
+        # so sharing self needs no copy and no coerced field element
+        if type(c) is int:
+            if c == 1:
+                return self
+            if c == -1:
+                return -self
         c = self.ctx.field.coerce(c)
         if not c:
             return Poly.zero(self.ctx)

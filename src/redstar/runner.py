@@ -43,7 +43,6 @@ from .koszul import (
     MomentMapData,
     build_koszul_contraction,
     check_acyclicity,
-    enforce_side_conditions,
     koszul_diff,
 )
 from .parsing import parse_polynomial
@@ -431,7 +430,7 @@ def stage_acyclicity(state):
 
 def stage_contraction(state):
     run = StageRun(state, "contraction")
-    kc = enforce_side_conditions(build_koszul_contraction(state.moment, state.bound))
+    kc = build_koszul_contraction(state.moment, state.bound)
     state.kc = kc
     state.space = kc.meta["space"]
     run.record(
@@ -449,7 +448,7 @@ def stage_contraction(state):
             probes_X.append(kc.p(run.element(0)))
     run.axioms(kc, probes_X, probes_Y)
     # determinism: a rebuilt contraction is the same operator
-    kc2 = enforce_side_conditions(build_koszul_contraction(state.moment, state.bound))
+    kc2 = build_koszul_contraction(state.moment, state.bound)
     items = []
     for _ in range(5):
         y = run.element(0)

@@ -17,7 +17,7 @@ from redstar.brst import (
 )
 from redstar.errors import InvarianceError
 from redstar.hpt import check_contraction
-from redstar.koszul import MomentMapData, build_koszul_contraction, enforce_side_conditions
+from redstar.koszul import MomentMapData, build_koszul_contraction
 from redstar.poisson import poisson_bracket, poisson_data
 from redstar.poly import Poly, VarContext, poly_ring
 from redstar.probes import random_bounded_super, random_poly
@@ -167,7 +167,7 @@ def toy_reduction():
     lam = poisson_data(ctx, [("q", "p", 1)])
     lie = LieAlgebraData.build(1)
     moment = MomentMapData(ctx, (q,), lie, "")
-    kc = enforce_side_conditions(build_koszul_contraction(moment, 8))
+    kc = build_koszul_contraction(moment, 8)
     return ctx, q, p, lam, moment, kc
 
 
@@ -200,7 +200,7 @@ def test_reduced_poisson_on_invariants():
     J = (v("z1") * v("zb1") - v("z2") * v("zb2")).scale(Fraction(1, 2))
     lie = LieAlgebraData.build(1, torus_rows=(0,))
     moment = MomentMapData(ctx, (J,), lie, "")
-    kc = enforce_side_conditions(build_koszul_contraction(moment, 6))
+    kc = build_koszul_contraction(moment, 6)
     space = kc.meta["space"]
     phi = brst_transfer(kc, build_delta(moment, poisson_action(lam)))[0].i
     f = space.normal_form_poly(v("z1") * v("zb1"))

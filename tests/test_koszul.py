@@ -1,11 +1,15 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
 from redstar.errors import AcyclicityError, DegreeOverflowError
 from redstar.hpt import check_contraction
 from redstar.koszul import (
+    Contraction,
+    KoszulContraction,
     MomentMapData,
     build_koszul_contraction,
     check_acyclicity,
@@ -14,9 +18,11 @@ from redstar.koszul import (
 )
 from redstar.poly import Poly, VarContext, poly_ring
 from redstar.probes import random_bounded_chain, random_bounded_super
+from redstar.runner import RunState, stage_contraction, stage_load
 from redstar.scalars import QQ_I
+from redstar.scenarios import get_scenario
 from redstar.series import Series
-from redstar.superalg import LieAlgebraData, SuperElement
+from redstar.superalg import LieAlgebraData, OperatorHandle, SuperElement
 
 BOUND = 8
 
@@ -158,7 +164,8 @@ def test_homotopy_identity_random():
 
 def test_contraction_axioms_and_side_conditions():
     ctx, q, p, moment = toy_q()
-    c = enforce_side_conditions(build_koszul_contraction(moment, BOUND))
+    c = build_koszul_contraction(moment, BOUND)
+    assert c.sc1 and c.sc2 and c.sc3
     rng = random.Random(4)
     probes_Y = [random_bounded_super(ctx, 1, 0, rng, BOUND, (1,), terms=3) for _ in range(25)]
     probes_X = [c.p(y) for y in probes_Y]
@@ -176,44 +183,146 @@ def test_enforce_is_identity_when_conditions_hold():
         assert (fixed.h(y) - base.h(y)).is_zero()
 
 
-def test_enforce_repairs_violating_homotopy():
-    # h + d m d is another contraction homotopy but breaks the side
-    # conditions; the normalization restores them
-    from redstar.koszul import Contraction
-    from redstar.superalg import OperatorHandle
+def two_constraints():
+    """J = (q, p) in variables (q, p): a complete intersection with K_2 != 0."""
+    ctx, (q, p) = poly_ring(("q", "p"))
+    moment = MomentMapData(ctx, (q, p), LieAlgebraData.build(2), "regular sequence")
+    return ctx, moment
 
-    ctx, q, p, moment = toy_q()
-    base = build_koszul_contraction(moment, BOUND - 2)
-    mul_q = lambda x: x.map_coefficients(lambda c: c * (q * q))
 
-    def m(x):  # degree +3 in the homological direction
-        return base.h(mul_q(base.h(base.h(x))))
+def violating_contraction(base, flags):
+    """The homotopy h + d n p with n(x) = x e_1 e_2, flags set as asked.
+
+    It is still a contraction homotopy: d n p anticommutes with d because
+    p d = 0, and p h = 0 still holds.  But h i = d n and h h = n p, so
+    those two side conditions fail wherever p is nonzero.
+    """
+
+    def n(x):
+        return SuperElement(
+            x.ctx, x.dim, x.order,
+            {(g, (1, 2)): c for (g, a), c in x.terms.items() if a == ()},
+        )
 
     def bad_h(x):
-        return base.h(x) + base.d_Y(m(base.d_Y(x)))
+        return base.h(x) + base.d_Y(n(base.p(x)))
 
-    cand = Contraction(
+    return Contraction(
         p=base.p,
         i=base.i,
         h=OperatorHandle("h_bad", bad_h, +1),
         d_X=base.d_X,
         d_Y=base.d_Y,
+        sc1=flags,
+        sc2=flags,
+        sc3=flags,
         meta=dict(base.meta),
     )
+
+
+def two_constraint_probes(ctx, bound):
     rng = random.Random(6)
-    probes_Y = [random_bounded_chain(ctx, 1, 0, rng, 4, (1,), 0, terms=2) for _ in range(8)]
-    probes_X = [base.p(y) for y in probes_Y]
+    one = SuperElement.from_poly(Poly.const(ctx, 3), 2, 0)
+    probes_Y = [one] + [
+        random_bounded_chain(ctx, 2, 0, rng, bound, (1, 1), i % 3, terms=2) for i in range(6)
+    ]
+    return [one] * len(probes_Y), probes_Y
+
+
+def test_enforce_repairs_violating_homotopy():
+    # h + d n p is another contraction homotopy but breaks the side
+    # conditions; the normalization restores them
+    ctx, moment = two_constraints()
+    cand = violating_contraction(build_koszul_contraction(moment, 4), flags=False)
+    probes_X, probes_Y = two_constraint_probes(ctx, 4)
     # still a contraction
     assert all(ok for _, ok, _ in check_contraction(cand, probes_X, probes_Y))
-    # but sc2 fails somewhere
-    violated = any(not cand.h(base.i(x)).is_zero() for x in probes_X)
+    # but sc2 fails
+    assert any(not cand.h(cand.i(x)).is_zero() for x in probes_X)
     fixed = enforce_side_conditions(cand)
     assert all(ok for _, ok, _ in check_contraction(fixed, probes_X, probes_Y))
     for x, y in zip(probes_X, probes_Y):
         assert fixed.h(fixed.i(x)).is_zero()
         assert fixed.p(fixed.h(y)).is_zero()
         assert fixed.h(fixed.h(y)).is_zero()
-    assert violated or True  # the repair holds regardless of where it broke
+
+
+def test_side_condition_checks_can_fail():
+    # the runner's contraction.h h=0 / h i=0 / p h=0 records evaluate the
+    # homotopy they are handed: a violating one must show nonzero residuals
+    ctx, moment = two_constraints()
+    cand = violating_contraction(build_koszul_contraction(moment, 4), flags=True)
+    probes_X, probes_Y = two_constraint_probes(ctx, 4)
+    side = ("h h=0", "h i=0", "p h=0")
+    failed = set()
+    for x, y in zip(probes_X, probes_Y):
+        for label, residual in cand.axiom_residuals(x, y).items():
+            if label in side:
+                if not residual.is_zero():
+                    failed.add(label)
+            else:
+                assert residual.is_zero(), label
+    assert failed == {"h h=0", "h i=0"}
+
+
+def _basis_elements(c, ctx, dim, bound):
+    """Ghost-free, nu-order-0 elements of every Y and X slice basis."""
+    space = c.meta["space"]
+    grades = sorted({g for deg in range(bound + 1) for g in ctx.grades_of_degree(deg)})
+    ys = [
+        SuperElement(ctx, dim, 0, {((), aset): Series.from_poly(Poly.monomial(ctx, m), 0)})
+        for i in range(dim + 1)
+        for grade in grades
+        for aset, m in space.slice_basis(i, grade)
+    ]
+    xs = [
+        SuperElement.from_poly(Poly.monomial(ctx, m), dim, 0)
+        for grade in grades
+        for m in space.complement_monomials(grade)
+    ]
+    return xs, ys
+
+
+@pytest.mark.parametrize("name,bound", [("commuting-n2", 6), ("s1-c4", 4)])
+def test_side_conditions_on_slice_bases(name, bound):
+    # certificate, not a sample: all seven axioms of the canonical Koszul
+    # contraction on every slice-basis element up to the degree bound
+    state = RunState(replace(get_scenario(name), degree_bound=bound))
+    stage_load(state)
+    ctx, dim = state.ctx, state.moment.lie.dim
+    c = build_koszul_contraction(state.moment, bound)
+    assert c.sc1 and c.sc2 and c.sc3
+    xs, ys = _basis_elements(c, ctx, dim, bound)
+    assert xs and len(ys) > len(xs)
+    zero = SuperElement.zero(ctx, dim, 0)
+    seen = set()
+    for x, y in zip_longest(xs, ys, fillvalue=zero):
+        for label, residual in c.axiom_residuals(x, y).items():
+            assert residual.is_zero(), (label, x, y)
+            seen.add(label)
+    assert len(seen) == 7
+
+
+def test_pipeline_homotopy_is_one_canonical_solve(monkeypatch):
+    # one kc.h on the contraction the runner builds is one h_fn call: a
+    # wrapper such as h'' = h' d h' would cost about ten
+    calls = []
+    h_fn = KoszulContraction.h_fn
+
+    def counted(self, x):
+        calls.append(x)
+        return h_fn(self, x)
+
+    monkeypatch.setattr(KoszulContraction, "h_fn", counted)
+    state = RunState(replace(get_scenario("s1-c4"), degree_bound=4))
+    stage_load(state)
+    records = stage_contraction(state)
+    assert all(r.status == "pass" for r in records)
+    j = state.moment.components[0]
+    y = SuperElement.from_poly(j * Poly.variable(state.ctx, "z1"), 1, 0)
+    calls.clear()
+    hy = state.kc.h(y)
+    assert len(calls) == 1 and not hy.is_zero()
 
 
 def test_acyclicity_positive_and_negative():

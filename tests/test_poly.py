@@ -6,6 +6,7 @@ import pytest
 from redstar.errors import ContextError
 from redstar.poly import Poly, VarContext, poly_ring
 from redstar.probes import random_poly
+from redstar.scalars import QQ, QQ_I
 
 
 def setup_qp():
@@ -127,3 +128,14 @@ def test_monomials_of_grade_matches_brute_force(name):
             assert missing not in grades
             assert ctx.monomials_of_grade(missing) == () == brute_force_grade(ctx, missing)
     assert ctx.monomials_of_grade((-1,) + (0,) * rows) == ()
+
+
+@pytest.mark.parametrize("field", [QQ, QQ_I])
+def test_scale_by_small_ints_matches_coerced_factor(field):
+    ctx = VarContext(("x", "y"), field)
+    x, y = Poly.variable(ctx, "x"), Poly.variable(ctx, "y")
+    f = (x * y).scale(Fraction(3, 2)) - y.scale(5) + Poly.const(ctx, 7)
+    for k in (1, -1, 0):
+        assert f.scale(k) == f.scale(field.coerce(k))
+    assert f.scale(1) is f
+    assert Poly.zero(ctx).scale(-1).is_zero()

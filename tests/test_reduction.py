@@ -6,7 +6,7 @@ import pytest
 from redstar.brst import poisson_action, quotient_representation
 from redstar.errors import ClosednessError, InvarianceError
 from redstar.hpt import check_contraction
-from redstar.koszul import MomentMapData, build_koszul_contraction, enforce_side_conditions
+from redstar.koszul import MomentMapData, build_koszul_contraction
 from redstar.poisson import poisson_data
 from redstar.poly import Poly, VarContext
 from redstar.probes import random_bounded_super, random_poly
@@ -39,7 +39,7 @@ def circle_c2():
     J = (v("z1") * v("zb1") - v("z2") * v("zb2")).scale(Fraction(1, 2))
     lie = LieAlgebraData.build(1, torus_rows=(0,))
     moment = MomentMapData(ctx, (J,), lie, "")
-    kc = enforce_side_conditions(build_koszul_contraction(moment, 6))
+    kc = build_koszul_contraction(moment, 6)
     star = StarProduct(lam, 1, NW)
     return ctx, lam, moment, kc, star
 
