@@ -177,13 +177,13 @@ def splitting_residuals(D, delta, koszul, probes, s=""):
     """
     out = []
     for k, x in enumerate(probes):
-        dx = D(x)
-        out.append((f"D{s}-delta{s}-2koszul{s}[{k}]", dx - delta(x) - koszul(x).scale(2)))
+        dx, delta_x, koszul_x = D(x), delta(x), koszul(x)
+        out.append((f"D{s}-delta{s}-2koszul{s}[{k}]", dx - delta_x - koszul_x.scale(2)))
         out.append((f"D{s}^2[{k}]", D(dx)))
-        out.append((f"delta{s}^2[{k}]", delta(delta(x))))
-        out.append((f"koszul{s}^2[{k}]", koszul(koszul(x))))
+        out.append((f"delta{s}^2[{k}]", delta(delta_x)))
+        out.append((f"koszul{s}^2[{k}]", koszul(koszul_x)))
         out.append(
-            (f"delta{s}.koszul{s}+koszul{s}.delta{s}[{k}]", delta(koszul(x)) + koszul(delta(x)))
+            (f"delta{s}.koszul{s}+koszul{s}.delta{s}[{k}]", delta(koszul_x) + koszul(delta_x))
         )
     return out
 

@@ -10,7 +10,7 @@ product routes through the perturbed inclusion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .brst import brst_transfer, build_delta, certify_invariant
 from .errors import ClosednessError
@@ -18,14 +18,16 @@ from .hpt import neumann_inverse, perturb_v2
 from .poly import Poly
 from .quantum import build_quantum_koszul, star_action
 from .series import Series
-from .superalg import OperatorHandle, SuperElement, op_compose
+from .superalg import OperatorHandle, SuperElement, op_columns, op_compose
 
 
 def deformed_restriction(koszul_contraction, moment, star, probes_X=(), probes_Y=(), upto=None):
     """Contraction of the deformed Koszul complex via the second lemma.
 
     Returns (contraction, t) where the contraction carries res_nu and the
-    deformed homotopy, and t = koszul_nu - koszul is the initiator.
+    deformed homotopy, and t = koszul_nu - koszul is the initiator.  res_nu
+    is C[[nu]]-linear, so it is evaluated once per basis column
+    (`op_columns`); the cache lives on this contraction's handle.
     """
     knu = build_quantum_koszul(moment, star)
     t = OperatorHandle(
@@ -38,7 +40,7 @@ def deformed_restriction(koszul_contraction, moment, star, probes_X=(), probes_Y
     out = perturb_v2(
         koszul_contraction, t, t_x, probes_X, probes_Y, upto=upto
     )
-    return out, t
+    return replace(out, p=op_columns(out.p, name="res_nu")), t
 
 
 def closed_form_res_nu(koszul_contraction, t, order, name="res_nu_closed"):

@@ -172,9 +172,16 @@ class Series:
         """Whether all coefficients vanish through order `upto` (default: reliable).
 
         Asking beyond the reliable order raises ReliabilityError rather than
-        silently claiming more than the computation supports.
+        silently claiming more than the computation supports; so does a
+        negative order (`upto < 0`, or nothing reliable left after repeated
+        `div_nu`), at which the test would evaluate no coefficient at all.
         """
         k = self.reliable if upto is None else upto
+        if k < 0:
+            raise ReliabilityError(
+                f"zero test at order {k} evaluates no coefficient "
+                f"(series reliable to {self.reliable})"
+            )
         if k > self.reliable:
             raise ReliabilityError(
                 f"zero test requested to order {k} but series is reliable only to "

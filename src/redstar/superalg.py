@@ -586,3 +586,71 @@ def op_scale(f, c, name=None):
     return OperatorHandle(
         name or f"{c}*{f.name}", lambda x: f(x).scale(c), f.degree, f.raises_filtration
     )
+
+
+def op_columns(f, name=None):
+    """A C[[nu]]-linear f evaluated once per basis column.
+
+    A column is f of one basis element m*g (a monomial m under a ghost key
+    g) at truncation order N, keyed by (N, g, m) and computed on first use.
+    It is kept as its reliable order and a flat tuple of (out key, nu power,
+    monomial, coefficient) entries.  Then f(x) is the sum over the terms
+    c * nu^s * m * g of x of c * nu^s * f(m g), truncated at x.order.  An
+    output term is reliable to the minimum of x.reliable (the whole input's,
+    as the Koszul maps take it) and the reliable orders of the columns that
+    feed it.
+    """
+    columns = {}
+
+    def column(x, key, mono):
+        col = columns.get((x.order, key, mono))
+        if col is None:
+            unit = Series(x.ctx, x.order, [Poly(x.ctx, {mono: x.ctx.field.one}, _clean=True)])
+            image = f(SuperElement(x.ctx, x.dim, x.order, {key: unit}, _clean=True))
+            col = (
+                image.reliable,
+                tuple(
+                    (out_key, t, m, c)
+                    for out_key, series in image.terms.items()
+                    for t, p in enumerate(series.coeffs)
+                    for m, c in p.terms.items()
+                ),
+            )
+            columns[(x.order, key, mono)] = col
+        return col
+
+    def fn(x):
+        order = x.order
+        acc = {}  # out key -> [reliable, {monomial: coefficient} per nu power]
+        for key, series in x.terms.items():
+            for s, p in enumerate(series.coeffs):
+                for mono, c in p.terms.items():
+                    reliable, entries = column(x, key, mono)
+                    for out_key, t, m, v in entries:
+                        if s + t > order:
+                            continue
+                        out = acc.get(out_key)
+                        if out is None:
+                            out = acc[out_key] = [reliable, [{} for _ in range(order + 1)]]
+                        elif reliable < out[0]:
+                            out[0] = reliable
+                        slot = out[1][s + t]
+                        w = slot.get(m)
+                        if w is None:
+                            slot[m] = c * v
+                        else:
+                            w = w + c * v
+                            if w:
+                                slot[m] = w
+                            else:
+                                del slot[m]
+        terms = {}
+        for out_key, (reliable, slots) in acc.items():
+            if any(slots):
+                coeffs = [Poly(x.ctx, slot, _clean=True) for slot in slots]
+                terms[out_key] = Series(x.ctx, order, coeffs, min(reliable, x.reliable))
+        return SuperElement(x.ctx, x.dim, order, terms, _clean=True)
+
+    return OperatorHandle(
+        name or f"cols({f.name})", fn, f.degree, f.raises_filtration, f.equivariant
+    )

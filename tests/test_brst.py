@@ -6,6 +6,7 @@ import pytest
 from redstar.brst import (
     brst_transfer,
     build_delta,
+    build_koszul_operator,
     certify_invariant,
     check_classical_splitting,
     classical_brst_diff,
@@ -14,6 +15,7 @@ from redstar.brst import (
     poisson_action,
     quotient_representation,
     reduced_poisson,
+    splitting_residuals,
 )
 from redstar.errors import InvarianceError
 from redstar.hpt import check_contraction
@@ -22,7 +24,7 @@ from redstar.poisson import poisson_bracket, poisson_data
 from redstar.poly import Poly, VarContext, poly_ring
 from redstar.probes import random_bounded_super, random_poly
 from redstar.series import Series
-from redstar.superalg import LieAlgebraData, SuperElement, graded_poisson
+from redstar.superalg import LieAlgebraData, OperatorHandle, SuperElement, graded_poisson
 
 
 def abelian_toy():
@@ -120,6 +122,30 @@ def test_splitting_identities():
         ]
         resid = check_classical_splitting(moment, lam, theta, delta, probes)
         assert all(r.is_zero() for _, r in resid)
+
+
+def test_splitting_residuals_apply_each_operator_once_per_use():
+    ctx, lam, moment = so3_commuting()
+    delta = build_delta(moment, poisson_action(lam))
+    koszul = build_koszul_operator(moment)
+    D = classical_brst_diff(classical_charge(moment, 0), lam)
+    counts = {"D": 0, "delta": 0, "koszul": 0}
+
+    def counted(name, op):
+        def fn(x):
+            counts[name] += 1
+            return op(x)
+
+        return OperatorHandle(name, fn, op.degree)
+
+    rng = random.Random(9)
+    jdegs = tuple(j.degree() for j in moment.components)
+    probes = [random_bounded_super(ctx, 3, 0, rng, 6, jdegs, terms=2) for _ in range(4)]
+    resid = splitting_residuals(
+        counted("D", D), counted("delta", delta), counted("koszul", koszul), probes
+    )
+    assert counts == {"D": 2 * 4, "delta": 3 * 4, "koszul": 3 * 4}
+    assert resid == check_classical_splitting(moment, lam, classical_charge(moment, 0), delta, probes)
 
 
 def test_delta_basics():

@@ -5,7 +5,7 @@ import pytest
 
 from redstar.brst import poisson_action, quotient_representation
 from redstar.errors import ClosednessError, InvarianceError
-from redstar.hpt import check_contraction
+from redstar.hpt import check_contraction, perturb_v2
 from redstar.koszul import MomentMapData, build_koszul_contraction
 from redstar.poisson import poisson_data
 from redstar.poly import Poly, VarContext
@@ -23,7 +23,13 @@ from redstar.reduction import (
 )
 from redstar.scalars import QQ_I, GaussianRational
 from redstar.series import Series
-from redstar.superalg import LieAlgebraData, StarProduct, SuperElement
+from redstar.superalg import (
+    LieAlgebraData,
+    OperatorHandle,
+    StarProduct,
+    SuperElement,
+    op_columns,
+)
 
 NW = 6  # working order
 N = 4  # asserted order
@@ -42,6 +48,16 @@ def circle_c2():
     kc = build_koszul_contraction(moment, 6)
     star = StarProduct(lam, 1, NW)
     return ctx, lam, moment, kc, star
+
+
+def abelian_c4():
+    """Rational scenario: two commuting quadratic constraints on C^4."""
+    ctx = VarContext(("x1", "y1", "x2", "y2"))
+    lam = poisson_data(ctx, [("x1", "y1", 1), ("x2", "y2", 1)])
+    v = lambda n: Poly.variable(ctx, n)
+    moment = MomentMapData(ctx, (v("x1") * v("y1"), v("x2") * v("y2")), LieAlgebraData.build(2), "")
+    kc = build_koszul_contraction(moment, 6)
+    return ctx, lam, moment, kc, StarProduct(lam, 2, NW)
 
 
 def build_pipe(ctx, lam, moment, kc, star):
@@ -184,3 +200,103 @@ def test_weight_zero_generators():
     # every weight-zero monomial of degree <= 4 is a product of generators
     all_wz = weight_zero_monomials(ctx, (0,), 4)
     assert len(all_wz) == 1 + 16 + 100
+
+
+# -- res_nu evaluated per basis column ------------------------------------------
+
+
+def _res_nu_routes(setup):
+    """The cached res_nu of `deformed_restriction` and the direct operator it wraps."""
+    ctx, lam, moment, kc, star = setup()
+    dc, t = deformed_restriction(kc, moment, star)
+    zero = OperatorHandle("0", lambda x: x.scale(0), -1, frozenset({"nu"}))
+    return ctx, moment, dc.p, perturb_v2(kc, t, zero).p
+
+
+def _mixed_elements(ctx, moment, rng, count):
+    """Random elements with several ghost keys, nu content and repeated monomials."""
+    dim = moment.lie.dim
+    jdegs = tuple(j.degree() for j in moment.components)
+    out = []
+    while len(out) < count:
+        y = random_bounded_super(ctx, dim, NW, rng, 6, jdegs, terms=4, nu_content=True)
+        z = random_bounded_super(ctx, dim, NW, rng, 6, jdegs, terms=3)
+        x = y + z + y.shift_nu(1).scale(3)
+        # res_nu keeps antighost-free terms; ask for two ghost keys among them
+        if len({k[0] for k in x.terms if not k[1]}) >= 2:
+            out.append(x)
+    return out
+
+
+def _reliables(x):
+    return {k: c.reliable for k, c in x.terms.items()}
+
+
+@pytest.mark.parametrize("setup", [circle_c2, abelian_c4], ids=["circle_c2", "abelian_c4"])
+def test_res_nu_columns_equal_direct_route(setup):
+    ctx, moment, cached, direct = _res_nu_routes(setup)
+    rng = random.Random(61)
+    elements = _mixed_elements(ctx, moment, rng, 6)
+    assert any(any(not p.is_zero() for p in c.coeffs[2:]) for x in elements for c in x.terms.values())
+    # a low order first, so that a column cached without its order would be short
+    images = []
+    for x in [x.truncate(2) for x in elements[:2]] + elements:
+        got, want = cached(x), direct(x)
+        assert got == want
+        assert _reliables(got) == _reliables(want)
+        images.append(got)
+    assert all(len({k[0] for k in y.terms}) >= 2 for y in images[2:])
+    assert any(any(not p.is_zero() for p in c.coeffs[2:]) for y in images for c in y.terms.values())
+
+
+@pytest.mark.parametrize("setup", [circle_c2, abelian_c4], ids=["circle_c2", "abelian_c4"])
+def test_res_nu_columns_reliable(setup):
+    ctx, moment, cached, direct = _res_nu_routes(setup)
+    rng = random.Random(62)
+    for x in _mixed_elements(ctx, moment, rng, 4):
+        # one shared reliable order below the truncation: equal on every term
+        same = SuperElement(
+            ctx, x.dim, NW,
+            {k: Series(ctx, NW, c.coeffs, 3) for k, c in x.terms.items()},
+            _clean=True,
+        )
+        got, want = cached(same), direct(same)
+        assert got == want and _reliables(got) == _reliables(want)
+        assert set(_reliables(got).values()) == {3}
+        # mixed reliable orders: the cached route never claims more
+        mixed = SuperElement(
+            ctx, x.dim, NW,
+            {k: Series(ctx, NW, c.coeffs, 2 + n % 4) for n, (k, c) in enumerate(x.terms.items())},
+            _clean=True,
+        )
+        got, want = cached(mixed), direct(mixed)
+        assert got == want
+        assert all(got.terms[k].reliable <= r for k, r in _reliables(want).items())
+
+
+def test_op_columns_evaluates_each_column_once():
+    ctx, moment, cached, direct = _res_nu_routes(circle_c2)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return direct(x)
+
+    op = op_columns(OperatorHandle("res_nu", counted, 0, frozenset({"nu"})))
+    rng = random.Random(63)
+    x1, x2 = _mixed_elements(ctx, moment, rng, 2)
+    x2 = x2 + x1.shift_nu(2)  # shares monomials with x1
+    columns = {
+        (x.order, key, m)
+        for x in (x1, x2)
+        for key, c in x.terms.items()
+        for p in c.coeffs
+        for m in p.terms
+    }
+    assert op(x1) == direct(x1)
+    assert op(x2) == direct(x2)
+    assert len(calls) == len(columns)
+    assert all(len(u.terms) == 1 for u in calls)
+    op(x1)
+    op(x2)
+    assert len(calls) == len(columns)

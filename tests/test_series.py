@@ -78,6 +78,21 @@ def test_reliability_guard():
     assert not a.is_zero(upto=3)
 
 
+def test_zero_test_at_negative_order_raises():
+    ctx, q, p = setup()
+    with pytest.raises(ReliabilityError):
+        Series(ctx, 1, [q, q], reliable=-1).is_zero()
+    a = Series.from_poly(q, 2) + Series.nu(ctx, 2) * p
+    with pytest.raises(ReliabilityError):
+        a.is_zero(upto=-1)
+    # nothing reliable is left after dividing by nu once more than the order
+    b = Series.nu(ctx, 1) * q
+    b = b.div_nu().shift_nu(1).div_nu()
+    assert b.reliable == -1
+    with pytest.raises(ReliabilityError):
+        b.is_zero()
+
+
 def test_truncation_is_ring_hom():
     ctx, _, _ = setup()
     rng = random.Random(8)
