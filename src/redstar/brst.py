@@ -209,9 +209,6 @@ def brst_base_contraction(koszul_contraction):
         h=op_scale(c.h, Fraction(1, 2), name="h/2"),
         d_X=OperatorHandle("0", lambda x: x.scale(0), +1),
         d_Y=op_scale(c.d_Y, 2, name="2*koszul"),
-        sc1=c.sc1,
-        sc2=c.sc2,
-        sc3=c.sc3,
         meta=dict(c.meta),
     )
 

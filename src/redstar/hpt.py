@@ -112,17 +112,13 @@ def perturb_v1(c, t_y, t_x, probes_X=(), probes_Y=(), upto=None, cap=32):
         ix = c.i(x)
         return ix - h_new(t_y(ix) - c.i(t_x(x)))
 
-    i_new = OperatorHandle("I", i_fn, c.i.degree, equivariant=c.i.equivariant)
-    all_sc = c.sc1 and c.sc2 and c.sc3
+    i_new = OperatorHandle("I", i_fn, c.i.degree)
     return Contraction(
         p=c.p,
         i=i_new,
         h=h_new,
         d_X=d_x_new,
         d_Y=d_y_new,
-        sc1=all_sc,
-        sc2=all_sc,
-        sc3=True,
         meta=dict(c.meta),
     )
 
@@ -141,15 +137,11 @@ def perturb_v2(c, t_y, t_x, probes_X=(), probes_Y=(), upto=None, cap=32):
     inv = _homotopy_denominator(c, t_y, cap)
     h_new = op_compose(c.h, inv, name="H'")
     p_new = op_compose(c.p, inv, name="P")
-    all_sc = c.sc1 and c.sc2 and c.sc3
     return Contraction(
         p=p_new,
         i=c.i,
         h=h_new,
         d_X=d_x_new,
         d_Y=d_y_new,
-        sc1=all_sc,
-        sc2=True,
-        sc3=all_sc,
         meta=dict(c.meta),
     )

@@ -287,7 +287,6 @@ class KoszulContraction:
             terms = {
                 aset: sum(ps[1:], ps[0]) for aset, ps in groups.items()
             }
-            v = self.space.vectorize(terms, i, grade)
             if i == 0:
                 p = terms.get((), Poly.zero(self.ctx))
                 nf = self.space.normal_form_poly(p)
@@ -389,13 +388,13 @@ class Contraction:
     h: OperatorHandle
     d_X: OperatorHandle
     d_Y: OperatorHandle
-    sc1: bool = False  # h h = 0
-    sc2: bool = False  # h i = 0
-    sc3: bool = False  # p h = 0
     meta: dict = dc_field(default_factory=dict)
 
     def axiom_residuals(self, probe_X, probe_Y):
-        """Named residual elements of the contraction axioms on two probes."""
+        """Named residual elements of the seven contraction axioms on two probes.
+
+        The last three are the side conditions h h = 0, h i = 0 and p h = 0.
+        """
         out = {}
         out["p.i=id"] = self.p(self.i(probe_X)) - probe_X
         out["d h+h d=id-i.p"] = (
@@ -406,12 +405,9 @@ class Contraction:
         )
         out["p d=d p"] = self.p(self.d_Y(probe_Y)) - self.d_X(self.p(probe_Y))
         out["d i=i d"] = self.d_Y(self.i(probe_X)) - self.i(self.d_X(probe_X))
-        if self.sc1:
-            out["h h=0"] = self.h(self.h(probe_Y))
-        if self.sc2:
-            out["h i=0"] = self.h(self.i(probe_X))
-        if self.sc3:
-            out["p h=0"] = self.p(self.h(probe_Y))
+        out["h h=0"] = self.h(self.h(probe_Y))
+        out["h i=0"] = self.h(self.i(probe_X))
+        out["p h=0"] = self.p(self.h(probe_Y))
         return out
 
 
@@ -419,8 +415,8 @@ def build_koszul_contraction(moment, degree_bound):
     """Assemble the Koszul contraction with canonical (deterministic) data.
 
     The canonical solves satisfy the three side conditions h h = 0,
-    h i = 0 and p h = 0, so the flags are set and the homotopy is used as
-    it is.  `tests/test_koszul.py::test_side_conditions_on_slice_bases`
+    h i = 0 and p h = 0, so the homotopy is used as it is.
+    `tests/test_koszul.py::test_side_conditions_on_slice_bases`
     certifies all seven axioms on every ghost-free slice-basis element of
     a small scenario; the runner's contraction checks evaluate the side
     conditions on probes of every scenario.
@@ -434,9 +430,6 @@ def build_koszul_contraction(moment, degree_bound):
         h=h,
         d_X=zero_dx,
         d_Y=d,
-        sc1=True,
-        sc2=True,
-        sc3=True,
         meta={"space": kc.space},
     )
     return c
@@ -464,7 +457,6 @@ def enforce_side_conditions(c):
         lambda x: h_prime(d(h_prime(x))),
         +1,
         c.h.raises_filtration,
-        c.h.equivariant,
     )
     return Contraction(
         p=c.p,
@@ -472,9 +464,6 @@ def enforce_side_conditions(c):
         h=h_second,
         d_X=c.d_X,
         d_Y=c.d_Y,
-        sc1=True,
-        sc2=True,
-        sc3=True,
         meta=dict(c.meta),
     )
 

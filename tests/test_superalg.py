@@ -1,14 +1,23 @@
+import functools
 import random
+from fractions import Fraction
+from itertools import combinations
+from math import factorial
 
-from redstar.poisson import moyal_star, poisson_data
+import pytest
+
+from redstar.poisson import moyal_star, moyal_star_series, poisson_bracket, poisson_data
 from redstar.poly import Poly, poly_ring
-from redstar.probes import random_super
+from redstar.probes import random_poly, random_super
+from redstar.quantum import star_action, star_right_multiply
+from redstar.runner import RunState, stage_load
+from redstar.scenarios import get_scenario
 from redstar.series import Series
 from redstar.superalg import (
     LieAlgebraData,
     StarProduct,
     SuperElement,
-    apply_contraction_derivation,
+    _merge_terms,
     clifford_mul,
     contract_antighost,
     contract_ghost,
@@ -59,7 +68,6 @@ def test_dual_pairing_derivations():
     assert contract_antighost(gen(ctx, a=(2,)), 1).is_zero()
     # i_2(e^1 e^2) = -e^1 (the derivation passes e^1 first)
     assert contract_ghost(gen(ctx, g=(1, 2)), 2) == gen(ctx, g=(1,), c=-1)
-    assert apply_contraction_derivation("i^a", 1, e_12) == gen(ctx, a=(2,))
 
 
 def test_derivation_leibniz_random():
@@ -209,3 +217,291 @@ def test_lie_data_validation():
     assert lie.unimodular
     ab = LieAlgebraData.build(2)
     assert ab.abelian and ab.unimodular
+
+
+# -- reference implementations ---------------------------------------------------
+# Each product, contraction and termwise map written out as its own loop,
+# with an independent key merge (ghost a encoded as a, antighost a as
+# dim + a).  None uses a helper of `redstar.superalg`, so a change to a
+# shared helper there shows up as a difference in terms or in a term's
+# `reliable`.
+
+
+def _ref_merge_terms(key1, key2, dim):
+    """Merge by encoding ghost a as a and antighost a as dim + a."""
+    seq1 = tuple(key1[0]) + tuple(dim + a for a in key1[1])
+    seq2 = tuple(key2[0]) + tuple(dim + a for a in key2[1])
+    inversions = 0
+    for y in seq2:
+        for x in seq1:
+            if x == y:
+                return 0, None
+            if x > y:
+                inversions += 1
+    merged = tuple(sorted(seq1 + seq2))
+    ghosts = tuple(g for g in merged if g <= dim)
+    antighosts = tuple(g - dim for g in merged if g > dim)
+    return (-1) ** inversions, (ghosts, antighosts)
+
+
+def _ref_remove_antighost(key, a):
+    ghosts, antighosts = key
+    if a not in antighosts:
+        return None
+    pos = antighosts.index(a)
+    return (-1) ** (len(ghosts) + pos), (ghosts, antighosts[:pos] + antighosts[pos + 1 :])
+
+
+def _ref_remove_ghost(key, a):
+    ghosts, antighosts = key
+    if a not in ghosts:
+        return None
+    pos = ghosts.index(a)
+    return (-1) ** pos, (ghosts[:pos] + ghosts[pos + 1 :], antighosts)
+
+
+def _ref_parity(key):
+    return (len(key[0]) + len(key[1])) % 2
+
+
+def ref_super_mul(x, y):
+    out = {}
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            sign, key = _ref_merge_terms(k1, k2, x.dim)
+            if sign == 0:
+                continue
+            s = (c1 * c2).scale(sign)
+            cur = out.get(key)
+            out[key] = s if cur is None else cur + s
+    return SuperElement(x.ctx, x.dim, x.order, out)
+
+
+def _ref_clifford_ghost_terms(key1, key2, dim, max_k):
+    results = []
+    level = [(key1, key2, 1)]
+    k = 0
+    while level and k <= max_k:
+        for kx, ky, c in level:
+            sign, merged = _ref_merge_terms(kx, ky, dim)
+            if sign != 0:
+                results.append((k, c * sign * Fraction(1, factorial(k)), merged))
+        nxt = []
+        for kx, ky, c in level:
+            px = _ref_parity(kx)
+            for a in kx[1]:
+                if a not in ky[0]:
+                    continue
+                s1, kx2 = _ref_remove_antighost(kx, a)
+                s2, ky2 = _ref_remove_ghost(ky, a)
+                nxt.append((kx2, ky2, c * s1 * s2 * (-1) ** px))
+        level = nxt
+        k += 1
+    return results
+
+
+def _ref_clifford(x, y, product, coeff):
+    out = {}
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            base = product(c1, c2)
+            for k, s, key in _ref_clifford_ghost_terms(k1, k2, x.dim, x.order):
+                contrib = base.scale(s * coeff**k).shift_nu(k)
+                if all(p.is_zero() for p in contrib.coeffs):
+                    continue
+                cur = out.get(key)
+                out[key] = contrib if cur is None else cur + contrib
+    return SuperElement(x.ctx, x.dim, x.order, out)
+
+
+def ref_clifford_mul(x, y):
+    return _ref_clifford(x, y, lambda a, b: a * b, Fraction(-2))
+
+
+def ref_star(star, x, y):
+    return _ref_clifford(
+        x, y, lambda a, b: moyal_star_series(a, b, star.lam), star.clifford_coeff
+    )
+
+
+def ref_graded_poisson(x, y, lam):
+    terms_out = {}
+
+    def accumulate(key, series):
+        if all(p.is_zero() for p in series.coeffs):
+            return
+        cur = terms_out.get(key)
+        terms_out[key] = series if cur is None else cur + series
+
+    for k1, c1 in x.terms.items():
+        p1 = _ref_parity(k1)
+        for k2, c2 in y.terms.items():
+            p2 = _ref_parity(k2)
+            sign, key = _ref_merge_terms(k1, k2, x.dim)
+            if sign != 0:
+                coeffs = [Poly.zero(x.ctx)] * (x.order + 1)
+                for i, a in enumerate(c1.coeffs):
+                    if a.is_zero():
+                        continue
+                    for j, b in enumerate(c2.coeffs):
+                        if i + j > x.order or b.is_zero():
+                            continue
+                        coeffs[i + j] = coeffs[i + j] + poisson_bracket(a, b, lam)
+                series = Series(x.ctx, x.order, coeffs, min(c1.reliable, c2.reliable))
+                accumulate(key, series.scale(sign))
+            prod = c1 * c2
+            for a in k1[1]:
+                if a not in k2[0]:
+                    continue
+                s1, k1r = _ref_remove_antighost(k1, a)
+                s2, k2r = _ref_remove_ghost(k2, a)
+                msign, key2 = _ref_merge_terms(k1r, k2r, x.dim)
+                if msign == 0:
+                    continue
+                accumulate(key2, prod.scale((-2) * ((-1) ** p1) * s1 * s2 * msign))
+            for a in k2[1]:
+                if a not in k1[0]:
+                    continue
+                s1, k2r = _ref_remove_antighost(k2, a)
+                s2, k1r = _ref_remove_ghost(k1, a)
+                msign, key2 = _ref_merge_terms(k2r, k1r, x.dim)
+                if msign == 0:
+                    continue
+                accumulate(key2, prod.scale(2 * ((-1) ** (p1 * p2 + p2)) * s1 * s2 * msign))
+    return SuperElement(x.ctx, x.dim, x.order, terms_out)
+
+
+def _ref_contract(x, remove, a):
+    out = {}
+    for key, coeff in x.terms.items():
+        hit = remove(key, a)
+        if hit is None:
+            continue
+        sign, new_key = hit
+        s = coeff.scale(sign)
+        cur = out.get(new_key)
+        out[new_key] = s if cur is None else cur + s
+    return SuperElement(x.ctx, x.dim, x.order, out)
+
+
+def _ref_termwise(x, fn, order=None):
+    """The termwise maps: constructor-cleaned image of every term."""
+    order = x.order if order is None else order
+    return SuperElement(x.ctx, x.dim, order, {k: fn(c) for k, c in x.terms.items()})
+
+
+# -- comparisons against the references --------------------------------------------
+
+REF_ORDERS = (0, 2, 4)
+
+
+@functools.lru_cache(maxsize=None)
+def _loaded(name):
+    state = RunState(get_scenario(name))
+    stage_load(state)
+    return state.ctx, state.lam, state.moment.lie.dim
+
+
+def _random_element(ctx, dim, order, rng, terms=4):
+    """Random terms with nonzero higher nu slots, some nu-divisible, mixed `reliable`.
+
+    A term whose low slots vanish makes products that truncate to zero, the
+    case in which the Clifford products and `super_mul` treat zeros apart.
+    """
+    subsets = [()] + [s for r in range(1, dim + 1) for s in combinations(range(1, dim + 1), r)]
+    out = {}
+    for _ in range(terms):
+        low = rng.randint(0, order)
+        coeffs = [Poly.zero(ctx)] * low + [
+            random_poly(ctx, rng, 2, terms=2) for _ in range(order + 1 - low)
+        ]
+        key = (rng.choice(subsets), rng.choice(subsets))
+        out[key] = Series(ctx, order, coeffs, rng.randint(0, order))
+    return SuperElement(ctx, dim, order, out)
+
+
+def _random_pairs(name, per_order):
+    ctx, lam, dim = _loaded(name)
+    rng = random.Random(name)
+    for order in REF_ORDERS:
+        for _ in range(per_order):
+            yield (
+                ctx,
+                lam,
+                _random_element(ctx, dim, order, rng),
+                _random_element(ctx, dim, order, rng),
+            )
+
+
+def assert_same(got, want):
+    """Equal terms and equal `reliable` on every term."""
+    assert (got.ctx, got.dim, got.order) == (want.ctx, want.dim, want.order)
+    assert got.terms == want.terms
+    assert {k: c.reliable for k, c in got.terms.items()} == {
+        k: c.reliable for k, c in want.terms.items()
+    }
+
+
+SCENARIOS = ("s1-c4", "commuting-n3")
+
+
+def test_merge_terms_matches_encoded_merge():
+    dim = 4
+    subsets = [()] + [s for r in range(1, dim + 1) for s in combinations(range(1, dim + 1), r)]
+    keys = [(g, a) for g in subsets for a in subsets]
+    rng = random.Random(11)
+    for k1 in keys:
+        for k2 in rng.sample(keys, 40):
+            assert _merge_terms(k1, k2) == _ref_merge_terms(k1, k2, dim), (k1, k2)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_products_match_reference(name):
+    for ctx, lam, x, y in _random_pairs(name, 8):
+        star = StarProduct(lam, x.dim, x.order)
+        assert_same(super_mul(x, y), ref_super_mul(x, y))
+        assert_same(clifford_mul(x, y), ref_clifford_mul(x, y))
+        assert_same(star.star(x, y), ref_star(star, x, y))
+        assert_same(graded_poisson(x, y, lam), ref_graded_poisson(x, y, lam))
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_derivations_and_termwise_maps_match_reference(name):
+    for ctx, lam, x, y in _random_pairs(name, 6):
+        for a in range(1, x.dim + 1):
+            assert_same(contract_ghost(x, a), _ref_contract(x, _ref_remove_ghost, a))
+            assert_same(contract_antighost(x, a), _ref_contract(x, _ref_remove_antighost, a))
+        assert_same(-x, _ref_termwise(x, lambda c: -c))
+        for c in (0, -1, Fraction(3, 2)):
+            assert_same(x.scale(c), _ref_termwise(x, lambda s: s.scale(c)))
+        for k in (0, 1, 3):
+            assert_same(x.shift_nu(k), _ref_termwise(x, lambda s: s.shift_nu(k)))
+        shifted = x.shift_nu(1)
+        assert_same(shifted.div_nu(), _ref_termwise(shifted, lambda s: s.div_nu()))
+        for order in range(x.order + 1):
+            assert_same(x.truncate(order), _ref_termwise(x, lambda s: s.truncate(order), order))
+        square = lambda p: p * p
+        assert_same(
+            x.map_coefficients(square),
+            _ref_termwise(
+                x, lambda s: Series(ctx, x.order, [square(p) for p in s.coeffs], s.reliable)
+            ),
+        )
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_quantum_termwise_maps_match_reference(name):
+    for ctx, lam, x, y in _random_pairs(name, 4):
+        star = StarProduct(lam, x.dim, x.order)
+        j = random_poly(ctx, random.Random(x.order), 2, terms=3)
+        jser = Series.from_poly(j, x.order)
+        assert_same(
+            star_right_multiply(x, j, star),
+            _ref_termwise(x, lambda c: moyal_star_series(c, jser, lam)),
+        )
+        comm = lambda c: (moyal_star_series(jser, c, lam) - moyal_star_series(c, jser, lam))
+        nu_x = x.shift_nu(1)
+        assert_same(
+            star_action(star)(j, nu_x),
+            _ref_termwise(nu_x, lambda c: comm(c).div_nu()),
+        )
