@@ -15,6 +15,7 @@ from redstar.brst import brst_transfer, build_delta, poisson_action, reduced_poi
 from redstar.koszul import MomentMapData, build_koszul_contraction
 from redstar.poisson import poisson_data
 from redstar.poly import Poly, VarContext
+from redstar.quantum import star_action
 from redstar.reduction import (
     ReductionPipeline,
     deformed_restriction,
@@ -48,7 +49,7 @@ phi = brst_transfer(kc, build_delta(moment, poisson_action(lam)))[0].i
 print("deforming the restriction ...")
 dc, t = deformed_restriction(kc, moment, star)
 print("transferring the quantum differential ...")
-qc, d_z_nu = quantum_reduction(moment, star, dc)
+qc, d_z_nu = quantum_reduction(dc, build_delta(moment, star_action(star), "delta_nu"))
 pipe = ReductionPipeline(moment, lam, star, space, WORK, dc, qc, torus_rows=(0,))
 
 gens = [g for g in invariant_generators(ctx, (0,), 4) if g.degree() > 0]

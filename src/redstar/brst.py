@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import InvarianceError
 from .hpt import perturb_v1
-from .koszul import Contraction, koszul_diff
+from .koszul import Contraction, koszul_operator
 from .poisson import poisson_bracket
 from .series import Series
 from .superalg import (
@@ -71,12 +71,6 @@ def classical_brst_diff(theta, lam):
     """D = {theta, .} as an operator handle."""
     return OperatorHandle(
         "D", lambda x: graded_poisson(theta, x, lam), +1, frozenset({"ghost"})
-    )
-
-
-def build_koszul_operator(moment):
-    return OperatorHandle(
-        "koszul", lambda x: koszul_diff(x, moment), -1
     )
 
 
@@ -191,7 +185,7 @@ def splitting_residuals(D, delta, koszul, probes, s=""):
 def check_classical_splitting(moment, lam, theta, delta, probes):
     """Residuals of the splitting identities on each probe."""
     D = classical_brst_diff(theta, lam)
-    return splitting_residuals(D, delta, build_koszul_operator(moment), probes)
+    return splitting_residuals(D, delta, koszul_operator(moment), probes)
 
 
 def brst_base_contraction(koszul_contraction):
@@ -209,7 +203,6 @@ def brst_base_contraction(koszul_contraction):
         h=op_scale(c.h, Fraction(1, 2), name="h/2"),
         d_X=OperatorHandle("0", lambda x: x.scale(0), +1),
         d_Y=op_scale(c.d_Y, 2, name="2*koszul"),
-        meta=dict(c.meta),
     )
 
 

@@ -119,7 +119,6 @@ def perturb_v1(c, t_y, t_x, probes_X=(), probes_Y=(), upto=None, cap=32):
         h=h_new,
         d_X=d_x_new,
         d_Y=d_y_new,
-        meta=dict(c.meta),
     )
 
 
@@ -143,5 +142,4 @@ def perturb_v2(c, t_y, t_x, probes_X=(), probes_Y=(), upto=None, cap=32):
         h=h_new,
         d_X=d_x_new,
         d_Y=d_y_new,
-        meta=dict(c.meta),
     )

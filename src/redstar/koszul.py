@@ -12,7 +12,7 @@ slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from itertools import combinations
 
 from .errors import AcyclicityError, ContextError, DegreeOverflowError
@@ -89,12 +89,26 @@ def koszul_diff(x, moment):
     return koszul_sum(x, moment, lambda piece, j: piece.map_coefficients(lambda p: p * j))
 
 
+def koszul_operator(moment):
+    """The Koszul differential as an operator handle of degree -1."""
+    return OperatorHandle("koszul", lambda x: koszul_diff(x, moment), -1)
+
+
 def _add_grades(g1, g2):
     return tuple(a + b for a, b in zip(g1, g2))
 
 
+def _vsub(v, w):
+    return [a - b if b else a for a, b in zip(v, w)]
+
+
 class KoszulSpace:
-    """Graded slice bases, differential matrices and cached solvers."""
+    """Graded slices of the Koszul complex and the linear algebra on them.
+
+    A slice is K_i at one grade vector.  Each slice's basis and index, its
+    differential to K_{i-1} (sparse columns) and its solver are built once;
+    `apply_diff`, `reduce` and the homotopy act on slice coordinate vectors.
+    """
 
     def __init__(self, moment, degree_bound):
         self.moment = moment
@@ -102,7 +116,8 @@ class KoszulSpace:
         self.dim = moment.lie.dim
         self.degree_bound = degree_bound
         self.jgrades = moment.component_grades()
-        self._bases = {}
+        self._slices = {}
+        self._diffs = {}
         self._solvers = {}
         self._ideal = {}
 
@@ -114,10 +129,10 @@ class KoszulSpace:
             zero = _add_grades(zero, self.jgrades[a - 1])
         return zero
 
-    def slice_basis(self, i, grade):
-        """Ordered basis [(antighost set, monomial)] of K_i at one grade."""
+    def _slice(self, i, grade):
+        """(basis, {basis element: position}) of K_i at one grade, built once."""
         key = (i, grade)
-        hit = self._bases.get(key)
+        hit = self._slices.get(key)
         if hit is not None:
             return hit
         if grade[0] > self.degree_bound:
@@ -133,21 +148,19 @@ class KoszulSpace:
             for m in self.ctx.monomials_of_grade(residual):
                 basis.append((aset, m))
         basis = tuple(basis)
-        self._bases[key] = basis
-        return basis
+        hit = self._slices[key] = (basis, {bm: k for k, bm in enumerate(basis)})
+        return hit
+
+    def slice_basis(self, i, grade):
+        """Ordered basis [(antighost set, monomial)] of K_i at one grade."""
+        return self._slice(i, grade)[0]
 
     def vectorize(self, chain_terms, i, grade):
-        """Coordinates of {antighost set: Poly} over the slice basis."""
-        basis = self.slice_basis(i, grade)
-        index = {bm: k for k, bm in enumerate(basis)}
-        zero = self.ctx.field.zero
-        v = [zero] * len(basis)
-        for aset, p in chain_terms.items():
-            for m, c in p.terms.items():
-                k = index.get((aset, m))
-                if k is None:
-                    raise DegreeOverflowError("chain term outside the slice basis")
-                v[k] = v[k] + c
+        """Coordinates of {(antighost set, monomial): coefficient} over the slice basis."""
+        basis, index = self._slice(i, grade)
+        v = [self.ctx.field.zero] * len(basis)
+        for bm, c in chain_terms.items():
+            v[index[bm]] = c
         return v
 
     def unvectorize(self, v, i, grade):
@@ -159,28 +172,49 @@ class KoszulSpace:
             out.setdefault(aset, {})[m] = val
         return {a: Poly(self.ctx, t, _clean=True) for a, t in out.items()}
 
-    def diff_rows(self, i, grade):
-        """Matrix rows of the slice map K_i -> K_{i-1} at this grade.
+    # -- the differential on a slice ------------------------------------------
 
-        Rows are indexed by the codomain basis, columns by the domain basis.
+    def diff_columns(self, i, grade):
+        """Sparse columns of the slice map K_i -> K_{i-1} at this grade, built once.
+
+        Column k holds the (codomain position, entry) pairs of d applied to
+        the k-th basis element m e_A, where d(m e_A) is the sum over
+        positions pos of (-1)^pos J_{A[pos]} m e_{A without A[pos]}.
         """
-        dom = self.slice_basis(i, grade)
-        cod = self.slice_basis(i - 1, grade)
-        cod_index = {bm: k for k, bm in enumerate(cod)}
-        zero = self.ctx.field.zero
-        rows = [[zero] * len(dom) for _ in cod]
-        for col, (aset, m) in enumerate(dom):
+        key = (i, grade)
+        hit = self._diffs.get(key)
+        if hit is not None:
+            return hit
+        _, cod_index = self._slice(i - 1, grade)
+        cols = []
+        for aset, m in self.slice_basis(i, grade):
+            col = []
             for pos, a in enumerate(aset):
-                sign = (-1) ** pos
                 rest = aset[:pos] + aset[pos + 1 :]
-                j = self.moment.components[a - 1]
-                for jm, jc in j.terms.items():
-                    tm = tuple(x + y for x, y in zip(m, jm))
-                    r = cod_index.get((rest, tm))
-                    if r is None:
-                        raise DegreeOverflowError("differential image escapes the slice")
-                    rows[r][col] = rows[r][col] + jc * sign
+                for jm, jc in self.moment.components[a - 1].terms.items():
+                    col.append((cod_index[(rest, _add_grades(m, jm))], jc * (-1) ** pos))
+            cols.append(tuple(col))
+        hit = self._diffs[key] = tuple(cols)
+        return hit
+
+    def diff_rows(self, i, grade):
+        """Dense view of `diff_columns`: rows by codomain, columns by domain basis."""
+        cols = self.diff_columns(i, grade)
+        zero = self.ctx.field.zero
+        rows = [[zero] * len(cols) for _ in self.slice_basis(i - 1, grade)]
+        for k, col in enumerate(cols):
+            for r, entry in col:
+                rows[r][k] = entry
         return rows
+
+    def apply_diff(self, i, grade, v):
+        """The slice map K_i -> K_{i-1} on coordinates."""
+        out = [self.ctx.field.zero] * len(self.slice_basis(i - 1, grade))
+        for c, col in zip(v, self.diff_columns(i, grade)):
+            if c:
+                for r, entry in col:
+                    out[r] = out[r] + c * entry
+        return out
 
     def solver(self, i, grade):
         """Cached canonical solver for the slice map K_i -> K_{i-1}."""
@@ -196,187 +230,124 @@ class KoszulSpace:
     # -- quotient model -----------------------------------------------------
 
     def ideal_data(self, grade):
-        """(reduced rows, pivot cols, monomial list) for the ideal slice."""
+        """(reduced rows, pivot columns) of the ideal slice over the K_0 basis.
+
+        The ideal slice is spanned by the images J_a m, the columns of
+        K_1 -> K_0.  Reduced rows are sparse tuples of (position, entry).
+        """
         hit = self._ideal.get(grade)
         if hit is not None:
             return hit
-        if grade[0] > self.degree_bound:
-            raise DegreeOverflowError(
-                f"ideal slice at degree {grade[0]} exceeds the bound {self.degree_bound}"
-            )
-        monos = self.ctx.monomials_of_grade(grade)
-        index = {m: k for k, m in enumerate(monos)}
-        zero = self.ctx.field.zero
-        rows = []
-        for a, j in enumerate(self.moment.components):
-            off = self.jgrades[a]
-            residual = tuple(g - o for g, o in zip(grade, off))
-            if residual[0] < 0:
-                continue
-            for m in self.ctx.monomials_of_grade(residual):
-                row = [zero] * len(monos)
-                for jm, jc in j.terms.items():
-                    tm = tuple(x + y for x, y in zip(m, jm))
-                    row[index[tm]] = row[index[tm]] + jc
-                rows.append(row)
-        solver = SliceSolver(rows, len(monos), self.ctx.field)
-        reduced = [solver._rows[r] for r, _ in solver.pivots]
-        pivots = [c for _, c in solver.pivots]
-        hit = (reduced, pivots, monos, index)
-        self._ideal[grade] = hit
+        rows = list(zip(*self.diff_rows(1, grade)))
+        solver = SliceSolver(rows, len(self.slice_basis(0, grade)), self.ctx.field)
+        reduced = tuple(
+            tuple((k, e) for k, e in enumerate(solver._rows[r]) if e) for r, _ in solver.pivots
+        )
+        hit = self._ideal[grade] = (reduced, tuple(c for _, c in solver.pivots))
         return hit
+
+    def reduce(self, grade, v):
+        """Normal form of K_0 coordinates: v minus its component in the ideal slice."""
+        reduced, pivots = self.ideal_data(grade)
+        v = list(v)
+        for row, pc in zip(reduced, pivots):
+            factor = v[pc]
+            if not factor:
+                continue
+            for k, entry in row:
+                v[k] = v[k] - factor * entry
+        return v
 
     def normal_form_poly(self, p):
         """Reduce a polynomial to the canonical complement modulo the ideal."""
         if p.is_zero():
             return p
-        out = Poly.zero(self.ctx)
-        for grade, comp in p.grade_components().items():
-            reduced, pivots, monos, index = self.ideal_data(grade)
-            v = [self.ctx.field.zero] * len(monos)
-            for m, c in comp.terms.items():
-                v[index[m]] = c
-            for row, pc in zip(reduced, pivots):
-                factor = v[pc]
-                if not factor:
-                    continue
-                for k, entry in enumerate(row):
-                    if entry:
-                        v[k] = v[k] - factor * entry
-            out = out + Poly(
-                self.ctx, {m: c for m, c in zip(monos, v) if c}, _clean=True
-            )
-        return out
+        chains = {}
+        for m, c in p.terms.items():
+            chains.setdefault(self.ctx.grade_of_mono(m), {})[((), m)] = c
+        out = {}
+        for grade, chain in chains.items():
+            v = self.reduce(grade, self.vectorize(chain, 0, grade))
+            out.update((m, c) for c, (_, m) in zip(v, self.slice_basis(0, grade)) if c)
+        return Poly(self.ctx, out, _clean=True)
 
     def complement_monomials(self, grade):
         """The standard monomials (quotient model basis) at one grade."""
-        reduced, pivots, monos, _ = self.ideal_data(grade)
-        pivset = set(pivots)
-        return tuple(m for k, m in enumerate(monos) if k not in pivset)
+        pivset = set(self.ideal_data(grade)[1])
+        return tuple(m for k, (_, m) in enumerate(self.slice_basis(0, grade)) if k not in pivset)
 
 
 class KoszulContraction:
     """The contraction (quotient model, 0) <-> (Koszul complex, diff).
 
-    `res`, `prol` and `h` act on whole BRST elements: ghosts ride along,
-    with the usual sign on the odd homotopy; `res` kills every term that
-    contains an antighost.
+    `res` and `h` act on whole BRST elements slice by slice: ghosts ride
+    along, with the usual sign on the odd homotopy; `res` kills every term
+    that contains an antighost.  The prolongation is the inclusion.
     """
 
     def __init__(self, moment, degree_bound):
-        self.moment = moment
         self.space = KoszulSpace(moment, degree_bound)
-        self.ctx = moment.ctx
-        self.dim = moment.lie.dim
 
-    # -- chain-level homotopy (ghost-free, Poly coefficients) ------------------
+    def _h_vec(self, i, grade, v):
+        """The homotopy K_i -> K_{i+1} on slice coordinates.
 
-    def _h_chain(self, chain):
-        """Homotopy on {antighost set: Poly} dictionaries."""
-        buckets = {}
-        for aset, p in chain.items():
-            if p.is_zero():
-                continue
-            off = self.space.antighost_offset(aset)
-            for grade, comp in p.grade_components().items():
-                key = (len(aset), _add_grades(grade, off))
-                buckets.setdefault(key, {}).setdefault(aset, [])
-                buckets[key][aset].append(comp)
-        out = {}
-        for (i, grade), groups in buckets.items():
-            terms = {
-                aset: sum(ps[1:], ps[0]) for aset, ps in groups.items()
-            }
-            if i == 0:
-                p = terms.get((), Poly.zero(self.ctx))
-                nf = self.space.normal_form_poly(p)
-                rhs_terms = {(): p - nf}
-                rhs = self.space.vectorize(rhs_terms, 0, grade)
-            else:
-                dchain = self._diff_chain(terms)
-                hd = self._h_chain(dchain)
-                rhs_terms = dict(terms)
-                for aset, p in hd.items():
-                    rhs_terms[aset] = rhs_terms.get(aset, Poly.zero(self.ctx)) - p
-                rhs = self.space.vectorize(rhs_terms, i, grade)
-            solver = self.space.solver(i + 1, grade)
-            x = solver.solve(rhs)
-            if x is None:
-                raise AcyclicityError(
-                    f"no homotopy preimage in homological degree {i + 1} at grade {grade}; "
-                    "the complex is not exact there"
-                )
-            for aset, p in self.space.unvectorize(x, i + 1, grade).items():
-                out[aset] = out.get(aset, Poly.zero(self.ctx)) + p
-        return out
-
-    def _diff_chain(self, chain):
-        out = {}
-        for aset, p in chain.items():
-            for pos, a in enumerate(aset):
-                rest = aset[:pos] + aset[pos + 1 :]
-                term = (p * self.moment.components[a - 1]).scale((-1) ** pos)
-                out[rest] = out.get(rest, Poly.zero(self.ctx)) + term
-        return {a: p for a, p in out.items() if not p.is_zero()}
-
-    # -- element-level operators ------------------------------------------------
-
-    def _per_ghost_block(self, x, chain_fn, odd):
-        """Apply a Koszul-sector map under each ghost block with Koszul signs."""
-        out_terms = {}
-        blocks = {}
-        for (ghosts, antighosts), coeff in x.terms.items():
-            blocks.setdefault(ghosts, {})[antighosts] = coeff
-        for ghosts, ant_terms in blocks.items():
-            sign = (-1) ** len(ghosts) if odd else 1
-            for slot in range(x.order + 1):
-                chain = {
-                    aset: coeff.coeffs[slot]
-                    for aset, coeff in ant_terms.items()
-                    if not coeff.coeffs[slot].is_zero()
-                }
-                if not chain:
-                    continue
-                mapped = chain_fn(chain)
-                for aset, p in mapped.items():
-                    if p.is_zero():
-                        continue
-                    key = (ghosts, aset)
-                    cur = out_terms.setdefault(
-                        key, [Poly.zero(x.ctx)] * (x.order + 1)
-                    )
-                    cur[slot] = cur[slot] + p.scale(sign)
-        reliable = x.reliable
-        terms = {
-            key: Series(x.ctx, x.order, coeffs, reliable)
-            for key, coeffs in out_terms.items()
-        }
-        return SuperElement(x.ctx, x.dim, x.order, terms)
-
-    def res_fn(self, x):
-        def chain(c):
-            p = c.get((), None)
-            if p is None:
-                return {}
-            return {(): self.space.normal_form_poly(p)}
-
-        return self._per_ghost_block(x, chain, odd=False)
-
-    def prol_fn(self, x):
+        The canonical solve of d x = v - h(d v), or of d x = v - nf(v) in
+        degree 0.  Where d v = 0 the recursion is skipped, since h(0) = 0.
+        """
+        space = self.space
+        if i == 0:
+            rhs = _vsub(v, space.reduce(grade, v))
+        else:
+            dv = space.apply_diff(i, grade, v)
+            rhs = _vsub(v, self._h_vec(i - 1, grade, dv)) if any(dv) else v
+        x = space.solver(i + 1, grade).solve(rhs)
+        if x is None:
+            raise AcyclicityError(
+                f"no homotopy preimage in homological degree {i + 1} at grade {grade}; "
+                "the complex is not exact there"
+            )
         return x
 
+    def _slice_map(self, x, fn, shift, odd, degree=None):
+        """Apply a map on slice coordinates to a BRST element.
+
+        x is cut by ghost block, nu slot, homological degree i and grade;
+        fn(i, grade, v) maps the coordinates v on K_i to coordinates on
+        K_{i+shift} at the same grade.  With `degree` given, only the slices
+        of that homological degree are mapped and the rest are dropped.  An
+        odd map takes the Koszul sign (-1)^|ghosts|, and every output term is
+        reliable to x.reliable.
+        """
+        space = self.space
+        grade_of = x.ctx.grade_of_mono
+        slices = {}
+        for (ghosts, aset), coeff in x.terms.items():
+            if degree is not None and len(aset) != degree:
+                continue
+            off = space.antighost_offset(aset)
+            for slot, p in enumerate(coeff.coeffs):
+                for m, c in p.terms.items():
+                    key = (ghosts, slot, len(aset), _add_grades(grade_of(m), off))
+                    slices.setdefault(key, {})[(aset, m)] = c
+        out = {}
+        for (ghosts, slot, i, grade), chain in slices.items():
+            w = fn(i, grade, space.vectorize(chain, i, grade))
+            negate = odd and len(ghosts) % 2
+            for c, (aset, m) in zip(w, space.slice_basis(i + shift, grade)):
+                if c:
+                    slots = out.setdefault((ghosts, aset), [{} for _ in range(x.order + 1)])
+                    slots[slot][m] = -c if negate else c
+        terms = {
+            key: Series(x.ctx, x.order, [Poly(x.ctx, t, _clean=True) for t in slots], x.reliable)
+            for key, slots in out.items()
+        }
+        return SuperElement(x.ctx, x.dim, x.order, terms, _clean=True)
+
+    def res_fn(self, x):
+        return self._slice_map(x, lambda i, grade, v: self.space.reduce(grade, v), 0, False, 0)
+
     def h_fn(self, x):
-        return self._per_ghost_block(x, self._h_chain, odd=True)
-
-    def diff_fn(self, x):
-        return koszul_diff(x, self.moment)
-
-    def operators(self):
-        res = OperatorHandle("res", self.res_fn, 0)
-        prol = OperatorHandle("prol", self.prol_fn, 0)
-        h = OperatorHandle("h", self.h_fn, +1)
-        d = OperatorHandle("koszul", self.diff_fn, -1)
-        return res, prol, h, d
+        return self._slice_map(x, self._h_vec, 1, True)
 
 
 @dataclass
@@ -422,17 +393,14 @@ def build_koszul_contraction(moment, degree_bound):
     conditions on probes of every scenario.
     """
     kc = KoszulContraction(moment, degree_bound)
-    res, prol, h, d = kc.operators()
-    zero_dx = OperatorHandle("0", lambda x: x.scale(0), +1)
-    c = Contraction(
-        p=res,
-        i=prol,
-        h=h,
-        d_X=zero_dx,
-        d_Y=d,
+    return Contraction(
+        p=OperatorHandle("res", kc.res_fn, 0),
+        i=OperatorHandle("prol", lambda x: x, 0),
+        h=OperatorHandle("h", kc.h_fn, +1),
+        d_X=OperatorHandle("0", lambda x: x.scale(0), +1),
+        d_Y=koszul_operator(moment),
         meta={"space": kc.space},
     )
-    return c
 
 
 def enforce_side_conditions(c):
@@ -458,14 +426,7 @@ def enforce_side_conditions(c):
         +1,
         c.h.raises_filtration,
     )
-    return Contraction(
-        p=c.p,
-        i=c.i,
-        h=h_second,
-        d_X=c.d_X,
-        d_Y=c.d_Y,
-        meta=dict(c.meta),
-    )
+    return replace(c, h=h_second)
 
 
 @dataclass

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .brst import brst_transfer, build_delta, certify_invariant
+from .brst import brst_transfer, certify_invariant
 from .errors import ClosednessError
 from .hpt import neumann_inverse, perturb_v2
 from .poly import Poly
-from .quantum import build_quantum_koszul, star_action
+from .quantum import build_quantum_koszul
 from .series import Series
 from .superalg import OperatorHandle, SuperElement, op_columns, op_compose
 
@@ -53,13 +53,12 @@ def closed_form_res_nu(koszul_contraction, t, order, name="res_nu_closed"):
     return op_compose(c.p, inv, name=name)
 
 
-def quantum_reduction(moment, star, deformed_contraction, probes_X=(), probes_Y=(), upto=None):
+def quantum_reduction(deformed_contraction, delta_nu, probes_X=(), probes_Y=(), upto=None):
     """Transfer the quantum BRST differential: `brst_transfer` of delta_nu.
 
     Returns (contraction, d_z_nu) with Phi_nu and H_nu as the contraction's
     `i` and `h`.
     """
-    delta_nu = build_delta(moment, star_action(star), "delta_nu")
     return brst_transfer(deformed_contraction, delta_nu, probes_X, probes_Y, upto)
 
 

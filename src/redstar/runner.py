@@ -410,8 +410,7 @@ def stage_acyclicity(state):
         witness = None
         if total and rep.witness_slice and rep.witness_slice[0] == i:
             chain = " + ".join(
-                f"({p})*e_{'e_'.join(str(a) for a in aset)}" if len(aset) > 1 else f"({p})*e_{aset[0]}"
-                for aset, p in rep.witness.items()
+                f"({p})*e_{'e_'.join(str(a) for a in aset)}" for aset, p in rep.witness.items()
             )
             witness = _trim(f"nontrivial cycle at slice {rep.witness_slice[1]}: {chain}")
         run.record(
@@ -755,7 +754,7 @@ def stage_quantum_reduction(state):
     qc, probes_Y = run.reduction(
         state.dc,
         delta_nu,
-        functools.partial(quantum_reduction, state.moment, state.star, state.dc),
+        functools.partial(quantum_reduction, state.dc, delta_nu),
         state.work_order,
         state.order,
     )

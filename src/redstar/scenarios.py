@@ -91,10 +91,14 @@ class ScenarioConfig:
     justification: str = ""
 
     def __post_init__(self):
-        if self.field_name not in FIELDS:
-            raise ConfigError(
-                f"unknown field {self.field_name!r}: expected 'rational' or 'gaussian'"
-            )
+        for what, value, allowed in (
+            ("field", self.field_name, tuple(FIELDS)),
+            ("invariant mode", self.invariant_mode, ("weights", "declared")),
+            ("star_triples", self.star_triples, ("all", "sample")),
+        ):
+            if value not in allowed:
+                expected = " or ".join(repr(a) for a in allowed)
+                raise ConfigError(f"unknown {what} {value!r}: expected {expected}")
         for stage in self.stages:
             if stage not in FULL_STAGES:
                 raise ConfigError(

@@ -493,7 +493,7 @@ def graded_poisson(x, y, lam):
                 _accumulate(out, key, bracket.scale(sign))
             # ghost pairing at strength 2: antighosts of x with ghosts of y,
             # then antighosts of y with ghosts of x
-            prod = c1 * c2
+            prod = None  # c1 * c2, computed on first use
             for pairs, weight in (
                 (_pairings(k1, k2), -2),
                 (_pairings(k2, k1), 2 * (-1) ** (p1 * p2)),
@@ -501,6 +501,8 @@ def graded_poisson(x, y, lam):
                 for s, kx, ky in pairs:
                     msign, key2 = _merge_terms(kx, ky)
                     if msign != 0:
+                        if prod is None:
+                            prod = c1 * c2
                         _accumulate(out, key2, prod.scale(weight * s * msign))
     return SuperElement(x.ctx, x.dim, x.order, out)
 

@@ -6,7 +6,6 @@ import pytest
 from redstar.brst import (
     brst_transfer,
     build_delta,
-    build_koszul_operator,
     certify_invariant,
     check_classical_splitting,
     classical_brst_diff,
@@ -19,7 +18,7 @@ from redstar.brst import (
 )
 from redstar.errors import InvarianceError
 from redstar.hpt import check_contraction
-from redstar.koszul import MomentMapData, build_koszul_contraction
+from redstar.koszul import MomentMapData, build_koszul_contraction, koszul_operator
 from redstar.poisson import poisson_bracket, poisson_data
 from redstar.poly import Poly, VarContext, poly_ring
 from redstar.probes import random_bounded_super, random_poly
@@ -127,7 +126,7 @@ def test_splitting_identities():
 def test_splitting_residuals_apply_each_operator_once_per_use():
     ctx, lam, moment = so3_commuting()
     delta = build_delta(moment, poisson_action(lam))
-    koszul = build_koszul_operator(moment)
+    koszul = koszul_operator(moment)
     D = classical_brst_diff(classical_charge(moment, 0), lam)
     counts = {"D": 0, "delta": 0, "koszul": 0}
 

@@ -1,15 +1,17 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import combinations, zip_longest
 
 import pytest
 
 from redstar.errors import AcyclicityError, DegreeOverflowError
 from redstar.hpt import check_contraction
+from redstar.linalg import SliceSolver
 from redstar.koszul import (
     Contraction,
     KoszulContraction,
+    KoszulSpace,
     MomentMapData,
     build_koszul_contraction,
     check_acyclicity,
@@ -17,7 +19,7 @@ from redstar.koszul import (
     koszul_diff,
 )
 from redstar.poly import Poly, VarContext, poly_ring
-from redstar.probes import random_bounded_chain, random_bounded_super
+from redstar.probes import random_bounded_chain, random_bounded_super, random_poly
 from redstar.runner import RunState, stage_contraction, stage_load
 from redstar.scalars import QQ_I
 from redstar.scenarios import get_scenario
@@ -440,3 +442,286 @@ def test_determinism_rebuild():
         y = random_bounded_super(ctx, 1, 0, rng, 6, (2,), terms=2)
         assert c1.h(y) == c2.h(y)
         assert c1.p(y) == c2.p(y)
+
+
+# -- the slice layer against the earlier chain-level implementation -------------------
+
+
+class ChainKoszul:
+    """Test-only reference: the Koszul maps as they were written on Poly chains.
+
+    Slice bases, the differential matrix loop, the ideal-slice matrix loop
+    and the normal form are rebuilt here independently of `KoszulSpace`;
+    `h_fn` and `res_fn` regrade {antighost set: Poly} chains at every level
+    of the homotopy recursion.
+    """
+
+    def __init__(self, moment, degree_bound):
+        self.moment, self.ctx, self.dim = moment, moment.ctx, moment.lie.dim
+        self.degree_bound = degree_bound
+        self.jgrades = moment.component_grades()
+        self._bases, self._solvers, self._ideal = {}, {}, {}
+
+    def antighost_offset(self, aset):
+        zero = (0,) * (1 + len(self.ctx.gradings))
+        for a in aset:
+            zero = tuple(x + y for x, y in zip(zero, self.jgrades[a - 1]))
+        return zero
+
+    def slice_basis(self, i, grade):
+        key = (i, grade)
+        if key not in self._bases:
+            if grade[0] > self.degree_bound:
+                raise DegreeOverflowError("slice above the bound")
+            basis = []
+            for aset in combinations(range(1, self.dim + 1), i):
+                off = self.antighost_offset(aset)
+                residual = tuple(g - o for g, o in zip(grade, off))
+                if residual[0] >= 0:
+                    basis.extend((aset, m) for m in self.ctx.monomials_of_grade(residual))
+            self._bases[key] = tuple(basis)
+        return self._bases[key]
+
+    def vectorize(self, chain, i, grade):
+        index = {bm: k for k, bm in enumerate(self.slice_basis(i, grade))}
+        v = [self.ctx.field.zero] * len(index)
+        for aset, p in chain.items():
+            for m, c in p.terms.items():
+                v[index[(aset, m)]] = v[index[(aset, m)]] + c
+        return v
+
+    def unvectorize(self, v, i, grade):
+        out = {}
+        for val, (aset, m) in zip(v, self.slice_basis(i, grade)):
+            if val:
+                out.setdefault(aset, {})[m] = val
+        return {a: Poly(self.ctx, t, _clean=True) for a, t in out.items()}
+
+    def diff_rows(self, i, grade):
+        dom, cod = self.slice_basis(i, grade), self.slice_basis(i - 1, grade)
+        cod_index = {bm: k for k, bm in enumerate(cod)}
+        zero = self.ctx.field.zero
+        rows = [[zero] * len(dom) for _ in cod]
+        for col, (aset, m) in enumerate(dom):
+            for pos, a in enumerate(aset):
+                rest = aset[:pos] + aset[pos + 1 :]
+                for jm, jc in self.moment.components[a - 1].terms.items():
+                    r = cod_index[(rest, tuple(x + y for x, y in zip(m, jm)))]
+                    rows[r][col] = rows[r][col] + jc * (-1) ** pos
+        return rows
+
+    def solver(self, i, grade):
+        key = (i, grade)
+        if key not in self._solvers:
+            ncols = len(self.slice_basis(i, grade))
+            self._solvers[key] = SliceSolver(self.diff_rows(i, grade), ncols, self.ctx.field)
+        return self._solvers[key]
+
+    def ideal_data(self, grade):
+        if grade not in self._ideal:
+            if grade[0] > self.degree_bound:
+                raise DegreeOverflowError("ideal slice above the bound")
+            monos = self.ctx.monomials_of_grade(grade)
+            index = {m: k for k, m in enumerate(monos)}
+            rows = []
+            for a, j in enumerate(self.moment.components):
+                residual = tuple(g - o for g, o in zip(grade, self.jgrades[a]))
+                if residual[0] < 0:
+                    continue
+                for m in self.ctx.monomials_of_grade(residual):
+                    row = [self.ctx.field.zero] * len(monos)
+                    for jm, jc in j.terms.items():
+                        tm = tuple(x + y for x, y in zip(m, jm))
+                        row[index[tm]] = row[index[tm]] + jc
+                    rows.append(row)
+            solver = SliceSolver(rows, len(monos), self.ctx.field)
+            reduced = [solver._rows[r] for r, _ in solver.pivots]
+            self._ideal[grade] = (reduced, [c for _, c in solver.pivots], monos, index)
+        return self._ideal[grade]
+
+    def normal_form_poly(self, p):
+        out = Poly.zero(self.ctx)
+        for grade, comp in p.grade_components().items():
+            reduced, pivots, monos, index = self.ideal_data(grade)
+            v = [self.ctx.field.zero] * len(monos)
+            for m, c in comp.terms.items():
+                v[index[m]] = c
+            for row, pc in zip(reduced, pivots):
+                factor = v[pc]
+                if not factor:
+                    continue
+                for k, entry in enumerate(row):
+                    if entry:
+                        v[k] = v[k] - factor * entry
+            out = out + Poly(self.ctx, {m: c for m, c in zip(monos, v) if c}, _clean=True)
+        return out
+
+    def _h_chain(self, chain):
+        buckets = {}
+        for aset, p in chain.items():
+            off = self.antighost_offset(aset)
+            for grade, comp in p.grade_components().items():
+                key = (len(aset), tuple(x + y for x, y in zip(grade, off)))
+                buckets.setdefault(key, {})[aset] = comp
+        out = {}
+        for (i, grade), terms in buckets.items():
+            if i == 0:
+                p = terms[()]
+                rhs = self.vectorize({(): p - self.normal_form_poly(p)}, 0, grade)
+            else:
+                rhs_terms = dict(terms)
+                for aset, p in self._h_chain(self._diff_chain(terms)).items():
+                    rhs_terms[aset] = rhs_terms.get(aset, Poly.zero(self.ctx)) - p
+                rhs = self.vectorize(rhs_terms, i, grade)
+            x = self.solver(i + 1, grade).solve(rhs)
+            if x is None:
+                raise AcyclicityError("not exact")
+            for aset, p in self.unvectorize(x, i + 1, grade).items():
+                out[aset] = out.get(aset, Poly.zero(self.ctx)) + p
+        return out
+
+    def _diff_chain(self, chain):
+        out = {}
+        for aset, p in chain.items():
+            for pos, a in enumerate(aset):
+                rest = aset[:pos] + aset[pos + 1 :]
+                term = (p * self.moment.components[a - 1]).scale((-1) ** pos)
+                out[rest] = out.get(rest, Poly.zero(self.ctx)) + term
+        return {a: p for a, p in out.items() if not p.is_zero()}
+
+    def _per_ghost_block(self, x, chain_fn, odd):
+        out_terms, blocks = {}, {}
+        for (ghosts, antighosts), coeff in x.terms.items():
+            blocks.setdefault(ghosts, {})[antighosts] = coeff
+        for ghosts, ant_terms in blocks.items():
+            sign = (-1) ** len(ghosts) if odd else 1
+            for slot in range(x.order + 1):
+                chain = {
+                    aset: coeff.coeffs[slot]
+                    for aset, coeff in ant_terms.items()
+                    if not coeff.coeffs[slot].is_zero()
+                }
+                if not chain:
+                    continue
+                for aset, p in chain_fn(chain).items():
+                    if p.is_zero():
+                        continue
+                    cur = out_terms.setdefault((ghosts, aset), [Poly.zero(x.ctx)] * (x.order + 1))
+                    cur[slot] = cur[slot] + p.scale(sign)
+        terms = {
+            key: Series(x.ctx, x.order, coeffs, x.reliable) for key, coeffs in out_terms.items()
+        }
+        return SuperElement(x.ctx, x.dim, x.order, terms)
+
+    def res_fn(self, x):
+        def chain(c):
+            return {(): self.normal_form_poly(c[()])} if () in c else {}
+
+        return self._per_ghost_block(x, chain, odd=False)
+
+    def h_fn(self, x):
+        return self._per_ghost_block(x, self._h_chain, odd=True)
+
+
+SLICE_SCENARIOS = [("s1-c4", 4), ("t2-c4", 5), ("commuting-n2", 4), ("angular-momentum-m2", 4)]
+
+
+def loaded(name, bound):
+    state = RunState(replace(get_scenario(name), degree_bound=bound))
+    stage_load(state)
+    return state
+
+
+def random_inputs(state, bound, order, rng, count):
+    """Bounded elements x + d z with ghosts and nonzero higher nu slots.
+
+    The exact part d z keeps h from vanishing on most inputs; one term of
+    each element has its `reliable` lowered.
+    """
+    ctx, dim = state.ctx, state.moment.lie.dim
+    out = []
+    for k in range(count):
+        x, z = (
+            random_bounded_super(ctx, dim, order, rng, bound, state.jdegs, 3, k % 2 == 0)
+            for _ in range(2)
+        )
+        x = x + koszul_diff(z, state.moment)
+        if order and x.terms:
+            key = sorted(x.terms)[0]
+            terms = dict(x.terms)
+            terms[key] = Series(ctx, order, terms[key].coeffs, order - 1)
+            x = SuperElement(ctx, dim, order, terms, _clean=True)
+        out.append(x)
+    return out
+
+
+def assert_same_element(got, want):
+    """Equal terms and equal `reliable` on every term."""
+    assert got == want
+    assert {k: c.reliable for k, c in got.terms.items()} == {
+        k: c.reliable for k, c in want.terms.items()
+    }
+
+
+@pytest.mark.parametrize("name,bound", SLICE_SCENARIOS)
+def test_slice_maps_match_chain_reference(name, bound):
+    state = loaded(name, bound)
+    c = build_koszul_contraction(state.moment, bound)
+    ref = ChainKoszul(state.moment, bound)
+    rng = random.Random(f"slice-maps:{name}")
+    inputs = [x for order in (0, 2, 4) for x in random_inputs(state, bound, order, rng, 8)]
+    assert any(g for x in inputs for g, _ in x.terms)
+    assert any(not p.is_zero() for x in inputs for s in x.terms.values() for p in s.coeffs[1:])
+    for x in inputs:
+        hx = c.h(x)
+        assert_same_element(hx, ref.h_fn(x))
+        assert_same_element(c.h(hx), ref.h_fn(ref.h_fn(x)))
+        assert_same_element(c.p(x), ref.res_fn(x))
+
+
+@pytest.mark.parametrize("name,bound", SLICE_SCENARIOS)
+def test_slice_matrices_and_normal_form_match_chain_reference(name, bound):
+    state = loaded(name, bound)
+    ctx, dim = state.ctx, state.moment.lie.dim
+    space = KoszulSpace(state.moment, bound)
+    ref = ChainKoszul(state.moment, bound)
+    grades = sorted({g for deg in range(bound + 1) for g in ctx.grades_of_degree(deg)})
+    for grade in grades:
+        for i in range(1, dim + 2):
+            assert space.diff_rows(i, grade) == ref.diff_rows(i, grade)
+        ref_reduced, ref_pivots, monos, _ = ref.ideal_data(grade)
+        pivset = set(ref_pivots)
+        assert space.complement_monomials(grade) == tuple(
+            m for k, m in enumerate(monos) if k not in pivset
+        )
+    rng = random.Random(f"normal-form:{name}")
+    for _ in range(30):
+        p = random_poly(ctx, rng, bound, terms=5)
+        assert space.normal_form_poly(p) == ref.normal_form_poly(p)
+
+
+def test_exact_input_makes_the_reference_solves(monkeypatch):
+    # h of an exact element d c: d(d c) = 0, so the homotopy recursion stops
+    # at once, with as many slice solves as the chain-level reference makes
+    state = loaded("t2-c4", 5)
+    c = build_koszul_contraction(state.moment, 5)
+    ref = ChainKoszul(state.moment, 5)
+    calls = []
+    solve = SliceSolver.solve
+
+    def counted(self, b):
+        calls.append(len(b))
+        return solve(self, b)
+
+    monkeypatch.setattr(SliceSolver, "solve", counted)
+    rng = random.Random(21)
+    for _ in range(5):
+        chain = random_bounded_chain(state.ctx, 2, 0, rng, 5, state.jdegs, 2, terms=3)
+        y = c.d_Y(chain)
+        assert not y.is_zero()
+        calls.clear()
+        hy = c.h(y)
+        new_calls = len(calls)
+        calls.clear()
+        assert_same_element(hy, ref.h_fn(y))
+        assert new_calls == len(calls) > 0

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from redstar.brst import poisson_action, quotient_representation
+from redstar.brst import build_delta, poisson_action, quotient_representation
 from redstar.errors import ClosednessError, InvarianceError
 from redstar.hpt import check_contraction, perturb_v2
 from redstar.koszul import MomentMapData, build_koszul_contraction
@@ -65,7 +65,8 @@ def build_pipe(ctx, lam, moment, kc, star):
     probes_Y = [random_bounded_super(ctx, 1, NW, rng, 6, (2,), terms=2) for _ in range(4)]
     probes_X = [kc.p(y) for y in probes_Y]
     dc, t = deformed_restriction(kc, moment, star, probes_X[:2], probes_Y[:2], upto=N)
-    qc, d_z_nu = quantum_reduction(moment, star, dc, probes_X[:2], probes_Y[:2], upto=N)
+    delta_nu = build_delta(moment, star_action(star), "delta_nu")
+    qc, d_z_nu = quantum_reduction(dc, delta_nu, probes_X[:2], probes_Y[:2], upto=N)
     return ReductionPipeline(moment, lam, star, kc.meta["space"], NW, dc, qc, torus_rows=(0,))
 
 
@@ -108,7 +109,8 @@ def test_quantum_reduction_contraction():
     probes_Y = [random_bounded_super(ctx, 1, NW, rng, 6, (2,), terms=2) for _ in range(6)]
     probes_X = [kc.p(y) for y in probes_Y]
     dc, t = deformed_restriction(kc, moment, star, probes_X[:2], probes_Y[:2], upto=N)
-    qc, d_z_nu = quantum_reduction(moment, star, dc, probes_X[:2], probes_Y[:2], upto=N)
+    delta_nu = build_delta(moment, star_action(star), "delta_nu")
+    qc, d_z_nu = quantum_reduction(dc, delta_nu, probes_X[:2], probes_Y[:2], upto=N)
     assert all(ok for _, ok, _ in check_contraction(qc, probes_X, probes_Y, upto=N))
     # equivariant scenario: the perturbed inclusion is the prolongation
     for x in probes_X:

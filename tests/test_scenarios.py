@@ -163,6 +163,16 @@ MALFORMED = {
         "stage 'reduced-star' needs stage 'classical-reduction'",
     ),
     "zero order": ("order = 3", "order = 0", "order must be at least 1, got 0"),
+    "unknown invariant mode": (
+        "mode = weights",
+        "mode = wieghts",
+        "unknown invariant mode 'wieghts'",
+    ),
+    "unknown star_triples": (
+        "star_triples = all",
+        "star_triples = al",
+        "unknown star_triples 'al'",
+    ),
     "zero probe count": (
         "splitting = 25",
         "splitting = 0",
