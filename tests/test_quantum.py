@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from redstar.brst import build_delta, classical_charge, poisson_action
+from redstar.brst import build_delta, check_classical_splitting, classical_charge, poisson_action
 from redstar.errors import ConventionError, DivisibilityError
 from redstar.koszul import MomentMapData, koszul_diff
 from redstar.poisson import poisson_bracket, poisson_data
 from redstar.poly import Poly, VarContext
-from redstar.probes import random_bounded_super, random_poly
+from redstar.probes import random_bounded_super, random_poly, random_super
 from redstar.quantum import (
     build_quantum_operators,
     build_R,
@@ -16,6 +16,7 @@ from redstar.quantum import (
     build_u,
     check_quantum_splitting,
     quantum_charge,
+    quantum_charge_raw,
 )
 from redstar.series import Series
 from redstar.superalg import LieAlgebraData, StarProduct, SuperElement
@@ -216,3 +217,35 @@ def test_nu_divisibility_of_charge_commutator():
         comm = star.commutator(theta, x)
         assert comm.classical_part().is_zero()
         comm.div_nu()  # must not raise
+
+
+def ax_plus_b():
+    # the non-unimodular ax+b algebra: [e_1, e_2] = e_2, so tr(ad e_1) = 1;
+    # J = (q1 p1, p1) is equivariant: {q1 p1, p1} = p1
+    ctx = VarContext(("q1", "p1", "q2", "p2"))
+    lam = poisson_data(ctx, [("q1", "p1", 1), ("q2", "p2", 1)])
+    v = lambda n: Poly.variable(ctx, n)
+    lie = LieAlgebraData.build(2, [(1, 2, 2, 1)])
+    moment = MomentMapData(ctx, (v("q1") * v("p1"), v("p1")), lie, "")
+    return ctx, lam, moment, StarProduct(lam, 2, N)
+
+
+def test_non_unimodular_charge_and_splittings():
+    # the unimodular correction nu tr(ad e_a)/2 e^a of the charge and u/2 of
+    # koszul_nu evaluated with a nonzero trace
+    ctx, lam, moment, star = ax_plus_b()
+    assert not moment.lie.unimodular
+    assert all(r.is_zero() for _, r in moment.check_equivariance(lam))
+    theta = quantum_charge_raw(moment, N)
+    assert theta != classical_charge(moment, N)
+    assert star.star(theta, theta).is_zero(upto=N)
+    rng = random.Random(11)
+    probes = [random_super(ctx, 2, N, rng, 3, 3) for _ in range(8)]
+    ops = build_quantum_operators(moment, star, theta)
+    for label, r in check_quantum_splitting(ops, probes):
+        assert r.is_zero(upto=N - 2), label
+    theta0 = classical_charge(moment, 0)
+    delta = build_delta(moment, poisson_action(lam))
+    probes0 = [x.classical_part() for x in probes]
+    for label, r in check_classical_splitting(moment, lam, theta0, delta, probes0):
+        assert r.is_zero(), label
