@@ -13,6 +13,8 @@ timing.  The same happens on the command line:
 """
 
 import json
+import os
+import tempfile
 
 from redstar.report import emit_report
 from redstar.runner import run_scenario
@@ -33,6 +35,8 @@ print("\nrunning commuting-n2 (the full pipeline on a small scenario) ...")
 report = run_scenario(get_scenario("commuting-n2"))
 passed = sum(1 for r in report.records if r.status == "pass")
 print(f"verdict: {report.verdict} ({passed} checks passed)")
-emit_report(report, "json", "/tmp/commuting-n2.json")
-print("report written to /tmp/commuting-n2.json;",
-      len(json.load(open('/tmp/commuting-n2.json'))['checks']), "records")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "commuting-n2.json")
+    emit_report(report, "json", path)
+    with open(path, encoding="utf-8") as fh:
+        print("JSON report written and read back:", len(json.load(fh)["checks"]), "records")

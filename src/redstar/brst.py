@@ -22,49 +22,26 @@ from .series import Series
 from .superalg import (
     OperatorHandle,
     SuperElement,
+    canonical_monomial,
     contract_antighost,
     contract_ghost,
     graded_poisson,
+    left_monomial,
     op_scale,
-    super_mul,
 )
-
-
-def _ghost(ctx, dim, order, a):
-    return SuperElement.generator(ctx, dim, order, ghosts=(a,))
-
-
-def _antighost(ctx, dim, order, a):
-    return SuperElement.generator(ctx, dim, order, antighosts=(a,))
 
 
 def classical_charge(moment, order=0):
     """theta = -1/4 sum f_ab^c e^a e^b e_c + sum_a J_a e^a."""
-    ctx = moment.ctx
-    dim = moment.lie.dim
-    theta = SuperElement.zero(ctx, dim, order)
-    f = moment.lie.f
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                v = f[a][b][c]
-                if not v:
-                    continue
-                term = super_mul(
-                    super_mul(
-                        _ghost(ctx, dim, order, a + 1), _ghost(ctx, dim, order, b + 1)
-                    ),
-                    _antighost(ctx, dim, order, c + 1),
-                )
-                theta = theta + term.scale(Fraction(-1, 4) * v)
-    for a in range(dim):
-        theta = theta + SuperElement(
-            ctx,
-            dim,
-            order,
-            {((a + 1,), ()): Series.from_poly(moment.components[a], order)},
-        )
-    return theta
+    ctx, lie = moment.ctx, moment.lie
+    cubic = {}
+    for a, b, c, v in lie.entries:
+        sign, key = canonical_monomial((a + 1, b + 1), (c + 1,))
+        cubic[key] = cubic.get(key, 0) + Fraction(-1, 4) * v * sign
+    terms = {key: Series.const(ctx, w, order) for key, w in cubic.items()}
+    for a, j in enumerate(moment.components):
+        terms[((a + 1,), ())] = Series.from_poly(j, order)
+    return SuperElement(ctx, lie.dim, order, terms)
 
 
 def classical_brst_diff(theta, lam):
@@ -87,37 +64,23 @@ def build_delta(moment, action, name="delta"):
     (`poisson_action`) classically, the (1/nu) star commutator
     (`quantum.star_action`) for the deformed codifferential.
     """
-    ctx = moment.ctx
-    dim = moment.lie.dim
-    f = moment.lie.f
-    triples = [
-        (a, b, c, f[a][b][c])
-        for a in range(dim)
-        for b in range(dim)
-        for c in range(dim)
-        if f[a][b][c]
-    ]
+    pieces = []  # (contraction, index, left multiplication), in entry order
+    for a, b, c, v in moment.lie.entries:
+        ghost2 = left_monomial((a + 1, b + 1), (), Fraction(-1, 2) * v)
+        pieces.append((contract_ghost, c + 1, ghost2))
+        pieces.append((contract_antighost, b + 1, left_monomial((a + 1,), (c + 1,), v)))
+    ghosts = [left_monomial((a + 1,)) for a in range(moment.lie.dim)]
 
     def fn(x):
-        order = x.order
-        out = SuperElement.zero(ctx, dim, order)
-        for a, b, c, v in triples:
-            ic = contract_ghost(x, c + 1)
-            if ic.terms:
-                ghost2 = super_mul(
-                    _ghost(ctx, dim, order, a + 1), _ghost(ctx, dim, order, b + 1)
-                )
-                out = out + super_mul(ghost2, ic).scale(Fraction(-1, 2) * v)
-            ib = contract_antighost(x, b + 1)
-            if ib.terms:
-                ga_ec = super_mul(
-                    _ghost(ctx, dim, order, a + 1), _antighost(ctx, dim, order, c + 1)
-                )
-                out = out + super_mul(ga_ec, ib).scale(v)
-        for a in range(dim):
-            acted = action(moment.components[a], x)
+        out = SuperElement.zero(x.ctx, x.dim, x.order)
+        for contract, k, mul in pieces:
+            inner = contract(x, k)
+            if inner.terms:
+                out = out + mul(inner)
+        for j, ghost in zip(moment.components, ghosts):
+            acted = action(j, x)
             if acted.terms:
-                out = out + super_mul(_ghost(ctx, dim, order, a + 1), acted)
+                out = out + ghost(acted)
         return out
 
     return OperatorHandle(name, fn, +1, frozenset({"ghost"}))
@@ -133,16 +96,12 @@ class RepresentationHandle:
     def commutator_residuals(self, probes):
         """[L_a, L_b] - sum_c f_ab^c L_c on each probe."""
         out = []
-        d = self.lie.dim
-        for a in range(d):
-            for b in range(a + 1, d):
-                for k, x in enumerate(probes):
-                    r = self.ops[a](self.ops[b](x)) - self.ops[b](self.ops[a](x))
-                    for c in range(d):
-                        v = self.lie.f[a][b][c]
-                        if v:
-                            r = r - self.ops[c](x).scale(v)
-                    out.append(((a + 1, b + 1, k), r))
+        for (a, b), row in self.lie.pairs:
+            for k, x in enumerate(probes):
+                r = self.ops[a](self.ops[b](x)) - self.ops[b](self.ops[a](x))
+                for c, v in row:
+                    r = r - self.ops[c](x).scale(v)
+                out.append(((a + 1, b + 1, k), r))
         return out
 
 

@@ -49,10 +49,6 @@ class ClosednessError(RedstarError):
     """A cochain input is not closed under the transferred differential."""
 
 
-class ConventionError(RedstarError):
-    """A sign-convention breach was detected (nilpotency failure)."""
-
-
 class ParseError(RedstarError):
     """Syntax error in a polynomial expression, with position info."""
 

@@ -20,6 +20,8 @@ from .errors import FiltrationError, LemmaHypothesisError
 from .koszul import Contraction
 from .superalg import OperatorHandle, op_compose
 
+NEUMANN_CAP = 32  # Neumann steps allowed for the lemmas' homotopy denominator
+
 
 def _strictly_zero(x):
     probe = getattr(x, "is_strictly_zero", None)
@@ -69,14 +71,14 @@ def _verify(label, residual, upto=None):
         raise LemmaHypothesisError(f"hypothesis failed: {label}; residual {residual}")
 
 
-def _homotopy_denominator(c, t_y, cap):
+def _homotopy_denominator(c, t_y):
     a = OperatorHandle(
         f"({t_y.name}.h+h.{t_y.name})",
         lambda x: t_y(c.h(x)) + c.h(t_y(x)),
         0,
         t_y.raises_filtration,
     )
-    return neumann_inverse(a, cap)
+    return neumann_inverse(a, NEUMANN_CAP)
 
 
 def _perturbed_differentials(c, t_y, t_x, probes_X, probes_Y, upto):
@@ -94,7 +96,7 @@ def _perturbed_differentials(c, t_y, t_x, probes_X, probes_Y, upto):
     return d_y, d_x
 
 
-def perturb_v1(c, t_y, t_x, probes_X=(), probes_Y=(), upto=None, cap=32):
+def perturb_v1(c, t_y, t_x, probes_X=(), probes_Y=(), upto=None):
     """Transfer a perturbation keeping p: output has perturbed i and h.
 
     Preconditions (verified on probes): p h = 0; t_X p = p t_Y;
@@ -105,7 +107,7 @@ def perturb_v1(c, t_y, t_x, probes_X=(), probes_Y=(), upto=None, cap=32):
         _verify("t_X p = p t_Y", t_x(c.p(y)) - c.p(t_y(y)), upto)
     d_y_new, d_x_new = _perturbed_differentials(c, t_y, t_x, probes_X, probes_Y, upto)
 
-    inv = _homotopy_denominator(c, t_y, cap)
+    inv = _homotopy_denominator(c, t_y)
     h_new = op_compose(c.h, inv, name="H")
 
     def i_fn(x):
@@ -122,7 +124,7 @@ def perturb_v1(c, t_y, t_x, probes_X=(), probes_Y=(), upto=None, cap=32):
     )
 
 
-def perturb_v2(c, t_y, t_x, probes_X=(), probes_Y=(), upto=None, cap=32):
+def perturb_v2(c, t_y, t_x, probes_X=(), probes_Y=(), upto=None):
     """Transfer a perturbation keeping i: output has perturbed p and h.
 
     Preconditions (verified on probes): h i = 0; t_Y i = i t_X;
@@ -133,7 +135,7 @@ def perturb_v2(c, t_y, t_x, probes_X=(), probes_Y=(), upto=None, cap=32):
         _verify("t_Y i = i t_X", t_y(c.i(x)) - c.i(t_x(x)), upto)
     d_y_new, d_x_new = _perturbed_differentials(c, t_y, t_x, probes_X, probes_Y, upto)
 
-    inv = _homotopy_denominator(c, t_y, cap)
+    inv = _homotopy_denominator(c, t_y)
     h_new = op_compose(c.h, inv, name="H'")
     p_new = op_compose(c.p, inv, name="P")
     return Contraction(

@@ -189,18 +189,14 @@ def moyal_commutator(f, g, lam, order):
 def check_quantum_covariance(moment, lam, order):
     """J_a * J_b - J_b * J_a = nu * sum_c f_ab^c J_c: (label, residual) per basis pair."""
     comps = moment.components
-    lie = moment.lie
     out = []
-    for a in range(lie.dim):
-        for b in range(a + 1, lie.dim):
-            lhs = moyal_commutator(comps[a], comps[b], lam, order)
-            rhs = Poly.zero(comps[a].ctx)
-            for c in range(lie.dim):
-                fc = lie.f[a][b][c]
-                if fc:
-                    rhs = rhs + comps[c].scale(fc)
-            residual = lhs - Series.from_poly(rhs, order).shift_nu(1)
-            out.append((f"pair ({a + 1},{b + 1})", residual))
+    for (a, b), row in moment.lie.pairs:
+        lhs = moyal_commutator(comps[a], comps[b], lam, order)
+        rhs = Poly.zero(moment.ctx)
+        for c, v in row:
+            rhs = rhs + comps[c].scale(v)
+        residual = lhs - Series.from_poly(rhs, order).shift_nu(1)
+        out.append((f"pair ({a + 1},{b + 1})", residual))
     return out
 
 

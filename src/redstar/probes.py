@@ -29,7 +29,7 @@ def random_series(ctx, rng, order, max_degree=3, terms=3):
     )
 
 
-def random_super(ctx, dim, order, rng, max_degree=3, terms=3, nu_content=False):
+def random_super(ctx, dim, order, rng, max_degree=3, terms=3):
     """A random BRST element with arbitrary ghost/antighost content."""
     out = {}
     subsets = [()]
@@ -38,10 +38,7 @@ def random_super(ctx, dim, order, rng, max_degree=3, terms=3, nu_content=False):
     for _ in range(terms):
         g = subsets[rng.randrange(len(subsets))]
         a = subsets[rng.randrange(len(subsets))]
-        if nu_content:
-            coeff = random_series(ctx, rng, order, max_degree, terms=2)
-        else:
-            coeff = Series.from_poly(random_poly(ctx, rng, max_degree, terms=2), order)
+        coeff = Series.from_poly(random_poly(ctx, rng, max_degree, terms=2), order)
         key = (g, a)
         cur = out.get(key)
         out[key] = coeff if cur is None else cur + coeff

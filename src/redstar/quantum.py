@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConventionError
 from .koszul import koszul_sum
 from .poisson import moyal_star_series
 from .series import Series
@@ -21,43 +20,20 @@ from .superalg import (
     OperatorHandle,
     SuperElement,
     contract_antighost,
-    super_mul,
+    left_monomial,
 )
-from .brst import _antighost, build_delta, classical_charge, splitting_residuals
+from .brst import build_delta, classical_charge, splitting_residuals
 
 
-def quantum_charge_raw(moment, order):
-    """theta_nu: the classical charge plus the unimodular nu-correction."""
-    ctx = moment.ctx
-    dim = moment.lie.dim
+def quantum_charge(moment, order):
+    """theta_nu: the classical charge plus the unimodular correction nu tr(ad e_a)/2 e^a."""
+    correction = {
+        ((a + 1,), ()): Series.nu(moment.ctx, order).scale(Fraction(t, 2))
+        for a, t in enumerate(moment.lie.traces)
+        if t
+    }
     theta = classical_charge(moment, order)
-    f = moment.lie.f
-    for a in range(dim):
-        trace = sum(f[a][b][b] for b in range(dim))
-        if trace:
-            correction = SuperElement(
-                ctx,
-                dim,
-                order,
-                {((a + 1,), ()): Series.nu(ctx, order).scale(Fraction(trace, 2))},
-            )
-            theta = theta + correction
-    return theta
-
-
-def quantum_charge(moment, star, order):
-    """The deformed charge, with nilpotency enforced.
-
-    A nonvanishing square means a sign-convention breach somewhere in the
-    product data and aborts the construction.
-    """
-    theta = quantum_charge_raw(moment, order)
-    square = star.star(theta, theta)
-    if not square.is_zero():
-        raise ConventionError(
-            f"quantum charge fails nilpotency: theta_nu * theta_nu = {square}"
-        )
-    return theta
+    return theta + SuperElement(moment.ctx, moment.lie.dim, order, correction)
 
 
 def star_right_multiply(x, j, star):
@@ -75,41 +51,32 @@ def build_R(moment, star):
 
 def build_q(moment):
     """q(x) = -1/2 sum f_ab^c e_c i^a i^b x."""
-    ctx = moment.ctx
-    dim = moment.lie.dim
-    f = moment.lie.f
+    pieces = [
+        (a + 1, b + 1, left_monomial((), (c + 1,), Fraction(-1, 2) * v))
+        for a, b, c, v in moment.lie.entries
+    ]
 
     def fn(x):
-        out = SuperElement.zero(ctx, dim, x.order)
-        for a in range(dim):
-            for b in range(dim):
-                for c in range(dim):
-                    v = f[a][b][c]
-                    if not v:
-                        continue
-                    inner = contract_antighost(contract_antighost(x, b + 1), a + 1)
-                    if inner.terms:
-                        out = out + super_mul(
-                            _antighost(ctx, dim, x.order, c + 1), inner
-                        ).scale(Fraction(-1, 2) * v)
+        out = SuperElement.zero(x.ctx, x.dim, x.order)
+        for a, b, mul in pieces:
+            inner = contract_antighost(contract_antighost(x, b), a)
+            if inner.terms:
+                out = out + mul(inner)
         return out
 
     return OperatorHandle("q", fn, +1)
 
 
 def build_u(moment):
-    """u(x) = sum_ab f_ab^b i^a x (the unimodular term)."""
-    dim = moment.lie.dim
-    f = moment.lie.f
+    """u(x) = sum_a tr(ad e_a) i^a x (the unimodular term)."""
+    traces = [(a + 1, t) for a, t in enumerate(moment.lie.traces) if t]
 
     def fn(x):
-        out = SuperElement.zero(x.ctx, dim, x.order)
-        for a in range(dim):
-            trace = sum(f[a][b][b] for b in range(dim))
-            if trace:
-                piece = contract_antighost(x, a + 1)
-                if piece.terms:
-                    out = out + piece.scale(trace)
+        out = SuperElement.zero(x.ctx, x.dim, x.order)
+        for a, t in traces:
+            piece = contract_antighost(x, a)
+            if piece.terms:
+                out = out + piece.scale(t)
         return out
 
     return OperatorHandle("u", fn, +1)

@@ -43,14 +43,14 @@ def deformed_restriction(koszul_contraction, moment, star, probes_X=(), probes_Y
     return replace(out, p=op_columns(out.p, name="res_nu")), t
 
 
-def closed_form_res_nu(koszul_contraction, t, order, name="res_nu_closed"):
+def closed_form_res_nu(koszul_contraction, t, order):
     """res (id + (koszul_nu,1 - koszul,1) h_0)^{-1} on the antighost-free sector."""
     c = koszul_contraction
     th = OperatorHandle(
         "t.h", lambda x: t(c.h(x)), 0, frozenset({"nu"})
     )
     inv = neumann_inverse(th, cap=order + 4)
-    return op_compose(c.p, inv, name=name)
+    return op_compose(c.p, inv, name="res_nu_closed")
 
 
 def quantum_reduction(deformed_contraction, delta_nu, probes_X=(), probes_Y=(), upto=None):

@@ -40,9 +40,11 @@ from .brst import (
 )
 from .errors import ConfigError, InvarianceError, LemmaHypothesisError, RedstarError
 from .koszul import (
+    KoszulSpace,
     MomentMapData,
     build_koszul_contraction,
     check_acyclicity,
+    koszul_contraction,
     koszul_diff,
 )
 from .parsing import parse_polynomial
@@ -57,7 +59,7 @@ from .probes import random_bounded_chain, random_bounded_super, random_poly
 from .quantum import (
     build_quantum_operators,
     check_quantum_splitting,
-    quantum_charge_raw,
+    quantum_charge,
     star_action,
 )
 from .reduction import (
@@ -158,9 +160,6 @@ class RunState:
     lam: object = None
     moment: object = None
     star: object = None
-    order: int = 4
-    work_order: int = 6
-    bound: int = 6
     jdegs: tuple = ()
     kc: object = None
     space: object = None
@@ -169,7 +168,24 @@ class RunState:
     dc: object = None
     qc: object = None  # quantum transfer: Phi_nu, H_nu and d_z_nu
     generators: list = field(default_factory=list)
-    torus: bool = False
+
+    @property
+    def order(self):
+        """The nu-order that checks assert."""
+        return self.config.order
+
+    @property
+    def work_order(self):
+        """The truncation the operators work at, with room for divisions by nu."""
+        return self.config.order + NU_HEADROOM
+
+    @property
+    def bound(self):
+        return self.config.degree_bound
+
+    @property
+    def torus(self):
+        return bool(self.config.torus_rows)
 
 
 def _summary(obj):
@@ -179,6 +195,11 @@ def _summary(obj):
     if isinstance(obj, Poly):
         return len(obj.terms), obj.degree()
     return (0, -1)
+
+
+def _vanishes(residual, upto):
+    """Exact zero test, modulo nu^(upto+1) where a truncation is given."""
+    return residual.is_zero() if upto is None else residual.is_zero(upto)
 
 
 def _trim(text, n=400):
@@ -216,7 +237,7 @@ class StageRun:
         """
         fields = dict(probes=len(items) if probes is None else probes, detail=detail)
         for label, residual in items:
-            if not (residual.is_zero() if upto is None else residual.is_zero(upto)):
+            if not _vanishes(residual, upto):
                 terms, maxdeg = _summary(residual)
                 return self.record(
                     name, anchor, "fail", witness=_trim(f"{label}: {residual}"),
@@ -225,18 +246,26 @@ class StageRun:
         return self.record(name, anchor, **fields)
 
     def by_label(self, anchors, items, upto=None):
-        """One check per identity label (the text before `[`), over all its probes."""
-        grouped = {}
-        for label, residual in items:
-            grouped.setdefault(label.split("[")[0], []).append((label, residual))
-        for base, group in grouped.items():
-            self.check(base, anchors.get(base, base), group, upto=upto)
+        """One check per identity label (the text before `[`), over all its probes.
 
-    def axioms(self, contraction, probes_X, probes_Y, upto=None):
-        """The contraction axioms on probe pairs, one check per axiom."""
-        items = []
-        for x, y in zip(probes_X, probes_Y):
-            items.extend(contraction.axiom_residuals(x, y).items())
+        Only each label's first nonzero residual is kept; `items` may be a generator.
+        """
+        groups = {}  # label -> [probes, first nonzero (label, residual) or None]
+        for label, residual in items:
+            group = groups.setdefault(label.split("[")[0], [0, None])
+            group[0] += 1
+            if group[1] is None and not _vanishes(residual, upto):
+                group[1] = (label, residual)
+        for base, (n, bad) in groups.items():
+            self.check(base, anchors.get(base, base), [bad] if bad else [], n, upto)
+
+    def axioms(self, contraction, pairs, upto=None):
+        """The contraction axioms on (X probe, Y probe) pairs, one check per axiom.
+
+        `pairs` may be a generator: each pair's residuals are tested and
+        dropped before the next pair is drawn.
+        """
+        items = (item for x, y in pairs for item in contraction.axiom_residuals(x, y).items())
         self.by_label(AXIOM_ANCHORS[self.stage], items, upto)
 
     def transfer(self, anchor, build):
@@ -270,7 +299,7 @@ class StageRun:
         if built is None:
             return None, probes_Y
         out, d_z = built
-        self.axioms(out, probes_X, probes_Y, upto)
+        self.axioms(out, zip(probes_X, probes_Y), upto)
         Hcf = closed_form_H(contraction, delta, st.moment.lie.dim)
         Phicf = closed_form_Phi(contraction, delta, out.h, d_z)
         items = [(f"H{s} - closed form", out.h(y) - Hcf(y)) for y in probes_Y]
@@ -299,10 +328,6 @@ def stage_load(state):
     cfg = state.config
     run = StageRun(state, "load")
     ctx = state.ctx = cfg.build_context()
-    state.order = cfg.order
-    state.work_order = cfg.order + NU_HEADROOM
-    state.bound = cfg.degree_bound
-    state.torus = bool(cfg.torus_rows)
 
     def parse_scalar(text):
         p = parse_polynomial(text, ctx)
@@ -396,6 +421,7 @@ def stage_strong_invariance(state):
 def stage_acyclicity(state):
     run = StageRun(state, "acyclicity")
     rep = check_acyclicity(state.moment, state.bound)
+    state.space = rep.space
     by_degree = {}
     for g, d in rep.h0_dims.items():
         by_degree[g[0]] = by_degree.get(g[0], 0) + d
@@ -429,23 +455,23 @@ def stage_acyclicity(state):
 
 def stage_contraction(state):
     run = StageRun(state, "contraction")
-    kc = build_koszul_contraction(state.moment, state.bound)
-    state.kc = kc
-    state.space = kc.meta["space"]
+    # the acyclicity stage's space, whose slices and solvers h reuses
+    state.space = state.space or KoszulSpace(state.moment, state.bound)
+    kc = state.kc = koszul_contraction(state.space)
     run.record(
         "build", "res/prol/h assembled from canonical slice solves; side conditions normalized"
     )
     dim = state.moment.lie.dim
-    probes_X, probes_Y = [], []
-    for i in range(0, dim + 1):
-        for _ in range(state.config.probe_counts()["contraction"]):
-            probes_Y.append(
-                random_bounded_chain(
+
+    def pairs():  # drawn one at a time, so only one pair's residuals are held
+        for i in range(0, dim + 1):
+            for _ in range(state.config.probe_counts()["contraction"]):
+                y = random_bounded_chain(
                     state.ctx, dim, 0, run.rng, state.bound, state.jdegs, i, terms=2
                 )
-            )
-            probes_X.append(kc.p(run.element(0)))
-    run.axioms(kc, probes_X, probes_Y)
+                yield kc.p(run.element(0)), y
+
+    run.axioms(kc, pairs())
     # determinism: a rebuilt contraction is the same operator
     kc2 = build_koszul_contraction(state.moment, state.bound)
     items = []
@@ -474,39 +500,6 @@ def stage_classical_brst(state):
     return run.records
 
 
-def _build_generators(run):
-    state = run.state
-    cfg = state.config
-    if state.generators:
-        return
-    if cfg.invariant_mode == "weights":
-        gens = invariant_generators(state.ctx, cfg.torus_rows, cfg.generator_cap)
-    else:
-        gens = [parse_polynomial(src, state.ctx) for src in cfg.declared_invariants]
-    items = []
-    kept = []
-    for g in gens:
-        try:
-            certify_invariant(
-                state.space.normal_form_poly(g) if cfg.invariant_mode == "declared" else g,
-                state.moment,
-                state.lam,
-                state.space,
-                cfg.torus_rows,
-            )
-            kept.append(g)
-            items.append((f"generator {g}", Poly.zero(state.ctx)))
-        except InvarianceError:
-            items.append((f"generator {g}", g))
-    run.check(
-        "generators",
-        "invariant generators certified (weight zero or bracket into the ideal)",
-        items,
-        detail=f"{len(kept)} generator(s)",
-    )
-    state.generators = kept
-
-
 def stage_classical_reduction(state):
     cfg = state.config
     run = StageRun(state, "classical-reduction")
@@ -517,7 +510,31 @@ def stage_classical_reduction(state):
     if cc is None:
         return run.records
     state.cc = cc
-    _build_generators(run)
+    # the invariant generators, certified once; reduced-star reads state.generators
+    if cfg.invariant_mode == "weights":
+        gens = invariant_generators(state.ctx, cfg.torus_rows, cfg.generator_cap)
+    else:
+        gens = [parse_polynomial(src, state.ctx) for src in cfg.declared_invariants]
+    items = []
+    for g in gens:
+        try:
+            certify_invariant(
+                state.space.normal_form_poly(g) if cfg.invariant_mode == "declared" else g,
+                state.moment,
+                state.lam,
+                state.space,
+                cfg.torus_rows,
+            )
+            state.generators.append(g)
+            items.append((f"generator {g}", Poly.zero(state.ctx)))
+        except InvarianceError:
+            items.append((f"generator {g}", g))
+    run.check(
+        "generators",
+        "invariant generators certified (weight zero or bracket into the ideal)",
+        items,
+        detail=f"{len(state.generators)} generator(s)",
+    )
     # reduced Poisson bracket checks
     gens = state.generators
     if not gens:
@@ -567,7 +584,7 @@ def stage_quantum_brst(state):
     cfg = state.config
     run = StageRun(state, "quantum-brst")
     star = state.star
-    theta_nu = quantum_charge_raw(state.moment, state.work_order)
+    theta_nu = quantum_charge(state.moment, state.work_order)
     charge = run.check(
         "charge",
         "theta_nu * theta_nu = 0",
@@ -648,7 +665,7 @@ def stage_deformed_restriction(state):
         return run.records
     dc, t = built
     state.dc = dc
-    run.axioms(dc, probes_X, probes_Y, upto=state.order)
+    run.axioms(dc, zip(probes_X, probes_Y), upto=state.order)
     # closed form on the antighost-free sector
     cf = closed_form_res_nu(state.kc, t, state.work_order)
     items = []
@@ -778,7 +795,6 @@ def stage_reduced_star(state):
     cfg = state.config
     run = StageRun(state, "reduced-star")
     dim = state.moment.lie.dim
-    _build_generators(run)
     gens = [state.space.normal_form_poly(g) for g in state.generators]
     if not gens:
         run.record(

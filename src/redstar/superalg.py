@@ -22,6 +22,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 from .errors import ContextError
@@ -34,16 +35,19 @@ from .series import Series
 class LieAlgebraData:
     """Structure constants and optional torus weight data.
 
-    `f[a][b][c]` is the coefficient of the c-th basis vector in [e_a, e_b].
+    `f[a][b][c]` (0-based) is the coefficient of the c-th basis vector in
+    [e_a, e_b]; only `validate` reads the dense tensor.  Everything else
+    reads `entries`, its nonzero (a, b, c, f_ab^c) in (a, b, c) order,
+    `traces`, with traces[a] = tr(ad e_a) = sum_b f_ab^b, or `pairs`.
     `torus_rows` names the grading rows of the variable context that realize
     the torus weights (empty for nonabelian or non-diagonal actions).
     """
 
     dim: int
     f: tuple
+    entries: tuple
+    traces: tuple
     torus_rows: tuple = ()
-    abelian: bool = False
-    unimodular: bool = False
 
     @classmethod
     def build(cls, dim, f_entries=(), torus_rows=()):
@@ -54,13 +58,33 @@ class LieAlgebraData:
             f[a - 1][b - 1][c - 1] = v
             f[b - 1][a - 1][c - 1] = -v
         f = tuple(tuple(tuple(row) for row in plane) for plane in f)
-        abelian = all(not v for plane in f for row in plane for v in row)
-        unimodular = all(
-            sum(f[a][b][b] for b in range(dim)) == 0 for a in range(dim)
+        entries = tuple(
+            (a, b, c, f[a][b][c])
+            for a in range(dim)
+            for b in range(dim)
+            for c in range(dim)
+            if f[a][b][c]
         )
-        data = cls(dim, f, tuple(torus_rows), abelian, unimodular)
+        traces = tuple(sum(f[a][b][b] for b in range(dim)) for a in range(dim))
+        data = cls(dim, f, entries, traces, tuple(torus_rows))
         data.validate()
         return data
+
+    @property
+    def abelian(self):
+        return not self.entries
+
+    @property
+    def unimodular(self):
+        return not any(self.traces)
+
+    @property
+    def pairs(self):
+        """((a, b), ((c, f_ab^c), ...)) for every pair a < b, in order."""
+        rows = {}
+        for a, b, c, v in self.entries:
+            rows.setdefault((a, b), []).append((c, v))
+        return [((a, b), rows.get((a, b), ())) for a, b in combinations(range(self.dim), 2)]
 
     def validate(self):
         d = self.dim
@@ -81,8 +105,6 @@ class LieAlgebraData:
                         )
                         if s != 0:
                             raise ValueError("structure constants fail the Jacobi identity")
-        if self.abelian and any(v for plane in self.f for row in plane for v in row):
-            raise ValueError("abelian flag inconsistent with nonzero structure constants")
 
 
 # -- sign utilities -----------------------------------------------------------
@@ -367,6 +389,35 @@ def super_mul(x, y):
             cur = out.get(key)
             out[key] = s if cur is None else cur + s
     return SuperElement(x.ctx, x.dim, x.order, out)
+
+
+def canonical_monomial(ghosts=(), antighosts=()):
+    """Sign and canonical key of the product e^{g_1} ... e^{g_k} e_{a_1} ... e_{a_m}.
+
+    The generators are merged in from the left by `_merge_terms`; no index
+    may repeat within the ghosts or within the antighosts.
+    """
+    sign, key = 1, ((), ())
+    for gen in [((g,), ()) for g in ghosts] + [((), (a,)) for a in antighosts]:
+        s, key = _merge_terms(key, gen)
+        sign *= s
+    return sign, key
+
+
+def left_monomial(ghosts=(), antighosts=(), coeff=1):
+    """The map x -> coeff * e^{g_1} ... e^{g_k} e_{a_1} ... e_{a_m} * x.
+
+    The monomial is put into canonical form once, here; each call builds it
+    at the order of x and multiplies with `super_mul`.
+    """
+    sign, key = canonical_monomial(ghosts, antighosts)
+    c = coeff * sign
+
+    def mul(x):
+        unit = Series.const(x.ctx, c, x.order)
+        return super_mul(SuperElement(x.ctx, x.dim, x.order, {key: unit}, _clean=True), x)
+
+    return mul
 
 
 def _pairings(kx, ky):

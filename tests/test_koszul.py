@@ -20,7 +20,7 @@ from redstar.koszul import (
 )
 from redstar.poly import Poly, VarContext, poly_ring
 from redstar.probes import random_bounded_chain, random_bounded_super, random_poly
-from redstar.runner import RunState, stage_contraction, stage_load
+from redstar.runner import RunState, stage_acyclicity, stage_contraction, stage_load
 from redstar.scalars import QQ_I
 from redstar.scenarios import get_scenario
 from redstar.series import Series
@@ -322,6 +322,19 @@ def test_pipeline_homotopy_is_one_canonical_solve(monkeypatch):
     calls.clear()
     hy = state.kc.h(y)
     assert len(calls) == 1 and not hy.is_zero()
+
+
+def test_contraction_stage_reuses_the_acyclicity_space():
+    state = RunState(replace(get_scenario("t2-c4"), degree_bound=4))
+    stage_load(state)
+    stage_acyclicity(state)
+    space = state.space
+    solvers = dict(space._solvers)
+    assert solvers
+    records = stage_contraction(state)
+    assert all(r.status == "pass" for r in records)
+    assert state.space is space and state.kc.meta["space"] is space
+    assert all(space._solvers[key] is solver for key, solver in solvers.items())
 
 
 def test_acyclicity_positive_and_negative():

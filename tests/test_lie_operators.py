@@ -1,0 +1,294 @@
+"""The structure-constant operators against dense reference loops.
+
+Each reference below indexes the dense tensor `lie.f[a][b][c]` over every
+index triple and builds each ghost monomial as a product of generators, the
+direct transcription of the defining formula.  The library reads the sparse
+`LieAlgebraData.entries`, `traces` and `pairs` instead; both must give the
+same terms with the same per-term `reliable` order.  The models are the
+so(3) data of commuting-n3 (unimodular), an abelian two-constraint model
+and the non-unimodular ax+b algebra, at orders 0, 2 and 4, on probes with
+nonzero higher nu-slots and mixed reliable orders.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from redstar.brst import RepresentationHandle, build_delta, classical_charge, poisson_action
+from redstar.koszul import MomentMapData
+from redstar.poisson import check_quantum_covariance, moyal_commutator, poisson_bracket
+from redstar.poly import Poly
+from redstar.probes import random_poly, random_super
+from redstar.quantum import build_q, build_u, quantum_charge, star_action
+from redstar.runner import RunState, stage_load
+from redstar.scenarios import get_scenario
+from redstar.series import Series
+from redstar.superalg import (
+    OperatorHandle,
+    SuperElement,
+    StarProduct,
+    contract_antighost,
+    contract_ghost,
+    super_mul,
+)
+
+from test_quantum import abelian_two, ax_plus_b
+
+ORDERS = (0, 2, 4)
+
+
+# -- dense references --------------------------------------------------------------
+
+
+def _gen(ctx, dim, order, ghosts=(), antighosts=()):
+    return SuperElement.generator(ctx, dim, order, ghosts=ghosts, antighosts=antighosts)
+
+
+def _triples(lie):
+    d = lie.dim
+    return [
+        (a, b, c, lie.f[a][b][c])
+        for a in range(d)
+        for b in range(d)
+        for c in range(d)
+        if lie.f[a][b][c]
+    ]
+
+
+def ref_classical_charge(moment, order):
+    ctx, dim = moment.ctx, moment.lie.dim
+    theta = SuperElement.zero(ctx, dim, order)
+    for a, b, c, v in _triples(moment.lie):
+        term = super_mul(
+            super_mul(_gen(ctx, dim, order, (a + 1,)), _gen(ctx, dim, order, (b + 1,))),
+            _gen(ctx, dim, order, (), (c + 1,)),
+        )
+        theta = theta + term.scale(Fraction(-1, 4) * v)
+    for a in range(dim):
+        theta = theta + SuperElement(
+            ctx, dim, order, {((a + 1,), ()): Series.from_poly(moment.components[a], order)}
+        )
+    return theta
+
+
+def ref_quantum_charge(moment, order):
+    ctx, dim, f = moment.ctx, moment.lie.dim, moment.lie.f
+    theta = ref_classical_charge(moment, order)
+    for a in range(dim):
+        trace = sum(f[a][b][b] for b in range(dim))
+        if trace:
+            theta = theta + SuperElement(
+                ctx, dim, order, {((a + 1,), ()): Series.nu(ctx, order).scale(Fraction(trace, 2))}
+            )
+    return theta
+
+
+def ref_delta(moment, action):
+    ctx, dim = moment.ctx, moment.lie.dim
+    triples = _triples(moment.lie)
+
+    def fn(x):
+        order = x.order
+        out = SuperElement.zero(ctx, dim, order)
+        for a, b, c, v in triples:
+            ic = contract_ghost(x, c + 1)
+            if ic.terms:
+                ghost2 = super_mul(
+                    _gen(ctx, dim, order, (a + 1,)), _gen(ctx, dim, order, (b + 1,))
+                )
+                out = out + super_mul(ghost2, ic).scale(Fraction(-1, 2) * v)
+            ib = contract_antighost(x, b + 1)
+            if ib.terms:
+                ga_ec = super_mul(
+                    _gen(ctx, dim, order, (a + 1,)), _gen(ctx, dim, order, (), (c + 1,))
+                )
+                out = out + super_mul(ga_ec, ib).scale(v)
+        for a in range(dim):
+            acted = action(moment.components[a], x)
+            if acted.terms:
+                out = out + super_mul(_gen(ctx, dim, order, (a + 1,)), acted)
+        return out
+
+    return fn
+
+
+def ref_q(moment):
+    ctx, dim = moment.ctx, moment.lie.dim
+
+    def fn(x):
+        out = SuperElement.zero(ctx, dim, x.order)
+        for a, b, c, v in _triples(moment.lie):
+            inner = contract_antighost(contract_antighost(x, b + 1), a + 1)
+            if inner.terms:
+                out = out + super_mul(
+                    _gen(ctx, dim, x.order, (), (c + 1,)), inner
+                ).scale(Fraction(-1, 2) * v)
+        return out
+
+    return fn
+
+
+def ref_u(moment):
+    dim, f = moment.lie.dim, moment.lie.f
+
+    def fn(x):
+        out = SuperElement.zero(x.ctx, dim, x.order)
+        for a in range(dim):
+            trace = sum(f[a][b][b] for b in range(dim))
+            if trace:
+                piece = contract_antighost(x, a + 1)
+                if piece.terms:
+                    out = out + piece.scale(trace)
+        return out
+
+    return fn
+
+
+def ref_equivariance(moment, lam):
+    out = []
+    d, f = moment.lie.dim, moment.lie.f
+    for a in range(d):
+        for b in range(a + 1, d):
+            res = poisson_bracket(moment.components[a], moment.components[b], lam)
+            for c in range(d):
+                if f[a][b][c]:
+                    res = res - moment.components[c].scale(f[a][b][c])
+            out.append(((a + 1, b + 1), res))
+    return out
+
+
+def ref_covariance(moment, lam, order):
+    comps, d, f = moment.components, moment.lie.dim, moment.lie.f
+    out = []
+    for a in range(d):
+        for b in range(a + 1, d):
+            lhs = moyal_commutator(comps[a], comps[b], lam, order)
+            rhs = Poly.zero(moment.ctx)
+            for c in range(d):
+                if f[a][b][c]:
+                    rhs = rhs + comps[c].scale(f[a][b][c])
+            out.append((f"pair ({a + 1},{b + 1})", lhs - Series.from_poly(rhs, order).shift_nu(1)))
+    return out
+
+
+def ref_commutator_residuals(rep, probes):
+    out = []
+    d, f = rep.lie.dim, rep.lie.f
+    for a in range(d):
+        for b in range(a + 1, d):
+            for k, x in enumerate(probes):
+                r = rep.ops[a](rep.ops[b](x)) - rep.ops[b](rep.ops[a](x))
+                for c in range(d):
+                    if f[a][b][c]:
+                        r = r - rep.ops[c](x).scale(f[a][b][c])
+                out.append(((a + 1, b + 1, k), r))
+    return out
+
+
+# -- models and probes ---------------------------------------------------------------
+
+
+def commuting_n3():
+    state = RunState(get_scenario("commuting-n3"))
+    stage_load(state)
+    return state.ctx, state.lam, state.moment
+
+
+MODELS = {
+    "so3": commuting_n3,
+    "abelian": lambda: abelian_two()[:3],
+    "ax+b": lambda: ax_plus_b()[:3],
+}
+
+
+def probes(ctx, dim, order, rng, n=4):
+    """Random elements with every nu-slot filled and mixed reliable orders."""
+    out = []
+    for _ in range(n):
+        terms = {
+            key: Series(
+                ctx,
+                order,
+                [c.coeffs[0]] + [random_poly(ctx, rng, 2, 2) for _ in range(order)],
+                rng.randint(0, order),
+            )
+            for key, c in random_super(ctx, dim, order, rng, 2, 3).terms.items()
+        }
+        out.append(SuperElement(ctx, dim, order, terms))
+    return out
+
+
+def assert_same(got, want):
+    assert got.order == want.order
+    assert got.terms.keys() == want.terms.keys()
+    for key, coeff in want.terms.items():
+        assert got.terms[key] == coeff, key
+        assert got.terms[key].reliable == coeff.reliable, key
+
+
+def perturbed(moment, rng):
+    """The same Lie data with non-equivariant components: nonzero residuals."""
+    comps = tuple(j + random_poly(moment.ctx, rng, 2, 2) for j in moment.components)
+    return MomentMapData(moment.ctx, comps, moment.lie, "")
+
+
+# -- tests ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("order", ORDERS)
+def test_charges_match_dense_reference(model, order):
+    ctx, lam, moment = MODELS[model]()
+    assert_same(classical_charge(moment, order), ref_classical_charge(moment, order))
+    assert_same(quantum_charge(moment, order), ref_quantum_charge(moment, order))
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("order", ORDERS)
+def test_operators_match_dense_reference(model, order):
+    ctx, lam, moment = MODELS[model]()
+    dim = moment.lie.dim
+    rng = random.Random(f"{model}:{order}")
+    pairs = [
+        (build_q(moment), ref_q(moment)),
+        (build_u(moment), ref_u(moment)),
+        (build_delta(moment, poisson_action(lam)), ref_delta(moment, poisson_action(lam))),
+    ]
+    if order:
+        action = star_action(StarProduct(lam, dim, order))
+        pairs.append((build_delta(moment, action, "delta_nu"), ref_delta(moment, action)))
+    for x in probes(ctx, dim, order, rng):
+        for op, ref in pairs:
+            assert_same(op(x), ref(x))
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("order", ORDERS)
+def test_residual_loops_match_dense_reference(model, order):
+    ctx, lam, moment = MODELS[model]()
+    dim = moment.lie.dim
+    rng = random.Random(f"residuals:{model}:{order}")
+    for m in (moment, perturbed(moment, rng)):
+        assert m.check_equivariance(lam) == ref_equivariance(m, lam)
+        got = check_quantum_covariance(m, lam, order)
+        want = ref_covariance(m, lam, order)
+        assert [label for label, _ in got] == [label for label, _ in want]
+        for (_, g), (_, w) in zip(got, want):
+            assert g == w and g.reliable == w.reliable
+    # not a representation, so the residuals are nonzero
+    act = poisson_action(lam)
+    ops = tuple(
+        OperatorHandle(
+            f"L_{a + 1}",
+            lambda x, a=a: act(moment.components[a], x)
+            + contract_antighost(x, a + 1).scale(a + 1),
+        )
+        for a in range(dim)
+    )
+    rep = RepresentationHandle(moment.lie, ops)
+    xs = probes(ctx, dim, order, rng, 3)
+    got, want = rep.commutator_residuals(xs), ref_commutator_residuals(rep, xs)
+    assert [label for label, _ in got] == [label for label, _ in want]
+    for (_, g), (_, w) in zip(got, want):
+        assert_same(g, w)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from redstar.brst import build_delta, check_classical_splitting, classical_charge, poisson_action
-from redstar.errors import ConventionError, DivisibilityError
+from redstar.errors import DivisibilityError
 from redstar.koszul import MomentMapData, koszul_diff
 from redstar.poisson import poisson_bracket, poisson_data
 from redstar.poly import Poly, VarContext
@@ -16,7 +16,6 @@ from redstar.quantum import (
     build_u,
     check_quantum_splitting,
     quantum_charge,
-    quantum_charge_raw,
 )
 from redstar.series import Series
 from redstar.superalg import LieAlgebraData, StarProduct, SuperElement
@@ -44,14 +43,14 @@ def so3():
 
 def test_abelian_charge_no_corrections():
     ctx, lam, moment, star = abelian_two()
-    theta = quantum_charge(moment, star, N)
+    theta = quantum_charge(moment, N)
     classical = classical_charge(moment, N)
     assert theta == classical
 
 
 def test_so3_charge_unimodular_term_vanishes():
     ctx, lam, moment, star = so3()
-    theta = quantum_charge(moment, star, N)
+    theta = quantum_charge(moment, N)
     assert theta == classical_charge(moment, N)  # trace of structure constants is zero
     cubic = [k for k in theta.terms if len(k[0]) == 2]
     assert cubic
@@ -59,15 +58,16 @@ def test_so3_charge_unimodular_term_vanishes():
 
 def test_so3_charge_nilpotent():
     ctx, lam, moment, star = so3()
-    theta = quantum_charge(moment, star, N)
+    theta = quantum_charge(moment, N)
     assert star.star(theta, theta).is_zero()
 
 
-def test_wrong_sign_aborts():
+def test_wrong_sign_breaks_nilpotency():
+    # the runner's quantum-brst.charge check fails on this (broken-sign-star)
     ctx, lam, moment, star = so3()
     bad = StarProduct(lam, 3, N, Fraction(2))
-    with pytest.raises(ConventionError):
-        quantum_charge(moment, bad, N)
+    theta = quantum_charge(moment, N)
+    assert not bad.star(theta, theta).is_zero()
 
 
 def test_R_on_generator():
@@ -96,7 +96,7 @@ def test_u_vanishes_so3():
 
 def test_quantum_koszul_abelian_is_right_multiplication():
     ctx, lam, moment, star = abelian_two()
-    ops = build_quantum_operators(moment, star, quantum_charge(moment, star, N))
+    ops = build_quantum_operators(moment, star, quantum_charge(moment, N))
     rng = random.Random(2)
     from redstar.quantum import star_right_multiply
     from redstar.superalg import contract_antighost
@@ -113,7 +113,7 @@ def test_quantum_koszul_abelian_is_right_multiplication():
 
 def test_quantum_koszul_classical_limit():
     ctx, lam, moment, star = so3()
-    ops = build_quantum_operators(moment, star, quantum_charge(moment, star, N))
+    ops = build_quantum_operators(moment, star, quantum_charge(moment, N))
     rng = random.Random(3)
     for _ in range(6):
         x = random_bounded_super(ctx, 3, N, rng, 5, (2, 2, 2), terms=2)
@@ -124,7 +124,7 @@ def test_quantum_koszul_classical_limit():
 
 def test_quantum_koszul_squares_to_zero():
     ctx, lam, moment, star = so3()
-    ops = build_quantum_operators(moment, star, quantum_charge(moment, star, N))
+    ops = build_quantum_operators(moment, star, quantum_charge(moment, N))
     rng = random.Random(4)
     for _ in range(6):
         x = random_bounded_super(ctx, 3, N, rng, 5, (2, 2, 2), terms=2)
@@ -133,7 +133,7 @@ def test_quantum_koszul_squares_to_zero():
 
 def test_delta_nu_equals_delta_under_strong_invariance():
     ctx, lam, moment, star = so3()
-    ops = build_quantum_operators(moment, star, quantum_charge(moment, star, N))
+    ops = build_quantum_operators(moment, star, quantum_charge(moment, N))
     delta = build_delta(moment, poisson_action(lam))
     rng = random.Random(5)
     one = SuperElement.from_poly(Poly.const(ctx, 1), 3, N)
@@ -165,7 +165,7 @@ def _slot(x, k):
 
 def test_brst_diff_ghost_free_strong_invariance():
     ctx, lam, moment, star = abelian_two()
-    ops = build_quantum_operators(moment, star, quantum_charge(moment, star, N))
+    ops = build_quantum_operators(moment, star, quantum_charge(moment, N))
     rng = random.Random(6)
     for _ in range(6):
         f = random_poly(ctx, rng, 3, 3)
@@ -187,7 +187,7 @@ def test_brst_diff_ghost_free_strong_invariance():
 def test_quantum_splitting_all_zero():
     for setup in (abelian_two, so3):
         ctx, lam, moment, star = setup()
-        ops = build_quantum_operators(moment, star, quantum_charge(moment, star, N))
+        ops = build_quantum_operators(moment, star, quantum_charge(moment, N))
         rng = random.Random(7)
         jdegs = tuple(j.degree() for j in moment.components)
         probes = [
@@ -210,7 +210,7 @@ def test_divisibility_error_surfaces():
 
 def test_nu_divisibility_of_charge_commutator():
     ctx, lam, moment, star = so3()
-    theta = quantum_charge(moment, star, N)
+    theta = quantum_charge(moment, N)
     rng = random.Random(9)
     for _ in range(8):
         x = random_bounded_super(ctx, 3, N, rng, 4, (2, 2, 2), terms=2)
@@ -234,9 +234,9 @@ def test_non_unimodular_charge_and_splittings():
     # the unimodular correction nu tr(ad e_a)/2 e^a of the charge and u/2 of
     # koszul_nu evaluated with a nonzero trace
     ctx, lam, moment, star = ax_plus_b()
-    assert not moment.lie.unimodular
+    assert moment.lie.traces == (1, 0) and not moment.lie.unimodular
     assert all(r.is_zero() for _, r in moment.check_equivariance(lam))
-    theta = quantum_charge_raw(moment, N)
+    theta = quantum_charge(moment, N)
     assert theta != classical_charge(moment, N)
     assert star.star(theta, theta).is_zero(upto=N)
     rng = random.Random(11)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -54,6 +55,37 @@ def test_config_file_runs_green(tmp_path):
     report = run_scenario(cfg)
     assert report.verdict == "pass", [
         (r.check_id, r.witness) for r in report.records if r.status in ("fail", "error")
+    ]
+
+
+def test_check_ids_unique_in_registry_reports():
+    from test_golden_reports import RUNS, WORKLOADS
+
+    for run in RUNS:
+        config = dataclasses.replace(
+            get_scenario(run.scenario),
+            seed=WORKLOADS.DEFAULT_SEED,
+            probe_overrides=tuple(run.probes),
+        )
+        ids = [r.check_id for r in run_scenario(config, degree_bound=run.degree_bound).records]
+        assert len(ids) == len(set(ids)), run.scenario
+
+
+def test_no_certified_generator_is_one_failed_record(tmp_path):
+    # declared mode without declared invariants certifies nothing; the
+    # generators are certified once, in classical-reduction
+    with open(CFG, encoding="utf-8") as fh:
+        text = fh.read()
+    text = text.replace("mode = weights", "mode = declared")
+    text = text.replace("degree_bound = 6", "degree_bound = 4")
+    path = tmp_path / "declared.cfg"
+    path.write_text(text, encoding="utf-8")
+    report = run_scenario(load_config(str(path)))
+    ids = [r.check_id for r in report.records]
+    assert len(ids) == len(set(ids))
+    records = [r for r in report.records if r.check_id == "reduced-star.generators"]
+    assert [(r.status, r.detail) for r in records] == [
+        ("fail", "no certified invariant generators")
     ]
 
 
