@@ -201,13 +201,14 @@ class KoszulSpace:
         return hit
 
     def diff_rows(self, i, grade):
-        """Dense view of `diff_columns`: rows by codomain, columns by domain basis."""
-        cols = self.diff_columns(i, grade)
-        zero = self.ctx.field.zero
-        rows = [[zero] * len(cols) for _ in self.slice_basis(i - 1, grade)]
-        for k, col in enumerate(cols):
+        """Sparse rows of the slice map, one per codomain position.
+
+        The transpose of `diff_columns`, in the row format of `SliceSolver`.
+        """
+        rows = [[] for _ in self.slice_basis(i - 1, grade)]
+        for k, col in enumerate(self.diff_columns(i, grade)):
             for r, entry in col:
-                rows[r][k] = entry
+                rows[r].append((k, entry))
         return rows
 
     def apply_diff(self, i, grade, v):
@@ -224,10 +225,8 @@ class KoszulSpace:
         key = (i, grade)
         hit = self._solvers.get(key)
         if hit is None:
-            dom = self.slice_basis(i, grade)
-            rows = self.diff_rows(i, grade)
-            hit = SliceSolver(rows, len(dom), self.ctx.field)
-            self._solvers[key] = hit
+            ncols = len(self.slice_basis(i, grade))
+            hit = self._solvers[key] = SliceSolver(self.diff_rows(i, grade), ncols, self.ctx.field)
         return hit
 
     # -- quotient model -----------------------------------------------------
@@ -236,17 +235,15 @@ class KoszulSpace:
         """(reduced rows, pivot columns) of the ideal slice over the K_0 basis.
 
         The ideal slice is spanned by the images J_a m, the columns of
-        K_1 -> K_0.  Reduced rows are sparse tuples of (position, entry).
+        K_1 -> K_0, which are the rows eliminated here.  Reduced rows are
+        sparse tuples of (position, entry).
         """
         hit = self._ideal.get(grade)
         if hit is not None:
             return hit
-        rows = list(zip(*self.diff_rows(1, grade)))
-        solver = SliceSolver(rows, len(self.slice_basis(0, grade)), self.ctx.field)
-        reduced = tuple(
-            tuple((k, e) for k, e in enumerate(solver._rows[r]) if e) for r, _ in solver.pivots
-        )
-        hit = self._ideal[grade] = (reduced, tuple(c for _, c in solver.pivots))
+        ncols = len(self.slice_basis(0, grade))
+        solver = SliceSolver(self.diff_columns(1, grade), ncols, self.ctx.field)
+        hit = self._ideal[grade] = (solver.reduced_rows(), tuple(c for _, c in solver.pivots))
         return hit
 
     def reduce(self, grade, v):

@@ -1,7 +1,8 @@
 """Exact linear algebra over the coefficient field.
 
-Matrices are dense lists of rows; entries are Fraction or GaussianRational.
-Elimination skips zero entries, so sparse slice matrices stay cheap.  The
+Matrices are sparse rows: a row is a sequence of (column, nonzero entry)
+pairs, and entries are Fraction or GaussianRational.  Elimination touches
+only the stored entries, so the sparse slice matrices stay cheap.  The
 canonical solution of a solvable system puts every free variable to zero,
 which makes all derived homotopy operators deterministic.
 """
@@ -14,81 +15,69 @@ from .errors import ShapeError
 class SliceSolver:
     """Reduced row echelon factorization of one graded-slice matrix.
 
-    Built once per slice and reused for every solve against it.  Row
-    operations are recorded and replayed on right-hand sides.
+    Built once per slice and reused for every solve against it.  Rows are
+    dicts {column: entry} that never move: the pivot row of a column is the
+    first row without a pivot that holds it.  Each pivot's row operations
+    are recorded once and replayed on right-hand sides.
     """
 
     def __init__(self, rows, ncols, field):
         self.field = field
         self.nrows = len(rows)
         self.ncols = ncols
-        self._rows = [list(r) for r in rows]
-        for r in self._rows:
-            if len(r) != ncols:
-                raise ShapeError("ragged matrix")
-        self._ops = []  # ("swap", i, j) | ("scale", i, c) | ("axpy", i, j, f): row_j += f*row_i
-        self.pivots = []  # list of (row, col)
+        self._rows = []
+        for row in rows:
+            entries = {}
+            for c, e in row:
+                if not 0 <= c < ncols:
+                    raise ShapeError(f"column {c} outside a matrix of {ncols} columns")
+                if e:
+                    entries[c] = e
+            self._rows.append(entries)
+        self._ops = []  # (pivot row, inverse pivot or None, ((row, factor), ...))
+        self.pivots = []  # list of (row, col), by increasing column
+        self._free = list(range(self.nrows))  # rows without a pivot, in order
         self._reduce()
 
     def _reduce(self):
-        rows = self._rows
-        ops = self._ops
-        piv_r = 0
+        rows, free = self._rows, self._free
         for col in range(self.ncols):
-            pr = None
-            for r in range(piv_r, self.nrows):
-                if rows[r][col]:
-                    pr = r
-                    break
+            pr = next((r for r in free if col in rows[r]), None)
             if pr is None:
                 continue
-            if pr != piv_r:
-                rows[piv_r], rows[pr] = rows[pr], rows[piv_r]
-                ops.append(("swap", piv_r, pr))
-            pv = rows[piv_r][col]
-            if pv != 1:
-                inv = 1 / pv
-                row = rows[piv_r]
-                for c in range(col, self.ncols):
-                    if row[c]:
-                        row[c] = row[c] * inv
-                ops.append(("scale", piv_r, inv))
-            prow = rows[piv_r]
-            for r in range(self.nrows):
-                if r == piv_r:
-                    continue
-                f = rows[r][col]
+            free.remove(pr)
+            prow = rows[pr]
+            inv = None
+            if prow[col] != 1:
+                inv = 1 / prow[col]
+                for c in prow:
+                    prow[c] = prow[c] * inv
+            axpys = []
+            for r, row in enumerate(rows):
+                f = row.get(col) if r != pr else None
                 if not f:
                     continue
-                row = rows[r]
-                for c in range(col, self.ncols):
-                    if prow[c]:
-                        row[c] = row[c] - f * prow[c]
-                ops.append(("axpy", piv_r, r, -f))
-            self.pivots.append((piv_r, col))
-            piv_r += 1
-            if piv_r == self.nrows:
+                f = -f
+                for c, e in prow.items():
+                    v = row.get(c)
+                    v = f * e if v is None else v + f * e
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
+                axpys.append((r, f))
+            self._ops.append((pr, inv, tuple(axpys)))
+            self.pivots.append((pr, col))
+            if not free:
                 break
 
     @property
     def rank(self):
         return len(self.pivots)
 
-    def _apply_ops(self, b):
-        b = list(b)
-        for op in self._ops:
-            if op[0] == "swap":
-                _, i, j = op
-                b[i], b[j] = b[j], b[i]
-            elif op[0] == "scale":
-                _, i, c = op
-                if b[i]:
-                    b[i] = b[i] * c
-            else:
-                _, i, j, f = op
-                if b[i]:
-                    b[j] = b[j] + f * b[i]
-        return b
+    def reduced_rows(self):
+        """The nonzero rows of the reduced row echelon form, in pivot order, as sparse rows."""
+        return tuple(tuple(sorted(self._rows[r].items())) for r, _ in self.pivots)
 
     def solve(self, b):
         """Canonical solution x of A x = b, or None if b is outside the span.
@@ -98,66 +87,50 @@ class SliceSolver:
         """
         if len(b) != self.nrows:
             raise ShapeError("right-hand side length does not match row count")
-        c = self._apply_ops(b)
-        pivot_rows = {r for r, _ in self.pivots}
-        for r in range(self.nrows):
-            if r not in pivot_rows and c[r]:
-                return None
-        zero = self.field.zero
-        x = [zero] * self.ncols
+        b = list(b)
+        for pr, inv, axpys in self._ops:
+            v = b[pr]
+            if not v:
+                continue
+            if inv is not None:
+                v = b[pr] = v * inv
+            for r, f in axpys:
+                b[r] = b[r] + f * v
+        if any(b[r] for r in self._free):
+            return None
+        x = [self.field.zero] * self.ncols
         for r, col in self.pivots:
-            x[col] = c[r]
+            x[col] = b[r]
         return x
 
     def kernel_basis(self):
         """Basis of the null space, one vector per free column."""
         pivot_cols = {c for _, c in self.pivots}
-        zero = self.field.zero
-        one = self.field.one
-        basis = []
+        zero, one = self.field.zero, self.field.one
+        basis = {}
         for fc in range(self.ncols):
-            if fc in pivot_cols:
-                continue
-            v = [zero] * self.ncols
-            v[fc] = one
-            for r, c in self.pivots:
-                entry = self._rows[r][fc]
-                if entry:
-                    v[c] = -entry
-            basis.append(v)
-        return basis
+            if fc not in pivot_cols:
+                v = basis[fc] = [zero] * self.ncols
+                v[fc] = one
+        for r, col in self.pivots:
+            for fc, entry in self._rows[r].items():
+                if fc != col:
+                    basis[fc][col] = -entry
+        return list(basis.values())
 
 
 def matrix_rank(rows, ncols, field):
-    """Exact rank of a dense matrix given as a list of rows."""
+    """Exact rank of a matrix given as sparse rows."""
     return SliceSolver(rows, ncols, field).rank
 
 
 def mat_vec(rows, x, field):
+    """A x for a matrix A of sparse rows and a dense vector x."""
     out = []
     for row in rows:
         s = field.zero
-        for a, b in zip(row, x):
-            if a and b:
-                s = s + a * b
+        for c, e in row:
+            if x[c]:
+                s = s + e * x[c]
         out.append(s)
-    return out
-
-
-def mat_mul(a_rows, b_rows, field):
-    if not a_rows:
-        return []
-    n = len(b_rows[0]) if b_rows else 0
-    bt = list(zip(*b_rows)) if b_rows else []
-    out = []
-    for row in a_rows:
-        orow = []
-        for j in range(n):
-            s = field.zero
-            col = bt[j]
-            for a, b in zip(row, col):
-                if a and b:
-                    s = s + a * b
-            orow.append(s)
-        out.append(orow)
     return out

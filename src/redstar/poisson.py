@@ -50,7 +50,8 @@ class PoissonData:
             for b in range(n):
                 if self.matrix[a][b] != -self.matrix[b][a]:
                     raise ShapeError("Poisson matrix must be antisymmetric")
-        if matrix_rank([list(r) for r in self.matrix], n, self.ctx.field) != n:
+        rows = [[(b, e) for b, e in enumerate(r) if e] for r in self.matrix]
+        if matrix_rank(rows, n, self.ctx.field) != n:
             raise ShapeError("Poisson matrix must be invertible (symplectic)")
         object.__setattr__(
             self,

@@ -109,6 +109,24 @@ class ScenarioConfig:
                     raise ConfigError(f"stage {stage!r} needs stage {need!r}, which is not listed")
         if self.order < 1:
             raise ConfigError(f"order must be at least 1, got {self.order}")
+        if self.degree_bound < 0:
+            raise ConfigError(f"degree_bound must be at least 0, got {self.degree_bound}")
+        if self.lie_dim < 1:
+            raise ConfigError(f"lie dim must be at least 1, got {self.lie_dim}")
+        if len(self.moment_map) != self.lie_dim:
+            raise ConfigError(
+                f"{len(self.moment_map)} moment-map component(s) for lie dim {self.lie_dim}"
+            )
+        for a, b, c, _ in self.structure_constants:
+            if not all(1 <= k <= self.lie_dim for k in (a, b, c)):
+                raise ConfigError(
+                    f"structure constant f.{a}.{b}.{c} has an index outside 1..{self.lie_dim}"
+                )
+        for component, var, _ in self.action:
+            if not 1 <= component <= self.lie_dim:
+                raise ConfigError(
+                    f"action component J{component} {var} is outside J1..J{self.lie_dim}"
+                )
         for key, value in self.probe_overrides:
             if key not in DEFAULT_PROBES:
                 raise ConfigError(

@@ -33,7 +33,7 @@ def test_neumann_geometric_series():
     )
     assert out == expect
     # composing with id + t recovers the input
-    assert (inv(one + mul_nu_q(one)) - one).is_zero() or True
+    assert (inv(one + mul_nu_q(one)) - one).is_zero()
     roundtrip = inv(one) + mul_nu_q(inv(one))
     assert roundtrip == one
 

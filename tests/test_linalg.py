@@ -1,16 +1,135 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redstar.errors import ShapeError
 from redstar.linalg import SliceSolver, mat_vec, matrix_rank
-from redstar.scalars import QQ
+from redstar.scalars import QQ, QQ_I, GaussianRational
 
 F = Fraction
 
 
+def sparse(rows):
+    """Sparse rows of a dense matrix: the (column, entry) pairs of its nonzero entries."""
+    return [[(k, F(x)) for k, x in enumerate(r) if x] for r in rows]
+
+
 def solver(rows, ncols):
-    return SliceSolver([[F(x) for x in r] for r in rows], ncols, QQ)
+    return SliceSolver(sparse(rows), ncols, QQ)
+
+
+class DenseSolver:
+    """The dense reduced-row-echelon solver that `SliceSolver` replaced, kept as a reference.
+
+    Rows are dense lists; the pivot row of each column is swapped up to the
+    next pivot position, and row operations are recorded and replayed on
+    right-hand sides.
+    """
+
+    def __init__(self, rows, ncols, field):
+        self.field = field
+        self.nrows = len(rows)
+        self.ncols = ncols
+        self._rows = [list(r) for r in rows]
+        for r in self._rows:
+            if len(r) != ncols:
+                raise ShapeError("ragged matrix")
+        self._ops = []  # ("swap", i, j) | ("scale", i, c) | ("axpy", i, j, f): row_j += f*row_i
+        self.pivots = []  # list of (row, col)
+        self._reduce()
+
+    def _reduce(self):
+        rows = self._rows
+        ops = self._ops
+        piv_r = 0
+        for col in range(self.ncols):
+            pr = None
+            for r in range(piv_r, self.nrows):
+                if rows[r][col]:
+                    pr = r
+                    break
+            if pr is None:
+                continue
+            if pr != piv_r:
+                rows[piv_r], rows[pr] = rows[pr], rows[piv_r]
+                ops.append(("swap", piv_r, pr))
+            pv = rows[piv_r][col]
+            if pv != 1:
+                inv = 1 / pv
+                row = rows[piv_r]
+                for c in range(col, self.ncols):
+                    if row[c]:
+                        row[c] = row[c] * inv
+                ops.append(("scale", piv_r, inv))
+            prow = rows[piv_r]
+            for r in range(self.nrows):
+                if r == piv_r:
+                    continue
+                f = rows[r][col]
+                if not f:
+                    continue
+                row = rows[r]
+                for c in range(col, self.ncols):
+                    if prow[c]:
+                        row[c] = row[c] - f * prow[c]
+                ops.append(("axpy", piv_r, r, -f))
+            self.pivots.append((piv_r, col))
+            piv_r += 1
+            if piv_r == self.nrows:
+                break
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def _apply_ops(self, b):
+        b = list(b)
+        for op in self._ops:
+            if op[0] == "swap":
+                _, i, j = op
+                b[i], b[j] = b[j], b[i]
+            elif op[0] == "scale":
+                _, i, c = op
+                if b[i]:
+                    b[i] = b[i] * c
+            else:
+                _, i, j, f = op
+                if b[i]:
+                    b[j] = b[j] + f * b[i]
+        return b
+
+    def solve(self, b):
+        if len(b) != self.nrows:
+            raise ShapeError("right-hand side length does not match row count")
+        c = self._apply_ops(b)
+        pivot_rows = {r for r, _ in self.pivots}
+        for r in range(self.nrows):
+            if r not in pivot_rows and c[r]:
+                return None
+        zero = self.field.zero
+        x = [zero] * self.ncols
+        for r, col in self.pivots:
+            x[col] = c[r]
+        return x
+
+    def kernel_basis(self):
+        pivot_cols = {c for _, c in self.pivots}
+        zero = self.field.zero
+        one = self.field.one
+        basis = []
+        for fc in range(self.ncols):
+            if fc in pivot_cols:
+                continue
+            v = [zero] * self.ncols
+            v[fc] = one
+            for r, c in self.pivots:
+                entry = self._rows[r][fc]
+                if entry:
+                    v[c] = -entry
+            basis.append(v)
+        return basis
 
 
 def test_diagonal_solve():
@@ -41,9 +160,9 @@ def test_koszul_slice_hand_solve():
 
 
 def test_rank_zero_and_identity():
-    assert matrix_rank([[F(0)] * 3 for _ in range(3)], 3, QQ) == 0
-    eye = [[F(1) if i == j else F(0) for j in range(4)] for i in range(4)]
-    assert matrix_rank(eye, 4, QQ) == 4
+    assert matrix_rank(sparse([[0] * 3 for _ in range(3)]), 3, QQ) == 0
+    eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    assert matrix_rank(sparse(eye), 4, QQ) == 4
 
 
 def test_repeated_constraint_rank_deficit():
@@ -63,19 +182,17 @@ def test_repeated_constraint_rank_deficit():
     assert s.rank == 2
     kernel = s.kernel_basis()
     assert len(kernel) == 2
-    orig = [[F(x) for x in r] for r in rows]
     for v in kernel:
-        assert all(e == 0 for e in mat_vec(orig, v, QQ))
+        assert all(e == 0 for e in mat_vec(sparse(rows), v, QQ))
 
 
 def test_solution_reproduces_rhs():
     rows = [[2, 1, 0], [0, 1, 1], [2, 2, 1]]
     s = solver(rows, 3)
-    orig = [[F(x) for x in r] for r in rows]
     b = [F(4), F(3), F(7)]
     x = s.solve(b)
     assert x is not None
-    assert mat_vec(orig, x, QQ) == b
+    assert mat_vec(sparse(rows), x, QQ) == b
 
 
 def test_canonical_solution_free_vars_zero():
@@ -88,8 +205,9 @@ def test_shape_errors():
     s = solver([[1, 0]], 2)
     with pytest.raises(ShapeError):
         s.solve([F(1), F(2)])
-    with pytest.raises(ShapeError):
-        SliceSolver([[F(1)], [F(1), F(2)]], 1, QQ)
+    for col in (1, -1):
+        with pytest.raises(ShapeError):
+            SliceSolver([[(0, F(1))], [(col, F(2))]], 1, QQ)
 
 
 def test_determinism():
@@ -98,3 +216,55 @@ def test_determinism():
     s2 = solver(rows, 3)
     b = [F(1), F(2), F(3)]
     assert s1.solve(b) == s2.solve(b)
+
+
+def scalars(field):
+    small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    if field is QQ:
+        return small
+    return st.builds(GaussianRational, small, st.integers(-2, 2))
+
+
+@st.composite
+def dense_matrices(draw, field):
+    """(rows, ncols) of small dense matrices, about half of whose entries are zero.
+
+    Zero rows and columns, nrows = 0 and ncols = 0 are all drawn; a few
+    rows are linear combinations of others, which makes the rank deficient.
+    """
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.just(field.zero), scalars(field))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        a, b = draw(scalars(field)), draw(scalars(field))
+        combo = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+        rows.insert(draw(st.integers(0, len(rows))), combo)
+    return rows, ncols
+
+
+ORACLE = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@pytest.mark.parametrize("field", [QQ, QQ_I], ids=["QQ", "QQ_I"])
+@ORACLE
+@given(data=st.data())
+def test_sparse_solver_matches_dense_reference(field, data):
+    rows, ncols = data.draw(dense_matrices(field))
+    sparse_rows = [[(k, e) for k, e in enumerate(r) if e] for r in rows]
+    got, want = SliceSolver(sparse_rows, ncols, field), DenseSolver(rows, ncols, field)
+    assert got.rank == want.rank == matrix_rank(sparse_rows, ncols, field)
+    assert [c for _, c in got.pivots] == [c for _, c in want.pivots]
+    assert [list(r) for r in got.reduced_rows()] == [
+        [(k, e) for k, e in enumerate(want._rows[r]) if e] for r, _ in want.pivots
+    ]
+    assert got.kernel_basis() == want.kernel_basis()
+    for v in got.kernel_basis():
+        assert not any(mat_vec(sparse_rows, v, field))
+    x = [data.draw(st.one_of(st.just(field.zero), scalars(field))) for _ in range(ncols)]
+    image = mat_vec(sparse_rows, x, field)
+    anywhere = [data.draw(scalars(field)) for _ in rows]
+    for b in (image, anywhere):
+        assert got.solve(b) == want.solve(b)
+    solution = got.solve(image)
+    assert solution is not None and mat_vec(sparse_rows, solution, field) == image
