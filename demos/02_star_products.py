@@ -37,12 +37,12 @@ print("\nfirst-order commutator matches the bracket:",
 
 # strong invariance: exact for quadratic constraints
 lie = LieAlgebraData.build(1)
-quad = MomentMapData(ctx, (q * q,), lie, "")
+quad = MomentMapData(ctx, (q * q,), lie)
 out = check_strong_invariance(quad, lam, 4, [random_poly(ctx, rng, 4, 3) for _ in range(5)])
 print("\nstrong invariance for J = q^2:",
       "holds exactly" if all(r.is_zero() for _, r in out) else "fails")
 
-cubic = MomentMapData(ctx, (q * q + q ** 3,), lie, "")
+cubic = MomentMapData(ctx, (q * q + q ** 3,), lie)
 out = check_strong_invariance(cubic, lam, 4, [p ** 3])
 bad = next(r for _, r in out if not r.is_zero())
 print("cubic perturbation breaks it; residual on p^3:", bad)

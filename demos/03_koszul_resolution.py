@@ -29,8 +29,8 @@ v = lambda n: Poly.variable(ctx, n)
 J = (v("z3") * v("zb3") + v("z4") * v("zb4") - v("z1") * v("zb1") - v("z2") * v("zb2")).scale(
     Fraction(1, 2)
 )
-lie = LieAlgebraData.build(1, torus_rows=(0,))
-moment = MomentMapData(ctx, (J,), lie, "circle scenario")
+lie = LieAlgebraData.build(1)
+moment = MomentMapData(ctx, (J,), lie)
 
 report = check_acyclicity(moment, 6)
 print("complex acyclic up to degree 6:", report.acyclic)
@@ -60,7 +60,7 @@ print(f"\nhomotopy identity on random elements: {good}/20 exact")
 
 # negative control: a repeated constraint is not a complete intersection
 qctx, (q, p) = poly_ring(("q", "p"))
-bad = MomentMapData(qctx, (q, q), LieAlgebraData.build(2), "negative control")
+bad = MomentMapData(qctx, (q, q), LieAlgebraData.build(2))
 rep2 = check_acyclicity(bad, 6)
 print("\nrepeated constraint (q, q): acyclic?", rep2.acyclic)
 print("witness cycle:", {a: str(poly) for a, poly in rep2.witness.items()},

@@ -57,7 +57,7 @@ eps = [
     if a < b and (a - b) * (b - c) * (c - a) // 2
 ]
 lie = LieAlgebraData.build(3, eps)
-moment = MomentMapData(ctx, J, lie, "commuting variety")
+moment = MomentMapData(ctx, J, lie)
 
 theta = classical_charge(moment, 0)
 ghost_cubics = sum(1 for k in theta.terms if len(k[0]) == 2 and len(k[1]) == 1)
@@ -79,7 +79,7 @@ zlam = poisson_data(
 )
 zv = lambda n: Poly.variable(zctx, n)
 zJ = (zv("z1") * zv("zb1") - zv("z2") * zv("zb2")).scale(Fraction(1, 2))
-zmoment = MomentMapData(zctx, (zJ,), LieAlgebraData.build(1, torus_rows=(0,)), "")
+zmoment = MomentMapData(zctx, (zJ,), LieAlgebraData.build(1))
 kc = build_koszul_contraction(zmoment, 6)
 phi = brst_transfer(kc, build_delta(zmoment, poisson_action(zlam)))[0].i
 space = kc.meta["space"]

@@ -37,9 +37,9 @@ v = lambda n: Poly.variable(ctx, n)
 J = (v("z3") * v("zb3") + v("z4") * v("zb4") - v("z1") * v("zb1") - v("z2") * v("zb2")).scale(
     Fraction(1, 2)
 )
-moment = MomentMapData(ctx, (J,), LieAlgebraData.build(1, torus_rows=(0,)), "")
+moment = MomentMapData(ctx, (J,), LieAlgebraData.build(1))
 lam = poisson_data(ctx, [(f"z{k}", f"zb{k}", GaussianRational(0, 2)) for k in range(1, 5)])
-star = StarProduct(lam, 1, WORK)
+star = StarProduct(lam)
 
 print("building the Koszul contraction ...")
 kc = build_koszul_contraction(moment, 6)

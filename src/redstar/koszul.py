@@ -35,7 +35,6 @@ class MomentMapData:
     ctx: object
     components: tuple
     lie: object  # LieAlgebraData
-    justification: str = ""
 
     def __post_init__(self):
         if len(self.components) != self.lie.dim:

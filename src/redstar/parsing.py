@@ -160,31 +160,10 @@ def parse_polynomial(src, ctx):
 # -- printing ----------------------------------------------------------------
 
 
-def _format_rational(c):
-    return str(c)
-
-
 def _format_coeff(c):
     """Render a field element in re-parseable form (sign, magnitude text)."""
-    if isinstance(c, GaussianRational):
-        if c.im == 0:
-            c = c.re
-        else:
-            if c.re == 0:
-                if c.im > 0:
-                    text = "i" if c.im == 1 else f"{_format_rational(c.im)}*i"
-                    return "+", text
-                mag = -c.im
-                text = "i" if mag == 1 else f"{_format_rational(mag)}*i"
-                return "-", text
-            im = c.im
-            s = "+" if im > 0 else "-"
-            mag = abs(im)
-            imtext = "i" if mag == 1 else f"{_format_rational(mag)}*i"
-            return "+", f"({_format_rational(c.re)} {s} {imtext})"
-    if c < 0:
-        return "-", _format_rational(-c)
-    return "+", _format_rational(c)
+    text = str(c)
+    return ("-", text[1:]) if text.startswith("-") else ("+", text)
 
 
 def _format_mono(mono, names):

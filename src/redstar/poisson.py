@@ -1,7 +1,8 @@
 """Constant-coefficient Poisson brackets and the Moyal-type star product.
 
 The bivector is an antisymmetric invertible matrix over the coefficient
-field.  The star product is the exponential bidifferential series
+field, stored as its nonzero entries.  The star product is the exponential
+bidifferential series
 
     f * g = sum_k (nu/2)^k / k! * L^{i1 j1} .. L^{ik jk}
             (d_{i1} .. d_{ik} f)(d_{j1} .. d_{jk} g)
@@ -21,6 +22,11 @@ the entries whose two variables both occur and keeps the integer part as
 one integer, so each step and each leaf costs one field multiplication.
 Every term with k beyond min(deg f, deg g) vanishes, so the expansion is
 finite and exact.
+
+There are two ways into the kernel: `moyal_term` gives one order k at the
+weights L_e (the Poisson bracket is its k = 1 term), and
+`moyal_star_series` gives the whole product at the weights L_e / 2
+(`moyal_star` is that product on two polynomials).
 """
 
 from __future__ import annotations
@@ -37,64 +43,48 @@ from .series import Series
 
 @dataclass(frozen=True)
 class PoissonData:
-    """The constant Poisson bivector in the declared coordinates."""
+    """The constant Poisson bivector in the declared coordinates, stored sparse.
+
+    `entries` are its nonzero (a, b, L^{ab}) in (a, b) order, both (a, b)
+    and (b, a); `half_entries` the same at L^{ab} / 2, the weights of the
+    star product.  Build it with `poisson_data`, which validates it.
+    """
 
     ctx: object
-    matrix: tuple  # rows of field elements
-
-    def __post_init__(self):
-        n = self.ctx.nvars
-        if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
-            raise ShapeError("Poisson matrix must be square over the variable list")
-        for a in range(n):
-            for b in range(n):
-                if self.matrix[a][b] != -self.matrix[b][a]:
-                    raise ShapeError("Poisson matrix must be antisymmetric")
-        rows = [[(b, e) for b, e in enumerate(r) if e] for r in self.matrix]
-        if matrix_rank(rows, n, self.ctx.field) != n:
-            raise ShapeError("Poisson matrix must be invertible (symplectic)")
-        object.__setattr__(
-            self,
-            "_entries",
-            tuple(
-                (a, b, v)
-                for a, row in enumerate(self.matrix)
-                for b, v in enumerate(row)
-                if v
-            ),
-        )
-        half = tuple((a, b, v * Fraction(1, 2)) for a, b, v in self._entries)
-        object.__setattr__(self, "_half_entries", half)
-
-    def entries(self):
-        """Nonzero entries as (i, j, value) triples."""
-        return self._entries
-
-    def half_entries(self):
-        """Nonzero entries of Lambda / 2, the weights of the star product."""
-        return self._half_entries
+    entries: tuple
+    half_entries: tuple
 
 
 def poisson_data(ctx, entries):
-    """Build PoissonData from a sparse list of (name_i, name_j, value)."""
+    """Build PoissonData from a sparse list of (name_i, name_j, value).
+
+    Each entry sets L^{ij} = value and L^{ji} = -value; a later entry for a
+    pair replaces an earlier one, in either order.
+    """
     n = ctx.nvars
-    zero = ctx.field.zero
-    m = [[zero] * n for _ in range(n)]
+    lam = {}
     for ni, nj, v in entries:
         a, b = ctx.index(ni), ctx.index(nj)
         v = ctx.field.coerce(v)
-        m[a][b] = v
-        m[b][a] = -v
-    return PoissonData(ctx, tuple(tuple(r) for r in m))
+        lam[a, b] = v
+        lam[b, a] = -v
+    full = tuple((a, b, v) for (a, b), v in sorted(lam.items()) if v)
+    if any(a == b for a, b, _ in full):
+        raise ShapeError("Poisson matrix must be antisymmetric")
+    rows = [[] for _ in range(n)]
+    for a, b, v in full:
+        rows[a].append((b, v))
+    if matrix_rank(rows, n, ctx.field) != n:
+        raise ShapeError("Poisson matrix must be invertible (symplectic)")
+    half = tuple((a, b, v * Fraction(1, 2)) for a, b, v in full)
+    return PoissonData(ctx, full, half)
 
 
 def poisson_bracket(f, g, lam):
-    """{f, g} = sum_ij L^{ij} d_i f d_j g, the k = 1 Moyal term at weights L_e."""
+    """{f, g} = sum_ij L^{ij} d_i f d_j g, the k = 1 Moyal term."""
     if f.ctx != g.ctx or f.ctx != lam.ctx:
         raise ContextError("bracket operands live in different contexts")
-    out = [{}, {}]
-    _moyal_into(out, f, g, lam.entries(), lo=1)
-    return _poly(f.ctx, out[1])
+    return moyal_term(f, g, lam, 1)
 
 
 def _moyal_into(out, f, g, entries, lo=0):
@@ -143,20 +133,13 @@ def _poly(ctx, terms):
 def moyal_term(f, g, lam, k):
     """The k-th bidifferential coefficient (without the (nu/2)^k factor)."""
     out = [{} for _ in range(k + 1)]
-    _moyal_into(out, f, g, lam.entries(), lo=k)
+    _moyal_into(out, f, g, lam.entries, lo=k)
     return _poly(f.ctx, out[k])
 
 
 def moyal_star(f, g, lam, order):
     """Moyal star product of two polynomials, truncated at `order`."""
-    ctx = f.ctx
-    if g.ctx != ctx or lam.ctx != ctx:
-        raise ContextError("star operands live in different contexts")
-    kmax = min(order, max(f.degree(), 0), max(g.degree(), 0))
-    coeffs = [
-        moyal_term(f, g, lam, k).scale(Fraction(1, 2**k)) for k in range(kmax + 1)
-    ]
-    return Series(ctx, order, coeffs)
+    return moyal_star_series(f, g, lam, order)
 
 
 def moyal_star_series(a, b, lam, order=None):
@@ -173,7 +156,7 @@ def moyal_star_series(a, b, lam, order=None):
     if b.ctx != ctx or lam.ctx != ctx:
         raise ContextError("star operands live in different contexts")
     n = a.order
-    half = lam.half_entries()
+    half = lam.half_entries
     out = [{} for _ in range(n + 1)]
     for i, ci in enumerate(a.coeffs):
         for j, cj in enumerate(b.coeffs[: n + 1 - i]):

@@ -9,6 +9,8 @@ raise instead of guessing.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import (
     ContextError,
     DivisibilityError,
@@ -121,6 +123,10 @@ class Series:
             )
         if not isinstance(other, Series):
             return self.scale(other)
+        return self.convolve(other, operator.mul)
+
+    def convolve(self, other, product):
+        """sum_ij product(c_i, d_j) nu^(i+j), truncated; `product` is bilinear on Polys."""
         self._check(other)
         zero = Poly.zero(self.ctx)
         out = [zero] * (self.order + 1)
@@ -132,7 +138,7 @@ class Series:
                     break
                 if b.is_zero():
                     continue
-                out[i + j] = out[i + j] + a * b
+                out[i + j] = out[i + j] + product(a, b)
         return Series(self.ctx, self.order, out, min(self.reliable, other.reliable))
 
     def __rmul__(self, other):

@@ -33,24 +33,21 @@ from .series import Series
 
 @dataclass(frozen=True)
 class LieAlgebraData:
-    """Structure constants and optional torus weight data.
+    """The structure constants of the Lie algebra.
 
     `f[a][b][c]` (0-based) is the coefficient of the c-th basis vector in
     [e_a, e_b]; only `validate` reads the dense tensor.  Everything else
     reads `entries`, its nonzero (a, b, c, f_ab^c) in (a, b, c) order,
     `traces`, with traces[a] = tr(ad e_a) = sum_b f_ab^b, or `pairs`.
-    `torus_rows` names the grading rows of the variable context that realize
-    the torus weights (empty for nonabelian or non-diagonal actions).
     """
 
     dim: int
     f: tuple
     entries: tuple
     traces: tuple
-    torus_rows: tuple = ()
 
     @classmethod
-    def build(cls, dim, f_entries=(), torus_rows=()):
+    def build(cls, dim, f_entries=()):
         """Construct from sparse entries (a, b, c, value), 1-based indices."""
         f = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
         for a, b, c, v in f_entries:
@@ -66,7 +63,7 @@ class LieAlgebraData:
             if f[a][b][c]
         )
         traces = tuple(sum(f[a][b][b] for b in range(dim)) for a in range(dim))
-        data = cls(dim, f, entries, traces, tuple(torus_rows))
+        data = cls(dim, f, entries, traces)
         data.validate()
         return data
 
@@ -493,8 +490,6 @@ class StarProduct:
     """The graded star product: Moyal on coefficients, Clifford on ghosts."""
 
     lam: object  # PoissonData
-    dim: int
-    order: int
     clifford_coeff: Fraction = Fraction(-2)
 
     def star(self, x, y):
@@ -523,6 +518,7 @@ def graded_poisson(x, y, lam):
     strength 2 (see the module docstring).  Bilinear over nu slots.
     """
     x._check(y)
+    bracket = lambda a, b: poisson_bracket(a, b, lam)
     out = {}
     for k1, c1 in x.terms.items():
         p1 = term_parity(k1)
@@ -531,17 +527,7 @@ def graded_poisson(x, y, lam):
             # coefficient bracket, ghost parts multiply
             sign, key = _merge_terms(k1, k2)
             if sign != 0:
-                zero = Poly.zero(x.ctx)
-                coeffs = [zero] * (x.order + 1)
-                for i, a in enumerate(c1.coeffs):
-                    if a.is_zero():
-                        continue
-                    for j, b in enumerate(c2.coeffs):
-                        if i + j > x.order or b.is_zero():
-                            continue
-                        coeffs[i + j] = coeffs[i + j] + poisson_bracket(a, b, lam)
-                bracket = Series(x.ctx, x.order, coeffs, min(c1.reliable, c2.reliable))
-                _accumulate(out, key, bracket.scale(sign))
+                _accumulate(out, key, c1.convolve(c2, bracket).scale(sign))
             # ghost pairing at strength 2: antighosts of x with ghosts of y,
             # then antighosts of y with ghosts of x
             prod = None  # c1 * c2, computed on first use

@@ -104,7 +104,7 @@ def test_criterion_04b_star_associativity_100_triples():
     # a dedicated mixed context: canonical pair with three ghost indices
     ctx, (q, p) = poly_ring(("q", "p"))
     lam = poisson_data(ctx, [("q", "p", 1)])
-    star = StarProduct(lam, 3, 4)
+    star = StarProduct(lam)
     rng = random.Random(404)
     ok = True
     for _ in range(100):

@@ -30,7 +30,7 @@ def abelian_toy():
     ctx, (q, p) = poly_ring(("q", "p"))
     lam = poisson_data(ctx, [("q", "p", 1)])
     lie = LieAlgebraData.build(1)
-    moment = MomentMapData(ctx, (q * q,), lie, "")
+    moment = MomentMapData(ctx, (q * q,), lie)
     return ctx, q, p, lam, moment
 
 
@@ -67,7 +67,7 @@ def so3_commuting():
                 if v and a < b:
                     eps.append((a, b, c, v))
     lie = LieAlgebraData.build(3, eps)
-    moment = MomentMapData(ctx, comps, lie, "")
+    moment = MomentMapData(ctx, comps, lie)
     return ctx, lam, moment
 
 
@@ -191,7 +191,7 @@ def toy_reduction():
     ctx, (q, p) = poly_ring(("q", "p"))
     lam = poisson_data(ctx, [("q", "p", 1)])
     lie = LieAlgebraData.build(1)
-    moment = MomentMapData(ctx, (q,), lie, "")
+    moment = MomentMapData(ctx, (q,), lie)
     kc = build_koszul_contraction(moment, 8)
     return ctx, q, p, lam, moment, kc
 
@@ -223,8 +223,8 @@ def test_reduced_poisson_on_invariants():
     )
     v = lambda n: Poly.variable(ctx, n)
     J = (v("z1") * v("zb1") - v("z2") * v("zb2")).scale(Fraction(1, 2))
-    lie = LieAlgebraData.build(1, torus_rows=(0,))
-    moment = MomentMapData(ctx, (J,), lie, "")
+    lie = LieAlgebraData.build(1)
+    moment = MomentMapData(ctx, (J,), lie)
     kc = build_koszul_contraction(moment, 6)
     space = kc.meta["space"]
     phi = brst_transfer(kc, build_delta(moment, poisson_action(lam)))[0].i
@@ -248,9 +248,9 @@ def test_reduced_poisson_on_invariants():
 def test_certify_invariant_weight_route():
     names = ("z1", "zb1")
     ctx = VarContext(names, gradings=((1, -1),))
-    lie = LieAlgebraData.build(1, torus_rows=(0,))
+    lie = LieAlgebraData.build(1)
     v = lambda n: Poly.variable(ctx, n)
-    moment = MomentMapData(ctx, (v("z1") * v("zb1"),), lie, "")
+    moment = MomentMapData(ctx, (v("z1") * v("zb1"),), lie)
     # weight zero passes; weight two raises
     certify_invariant(v("z1") * v("zb1"), moment, None, None, torus_rows=(0,))
     with pytest.raises(InvarianceError):

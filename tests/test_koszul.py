@@ -33,7 +33,7 @@ def toy_q():
     """Single constraint J = (q) in variables (q, p)."""
     ctx, (q, p) = poly_ring(("q", "p"))
     lie = LieAlgebraData.build(1)
-    moment = MomentMapData(ctx, (q,), lie, "nonzerodivisor")
+    moment = MomentMapData(ctx, (q,), lie)
     return ctx, q, p, moment
 
 
@@ -46,8 +46,8 @@ def circle_c4():
     J = (v("z3") * v("zb3") + v("z4") * v("zb4") - v("z1") * v("zb1") - v("z2") * v("zb2")).scale(
         Fraction(1, 2)
     )
-    lie = LieAlgebraData.build(1, torus_rows=(0,))
-    return ctx, J, MomentMapData(ctx, (J,), lie, "torus")
+    lie = LieAlgebraData.build(1)
+    return ctx, J, MomentMapData(ctx, (J,), lie)
 
 
 def el(ctx, dim, terms, order=0):
@@ -64,7 +64,7 @@ def test_diff_derivation_sign():
     # two constraints: d(f e_1 e_2) = f (J_1 e_2 - J_2 e_1)
     ctx, (q, p) = poly_ring(("q", "p"))
     lie = LieAlgebraData.build(2)
-    moment = MomentMapData(ctx, (q, p), lie, "")
+    moment = MomentMapData(ctx, (q, p), lie)
     f = q + p
     x = el(ctx, 2, {((), (1, 2)): Series.from_poly(f, 0)})
     out = koszul_diff(x, moment)
@@ -79,7 +79,7 @@ def test_diff_derivation_sign():
 def test_diff_squares_to_zero():
     ctx, (q, p) = poly_ring(("q", "p"))
     lie = LieAlgebraData.build(2)
-    moment = MomentMapData(ctx, (q, p * p), lie, "")
+    moment = MomentMapData(ctx, (q, p * p), lie)
     rng = random.Random(3)
     for _ in range(20):
         x = random_bounded_super(ctx, 2, 0, rng, 6, (1, 2), terms=3)
@@ -187,7 +187,7 @@ def test_enforce_is_identity_when_conditions_hold():
 def two_constraints():
     """J = (q, p) in variables (q, p): a complete intersection with K_2 != 0."""
     ctx, (q, p) = poly_ring(("q", "p"))
-    moment = MomentMapData(ctx, (q, p), LieAlgebraData.build(2), "regular sequence")
+    moment = MomentMapData(ctx, (q, p), LieAlgebraData.build(2))
     return ctx, moment
 
 
@@ -346,7 +346,7 @@ def test_acyclicity_positive_and_negative():
     assert all(v == 1 for v in rep.h0_dims.values())
 
     lie2 = LieAlgebraData.build(2)
-    bad = MomentMapData(ctx, (q, q), lie2, "negative control")
+    bad = MomentMapData(ctx, (q, q), lie2)
     rep2 = check_acyclicity(bad, 6)
     assert not rep2.acyclic
     # frozen oracle: dim H_1 = 1 in each coefficient degree (e_1 - e_2 times
@@ -368,7 +368,7 @@ def test_acyclicity_circle_degree6():
 def test_homotopy_solve_failure_raises():
     ctx, (q, p) = poly_ring(("q", "p"))
     lie2 = LieAlgebraData.build(2)
-    bad = MomentMapData(ctx, (q, q), lie2, "negative control")
+    bad = MomentMapData(ctx, (q, q), lie2)
     c = build_koszul_contraction(bad, 6)
     cycle = el(
         ctx,
@@ -413,7 +413,7 @@ def test_slice_composition_matches_operator_composition():
 
     ctx, (q, p) = poly_ring(("q", "p"))
     lie = LieAlgebraData.build(2)
-    moment = MomentMapData(ctx, (q, p * p), lie, "")
+    moment = MomentMapData(ctx, (q, p * p), lie)
     space = KoszulSpace(moment, 6)
     checked = 0
     for grade in [(3,), (4,), (5,)]:

@@ -230,7 +230,7 @@ def assert_same(got, want):
 def perturbed(moment, rng):
     """The same Lie data with non-equivariant components: nonzero residuals."""
     comps = tuple(j + random_poly(moment.ctx, rng, 2, 2) for j in moment.components)
-    return MomentMapData(moment.ctx, comps, moment.lie, "")
+    return MomentMapData(moment.ctx, comps, moment.lie)
 
 
 # -- tests ---------------------------------------------------------------------------
@@ -256,7 +256,7 @@ def test_operators_match_dense_reference(model, order):
         (build_delta(moment, poisson_action(lam)), ref_delta(moment, poisson_action(lam))),
     ]
     if order:
-        action = star_action(StarProduct(lam, dim, order))
+        action = star_action(StarProduct(lam))
         pairs.append((build_delta(moment, action, "delta_nu"), ref_delta(moment, action)))
     for x in probes(ctx, dim, order, rng):
         for op, ref in pairs:

@@ -6,7 +6,10 @@ the functions it times and chains them (a slice's `diff_rows` into
 `SliceSolver` and `mat_vec`, then `solve`).  Both run in a fresh
 interpreter here, so that a change which deletes or renames such a name, or
 changes a format that one of them hands to another, fails the test suite,
-not only a traced benchmark run.
+not only a traced benchmark run.  A refactor that leaves a boundary in place
+but no longer calls it is caught the same way: the `circle` workload runs
+traced, and every boundary that `run.py` expects to be called on it must
+record calls.
 """
 
 import json
@@ -47,3 +50,36 @@ def test_microbenchmarks_run_and_print_every_declared_metric():
     assert proc.returncode == 0, proc.stderr
     printed = json.loads(proc.stdout)
     assert declared and declared <= set(printed), declared - set(printed)
+
+
+TRACED_CIRCLE = """
+import dataclasses
+import json
+
+import redstar.runner
+from redstar.scenarios import REGISTRY_BUILDERS
+from tracer import Tracer
+
+import run
+from workloads import DEFAULT_SEED, WORKLOADS
+
+tracer = Tracer()
+tracer.install()
+for w in WORKLOADS["circle"]:
+    config = dataclasses.replace(
+        REGISTRY_BUILDERS[w.scenario](), seed=DEFAULT_SEED, probe_overrides=w.probes
+    )
+    redstar.runner.run_scenario(config, degree_bound=w.degree_bound).to_json()
+summary = tracer.summary()
+counts = run.counts(summary["spans"], summary["counters"])
+expected = run.BOUNDARIES - run.NOT_CALLED["circle"]
+print(json.dumps(sorted(name for name in expected if not counts.get(f"{name}.calls"))))
+"""
+
+
+def test_every_boundary_records_calls_on_the_circle_workload():
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_CIRCLE], env=ENV, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

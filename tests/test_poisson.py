@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redstar.errors import ContextError
+from redstar.errors import ContextError, ShapeError
 from redstar.koszul import MomentMapData
 from redstar.poisson import (
     check_quantum_covariance,
@@ -40,6 +40,39 @@ def test_canonical_pair():
 def test_leibniz_example():
     ctx, q, p, lam = canonical_qp()
     assert poisson_bracket(q * q, p, lam) == q.scale(2)
+
+
+# -- bivector validation ------------------------------------------------------
+
+
+def test_diagonal_entry_is_not_antisymmetric():
+    ctx, _ = poly_ring(("q", "p"))
+    with pytest.raises(ShapeError, match="antisymmetric"):
+        poisson_data(ctx, [("q", "p", 1), ("q", "q", 1)])
+
+
+def test_degenerate_bivector_is_not_invertible():
+    ctx, _ = poly_ring(("q1", "p1", "q2", "p2"))
+    with pytest.raises(ShapeError, match="invertible"):
+        poisson_data(ctx, [("q1", "p1", 1)])
+    with pytest.raises(ShapeError, match="invertible"):
+        poisson_data(ctx, [("q1", "p1", 1), ("q2", "p2", 1), ("q1", "q2", 1), ("p1", "p2", 1)])
+
+
+@pytest.mark.parametrize("later", [("q", "p", 3), ("p", "q", -3)])
+def test_later_entry_for_a_pair_replaces_the_earlier(later):
+    ctx, _ = poly_ring(("q", "p"))
+    lam = poisson_data(ctx, [("p", "q", 5), later])
+    assert lam.entries == ((0, 1, 3), (1, 0, -3))
+    assert lam.half_entries == ((0, 1, Fraction(3, 2)), (1, 0, Fraction(-3, 2)))
+
+
+def test_zero_value_leaves_no_entry():
+    ctx, _ = poly_ring(("q1", "p1", "q2", "p2"))
+    lam = poisson_data(
+        ctx, [("q1", "p1", 1), ("q2", "p2", 1), ("q1", "q2", 0), ("p1", "p2", 7), ("p2", "p1", 0)]
+    )
+    assert lam.entries == ((0, 1, 1), (1, 0, -1), (2, 3, 1), (3, 2, -1))
 
 
 def commuting_n2():
@@ -150,7 +183,7 @@ def test_commutator_bracket_compatibility():
 def test_quantum_covariance_abelian():
     ctx, lam, J = commuting_n2()
     lie = LieAlgebraData.build(1)
-    moment = MomentMapData(ctx, (J,), lie, "")
+    moment = MomentMapData(ctx, (J,), lie)
     out = check_quantum_covariance(moment, lam, 4)
     assert all(r.is_zero() for _, r in out)
 
@@ -164,7 +197,7 @@ def test_quantum_covariance_negative_control():
     j1 = v("x1") * v("y1")
     j2 = v("x2") * v("y2") + v("x1") ** 3
     lie = LieAlgebraData.build(2)
-    moment = MomentMapData(ctx, (j1, j2), lie, "")
+    moment = MomentMapData(ctx, (j1, j2), lie)
     out = check_quantum_covariance(moment, lam, 4)
     failures = [r for _, r in out if not r.is_zero()]
     assert failures
@@ -174,7 +207,7 @@ def test_quantum_covariance_negative_control():
 def test_strong_invariance_quadratic():
     ctx, lam, J = commuting_n2()
     lie = LieAlgebraData.build(1)
-    moment = MomentMapData(ctx, (J,), lie, "")
+    moment = MomentMapData(ctx, (J,), lie)
     rng = random.Random(12)
     probes = [Poly.const(ctx, 1)] + [random_poly(ctx, rng, 4, 3) for _ in range(8)]
     out = check_strong_invariance(moment, lam, 4, probes)
@@ -184,7 +217,7 @@ def test_strong_invariance_quadratic():
 def test_strong_invariance_cubic_fails_at_nu3():
     ctx, q, p, lam = canonical_qp()
     lie = LieAlgebraData.build(1)
-    moment = MomentMapData(ctx, (q ** 3,), lie, "")
+    moment = MomentMapData(ctx, (q ** 3,), lie)
     probes = [p ** 3]
     out = check_strong_invariance(moment, lam, 4, probes)
     failures = [r for _, r in out if not r.is_zero()]
@@ -203,7 +236,7 @@ def reference_term(f, g, lam, k):
     out = Poly.zero(f.ctx)
     if k > min(f.degree(), g.degree()):
         return out
-    entries = lam.entries()
+    entries = lam.entries
     for combo in combinations_with_replacement(range(len(entries)), k):
         df, dg, coeff = f, g, f.ctx.field.one
         for idx in combo:
@@ -219,7 +252,7 @@ def reference_term(f, g, lam, k):
 def reference_bracket(f, g, lam):
     """{f, g} from the definition: one derivative pair per bivector entry."""
     out = Poly.zero(f.ctx)
-    for a, b, v in lam.entries():
+    for a, b, v in lam.entries:
         df = f.diff(a)
         if df.is_zero():
             continue

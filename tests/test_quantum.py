@@ -29,8 +29,8 @@ def abelian_two():
     v = lambda n: Poly.variable(ctx, n)
     comps = (v("x1") * v("y1"), v("x2") * v("y2"))
     lie = LieAlgebraData.build(2)
-    moment = MomentMapData(ctx, comps, lie, "")
-    star = StarProduct(lam, 2, N)
+    moment = MomentMapData(ctx, comps, lie)
+    star = StarProduct(lam)
     return ctx, lam, moment, star
 
 
@@ -38,7 +38,7 @@ def so3():
     from test_brst import so3_commuting
 
     ctx, lam, moment = so3_commuting()
-    return ctx, lam, moment, StarProduct(lam, 3, N)
+    return ctx, lam, moment, StarProduct(lam)
 
 
 def test_abelian_charge_no_corrections():
@@ -65,7 +65,7 @@ def test_so3_charge_nilpotent():
 def test_wrong_sign_breaks_nilpotency():
     # the runner's quantum-brst.charge check fails on this (broken-sign-star)
     ctx, lam, moment, star = so3()
-    bad = StarProduct(lam, 3, N, Fraction(2))
+    bad = StarProduct(lam, Fraction(2))
     theta = quantum_charge(moment, N)
     assert not bad.star(theta, theta).is_zero()
 
@@ -226,8 +226,8 @@ def ax_plus_b():
     lam = poisson_data(ctx, [("q1", "p1", 1), ("q2", "p2", 1)])
     v = lambda n: Poly.variable(ctx, n)
     lie = LieAlgebraData.build(2, [(1, 2, 2, 1)])
-    moment = MomentMapData(ctx, (v("q1") * v("p1"), v("p1")), lie, "")
-    return ctx, lam, moment, StarProduct(lam, 2, N)
+    moment = MomentMapData(ctx, (v("q1") * v("p1"), v("p1")), lie)
+    return ctx, lam, moment, StarProduct(lam)
 
 
 def test_non_unimodular_charge_and_splittings():

@@ -43,10 +43,10 @@ def circle_c2():
     )
     v = lambda n: Poly.variable(ctx, n)
     J = (v("z1") * v("zb1") - v("z2") * v("zb2")).scale(Fraction(1, 2))
-    lie = LieAlgebraData.build(1, torus_rows=(0,))
-    moment = MomentMapData(ctx, (J,), lie, "")
+    lie = LieAlgebraData.build(1)
+    moment = MomentMapData(ctx, (J,), lie)
     kc = build_koszul_contraction(moment, 6)
-    star = StarProduct(lam, 1, NW)
+    star = StarProduct(lam)
     return ctx, lam, moment, kc, star
 
 
@@ -55,9 +55,9 @@ def abelian_c4():
     ctx = VarContext(("x1", "y1", "x2", "y2"))
     lam = poisson_data(ctx, [("x1", "y1", 1), ("x2", "y2", 1)])
     v = lambda n: Poly.variable(ctx, n)
-    moment = MomentMapData(ctx, (v("x1") * v("y1"), v("x2") * v("y2")), LieAlgebraData.build(2), "")
+    moment = MomentMapData(ctx, (v("x1") * v("y1"), v("x2") * v("y2")), LieAlgebraData.build(2))
     kc = build_koszul_contraction(moment, 6)
-    return ctx, lam, moment, kc, StarProduct(lam, 2, NW)
+    return ctx, lam, moment, kc, StarProduct(lam)
 
 
 def build_pipe(ctx, lam, moment, kc, star):

@@ -72,8 +72,9 @@ def test_check_ids_unique_in_registry_reports():
 
 
 def test_no_certified_generator_is_one_failed_record(tmp_path):
-    # declared mode without declared invariants certifies nothing; the
-    # generators are certified once, in classical-reduction
+    # declared mode without declared invariants has no candidate to certify;
+    # the generators are certified once, in classical-reduction, and a pass
+    # there would have evaluated nothing
     with open(CFG, encoding="utf-8") as fh:
         text = fh.read()
     text = text.replace("mode = weights", "mode = declared")
@@ -83,10 +84,25 @@ def test_no_certified_generator_is_one_failed_record(tmp_path):
     report = run_scenario(load_config(str(path)))
     ids = [r.check_id for r in report.records]
     assert len(ids) == len(set(ids))
-    records = [r for r in report.records if r.check_id == "reduced-star.generators"]
-    assert [(r.status, r.detail) for r in records] == [
-        ("fail", "no certified invariant generators")
+    rec = {r.check_id: r for r in report.records}
+    assert [r.check_id for r in report.records if r.status == "fail"] == [
+        "classical-reduction.generators"
     ]
+    assert rec["classical-reduction.generators"].detail == "no candidate generators"
+    assert rec["reduced-star"].status == "skipped"
+
+
+def test_degenerate_bivector_is_a_load_error(tmp_path, capsys):
+    with open(CFG, encoding="utf-8") as fh:
+        text = fh.read()
+    assert "z2 zb2 = 2*i\n" in text
+    path = tmp_path / "degenerate.cfg"
+    path.write_text(text.replace("z2 zb2 = 2*i\n", ""), encoding="utf-8")
+    report = run_scenario(load_config(str(path)))
+    first = report.records[0]
+    assert (first.check_id, first.status) == ("load.error", "error")
+    assert "invertible" in first.witness
+    assert main(["run", str(path), "--format", "text"]) == 1
 
 
 def test_negative_control_report_content():

@@ -121,7 +121,7 @@ def test_clifford_associativity_on_pairing_triples():
 
 def test_super_star_reductions():
     ctx, q, p, lam = setup()
-    star = StarProduct(lam, DIM, N)
+    star = StarProduct(lam)
     # ghost-free: delegates to the Moyal product
     sq = star.star(SuperElement.from_poly(q, DIM, N), SuperElement.from_poly(p, DIM, N))
     assert sq.as_series() == moyal_star(q, p, lam, N)
@@ -132,7 +132,7 @@ def test_super_star_reductions():
 
 def test_super_star_associativity_mixed():
     ctx, q, p, lam = setup()
-    star = StarProduct(lam, DIM, N)
+    star = StarProduct(lam)
     rng = random.Random(5)
     for _ in range(40):
         x = random_super(ctx, DIM, N, rng, 3, 2)
@@ -143,7 +143,7 @@ def test_super_star_associativity_mixed():
 
 def test_star_nu0_is_super_mul():
     ctx, q, p, lam = setup()
-    star = StarProduct(lam, DIM, N)
+    star = StarProduct(lam)
     rng = random.Random(6)
     for _ in range(15):
         x = random_super(ctx, DIM, N, rng, 3, 2)
@@ -166,7 +166,7 @@ def test_bracket_pairing_and_centrality():
 
 def test_bracket_is_first_order_star_commutator_even():
     ctx, q, p, lam = setup()
-    star = StarProduct(lam, DIM, N)
+    star = StarProduct(lam)
     rng = random.Random(9)
     for _ in range(20):
         x = random_super(ctx, DIM, N, rng, 2, 2)
@@ -458,7 +458,7 @@ def test_merge_terms_matches_encoded_merge():
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_products_match_reference(name):
     for ctx, lam, x, y in _random_pairs(name, 8):
-        star = StarProduct(lam, x.dim, x.order)
+        star = StarProduct(lam)
         assert_same(super_mul(x, y), ref_super_mul(x, y))
         assert_same(clifford_mul(x, y), ref_clifford_mul(x, y))
         assert_same(star.star(x, y), ref_star(star, x, y))
@@ -492,7 +492,7 @@ def test_derivations_and_termwise_maps_match_reference(name):
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_quantum_termwise_maps_match_reference(name):
     for ctx, lam, x, y in _random_pairs(name, 4):
-        star = StarProduct(lam, x.dim, x.order)
+        star = StarProduct(lam)
         j = random_poly(ctx, random.Random(x.order), 2, terms=3)
         jser = Series.from_poly(j, x.order)
         assert_same(
