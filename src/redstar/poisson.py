@@ -23,10 +23,19 @@ one integer, so each step and each leaf costs one field multiplication.
 Every term with k beyond min(deg f, deg g) vanishes, so the expansion is
 finite and exact.
 
-There are two ways into the kernel: `moyal_term` gives one order k at the
-weights L_e (the Poisson bracket is its k = 1 term), and
-`moyal_star_series` gives the whole product at the weights L_e / 2
-(`moyal_star` is that product on two polynomials).
+The bivector is antisymmetric, so swapping the operands negates the odd
+orders: M_k(g, f) = (-1)^k M_k(f, g) for the order-k term M_k.  A pass
+that keeps the even orders E and the odd orders O of f * g apart
+therefore gives f * g = E + O, g * f = E - O and f * g - g * f = 2 O,
+all exact; the commutator drops the even leaves altogether.
+
+There are four ways into the kernel: `moyal_term` gives one order k at
+the weights L_e (the Poisson bracket is its k = 1 term); at the weights
+L_e / 2, `moyal_star_series` gives the product (`moyal_star` is that
+product on two polynomials), `moyal_bracket_series` the star commutator
+from the odd leaves alone, and `moyal_star_pair` both products.
+`moyal_commutator` stays two `moyal_star` calls: it is the independent
+route by which the covariance checks verify the kernel.
 """
 
 from __future__ import annotations
@@ -87,37 +96,40 @@ def poisson_bracket(f, g, lam):
     return moyal_term(f, g, lam, 1)
 
 
-def _moyal_into(out, f, g, entries, lo=0):
-    """Add the Moyal terms of f, g with lo <= k < len(out) into the dicts out[k].
+def _moyal_into(out, f, g, entries, n=1):
+    """Add n times the Moyal terms of f, g into the dicts out[k], by order k.
 
-    Counts k_e over `entries` (a, b, w) weigh prod_e w^{k_e} / k_e!, so w is
-    L_e for the bare coefficient and L_e / 2 for the star product.
+    An order k whose out[k] is None is dropped.  Counts k_e over `entries`
+    (a, b, w) weigh prod_e w^{k_e} / k_e!, so w is L_e for the bare
+    coefficient and L_e / 2 for the star product.
     """
+    zero = out[0]
     for alpha, cf in f.terms.items():
         rows = [e for e in entries if alpha[e[0]]]
         for beta, cg in g.terms.items():
             live = [e for e in rows if beta[e[1]]]
             if live:
-                _visit(out, lo, live, 0, 0, list(alpha), list(beta), cf * cg, 1)
-            elif lo == 0:
-                _add(out[0], tuple(map(add, alpha, beta)), cf * cg)
+                _visit(out, live, 0, 0, list(alpha), list(beta), cf * cg, n)
+            elif zero is not None:
+                c = cf * cg
+                _add(zero, tuple(map(add, alpha, beta)), c * n if n != 1 else c)
 
 
-def _visit(out, lo, live, t, k, ra, rb, c, n):
+def _visit(out, live, t, k, ra, rb, c, n):
     """Choose the counts of live[t:], given field part c and integer part n."""
     hi = len(out) - 1
     if t == len(live) or k == hi:
-        if k >= lo:
+        if out[k] is not None:
             _add(out[k], tuple(map(add, ra, rb)), c * n if n != 1 else c)
         return
-    _visit(out, lo, live, t + 1, k, ra, rb, c, n)
+    _visit(out, live, t + 1, k, ra, rb, c, n)
     a, b, w = live[t]
     ea, eb = ra[a], rb[b]
     for j in range(1, min(ea, eb, hi - k) + 1):
         c = c * w
         n = n * (ea - j + 1) * (eb - j + 1) // j
         ra[a], rb[b] = ea - j, eb - j
-        _visit(out, lo, live, t + 1, k + j, ra, rb, c, n)
+        _visit(out, live, t + 1, k + j, ra, rb, c, n)
     ra[a], rb[b] = ea, eb
 
 
@@ -132,9 +144,9 @@ def _poly(ctx, terms):
 
 def moyal_term(f, g, lam, k):
     """The k-th bidifferential coefficient (without the (nu/2)^k factor)."""
-    out = [{} for _ in range(k + 1)]
-    _moyal_into(out, f, g, lam.entries, lo=k)
-    return _poly(f.ctx, out[k])
+    out = {}
+    _moyal_into([None] * k + [out], f, g, lam.entries)
+    return _poly(f.ctx, out)
 
 
 def moyal_star(f, g, lam, order):
@@ -142,27 +154,66 @@ def moyal_star(f, g, lam, order):
     return moyal_star_series(f, g, lam, order)
 
 
-def moyal_star_series(a, b, lam, order=None):
-    """Moyal star product of two Series (or a Series and a Poly), truncated."""
+def _operands(a, b, lam, order):
+    """a and b as Series of one truncation order, in the context of lam."""
     if isinstance(a, Poly):
         if order is None and isinstance(b, Poly):
-            raise ContextError("moyal_star_series of two polynomials needs an order")
+            raise ContextError("a star product of two polynomials needs an order")
         a = Series.from_poly(a, order if order is not None else b.order)
     if isinstance(b, Poly):
         b = Series.from_poly(b, a.order)
     if a.order != b.order:
         raise ContextError("series truncation orders differ")
-    ctx = a.ctx
-    if b.ctx != ctx or lam.ctx != ctx:
+    if b.ctx != a.ctx or lam.ctx != a.ctx:
         raise ContextError("star operands live in different contexts")
-    n = a.order
+    return a, b
+
+
+def _star_pass(a, b, lam, even, odd, n=1):
+    """One kernel pass at the weights L_e / 2 over the coefficient pairs of a, b.
+
+    The leaf of order k on a_i, b_j adds n times its value to the dict
+    even[i + j + k] for even k and odd[i + j + k] for odd k, and is dropped
+    where that slot is None.  Passing the same dicts twice gives a * b.
+    """
+    top = a.order
     half = lam.half_entries
-    out = [{} for _ in range(n + 1)]
     for i, ci in enumerate(a.coeffs):
-        for j, cj in enumerate(b.coeffs[: n + 1 - i]):
+        for j, cj in enumerate(b.coeffs[: top + 1 - i]):
             if ci.terms and cj.terms:
-                _moyal_into(out[i + j :], ci, cj, half)
-    return Series(ctx, n, [_poly(ctx, t) for t in out], min(a.reliable, b.reliable))
+                out = even[i + j :]
+                out[1::2] = odd[i + j + 1 :: 2]
+                if out.count(None) < len(out):
+                    _moyal_into(out, ci, cj, half, n)
+
+
+def _series(a, b, slots):
+    return Series(a.ctx, a.order, [_poly(a.ctx, t) for t in slots], min(a.reliable, b.reliable))
+
+
+def moyal_star_series(a, b, lam, order=None):
+    """Moyal star product of two Series (or a Series and a Poly), truncated."""
+    a, b = _operands(a, b, lam, order)
+    out = [{} for _ in range(a.order + 1)]
+    _star_pass(a, b, lam, out, out)
+    return _series(a, b, out)
+
+
+def moyal_bracket_series(a, b, lam, order=None):
+    """a * b - b * a from one pass: twice the odd orders of a * b."""
+    a, b = _operands(a, b, lam, order)
+    odd = [{} for _ in range(a.order + 1)]
+    _star_pass(a, b, lam, [None] * (a.order + 1), odd, n=2)
+    return _series(a, b, odd)
+
+
+def moyal_star_pair(a, b, lam, order=None):
+    """(a * b, b * a) from one pass: b * a negates the odd orders of a * b."""
+    a, b = _operands(a, b, lam, order)
+    even, odd = [{} for _ in range(a.order + 1)], [{} for _ in range(a.order + 1)]
+    _star_pass(a, b, lam, even, odd)
+    even, odd = _series(a, b, even), _series(a, b, odd)
+    return even + odd, even - odd
 
 
 def moyal_commutator(f, g, lam, order):

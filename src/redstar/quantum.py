@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .koszul import koszul_sum
-from .poisson import moyal_star_series
+from .poisson import moyal_bracket_series, moyal_star_series
 from .series import Series
 from .superalg import (
     OperatorHandle,
@@ -104,11 +104,7 @@ def star_action(star):
 
     def act(j, x):
         jser = Series.from_poly(j, x.order)
-        return x.map_terms(
-            lambda c: (
-                moyal_star_series(jser, c, star.lam) - moyal_star_series(c, jser, star.lam)
-            ).div_nu()
-        )
+        return x.map_terms(lambda c: moyal_bracket_series(jser, c, star.lam).div_nu())
 
     return act
 

@@ -74,10 +74,11 @@ class Report:
             if r.status == "fail":
                 if r.witness:
                     lines.append(f"      witness: {r.witness}")
-                lines.append(
-                    f"      residual: {r.residual_terms} nonzero coefficient(s), "
-                    f"max degree {r.residual_max_degree}"
-                )
+                if r.residual_terms:
+                    lines.append(
+                        f"      residual: {r.residual_terms} nonzero coefficient(s), "
+                        f"max degree {r.residual_max_degree}"
+                    )
             if r.detail and r.status in ("fail", "error"):
                 lines.append(f"      detail: {r.detail}")
         lines.append(f"verdict: {self.verdict.upper()}")

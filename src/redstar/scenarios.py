@@ -117,6 +117,10 @@ class ScenarioConfig:
             raise ConfigError(
                 f"{len(self.moment_map)} moment-map component(s) for lie dim {self.lie_dim}"
             )
+        for a, b, _ in self.poisson_entries:
+            for var in (a, b):
+                if var not in self.variables:
+                    raise ConfigError(f"poisson entry {a} {b} names unknown variable {var!r}")
         for a, b, c, _ in self.structure_constants:
             if not all(1 <= k <= self.lie_dim for k in (a, b, c)):
                 raise ConfigError(

@@ -26,7 +26,7 @@ from itertools import combinations
 from math import factorial
 
 from .errors import ContextError
-from .poisson import moyal_star_series, poisson_bracket
+from .poisson import moyal_star_pair, moyal_star_series, poisson_bracket
 from .poly import Poly
 from .series import Series
 
@@ -459,20 +459,27 @@ def _accumulate(out, key, series):
         out[key] = series if cur is None else cur + series
 
 
-def _clifford_product(x, y, product, pairing):
-    """The Clifford expansion of x y with coefficients combined by `product`.
+def _term_products(x, y, product):
+    """(k1, k2, product(c1, c2)) for the term pairs of x and y, x's terms outer."""
+    return (
+        (k1, k2, product(c1, c2)) for k1, c1 in x.terms.items() for k2, c2 in y.terms.items()
+    )
 
-    Each pair of terms contributes product(c1, c2) at every contraction level
-    k of its ghost keys, weighted by (pairing * nu)^k, and is accumulated
-    by `_accumulate`, which skips zeros.
+
+def _clifford_product(x, y, bases, pairing):
+    """The Clifford expansion of x y over the coefficient products `bases`.
+
+    `bases` yields (k1, k2, base) for the term pairs of x and y in the order
+    of `_term_products`, base being the product of their coefficients.  It
+    contributes at every contraction level k of the ghost keys k1, k2,
+    weighted by (pairing * nu)^k, and is accumulated by `_accumulate`, which
+    skips zeros.
     """
     x._check(y)
     out = {}
-    for k1, c1 in x.terms.items():
-        for k2, c2 in y.terms.items():
-            base = product(c1, c2)
-            for k, s, key in _clifford_ghost_terms(k1, k2, x.order):
-                _accumulate(out, key, base.scale(s * pairing**k if k else s).shift_nu(k))
+    for k1, k2, base in bases:
+        for k, s, key in _clifford_ghost_terms(k1, k2, x.order):
+            _accumulate(out, key, base.scale(s * pairing**k if k else s).shift_nu(k))
     return SuperElement(x.ctx, x.dim, x.order, out)
 
 
@@ -482,7 +489,7 @@ def clifford_mul(x, y, coeff=Fraction(-2)):
     Coefficients multiply pointwise (no Moyal part); each contraction level
     k contributes a factor (coeff * nu)^k.
     """
-    return _clifford_product(x, y, operator.mul, coeff)
+    return _clifford_product(x, y, _term_products(x, y, operator.mul), coeff)
 
 
 @dataclass(frozen=True)
@@ -493,12 +500,16 @@ class StarProduct:
     clifford_coeff: Fraction = Fraction(-2)
 
     def star(self, x, y):
-        return _clifford_product(
-            x, y, lambda c1, c2: moyal_star_series(c1, c2, self.lam), self.clifford_coeff
-        )
+        moyal = lambda c1, c2: moyal_star_series(c1, c2, self.lam)
+        return _clifford_product(x, y, _term_products(x, y, moyal), self.clifford_coeff)
 
     def commutator(self, x, y):
-        """Graded star commutator, parity piece by parity piece."""
+        """Graded star commutator x y - (-1)^{|x||y|} y x, parity piece by parity piece.
+
+        One kernel pass per pair of coefficients gives both Moyal products,
+        c1 * c2 for x y and c2 * c1 for y x.
+        """
+        x._check(y)
         out = SuperElement.zero(x.ctx, x.dim, x.order)
         for px, xp in zip((0, 1), x.parity_components()):
             if not xp.terms:
@@ -506,8 +517,19 @@ class StarProduct:
             for py, yp in zip((0, 1), y.parity_components()):
                 if not yp.terms:
                     continue
+                both = {
+                    (k1, k2): moyal_star_pair(c1, c2, self.lam)
+                    for k1, c1 in xp.terms.items()
+                    for k2, c2 in yp.terms.items()
+                }
+                xy = ((k1, k2, ab) for (k1, k2), (ab, _) in both.items())
+                yx = ((k2, k1, both[k1, k2][1]) for k2 in yp.terms for k1 in xp.terms)
                 sign = (-1) ** (px * py)
-                out = out + self.star(xp, yp) - self.star(yp, xp).scale(sign)
+                out = (
+                    out
+                    + _clifford_product(xp, yp, xy, self.clifford_coeff)
+                    - _clifford_product(yp, xp, yx, self.clifford_coeff).scale(sign)
+                )
         return out
 
 

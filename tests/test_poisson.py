@@ -12,8 +12,10 @@ from redstar.koszul import MomentMapData
 from redstar.poisson import (
     check_quantum_covariance,
     check_strong_invariance,
+    moyal_bracket_series,
     moyal_commutator,
     moyal_star,
+    moyal_star_pair,
     moyal_star_series,
     moyal_term,
     poisson_bracket,
@@ -318,8 +320,11 @@ def polys(ctx, min_terms=0):
 
 
 def series(ctx, order, min_terms=0):
+    """Series with a drawn reliable order, so products must take the minimum."""
     slots = st.lists(polys(ctx, min_terms), min_size=order + 1, max_size=order + 1)
-    return slots.map(lambda cs: Series(ctx, order, cs))
+    return st.builds(
+        lambda cs, reliable: Series(ctx, order, cs, reliable), slots, st.integers(0, order)
+    )
 
 
 ORACLE = settings(max_examples=6, deadline=None, derandomize=True, database=None)
@@ -346,12 +351,26 @@ def test_moyal_star_and_term_match_reference(case, order, data):
 @ORACLE
 @given(data=st.data())
 def test_moyal_star_series_matches_reference(case, order, data):
-    # every slot of a is nonzero, so the higher nu-slots all take part
+    # every slot of a is nonzero, so the higher nu-slots all take part;
+    # the bracket and the pair come from one pass, by M_k(g, f) = (-1)^k M_k(f, g)
     ctx, lam = BIVECTORS[case]()
     a = data.draw(series(ctx, order, min_terms=1))
     b = data.draw(series(ctx, order))
-    assert moyal_star_series(a, b, lam) == reference_series(a, b, lam)
-    assert moyal_star_series(b, a, lam) == reference_series(b, a, lam)
+    ab, ba = reference_series(a, b, lam), reference_series(b, a, lam)
+    ab_pair, ba_pair = moyal_star_pair(a, b, lam), moyal_star_pair(b, a, lam)
+    got = {
+        "star(a, b)": (moyal_star_series(a, b, lam), ab),
+        "star(b, a)": (moyal_star_series(b, a, lam), ba),
+        "bracket(a, b)": (moyal_bracket_series(a, b, lam), ab - ba),
+        "bracket(b, a)": (moyal_bracket_series(b, a, lam), ba - ab),
+        "pair(a, b)[0]": (ab_pair[0], ab),
+        "pair(a, b)[1]": (ab_pair[1], ba),
+        "pair(b, a)[0]": (ba_pair[0], ba),
+        "pair(b, a)[1]": (ba_pair[1], ab),
+    }
+    for key, (value, want) in got.items():
+        assert value == want, key
+        assert value.reliable == min(a.reliable, b.reliable), key
 
 
 @pytest.mark.parametrize("case", sorted(BIVECTORS))

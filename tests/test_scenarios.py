@@ -90,6 +90,10 @@ def test_no_certified_generator_is_one_failed_record(tmp_path):
     ]
     assert rec["classical-reduction.generators"].detail == "no candidate generators"
     assert rec["reduced-star"].status == "skipped"
+    # the failing record evaluated no residual, so the text report shows none
+    text = report.to_text()
+    assert "detail: no candidate generators" in text
+    assert "residual:" not in text
 
 
 def test_degenerate_bivector_is_a_load_error(tmp_path, capsys):
@@ -246,6 +250,11 @@ MALFORMED = {
         "degree_bound = 6",
         "degree_bound = -1",
         "degree_bound must be at least 0, got -1",
+    ),
+    "poisson entry naming an unknown variable": (
+        "z2 zb2 = 2*i",
+        "z2 zz2 = 2*i",
+        "poisson entry z2 zz2 names unknown variable 'zz2'",
     ),
 }
 

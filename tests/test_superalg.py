@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from redstar import poisson
 from redstar.poisson import moyal_star, moyal_star_series, poisson_bracket, poisson_data
 from redstar.poly import Poly, poly_ring
 from redstar.probes import random_poly, random_super
@@ -324,6 +325,21 @@ def ref_star(star, x, y):
     )
 
 
+def ref_commutator(star, x, y):
+    """x * y - (-1)^{|x||y|} y * x, summed over the parity pieces of x and y."""
+
+    def pieces(z):
+        for p in (0, 1):
+            terms = {k: c for k, c in z.terms.items() if _ref_parity(k) == p}
+            yield p, SuperElement(z.ctx, z.dim, z.order, terms)
+
+    out = SuperElement.zero(x.ctx, x.dim, x.order)
+    for px, xp in pieces(x):
+        for py, yp in pieces(y):
+            out = out + ref_star(star, xp, yp) - ref_star(star, yp, xp).scale((-1) ** (px * py))
+    return out
+
+
 def ref_graded_poisson(x, y, lam):
     terms_out = {}
 
@@ -455,14 +471,28 @@ def test_merge_terms_matches_encoded_merge():
             assert _merge_terms(k1, k2) == _ref_merge_terms(k1, k2, dim), (k1, k2)
 
 
+def _slot_pairs(c1, c2):
+    """The kernel passes of one Moyal product: nonzero nu slots i, j with i + j <= order."""
+    live = lambda c: [i for i, p in enumerate(c.coeffs) if not p.is_zero()]
+    return sum(1 for i in live(c1) for j in live(c2) if i + j <= c1.order)
+
+
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_products_match_reference(name):
+def test_products_match_reference(name, monkeypatch):
+    kernel, calls = poisson._moyal_into, []
+    monkeypatch.setattr(poisson, "_moyal_into", lambda *args: calls.append(1) or kernel(*args))
     for ctx, lam, x, y in _random_pairs(name, 8):
         star = StarProduct(lam)
         assert_same(super_mul(x, y), ref_super_mul(x, y))
         assert_same(clifford_mul(x, y), ref_clifford_mul(x, y))
         assert_same(star.star(x, y), ref_star(star, x, y))
         assert_same(graded_poisson(x, y, lam), ref_graded_poisson(x, y, lam))
+        calls.clear()
+        commutator = star.commutator(x, y)
+        # one pass per coefficient pair gives both c1 * c2 and c2 * c1
+        passes = sum(_slot_pairs(c1, c2) for c1 in x.terms.values() for c2 in y.terms.values())
+        assert len(calls) == passes
+        assert_same(commutator, ref_commutator(star, x, y))
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
