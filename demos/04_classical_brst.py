@@ -19,7 +19,7 @@ from redstar.brst import (
     poisson_action,
     reduced_poisson,
 )
-from redstar.koszul import MomentMapData, build_koszul_contraction
+from redstar.koszul import KoszulSpace, MomentMapData, koszul_contraction
 from redstar.poisson import poisson_data
 from redstar.poly import Poly, VarContext
 from redstar.probes import random_bounded_super
@@ -80,9 +80,9 @@ zlam = poisson_data(
 zv = lambda n: Poly.variable(zctx, n)
 zJ = (zv("z1") * zv("zb1") - zv("z2") * zv("zb2")).scale(Fraction(1, 2))
 zmoment = MomentMapData(zctx, (zJ,), LieAlgebraData.build(1))
-kc = build_koszul_contraction(zmoment, 6)
+space = KoszulSpace(zmoment, 6)
+kc = koszul_contraction(space)
 phi = brst_transfer(kc, build_delta(zmoment, poisson_action(zlam)))[0].i
-space = kc.meta["space"]
 
 a = space.normal_form_poly(zv("z1") * zv("zb1"))
 b = space.normal_form_poly(zv("z1") * zv("z2"))

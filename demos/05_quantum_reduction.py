@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from redstar.brst import brst_transfer, build_delta, poisson_action, reduced_poisson
-from redstar.koszul import MomentMapData, build_koszul_contraction
+from redstar.koszul import KoszulSpace, MomentMapData, koszul_contraction
 from redstar.poisson import poisson_data
 from redstar.poly import Poly, VarContext
 from redstar.quantum import star_action
@@ -42,8 +42,8 @@ lam = poisson_data(ctx, [(f"z{k}", f"zb{k}", GaussianRational(0, 2)) for k in ra
 star = StarProduct(lam)
 
 print("building the Koszul contraction ...")
-kc = build_koszul_contraction(moment, 6)
-space = kc.meta["space"]
+space = KoszulSpace(moment, 6)
+kc = koszul_contraction(space)
 phi = brst_transfer(kc, build_delta(moment, poisson_action(lam)))[0].i
 
 print("deforming the restriction ...")

@@ -36,10 +36,7 @@ def cmd_run(args):
     cfg = _resolve(args.scenario)
     report = run_scenario(cfg, order=args.order, degree_bound=args.degree)
     text = emit_report(report, fmt=args.format, path=args.report)
-    if args.report is None or args.format == "text":
-        sys.stdout.write(text if args.report is None else report.to_text())
-    else:
-        sys.stdout.write(report.to_text())
+    sys.stdout.write(text if args.report is None else report.to_text())
     return 0 if report.verdict == "pass" else 1
 
 

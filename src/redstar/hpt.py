@@ -23,13 +23,6 @@ from .superalg import OperatorHandle, op_compose
 NEUMANN_CAP = 32  # Neumann steps allowed for the lemmas' homotopy denominator
 
 
-def _strictly_zero(x):
-    probe = getattr(x, "is_strictly_zero", None)
-    if probe is not None:
-        return probe()
-    return not x.terms
-
-
 def neumann_inverse(t, cap, name=None):
     """(id + t)^{-1} as the alternating Neumann sum, termination enforced.
 
@@ -46,7 +39,7 @@ def neumann_inverse(t, cap, name=None):
         term = x
         for _ in range(cap):
             term = -t(term)
-            if _strictly_zero(term):
+            if not term.terms:
                 return total
             total = total + term
         raise FiltrationError(

@@ -12,7 +12,7 @@ slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .errors import AcyclicityError, ContextError, DegreeOverflowError
@@ -358,7 +358,6 @@ class Contraction:
     h: OperatorHandle
     d_X: OperatorHandle
     d_Y: OperatorHandle
-    meta: dict = dc_field(default_factory=dict)
 
     def axiom_residuals(self, probe_X, probe_Y):
         """Named residual elements of the seven contraction axioms on two probes.
@@ -398,7 +397,6 @@ def koszul_contraction(space):
         h=OperatorHandle("h", kc.h_fn, +1),
         d_X=OperatorHandle("0", lambda x: x.scale(0), +1),
         d_Y=koszul_operator(space.moment),
-        meta={"space": space},
     )
 
 

@@ -130,6 +130,8 @@ class _Parser:
                 dkind, dval, dpos = self.peek()
                 if dkind != "num":
                     raise ParseError("expected denominator", dpos)
+                if int(dval) == 0:
+                    raise ParseError("zero denominator", dpos)
                 self.advance()
                 return Poly.const(self.ctx, Fraction(int(val), int(dval)))
             return Poly.const(self.ctx, int(val))

@@ -199,17 +199,17 @@ def moyal_star_series(a, b, lam, order=None):
     return _series(a, b, out)
 
 
-def moyal_bracket_series(a, b, lam, order=None):
+def moyal_bracket_series(a, b, lam):
     """a * b - b * a from one pass: twice the odd orders of a * b."""
-    a, b = _operands(a, b, lam, order)
+    a, b = _operands(a, b, lam, None)
     odd = [{} for _ in range(a.order + 1)]
     _star_pass(a, b, lam, [None] * (a.order + 1), odd, n=2)
     return _series(a, b, odd)
 
 
-def moyal_star_pair(a, b, lam, order=None):
+def moyal_star_pair(a, b, lam):
     """(a * b, b * a) from one pass: b * a negates the odd orders of a * b."""
-    a, b = _operands(a, b, lam, order)
+    a, b = _operands(a, b, lam, None)
     even, odd = [{} for _ in range(a.order + 1)], [{} for _ in range(a.order + 1)]
     _star_pass(a, b, lam, even, odd)
     even, odd = _series(a, b, even), _series(a, b, odd)

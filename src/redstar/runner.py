@@ -365,8 +365,7 @@ def stage_load(state):
             bad = Poly.zero(ctx)
             for r in cfg.torus_rows:
                 for j in comps:
-                    g = j.grade()
-                    if g[1 + r] != 0:
+                    if any(ctx.grade_of_mono(m)[1 + r] for m in j.terms):
                         bad = j
             run.check(
                 "weight-zero",

@@ -259,10 +259,6 @@ class GaussianField(Field):
     zero = _canonical(0, 0, 1)
     one = _ONE
 
-    @property
-    def i(self):
-        return GaussianRational(0, 1)
-
     def coerce(self, x):
         if isinstance(x, GaussianRational):
             return x

@@ -12,28 +12,15 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, replace
+from fractions import Fraction
+
 from .errors import ConfigError
 from .poly import Poly, VarContext
 from .scalars import QQ, QQ_I
 
-FULL_STAGES = (
-    "load",
-    "covariance",
-    "strong-invariance",
-    "acyclicity",
-    "contraction",
-    "classical-brst",
-    "classical-reduction",
-    "quantum-brst",
-    "deformed-restriction",
-    "equivariance-lemma",
-    "quantum-reduction",
-    "reduced-star",
-)
-
-# The stages whose results (RunState fields) each stage reads.  A stage list
-# must hold the prerequisites of every stage in it, so the requirement is
-# transitive.
+# The pipeline stages in run order, each with the stages whose results
+# (RunState fields) it reads.  A stage list must hold the prerequisites of
+# every stage in it, so the requirement is transitive.
 PREREQUISITES = {
     "load": (),
     "covariance": ("load",),
@@ -48,6 +35,7 @@ PREREQUISITES = {
     "quantum-reduction": ("deformed-restriction",),  # dc
     "reduced-star": ("classical-reduction", "quantum-reduction"),  # phi; the quantum transfer
 }
+FULL_STAGES = tuple(PREREQUISITES)
 
 DEFAULT_PROBES = {
     "strong_invariance": 20,
@@ -121,11 +109,13 @@ class ScenarioConfig:
             for var in (a, b):
                 if var not in self.variables:
                     raise ConfigError(f"poisson entry {a} {b} names unknown variable {var!r}")
-        for a, b, c, _ in self.structure_constants:
+        for a, b, c, value in self.structure_constants:
             if not all(1 <= k <= self.lie_dim for k in (a, b, c)):
                 raise ConfigError(
                     f"structure constant f.{a}.{b}.{c} has an index outside 1..{self.lie_dim}"
                 )
+            _rational(value, f"structure constant f.{a}.{b}.{c}")
+        _rational(self.clifford_coeff, "clifford_coeff")
         for component, var, _ in self.action:
             if not 1 <= component <= self.lie_dim:
                 raise ConfigError(
@@ -337,46 +327,23 @@ def _so_n_structure_constants(n):
     if n == 2:
         return []  # one generator, abelian
     if n == 3:
-        # X_a has entries -eps_{a j k}
-        eps = {}
-        for a in range(1, 4):
-            for b in range(1, 4):
-                for c in range(1, 4):
-                    v = (a - b) * (b - c) * (c - a) // 2
-                    if v:
-                        eps[(a, b, c)] = v
-        f_entries = [
-            (a, b, c, str(eps[(a, b, c)]))
-            for a in range(1, 4)
-            for b in range(1, 4)
-            for c in range(1, 4)
-            if a < b and (a, b, c) in eps
-        ]
-        return f_entries
+        # X_a has entries -eps_{a j k}, so f_ab^c = eps_{abc}
+        return [(1, 2, 3, "1"), (1, 3, 2, "-1"), (2, 3, 1, "1")]
     raise ConfigError("only n = 2 and n = 3 are configured")
 
 
-def _commuting_moment_exprs(n):
+def _commuting_moment_exprs(n, variables):
     """Moment map of conjugation on pairs of symmetric matrices, as text."""
-    ctx = VarContext(
-        tuple(
-            [f"q{i}{j}" for i in range(1, n + 1) for j in range(i, n + 1)]
-            + [f"p{i}{j}" for i in range(1, n + 1) for j in range(i, n + 1)]
-        )
-    )
+    ctx = VarContext(variables)
 
-    def qv(i, j):
-        i, j = min(i, j), max(i, j)
-        return Poly.variable(ctx, f"q{i}{j}")
-
-    def pv(i, j):
-        i, j = min(i, j), max(i, j)
-        return Poly.variable(ctx, f"p{i}{j}")
+    def var(sym, i, j):
+        """The (i, j) entry of the symmetric matrix Q or P."""
+        return Poly.variable(ctx, f"{sym}{min(i, j)}{max(i, j)}")
 
     def entry(r, c):
         out = Poly.zero(ctx)
         for k in range(1, n + 1):
-            out = out + qv(r, k) * pv(k, c) - pv(r, k) * qv(k, c)
+            out = out + var("q", r, k) * var("p", k, c) - var("p", r, k) * var("q", k, c)
         return out
 
     if n == 2:
@@ -401,14 +368,14 @@ def _commuting_moment_exprs(n):
         X = xmat(a)
         for i in range(1, n + 1):
             for j in range(i, n + 1):
-                for sym, mk in (("q", qv), ("p", pv)):
+                for sym in "qp":
                     # [X, M]_ij with M symmetric
                     acc = Poly.zero(ctx)
                     for k in range(1, n + 1):
                         if X[i - 1][k - 1]:
-                            acc = acc + mk(k, j).scale(X[i - 1][k - 1])
+                            acc = acc + var(sym, k, j).scale(X[i - 1][k - 1])
                         if X[k - 1][j - 1]:
-                            acc = acc - mk(i, k).scale(X[k - 1][j - 1])
+                            acc = acc - var(sym, i, k).scale(X[k - 1][j - 1])
                     action.append((a, f"{sym}{i}{j}", str(-acc)))
     return [str(c) for c in comps], action
 
@@ -417,7 +384,7 @@ def commuting_variety(n=2):
     """Conjugation on pairs of symmetric matrices; moment map the commutator."""
     variables, gradings, poisson = _symmetric_matrix_scenario(n)
     f_entries = _so_n_structure_constants(n)
-    comps, action = _commuting_moment_exprs(n)
+    comps, action = _commuting_moment_exprs(n, variables)
     if n == 2:
         stages = tuple(s for s in FULL_STAGES if s != "equivariance-lemma")
         invariants = (
@@ -554,6 +521,13 @@ def _int(text, what):
         return int(text)
     except ValueError:
         raise ConfigError(f"{what} must be an integer, got {text!r}") from None
+
+
+def _rational(text, what):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{what} must be a rational number, got {text!r}") from None
 
 
 def _section(cp, name):

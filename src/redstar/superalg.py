@@ -33,39 +33,51 @@ from .series import Series
 
 @dataclass(frozen=True)
 class LieAlgebraData:
-    """The structure constants of the Lie algebra.
+    """The structure constants of the Lie algebra, stored sparse.
 
-    `f[a][b][c]` (0-based) is the coefficient of the c-th basis vector in
-    [e_a, e_b]; only `validate` reads the dense tensor.  Everything else
-    reads `entries`, its nonzero (a, b, c, f_ab^c) in (a, b, c) order,
-    `traces`, with traces[a] = tr(ad e_a) = sum_b f_ab^b, or `pairs`.
+    `entries` holds the nonzero (a, b, c, f_ab^c) (0-based) in (a, b, c)
+    order, f_ab^c being the coefficient of the c-th basis vector in
+    [e_a, e_b]; `traces` has traces[a] = tr(ad e_a) = sum_b f_ab^b, and
+    `pairs` groups the entries by a < b.  Build it with `build`, which
+    validates it.
     """
 
     dim: int
-    f: tuple
     entries: tuple
     traces: tuple
 
     @classmethod
     def build(cls, dim, f_entries=()):
-        """Construct from sparse entries (a, b, c, value), 1-based indices."""
-        f = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        """Construct from entries (a, b, c, value), 1-based indices.
+
+        Each entry sets f_ab^c = value and f_ba^c = -value, replacing an
+        earlier one.  A nonzero f_aa^c is not antisymmetric; the Jacobi
+        identity is checked on the sparse rows [e_a, e_b].
+        """
+        f = {}
         for a, b, c, v in f_entries:
             v = Fraction(v)
-            f[a - 1][b - 1][c - 1] = v
-            f[b - 1][a - 1][c - 1] = -v
-        f = tuple(tuple(tuple(row) for row in plane) for plane in f)
-        entries = tuple(
-            (a, b, c, f[a][b][c])
-            for a in range(dim)
-            for b in range(dim)
-            for c in range(dim)
-            if f[a][b][c]
-        )
-        traces = tuple(sum(f[a][b][b] for b in range(dim)) for a in range(dim))
-        data = cls(dim, f, entries, traces)
-        data.validate()
-        return data
+            f[a - 1, b - 1, c - 1] = v
+            f[b - 1, a - 1, c - 1] = -v
+        if any(v for (a, b, _), v in f.items() if a == b):
+            raise ValueError("structure constants are not antisymmetric")
+        entries = tuple(sorted((a, b, c, v) for (a, b, c), v in f.items() if v))
+        rows = {}
+        traces = [Fraction(0)] * dim
+        for a, b, c, v in entries:
+            rows.setdefault((a, b), []).append((c, v))
+            if b == c:
+                traces[a] += v
+        # [[e_a, e_b], e_c] + cyclic is alternating, so a < b < c suffices
+        for a, b, c in combinations(range(dim), 3):
+            jac = {}
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                for m, u in rows.get((x, y), ()):
+                    for e, w in rows.get((m, z), ()):
+                        jac[e] = jac.get(e, 0) + u * w
+            if any(jac.values()):
+                raise ValueError("structure constants fail the Jacobi identity")
+        return cls(dim, entries, tuple(traces))
 
     @property
     def abelian(self):
@@ -82,26 +94,6 @@ class LieAlgebraData:
         for a, b, c, v in self.entries:
             rows.setdefault((a, b), []).append((c, v))
         return [((a, b), rows.get((a, b), ())) for a, b in combinations(range(self.dim), 2)]
-
-    def validate(self):
-        d = self.dim
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    if self.f[a][b][c] != -self.f[b][a][c]:
-                        raise ValueError("structure constants are not antisymmetric")
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    for e in range(d):
-                        s = sum(
-                            self.f[a][b][x] * self.f[x][c][e]
-                            + self.f[b][c][x] * self.f[x][a][e]
-                            + self.f[c][a][x] * self.f[x][b][e]
-                            for x in range(d)
-                        )
-                        if s != 0:
-                            raise ValueError("structure constants fail the Jacobi identity")
 
 
 # -- sign utilities -----------------------------------------------------------

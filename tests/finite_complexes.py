@@ -69,8 +69,10 @@ class Vec:
     def is_zero(self, upto=None):
         return all(all(a == 0 for a in row) for row in self.data.values())
 
-    def is_strictly_zero(self):
-        return self.is_zero()
+    @property
+    def terms(self):
+        """The nonzero coordinates, keyed by (degree, index)."""
+        return {(d, k): a for d, row in self.data.items() for k, a in enumerate(row) if a}
 
     def nonzero_term_count(self):
         return sum(1 for row in self.data.values() for a in row if a)
@@ -326,7 +328,6 @@ def random_contraction(rng, degrees=(0, 1, 2, 3)):
         h=h.handle("h"),
         d_X=d_X.handle("d_X"),
         d_Y=d_Y.handle("d_Y"),
-        meta={"X": X, "Y": Y},
     )
     t_x = m.handle("m", raises=frozenset({"aux"}))
     imp = _compose(i, _compose(m, p))

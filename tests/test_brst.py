@@ -18,7 +18,13 @@ from redstar.brst import (
 )
 from redstar.errors import InvarianceError
 from redstar.hpt import check_contraction
-from redstar.koszul import MomentMapData, build_koszul_contraction, koszul_operator
+from redstar.koszul import (
+    KoszulSpace,
+    MomentMapData,
+    build_koszul_contraction,
+    koszul_contraction,
+    koszul_operator,
+)
 from redstar.poisson import poisson_bracket, poisson_data
 from redstar.poly import Poly, VarContext, poly_ring
 from redstar.probes import random_bounded_super, random_poly
@@ -161,8 +167,8 @@ def test_delta_basics():
 def test_quotient_representation_property():
     # [Lz_a, Lz_b] = f_ab^c Lz_c for the classical quotient representation
     ctx, lam, moment = so3_commuting()
-    kc = build_koszul_contraction(moment, 4)
-    space = kc.meta["space"]
+    space = KoszulSpace(moment, 4)
+    kc = koszul_contraction(space)
     rep = quotient_representation(moment, poisson_action(lam), kc.p, kc.i)
     rng = random.Random(7)
     probes = [
@@ -225,8 +231,8 @@ def test_reduced_poisson_on_invariants():
     J = (v("z1") * v("zb1") - v("z2") * v("zb2")).scale(Fraction(1, 2))
     lie = LieAlgebraData.build(1)
     moment = MomentMapData(ctx, (J,), lie)
-    kc = build_koszul_contraction(moment, 6)
-    space = kc.meta["space"]
+    space = KoszulSpace(moment, 6)
+    kc = koszul_contraction(space)
     phi = brst_transfer(kc, build_delta(moment, poisson_action(lam)))[0].i
     f = space.normal_form_poly(v("z1") * v("zb1"))
     g = space.normal_form_poly(v("z1") * v("z2"))

@@ -16,6 +16,7 @@ from redstar.koszul import (
     build_koszul_contraction,
     check_acyclicity,
     enforce_side_conditions,
+    koszul_contraction,
     koszul_diff,
 )
 from redstar.poly import Poly, VarContext, poly_ring
@@ -214,7 +215,6 @@ def violating_contraction(base):
         h=OperatorHandle("h_bad", bad_h, +1),
         d_X=base.d_X,
         d_Y=base.d_Y,
-        meta=dict(base.meta),
     )
 
 
@@ -265,9 +265,8 @@ def test_side_condition_checks_can_fail():
     assert failed == {"h h=0", "h i=0"}
 
 
-def _basis_elements(c, ctx, dim, bound):
+def _basis_elements(space, ctx, dim, bound):
     """Ghost-free, nu-order-0 elements of every Y and X slice basis."""
-    space = c.meta["space"]
     grades = sorted({g for deg in range(bound + 1) for g in ctx.grades_of_degree(deg)})
     ys = [
         SuperElement(ctx, dim, 0, {((), aset): Series.from_poly(Poly.monomial(ctx, m), 0)})
@@ -290,8 +289,9 @@ def test_side_conditions_on_slice_bases(name, bound):
     state = RunState(replace(get_scenario(name), degree_bound=bound))
     stage_load(state)
     ctx, dim = state.ctx, state.moment.lie.dim
-    c = build_koszul_contraction(state.moment, bound)
-    xs, ys = _basis_elements(c, ctx, dim, bound)
+    space = KoszulSpace(state.moment, bound)
+    c = koszul_contraction(space)
+    xs, ys = _basis_elements(space, ctx, dim, bound)
     assert xs and len(ys) > len(xs)
     zero = SuperElement.zero(ctx, dim, 0)
     seen = set()
@@ -333,7 +333,7 @@ def test_contraction_stage_reuses_the_acyclicity_space():
     assert solvers
     records = stage_contraction(state)
     assert all(r.status == "pass" for r in records)
-    assert state.space is space and state.kc.meta["space"] is space
+    assert state.space is space and state.kc.h.fn.__self__.space is space
     assert all(space._solvers[key] is solver for key, solver in solvers.items())
 
 

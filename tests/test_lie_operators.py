@@ -1,8 +1,9 @@
 """The structure-constant operators against dense reference loops.
 
-Each reference below indexes the dense tensor `lie.f[a][b][c]` over every
-index triple and builds each ghost monomial as a product of generators, the
-direct transcription of the defining formula.  The library reads the sparse
+Each reference below indexes the dense tensor f[a][b][c], which `dense`
+builds from the entries, over every index triple and builds each ghost
+monomial as a product of generators, the direct transcription of the
+defining formula.  The library reads the sparse
 `LieAlgebraData.entries`, `traces` and `pairs` instead; both must give the
 same terms with the same per-term `reliable` order.  The models are the
 so(3) data of commuting-n3 (unimodular), an abelian two-constraint model
@@ -45,14 +46,23 @@ def _gen(ctx, dim, order, ghosts=(), antighosts=()):
     return SuperElement.generator(ctx, dim, order, ghosts=ghosts, antighosts=antighosts)
 
 
-def _triples(lie):
+def dense(lie):
+    """The dense tensor f[a][b][c] of the structure constants, zeros included."""
     d = lie.dim
+    f = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    for a, b, c, v in lie.entries:
+        f[a][b][c] = v
+    return f
+
+
+def _triples(lie):
+    d, f = lie.dim, dense(lie)
     return [
-        (a, b, c, lie.f[a][b][c])
+        (a, b, c, f[a][b][c])
         for a in range(d)
         for b in range(d)
         for c in range(d)
-        if lie.f[a][b][c]
+        if f[a][b][c]
     ]
 
 
@@ -73,7 +83,7 @@ def ref_classical_charge(moment, order):
 
 
 def ref_quantum_charge(moment, order):
-    ctx, dim, f = moment.ctx, moment.lie.dim, moment.lie.f
+    ctx, dim, f = moment.ctx, moment.lie.dim, dense(moment.lie)
     theta = ref_classical_charge(moment, order)
     for a in range(dim):
         trace = sum(f[a][b][b] for b in range(dim))
@@ -130,7 +140,7 @@ def ref_q(moment):
 
 
 def ref_u(moment):
-    dim, f = moment.lie.dim, moment.lie.f
+    dim, f = moment.lie.dim, dense(moment.lie)
 
     def fn(x):
         out = SuperElement.zero(x.ctx, dim, x.order)
@@ -147,7 +157,7 @@ def ref_u(moment):
 
 def ref_equivariance(moment, lam):
     out = []
-    d, f = moment.lie.dim, moment.lie.f
+    d, f = moment.lie.dim, dense(moment.lie)
     for a in range(d):
         for b in range(a + 1, d):
             res = poisson_bracket(moment.components[a], moment.components[b], lam)
@@ -159,7 +169,7 @@ def ref_equivariance(moment, lam):
 
 
 def ref_covariance(moment, lam, order):
-    comps, d, f = moment.components, moment.lie.dim, moment.lie.f
+    comps, d, f = moment.components, moment.lie.dim, dense(moment.lie)
     out = []
     for a in range(d):
         for b in range(a + 1, d):
@@ -174,7 +184,7 @@ def ref_covariance(moment, lam, order):
 
 def ref_commutator_residuals(rep, probes):
     out = []
-    d, f = rep.lie.dim, rep.lie.f
+    d, f = rep.lie.dim, dense(rep.lie)
     for a in range(d):
         for b in range(a + 1, d):
             for k, x in enumerate(probes):

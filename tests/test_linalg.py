@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from redstar.errors import ShapeError
@@ -243,7 +243,14 @@ def dense_matrices(draw, field):
     return rows, ncols
 
 
-ORACLE = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+ORACLE = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    # no shrink phase: a failing example is reported as drawn, in seconds
+    phases=(Phase.explicit, Phase.generate),
+)
 
 
 @pytest.mark.parametrize("field", [QQ, QQ_I], ids=["QQ", "QQ_I"])

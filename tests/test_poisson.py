@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from redstar.errors import ContextError, ShapeError
@@ -327,7 +327,14 @@ def series(ctx, order, min_terms=0):
     )
 
 
-ORACLE = settings(max_examples=6, deadline=None, derandomize=True, database=None)
+ORACLE = settings(
+    max_examples=6,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    # no shrink phase: a failing example is reported as drawn, in seconds
+    phases=(Phase.explicit, Phase.generate),
+)
 
 
 @pytest.mark.parametrize("order", range(6))

@@ -6,7 +6,7 @@ import pytest
 from redstar.brst import build_delta, poisson_action, quotient_representation
 from redstar.errors import ClosednessError, InvarianceError
 from redstar.hpt import check_contraction, perturb_v2
-from redstar.koszul import MomentMapData, build_koszul_contraction
+from redstar.koszul import KoszulSpace, MomentMapData, koszul_contraction
 from redstar.poisson import poisson_data
 from redstar.poly import Poly, VarContext
 from redstar.probes import random_bounded_super, random_poly
@@ -45,9 +45,9 @@ def circle_c2():
     J = (v("z1") * v("zb1") - v("z2") * v("zb2")).scale(Fraction(1, 2))
     lie = LieAlgebraData.build(1)
     moment = MomentMapData(ctx, (J,), lie)
-    kc = build_koszul_contraction(moment, 6)
+    space = KoszulSpace(moment, 6)
     star = StarProduct(lam)
-    return ctx, lam, moment, kc, star
+    return ctx, lam, moment, koszul_contraction(space), star, space
 
 
 def abelian_c4():
@@ -56,22 +56,22 @@ def abelian_c4():
     lam = poisson_data(ctx, [("x1", "y1", 1), ("x2", "y2", 1)])
     v = lambda n: Poly.variable(ctx, n)
     moment = MomentMapData(ctx, (v("x1") * v("y1"), v("x2") * v("y2")), LieAlgebraData.build(2))
-    kc = build_koszul_contraction(moment, 6)
-    return ctx, lam, moment, kc, StarProduct(lam)
+    space = KoszulSpace(moment, 6)
+    return ctx, lam, moment, koszul_contraction(space), StarProduct(lam), space
 
 
-def build_pipe(ctx, lam, moment, kc, star):
+def build_pipe(ctx, lam, moment, kc, star, space):
     rng = random.Random(50)
     probes_Y = [random_bounded_super(ctx, 1, NW, rng, 6, (2,), terms=2) for _ in range(4)]
     probes_X = [kc.p(y) for y in probes_Y]
     dc, t = deformed_restriction(kc, moment, star, probes_X[:2], probes_Y[:2], upto=N)
     delta_nu = build_delta(moment, star_action(star), "delta_nu")
     qc, d_z_nu = quantum_reduction(dc, delta_nu, probes_X[:2], probes_Y[:2], upto=N)
-    return ReductionPipeline(moment, lam, star, kc.meta["space"], NW, dc, qc, torus_rows=(0,))
+    return ReductionPipeline(moment, lam, star, space, NW, dc, qc, torus_rows=(0,))
 
 
 def test_deformed_restriction_properties():
-    ctx, lam, moment, kc, star = circle_c2()
+    ctx, lam, moment, kc, star, space = circle_c2()
     rng = random.Random(51)
     probes_Y = [random_bounded_super(ctx, 1, NW, rng, 6, (2,), terms=2) for _ in range(10)]
     probes_X = [kc.p(y) for y in probes_Y]
@@ -91,12 +91,11 @@ def test_deformed_restriction_properties():
 
 
 def test_quantized_representation_matches_classical():
-    ctx, lam, moment, kc, star = circle_c2()
+    ctx, lam, moment, kc, star, space = circle_c2()
     rng = random.Random(52)
     dc, t = deformed_restriction(kc, moment, star)
     repLz = quotient_representation(moment, poisson_action(lam), kc.p, kc.i)
     repLz_nu = quotient_representation(moment, star_action(star), dc.p, dc.i)
-    space = kc.meta["space"]
     for _ in range(10):
         f = space.normal_form_poly(random_poly(ctx, rng, 4, 3))
         fx = SuperElement.from_poly(f, 1, NW)
@@ -104,7 +103,7 @@ def test_quantized_representation_matches_classical():
 
 
 def test_quantum_reduction_contraction():
-    ctx, lam, moment, kc, star = circle_c2()
+    ctx, lam, moment, kc, star, space = circle_c2()
     rng = random.Random(53)
     probes_Y = [random_bounded_super(ctx, 1, NW, rng, 6, (2,), terms=2) for _ in range(6)]
     probes_X = [kc.p(y) for y in probes_Y]
@@ -121,9 +120,8 @@ def test_quantum_reduction_contraction():
 
 
 def test_reduced_star_unit_and_classical_part():
-    ctx, lam, moment, kc, star = circle_c2()
-    pipe = build_pipe(ctx, lam, moment, kc, star)
-    space = kc.meta["space"]
+    ctx, lam, moment, kc, star, space = circle_c2()
+    pipe = build_pipe(ctx, lam, moment, kc, star, space)
     v = lambda n: Poly.variable(ctx, n)
     gens = [space.normal_form_poly(g) for g in
             (v("z1") * v("zb1"), v("z1") * v("z2"), v("zb1") * v("zb2"))]
@@ -138,9 +136,8 @@ def test_reduced_star_unit_and_classical_part():
 
 
 def test_reduced_star_associativity_sample():
-    ctx, lam, moment, kc, star = circle_c2()
-    pipe = build_pipe(ctx, lam, moment, kc, star)
-    space = kc.meta["space"]
+    ctx, lam, moment, kc, star, space = circle_c2()
+    pipe = build_pipe(ctx, lam, moment, kc, star, space)
     v = lambda n: Poly.variable(ctx, n)
     gens = [space.normal_form_poly(g) for g in
             (v("z1") * v("zb1"), v("z2") * v("zb2"), v("z1") * v("z2"))]
@@ -155,15 +152,15 @@ def test_reduced_star_associativity_sample():
 
 
 def test_reduced_star_rejects_noninvariants():
-    ctx, lam, moment, kc, star = circle_c2()
-    pipe = build_pipe(ctx, lam, moment, kc, star)
+    ctx, lam, moment, kc, star, space = circle_c2()
+    pipe = build_pipe(ctx, lam, moment, kc, star, space)
     with pytest.raises(InvarianceError):
         reduced_star(Poly.variable(ctx, "z1"), Poly.const(ctx, 1), pipe)
 
 
 def test_cohomology_star_requires_closed_inputs():
-    ctx, lam, moment, kc, star = circle_c2()
-    pipe = build_pipe(ctx, lam, moment, kc, star)
+    ctx, lam, moment, kc, star, space = circle_c2()
+    pipe = build_pipe(ctx, lam, moment, kc, star, space)
     # a ghost cochain with non-invariant coefficient is not closed
     bad = SuperElement(
         ctx, 1, NW, {((), ()): Series.from_poly(Poly.variable(ctx, "z1"), NW)}
@@ -174,9 +171,8 @@ def test_cohomology_star_requires_closed_inputs():
 
 def test_reduced_star_output_is_invariant():
     # every coefficient of f*g is weight zero on the torus rows
-    ctx, lam, moment, kc, star = circle_c2()
-    pipe = build_pipe(ctx, lam, moment, kc, star)
-    space = kc.meta["space"]
+    ctx, lam, moment, kc, star, space = circle_c2()
+    pipe = build_pipe(ctx, lam, moment, kc, star, space)
     v = lambda n: Poly.variable(ctx, n)
     a = space.normal_form_poly(v("z1") * v("zb1"))
     b = space.normal_form_poly(v("z1") * v("z2"))
@@ -209,7 +205,7 @@ def test_weight_zero_generators():
 
 def _res_nu_routes(setup):
     """The cached res_nu of `deformed_restriction` and the direct operator it wraps."""
-    ctx, lam, moment, kc, star = setup()
+    ctx, lam, moment, kc, star, space = setup()
     dc, t = deformed_restriction(kc, moment, star)
     zero = OperatorHandle("0", lambda x: x.scale(0), -1, frozenset({"nu"}))
     return ctx, moment, dc.p, perturb_v2(kc, t, zero).p

@@ -241,6 +241,16 @@ MALFORMED = {
         "dim = 1\nf.1.2.1 = 1\n",
         "structure constant f.1.2.1 has an index outside 1..1",
     ),
+    "structure constant that is not a rational number": (
+        "dim = 1\n",
+        "dim = 1\nf.1.1.1 = 1/0\n",
+        "structure constant f.1.1.1 must be a rational number, got '1/0'",
+    ),
+    "clifford coefficient that is not a rational number": (
+        "star_triples = all",
+        "star_triples = all\nclifford_coeff = two",
+        "clifford_coeff must be a rational number, got 'two'",
+    ),
     "action index outside the lie dim": (
         "J1 z1 = -i*z1",
         "J2 z1 = -i*z1",
