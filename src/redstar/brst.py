@@ -224,9 +224,8 @@ def certify_invariant(p, moment, lam, space, torus_rows=()):
     """
     if torus_rows:
         for m in p.terms:
-            grade = p.ctx.grade_of_mono(m)
-            for r in torus_rows:
-                if grade[1 + r] != 0:
+            for r, w in zip(torus_rows, p.ctx.torus_weights(m, torus_rows)):
+                if w:
                     raise InvarianceError(
                         f"monomial {m} has nonzero weight on torus row {r}"
                     )

@@ -5,9 +5,11 @@ differential multiplies by moment-map components.  Restriction, prolongation
 and the contracting homotopy are assembled from exact linear algebra on
 graded slices: per (homological degree, grade vector) the differential is a
 finite matrix, and canonical reduced-row-echelon solves make every operator
-deterministic.  When the grade rows include torus weights the homotopy is
-equivariant by construction, because each solve stays inside one weight
-slice.
+deterministic.  `res` and `h` map one basis element through the coordinates
+of its slice; `superalg.op_columns` evaluates them on whole BRST elements,
+one cached column per basis element.  When the grade rows include torus
+weights the homotopy is equivariant by construction, because each solve
+stays inside one weight slice.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .superalg import (
     OperatorHandle,
     SuperElement,
     contract_antighost,
+    op_columns,
     op_compose,
 )
 
@@ -279,9 +282,10 @@ class KoszulSpace:
 class KoszulContraction:
     """The contraction (quotient model, 0) <-> (Koszul complex, diff).
 
-    `res` and `h` act on whole BRST elements slice by slice: ghosts ride
-    along, with the usual sign on the odd homotopy; `res` kills every term
-    that contains an antighost.  The prolongation is the inclusion.
+    `res_fn` and `h_fn` map one basis element m e_A g, the column input of
+    `op_columns`: ghosts ride along, with the usual sign on the odd
+    homotopy; `res` kills every term that contains an antighost.  The
+    prolongation is the inclusion.
     """
 
     def __init__(self, space):
@@ -307,46 +311,38 @@ class KoszulContraction:
             )
         return x
 
-    def _slice_map(self, x, fn, shift, odd, degree=None):
-        """Apply a map on slice coordinates to a BRST element.
+    def _basis_map(self, x, fn, shift, odd):
+        """Apply a map on slice coordinates to one basis element c m e_A g.
 
-        x is cut by ghost block, nu slot, homological degree i and grade;
-        fn(i, grade, v) maps the coordinates v on K_i to coordinates on
-        K_{i+shift} at the same grade.  With `degree` given, only the slices
-        of that homological degree are mapped and the rest are dropped.  An
-        odd map takes the Koszul sign (-1)^|ghosts|, and every output term is
-        reliable to x.reliable.
+        x is the single term c m under the key (g, A) at nu^0, the input
+        `op_columns` builds for one column; fn(i, grade, v) maps the
+        coordinates v on K_i to coordinates on K_{i+shift} at the same grade.
+        An odd map takes the Koszul sign (-1)^|g|.
         """
         space = self.space
-        grade_of = x.ctx.grade_of_mono
-        slices = {}
-        for (ghosts, aset), coeff in x.terms.items():
-            if degree is not None and len(aset) != degree:
-                continue
-            off = space.antighost_offset(aset)
-            for slot, p in enumerate(coeff.coeffs):
-                for m, c in p.terms.items():
-                    key = (ghosts, slot, len(aset), _add_grades(grade_of(m), off))
-                    slices.setdefault(key, {})[(aset, m)] = c
+        ((ghosts, aset), series), = x.terms.items()
+        (m, c), = series.coeffs[0].terms.items()
+        i, grade = len(aset), _add_grades(x.ctx.grade_of_mono(m), space.antighost_offset(aset))
+        w = fn(i, grade, space.vectorize({(aset, m): c}, i, grade))
+        negate = odd and len(ghosts) % 2
         out = {}
-        for (ghosts, slot, i, grade), chain in slices.items():
-            w = fn(i, grade, space.vectorize(chain, i, grade))
-            negate = odd and len(ghosts) % 2
-            for c, (aset, m) in zip(w, space.slice_basis(i + shift, grade)):
-                if c:
-                    slots = out.setdefault((ghosts, aset), [{} for _ in range(x.order + 1)])
-                    slots[slot][m] = -c if negate else c
+        for v, (a, mono) in zip(w, space.slice_basis(i + shift, grade)):
+            if v:
+                out.setdefault((ghosts, a), {})[mono] = -v if negate else v
         terms = {
-            key: Series(x.ctx, x.order, [Poly(x.ctx, t, _clean=True) for t in slots], x.reliable)
-            for key, slots in out.items()
+            key: Series.from_poly(Poly(x.ctx, t, _clean=True), x.order) for key, t in out.items()
         }
         return SuperElement(x.ctx, x.dim, x.order, terms, _clean=True)
 
     def res_fn(self, x):
-        return self._slice_map(x, lambda i, grade, v: self.space.reduce(grade, v), 0, False, 0)
+        """res of one basis element: the normal form, or zero under an antighost."""
+        if any(aset for _, aset in x.terms):
+            return SuperElement.zero(x.ctx, x.dim, x.order)
+        return self._basis_map(x, lambda i, grade, v: self.space.reduce(grade, v), 0, False)
 
     def h_fn(self, x):
-        return self._slice_map(x, self._h_vec, 1, True)
+        """h of one basis element."""
+        return self._basis_map(x, self._h_vec, 1, True)
 
 
 @dataclass
@@ -383,6 +379,9 @@ class Contraction:
 def koszul_contraction(space):
     """The Koszul contraction on the slices of `space`, whose caches it shares.
 
+    `res` and `h` are column maps (`op_columns`): each basis column is
+    computed once and kept on the handle.
+
     The canonical solves satisfy the three side conditions h h = 0,
     h i = 0 and p h = 0, so the homotopy is used as it is.
     `tests/test_koszul.py::test_side_conditions_on_slice_bases`
@@ -392,9 +391,9 @@ def koszul_contraction(space):
     """
     kc = KoszulContraction(space)
     return Contraction(
-        p=OperatorHandle("res", kc.res_fn, 0),
+        p=op_columns(OperatorHandle("res", kc.res_fn, 0), name="res"),
         i=OperatorHandle("prol", lambda x: x, 0),
-        h=OperatorHandle("h", kc.h_fn, +1),
+        h=op_columns(OperatorHandle("h", kc.h_fn, +1), name="h"),
         d_X=OperatorHandle("0", lambda x: x.scale(0), +1),
         d_Y=koszul_operator(space.moment),
     )
@@ -451,7 +450,7 @@ class HomologyReport:
 
 
 def check_acyclicity(moment, degree_bound):
-    """Rank check of exactness in homological degrees >= 1, slice by slice.
+    """Rank check of exactness in homological degrees >= 1, on every graded slice.
 
     The report carries its space, whose slices and solvers a contraction can reuse.
     """

@@ -56,6 +56,10 @@ class VarContext:
         """Full grade vector of a monomial: (degree, *weights)."""
         return _grade(self.gradings, mono)
 
+    def torus_weights(self, mono, rows):
+        """The weights of a monomial on the grading rows `rows` (indices into `gradings`)."""
+        return tuple(sum(w * e for w, e in zip(self.gradings[r], mono)) for r in rows)
+
     def monomials_of_degree(self, deg):
         return _monomials_of_degree(self.nvars, deg)
 

@@ -128,8 +128,7 @@ def weight_zero_monomials(ctx, torus_rows, max_degree):
     out = []
     for deg in range(max_degree + 1):
         for m in ctx.monomials_of_degree(deg):
-            grade = ctx.grade_of_mono(m)
-            if all(grade[1 + r] == 0 for r in torus_rows):
+            if not any(ctx.torus_weights(m, torus_rows)):
                 out.append(m)
     return out
 

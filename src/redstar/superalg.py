@@ -596,6 +596,8 @@ def op_scale(f, c, name=None):
 def op_columns(f, name=None):
     """A C[[nu]]-linear f evaluated once per basis column.
 
+    The one path that cuts an element into basis columns and reassembles
+    it: it serves the Koszul `res` and `h` and the deformed res_nu.
     A column is f of one basis element m*g (a monomial m under a ghost key
     g) at truncation order N, keyed by (N, g, m) and computed on first use.
     It is kept as its reliable order and a flat tuple of (out key, nu power,

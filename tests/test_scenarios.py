@@ -8,7 +8,7 @@ import pytest
 from redstar.cli import main
 from redstar.errors import ConfigError
 from redstar.report import emit_report
-from redstar.runner import run_scenario
+from redstar.runner import STAGE_ORDER, run_scenario
 from redstar.scenarios import ScenarioConfig, get_scenario, load_config, registry, t2_c4
 
 HERE = os.path.dirname(__file__)
@@ -107,6 +107,24 @@ def test_degenerate_bivector_is_a_load_error(tmp_path, capsys):
     assert (first.check_id, first.status) == ("load.error", "error")
     assert "invertible" in first.witness
     assert main(["run", str(path), "--format", "text"]) == 1
+
+
+@pytest.mark.parametrize("bound,rc", [(1, 1), (2, 0)])
+def test_acyclicity_without_a_k1_slice_fails(bound, rc, tmp_path, capsys):
+    # at bound 1 no K_1 slice of the degree-2 constraint exists, so H1
+    # evaluates nothing and must not pass
+    with open(CFG, encoding="utf-8") as fh:
+        text = fh.read()
+    assert "degree_bound = 6\n" in text
+    path = tmp_path / f"bound{bound}.cfg"
+    text = text.replace("degree_bound = 6\n", f"degree_bound = {bound}\n")
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", "acyclicity", str(path)]) == rc
+    out = capsys.readouterr().out
+    detail = f"no K_1 slice within degree bound {bound}"
+    assert (detail in out) == (rc == 1)
+    status = re.search(r"\[(PASS|FAIL) *\] acyclicity\.H1", out).group(1)
+    assert status == ("FAIL" if rc else "PASS")
 
 
 def test_negative_control_report_content():
@@ -297,6 +315,27 @@ def test_cli_check_single_stage(capsys):
     assert records and all(r.startswith("acyclicity.") for r in records), records
     rc = main(["check", "covariance", "cubic-moment-map"])
     assert rc == 0
+
+
+def test_only_stage_records_equal_the_full_run():
+    untimed = lambda records: [dataclasses.replace(r, wall_time_s=0.0) for r in records]
+    names = ("negative-control-qq", "cubic-moment-map", "broken-sign-star")
+    configs = [get_scenario(n) for n in names]
+    # structure constants that fail the Jacobi identity: an engine error at load
+    configs.append(
+        dataclasses.replace(
+            get_scenario("commuting-n3"), structure_constants=((1, 2, 1, "1"), (1, 3, 2, "1"))
+        )
+    )
+    statuses = set()
+    for cfg in configs:
+        full = untimed(run_scenario(cfg).records)
+        statuses.update(r.status for r in full)
+        for stage in STAGE_ORDER:
+            only = untimed(run_scenario(cfg, only_stage=stage).records)
+            assert only == [r for r in full if r.stage == stage], (cfg.name, stage)
+    # between them: not-attempted, skipped, error and failing records
+    assert statuses >= {"not-attempted", "skipped", "error", "fail"}
 
 
 def test_invalid_lie_data_is_reported_not_raised():
