@@ -33,7 +33,9 @@ There are four ways into the kernel: `moyal_term` gives one order k at
 the weights L_e (the Poisson bracket is its k = 1 term); at the weights
 L_e / 2, `moyal_star_series` gives the product (`moyal_star` is that
 product on two polynomials), `moyal_bracket_series` the star commutator
-from the odd leaves alone, and `moyal_star_pair` both products.
+from the odd leaves alone, and `star_pass` is the pass they share, which
+writes E and O into slot dicts its caller owns: the graded star
+commutator of `superalg` runs it into its own accumulator.
 `moyal_commutator` stays two `moyal_star` calls: it is the independent
 route by which the covariance checks verify the kernel.
 """
@@ -169,12 +171,15 @@ def _operands(a, b, lam, order):
     return a, b
 
 
-def _star_pass(a, b, lam, even, odd, n=1):
+def star_pass(a, b, lam, even, odd, n=1):
     """One kernel pass at the weights L_e / 2 over the coefficient pairs of a, b.
 
-    The leaf of order k on a_i, b_j adds n times its value to the dict
-    even[i + j + k] for even k and odd[i + j + k] for odd k, and is dropped
-    where that slot is None.  Passing the same dicts twice gives a * b.
+    a and b are Series of one order N, and even and odd lists of N + 1
+    slots.  The leaf of order k on a_i, b_j adds n times its value to the
+    dict even[i + j + k] for even k and odd[i + j + k] for odd k, and is
+    dropped where that slot is None; a slot pair whose slots are all None
+    is skipped.  The dicts may keep zero values.  Passing the same dicts
+    twice gives a * b; E + O = a * b and E - O = b * a.
     """
     top = a.order
     half = lam.half_entries
@@ -195,7 +200,7 @@ def moyal_star_series(a, b, lam, order=None):
     """Moyal star product of two Series (or a Series and a Poly), truncated."""
     a, b = _operands(a, b, lam, order)
     out = [{} for _ in range(a.order + 1)]
-    _star_pass(a, b, lam, out, out)
+    star_pass(a, b, lam, out, out)
     return _series(a, b, out)
 
 
@@ -203,17 +208,8 @@ def moyal_bracket_series(a, b, lam):
     """a * b - b * a from one pass: twice the odd orders of a * b."""
     a, b = _operands(a, b, lam, None)
     odd = [{} for _ in range(a.order + 1)]
-    _star_pass(a, b, lam, [None] * (a.order + 1), odd, n=2)
+    star_pass(a, b, lam, [None] * (a.order + 1), odd, n=2)
     return _series(a, b, odd)
-
-
-def moyal_star_pair(a, b, lam):
-    """(a * b, b * a) from one pass: b * a negates the odd orders of a * b."""
-    a, b = _operands(a, b, lam, None)
-    even, odd = [{} for _ in range(a.order + 1)], [{} for _ in range(a.order + 1)]
-    _star_pass(a, b, lam, even, odd)
-    even, odd = _series(a, b, even), _series(a, b, odd)
-    return even + odd, even - odd
 
 
 def moyal_commutator(f, g, lam, order):

@@ -227,6 +227,12 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check(other)
+            # a constant factor, as in left_monomial's products, only scales
+            for const, poly in ((self, other), (other, self)):
+                if len(const.terms) == 1:
+                    (m, c), = const.terms.items()
+                    if not any(m):
+                        return poly.scale(c)
             out = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():

@@ -104,7 +104,7 @@ def star_action(star):
 
     def act(j, x):
         jser = Series.from_poly(j, x.order)
-        return x.map_terms(lambda c: moyal_bracket_series(jser, c, star.lam).div_nu())
+        return x.map_terms(lambda c: moyal_bracket_series(jser, c, star.lam).div_nu(), drop=1)
 
     return act
 

@@ -22,11 +22,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
-from .errors import ContextError
-from .poisson import moyal_star_pair, moyal_star_series, poisson_bracket
+from .errors import ContextError, ReliabilityError
+from .poisson import moyal_star_series, poisson_bracket, star_pass
 from .poly import Poly
 from .series import Series
 
@@ -148,12 +149,28 @@ def _remove_ghost(key, a):
     return sign, (ghosts[:pos] + ghosts[pos + 1 :], antighosts)
 
 
+def _lower(floor, reliable):
+    """The floor `floor` (None: no vanished contribution) lowered to `reliable`."""
+    return reliable if floor is None or reliable < floor else floor
+
+
+def _floors(x, y):
+    """The lower of the floors of x and y."""
+    return x.floor if y.floor is None else _lower(x.floor, y.floor)
+
+
 class SuperElement:
-    """Element of the BRST algebra with Series coefficients."""
+    """Element of the BRST algebra with Series coefficients.
 
-    __slots__ = ("ctx", "dim", "order", "terms")
+    A term whose coefficient vanishes in every nu slot is not stored.  Its
+    reliable order is not lost: `floor` is the minimum reliable order of
+    every contribution that vanished on the way to this element (None if
+    none did), as a Series sum keeps the minimum of its summands'.
+    """
 
-    def __init__(self, ctx, dim, order, terms=None, _clean=False):
+    __slots__ = ("ctx", "dim", "order", "terms", "floor")
+
+    def __init__(self, ctx, dim, order, terms=None, _clean=False, floor=None):
         self.ctx = ctx
         self.dim = dim
         self.order = order
@@ -168,7 +185,10 @@ class SuperElement:
                     coeff = Series.from_poly(coeff, order)
                 if not all(c.is_zero() for c in coeff.coeffs):
                     clean[key] = coeff
+                else:
+                    floor = _lower(floor, coeff.reliable)
             self.terms = clean
+        self.floor = floor
 
     # -- constructors -----------------------------------------------------
 
@@ -206,14 +226,16 @@ class SuperElement:
             return NotImplemented
         self._check(other)
         out = dict(self.terms)
+        floor = _floors(self, other)
         for key, coeff in other.terms.items():
             cur = out.get(key)
             s = coeff if cur is None else cur + coeff
             if all(c.is_zero() for c in s.coeffs):
                 out.pop(key, None)
+                floor = _lower(floor, s.reliable)
             else:
                 out[key] = s
-        return SuperElement(self.ctx, self.dim, self.order, out, _clean=True)
+        return SuperElement(self.ctx, self.dim, self.order, out, _clean=True, floor=floor)
 
     def __sub__(self, other):
         return self + (-other)
@@ -221,18 +243,23 @@ class SuperElement:
     def __neg__(self):
         return self.map_terms(lambda c: -c)
 
-    def map_terms(self, fn, order=None):
+    def map_terms(self, fn, order=None, drop=0):
         """Apply a Series -> Series map to every term, dropping terms mapped to zero.
 
         `order` is the truncation order of the result (default: unchanged).
+        fn lowers a reliable order by `drop` (1 for a division by nu), and
+        the floor moves with it.
         """
+        order = self.order if order is None else order
+        floor = None if self.floor is None else min(self.floor - drop, order)
         out = {}
         for key, coeff in self.terms.items():
             s = fn(coeff)
             if not all(p.is_zero() for p in s.coeffs):
                 out[key] = s
-        order = self.order if order is None else order
-        return SuperElement(self.ctx, self.dim, order, out, _clean=True)
+            else:
+                floor = _lower(floor, s.reliable)
+        return SuperElement(self.ctx, self.dim, order, out, _clean=True, floor=floor)
 
     def scale(self, c):
         return self.map_terms(lambda coeff: coeff.scale(c))
@@ -241,7 +268,7 @@ class SuperElement:
         return self.map_terms(lambda c: c.shift_nu(k))
 
     def div_nu(self):
-        return self.map_terms(Series.div_nu)
+        return self.map_terms(Series.div_nu, drop=1)
 
     def map_coefficients(self, fn):
         """Apply a Poly -> Poly linear map to every nu-slot of every term."""
@@ -252,20 +279,31 @@ class SuperElement:
     # -- structure queries ----------------------------------------------------
 
     def is_zero(self, upto=None):
+        """Whether every term vanishes through `upto` (default: each term's reliable order).
+
+        Asking beyond the floor raises ReliabilityError, as the Series of
+        a vanished term would.
+        """
+        if upto is not None and self.floor is not None and upto > self.floor:
+            raise ReliabilityError(
+                f"zero test requested to order {upto} but a vanished term was "
+                f"reliable only to {self.floor}"
+            )
         return all(c.is_zero(upto) for c in self.terms.values())
 
     @property
     def reliable(self):
-        if not self.terms:
-            return self.order
-        return min(c.reliable for c in self.terms.values())
+        floor = self.order if self.floor is None else self.floor
+        return min([floor, *(c.reliable for c in self.terms.values())])
 
     def parity_components(self):
         even = {}
         odd = {}
         for key, coeff in self.terms.items():
             (even if term_parity(key) == 0 else odd)[key] = coeff
-        mk = lambda t: SuperElement(self.ctx, self.dim, self.order, t, _clean=True)
+        mk = lambda t: SuperElement(
+            self.ctx, self.dim, self.order, t, _clean=True, floor=self.floor
+        )
         return mk(even), mk(odd)
 
     def as_series(self):
@@ -330,7 +368,7 @@ def _contract(x, remove, a):
         if hit is not None:
             sign, new_key = hit
             out[new_key] = coeff.scale(sign)
-    return SuperElement(x.ctx, x.dim, x.order, out)
+    return SuperElement(x.ctx, x.dim, x.order, out, floor=x.floor)
 
 
 def contract_ghost(x, a):
@@ -377,7 +415,7 @@ def super_mul(x, y):
             s = (c1 * c2).scale(sign)
             cur = out.get(key)
             out[key] = s if cur is None else cur + s
-    return SuperElement(x.ctx, x.dim, x.order, out)
+    return SuperElement(x.ctx, x.dim, x.order, out, floor=_floors(x, y))
 
 
 def canonical_monomial(ghosts=(), antighosts=()):
@@ -423,32 +461,38 @@ def _pairings(kx, ky):
             yield parity_sign * s1 * s2, kx2, ky2
 
 
+@lru_cache(maxsize=None)
 def _clifford_ghost_terms(key1, key2, max_k):
-    """Contraction expansion of two ghost monomials.
+    """Contraction expansion of two ghost monomials, up to level max_k.
 
-    Yields (k, coefficient, merged key) for mu(T^k(x (x) y)) / k!, with T as
-    in `_pairings`.  The coefficient is an int for k < 2 (so level 0 scales
-    by the int sign) and a Fraction beyond.
+    The tuple of (k, coefficient, merged key) for mu(T^k(x (x) y)) / k!,
+    with T as in `_pairings`, in increasing k.  The coefficient is an int
+    for k < 2 (so level 0 scales by the int sign) and a Fraction beyond.
     """
+    out = []
     level = [(key1, key2, 1)]
     k = 0
     while level and k <= max_k:
         for kx, ky, c in level:
             sign, merged = _merge_terms(kx, ky)
             if sign != 0:
-                yield k, c * sign if k < 2 else Fraction(c * sign, factorial(k)), merged
+                out.append((k, c * sign if k < 2 else Fraction(c * sign, factorial(k)), merged))
         level = [(kx2, ky2, c * s) for kx, ky, c in level for s, kx2, ky2 in _pairings(kx, ky)]
         k += 1
+    return tuple(out)
 
 
-def _accumulate(out, key, series):
+def _accumulate(out, key, series, floor):
     """Add `series` into out[key] unless it vanishes in every nu slot.
 
-    A skipped zero leaves the reliable order of out[key] alone.
+    A skipped zero leaves the reliable order of out[key] alone and lowers
+    the returned floor instead.
     """
-    if not all(p.is_zero() for p in series.coeffs):
-        cur = out.get(key)
-        out[key] = series if cur is None else cur + series
+    if all(p.is_zero() for p in series.coeffs):
+        return _lower(floor, series.reliable)
+    cur = out.get(key)
+    out[key] = series if cur is None else cur + series
+    return floor
 
 
 def _term_products(x, y, product):
@@ -469,10 +513,11 @@ def _clifford_product(x, y, bases, pairing):
     """
     x._check(y)
     out = {}
+    floor = _floors(x, y)
     for k1, k2, base in bases:
         for k, s, key in _clifford_ghost_terms(k1, k2, x.order):
-            _accumulate(out, key, base.scale(s * pairing**k if k else s).shift_nu(k))
-    return SuperElement(x.ctx, x.dim, x.order, out)
+            floor = _accumulate(out, key, base.scale(s * pairing**k if k else s).shift_nu(k), floor)
+    return SuperElement(x.ctx, x.dim, x.order, out, floor=floor)
 
 
 def clifford_mul(x, y, coeff=Fraction(-2)):
@@ -496,33 +541,129 @@ class StarProduct:
         return _clifford_product(x, y, _term_products(x, y, moyal), self.clifford_coeff)
 
     def commutator(self, x, y):
-        """Graded star commutator x y - (-1)^{|x||y|} y x, parity piece by parity piece.
+        """Graded star commutator [x, y] = x y - (-1)^{|x||y|} y x.
 
-        One kernel pass per pair of coefficients gives both Moyal products,
-        c1 * c2 for x y and c2 * c1 for y x.
+        A term pair (c1 under key k1, c2 under key k2) gives x y, at each
+        Clifford contraction level k of (k1, k2), s c^k nu^k (c1 * c2); y x
+        takes the levels of (k2, k1) with c2 * c1.  One `star_pass` gives
+        the even and odd Moyal orders E and O of c1 * c2, and c2 * c1 =
+        E - O.  At level 0 both products land on one key: the ghosts are
+        odd, so k2 k1 = (-1)^{|k1||k2|} k1 k2, and after the graded sign
+        y x takes s (E - O) from the s (E + O) of x y, leaving 2 s O.
+        So a pair with no level >= 1 term inside the truncation runs the
+        odd leaves alone, at weight 2 s, straight into the accumulator.
+        Any other pair runs one full pass and feeds 2 s O at level 0,
+        s c^k (E + O) at each level k of (k1, k2) and
+        -(-1)^{|x||y|} s c^k (E - O) at each level k of (k2, k1), times nu^k.
+
+        The parity blocks (x's even or odd terms against y's) are summed
+        one after another.  A pair counts toward a key's reliable order
+        when its lowest nonzero slots i0, j0 satisfy i0 + j0 + k <= N,
+        since c1_{i0} c2_{j0} is the nonzero lowest slot of c1 * c2.  A key
+        whose block sum vanishes is dropped; its reliable order still
+        lowers the term an earlier block left under that key, or else the
+        element's floor.
         """
         x._check(y)
-        out = SuperElement.zero(x.ctx, x.dim, x.order)
-        for px, xp in zip((0, 1), x.parity_components()):
-            if not xp.terms:
+        ctx, order = x.ctx, x.order
+
+        def pieces(z):
+            return [
+                [(k, c, _lowest_slot(c)) for k, c in z.terms.items() if term_parity(k) == p]
+                for p in (0, 1)
+            ]
+
+        out, floor = {}, _floors(x, y)
+        for px, xs in enumerate(pieces(x)):
+            for py, ys in enumerate(pieces(y)):
+                block = _commutator_block(xs, ys, (-1) ** (px * py), self, order)
+                floor = _add_block(out, block, ctx, order, floor)
+        return SuperElement(ctx, x.dim, order, out, _clean=True, floor=floor)
+
+
+def _add_block(out, block, ctx, order, floor):
+    """Add one parity block into the {key: Series} dict out; return the lowered floor."""
+    for key, (reliable, slots) in block.items():
+        coeffs = [Poly(ctx, {m: c for m, c in t.items() if c}, _clean=True) for t in slots]
+        cur = out.get(key)
+        if not any(p.terms for p in coeffs):
+            if cur is None:
+                floor = _lower(floor, reliable)
+            else:
+                out[key] = Series(ctx, order, cur.coeffs, min(cur.reliable, reliable))
+            continue
+        series = Series(ctx, order, coeffs, reliable)
+        if cur is not None:
+            series = cur + series
+            if all(p.is_zero() for p in series.coeffs):
+                del out[key]
+                floor = _lower(floor, series.reliable)
                 continue
-            for py, yp in zip((0, 1), y.parity_components()):
-                if not yp.terms:
-                    continue
-                both = {
-                    (k1, k2): moyal_star_pair(c1, c2, self.lam)
-                    for k1, c1 in xp.terms.items()
-                    for k2, c2 in yp.terms.items()
-                }
-                xy = ((k1, k2, ab) for (k1, k2), (ab, _) in both.items())
-                yx = ((k2, k1, both[k1, k2][1]) for k2 in yp.terms for k1 in xp.terms)
-                sign = (-1) ** (px * py)
-                out = (
-                    out
-                    + _clifford_product(xp, yp, xy, self.clifford_coeff)
-                    - _clifford_product(yp, xp, yx, self.clifford_coeff).scale(sign)
-                )
-        return out
+        out[key] = series
+    return floor
+
+
+def _lowest_slot(series):
+    """The lowest nu power with a nonzero coefficient (past the order if none)."""
+    return next((i for i, p in enumerate(series.coeffs) if p.terms), series.order + 1)
+
+
+def _commutator_block(xs, ys, sign, star, order):
+    """One parity block of `StarProduct.commutator`: {key: [reliable, nu slot dicts]}.
+
+    xs and ys hold (key, coefficient, lowest slot) for the terms of one
+    parity; sign is (-1)^{|x||y|}.  The slot dicts may keep zero values.
+    """
+    lam, pairing = star.lam, star.clifford_coeff
+    acc = {}
+    no_even = [None] * (order + 1)
+
+    def slots(key, reliable):
+        entry = acc.get(key)
+        if entry is None:
+            entry = acc[key] = [reliable, [{} for _ in range(order + 1)]]
+        elif reliable < entry[0]:
+            entry[0] = reliable
+        return entry[1]
+
+    for k1, c1, i0 in xs:
+        for k2, c2, j0 in ys:
+            if i0 + j0 > order:
+                continue
+            xy = _clifford_ghost_terms(k1, k2, order - i0 - j0)
+            yx = _clifford_ghost_terms(k2, k1, order - i0 - j0)
+            reliable = min(c1.reliable, c2.reliable)
+            if not (xy and xy[-1][0] or yx and yx[-1][0]):
+                if xy:  # level 0 alone: the odd leaves, twice
+                    _, s, key = xy[0]
+                    star_pass(c1, c2, lam, no_even, slots(key, reliable), 2 * s)
+                continue
+            even, odd = [{} for _ in range(order + 1)], [{} for _ in range(order + 1)]
+            star_pass(c1, c2, lam, even, odd)
+            for k, s, key in xy:
+                target = slots(key, reliable)
+                if k == 0:
+                    _add_shifted(target, odd, 0, 2 * s)
+                else:
+                    w = s * pairing**k
+                    _add_shifted(target, even, k, w)
+                    _add_shifted(target, odd, k, w)
+            for k, s, key in yx:
+                if k:
+                    w = -sign * s * pairing**k
+                    target = slots(key, reliable)
+                    _add_shifted(target, even, k, w)
+                    _add_shifted(target, odd, k, -w)
+    return acc
+
+
+def _add_shifted(target, source, k, w):
+    """Add w times the slot dicts of source into target, k nu powers up."""
+    for dst, src in zip(target[k:], source):
+        for m, v in src.items():
+            if v:
+                c = dst.get(m)
+                dst[m] = v * w if c is None else c + v * w
 
 
 def graded_poisson(x, y, lam):
@@ -534,6 +675,7 @@ def graded_poisson(x, y, lam):
     x._check(y)
     bracket = lambda a, b: poisson_bracket(a, b, lam)
     out = {}
+    floor = _floors(x, y)
     for k1, c1 in x.terms.items():
         p1 = term_parity(k1)
         for k2, c2 in y.terms.items():
@@ -541,7 +683,7 @@ def graded_poisson(x, y, lam):
             # coefficient bracket, ghost parts multiply
             sign, key = _merge_terms(k1, k2)
             if sign != 0:
-                _accumulate(out, key, c1.convolve(c2, bracket).scale(sign))
+                floor = _accumulate(out, key, c1.convolve(c2, bracket).scale(sign), floor)
             # ghost pairing at strength 2: antighosts of x with ghosts of y,
             # then antighosts of y with ghosts of x
             prod = None  # c1 * c2, computed on first use
@@ -554,8 +696,8 @@ def graded_poisson(x, y, lam):
                     if msign != 0:
                         if prod is None:
                             prod = c1 * c2
-                        _accumulate(out, key2, prod.scale(weight * s * msign))
-    return SuperElement(x.ctx, x.dim, x.order, out)
+                        floor = _accumulate(out, key2, prod.scale(weight * s * msign), floor)
+    return SuperElement(x.ctx, x.dim, x.order, out, floor=floor)
 
 
 # -- operator handles -----------------------------------------------------------
@@ -605,7 +747,7 @@ def op_columns(f, name=None):
     c * nu^s * m * g of x of c * nu^s * f(m g), truncated at x.order.  An
     output term is reliable to the minimum of x.reliable (the whole input's,
     as the Koszul maps take it) and the reliable orders of the columns that
-    feed it.
+    feed it; an output term that cancels lowers the floor to that order.
     """
     columns = {}
 
@@ -651,11 +793,14 @@ def op_columns(f, name=None):
                                 slot[m] = w
                             else:
                                 del slot[m]
-        terms = {}
+        terms, floor, x_reliable = {}, x.floor, x.reliable
         for out_key, (reliable, slots) in acc.items():
+            reliable = min(reliable, x_reliable)
             if any(slots):
                 coeffs = [Poly(x.ctx, slot, _clean=True) for slot in slots]
-                terms[out_key] = Series(x.ctx, order, coeffs, min(reliable, x.reliable))
-        return SuperElement(x.ctx, x.dim, order, terms, _clean=True)
+                terms[out_key] = Series(x.ctx, order, coeffs, reliable)
+            else:
+                floor = _lower(floor, reliable)
+        return SuperElement(x.ctx, x.dim, order, terms, _clean=True, floor=floor)
 
     return OperatorHandle(name or f"cols({f.name})", fn, f.degree, f.raises_filtration)

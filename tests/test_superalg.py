@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 from redstar import poisson
+from redstar.errors import ReliabilityError
 from redstar.poisson import moyal_star, moyal_star_series, poisson_bracket, poisson_data
 from redstar.poly import Poly, poly_ring
 from redstar.probes import random_poly, random_super
@@ -16,6 +17,7 @@ from redstar.scenarios import get_scenario
 from redstar.series import Series
 from redstar.superalg import (
     LieAlgebraData,
+    OperatorHandle,
     StarProduct,
     SuperElement,
     _merge_terms,
@@ -23,6 +25,7 @@ from redstar.superalg import (
     contract_antighost,
     contract_ghost,
     graded_poisson,
+    op_columns,
     super_mul,
 )
 
@@ -218,6 +221,60 @@ def test_lie_data_validation():
     assert lie.unimodular
     ab = LieAlgebraData.build(2)
     assert ab.abelian and ab.unimodular
+
+
+def test_vanished_terms_keep_their_reliable_order():
+    # q - q vanishes, but the first q is reliable only to order 1: the
+    # Series difference refuses a zero test to order 2, and so does every
+    # element in which such a term vanished
+    ctx, q, p, lam = setup()
+    s1 = Series(ctx, 2, [Poly.zero(ctx), q, Poly.zero(ctx)]).div_nu()
+    s2 = Series.from_poly(q, 2)
+    with pytest.raises(ReliabilityError):
+        (s1 - s2).is_zero(2)
+    one, e1, e2 = ((), ()), ((1,), ()), ((2,), ())
+    x, y = (SuperElement(ctx, DIM, 2, {one: s}) for s in (s1, s2))
+
+    def to_one(z):  # every term summed under the key 1
+        total = sum(z.terms.values(), Series.zero(ctx, z.order))
+        return SuperElement(ctx, DIM, z.order, {one: total})
+
+    vanished = {
+        "add": x - y,
+        "constructor": SuperElement(ctx, DIM, 2, {one: s1 - s2}),
+        "map_terms": x.scale(0),
+        "accumulate": clifford_mul(x.shift_nu(1), SuperElement.from_poly(p, DIM, 2).shift_nu(2)),
+        "op_columns": op_columns(OperatorHandle("to 1", to_one))(
+            SuperElement(ctx, DIM, 2, {e1: s1, e2: -s2})
+        ),
+        "commutator": StarProduct(lam).commutator(x, y),
+    }
+    for site, z in vanished.items():
+        assert not z.terms and z.reliable == 1, site
+        assert z.is_zero(1), site
+        with pytest.raises(ReliabilityError):
+            z.is_zero(2)
+    # each termwise map moves the floor as it moves the vanished Series
+    z, zero, jser = x - y, s1 - s2, Series.from_poly(q, 2)
+    star = StarProduct(lam)
+    mapped = {
+        "neg": (-z, -zero),
+        "scale": (z.scale(3), zero.scale(3)),
+        "shift_nu": (z.shift_nu(1), zero.shift_nu(1)),
+        "div_nu": (z.div_nu(), zero.div_nu()),
+        "truncate": (z.truncate(0), zero.truncate(0)),
+        "map_coefficients": (z.map_coefficients(lambda f: f * p), zero),
+        "star_right_multiply": (
+            star_right_multiply(z, q, star),
+            moyal_star_series(zero, jser, lam),
+        ),
+        "star_action": (
+            star_action(star)(q, z),
+            (moyal_star_series(jser, zero, lam) - moyal_star_series(zero, jser, lam)).div_nu(),
+        ),
+    }
+    for name, (got, want) in mapped.items():
+        assert not got.terms and got.reliable == want.reliable, name
 
 
 # -- reference implementations ---------------------------------------------------
@@ -471,10 +528,32 @@ def test_merge_terms_matches_encoded_merge():
             assert _merge_terms(k1, k2) == _ref_merge_terms(k1, k2, dim), (k1, k2)
 
 
-def _slot_pairs(c1, c2):
-    """The kernel passes of one Moyal product: nonzero nu slots i, j with i + j <= order."""
+def _commutator_passes(x, y):
+    """The kernel passes of `StarProduct.commutator`, one per live slot pair.
+
+    A term pair whose lowest nonzero slots i0, j0 leave no Clifford level k
+    with i0 + j0 + k <= order in either order of the keys makes none.  One
+    whose only level is 0 runs the odd leaves alone, and the slot pairs with
+    i + j = order carry no odd leaf; every other pair runs all nonzero slot
+    pairs i, j with i + j <= order.
+    """
     live = lambda c: [i for i, p in enumerate(c.coeffs) if not p.is_zero()]
-    return sum(1 for i in live(c1) for j in live(c2) if i + j <= c1.order)
+    order, passes = x.order, 0
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            i, j = live(c1), live(c2)
+            if not i or not j or i[0] + j[0] > order:
+                continue
+            hi = order - i[0] - j[0]
+            levels = {
+                k
+                for a, b in ((k1, k2), (k2, k1))
+                for k, _, _ in _ref_clifford_ghost_terms(a, b, x.dim, hi)
+            }
+            top = order - 1 if levels == {0} else order
+            if levels:
+                passes += sum(1 for a in i for b in j if a + b <= top)
+    return passes
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -490,9 +569,45 @@ def test_products_match_reference(name, monkeypatch):
         calls.clear()
         commutator = star.commutator(x, y)
         # one pass per coefficient pair gives both c1 * c2 and c2 * c1
-        passes = sum(_slot_pairs(c1, c2) for c1 in x.terms.values() for c2 in y.terms.values())
-        assert len(calls) == passes
+        assert len(calls) == _commutator_passes(x, y)
         assert_same(commutator, ref_commutator(star, x, y))
+
+
+def _mixed_parity_element(ctx, dim, order, rng):
+    """Random terms of both parities, and constant terms under 1 and e^1.
+
+    A constant term commutes at level 0 with every term, so with no ghost
+    pairing its parity block sums to zero on a key that another block may
+    hold.
+    """
+    subsets = [()] + [s for r in range(1, dim + 1) for s in combinations(range(1, dim + 1), r)]
+    terms = dict(_random_element(ctx, dim, order, rng, terms=3).terms)
+    for parity in (0, 1):
+        keys = [(g, a) for g in subsets for a in subsets if (len(g) + len(a)) % 2 == parity]
+        coeffs = [random_poly(ctx, rng, 2, terms=2) for _ in range(order + 1)]
+        terms[rng.choice(keys)] = Series(ctx, order, coeffs, rng.randint(0, order))
+    for key in (((), ()), ((1,), ())):
+        terms[key] = Series(ctx, order, [Poly.const(ctx, rng.randint(1, 3))], rng.randint(0, order))
+    return SuperElement(ctx, dim, order, terms)
+
+
+@pytest.mark.parametrize("name", ("t2-c4", "angular-momentum-m2"))
+def test_commutator_matches_reference_across_parity_blocks(name):
+    ctx, lam, dim = _loaded(name)
+    star = StarProduct(lam)
+    rng = random.Random(name)
+    collisions = 0
+    for order in REF_ORDERS:
+        for _ in range(4):
+            x = _mixed_parity_element(ctx, dim, order, rng)
+            y = _mixed_parity_element(ctx, dim, order, rng)
+            assert_same(star.commutator(x, y), ref_commutator(star, x, y))
+            (xe, xo), (ye, yo) = x.parity_components(), y.parity_components()
+            for a, b in (((xe, ye), (xo, yo)), ((xe, yo), (xo, ye))):
+                keys = [set(ref_commutator(star, *pair).terms) for pair in (a, b)]
+                collisions += bool(keys[0] & keys[1])
+    # the blocks that share a parity of output keys do meet on a key
+    assert collisions
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
