@@ -34,8 +34,9 @@ the weights L_e (the Poisson bracket is its k = 1 term); at the weights
 L_e / 2, `moyal_star_series` gives the product (`moyal_star` is that
 product on two polynomials), `moyal_bracket_series` the star commutator
 from the odd leaves alone, and `star_pass` is the pass they share, which
-writes E and O into slot dicts its caller owns: the graded star
-commutator of `superalg` runs it into its own accumulator.
+writes E and O into slot dicts its caller owns: the graded star product
+of `superalg` and its supercommutator run it, once per term pair, into
+one accumulator of per-key nu slots.
 `moyal_commutator` stays two `moyal_star` calls: it is the independent
 route by which the covariance checks verify the kernel.
 """

@@ -19,15 +19,14 @@ Convention notes (pinned by the identity test suite, see tests):
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import factorial
 
 from .errors import ContextError, ReliabilityError
-from .poisson import moyal_star_series, poisson_bracket, star_pass
+from .poisson import poisson_bracket, star_pass
 from .poly import Poly
 from .series import Series
 
@@ -307,10 +306,13 @@ class SuperElement:
         return mk(even), mk(odd)
 
     def as_series(self):
-        """The scalar part of a ghost- and antighost-free element."""
+        """The scalar part of a ghost- and antighost-free element, reliable to at most its floor."""
         if any(k != ((), ()) for k in self.terms):
             raise ValueError("element has ghost or antighost content")
-        return self.terms.get(((), ()), Series.zero(self.ctx, self.order))
+        s = self.terms.get(((), ()), Series.zero(self.ctx, self.order))
+        if self.floor is None or s.reliable <= self.floor:
+            return s
+        return Series(self.ctx, self.order, s.coeffs, self.floor)
 
     def truncate(self, order):
         return self.map_terms(lambda c: c.truncate(order), order)
@@ -403,7 +405,7 @@ def _merge_terms(key1, key2):
 def super_mul(x, y):
     """The graded commutative product (coefficients multiply pointwise).
 
-    Unlike `_clifford_product`, zero products are added in and lower `reliable`.
+    Unlike the star product, zero products are added in and lower `reliable`.
     """
     x._check(y)
     out = {}
@@ -495,94 +497,136 @@ def _accumulate(out, key, series, floor):
     return floor
 
 
-def _term_products(x, y, product):
-    """(k1, k2, product(c1, c2)) for the term pairs of x and y, x's terms outer."""
-    return (
-        (k1, k2, product(c1, c2)) for k1, c1 in x.terms.items() for k2, c2 in y.terms.items()
-    )
-
-
-def _clifford_product(x, y, bases, pairing):
-    """The Clifford expansion of x y over the coefficient products `bases`.
-
-    `bases` yields (k1, k2, base) for the term pairs of x and y in the order
-    of `_term_products`, base being the product of their coefficients.  It
-    contributes at every contraction level k of the ghost keys k1, k2,
-    weighted by (pairing * nu)^k, and is accumulated by `_accumulate`, which
-    skips zeros.
-    """
-    x._check(y)
-    out = {}
-    floor = _floors(x, y)
-    for k1, k2, base in bases:
-        for k, s, key in _clifford_ghost_terms(k1, k2, x.order):
-            floor = _accumulate(out, key, base.scale(s * pairing**k if k else s).shift_nu(k), floor)
-    return SuperElement(x.ctx, x.dim, x.order, out, floor=floor)
-
-
-def clifford_mul(x, y, coeff=Fraction(-2)):
-    """Clifford multiplication: ghost pairing to all orders in nu.
-
-    Coefficients multiply pointwise (no Moyal part); each contraction level
-    k contributes a factor (coeff * nu)^k.
-    """
-    return _clifford_product(x, y, _term_products(x, y, operator.mul), coeff)
-
-
 @dataclass(frozen=True)
 class StarProduct:
-    """The graded star product: Moyal on coefficients, Clifford on ghosts."""
+    """The graded star product: Moyal on coefficients, Clifford on ghosts.
+
+    A term pair (c1 under key k1, c2 under key k2) gives x y, at each
+    Clifford contraction level k of (k1, k2), s c^k nu^k (c1 * c2), with s
+    and the merged key from `_clifford_ghost_terms` and c the Clifford
+    coefficient.  Both products hand these levels to `_clifford_expansion`
+    as weights on the even and odd Moyal orders E and O of c1 * c2.
+    """
 
     lam: object  # PoissonData
     clifford_coeff: Fraction = Fraction(-2)
 
+    def _levels(self, k1, k2, order):
+        """(k, key, s c^k) for the contraction levels k <= order of (k1, k2); an int at k = 0."""
+        c = self.clifford_coeff
+        terms = _clifford_ghost_terms(k1, k2, order)
+        return [(k, key, s * c**k if k else s) for k, s, key in terms]
+
     def star(self, x, y):
-        moyal = lambda c1, c2: moyal_star_series(c1, c2, self.lam)
-        return _clifford_product(x, y, _term_products(x, y, moyal), self.clifford_coeff)
+        """x y: each level of a term pair weighs E and O alike."""
+        levels = lambda k1, k2: [(k, key, w, w) for k, key, w in self._levels(k1, k2, x.order)]
+        return _clifford_expansion(x, y, self.lam, [(_terms(x), _terms(y), levels)])
 
     def commutator(self, x, y):
         """Graded star commutator [x, y] = x y - (-1)^{|x||y|} y x.
 
-        A term pair (c1 under key k1, c2 under key k2) gives x y, at each
-        Clifford contraction level k of (k1, k2), s c^k nu^k (c1 * c2); y x
-        takes the levels of (k2, k1) with c2 * c1.  One `star_pass` gives
-        the even and odd Moyal orders E and O of c1 * c2, and c2 * c1 =
-        E - O.  At level 0 both products land on one key: the ghosts are
-        odd, so k2 k1 = (-1)^{|k1||k2|} k1 k2, and after the graded sign
-        y x takes s (E - O) from the s (E + O) of x y, leaving 2 s O.
-        So a pair with no level >= 1 term inside the truncation runs the
-        odd leaves alone, at weight 2 s, straight into the accumulator.
-        Any other pair runs one full pass and feeds 2 s O at level 0,
-        s c^k (E + O) at each level k of (k1, k2) and
-        -(-1)^{|x||y|} s c^k (E - O) at each level k of (k2, k1), times nu^k.
-
-        The parity blocks (x's even or odd terms against y's) are summed
-        one after another.  A pair counts toward a key's reliable order
-        when its lowest nonzero slots i0, j0 satisfy i0 + j0 + k <= N,
-        since c1_{i0} c2_{j0} is the nonzero lowest slot of c1 * c2.  A key
-        whose block sum vanishes is dropped; its reliable order still
-        lowers the term an earlier block left under that key, or else the
-        element's floor.
+        y x takes the levels of (k2, k1) with c2 * c1 = E - O.  At level 0
+        both products land on one key: the ghosts are odd, so k2 k1 =
+        (-1)^{|k1||k2|} k1 k2, and after the graded sign y x takes s (E - O)
+        from the s (E + O) of x y, leaving 2 s O.  So a term pair gives
+        2 s O at level 0, s c^k (E + O) at each level k >= 1 of (k1, k2) and
+        -(-1)^{|x||y|} s c^k (E - O) at each level k >= 1 of (k2, k1), times
+        nu^k.  The four parity blocks (x's even or odd terms against y's)
+        are expanded one after another.
         """
-        x._check(y)
-        ctx, order = x.ctx, x.order
+
+        def levels(k1, k2, sign):
+            xy, yx = self._levels(k1, k2, x.order), self._levels(k2, k1, x.order)
+            return (
+                [(0, key, 0, 2 * w) for k, key, w in xy if not k]
+                + [(k, key, w, w) for k, key, w in xy if k]
+                + [(k, key, -sign * w, sign * w) for k, key, w in yx if k]
+            )
 
         def pieces(z):
-            return [
-                [(k, c, _lowest_slot(c)) for k, c in z.terms.items() if term_parity(k) == p]
-                for p in (0, 1)
-            ]
+            terms = _terms(z)
+            return [[t for t in terms if term_parity(t[0]) == p] for p in (0, 1)]
 
-        out, floor = {}, _floors(x, y)
-        for px, xs in enumerate(pieces(x)):
-            for py, ys in enumerate(pieces(y)):
-                block = _commutator_block(xs, ys, (-1) ** (px * py), self, order)
-                floor = _add_block(out, block, ctx, order, floor)
-        return SuperElement(ctx, x.dim, order, out, _clean=True, floor=floor)
+        blocks = [
+            (xs, ys, partial(levels, sign=(-1) ** (px * py)))
+            for px, xs in enumerate(pieces(x))
+            for py, ys in enumerate(pieces(y))
+        ]
+        return _clifford_expansion(x, y, self.lam, blocks)
+
+
+def _terms(z):
+    """(key, coefficient, lowest nonzero nu slot) for each term of z."""
+    return [
+        (key, c, next(i for i, p in enumerate(c.coeffs) if p.terms)) for key, c in z.terms.items()
+    ]
+
+
+def _clifford_expansion(x, y, lam, blocks):
+    """The sum over `blocks` of the Clifford expansions of their term pairs.
+
+    A block is (xs, ys, levels): xs and ys hold (key, coefficient, lowest
+    slot) for terms of x and y, as `_terms` gives them, and levels(k1, k2)
+    lists (k, key, e, o) for a term pair: nu^k (e E + o O) goes under key,
+    E and O being the even and odd Moyal orders of c1 * c2.  At k = 0 the
+    weights are (n, n) or (0, n) for an int n.
+
+    A contribution counts toward its key's reliable order min(c1.reliable,
+    c2.reliable) when k <= order - i0 - j0 for the lowest slots i0, j0 and
+    (e, o) != (0, 0); each other one lowers the floor to that order.  The
+    rule is exact for E + O and E - O, whose lowest slot i0 + j0 holds
+    c1_{i0} c2_{j0} != 0.  A pair whose one counted contribution is at
+    level 0 runs `star_pass` at the int weight n straight into the key's
+    nu slots; any other counted pair runs one pass into scratch slots and
+    adds them in at each level.  Each block is summed per key, then added
+    in by `_add_block`.
+    """
+    x._check(y)
+    if lam.ctx != x.ctx:
+        raise ContextError("star operands live in different contexts")
+    order, out, floor = x.order, {}, _floors(x, y)
+    none = [None] * (order + 1)
+
+    def slots(acc, key, reliable):
+        entry = acc.get(key)
+        if entry is None:
+            entry = acc[key] = [reliable, [{} for _ in range(order + 1)]]
+        elif reliable < entry[0]:
+            entry[0] = reliable
+        return entry[1]
+
+    for xs, ys, levels in blocks:
+        acc = {}  # key -> [reliable, {monomial: coefficient} per nu power]
+        for k1, c1, i0 in xs:
+            for k2, c2, j0 in ys:
+                reliable, top = min(c1.reliable, c2.reliable), order - i0 - j0
+                live = []
+                for term in levels(k1, k2):
+                    if term[0] <= top and (term[2] or term[3]):
+                        live.append(term)
+                    else:
+                        floor = _lower(floor, reliable)
+                if len(live) == 1 and live[0][0] == 0:
+                    _, key, e, o = live[0]
+                    target = slots(acc, key, reliable)
+                    star_pass(c1, c2, lam, target if e else none, target if o else none, o)
+                elif live:
+                    even, odd = [{} for _ in range(order + 1)], [{} for _ in range(order + 1)]
+                    star_pass(c1, c2, lam, even, odd)
+                    for k, key, e, o in live:
+                        target = slots(acc, key, reliable)
+                        _add_shifted(target, even, k, e)
+                        _add_shifted(target, odd, k, o)
+        floor = _add_block(out, acc, lam.ctx, order, floor)
+    return SuperElement(x.ctx, x.dim, order, out, _clean=True, floor=floor)
 
 
 def _add_block(out, block, ctx, order, floor):
-    """Add one parity block into the {key: Series} dict out; return the lowered floor."""
+    """Add one block's {key: [reliable, nu slot dicts]} into out; return the lowered floor.
+
+    A key whose block sum vanishes is dropped; its reliable order still
+    lowers the term an earlier block left under that key, or else the floor.
+    """
     for key, (reliable, slots) in block.items():
         coeffs = [Poly(ctx, {m: c for m, c in t.items() if c}, _clean=True) for t in slots]
         cur = out.get(key)
@@ -603,62 +647,10 @@ def _add_block(out, block, ctx, order, floor):
     return floor
 
 
-def _lowest_slot(series):
-    """The lowest nu power with a nonzero coefficient (past the order if none)."""
-    return next((i for i, p in enumerate(series.coeffs) if p.terms), series.order + 1)
-
-
-def _commutator_block(xs, ys, sign, star, order):
-    """One parity block of `StarProduct.commutator`: {key: [reliable, nu slot dicts]}.
-
-    xs and ys hold (key, coefficient, lowest slot) for the terms of one
-    parity; sign is (-1)^{|x||y|}.  The slot dicts may keep zero values.
-    """
-    lam, pairing = star.lam, star.clifford_coeff
-    acc = {}
-    no_even = [None] * (order + 1)
-
-    def slots(key, reliable):
-        entry = acc.get(key)
-        if entry is None:
-            entry = acc[key] = [reliable, [{} for _ in range(order + 1)]]
-        elif reliable < entry[0]:
-            entry[0] = reliable
-        return entry[1]
-
-    for k1, c1, i0 in xs:
-        for k2, c2, j0 in ys:
-            if i0 + j0 > order:
-                continue
-            xy = _clifford_ghost_terms(k1, k2, order - i0 - j0)
-            yx = _clifford_ghost_terms(k2, k1, order - i0 - j0)
-            reliable = min(c1.reliable, c2.reliable)
-            if not (xy and xy[-1][0] or yx and yx[-1][0]):
-                if xy:  # level 0 alone: the odd leaves, twice
-                    _, s, key = xy[0]
-                    star_pass(c1, c2, lam, no_even, slots(key, reliable), 2 * s)
-                continue
-            even, odd = [{} for _ in range(order + 1)], [{} for _ in range(order + 1)]
-            star_pass(c1, c2, lam, even, odd)
-            for k, s, key in xy:
-                target = slots(key, reliable)
-                if k == 0:
-                    _add_shifted(target, odd, 0, 2 * s)
-                else:
-                    w = s * pairing**k
-                    _add_shifted(target, even, k, w)
-                    _add_shifted(target, odd, k, w)
-            for k, s, key in yx:
-                if k:
-                    w = -sign * s * pairing**k
-                    target = slots(key, reliable)
-                    _add_shifted(target, even, k, w)
-                    _add_shifted(target, odd, k, -w)
-    return acc
-
-
 def _add_shifted(target, source, k, w):
     """Add w times the slot dicts of source into target, k nu powers up."""
+    if not w:
+        return
     for dst, src in zip(target[k:], source):
         for m, v in src.items():
             if v:

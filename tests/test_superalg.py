@@ -21,7 +21,6 @@ from redstar.superalg import (
     StarProduct,
     SuperElement,
     _merge_terms,
-    clifford_mul,
     contract_antighost,
     contract_ghost,
     graded_poisson,
@@ -91,35 +90,39 @@ def test_derivation_leibniz_random():
 
 
 def test_clifford_unit_and_no_pairing():
+    # the Moyal part of a product with a constant factor is the plain product
     ctx, q, p, lam = setup()
+    star = StarProduct(lam).star
     x = random_super(ctx, DIM, N, random.Random(1), 2, 3)
     one = SuperElement.from_poly(Poly.const(ctx, 1), DIM, N)
-    assert clifford_mul(one, x) == x
-    assert clifford_mul(x, one) == x
+    assert star(one, x) == x
+    assert star(x, one) == x
     # no pairing between distinct indices
     e_1, e2 = gen(ctx, a=(1,)), gen(ctx, g=(2,))
-    assert clifford_mul(e_1, e2) == super_mul(e_1, e2)
+    assert star(e_1, e2) == super_mul(e_1, e2)
 
 
 def test_clifford_pairing_value():
     # e_1 . e^1 = e_1 e^1 + 2 nu; the +2 is pinned by the associativity
     # and splitting suites (see the quantum tests)
     ctx, q, p, lam = setup()
+    star = StarProduct(lam).star
     e_1, e1 = gen(ctx, a=(1,)), gen(ctx, g=(1,))
-    prod = clifford_mul(e_1, e1)
+    prod = star(e_1, e1)
     expect = super_mul(e_1, e1) + SuperElement(
         ctx, DIM, N, {((), ()): Series.nu(ctx, N).scale(2)}
     )
     assert prod == expect
     # and e^1 . e_1 carries no pairing term
-    assert clifford_mul(e1, e_1) == super_mul(e1, e_1)
+    assert star(e1, e_1) == super_mul(e1, e_1)
 
 
 def test_clifford_associativity_on_pairing_triples():
     ctx, q, p, lam = setup()
+    star = StarProduct(lam).star
     e_1, e1 = gen(ctx, a=(1,)), gen(ctx, g=(1,))
-    lhs = clifford_mul(clifford_mul(e_1, e1), e_1)
-    rhs = clifford_mul(e_1, clifford_mul(e1, e_1))
+    lhs = star(star(e_1, e1), e_1)
+    rhs = star(e_1, star(e1, e_1))
     assert lhs == rhs
 
 
@@ -129,9 +132,6 @@ def test_super_star_reductions():
     # ghost-free: delegates to the Moyal product
     sq = star.star(SuperElement.from_poly(q, DIM, N), SuperElement.from_poly(p, DIM, N))
     assert sq.as_series() == moyal_star(q, p, lam, N)
-    # coefficient-free: delegates to the Clifford product
-    e1, e2 = gen(ctx, g=(1,)), gen(ctx, g=(2,))
-    assert star.star(e1, e2) == clifford_mul(e1, e2)
 
 
 def test_super_star_associativity_mixed():
@@ -234,6 +234,8 @@ def test_vanished_terms_keep_their_reliable_order():
         (s1 - s2).is_zero(2)
     one, e1, e2 = ((), ()), ((1,), ()), ((2,), ())
     x, y = (SuperElement(ctx, DIM, 2, {one: s}) for s in (s1, s2))
+    # nu x times nu^2 p truncates to zero at order 2
+    late = (x.shift_nu(1), SuperElement.from_poly(p, DIM, 2).shift_nu(2))
 
     def to_one(z):  # every term summed under the key 1
         total = sum(z.terms.values(), Series.zero(ctx, z.order))
@@ -243,11 +245,12 @@ def test_vanished_terms_keep_their_reliable_order():
         "add": x - y,
         "constructor": SuperElement(ctx, DIM, 2, {one: s1 - s2}),
         "map_terms": x.scale(0),
-        "accumulate": clifford_mul(x.shift_nu(1), SuperElement.from_poly(p, DIM, 2).shift_nu(2)),
+        "star, truncated": StarProduct(lam).star(*late),
         "op_columns": op_columns(OperatorHandle("to 1", to_one))(
             SuperElement(ctx, DIM, 2, {e1: s1, e2: -s2})
         ),
         "commutator": StarProduct(lam).commutator(x, y),
+        "commutator, truncated": StarProduct(lam).commutator(*late),
     }
     for site, z in vanished.items():
         assert not z.terms and z.reliable == 1, site
@@ -275,6 +278,10 @@ def test_vanished_terms_keep_their_reliable_order():
     }
     for name, (got, want) in mapped.items():
         assert not got.terms and got.reliable == want.reliable, name
+    # the scalar part of a ghost-free element keeps its floor
+    assert z.as_series().reliable == 1
+    with pytest.raises(ReliabilityError):
+        z.as_series().is_zero(2)
 
 
 # -- reference implementations ---------------------------------------------------
@@ -370,10 +377,6 @@ def _ref_clifford(x, y, product, coeff):
                 cur = out.get(key)
                 out[key] = contrib if cur is None else cur + contrib
     return SuperElement(x.ctx, x.dim, x.order, out)
-
-
-def ref_clifford_mul(x, y):
-    return _ref_clifford(x, y, lambda a, b: a * b, Fraction(-2))
 
 
 def ref_star(star, x, y):
@@ -556,6 +559,24 @@ def _commutator_passes(x, y):
     return passes
 
 
+def _star_passes(x, y):
+    """The kernel passes of `StarProduct.star`, one per live slot pair.
+
+    A term pair makes one pass per pair of nonzero slots i, j with
+    i + j <= order, when its keys have a Clifford level k with
+    i0 + j0 + k <= order for its lowest nonzero slots i0, j0; else none.
+    """
+    live = lambda c: [i for i, p in enumerate(c.coeffs) if not p.is_zero()]
+    order, passes = x.order, 0
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            i, j = live(c1), live(c2)
+            hi = order - i[0] - j[0]
+            if hi >= 0 and _ref_clifford_ghost_terms(k1, k2, x.dim, hi):
+                passes += sum(1 for a in i for b in j if a + b <= order)
+    return passes
+
+
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_products_match_reference(name, monkeypatch):
     kernel, calls = poisson._moyal_into, []
@@ -563,14 +584,20 @@ def test_products_match_reference(name, monkeypatch):
     for ctx, lam, x, y in _random_pairs(name, 8):
         star = StarProduct(lam)
         assert_same(super_mul(x, y), ref_super_mul(x, y))
-        assert_same(clifford_mul(x, y), ref_clifford_mul(x, y))
-        assert_same(star.star(x, y), ref_star(star, x, y))
         assert_same(graded_poisson(x, y, lam), ref_graded_poisson(x, y, lam))
+        calls.clear()
+        product = star.star(x, y)
+        assert len(calls) == _star_passes(x, y)
+        assert_same(product, ref_star(star, x, y))
         calls.clear()
         commutator = star.commutator(x, y)
         # one pass per coefficient pair gives both c1 * c2 and c2 * c1
         assert len(calls) == _commutator_passes(x, y)
         assert_same(commutator, ref_commutator(star, x, y))
+        # with no ghost pairing only the level-0 terms count toward a key
+        unpaired = StarProduct(lam, Fraction(0))
+        assert_same(unpaired.star(x, y), ref_star(unpaired, x, y))
+        assert_same(unpaired.commutator(x, y), ref_commutator(unpaired, x, y))
 
 
 def _mixed_parity_element(ctx, dim, order, rng):
@@ -595,6 +622,7 @@ def _mixed_parity_element(ctx, dim, order, rng):
 def test_commutator_matches_reference_across_parity_blocks(name):
     ctx, lam, dim = _loaded(name)
     star = StarProduct(lam)
+    unpaired = StarProduct(lam, Fraction(0))
     rng = random.Random(name)
     collisions = 0
     for order in REF_ORDERS:
@@ -602,6 +630,7 @@ def test_commutator_matches_reference_across_parity_blocks(name):
             x = _mixed_parity_element(ctx, dim, order, rng)
             y = _mixed_parity_element(ctx, dim, order, rng)
             assert_same(star.commutator(x, y), ref_commutator(star, x, y))
+            assert_same(unpaired.commutator(x, y), ref_commutator(unpaired, x, y))
             (xe, xo), (ye, yo) = x.parity_components(), y.parity_components()
             for a, b in (((xe, ye), (xo, yo)), ((xe, yo), (xo, ye))):
                 keys = [set(ref_commutator(star, *pair).terms) for pair in (a, b)]
