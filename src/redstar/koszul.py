@@ -296,6 +296,8 @@ class KoszulContraction:
 
         The canonical solve of d x = v - h(d v), or of d x = v - nf(v) in
         degree 0.  Where d v = 0 the recursion is skipped, since h(0) = 0.
+        Where K_{i+1} has no basis at this grade the only solution is the
+        empty vector, for rhs = 0, and no solver is built.
         """
         space = self.space
         if i == 0:
@@ -303,7 +305,10 @@ class KoszulContraction:
         else:
             dv = space.apply_diff(i, grade, v)
             rhs = _vsub(v, self._h_vec(i - 1, grade, dv)) if any(dv) else v
-        x = space.solver(i + 1, grade).solve(rhs)
+        if space.slice_basis(i + 1, grade):
+            x = space.solver(i + 1, grade).solve(rhs)
+        else:
+            x = None if any(rhs) else []
         if x is None:
             raise AcyclicityError(
                 f"no homotopy preimage in homological degree {i + 1} at grade {grade}; "
@@ -359,28 +364,28 @@ class Contraction:
         """Named residual elements of the seven contraction axioms on two probes.
 
         The last three are the side conditions h h = 0, h i = 0 and p h = 0.
+        The images that several axioms share, i X, h Y, d_Y Y and p Y, are
+        computed once each, so a probe pair costs 16 operator applications.
         """
+        ix, hy = self.i(probe_X), self.h(probe_Y)
+        dy, py = self.d_Y(probe_Y), self.p(probe_Y)
         out = {}
-        out["p.i=id"] = self.p(self.i(probe_X)) - probe_X
-        out["d h+h d=id-i.p"] = (
-            self.d_Y(self.h(probe_Y))
-            + self.h(self.d_Y(probe_Y))
-            - probe_Y
-            + self.i(self.p(probe_Y))
-        )
-        out["p d=d p"] = self.p(self.d_Y(probe_Y)) - self.d_X(self.p(probe_Y))
-        out["d i=i d"] = self.d_Y(self.i(probe_X)) - self.i(self.d_X(probe_X))
-        out["h h=0"] = self.h(self.h(probe_Y))
-        out["h i=0"] = self.h(self.i(probe_X))
-        out["p h=0"] = self.p(self.h(probe_Y))
+        out["p.i=id"] = self.p(ix) - probe_X
+        out["d h+h d=id-i.p"] = self.d_Y(hy) + self.h(dy) - probe_Y + self.i(py)
+        out["p d=d p"] = self.p(dy) - self.d_X(py)
+        out["d i=i d"] = self.d_Y(ix) - self.i(self.d_X(probe_X))
+        out["h h=0"] = self.h(hy)
+        out["h i=0"] = self.h(ix)
+        out["p h=0"] = self.p(hy)
         return out
 
 
 def koszul_contraction(space):
     """The Koszul contraction on the slices of `space`, whose caches it shares.
 
-    `res` and `h` are column maps (`op_columns`): each basis column is
-    computed once and kept on the handle.
+    `res` and `h` are nu-free column maps (`op_columns`): each basis
+    column is computed once, at order 0, kept on the handle and served at
+    every truncation order.
 
     The canonical solves satisfy the three side conditions h h = 0,
     h i = 0 and p h = 0, so the homotopy is used as it is.
@@ -391,9 +396,9 @@ def koszul_contraction(space):
     """
     kc = KoszulContraction(space)
     return Contraction(
-        p=op_columns(OperatorHandle("res", kc.res_fn, 0), name="res"),
+        p=op_columns(OperatorHandle("res", kc.res_fn, 0), name="res", nu_free=True),
         i=OperatorHandle("prol", lambda x: x, 0),
-        h=op_columns(OperatorHandle("h", kc.h_fn, +1), name="h"),
+        h=op_columns(OperatorHandle("h", kc.h_fn, +1), name="h", nu_free=True),
         d_X=OperatorHandle("0", lambda x: x.scale(0), +1),
         d_Y=koszul_operator(space.moment),
     )

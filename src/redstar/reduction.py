@@ -102,7 +102,8 @@ def reduced_star(f, g, pipe, certify=True):
     """f * g = res_nu(prol f * prol g) for certified invariants.
 
     Accepts Poly or Series in the quotient model; returns a Series in the
-    quotient model.
+    quotient model.  It is C[[nu]]-bilinear: a check that multiplies many
+    operands can read it off monomial products (`reduced_star_table`).
     """
     if certify:
         pipe.certify(f)
@@ -110,6 +111,49 @@ def reduced_star(f, g, pipe, certify=True):
     fx = pipe.prol(pipe.embed(f))
     gx = pipe.prol(pipe.embed(g))
     return pipe.res_nu(pipe.star.star(fx, gx)).as_series()
+
+
+def reduced_star_table(pipe):
+    """The reduced product of Poly or Series operands from a lazy product table.
+
+    `reduced_star` is C[[nu]]-bilinear, so f * g is the sum of
+    c1 c2 nu^(s+t) T[(m1, m2)] over the terms c1 nu^s m1 of f and c2 nu^t m2
+    of g, truncated at the pipeline's order, where the table entry
+    T[(m1, m2)] = `reduced_star`(m1, m2) is filled on first use.  The result
+    is reliable to the minimum of f's, g's and every table entry's it used.
+    The table lives as long as the returned function.
+    """
+    ctx, order = pipe.moment.ctx, pipe.order
+    table = {}
+
+    def terms(f):
+        """f's reliable order and its (nu power, monomial, coefficient) terms."""
+        if isinstance(f, Poly):
+            f = Series.from_poly(f, order)
+        return f.reliable, [(s, m, c) for s, p in enumerate(f.coeffs) for m, c in p.terms.items()]
+
+    def product(f, g):
+        (f_reliable, f_terms), (g_reliable, g_terms) = terms(f), terms(g)
+        reliable = min(f_reliable, g_reliable)
+        slots = [{} for _ in range(order + 1)]
+        for s, m1, c1 in f_terms:
+            for t, m2, c2 in g_terms:
+                if s + t > order:
+                    continue
+                entry = table.get((m1, m2))
+                if entry is None:
+                    entry = table[(m1, m2)] = reduced_star(
+                        Poly.monomial(ctx, m1), Poly.monomial(ctx, m2), pipe, certify=False
+                    )
+                reliable = min(reliable, entry.reliable)
+                w = c1 * c2
+                for slot, p in zip(slots[s + t :], entry.coeffs):
+                    for m, v in p.terms.items():
+                        slot[m] = slot.get(m, 0) + w * v
+        coeffs = [Poly(ctx, {m: c for m, c in slot.items() if c}, _clean=True) for slot in slots]
+        return Series(ctx, order, coeffs, reliable)
+
+    return product
 
 
 def reduced_star_cohomology(a, b, pipe, check_closed=True, upto=None):

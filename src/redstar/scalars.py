@@ -36,6 +36,10 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild from the integer triple, not through __setattr__
+        return _canonical, (self._a, self._b, self._d)
+
     @property
     def re(self):
         return Fraction(self._a, self._d)

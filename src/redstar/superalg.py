@@ -727,29 +727,40 @@ def op_scale(f, c, name=None):
     )
 
 
-def op_columns(f, name=None):
+_UNBOUNDED = float("inf")  # the reliable order of a nu-free column
+
+
+def op_columns(f, name=None, nu_free=False):
     """A C[[nu]]-linear f evaluated once per basis column.
 
     The one path that cuts an element into basis columns and reassembles
-    it: it serves the Koszul `res` and `h` and the deformed res_nu.
-    A column is f of one basis element m*g (a monomial m under a ghost key
-    g) at truncation order N, keyed by (N, g, m) and computed on first use.
-    It is kept as its reliable order and a flat tuple of (out key, nu power,
-    monomial, coefficient) entries.  Then f(x) is the sum over the terms
-    c * nu^s * m * g of x of c * nu^s * f(m g), truncated at x.order.  An
-    output term is reliable to the minimum of x.reliable (the whole input's,
-    as the Koszul maps take it) and the reliable orders of the columns that
-    feed it; an output term that cancels lowers the floor to that order.
+    it: it serves the Koszul `res` and `h`, the deformed res_nu and the
+    classical Phi and H.  A column is f of one basis element m*g (a
+    monomial m under a ghost key g) at truncation order N, keyed by
+    (N, g, m) and computed on first use.  It is kept as its reliable order
+    and a flat tuple of (out key, nu power, monomial, coefficient) entries.
+    Then f(x) is the sum over the terms c * nu^s * m * g of x of
+    c * nu^s * f(m g), truncated at x.order.  An output term is reliable to
+    the minimum of x.reliable (the whole input's, as the Koszul maps take
+    it) and the reliable orders of the columns that feed it; an output term
+    that cancels lowers the floor to that order.
+
+    A `nu_free` f (one that neither reads nor makes nu powers, like the
+    Koszul `res` and `h`) has one column per (g, m), filled at order 0 and
+    served at every order; it bounds no reliable order, so an output term
+    is reliable to x.reliable.
     """
     columns = {}
 
     def column(x, key, mono):
-        col = columns.get((x.order, key, mono))
+        ckey = (key, mono) if nu_free else (x.order, key, mono)
+        col = columns.get(ckey)
         if col is None:
-            unit = Series(x.ctx, x.order, [Poly(x.ctx, {mono: x.ctx.field.one}, _clean=True)])
-            image = f(SuperElement(x.ctx, x.dim, x.order, {key: unit}, _clean=True))
-            col = (
-                image.reliable,
+            order = 0 if nu_free else x.order
+            unit = Series(x.ctx, order, [Poly(x.ctx, {mono: x.ctx.field.one}, _clean=True)])
+            image = f(SuperElement(x.ctx, x.dim, order, {key: unit}, _clean=True))
+            col = columns[ckey] = (
+                _UNBOUNDED if nu_free else image.reliable,
                 tuple(
                     (out_key, t, m, c)
                     for out_key, series in image.terms.items()
@@ -757,7 +768,6 @@ def op_columns(f, name=None):
                     for m, c in p.terms.items()
                 ),
             )
-            columns[(x.order, key, mono)] = col
         return col
 
     def fn(x):

@@ -25,7 +25,7 @@ from redstar.runner import RunState, stage_acyclicity, stage_contraction, stage_
 from redstar.scalars import QQ_I
 from redstar.scenarios import get_scenario
 from redstar.series import Series
-from redstar.superalg import LieAlgebraData, OperatorHandle, SuperElement
+from redstar.superalg import LieAlgebraData, OperatorHandle, SuperElement, op_columns
 
 BOUND = 8
 
@@ -306,7 +306,8 @@ def test_pipeline_homotopy_is_one_canonical_solve(monkeypatch):
     # h on the contraction the runner builds is a column map: kc.h(y) makes
     # at most one h_fn call per (ghost key, monomial) of y whose column is
     # not cached yet, and none once it is.  A wrapper such as h'' = h' d h'
-    # would cost many more.
+    # would cost many more.  The columns are nu-free, so they serve every
+    # nu-order.
     calls = []
     h_fn = KoszulContraction.h_fn
 
@@ -320,8 +321,9 @@ def test_pipeline_homotopy_is_one_canonical_solve(monkeypatch):
     records = stage_contraction(state)
     assert all(r.status == "pass" for r in records)
     j = state.moment.components[0]
-    # the stage's probes are all at nu-order 0, so no order-1 column is cached
-    y = SuperElement.from_poly(j * Poly.variable(state.ctx, "z1"), 1, 1)
+    # the stage's probes did not fill the columns of J z1^2
+    f = j * Poly.variable(state.ctx, "z1") ** 2
+    y = SuperElement.from_poly(f, 1, 1)
     columns = {(key, m) for key, series in y.terms.items() for p in series.coeffs for m in p.terms}
     calls.clear()
     hy = state.kc.h(y)
@@ -329,6 +331,12 @@ def test_pipeline_homotopy_is_one_canonical_solve(monkeypatch):
     calls.clear()
     assert_same_element(state.kc.h(y), hy)
     assert not calls
+    # the same columns at another nu-order: no new call, nor a reliable
+    # order capped at the order they were filled at
+    h3 = state.kc.h(SuperElement.from_poly(f, 1, 3))
+    assert not calls
+    assert_same_element(h3.truncate(1), hy)
+    assert h3.reliable == 3
 
 
 def test_contraction_stage_reuses_the_acyclicity_space(monkeypatch):
@@ -351,9 +359,9 @@ def test_contraction_stage_reuses_the_acyclicity_space(monkeypatch):
     assert state.space is space and any(s is space for s in spaces)
     assert all(space._solvers[key] is solver for key, solver in solvers.items())
     # the homotopy of the contraction the stage keeps solves on that space
-    # (at nu-order 1, where none of the stage's order-0 columns is cached)
+    # (on J z1^2, whose columns the stage's probes did not fill)
     j = state.moment.components[0]
-    y = SuperElement.from_poly(j * Poly.variable(state.ctx, "z1"), state.moment.lie.dim, 1)
+    y = SuperElement.from_poly(j * Poly.variable(state.ctx, "z1") ** 2, state.moment.lie.dim, 1)
     spaces.clear()
     assert not state.kc.h(y).is_zero()
     assert spaces and all(s is space for s in spaces)
@@ -768,3 +776,94 @@ def test_exact_input_matches_the_reference_and_is_cached(monkeypatch):
         calls.clear()
         assert_same_element(c.h(y), hy)
         assert not calls
+
+
+def lift(x, order):
+    """x at a higher truncation order, with the same coefficients."""
+    terms = {k: Series(x.ctx, order, c.coeffs, c.reliable) for k, c in x.terms.items()}
+    return SuperElement(x.ctx, x.dim, order, terms, _clean=True)
+
+
+@pytest.mark.parametrize("name,bound", [("s1-c4", 4), ("t2-c4", 5)])
+def test_res_and_h_columns_serve_every_order(name, bound, monkeypatch):
+    # the nu-free columns of the pipeline's res and h against columns keyed
+    # by order (the route of an order-dependent map): the same images and
+    # reliable orders, at order 0 and then at order 4, where the columns
+    # the order-0 inputs filled serve again and cap no reliable order
+    calls = []  # the KoszulContraction of each column fill
+    for fn in ("res_fn", "h_fn"):
+        original = getattr(KoszulContraction, fn)
+        monkeypatch.setattr(
+            KoszulContraction, fn, lambda self, x, f=original: calls.append(self) or f(self, x)
+        )
+    state = loaded(name, bound)
+    direct = KoszulContraction(KoszulSpace(state.moment, bound))
+    by_order = {
+        "p": op_columns(OperatorHandle("res", direct.res_fn, 0)),
+        "h": op_columns(OperatorHandle("h", direct.h_fn, +1)),
+    }
+    shared = koszul_contraction(KoszulSpace(state.moment, bound))
+
+    def check(xs):
+        for x in xs:
+            for op in ("p", "h"):
+                got = getattr(shared, op)(x)
+                assert_same_element(got, by_order[op](x))
+                assert all(c.reliable == x.reliable for c in got.terms.values())
+
+    rng = random.Random(f"nu-free:{name}")
+    low = random_inputs(state, bound, 0, rng, 4)
+    check(low)
+    assert any(c is not direct for c in calls)
+    calls.clear()
+    check([lift(x, 4) for x in low])
+    assert calls and all(c is direct for c in calls)
+    high = [lift(x, 4).shift_nu(1) + y for x, y in zip(low, random_inputs(state, bound, 4, rng, 4))]
+    assert any(x.reliable < 4 for x in high)
+    check(high)
+
+
+def test_axiom_residuals_compute_each_shared_image_once():
+    ctx, q, p, moment = toy_q()
+    c = build_koszul_contraction(moment, BOUND)
+    calls = {}
+
+    def counted(name, op):
+        def fn(x):
+            calls.setdefault(name, []).append(x)
+            return op(x)
+
+        return OperatorHandle(op.name, fn, op.degree, op.raises_filtration)
+
+    names = ("p", "i", "h", "d_X", "d_Y")
+    counting = Contraction(**{name: counted(name, getattr(c, name)) for name in names})
+    rng = random.Random(31)
+    y = random_bounded_super(ctx, 1, 0, rng, 6, (1,), terms=3)
+    x = c.p(random_bounded_super(ctx, 1, 0, rng, 6, (1,), terms=3))
+    got = counting.axiom_residuals(x, y)
+    assert got == c.axiom_residuals(x, y) and all(r.is_zero() for r in got.values())
+    # i on X, p Y and d_X X; h on Y, d_Y Y, h Y and i X: once per use
+    assert {name: len(args) for name, args in calls.items()} == {
+        "i": 3, "h": 4, "p": 4, "d_Y": 3, "d_X": 2
+    }
+    assert sum(a is x for a in calls["i"]) == 1 and sum(a is y for a in calls["h"]) == 1
+
+
+def test_homotopy_builds_no_solver_for_an_empty_slice():
+    # after t2-c4's contraction stage every cached solver has columns: h
+    # checks rhs = 0 on a K_{i+1} slice with no basis without a solver
+    state = loaded("t2-c4", 5)
+    state.config = replace(state.config, probe_overrides=(("contraction", "20"),))
+    stage_acyclicity(state)
+    records = stage_contraction(state)
+    assert all(r.status == "pass" for r in records)
+    assert state.space._solvers
+    assert all(s.ncols for s in state.space._solvers.values())
+    # and a nonzero rhs there is still a failure of exactness
+    ctx, (q, p) = poly_ring(("q", "p"))
+    bad = MomentMapData(ctx, (q, q), LieAlgebraData.build(2))
+    space = KoszulSpace(bad, 6)
+    cycle = el(ctx, 2, {((), (1,)): Poly.const(ctx, 1), ((), (2,)): Poly.const(ctx, -1)})
+    with pytest.raises(AcyclicityError):
+        koszul_contraction(space).h(cycle)
+    assert not space.slice_basis(2, (1,)) and (2, (1,)) not in space._solvers

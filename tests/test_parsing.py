@@ -1,12 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from redstar.errors import ParseError
 from redstar.parsing import parse_polynomial, poly_to_text
 from redstar.poly import Poly, VarContext, poly_ring
 from redstar.probes import random_poly
-from redstar.scalars import QQ_I, GaussianRational
+from redstar.scalars import QQ, QQ_I, GaussianRational
 
 
 def test_moment_map_expression():
@@ -90,3 +93,35 @@ def test_round_trip_examples():
     ]
     for f in cases:
         assert parse_polynomial(poly_to_text(f), ctx) == f
+
+
+# -- parse after print is the identity, on drawn polynomials -------------------
+
+PROPERTY = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    # no shrink phase: a failing example is reported as drawn, in seconds
+    phases=(Phase.explicit, Phase.generate),
+)
+NAMES = ("q", "p", "zb1")
+fractions = st.builds(Fraction, st.integers(-500, 500), st.integers(1, 40))
+COEFFS = {QQ: fractions, QQ_I: st.builds(GaussianRational, fractions, fractions)}
+
+
+def polys(field):
+    monos = st.tuples(*[st.integers(0, 4)] * len(NAMES))
+    return st.dictionaries(monos, COEFFS[field], max_size=6)
+
+
+@PROPERTY
+@given(st.sampled_from([QQ, QQ_I]).flatmap(lambda f: st.tuples(st.just(f), polys(f))))
+def test_parse_after_print_is_identity(drawn):
+    field, terms = drawn
+    ctx = VarContext(NAMES, field)
+    f = Poly(ctx, terms)
+    text = poly_to_text(f)
+    back = parse_polynomial(text, ctx)
+    assert back == f and back.terms == f.terms
+    assert poly_to_text(back) == text

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from redstar.reduction import (
     quantum_reduction,
     reduced_star,
     reduced_star_cohomology,
+    reduced_star_table,
     weight_zero_monomials,
 )
 from redstar.scalars import QQ_I, GaussianRational
@@ -149,6 +151,33 @@ def test_reduced_star_associativity_sample():
                 lhs = reduced_star(ab, c, pipe, certify=False)
                 rhs = reduced_star(a, bc, pipe, certify=False)
                 assert (lhs - rhs).is_zero(upto=N)
+
+
+def test_product_table_takes_the_lowest_reliable_entry():
+    # a res_nu that trusts images of degree 4 one order less: the table's
+    # product is as reliable as the least reliable entry it used, as the
+    # direct product is, and an entry it did not use lowers nothing
+    ctx, lam, moment, kc, star, space = circle_c2()
+    pipe = build_pipe(ctx, lam, moment, kc, star, space)
+    res_nu = pipe.res_nu
+
+    def lowered(x):
+        out = res_nu(x)
+        if x.max_degree() < 4:
+            return out
+        terms = {k: Series(ctx, NW, c.coeffs, NW - 1) for k, c in out.terms.items()}
+        return SuperElement(ctx, x.dim, NW, terms, _clean=True, floor=NW - 1)
+
+    lowered_dc = replace(pipe.deformed_contraction, p=OperatorHandle("res_nu", lowered))
+    pipe = replace(pipe, deformed_contraction=lowered_dc)
+    v = lambda n: Poly.variable(ctx, n)
+    g = space.normal_form_poly(v("z1") * v("zb1"))
+    one = Poly.const(ctx, 1)
+    product = reduced_star_table(pipe)
+    nu_g = Series.from_poly(g, NW).shift_nu(1)
+    for f, reliable in ((g + one, NW - 1), (one, NW), (nu_g, NW - 1)):
+        got, want = product(f, g), reduced_star(f, g, pipe, certify=False)
+        assert got == want and got.reliable == want.reliable == reliable
 
 
 def test_reduced_star_rejects_noninvariants():

@@ -1,0 +1,148 @@
+"""The reduction stages evaluate each linear image once, with unchanged results.
+
+s1-c4 runs at the `circle` benchmark workload's size (degree bound 4, its
+probe counts, seed 7).  The classical Phi and H kept after
+`classical-reduction` are column maps and equal the direct transfer; the
+product table behind `reduced-star.associativity` equals `reduced_star`
+on every triple, in value and reliable order; and a work-count guard pins
+how many times the run evaluates `reduced_star` and the direct Phi, so a
+change that brings back the recomputation fails here.
+"""
+
+import dataclasses
+import importlib.util
+import os
+import random
+
+import pytest
+
+from redstar import reduction, runner
+from redstar.brst import brst_transfer
+from redstar.koszul import koszul_diff
+from redstar.probes import random_bounded_super
+from redstar.reduction import ReductionPipeline, reduced_star, reduced_star_table
+from redstar.scenarios import REGISTRY_BUILDERS
+from redstar.series import Series
+from redstar.superalg import OperatorHandle, SuperElement
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+
+
+def _circle_run():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(PERFBENCH, "workloads.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    run = module.WORKLOADS["circle"][0]
+    assert run.scenario == "s1-c4"
+    config = dataclasses.replace(
+        REGISTRY_BUILDERS[run.scenario](),
+        seed=module.DEFAULT_SEED,
+        probe_overrides=tuple(run.probes),
+        degree_bound=run.degree_bound,
+    )
+    return config
+
+
+CONFIG = _circle_run()
+
+
+@pytest.fixture(scope="module")
+def state():
+    """s1-c4 through every stage before reduced-star."""
+    st = runner.RunState(CONFIG)
+    for stage in runner.STAGE_ORDER[: runner.STAGE_ORDER.index("reduced-star")]:
+        records = runner.STAGE_FUNCTIONS[stage](st)
+        assert all(r.status == "pass" for r in records), stage
+    return st
+
+
+def _reliables(x):
+    return {k: c.reliable for k, c in x.terms.items()}
+
+
+def test_column_phi_and_h_equal_the_direct_transfer(state):
+    direct, _ = brst_transfer(state.kc, state.delta)
+    dim = state.moment.lie.dim
+    gens = [
+        SuperElement.from_poly(state.space.normal_form_poly(g), dim, 0) for g in state.generators
+    ]
+    rng = random.Random(19)
+    draw = lambda: random_bounded_super(state.ctx, dim, 0, rng, state.bound, state.jdegs, 3)
+    # an exact part keeps h, and so H, from vanishing
+    probes = [draw() + koszul_diff(draw(), state.moment) for _ in range(6)]
+    assert state.cc.i.name == "Phi" and state.cc.h.name == "H"
+    for op in ("i", "h"):
+        for x in gens + probes + [state.kc.p(y) for y in probes]:
+            got, want = getattr(state.cc, op)(x), getattr(direct, op)(x)
+            assert got == want and _reliables(got) == _reliables(want)
+            assert got.reliable == want.reliable
+    assert any(not state.cc.h(y).is_zero() for y in probes)
+
+
+def test_product_table_equals_reduced_star_on_every_triple(state):
+    gens = [state.space.normal_form_poly(g) for g in state.generators]
+    pipe = ReductionPipeline(
+        state.moment, state.lam, state.star, state.space, state.work_order,
+        state.dc, state.qc, torus_rows=CONFIG.torus_rows,
+    )
+    degs = [g.degree() for g in gens]
+    idx = range(len(gens))
+    triples = [
+        (a, b, c)
+        for a in idx
+        for b in idx
+        for c in idx
+        if degs[a] + degs[b] + degs[c] <= state.bound
+    ]
+    assert CONFIG.star_triples == "all" and len(triples) > 50
+    pairs = {
+        (a, b): reduced_star(gens[a], gens[b], pipe, certify=False)
+        for a in idx
+        for b in idx
+        if degs[a] + degs[b] <= state.bound
+    }
+    product = reduced_star_table(pipe)
+    for a, b, c in triples:
+        for f, g in ((pairs[(a, b)], gens[c]), (gens[a], pairs[(b, c)])):
+            got, want = product(f, g), reduced_star(f, g, pipe, certify=False)
+            assert got == want and got.reliable == want.reliable, (a, b, c)
+    # a reliable order below the truncation carries through the table
+    a, b, c = max(triples, key=lambda t: degs[t[0]] + degs[t[1]])
+    f = Series(state.ctx, state.work_order, pairs[(a, b)].coeffs, state.work_order - 2)
+    got, want = product(f, gens[c]), reduced_star(f, gens[c], pipe, certify=False)
+    assert got == want and got.reliable == want.reliable == f.order - 2
+
+
+def test_work_counts_on_the_circle_workload(monkeypatch):
+    # reduced_star calls: unit 2 per generator (up to 8), the pair products
+    # of classical-part, the cohomology-star direct products and the
+    # product table's entries.  Direct classical Phi evaluations: the
+    # transfer's axiom and closed-form checks, then one per basis column
+    counts = {"reduced_star": 0, "Phi": 0}
+    original_star = reduction.reduced_star
+
+    def counted_star(*args, **kwargs):
+        counts["reduced_star"] += 1
+        return original_star(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "reduced_star", counted_star)
+    monkeypatch.setattr(reduction, "reduced_star", counted_star)
+    original_transfer = runner.brst_transfer
+
+    def counted_transfer(*args, **kwargs):
+        out, d_z = original_transfer(*args, **kwargs)
+        phi = out.i
+
+        def fn(x):
+            counts["Phi"] += 1
+            return phi(x)
+
+        i = OperatorHandle(phi.name, fn, phi.degree, phi.raises_filtration)
+        return dataclasses.replace(out, i=i), d_z
+
+    monkeypatch.setattr(runner, "brst_transfer", counted_transfer)
+    report = runner.run_scenario(CONFIG)
+    assert report.verdict == "pass"
+    assert counts == {"reduced_star": 733, "Phi": 46}

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -5,7 +7,9 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from redstar.poly import Poly, VarContext
 from redstar.scalars import QQ, QQ_I, GaussianRational
+from redstar.series import Series
 
 
 def test_gaussian_basic():
@@ -155,3 +159,26 @@ def test_gaussian_canonical_parts_and_hash(re, im):
     assert bool(z) == bool(re or im) and bool(real) == bool(re)
     with pytest.raises(AttributeError):
         z.re = 0
+
+
+@MODEL
+@given(gaussians, st.sampled_from([copy.copy, copy.deepcopy, pickle.dumps]))
+def test_gaussian_copies_and_pickles_round_trip(z, how):
+    back = pickle.loads(how(z)) if how is pickle.dumps else how(z)
+    assert type(back) is GaussianRational
+    assert back == z and hash(back) == hash(z)
+    assert (back._a, back._b, back._d) == (z._a, z._b, z._d)
+
+
+@pytest.mark.parametrize("how", [copy.copy, copy.deepcopy, pickle.dumps])
+def test_poly_and_series_over_gaussians_round_trip(how):
+    ctx = VarContext(("z", "zb"), QQ_I)
+    z, zb = Poly.variable(ctx, "z"), Poly.variable(ctx, "zb")
+    p = z.scale(GaussianRational(Fraction(1, 2), -3)) + (z * zb).scale(GaussianRational(0, 1))
+    p = p - Poly.const(ctx, 4)
+    s = Series(ctx, 2, [p, p * p, zb], reliable=1)
+    for x in (p, s):
+        back = pickle.loads(how(x)) if how is pickle.dumps else how(x)
+        assert type(back) is type(x) and back == x and hash(back) == hash(x)
+    back = pickle.loads(how(s)) if how is pickle.dumps else how(s)
+    assert back.reliable == 1 and back.order == 2

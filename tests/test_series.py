@@ -1,13 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from redstar.errors import (
     DivisibilityError,
     ReliabilityError,
     TruncationError,
 )
-from redstar.poly import poly_ring
+from redstar.poly import Poly, poly_ring
 from redstar.probes import random_series
 from redstar.series import Series
 
@@ -125,3 +128,45 @@ def test_poly_like_behavior_of_constant_series():
     assert s.is_nu_free()
     assert (s * p).classical() == q * p
     assert s.classical() == q
+
+
+# -- ring laws, with the min rule for reliable orders ---------------------------
+
+PROPERTY = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    # no shrink phase: a failing example is reported as drawn, in seconds
+    phases=(Phase.explicit, Phase.generate),
+)
+LAW_CTX = poly_ring(("q", "p"))[0]
+LAW_ORDER = 2
+_coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+_polys = st.builds(
+    lambda terms: Poly(LAW_CTX, terms),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), _coeffs, max_size=3),
+)
+series = st.builds(
+    lambda coeffs, reliable: Series(LAW_CTX, LAW_ORDER, coeffs, reliable),
+    st.lists(_polys, min_size=LAW_ORDER + 1, max_size=LAW_ORDER + 1),
+    st.integers(-1, LAW_ORDER),
+)
+
+
+def same(x, y, reliable):
+    assert x == y
+    assert x.reliable == y.reliable == reliable
+
+
+@PROPERTY
+@given(series, series, series)
+def test_series_ring_laws_and_min_reliable(a, b, c):
+    low = min(a.reliable, b.reliable, c.reliable)
+    same((a + b) + c, a + (b + c), low)
+    same((a * b) * c, a * (b * c), low)
+    same(a * (b + c), a * b + a * c, low)
+    same((a + b) * c, a * c + b * c, low)
+    same(a + b, b + a, min(a.reliable, b.reliable))
+    same(a * b, b * a, min(a.reliable, b.reliable))
+    same(a - a, a.scale(0), a.reliable)
