@@ -15,6 +15,7 @@ from redstar.brst import (
     build_delta,
     check_classical_splitting,
     brst_transfer,
+    certify_invariant,
     classical_charge,
     poisson_action,
     reduced_poisson,
@@ -86,7 +87,9 @@ phi = brst_transfer(kc, build_delta(zmoment, poisson_action(zlam)))[0].i
 
 a = space.normal_form_poly(zv("z1") * zv("zb1"))
 b = space.normal_form_poly(zv("z1") * zv("z2"))
-rb = reduced_poisson(a, b, phi, kc.p, zlam, 1, zmoment, space, torus_rows=(0,))
+for p in (a, b):
+    certify_invariant(p, zmoment, zlam, space, torus_rows=(0,))
+rb = reduced_poisson(a, b, phi, kc.p, zlam, 1)
 print("\nreduced bracket of two invariants on the cone:")
 print("  {", a, ",", b, "} =", rb)
-print("antisymmetry:", reduced_poisson(b, a, phi, kc.p, zlam, 1, zmoment, space) == -rb)
+print("antisymmetry:", reduced_poisson(b, a, phi, kc.p, zlam, 1) == -rb)

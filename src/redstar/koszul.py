@@ -28,6 +28,7 @@ from .superalg import (
     contract_antighost,
     op_columns,
     op_compose,
+    op_sum,
 )
 
 
@@ -69,28 +70,18 @@ class MomentMapData:
         return out
 
 
-def koszul_sum(x, moment, multiply):
-    """sum_a multiply(i^a x, J_a): a Koszul differential for a coefficient product.
-
-    The product is pointwise for `koszul_diff` and right star multiplication
-    for the deformed Koszul differential (`quantum.build_R`).
-    """
-    out = SuperElement.zero(x.ctx, x.dim, x.order)
-    for a in range(1, moment.lie.dim + 1):
-        piece = contract_antighost(x, a)
-        if piece.terms:
-            out = out + multiply(piece, moment.components[a - 1])
-    return out
+def koszul_operator(moment):
+    """The Koszul differential sum_a J_a i^a as an operator handle of degree -1."""
+    pieces = [
+        (((contract_antighost, a + 1),), lambda y, j=j: y.map_coefficients(lambda p: p * j))
+        for a, j in enumerate(moment.components)
+    ]
+    return op_sum("koszul", -1, pieces)
 
 
 def koszul_diff(x, moment):
     """The Koszul differential: multiply by J_a for each antighost slot."""
-    return koszul_sum(x, moment, lambda piece, j: piece.map_coefficients(lambda p: p * j))
-
-
-def koszul_operator(moment):
-    """The Koszul differential as an operator handle of degree -1."""
-    return OperatorHandle("koszul", lambda x: koszul_diff(x, moment), -1)
+    return koszul_operator(moment)(x)
 
 
 def _add_grades(g1, g2):

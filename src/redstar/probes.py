@@ -45,7 +45,7 @@ def random_super(ctx, dim, order, rng, max_degree=3, terms=3):
     return SuperElement(ctx, dim, order, out)
 
 
-def random_bounded_super(ctx, dim, order, rng, bound, jgrade_degs, terms=3, nu_content=False):
+def random_bounded_super(ctx, dim, order, rng, bound, jgrade_degs, terms=3):
     """A random BRST element whose every term stays within the degree bound.
 
     `jgrade_degs[a]` is the polynomial degree of the a-th moment component;
@@ -64,15 +64,7 @@ def random_bounded_super(ctx, dim, order, rng, bound, jgrade_degs, terms=3, nu_c
         if room < 0:
             continue
         deg = rng.randint(0, room)
-        p = random_poly(ctx, rng, deg, terms=2)
-        if nu_content:
-            coeff = Series(
-                ctx,
-                order,
-                [random_poly(ctx, rng, deg, terms=1) for _ in range(order + 1)],
-            )
-        else:
-            coeff = Series.from_poly(p, order)
+        coeff = Series.from_poly(random_poly(ctx, rng, deg, terms=2), order)
         key = (g, a)
         cur = out.get(key)
         out[key] = coeff if cur is None else cur + coeff

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .koszul import koszul_sum
 from .poisson import moyal_bracket_series, moyal_star_series
 from .series import Series
 from .superalg import (
@@ -21,6 +20,7 @@ from .superalg import (
     SuperElement,
     contract_antighost,
     left_monomial,
+    op_sum,
 )
 from .brst import build_delta, classical_charge, splitting_residuals
 
@@ -44,42 +44,33 @@ def star_right_multiply(x, j, star):
 
 def build_R(moment, star):
     """R(x) = sum_a (i^a x) * J_a: right star multiplication."""
-    return OperatorHandle(
-        "R", lambda x: koszul_sum(x, moment, lambda y, j: star_right_multiply(y, j, star)), +1
-    )
+    pieces = [
+        (((contract_antighost, a + 1),), lambda y, j=j: star_right_multiply(y, j, star))
+        for a, j in enumerate(moment.components)
+    ]
+    return op_sum("R", +1, pieces)
 
 
 def build_q(moment):
     """q(x) = -1/2 sum f_ab^c e_c i^a i^b x."""
     pieces = [
-        (a + 1, b + 1, left_monomial((), (c + 1,), Fraction(-1, 2) * v))
+        (
+            ((contract_antighost, b + 1), (contract_antighost, a + 1)),
+            left_monomial((), (c + 1,), Fraction(-1, 2) * v),
+        )
         for a, b, c, v in moment.lie.entries
     ]
-
-    def fn(x):
-        out = SuperElement.zero(x.ctx, x.dim, x.order)
-        for a, b, mul in pieces:
-            inner = contract_antighost(contract_antighost(x, b), a)
-            if inner.terms:
-                out = out + mul(inner)
-        return out
-
-    return OperatorHandle("q", fn, +1)
+    return op_sum("q", +1, pieces)
 
 
 def build_u(moment):
     """u(x) = sum_a tr(ad e_a) i^a x (the unimodular term)."""
-    traces = [(a + 1, t) for a, t in enumerate(moment.lie.traces) if t]
-
-    def fn(x):
-        out = SuperElement.zero(x.ctx, x.dim, x.order)
-        for a, t in traces:
-            piece = contract_antighost(x, a)
-            if piece.terms:
-                out = out + piece.scale(t)
-        return out
-
-    return OperatorHandle("u", fn, +1)
+    pieces = [
+        (((contract_antighost, a + 1),), lambda y, t=t: y.scale(t))
+        for a, t in enumerate(moment.lie.traces)
+        if t
+    ]
+    return op_sum("u", +1, pieces)
 
 
 def build_quantum_koszul(moment, star):

@@ -91,6 +91,11 @@ class ReductionPipeline:
         return f
 
     def certify(self, f):
+        """Certify that a Poly or Series operand is invariant (`certify_invariant`).
+
+        The pipeline certifies its generators once, in `classical-reduction`,
+        and never calls this; tests and demos do, and perfbench traces it.
+        """
         if isinstance(f, Series):
             for c in f.coeffs:
                 certify_invariant(c, self.moment, self.lam, self.space, self.torus_rows)
@@ -98,16 +103,13 @@ class ReductionPipeline:
             certify_invariant(f, self.moment, self.lam, self.space, self.torus_rows)
 
 
-def reduced_star(f, g, pipe, certify=True):
-    """f * g = res_nu(prol f * prol g) for certified invariants.
+def reduced_star(f, g, pipe):
+    """f * g = res_nu(prol f * prol g) for invariants (see `ReductionPipeline.certify`).
 
     Accepts Poly or Series in the quotient model; returns a Series in the
     quotient model.  It is C[[nu]]-bilinear: a check that multiplies many
     operands can read it off monomial products (`reduced_star_table`).
     """
-    if certify:
-        pipe.certify(f)
-        pipe.certify(g)
     fx = pipe.prol(pipe.embed(f))
     gx = pipe.prol(pipe.embed(g))
     return pipe.res_nu(pipe.star.star(fx, gx)).as_series()
@@ -143,7 +145,7 @@ def reduced_star_table(pipe):
                 entry = table.get((m1, m2))
                 if entry is None:
                     entry = table[(m1, m2)] = reduced_star(
-                        Poly.monomial(ctx, m1), Poly.monomial(ctx, m2), pipe, certify=False
+                        Poly.monomial(ctx, m1), Poly.monomial(ctx, m2), pipe
                     )
                 reliable = min(reliable, entry.reliable)
                 w = c1 * c2

@@ -514,22 +514,25 @@ def stage_classical_reduction(state):
     # Phi and H are linear: from here on each basis column is evaluated once
     # (Phi_nu and H_nu stay direct, as delta_nu divides by nu)
     cc = state.cc = replace(cc, i=op_columns(cc.i, name="Phi"), h=op_columns(cc.h, name="H"))
-    # the invariant generators, certified once; reduced-star reads state.generators
+    # the invariant generators, certified once and stored as normal forms;
+    # reduced-star reads state.generators
     if cfg.invariant_mode == "weights":
         gens = invariant_generators(state.ctx, cfg.torus_rows, cfg.generator_cap)
     else:
         gens = [parse_polynomial(src, state.ctx) for src in cfg.declared_invariants]
     items = []
+    nf = state.space.normal_form_poly
     for g in gens:
+        normal = nf(g)
         try:
             certify_invariant(
-                state.space.normal_form_poly(g) if cfg.invariant_mode == "declared" else g,
+                normal if cfg.invariant_mode == "declared" else g,
                 state.moment,
                 state.lam,
                 state.space,
                 cfg.torus_rows,
             )
-            state.generators.append(g)
+            state.generators.append(normal)
             items.append((f"generator {g}", Poly.zero(state.ctx)))
         except InvarianceError:
             items.append((f"generator {g}", g))
@@ -543,23 +546,17 @@ def stage_classical_reduction(state):
     if not gens:
         return run.records
     run.prefix = "reduced-poisson"
-    nf = state.space.normal_form_poly
-    rp = lambda f, g: reduced_poisson(
-        f, g, cc.i, state.kc.p, state.lam, dim,
-        state.moment, state.space, cfg.torus_rows, certify=False,
-    )
+    rp = lambda f, g: reduced_poisson(f, g, cc.i, state.kc.p, state.lam, dim)
     items = [("antisymmetry {f,f}", Poly.zero(state.ctx))]
     for a, b in itertools.combinations(range(min(len(gens), 6)), 2):
-        items.append(
-            (f"antisym ({a},{b})", rp(nf(gens[a]), nf(gens[b])) + rp(nf(gens[b]), nf(gens[a])))
-        )
+        items.append((f"antisym ({a},{b})", rp(gens[a], gens[b]) + rp(gens[b], gens[a])))
     for a in range(min(len(gens), 4)):
-        items.append((f"{{f,f}} ({a})", rp(nf(gens[a]), nf(gens[a]))))
-        items.append((f"constants central ({a})", rp(Poly.const(state.ctx, 1), nf(gens[a]))))
+        items.append((f"{{f,f}} ({a})", rp(gens[a], gens[a])))
+        items.append((f"constants central ({a})", rp(Poly.const(state.ctx, 1), gens[a])))
     run.check("algebra", "reduced bracket antisymmetric; constants central", items)
     items = []
     for a, b, c in itertools.islice(itertools.combinations(range(min(len(gens), 5)), 3), 6):
-        fa, fb, fc = nf(gens[a]), nf(gens[b]), nf(gens[c])
+        fa, fb, fc = gens[a], gens[b], gens[c]
         jac = rp(fa, rp(fb, fc)) + rp(fb, rp(fc, fa)) + rp(fc, rp(fa, fb))
         items.append((f"jacobi ({a},{b},{c})", jac))
     if items:
@@ -568,9 +565,9 @@ def stage_classical_reduction(state):
     items = []
     items2 = []
     for k in range(6):
-        f = nf(gens[k % len(gens)])
+        f = gens[k % len(gens)]
         g = random_poly(state.ctx, run.rng, 2, 2)
-        other = nf(gens[(k + 1) % len(gens)])
+        other = gens[(k + 1) % len(gens)]
         ja = state.moment.components[k % dim]
         lhs = nf(poisson_bracket(f + ja * g, other, state.lam))
         rhs = nf(poisson_bracket(f, other, state.lam))
@@ -797,7 +794,7 @@ def stage_reduced_star(state):
     cfg = state.config
     run = StageRun(state, "reduced-star")
     dim = state.moment.lie.dim
-    gens = [state.space.normal_form_poly(g) for g in state.generators]
+    gens = state.generators
     qc = state.qc
     pipe = ReductionPipeline(
         state.moment,
@@ -815,14 +812,14 @@ def stage_reduced_star(state):
 
     @functools.cache
     def star_pair(ia, ib):
-        return reduced_star(gens[ia], gens[ib], pipe, certify=False)
+        return reduced_star(gens[ia], gens[ib], pipe)
 
     # unit
     items = []
     for k in range(min(len(gens), 8)):
         g = Series.from_poly(gens[k], state.work_order)
-        items.append((f"1*g ({k})", reduced_star(one, gens[k], pipe, certify=False) - g))
-        items.append((f"g*1 ({k})", reduced_star(gens[k], one, pipe, certify=False) - g))
+        items.append((f"1*g ({k})", reduced_star(one, gens[k], pipe) - g))
+        items.append((f"g*1 ({k})", reduced_star(gens[k], one, pipe) - g))
     run.check("unit", "f * 1 = 1 * f = f", items, upto=state.order)
 
     # classical part and first-order correspondence on all pairs
@@ -836,10 +833,7 @@ def stage_reduced_star(state):
             items0.append((f"nu^0 ({ia},{ib})", product.classical() - nf(gens[ia] * gens[ib])))
             if ib > ia:
                 anti = product - star_pair(ib, ia)
-                rp = reduced_poisson(
-                    gens[ia], gens[ib], state.cc.i, state.kc.p, state.lam, dim,
-                    state.moment, state.space, cfg.torus_rows, certify=False,
-                )
+                rp = reduced_poisson(gens[ia], gens[ib], state.cc.i, state.kc.p, state.lam, dim)
                 items1.append((f"nu^1 ({ia},{ib})", anti.coefficient(1) - rp))
     run.check(
         "classical-part",
@@ -913,7 +907,7 @@ def stage_reduced_star(state):
         via_classes = reduced_star_cohomology(
             pipe.embed(f), pipe.embed(g), pipe, check_closed=True, upto=state.order
         )
-        direct = reduced_star(f, g, pipe, certify=False)
+        direct = reduced_star(f, g, pipe)
         items.append((f"degree-0 classes ({k})", via_classes - SuperElement.scalar(direct, dim)))
     run.check(
         "degree-zero",

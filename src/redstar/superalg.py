@@ -727,6 +727,32 @@ def op_scale(f, c, name=None):
     )
 
 
+def op_sum(name, degree, pieces, raises_filtration=frozenset()):
+    """The operator x -> sum act(path(x)) over `pieces`, each a (path, act) pair.
+
+    The one sum over contractions behind the Koszul differential, R, q, u
+    and the codifferential.  A path is a tuple of (`contract_ghost` or
+    `contract_antighost`, index) pairs, applied in order; act is a left
+    multiplication, a coefficient map or a scale.  The sum starts at x's
+    floor and adds every piece's image, terms or not, so a piece that
+    vanished leaves its floor behind; only an exactly zero piece (no terms
+    and no floor) is skipped.
+    """
+    pieces = tuple(pieces)
+
+    def fn(x):
+        out = SuperElement(x.ctx, x.dim, x.order, {}, _clean=True, floor=x.floor)
+        for path, act in pieces:
+            y = x
+            for contract, a in path:
+                y = contract(y, a)
+            if y.terms or y.floor is not None:
+                out = out + act(y)
+        return out
+
+    return OperatorHandle(name, fn, degree, raises_filtration)
+
+
 _UNBOUNDED = float("inf")  # the reliable order of a nu-free column
 
 

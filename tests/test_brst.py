@@ -219,6 +219,21 @@ def test_classical_reduction_axioms():
         assert H(phi(kc.p(y))).is_zero()
 
 
+def test_closed_form_H_keeps_the_floor_of_the_term_that_ends_its_sum():
+    # on p^2 in the quotient model the first term h delta + delta h already
+    # vanishes; a codifferential whose images are reliable only to 1 leaves
+    # that order on the vanished term, and H must keep it
+    ctx, q, p, lam, moment, kc = toy_reduction()
+    delta = build_delta(moment, poisson_action(lam))
+    lowered = OperatorHandle(
+        "delta", lambda x: delta(x) + SuperElement(x.ctx, x.dim, x.order, floor=1), +1
+    )
+    x = SuperElement.from_poly(p * p, 1, 2)
+    assert closed_form_H(kc, delta, 1)(x).floor is None
+    out = closed_form_H(kc, lowered, 1)(x)
+    assert not out.terms and out.floor == 1 and out.reliable == 1
+
+
 def test_reduced_poisson_on_invariants():
     # a small circle action on C^2 with indefinite quadratic constraint
     from redstar.scalars import QQ_I, GaussianRational
@@ -237,18 +252,20 @@ def test_reduced_poisson_on_invariants():
     f = space.normal_form_poly(v("z1") * v("zb1"))
     g = space.normal_form_poly(v("z1") * v("z2"))
     # certification passes on both routes
-    out = reduced_poisson(f, g, phi, kc.p, lam, 1, moment, space, torus_rows=(0,))
-    out2 = reduced_poisson(f, g, phi, kc.p, lam, 1, moment, space)  # bracket route
-    assert out == out2
+    for p in (f, g):
+        certify_invariant(p, moment, lam, space, torus_rows=(0,))
+        certify_invariant(p, moment, lam, space)  # bracket route
+    out = reduced_poisson(f, g, phi, kc.p, lam, 1)
     # independent Dirac route: restrict the bracket of any representatives
     direct = space.normal_form_poly(poisson_bracket(f, g, lam))
     assert out == direct
     # antisymmetry and the trivial bracket with itself
-    assert reduced_poisson(g, f, phi, kc.p, lam, 1, moment, space) == -out
-    assert reduced_poisson(f, f, phi, kc.p, lam, 1, moment, space).is_zero()
-    # non-invariant input is refused
-    with pytest.raises(InvarianceError):
-        reduced_poisson(v("z1"), f, phi, kc.p, lam, 1, moment, space)
+    assert reduced_poisson(g, f, phi, kc.p, lam, 1) == -out
+    assert reduced_poisson(f, f, phi, kc.p, lam, 1).is_zero()
+    # non-invariant input is refused on both routes
+    for rows in ((0,), ()):
+        with pytest.raises(InvarianceError):
+            certify_invariant(v("z1"), moment, lam, space, rows)
 
 
 def test_certify_invariant_weight_route():

@@ -684,6 +684,19 @@ def loaded(name, bound):
     return state
 
 
+def with_nu_content(x, rng):
+    """x with a random one-term polynomial of each term's degree in every nu slot."""
+    terms = {
+        key: Series(
+            x.ctx,
+            x.order,
+            [random_poly(x.ctx, rng, c.max_degree(), terms=1) for _ in range(x.order + 1)],
+        )
+        for key, c in x.terms.items()
+    }
+    return SuperElement(x.ctx, x.dim, x.order, terms)
+
+
 def random_inputs(state, bound, order, rng, count):
     """Bounded elements x + d z with ghosts and nonzero higher nu slots.
 
@@ -693,10 +706,9 @@ def random_inputs(state, bound, order, rng, count):
     ctx, dim = state.ctx, state.moment.lie.dim
     out = []
     for k in range(count):
-        x, z = (
-            random_bounded_super(ctx, dim, order, rng, bound, state.jdegs, 3, k % 2 == 0)
-            for _ in range(2)
-        )
+        x, z = (random_bounded_super(ctx, dim, order, rng, bound, state.jdegs, 3) for _ in range(2))
+        if k % 2 == 0:
+            x, z = with_nu_content(x, rng), with_nu_content(z, rng)
         x = x + koszul_diff(z, state.moment)
         if order and x.terms:
             key = sorted(x.terms)[0]

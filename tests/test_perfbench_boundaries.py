@@ -7,15 +7,17 @@ the functions it times and chains them (a slice's `diff_rows` into
 interpreter here, so that a change which deletes or renames such a name, or
 changes a format that one of them hands to another, fails the test suite,
 not only a traced benchmark run.  A refactor that leaves a boundary in place
-but no longer calls it is caught the same way: the `circle` workload runs
-traced, and every boundary that `run.py` expects to be called on it must
-record calls.
+but no longer calls it is caught the same way: each workload runs traced,
+and every boundary that `run.py` expects to be called on it must record
+calls; the rational workload must also build no Gaussian scalar.
 """
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ENV = dict(
@@ -52,9 +54,10 @@ def test_microbenchmarks_run_and_print_every_declared_metric():
     assert declared and declared <= set(printed), declared - set(printed)
 
 
-TRACED_CIRCLE = """
+TRACED_WORKLOAD = """
 import dataclasses
 import json
+import sys
 
 import redstar.runner
 from redstar.scenarios import REGISTRY_BUILDERS
@@ -63,23 +66,30 @@ from tracer import Tracer
 import run
 from workloads import DEFAULT_SEED, WORKLOADS
 
+workload = sys.argv[1]
 tracer = Tracer()
 tracer.install()
-for w in WORKLOADS["circle"]:
+for w in WORKLOADS[workload]:
     config = dataclasses.replace(
         REGISTRY_BUILDERS[w.scenario](), seed=DEFAULT_SEED, probe_overrides=w.probes
     )
     redstar.runner.run_scenario(config, degree_bound=w.degree_bound).to_json()
 summary = tracer.summary()
 counts = run.counts(summary["spans"], summary["counters"])
-expected = run.BOUNDARIES - run.NOT_CALLED["circle"]
-print(json.dumps(sorted(name for name in expected if not counts.get(f"{name}.calls"))))
+expected = run.BOUNDARIES - run.NOT_CALLED[workload]
+missing = sorted(name for name in expected if not counts.get(f"{name}.calls"))
+print(json.dumps({"missing": missing, "gauss_new": counts.get("scalars.gauss_new.calls", 0)}))
 """
 
 
-def test_every_boundary_records_calls_on_the_circle_workload():
+@pytest.mark.parametrize("workload", ["circle", "torus", "rational"])
+def test_every_boundary_records_calls_on_each_workload(workload):
     proc = subprocess.run(
-        [sys.executable, "-c", TRACED_CIRCLE], env=ENV, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", TRACED_WORKLOAD, workload],
+        env=ENV, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["missing"] == []
+    if workload == "rational":  # no Gaussian scalar is ever built
+        assert result["gauss_new"] == 0

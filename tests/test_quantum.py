@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from redstar.brst import build_delta, check_classical_splitting, classical_charge, poisson_action
-from redstar.errors import DivisibilityError
-from redstar.koszul import MomentMapData, koszul_diff
+from redstar.errors import DivisibilityError, ReliabilityError
+from redstar.koszul import MomentMapData, koszul_diff, koszul_operator
 from redstar.poisson import poisson_bracket, poisson_data
 from redstar.poly import Poly, VarContext
 from redstar.probes import random_bounded_super, random_poly, random_super
@@ -16,7 +16,10 @@ from redstar.quantum import (
     build_u,
     check_quantum_splitting,
     quantum_charge,
+    star_action,
 )
+from redstar.runner import RunState, stage_load
+from redstar.scenarios import get_scenario
 from redstar.series import Series
 from redstar.superalg import LieAlgebraData, StarProduct, SuperElement
 
@@ -249,3 +252,59 @@ def test_non_unimodular_charge_and_splittings():
     probes0 = [x.classical_part() for x in probes]
     for label, r in check_classical_splitting(moment, lam, theta0, delta, probes0):
         assert r.is_zero(), label
+
+
+# -- the floor rule of the operators that sum over contractions -------------------
+
+
+def _floor_cases():
+    """(name, operator, moment) for every operator built with `superalg.op_sum`."""
+    ctx, lam, moment, star = so3()
+    _, _, moment_u, _ = ax_plus_b()
+    return [
+        ("koszul", koszul_operator(moment), moment),
+        ("R", build_R(moment, star), moment),
+        ("q", build_q(moment), moment),
+        ("u", build_u(moment_u), moment_u),
+        ("delta", build_delta(moment, poisson_action(lam)), moment),
+        ("delta_nu", build_delta(moment, star_action(star), "delta_nu"), moment),
+    ]
+
+
+@pytest.mark.parametrize("name", ["koszul", "R", "q", "u", "delta", "delta_nu"])
+def test_a_vanished_term_keeps_its_floor_through_each_operator(name):
+    # 1 + b - b, where b (antighosts e_1 e_2) is reliable only to 2: every
+    # piece that reads b finds nothing, and the image of 1 is zero, so the
+    # image has no terms and must stay reliable only to 2 (1 after the
+    # division by nu in delta_nu)
+    _, op, moment = next(case for case in _floor_cases() if case[0] == name)
+    ctx, dim = moment.ctx, moment.lie.dim
+    coeff = Series(ctx, N, [Poly.variable(ctx, ctx.names[0])] + [Poly.zero(ctx)] * N, 2)
+    b = SuperElement(ctx, dim, N, {((), (1, 2)): coeff})
+    x = SuperElement.from_poly(Poly.const(ctx, 1), dim, N) + b - b
+    assert x.floor == 2 and list(x.terms) == [((), ())]
+    out = op(x)
+    floor = 1 if name == "delta_nu" else 2
+    assert not out.terms and out.floor == floor and out.reliable == floor
+    with pytest.raises(ReliabilityError):
+        out.is_zero(floor + 1)
+
+
+@pytest.mark.parametrize("name", ["koszul", "R", "q", "u", "delta", "delta_nu"])
+def test_an_exactly_zero_input_stays_exactly_zero(name):
+    _, op, moment = next(case for case in _floor_cases() if case[0] == name)
+    out = op(SuperElement.zero(moment.ctx, moment.lie.dim, N))
+    assert not out.terms and out.floor is None and out.reliable == N
+
+
+def test_delta_nu_of_an_invariant_is_reliable_one_order_below_the_work_order():
+    # on s1-c4, {J, z1 zb1} = 0: the (1/nu) star commutator vanishes, but
+    # only to the order the division by nu leaves
+    state = RunState(get_scenario("s1-c4"))
+    stage_load(state)
+    v = lambda n: Poly.variable(state.ctx, n)
+    x = SuperElement.from_poly(v("z1") * v("zb1"), state.moment.lie.dim, state.work_order)
+    out = build_delta(state.moment, star_action(state.star), "delta_nu")(x)
+    assert not out.terms and out.reliable <= state.work_order - 1
+    with pytest.raises(ReliabilityError):
+        out.is_zero(state.work_order)

@@ -32,6 +32,7 @@ from redstar.superalg import (
     SuperElement,
     op_columns,
 )
+from test_koszul import with_nu_content
 
 NW = 6  # working order
 N = 4  # asserted order
@@ -129,6 +130,7 @@ def test_reduced_star_unit_and_classical_part():
             (v("z1") * v("zb1"), v("z1") * v("z2"), v("zb1") * v("zb2"))]
     one = Poly.const(ctx, 1)
     for g in gens:
+        pipe.certify(g)
         assert (reduced_star(one, g, pipe) - Series.from_poly(g, NW)).is_zero(upto=N)
         assert (reduced_star(g, one, pipe) - Series.from_poly(g, NW)).is_zero(upto=N)
     for a in gens:
@@ -145,11 +147,11 @@ def test_reduced_star_associativity_sample():
             (v("z1") * v("zb1"), v("z2") * v("zb2"), v("z1") * v("z2"))]
     for a in gens:
         for b in gens:
-            ab = reduced_star(a, b, pipe, certify=False)
+            ab = reduced_star(a, b, pipe)
             for c in gens:
-                bc = reduced_star(b, c, pipe, certify=False)
-                lhs = reduced_star(ab, c, pipe, certify=False)
-                rhs = reduced_star(a, bc, pipe, certify=False)
+                bc = reduced_star(b, c, pipe)
+                lhs = reduced_star(ab, c, pipe)
+                rhs = reduced_star(a, bc, pipe)
                 assert (lhs - rhs).is_zero(upto=N)
 
 
@@ -176,15 +178,16 @@ def test_product_table_takes_the_lowest_reliable_entry():
     product = reduced_star_table(pipe)
     nu_g = Series.from_poly(g, NW).shift_nu(1)
     for f, reliable in ((g + one, NW - 1), (one, NW), (nu_g, NW - 1)):
-        got, want = product(f, g), reduced_star(f, g, pipe, certify=False)
+        got, want = product(f, g), reduced_star(f, g, pipe)
         assert got == want and got.reliable == want.reliable == reliable
 
 
 def test_reduced_star_rejects_noninvariants():
     ctx, lam, moment, kc, star, space = circle_c2()
     pipe = build_pipe(ctx, lam, moment, kc, star, space)
+    pipe.certify(Poly.const(ctx, 1))
     with pytest.raises(InvarianceError):
-        reduced_star(Poly.variable(ctx, "z1"), Poly.const(ctx, 1), pipe)
+        pipe.certify(Poly.variable(ctx, "z1"))
 
 
 def test_cohomology_star_requires_closed_inputs():
@@ -205,6 +208,8 @@ def test_reduced_star_output_is_invariant():
     v = lambda n: Poly.variable(ctx, n)
     a = space.normal_form_poly(v("z1") * v("zb1"))
     b = space.normal_form_poly(v("z1") * v("z2"))
+    pipe.certify(a)
+    pipe.certify(b)
     s = reduced_star(a, b, pipe)
     for coeff in s.coeffs:
         for m in coeff.terms:
@@ -246,7 +251,7 @@ def _mixed_elements(ctx, moment, rng, count):
     jdegs = tuple(j.degree() for j in moment.components)
     out = []
     while len(out) < count:
-        y = random_bounded_super(ctx, dim, NW, rng, 6, jdegs, terms=4, nu_content=True)
+        y = with_nu_content(random_bounded_super(ctx, dim, NW, rng, 6, jdegs, terms=4), rng)
         z = random_bounded_super(ctx, dim, NW, rng, 6, jdegs, terms=3)
         x = y + z + y.shift_nu(1).scale(3)
         # res_nu keeps antighost-free terms; ask for two ghost keys among them

@@ -98,7 +98,7 @@ def test_product_table_equals_reduced_star_on_every_triple(state):
     ]
     assert CONFIG.star_triples == "all" and len(triples) > 50
     pairs = {
-        (a, b): reduced_star(gens[a], gens[b], pipe, certify=False)
+        (a, b): reduced_star(gens[a], gens[b], pipe)
         for a in idx
         for b in idx
         if degs[a] + degs[b] <= state.bound
@@ -106,12 +106,12 @@ def test_product_table_equals_reduced_star_on_every_triple(state):
     product = reduced_star_table(pipe)
     for a, b, c in triples:
         for f, g in ((pairs[(a, b)], gens[c]), (gens[a], pairs[(b, c)])):
-            got, want = product(f, g), reduced_star(f, g, pipe, certify=False)
+            got, want = product(f, g), reduced_star(f, g, pipe)
             assert got == want and got.reliable == want.reliable, (a, b, c)
     # a reliable order below the truncation carries through the table
     a, b, c = max(triples, key=lambda t: degs[t[0]] + degs[t[1]])
     f = Series(state.ctx, state.work_order, pairs[(a, b)].coeffs, state.work_order - 2)
-    got, want = product(f, gens[c]), reduced_star(f, gens[c], pipe, certify=False)
+    got, want = product(f, gens[c]), reduced_star(f, gens[c], pipe)
     assert got == want and got.reliable == want.reliable == f.order - 2
 
 

@@ -25,6 +25,7 @@ from redstar.superalg import (
     contract_ghost,
     graded_poisson,
     op_columns,
+    op_sum,
     super_mul,
 )
 
@@ -282,6 +283,30 @@ def test_vanished_terms_keep_their_reliable_order():
     assert z.as_series().reliable == 1
     with pytest.raises(ReliabilityError):
         z.as_series().is_zero(2)
+
+
+def test_op_sum_skips_only_exactly_zero_pieces():
+    # act runs on every piece with terms or a floor, never on an exactly
+    # zero one, and the sum starts at the input's floor
+    ctx, q, p, lam = setup()
+    calls = []
+
+    def act(y):
+        calls.append(y)
+        return y.scale(2)
+
+    op = op_sum("2 (i_1 + i_2)", -1, [(((contract_ghost, a),), act) for a in (1, 2)])
+    out = op(SuperElement.generator(ctx, DIM, 2, ghosts=(1,)))
+    assert out == SuperElement.generator(ctx, DIM, 2, coeff=2) and out.floor is None
+    assert len(calls) == 1
+    # e^2 (q - q), the first q reliable only to 1: both pieces run
+    s1 = Series(ctx, 2, [Poly.zero(ctx), q, Poly.zero(ctx)]).div_nu()
+    e2 = ((2,), ())
+    z = SuperElement(ctx, DIM, 2, {e2: s1}) - SuperElement(ctx, DIM, 2, {e2: Series.from_poly(q, 2)})
+    calls.clear()
+    out = op(z)
+    assert len(calls) == 2 and not out.terms and out.floor == 1
+    assert op_sum("0", 0, [])(z).floor == 1
 
 
 # -- reference implementations ---------------------------------------------------
