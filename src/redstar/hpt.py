@@ -49,16 +49,6 @@ def neumann_inverse(t, cap, name=None):
     return OperatorHandle(name or f"(id+{t.name})^-1", fn, 0)
 
 
-def check_contraction(c, probes_X, probes_Y, upto=None):
-    """Evaluate all contraction axioms on probes; list of (label, ok, witness)."""
-    results = []
-    for px, py in zip(probes_X, probes_Y):
-        for label, residual in c.axiom_residuals(px, py).items():
-            ok = residual.is_zero(upto)
-            results.append((label, ok, None if ok else residual))
-    return results
-
-
 def _verify(label, residual, upto=None):
     if not residual.is_zero(upto):
         raise LemmaHypothesisError(f"hypothesis failed: {label}; residual {residual}")

@@ -408,7 +408,7 @@ def enforce_side_conditions(c):
     The pipeline does not use it: `build_koszul_contraction` already meets
     the side conditions, and on such a contraction h'' = h at about ten
     times the cost.  It is kept only for the `perfbench/micro.py`
-    microbenchmark until the next benchmark revision (ROADMAP item 4).
+    microbenchmark until the next benchmark revision (ROADMAP item 6).
     """
     d = c.d_Y
     dh_hd = OperatorHandle(

@@ -1,18 +1,30 @@
 """Scenario execution: the ordered verification pipeline with reporting.
 
 Stages run in a fixed order; a failing stage marks everything after it as
-skipped.  Each stage function builds the objects it verifies and states
-the identities it checks; one executor, `StageRun`, does the rest once for
-every stage: it prefixes check ids with the stage, seeds the stage's random
-generator from `f"{seed}:{stage}"`, tests residuals for exact zero (modulo
-nu^(upto+1) where a truncation is given), counts probes (the number of
-residual items unless a check says otherwise), groups residuals by identity
-label, loops over the contraction axioms, and turns a perturbation-lemma
-transfer into a "build" record or a failed "hypotheses" record.  A record's
-wall time runs from the stage's previous record (or its start) to its own
-verdict, so it includes building the check's residuals.  All randomness is
-seeded from the scenario configuration, so two runs of the same config
-produce identical reports up to timing fields.
+skipped.  Each stage function states only the identities it checks; one
+executor, `StageRun`, does the rest once for every stage: it prefixes check
+ids with the stage, seeds the stage's random generator from
+`f"{seed}:{stage}"`, counts probes (the number of residual items unless a
+check says otherwise), groups residuals by identity label and loops over the
+contraction axioms.
+
+Truncation is derived from the residual: a `Poly` or an order-0 residual is
+tested for exact zero, a residual at the work order through the order the
+checks assert, and any other order is a `TruncationError`, reported as the
+stage's error record.  Only two checks, whose residuals lose one order to a
+division by nu, truncate explicitly.
+
+The three perturbation-lemma transfers (the deformed restriction, then the
+classical and the quantum BRST transfer) run one path, `StageRun.lemma`:
+draw Y probes, set X = res(Y), check the lemma hypotheses on the first few
+(a failure is a "hypotheses" record, success a "build" record), then the
+contraction axioms on every pair.
+
+`STAGE_FUNCTIONS` maps each stage of `STAGE_ORDER` to its function
+`stage_<name>`.  A record's wall time runs from the stage's previous record
+(or its start) to its own verdict, so it includes building the check's
+residuals.  All randomness is seeded from the scenario configuration, so
+two runs of the same config produce identical reports up to timing fields.
 """
 
 from __future__ import annotations
@@ -38,7 +50,13 @@ from .brst import (
     quotient_representation,
     reduced_poisson,
 )
-from .errors import ConfigError, InvarianceError, LemmaHypothesisError, RedstarError
+from .errors import (
+    ConfigError,
+    InvarianceError,
+    LemmaHypothesisError,
+    RedstarError,
+    TruncationError,
+)
 from .koszul import (
     KoszulSpace,
     MomentMapData,
@@ -104,16 +122,24 @@ def _transfer_anchors(s):
     }
 
 
-# The BRST transfer of the two reduction stages: probes drawn, how many of
-# them the lemma checks its hypotheses on, the operator suffix and anchors.
+# The perturbation-lemma transfers: the Y probes drawn (a count, or the
+# config's probe count of that name), how many of them the lemma checks its
+# hypotheses on, and the build anchor; the two BRST transfers also name their
+# operator suffix and closed forms.  Only the classical probes are nu-free.
 TRANSFERS = {
     "classical-reduction": dict(
         probes=6,
         lemma=3,
+        classical=True,
         s="",
         build="transfer of D along the extended contraction (lemma version 1)",
         closed_forms="lemma output equals H = h/2 sum (-1/2)^j (h delta + delta h)^j and "
         "Phi = prol - H(delta prol - prol d_z)",
+    ),
+    "deformed-restriction": dict(
+        probes="restriction",
+        lemma=3,
+        build="lemma version 2 applied to the deformed Koszul differential",
     ),
     "quantum-reduction": dict(
         probes=5,
@@ -147,7 +173,8 @@ AXIOM_ANCHORS = {
         "h i=0": "h_nu prol = 0",
         "p h=0": "res_nu h_nu = 0",
     },
-    **{stage: _transfer_anchors(spec["s"]) for stage, spec in TRANSFERS.items()},
+    "classical-reduction": _transfer_anchors(""),
+    "quantum-reduction": _transfer_anchors("_nu"),
 }
 
 
@@ -195,11 +222,6 @@ def _summary(obj):
     return (0, -1)
 
 
-def _vanishes(residual, upto):
-    """Exact zero test, modulo nu^(upto+1) where a truncation is given."""
-    return residual.is_zero() if upto is None else residual.is_zero(upto)
-
-
 def _trim(text, n=400):
     text = str(text)
     return text if len(text) <= n else text[: n - 4] + " ..."
@@ -227,15 +249,37 @@ class StageRun:
         self.records.append(rec)
         return rec
 
+    def truncation(self, order):
+        """The truncation of a zero test at nu-order `order` (None: exact).
+
+        Order 0 is tested exactly, the work order through the order the
+        checks assert; any other order raises TruncationError.
+        """
+        st = self.state
+        if order == 0:
+            return None
+        if order == st.work_order:
+            return st.order
+        raise TruncationError(
+            f"zero test of a residual at nu-order {order}: checks test order 0 "
+            f"or the work order {st.work_order}"
+        )
+
+    def vanishes(self, residual, upto=None):
+        """Exact zero test, through `upto` if given, else through the derived truncation."""
+        if isinstance(residual, Poly):
+            return residual.is_zero()
+        return residual.is_zero(self.truncation(residual.order) if upto is None else upto)
+
     def check(self, name, anchor, items, probes=None, upto=None, detail=None):
         """One record from (label, residual) items; exact zero means pass.
 
         The first nonzero residual is the witness.  `probes` defaults to
-        the number of items; `upto` truncates the zero test in nu.
+        the number of items; `upto` overrides the derived truncation.
         """
         fields = dict(probes=len(items) if probes is None else probes, detail=detail)
         for label, residual in items:
-            if not _vanishes(residual, upto):
+            if not self.vanishes(residual, upto):
                 terms, maxdeg = _summary(residual)
                 return self.record(
                     name, anchor, "fail", witness=_trim(f"{label}: {residual}"),
@@ -243,7 +287,7 @@ class StageRun:
                 )
         return self.record(name, anchor, **fields)
 
-    def by_label(self, anchors, items, upto=None):
+    def by_label(self, anchors, items):
         """One check per identity label (the text before `[`), over all its probes.
 
         Only each label's first nonzero residual is kept; `items` may be a generator.
@@ -252,62 +296,68 @@ class StageRun:
         for label, residual in items:
             group = groups.setdefault(label.split("[")[0], [0, None])
             group[0] += 1
-            if group[1] is None and not _vanishes(residual, upto):
+            if group[1] is None and not self.vanishes(residual):
                 group[1] = (label, residual)
         for base, (n, bad) in groups.items():
-            self.check(base, anchors.get(base, base), [bad] if bad else [], n, upto)
+            self.check(base, anchors.get(base, base), [bad] if bad else [], n)
 
-    def axioms(self, contraction, pairs, upto=None):
+    def axioms(self, contraction, pairs):
         """The contraction axioms on (X probe, Y probe) pairs, one check per axiom.
 
         `pairs` may be a generator: each pair's residuals are tested and
         dropped before the next pair is drawn.
         """
         items = (item for x, y in pairs for item in contraction.axiom_residuals(x, y).items())
-        self.by_label(AXIOM_ANCHORS[self.stage], items, upto)
+        self.by_label(AXIOM_ANCHORS[self.stage], items)
 
-    def transfer(self, anchor, build):
-        """Run a perturbation-lemma transfer; None after a failed hypothesis."""
+    def lemma(self, transfer):
+        """The stage's perturbation-lemma transfer, then the contraction axioms.
+
+        Draws the Y probes at the work order (order 0 for the classical
+        transfer) and sets X = res(Y); runs `transfer(probes_X, probes_Y,
+        upto)` with the lemma hypotheses checked on the first few pairs, then
+        checks the axioms of the transferred contraction on every pair.
+        Returns (contraction, the transfer's second output, X probes,
+        Y probes), or None after a failed hypothesis.
+        """
+        st, spec = self.state, TRANSFERS[self.stage]
+        order = 0 if spec.get("classical") else st.work_order
+        n, k = spec["probes"], spec["lemma"]
+        if isinstance(n, str):
+            n = st.config.probe_counts()[n]
+        probes_Y = [self.element(order) for _ in range(n)]
+        probes_X = [st.kc.p(y) for y in probes_Y]
         try:
-            out = build()
+            out, second = transfer(probes_X[:k], probes_Y[:k], upto=self.truncation(order))
         except LemmaHypothesisError as exc:
             self.record("hypotheses", "transfer lemma hypotheses", "fail", witness=_trim(exc))
             return None
-        self.record("build", anchor)
-        return out
+        self.record("build", spec["build"])
+        self.axioms(out, zip(probes_X, probes_Y))
+        return out, second, probes_X, probes_Y
 
-    def reduction(self, contraction, delta, transfer, order, upto):
-        """The BRST transfer of a reduction stage and its checks.
+    def reduction(self, transfer, contraction, delta):
+        """The BRST transfer of `delta` along `contraction` and its checks.
 
-        Draws the probes at nu-order `order`, runs `transfer(probes_X,
-        probes_Y, upto=upto)` (a `brst_transfer` of `delta` along
-        `contraction`) with the lemma hypotheses checked on the first few,
-        then checks the contraction axioms, the closed forms of H and Phi
-        and, on torus scenarios, Phi = prol; `upto` truncates every zero test
-        (None: exact).  Returns the transferred contraction (None after a
-        failed hypothesis) and the Y probes.
+        The lemma path with `transfer(contraction, delta, ...)`, then the
+        closed forms of H and Phi and, on torus scenarios, Phi = prol.
+        Returns the transferred contraction and the Y probes, or None after a
+        failed hypothesis.
         """
-        st, spec = self.state, TRANSFERS[self.stage]
-        s, k = spec["s"], spec["lemma"]
-        probes_Y = [self.element(order) for _ in range(spec["probes"])]
-        probes_X = [st.kc.p(y) for y in probes_Y]
-        built = self.transfer(
-            spec["build"], lambda: transfer(probes_X[:k], probes_Y[:k], upto=upto)
-        )
+        built = self.lemma(functools.partial(transfer, contraction, delta))
         if built is None:
-            return None, probes_Y
-        out, d_z = built
-        self.axioms(out, zip(probes_X, probes_Y), upto)
-        Hcf = closed_form_H(contraction, delta, st.moment.lie.dim)
+            return None
+        out, d_z, probes_X, probes_Y = built
+        spec = TRANSFERS[self.stage]
+        s = spec["s"]
+        Hcf = closed_form_H(contraction, delta, self.state.moment.lie.dim)
         Phicf = closed_form_Phi(contraction, delta, out.h, d_z)
         items = [(f"H{s} - closed form", out.h(y) - Hcf(y)) for y in probes_Y]
         items += [(f"Phi{s} - closed form", out.i(x) - Phicf(x)) for x in probes_X]
-        self.check("closed-forms", spec["closed_forms"], items, upto=upto)
-        if st.torus:
+        self.check("closed-forms", spec["closed_forms"], items)
+        if self.state.torus:
             items = [(f"Phi{s} - prol", out.i(x) - contraction.i(x)) for x in probes_X]
-            self.check(
-                "equivariant-phi", f"equivariant prolongation: Phi{s} = prol", items, upto=upto
-            )
+            self.check("equivariant-phi", f"equivariant prolongation: Phi{s} = prol", items)
         return out, probes_Y
 
     def element(self, order, bound=None, terms=2):
@@ -393,7 +443,6 @@ def stage_covariance(state):
         "pairs",
         "J_a*J_b - J_b*J_a = nu f_ab^c J_c",
         check_quantum_covariance(state.moment, state.lam, state.work_order),
-        upto=state.order,
     )
     return run.records
 
@@ -408,7 +457,6 @@ def stage_strong_invariance(state):
         "probes",
         "J_a*f - f*J_a = nu {J_a, f}",
         check_strong_invariance(state.moment, state.lam, state.work_order, probes),
-        upto=state.order,
     )
     return run.records
 
@@ -506,11 +554,10 @@ def stage_classical_reduction(state):
     cfg = state.config
     run = StageRun(state, "classical-reduction")
     dim = state.moment.lie.dim
-    cc, _ = run.reduction(
-        state.kc, state.delta, functools.partial(brst_transfer, state.kc, state.delta), 0, None
-    )
-    if cc is None:
+    built = run.reduction(brst_transfer, state.kc, state.delta)
+    if built is None:
         return run.records
+    cc = built[0]
     # Phi and H are linear: from here on each basis column is evaluated once
     # (Phi_nu and H_nu stay direct, as delta_nu divides by nu)
     cc = state.cc = replace(cc, i=op_columns(cc.i, name="Phi"), h=op_columns(cc.h, name="H"))
@@ -590,14 +637,13 @@ def stage_quantum_brst(state):
         "theta_nu * theta_nu = 0",
         [("theta_nu*theta_nu", star.star(theta_nu, theta_nu))],
         probes=0,
-        upto=state.order,
     )
     if charge.status == "fail":
         return run.records
     qops = build_quantum_operators(state.moment, star, theta_nu)
     probes = [run.element(state.work_order) for _ in range(cfg.probe_counts()["splitting"])]
     items = check_quantum_splitting(qops, probes)
-    run.by_label(_splitting_anchors("_nu"), items, upto=state.order)
+    run.by_label(_splitting_anchors("_nu"), items)
 
     # classical limits
     theta0 = classical_charge(state.moment, 0)
@@ -627,12 +673,7 @@ def stage_quantum_brst(state):
         lhs = qops.koszul_nu(star.star(fel, x))
         rhs = star.star(fel, qops.koszul_nu(x))
         items.append((f"module ({k})", lhs - rhs))
-    run.check(
-        "left-module",
-        "koszul_nu(f * x) = f * koszul_nu(x) for scalar f",
-        items,
-        upto=state.order,
-    )
+    run.check("left-module", "koszul_nu(f * x) = f * koszul_nu(x) for scalar f", items)
 
     # star associativity sample
     items = []
@@ -640,32 +681,18 @@ def stage_quantum_brst(state):
         a, b, c = (run.element(state.work_order, 4) for _ in range(3))
         lhs = star.star(star.star(a, b), c)
         items.append((f"assoc ({k})", lhs - star.star(a, star.star(b, c))))
-    run.check(
-        "associativity",
-        "(x*y)*z = x*(y*z) for the graded star product",
-        items,
-        upto=state.order,
-    )
+    run.check("associativity", "(x*y)*z = x*(y*z) for the graded star product", items)
     return run.records
 
 
 def stage_deformed_restriction(state):
     run = StageRun(state, "deformed-restriction")
     dim = state.moment.lie.dim
-    n = state.config.probe_counts()["restriction"]
-    probes_Y = [run.element(state.work_order) for _ in range(n)]
-    probes_X = [state.kc.p(y) for y in probes_Y]
-    built = run.transfer(
-        "lemma version 2 applied to the deformed Koszul differential",
-        lambda: deformed_restriction(
-            state.kc, state.moment, state.star, probes_X[:3], probes_Y[:3], upto=state.order
-        ),
-    )
+    built = run.lemma(functools.partial(deformed_restriction, state.kc, state.moment, state.star))
     if built is None:
         return run.records
-    dc, t = built
+    dc, t, _, probes_Y = built
     state.dc = dc
-    run.axioms(dc, zip(probes_X, probes_Y), upto=state.order)
     # closed form on the antighost-free sector
     cf = closed_form_res_nu(state.kc, t, state.work_order)
     items = []
@@ -676,12 +703,7 @@ def stage_deformed_restriction(state):
             _clean=True,
         )
         items.append(("res_nu - closed form", dc.p(y0) - cf(y0)))
-    run.check(
-        "closed-form",
-        "res_nu = res (id + (koszul_nu - koszul) h)^{-1} on functions",
-        items,
-        upto=state.order,
-    )
+    run.check("closed-form", "res_nu = res (id + (koszul_nu - koszul) h)^{-1} on functions", items)
     # classical limit and exactness of the components
     items = [
         ("res_nu|nu=0 - res", dc.p(y).classical_part() - state.kc.p(y).classical_part())
@@ -692,9 +714,7 @@ def stage_deformed_restriction(state):
     for a in range(dim):
         ja = SuperElement.from_poly(state.moment.components[a], dim, state.work_order)
         items.append((f"res_nu(J_{a + 1})", dc.p(ja)))
-    run.check(
-        "kills-constraints", "res_nu(J_a) = 0 (constraints are exact)", items, upto=state.order
-    )
+    run.check("kills-constraints", "res_nu(J_a) = 0 (constraints are exact)", items)
     return run.records
 
 
@@ -743,7 +763,6 @@ def stage_equivariance_lemma(state):
         "deformed quotient representation equals the classical one",
         items,
         probes=n,
-        upto=state.order,
     )
     # representation property of the deformed representation
     probes = [
@@ -759,7 +778,6 @@ def stage_equivariance_lemma(state):
         "[Lz_a, Lz_b] = f_ab^c Lz_c for the deformed representation",
         items,
         probes=len(probes),
-        upto=state.order,
     )
     return run.records
 
@@ -767,15 +785,10 @@ def stage_equivariance_lemma(state):
 def stage_quantum_reduction(state):
     run = StageRun(state, "quantum-reduction")
     delta_nu = build_delta(state.moment, star_action(state.star), "delta_nu")
-    qc, probes_Y = run.reduction(
-        state.dc,
-        delta_nu,
-        functools.partial(quantum_reduction, state.dc, delta_nu),
-        state.work_order,
-        state.order,
-    )
-    if qc is None:
+    built = run.reduction(quantum_reduction, state.dc, delta_nu)
+    if built is None:
         return run.records
+    qc, probes_Y = built
     state.qc = qc
     if state.cc is not None:
         items = [
@@ -820,7 +833,7 @@ def stage_reduced_star(state):
         g = Series.from_poly(gens[k], state.work_order)
         items.append((f"1*g ({k})", reduced_star(one, gens[k], pipe) - g))
         items.append((f"g*1 ({k})", reduced_star(gens[k], one, pipe) - g))
-    run.check("unit", "f * 1 = 1 * f = f", items, upto=state.order)
+    run.check("unit", "f * 1 = 1 * f = f", items)
 
     # classical part and first-order correspondence on all pairs
     items0 = []
@@ -871,7 +884,6 @@ def stage_reduced_star(state):
         "(f*g)*h = f*(g*h) on generator triples",
         associativity(),
         probes=len(triples),
-        upto=state.order,
         detail=f"{len(triples)} triple(s), mode {cfg.star_triples}",
     )
 
@@ -896,7 +908,6 @@ def stage_reduced_star(state):
         "by right star multiples of the constraints",
         items,
         probes=nid,
-        upto=state.order,
     )
 
     # cohomology-level product
@@ -904,16 +915,17 @@ def stage_reduced_star(state):
     items = []
     for k in range(4):
         f, g = gens[k % len(gens)], gens[(k + 1) % len(gens)]
-        via_classes = reduced_star_cohomology(
-            pipe.embed(f), pipe.embed(g), pipe, check_closed=True, upto=state.order
-        )
+        fx, gx = pipe.embed(f), pipe.embed(g)
+        # both classes closed: residuals of this check, so the rule truncates them
+        items += [(f"[f] closed ({k})", qc.d_X(fx)), (f"[g] closed ({k})", qc.d_X(gx))]
+        via_classes = reduced_star_cohomology(fx, gx, pipe, check_closed=False)
         direct = reduced_star(f, g, pipe)
         items.append((f"degree-0 classes ({k})", via_classes - SuperElement.scalar(direct, dim)))
     run.check(
         "degree-zero",
         "on degree-zero classes the transferred product agrees with the direct formula",
         items,
-        upto=state.order,
+        probes=4,
     )
     items = []
     onex = pipe.embed(Series.from_poly(one, state.work_order))
@@ -922,7 +934,7 @@ def stage_reduced_star(state):
         items.append(
             (f"[1]*[g] ({k})", reduced_star_cohomology(onex, ga, pipe, check_closed=False) - ga)
         )
-    run.check("unit", "the class of 1 is a two-sided unit", items, upto=state.order)
+    run.check("unit", "the class of 1 is a two-sided unit", items)
     # exact shifts multiply to exact elements, with an explicit primitive
     items = []
     for k in range(3):
@@ -969,20 +981,7 @@ def stage_reduced_star(state):
     return run.records
 
 
-STAGE_FUNCTIONS = {
-    "load": stage_load,
-    "covariance": stage_covariance,
-    "strong-invariance": stage_strong_invariance,
-    "acyclicity": stage_acyclicity,
-    "contraction": stage_contraction,
-    "classical-brst": stage_classical_brst,
-    "classical-reduction": stage_classical_reduction,
-    "quantum-brst": stage_quantum_brst,
-    "deformed-restriction": stage_deformed_restriction,
-    "equivariance-lemma": stage_equivariance_lemma,
-    "quantum-reduction": stage_quantum_reduction,
-    "reduced-star": stage_reduced_star,
-}
+STAGE_FUNCTIONS = {name: globals()[f"stage_{name.replace('-', '_')}"] for name in STAGE_ORDER}
 
 
 def run_scenario(config, order=None, degree_bound=None, only_stage=None):

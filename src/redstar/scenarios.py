@@ -11,6 +11,7 @@ fields with section headers.
 from __future__ import annotations
 
 import configparser
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -589,8 +590,14 @@ def load_config(path):
             a, b, c = (_int(x, f"structure constant index in {key!r}") for x in parts[1:])
             f_entries.append((a, b, c, value))
 
-    moment_section = _section(cp, "moment-map")
-    moment = [moment_section[key] for key in sorted(moment_section)]
+    moment = {}  # component number -> expression; the parser rejects a repeated key
+    for key, value in _section(cp, "moment-map").items():
+        if not re.fullmatch(r"J[1-9][0-9]*", key):
+            raise ConfigError(f"moment-map key must be J1, J2, ...: {key!r}")
+        moment[int(key[1:])] = value
+    for k in range(1, len(moment) + 1):
+        if k not in moment:
+            raise ConfigError(f"moment-map keys must be J1..J{len(moment)}: J{k} is missing")
 
     action = []
     if cp.has_section("action"):
@@ -628,7 +635,7 @@ def load_config(path):
         poisson_entries=tuple(poisson),
         lie_dim=lie_dim,
         structure_constants=tuple(f_entries),
-        moment_map=tuple(moment),
+        moment_map=tuple(moment[k] for k in sorted(moment)),
         action=tuple(action),
         order=_int(sc.get("order", "4"), "order"),
         degree_bound=_int(sc.get("degree_bound", "8"), "degree_bound"),

@@ -284,6 +284,21 @@ MALFORMED = {
         "z2 zz2 = 2*i",
         "poisson entry z2 zz2 names unknown variable 'zz2'",
     ),
+    "moment-map key other than J<k>": (
+        "J1 = 1/2*(z1*zb1 - z2*zb2)",
+        "banana = 1/2*(z1*zb1 - z2*zb2)",
+        "moment-map key must be J1, J2, ...: 'banana'",
+    ),
+    "moment-map keys with a gap": (
+        "J1 = 1/2*(z1*zb1 - z2*zb2)",
+        "J2 = 1/2*(z1*zb1 - z2*zb2)",
+        "moment-map keys must be J1..J1: J1 is missing",
+    ),
+    "repeated moment-map key": (
+        "J1 = 1/2*(z1*zb1 - z2*zb2)\n",
+        "J1 = 1/2*(z1*zb1 - z2*zb2)\nJ1 = z1*zb1\n",
+        "option 'J1' in section 'moment-map' already exists",
+    ),
 }
 
 
@@ -298,6 +313,23 @@ def test_cli_rejects_malformed_config(case, tmp_path, capsys):
         load_config(str(bad))
     assert main(["run", str(bad), "--format", "text"]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_moment_map_keys_are_ordered_by_number(tmp_path):
+    # ten components: ordered as text, J10 would be read as component 2
+    n = 10
+    lines = ["[scenario]", "name = ten-pairs", "order = 1", "degree_bound = 2", "stages = load"]
+    lines += ["[variables]", "names = " + " ".join(f"q{k} p{k}" for k in range(1, n + 1))]
+    lines += ["[poisson]"] + [f"q{k} p{k} = 1" for k in range(1, n + 1)]
+    lines += ["[lie]", f"dim = {n}", "[moment-map]"]
+    lines += [f"J{k} = q{k}*p{k}" for k in range(1, n + 1)]
+    lines += ["[action]"] + [f"J{k} q{k} = -q{k}" for k in range(1, n + 1)]
+    path = tmp_path / "ten.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    cfg = load_config(str(path))
+    assert cfg.moment_map == tuple(f"q{k}*p{k}" for k in range(1, n + 1))
+    calibration = [r for r in run_scenario(cfg).records if r.check_id == "load.calibration"]
+    assert [(r.status, r.probes) for r in calibration] == [("pass", n)]
 
 
 def test_scenario_config_rejects_unknown_stage():

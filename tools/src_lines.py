@@ -1,0 +1,81 @@
+"""Count code lines of Python files: no blank, comment or docstring lines.
+
+A line counts when a token other than a comment or a layout token starts on
+it or runs across it, and it is not part of a docstring (the string that
+opens a module, class or function body).
+
+    python tools/src_lines.py [PATH ...]    # default: src
+
+prints one line per file and the total.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import os
+import sys
+import tokenize
+
+LAYOUT = {
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENCODING,
+    tokenize.ENDMARKER,
+}
+
+
+def docstring_lines(tree):
+    """The line numbers of every docstring in a parsed module."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if (
+                body
+                and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)
+            ):
+                lines.update(range(body[0].lineno, body[0].end_lineno + 1))
+    return lines
+
+
+def code_lines(source):
+    """The number of code lines in a Python source text."""
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in LAYOUT:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstring_lines(ast.parse(source)))
+
+
+def python_files(path):
+    if os.path.isfile(path):
+        return [path]
+    return sorted(
+        os.path.join(root, name)
+        for root, _, names in os.walk(path)
+        for name in names
+        if name.endswith(".py")
+    )
+
+
+def main(argv=None):
+    paths = (sys.argv[1:] if argv is None else argv) or ["src"]
+    total = 0
+    for path in paths:
+        for name in python_files(path):
+            with open(name, encoding="utf-8") as fh:
+                n = code_lines(fh.read())
+            total += n
+            print(f"{n:6d}  {name}")
+    print(f"{total:6d}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
