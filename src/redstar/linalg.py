@@ -1,7 +1,7 @@
 """Exact linear algebra over the coefficient field.
 
 Matrices are sparse rows: a row is a sequence of (column, nonzero entry)
-pairs, and entries are Fraction or GaussianRational.  Elimination touches
+pairs, and entries are Rational or GaussianRational.  Elimination touches
 only the stored entries, so the sparse slice matrices stay cheap.  The
 canonical solution of a solvable system puts every free variable to zero,
 which makes all derived homotopy operators deterministic.

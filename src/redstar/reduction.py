@@ -128,14 +128,8 @@ def reduced_star_table(pipe):
     ctx, order = pipe.moment.ctx, pipe.order
     table = {}
 
-    def terms(f):
-        """f's reliable order and its (nu power, monomial, coefficient) terms."""
-        if isinstance(f, Poly):
-            f = Series.from_poly(f, order)
-        return f.reliable, [(s, m, c) for s, p in enumerate(f.coeffs) for m, c in p.terms.items()]
-
     def product(f, g):
-        (f_reliable, f_terms), (g_reliable, g_terms) = terms(f), terms(g)
+        (f_reliable, f_terms), (g_reliable, g_terms) = _terms(f, order), _terms(g, order)
         reliable = min(f_reliable, g_reliable)
         slots = [{} for _ in range(order + 1)]
         for s, m1, c1 in f_terms:
@@ -156,6 +150,22 @@ def reduced_star_table(pipe):
         return Series(ctx, order, coeffs, reliable)
 
     return product
+
+
+def _terms(f, order):
+    """A Poly or Series operand's reliable order and its (nu power, monomial, coefficient) terms."""
+    if isinstance(f, Poly):
+        f = Series.from_poly(f, order)
+    return f.reliable, [(s, m, c) for s, p in enumerate(f.coeffs) for m, c in p.terms.items()]
+
+
+def table_size(products, order):
+    """How many `reduced_star_table` entries the products f * g, (f, g) in `products`, read."""
+    pairs = set()
+    for f, g in products:
+        f_terms, g_terms = _terms(f, order)[1], _terms(g, order)[1]
+        pairs.update((m1, m2) for s, m1, _ in f_terms for t, m2, _ in g_terms if s + t <= order)
+    return len(pairs)
 
 
 def reduced_star_cohomology(a, b, pipe, check_closed=True, upto=None):

@@ -89,6 +89,7 @@ from .reduction import (
     reduced_star,
     reduced_star_cohomology,
     reduced_star_table,
+    table_size,
 )
 from .report import CheckRecord, Report
 from .scenarios import FULL_STAGES as STAGE_ORDER
@@ -873,11 +874,20 @@ def stage_reduced_star(state):
         k = min(len(triples), max(cfg.probe_counts()["associativity_sample"], 20))
         triples = [triples[run.rng.randrange(len(triples))] for _ in range(k)]
 
+    def sides(a, b, c):
+        return (star_pair(a, b), gens[c]), (gens[a], star_pair(b, c))
+
     def associativity():  # the table and each residual live only while the check runs
-        product = reduced_star_table(pipe)
+        # the table evaluates one reduced_star per distinct monomial pair, the
+        # direct route two per triple: take whichever evaluates fewer
+        entries = table_size((side for t in triples for side in sides(*t)), pipe.order)
+        if entries <= 2 * len(triples):
+            product = reduced_star_table(pipe)
+        else:
+            product = functools.partial(reduced_star, pipe=pipe)
         for a, b, c in triples:
-            lhs = product(star_pair(a, b), gens[c])
-            yield f"assoc ({a},{b},{c})", lhs - product(gens[a], star_pair(b, c))
+            left, right = sides(a, b, c)
+            yield f"assoc ({a},{b},{c})", product(*left) - product(*right)
 
     run.check(
         "associativity",

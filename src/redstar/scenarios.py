@@ -603,20 +603,23 @@ def load_config(path):
     if cp.has_section("action"):
         for key, value in cp["action"].items():
             parts = key.split()
-            if len(parts) != 2:
-                raise ConfigError(f"action key must be 'component variable': {key!r}")
-            component = _int(parts[0].lstrip("J"), f"action component in {key!r}")
-            action.append((component, parts[1], value))
+            if len(parts) != 2 or not re.fullmatch(r"J[1-9][0-9]*", parts[0]):
+                raise ConfigError(f"action key must be 'J<k> variable': {key!r}")
+            action.append((int(parts[0][1:]), parts[1], value))
 
-    invariants = []
+    invariants = {}  # invariant number -> expression
     mode = "weights"
     cap = 4
     if cp.has_section("invariants"):
         mode = cp["invariants"].get("mode", "weights")
         cap = _int(cp["invariants"].get("degree_cap", "4"), "invariants degree_cap")
-        for key in sorted(cp["invariants"]):
-            if key.startswith("g"):
-                invariants.append(cp["invariants"][key])
+        for key, value in cp["invariants"].items():
+            if re.fullmatch(r"g[1-9][0-9]*", key):
+                invariants[int(key[1:])] = value
+            elif key not in ("mode", "degree_cap"):
+                raise ConfigError(
+                    f"invariants key must be mode, degree_cap or g1, g2, ...: {key!r}"
+                )
 
     stages = tuple(sc.get("stages", " ".join(FULL_STAGES)).split())
     probe_overrides = []
@@ -641,7 +644,7 @@ def load_config(path):
         degree_bound=_int(sc.get("degree_bound", "8"), "degree_bound"),
         seed=_int(sc.get("seed", "7"), "seed"),
         invariant_mode=mode,
-        declared_invariants=tuple(invariants),
+        declared_invariants=tuple(invariants[k] for k in sorted(invariants)),
         generator_cap=cap,
         stages=stages,
         clifford_coeff=sc.get("clifford_coeff", "-2"),

@@ -6,7 +6,9 @@ probe counts, seed 7).  The classical Phi and H kept after
 product table behind `reduced-star.associativity` equals `reduced_star`
 on every triple, in value and reliable order; and a work-count guard pins
 how many times the run evaluates `reduced_star` and the direct Phi, so a
-change that brings back the recomputation fails here.
+change that brings back the recomputation fails here.  A second guard pins
+the `reduced_star` calls of commuting-n2 at the `rational` workload's size,
+where associativity takes the direct route instead of the table.
 """
 
 import dataclasses
@@ -28,24 +30,37 @@ from redstar.superalg import OperatorHandle, SuperElement
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
 
-def _circle_run():
+def _workload_config(workload, scenario):
+    """The config of `scenario` as the benchmark workload runs it, at the default seed."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", os.path.join(PERFBENCH, "workloads.py")
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    run = module.WORKLOADS["circle"][0]
-    assert run.scenario == "s1-c4"
-    config = dataclasses.replace(
+    run, = (r for r in module.WORKLOADS[workload] if r.scenario == scenario)
+    return dataclasses.replace(
         REGISTRY_BUILDERS[run.scenario](),
         seed=module.DEFAULT_SEED,
         probe_overrides=tuple(run.probes),
         degree_bound=run.degree_bound,
     )
-    return config
 
 
-CONFIG = _circle_run()
+CONFIG = _workload_config("circle", "s1-c4")
+
+
+def _count_reduced_star(monkeypatch):
+    """Count every reduced_star call, from the runner and from the product table."""
+    counts = {"reduced_star": 0}
+    original_star = reduction.reduced_star
+
+    def counted_star(*args, **kwargs):
+        counts["reduced_star"] += 1
+        return original_star(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "reduced_star", counted_star)
+    monkeypatch.setattr(reduction, "reduced_star", counted_star)
+    return counts
 
 
 @pytest.fixture(scope="module")
@@ -120,15 +135,8 @@ def test_work_counts_on_the_circle_workload(monkeypatch):
     # of classical-part, the cohomology-star direct products and the
     # product table's entries.  Direct classical Phi evaluations: the
     # transfer's axiom and closed-form checks, then one per basis column
-    counts = {"reduced_star": 0, "Phi": 0}
-    original_star = reduction.reduced_star
-
-    def counted_star(*args, **kwargs):
-        counts["reduced_star"] += 1
-        return original_star(*args, **kwargs)
-
-    monkeypatch.setattr(runner, "reduced_star", counted_star)
-    monkeypatch.setattr(reduction, "reduced_star", counted_star)
+    counts = _count_reduced_star(monkeypatch)
+    counts["Phi"] = 0
     original_transfer = runner.brst_transfer
 
     def counted_transfer(*args, **kwargs):
@@ -146,3 +154,15 @@ def test_work_counts_on_the_circle_workload(monkeypatch):
     report = runner.run_scenario(CONFIG)
     assert report.verdict == "pass"
     assert counts == {"reduced_star": 733, "Phi": 46}
+
+
+def test_work_counts_on_the_rational_workload(monkeypatch):
+    # commuting-n2 samples 20 triples of generators with many monomials: the
+    # product table would need 305 distinct monomial pairs, more than the 40
+    # reduced_star calls of the direct route, so associativity takes the
+    # direct route; the other 39 calls are unit, the pair products and
+    # cohomology-star (the table route made 344 calls in all)
+    counts = _count_reduced_star(monkeypatch)
+    report = runner.run_scenario(_workload_config("rational", "commuting-n2"))
+    assert report.verdict == "pass"
+    assert counts == {"reduced_star": 79}

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import random
 from fractions import Fraction
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from redstar import runner
 from redstar.poly import Poly, VarContext
-from redstar.scalars import QQ, QQ_I, GaussianRational
+from redstar.scalars import QQ, QQ_I, GaussianRational, Rational
+from redstar.scenarios import REGISTRY_BUILDERS
 from redstar.series import Series
 
 
@@ -182,3 +185,124 @@ def test_poly_and_series_over_gaussians_round_trip(how):
         assert type(back) is type(x) and back == x and hash(back) == hash(x)
     back = pickle.loads(how(s)) if how is pickle.dumps else how(s)
     assert back.reliable == 1 and back.order == 2
+
+
+# -- Rational against a reference model: Fraction --------------------------------
+
+rationals = st.builds(Rational, st.integers(-60, 60), st.integers(1, 12))
+
+
+def as_fraction(x):
+    if isinstance(x, Rational):
+        return Fraction(x.numerator, x.denominator)
+    return Fraction(x)
+
+
+def same(q, f):
+    # exact type, lowest terms, and the value, hash and text of the Fraction
+    assert type(q) is Rational
+    assert (q.numerator, q.denominator) == (f.numerator, f.denominator)
+    assert q == f and f == q and hash(q) == hash(f)
+    assert str(q) == str(f)
+
+
+@MODEL
+@given(rationals, st.one_of(rationals, reals))
+def test_rational_field_ops_match_fraction(q, x):
+    f, g = as_fraction(q), as_fraction(x)
+    same(q + x, f + g)
+    same(x + q, g + f)
+    same(q - x, f - g)
+    same(x - q, g - f)
+    same(q * x, f * g)
+    same(x * q, g * f)
+    same(-q, -f)
+    for num, den, fnum, fden in ((q, x, f, g), (x, q, g, f)):
+        if fden:
+            same(num / den, fnum / fden)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                num / den
+
+
+@MODEL
+@given(rationals, st.integers(-5, 6))
+def test_rational_power_matches_fraction(q, n):
+    f = as_fraction(q)
+    if f == 0 and n < 0:
+        with pytest.raises(ZeroDivisionError):
+            q**n
+    else:
+        same(q**n, f**n)
+
+
+@MODEL
+@given(rationals, st.one_of(rationals, reals))
+def test_rational_comparisons_hash_and_text_match_fraction(q, x):
+    f, g = as_fraction(q), as_fraction(x)
+    assert (q == x, q != x, x == q, x != q) == (f == g, f != g, g == f, g != f)
+    assert (q < x, q <= x, q > x, q >= x) == (f < g, f <= g, f > g, f >= g)
+    assert (x < q, x <= q, x > q, x >= q) == (g < f, g <= f, g > f, g >= f)
+    assert hash(q) == hash(f) and bool(q) == bool(f)
+    if f.denominator == 1:
+        assert q == f.numerator and hash(q) == hash(f.numerator)
+    assert str(q) == str(f)
+    assert repr(q) == f"Rational({f.numerator}, {f.denominator})" and eval(repr(q)) == q
+    with pytest.raises(AttributeError):
+        q._n = 0
+    with pytest.raises(AttributeError):
+        q.numerator = 0
+
+
+@MODEL
+@given(rationals, st.sampled_from([copy.copy, copy.deepcopy, pickle.dumps]))
+def test_rational_copies_and_pickles_round_trip(q, how):
+    back = pickle.loads(how(q)) if how is pickle.dumps else how(q)
+    assert type(back) is Rational
+    assert back == q and hash(back) == hash(q)
+    assert (back.numerator, back.denominator) == (q.numerator, q.denominator)
+
+
+def test_rational_construction_and_coercion():
+    assert (Rational(3, -6).numerator, Rational(3, -6).denominator) == (-1, 2)
+    assert Rational(Fraction(2, 4)) == Rational("3/6") == Fraction(1, 2)
+    assert Rational(Rational(1, 2), Fraction(3, 4)) == Fraction(2, 3)
+    with pytest.raises(ZeroDivisionError):
+        Rational(1, 0)
+    inputs = (2, True, Fraction(-3, 9), "5/10", Rational(7, 3), GaussianRational(Fraction(1, 3)))
+    values = (2, 1, Fraction(-1, 3), Fraction(1, 2), Fraction(7, 3), Fraction(1, 3))
+    for x, value in zip(inputs, values):
+        q = QQ.coerce(x)
+        assert type(q) is Rational and q == value
+    assert type(QQ.zero) is type(QQ.one) is type(QQ.random(random.Random(1))) is Rational
+    # a Gaussian operand takes over the arithmetic
+    z = Rational(1, 2) + GaussianRational(0, 1)
+    assert type(z) is GaussianRational and z == GaussianRational(Fraction(1, 2), 1)
+    assert QQ_I.coerce(Rational(1, 2)) == GaussianRational(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("how", [copy.copy, copy.deepcopy, pickle.dumps])
+def test_poly_and_series_over_rationals_round_trip(how):
+    ctx = VarContext(("q", "p"), QQ)
+    q, p = Poly.variable(ctx, "q"), Poly.variable(ctx, "p")
+    f = q.scale(Fraction(1, 2)) + (q * p).scale(-3) - Poly.const(ctx, 4)
+    s = Series(ctx, 2, [f, f * f, p], reliable=1)
+    for x in (f, s):
+        back = pickle.loads(how(x)) if how is pickle.dumps else how(x)
+        assert type(back) is type(x) and back == x and hash(back) == hash(x)
+    assert all(type(c) is Rational for c in pickle.loads(pickle.dumps(f)).terms.values())
+
+
+def test_a_rational_run_stores_only_rational_coefficients(monkeypatch):
+    # a Fraction coefficient would compute correctly, only slower: catch the leak
+    kinds = set()
+    original = Poly.__init__
+
+    def recording_init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        kinds.update(type(c) for c in self.terms.values())
+
+    monkeypatch.setattr(Poly, "__init__", recording_init)
+    config = dataclasses.replace(REGISTRY_BUILDERS["commuting-n2"](), degree_bound=4)
+    assert runner.run_scenario(config).verdict == "pass"
+    assert kinds == {Rational}

@@ -294,6 +294,31 @@ MALFORMED = {
         "J2 = 1/2*(z1*zb1 - z2*zb2)",
         "moment-map keys must be J1..J1: J1 is missing",
     ),
+    "invariants key other than g<k>": (
+        "degree_cap = 4",
+        "degree_cap = 4\ngarbage = z1*zb1",
+        "invariants key must be mode, degree_cap or g1, g2, ...: 'garbage'",
+    ),
+    "invariants key without a number": (
+        "degree_cap = 4",
+        "degree_cap = 4\ninv = z1*zb1",
+        "invariants key must be mode, degree_cap or g1, g2, ...: 'inv'",
+    ),
+    "invariants key g0": (
+        "degree_cap = 4",
+        "degree_cap = 4\ng0 = z1*zb1",
+        "invariants key must be mode, degree_cap or g1, g2, ...: 'g0'",
+    ),
+    "action key with a doubled J": (
+        "J1 z1 = -i*z1",
+        "JJ1 z1 = -i*z1",
+        "action key must be 'J<k> variable': 'JJ1 z1'",
+    ),
+    "action key without a J": (
+        "J1 z1 = -i*z1",
+        "1 z1 = -i*z1",
+        "action key must be 'J<k> variable': '1 z1'",
+    ),
     "repeated moment-map key": (
         "J1 = 1/2*(z1*zb1 - z2*zb2)\n",
         "J1 = 1/2*(z1*zb1 - z2*zb2)\nJ1 = z1*zb1\n",
@@ -330,6 +355,17 @@ def test_moment_map_keys_are_ordered_by_number(tmp_path):
     assert cfg.moment_map == tuple(f"q{k}*p{k}" for k in range(1, n + 1))
     calibration = [r for r in run_scenario(cfg).records if r.check_id == "load.calibration"]
     assert [(r.status, r.probes) for r in calibration] == [("pass", n)]
+
+
+def test_invariant_keys_are_ordered_by_number(tmp_path):
+    # ten declared invariants, written g10 first: as text, g10 came before g2
+    text = open(CFG).read()
+    decl = "\n".join(f"g{k} = (z1*zb1)^{k}" for k in range(10, 0, -1))
+    path = tmp_path / "ten.cfg"
+    path.write_text(text.replace("mode = weights", "mode = declared\n" + decl, 1))
+    cfg = load_config(str(path))
+    assert cfg.invariant_mode == "declared"
+    assert cfg.declared_invariants == tuple(f"(z1*zb1)^{k}" for k in range(1, 11))
 
 
 def test_scenario_config_rejects_unknown_stage():
