@@ -325,9 +325,7 @@ class KoszulContraction:
         for v, (a, mono) in zip(w, space.slice_basis(i + shift, grade)):
             if v:
                 out.setdefault((ghosts, a), {})[mono] = -v if negate else v
-        terms = {
-            key: Series.from_poly(Poly(x.ctx, t, _clean=True), x.order) for key, t in out.items()
-        }
+        terms = {key: Series.from_slots(x.ctx, x.order, [t]) for key, t in out.items()}
         return SuperElement(x.ctx, x.dim, x.order, terms, _clean=True)
 
     def res_fn(self, x):

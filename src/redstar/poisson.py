@@ -141,15 +141,11 @@ def _add(terms, m, c):
     terms[m] = c if s is None else s + c
 
 
-def _poly(ctx, terms):
-    return Poly(ctx, {m: c for m, c in terms.items() if c}, _clean=True)
-
-
 def moyal_term(f, g, lam, k):
     """The k-th bidifferential coefficient (without the (nu/2)^k factor)."""
     out = {}
     _moyal_into([None] * k + [out], f, g, lam.entries)
-    return _poly(f.ctx, out)
+    return Poly(f.ctx, {m: c for m, c in out.items() if c}, _clean=True)
 
 
 def moyal_star(f, g, lam, order):
@@ -179,8 +175,9 @@ def star_pass(a, b, lam, even, odd, n=1):
     slots.  The leaf of order k on a_i, b_j adds n times its value to the
     dict even[i + j + k] for even k and odd[i + j + k] for odd k, and is
     dropped where that slot is None; a slot pair whose slots are all None
-    is skipped.  The dicts may keep zero values.  Passing the same dicts
-    twice gives a * b; E + O = a * b and E - O = b * a.
+    is skipped.  The dicts may keep zero values, as `Series.from_slots`,
+    which turns them into a Series, allows.  Passing the same dicts twice
+    gives a * b; E + O = a * b and E - O = b * a.
     """
     top = a.order
     half = lam.half_entries
@@ -193,16 +190,12 @@ def star_pass(a, b, lam, even, odd, n=1):
                     _moyal_into(out, ci, cj, half, n)
 
 
-def _series(a, b, slots):
-    return Series(a.ctx, a.order, [_poly(a.ctx, t) for t in slots], min(a.reliable, b.reliable))
-
-
 def moyal_star_series(a, b, lam, order=None):
     """Moyal star product of two Series (or a Series and a Poly), truncated."""
     a, b = _operands(a, b, lam, order)
     out = [{} for _ in range(a.order + 1)]
     star_pass(a, b, lam, out, out)
-    return _series(a, b, out)
+    return Series.from_slots(a.ctx, a.order, out, min(a.reliable, b.reliable))
 
 
 def moyal_bracket_series(a, b, lam):
@@ -210,7 +203,7 @@ def moyal_bracket_series(a, b, lam):
     a, b = _operands(a, b, lam, None)
     odd = [{} for _ in range(a.order + 1)]
     star_pass(a, b, lam, [None] * (a.order + 1), odd, n=2)
-    return _series(a, b, odd)
+    return Series.from_slots(a.ctx, a.order, odd, min(a.reliable, b.reliable))
 
 
 def moyal_commutator(f, g, lam, order):

@@ -45,44 +45,28 @@ def random_super(ctx, dim, order, rng, max_degree=3, terms=3):
     return SuperElement(ctx, dim, order, out)
 
 
-def random_bounded_super(ctx, dim, order, rng, bound, jgrade_degs, terms=3):
+def random_bounded_super(ctx, dim, order, rng, bound, jgrade_degs, terms=3, hdegree=None):
     """A random BRST element whose every term stays within the degree bound.
 
     `jgrade_degs[a]` is the polynomial degree of the a-th moment component;
     a term with antighost set A and coefficient degree d has total degree
-    d + sum of the offsets, which is kept <= bound.
+    d + sum of the offsets, which is kept <= bound.  With `hdegree`, the
+    element is a ghost-free chain whose antighost sets have that size.
     """
     out = {}
-    subsets = [()]
-    for r in range(1, dim + 1):
-        subsets.extend(combinations(range(1, dim + 1), r))
-    ghost_subsets = list(subsets)
+    if hdegree is None:
+        subsets = [s for r in range(dim + 1) for s in combinations(range(1, dim + 1), r)]
+    else:
+        subsets = list(combinations(range(1, dim + 1), hdegree))
     for _ in range(terms):
         a = subsets[rng.randrange(len(subsets))]
-        g = ghost_subsets[rng.randrange(len(ghost_subsets))]
+        g = () if hdegree is not None else subsets[rng.randrange(len(subsets))]
         room = bound - sum(jgrade_degs[x - 1] for x in a)
         if room < 0:
             continue
         deg = rng.randint(0, room)
         coeff = Series.from_poly(random_poly(ctx, rng, deg, terms=2), order)
         key = (g, a)
-        cur = out.get(key)
-        out[key] = coeff if cur is None else cur + coeff
-    return SuperElement(ctx, dim, order, out)
-
-
-def random_bounded_chain(ctx, dim, order, rng, bound, jgrade_degs, hdegree, terms=3):
-    """A random ghost-free chain of one antighost degree within the bound."""
-    out = {}
-    asets = list(combinations(range(1, dim + 1), hdegree))
-    for _ in range(terms):
-        a = asets[rng.randrange(len(asets))]
-        room = bound - sum(jgrade_degs[x - 1] for x in a)
-        if room < 0:
-            continue
-        deg = rng.randint(0, room)
-        coeff = Series.from_poly(random_poly(ctx, rng, deg, terms=2), order)
-        key = ((), a)
         cur = out.get(key)
         out[key] = coeff if cur is None else cur + coeff
     return SuperElement(ctx, dim, order, out)

@@ -17,7 +17,7 @@ from .errors import ClosednessError
 from .hpt import neumann_inverse, perturb_v2
 from .poly import Poly
 from .quantum import build_quantum_koszul
-from .series import Series
+from .series import Series, add_shifted
 from .superalg import OperatorHandle, SuperElement, op_columns, op_compose
 
 
@@ -142,12 +142,8 @@ def reduced_star_table(pipe):
                         Poly.monomial(ctx, m1), Poly.monomial(ctx, m2), pipe
                     )
                 reliable = min(reliable, entry.reliable)
-                w = c1 * c2
-                for slot, p in zip(slots[s + t :], entry.coeffs):
-                    for m, v in p.terms.items():
-                        slot[m] = slot.get(m, 0) + w * v
-        coeffs = [Poly(ctx, {m: c for m, c in slot.items() if c}, _clean=True) for slot in slots]
-        return Series(ctx, order, coeffs, reliable)
+                add_shifted(slots, [p.terms for p in entry.coeffs], s + t, c1 * c2)
+        return Series.from_slots(ctx, order, slots, reliable)
 
     return product
 

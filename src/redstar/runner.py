@@ -73,7 +73,7 @@ from .poisson import (
     poisson_data,
 )
 from .poly import Poly
-from .probes import random_bounded_chain, random_bounded_super, random_poly
+from .probes import random_bounded_super, random_poly
 from .quantum import (
     build_quantum_operators,
     check_quantum_splitting,
@@ -517,8 +517,8 @@ def stage_contraction(state):
     def pairs():  # drawn one at a time, so only one pair's residuals are held
         for i in range(0, dim + 1):
             for _ in range(state.config.probe_counts()["contraction"]):
-                y = random_bounded_chain(
-                    state.ctx, dim, 0, run.rng, state.bound, state.jdegs, i, terms=2
+                y = random_bounded_super(
+                    state.ctx, dim, 0, run.rng, state.bound, state.jdegs, terms=2, hdegree=i
                 )
                 yield kc.p(run.element(0)), y
 

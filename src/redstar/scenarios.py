@@ -88,6 +88,11 @@ class ScenarioConfig:
             if value not in allowed:
                 expected = " or ".join(repr(a) for a in allowed)
                 raise ConfigError(f"unknown {what} {value!r}: expected {expected}")
+        repeated = sorted({v for v in self.variables if self.variables.count(v) > 1})
+        if repeated:
+            raise ConfigError(f"repeated variable name(s): {', '.join(repeated)}")
+        if not self.stages:
+            raise ConfigError("the stage list is empty: nothing would be evaluated")
         for stage in self.stages:
             if stage not in FULL_STAGES:
                 raise ConfigError(
@@ -531,6 +536,18 @@ def _rational(text, what):
         raise ConfigError(f"{what} must be a rational number, got {text!r}") from None
 
 
+# The sections of a config file, each with the pattern its keys must match.
+# The keys of the sections that match any key are validated as they are read.
+SECTION_KEYS = {
+    "scenario": "name|description|field|order|degree_bound|seed|stages|clifford_coeff"
+    "|star_triples|justification",
+    "variables": r"names|torus_rows|grading\..*",
+    "poisson": ".*",
+    "lie": r"dim|f\..*",
+    **dict.fromkeys(("moment-map", "action", "invariants", "checks"), ".*"),
+}
+
+
 def _section(cp, name):
     if not cp.has_section(name):
         raise ConfigError(f"missing section [{name}]")
@@ -551,6 +568,13 @@ def load_config(path):
         raise ConfigError(f"malformed config file {path!r}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
+    for name in cp.sections():
+        if name not in SECTION_KEYS:
+            expected = ", ".join(SECTION_KEYS)
+            raise ConfigError(f"unknown section [{name}]: expected one of {expected}")
+        for key in cp[name]:
+            if not re.fullmatch(SECTION_KEYS[name], key):
+                raise ConfigError(f"unknown key {key!r} in section [{name}]")
     sc = _section(cp, "scenario")
     var_section = _section(cp, "variables")
     if "names" not in var_section:

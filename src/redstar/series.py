@@ -45,6 +45,18 @@ class Series:
         return cls(p.ctx, order, [p])
 
     @classmethod
+    def from_slots(cls, ctx, order, slots, reliable=None):
+        """The series whose nu^k coefficient is slots[k], a {monomial: coefficient} dict.
+
+        The slot convention of every sum over nu powers (`star_pass`,
+        `add_shifted`): the dicts may keep zero values, which are dropped
+        here.  A term that vanishes altogether is a zero series that keeps
+        `reliable`; `SuperElement` turns it into a lowered floor.
+        """
+        coeffs = [Poly(ctx, {m: c for m, c in t.items() if c}, _clean=True) for t in slots]
+        return cls(ctx, order, coeffs, reliable)
+
+    @classmethod
     def const(cls, ctx, c, order):
         return cls(ctx, order, [Poly.const(ctx, c)])
 
@@ -229,3 +241,18 @@ class Series:
 
     def __repr__(self):
         return f"Series[{self.order}]({self})"
+
+
+def add_shifted(target, source, k, w):
+    """Add w times the slot dicts of source into target, k nu powers up.
+
+    Slots shifted past the end of target are dropped (truncation), and so
+    are zero values of source; w = 0 adds nothing.
+    """
+    if not w:
+        return
+    for dst, src in zip(target[k:], source):
+        for m, v in src.items():
+            if v:
+                c = dst.get(m)
+                dst[m] = v * w if c is None else c + v * w

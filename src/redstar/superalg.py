@@ -28,7 +28,7 @@ from math import factorial
 from .errors import ContextError, ReliabilityError
 from .poisson import poisson_bracket, star_pass
 from .poly import Poly
-from .series import Series
+from .series import Series, add_shifted
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,10 @@ class SuperElement:
     A term whose coefficient vanishes in every nu slot is not stored.  Its
     reliable order is not lost: `floor` is the minimum reliable order of
     every contribution that vanished on the way to this element (None if
-    none did), as a Series sum keeps the minimum of its summands'.
+    none did), as a Series sum keeps the minimum of its summands'.  That
+    vanish-to-floor rule lives in the constructor and in `__add__` only; a
+    `_clean=True` element stores its terms as given, so one that keeps a
+    vanished term hands it to the next `+` (as `_clifford_expansion` does).
     """
 
     __slots__ = ("ctx", "dim", "order", "terms", "floor")
@@ -251,14 +254,8 @@ class SuperElement:
         """
         order = self.order if order is None else order
         floor = None if self.floor is None else min(self.floor - drop, order)
-        out = {}
-        for key, coeff in self.terms.items():
-            s = fn(coeff)
-            if not all(p.is_zero() for p in s.coeffs):
-                out[key] = s
-            else:
-                floor = _lower(floor, s.reliable)
-        return SuperElement(self.ctx, self.dim, order, out, _clean=True, floor=floor)
+        out = {key: fn(coeff) for key, coeff in self.terms.items()}
+        return SuperElement(self.ctx, self.dim, order, out, floor=floor)
 
     def scale(self, c):
         return self.map_terms(lambda coeff: coeff.scale(c))
@@ -578,13 +575,16 @@ def _clifford_expansion(x, y, lam, blocks):
     c1_{i0} c2_{j0} != 0.  A pair whose one counted contribution is at
     level 0 runs `star_pass` at the int weight n straight into the key's
     nu slots; any other counted pair runs one pass into scratch slots and
-    adds them in at each level.  Each block is summed per key, then added
-    in by `_add_block`.
+    adds them in at each level (`add_shifted`).  Each block is summed per
+    key and added in with `+` as a `_clean=True` element that keeps its
+    vanished keys: `SuperElement.__add__` lowers an earlier block's term
+    under such a key to its reliable order, or else the floor.
     """
     x._check(y)
     if lam.ctx != x.ctx:
         raise ContextError("star operands live in different contexts")
-    order, out, floor = x.order, {}, _floors(x, y)
+    order = x.order
+    out = SuperElement(x.ctx, x.dim, order, {}, _clean=True, floor=_floors(x, y))
     none = [None] * (order + 1)
 
     def slots(acc, key, reliable):
@@ -596,7 +596,7 @@ def _clifford_expansion(x, y, lam, blocks):
         return entry[1]
 
     for xs, ys, levels in blocks:
-        acc = {}  # key -> [reliable, {monomial: coefficient} per nu power]
+        acc, floor = {}, None  # key -> [reliable, {monomial: coefficient} per nu power]
         for k1, c1, i0 in xs:
             for k2, c2, j0 in ys:
                 reliable, top = min(c1.reliable, c2.reliable), order - i0 - j0
@@ -615,47 +615,11 @@ def _clifford_expansion(x, y, lam, blocks):
                     star_pass(c1, c2, lam, even, odd)
                     for k, key, e, o in live:
                         target = slots(acc, key, reliable)
-                        _add_shifted(target, even, k, e)
-                        _add_shifted(target, odd, k, o)
-        floor = _add_block(out, acc, lam.ctx, order, floor)
-    return SuperElement(x.ctx, x.dim, order, out, _clean=True, floor=floor)
-
-
-def _add_block(out, block, ctx, order, floor):
-    """Add one block's {key: [reliable, nu slot dicts]} into out; return the lowered floor.
-
-    A key whose block sum vanishes is dropped; its reliable order still
-    lowers the term an earlier block left under that key, or else the floor.
-    """
-    for key, (reliable, slots) in block.items():
-        coeffs = [Poly(ctx, {m: c for m, c in t.items() if c}, _clean=True) for t in slots]
-        cur = out.get(key)
-        if not any(p.terms for p in coeffs):
-            if cur is None:
-                floor = _lower(floor, reliable)
-            else:
-                out[key] = Series(ctx, order, cur.coeffs, min(cur.reliable, reliable))
-            continue
-        series = Series(ctx, order, coeffs, reliable)
-        if cur is not None:
-            series = cur + series
-            if all(p.is_zero() for p in series.coeffs):
-                del out[key]
-                floor = _lower(floor, series.reliable)
-                continue
-        out[key] = series
-    return floor
-
-
-def _add_shifted(target, source, k, w):
-    """Add w times the slot dicts of source into target, k nu powers up."""
-    if not w:
-        return
-    for dst, src in zip(target[k:], source):
-        for m, v in src.items():
-            if v:
-                c = dst.get(m)
-                dst[m] = v * w if c is None else c + v * w
+                        add_shifted(target, even, k, e)
+                        add_shifted(target, odd, k, o)
+        block = {key: Series.from_slots(x.ctx, order, t, r) for key, (r, t) in acc.items()}
+        out = out + SuperElement(x.ctx, x.dim, order, block, _clean=True, floor=floor)
+    return out
 
 
 def graded_poisson(x, y, lam):
@@ -768,8 +732,10 @@ def op_columns(f, name=None, nu_free=False):
     Then f(x) is the sum over the terms c * nu^s * m * g of x of
     c * nu^s * f(m g), truncated at x.order.  An output term is reliable to
     the minimum of x.reliable (the whole input's, as the Koszul maps take
-    it) and the reliable orders of the columns that feed it; an output term
-    that cancels lowers the floor to that order.
+    it) and the reliable orders of the columns that feed it.  The slot sums
+    keep cancelled entries, which `Series.from_slots` drops; an output term
+    that cancels altogether lowers the floor to that order, in the
+    SuperElement constructor.
 
     A `nu_free` f (one that neither reads nor makes nu powers, like the
     Koszul `res` and `h`) has one column per (g, m), filled at order 0 and
@@ -813,22 +779,9 @@ def op_columns(f, name=None, nu_free=False):
                             out[0] = reliable
                         slot = out[1][s + t]
                         w = slot.get(m)
-                        if w is None:
-                            slot[m] = c * v
-                        else:
-                            w = w + c * v
-                            if w:
-                                slot[m] = w
-                            else:
-                                del slot[m]
-        terms, floor, x_reliable = {}, x.floor, x.reliable
-        for out_key, (reliable, slots) in acc.items():
-            reliable = min(reliable, x_reliable)
-            if any(slots):
-                coeffs = [Poly(x.ctx, slot, _clean=True) for slot in slots]
-                terms[out_key] = Series(x.ctx, order, coeffs, reliable)
-            else:
-                floor = _lower(floor, reliable)
-        return SuperElement(x.ctx, x.dim, order, terms, _clean=True, floor=floor)
+                        slot[m] = c * v if w is None else w + c * v
+        cap = x.reliable
+        terms = {k: Series.from_slots(x.ctx, order, t, min(r, cap)) for k, (r, t) in acc.items()}
+        return SuperElement(x.ctx, x.dim, order, terms, floor=x.floor)
 
     return OperatorHandle(name or f"cols({f.name})", fn, f.degree, f.raises_filtration)

@@ -29,6 +29,11 @@ PINNED = {
     "zero denominator in the action": ("J1 z2 = i*z2", "J1 z2 = 1/0", 1),
     "zero denominator in a structure constant": ("dim = 1", "dim = 1\nf.1.1.1 = 1/0", 2),
     "zero moment map": ("J1 = 1/2*(z1*zb1 - z2*zb2)", "J1 = 0", 1),
+    "repeated variable name": (
+        "names = z1 z2 zb1 zb2\ngrading.torus = -1 1 1 -1\ngrading.holo = 1 1 -1 -1",
+        "names = z1 z2 zb1 zb2 z1\ngrading.torus = -1 1 1 -1 -1\ngrading.holo = 1 1 -1 -1 1",
+        2,
+    ),
     "moment map of mixed torus weight": (
         "J1 = 1/2*(z1*zb1 - z2*zb2)",
         "J1 = 1/2*(z1*zb1 - z2*zb2) + z1",

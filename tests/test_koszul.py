@@ -19,7 +19,7 @@ from redstar.koszul import (
     koszul_diff,
 )
 from redstar.poly import Poly, VarContext, poly_ring
-from redstar.probes import random_bounded_chain, random_bounded_super, random_poly
+from redstar.probes import random_bounded_super, random_poly
 from redstar.runner import RunState, stage_acyclicity, stage_contraction, stage_load
 from redstar.scalars import QQ_I
 from redstar.scenarios import get_scenario
@@ -226,7 +226,7 @@ def two_constraint_probes(ctx, bound):
     rng = random.Random(6)
     one = SuperElement.from_poly(Poly.const(ctx, 3), 2, 0)
     probes_Y = [one] + [
-        random_bounded_chain(ctx, 2, 0, rng, bound, (1, 1), i % 3, terms=2) for i in range(6)
+        random_bounded_super(ctx, 2, 0, rng, bound, (1, 1), terms=2, hdegree=i % 3) for i in range(6)
     ]
     return [one] * len(probes_Y), probes_Y
 
@@ -784,7 +784,7 @@ def test_exact_input_matches_the_reference_and_is_cached(monkeypatch):
     monkeypatch.setattr(SliceSolver, "solve", counted)
     rng = random.Random(21)
     for _ in range(5):
-        chain = random_bounded_chain(state.ctx, 2, 0, rng, 5, state.jdegs, 2, terms=3)
+        chain = random_bounded_super(state.ctx, 2, 0, rng, 5, state.jdegs, terms=3, hdegree=2)
         y = c.d_Y(chain)
         assert not y.is_zero()
         hy = c.h(y)

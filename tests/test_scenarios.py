@@ -324,6 +324,25 @@ MALFORMED = {
         "J1 = 1/2*(z1*zb1 - z2*zb2)\nJ1 = z1*zb1\n",
         "option 'J1' in section 'moment-map' already exists",
     ),
+    "empty stage list": (
+        "stages = load covariance strong-invariance acyclicity contraction classical-brst "
+        "classical-reduction quantum-brst deformed-restriction equivariance-lemma "
+        "quantum-reduction reduced-star",
+        "stages =",
+        "the stage list is empty: nothing would be evaluated",
+    ),
+    "unknown scenario key": (
+        "degree_bound = 6",
+        "degree-bound = 6",
+        "unknown key 'degree-bound' in section [scenario]",
+    ),
+    "unknown variables key": (
+        "torus_rows = torus",
+        "torus_row = torus",
+        "unknown key 'torus_row' in section [variables]",
+    ),
+    "unknown lie key": ("dim = 1\n", "dim = 1\ng.1.1.1 = 1\n", "unknown key 'g.1.1.1' in section [lie]"),
+    "unknown section": ("[invariants]", "[invariant]", "unknown section [invariant]"),
 }
 
 

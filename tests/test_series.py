@@ -12,7 +12,7 @@ from redstar.errors import (
 )
 from redstar.poly import Poly, poly_ring
 from redstar.probes import random_series
-from redstar.series import Series
+from redstar.series import Series, add_shifted
 
 
 def setup():
@@ -170,3 +170,51 @@ def test_series_ring_laws_and_min_reliable(a, b, c):
     same(a + b, b + a, min(a.reliable, b.reliable))
     same(a * b, b * a, min(a.reliable, b.reliable))
     same(a - a, a.scale(0), a.reliable)
+
+
+
+def slot_setup():
+    """The context, the monomials of q and p, and the field's coercion."""
+    ctx, q, p = setup()
+    (mq,), (mp,) = q.terms, p.terms
+    return ctx, mq, mp, ctx.field.coerce
+
+
+def test_from_slots_drops_zero_values_and_keeps_reliable():
+    ctx, mq, mp, r = slot_setup()
+    s = Series.from_slots(ctx, 2, [{mq: r(3), mp: r(0)}, {}, {mp: r(-1)}], 1)
+    q, p = Poly.monomial(ctx, mq), Poly.monomial(ctx, mp)
+    assert s == Series(ctx, 2, [q.scale(3), Poly.zero(ctx), -p])
+    assert s.coeffs[0].terms == {mq: r(3)}
+    assert s.reliable == 1
+    assert Series.from_slots(ctx, 2, [{}] * 3, 5).reliable == 2  # capped at the order
+    assert Series.from_slots(ctx, 2, [{}] * 3).reliable == 2
+
+
+def test_from_slots_of_zero_slots_is_a_zero_series():
+    ctx, mq, mp, r = slot_setup()
+    s = Series.from_slots(ctx, 1, [{mq: r(0)}, {mq: r(0), mp: r(0)}], 0)
+    assert s == Series.zero(ctx, 1)
+    assert all(not c.terms for c in s.coeffs)
+    assert s.reliable == 0
+
+
+def test_add_shifted_moves_slots_up_and_truncates():
+    ctx, mq, mp, r = slot_setup()
+    source = [{mq: r(1)}, {mp: r(2), mq: r(0)}, {mq: r(5)}]
+    target = [{mq: r(1)}, {mq: r(-3)}, {}]
+    add_shifted(target, source, 1, r(3))
+    # source slot j lands in target slot j + 1; its top slot falls off the end
+    assert target == [{mq: r(1)}, {mq: r(0)}, {mp: r(6)}]
+    add_shifted(target, source, 3, r(1))  # shifted past the end entirely
+    assert target == [{mq: r(1)}, {mq: r(0)}, {mp: r(6)}]
+
+
+def test_add_shifted_at_weight_zero_adds_nothing():
+    ctx, mq, mp, r = slot_setup()
+    source = [{mq: r(4)}, {mq: r(1)}]
+    target = [{}, {}]
+    add_shifted(target, source, 0, r(0))
+    assert target == [{}, {}]
+    add_shifted(target, source, 0, r(Fraction(1, 2)))
+    assert target == [{mq: r(2)}, {mq: r(Fraction(1, 2))}]

@@ -47,3 +47,22 @@ def test_reports_each_file_and_the_total(tmp_path, capsys):
         ["1", str(tmp_path / "pkg" / "b.py")],
         ["10", "total"],
     ]
+
+
+def test_against_prints_both_trees_and_the_difference(tmp_path, monkeypatch, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root in (old, new):
+        (root / "pkg").mkdir(parents=True)
+    (old / "pkg" / "a.py").write_text(SNIPPET)
+    (new / "pkg" / "a.py").write_text(SNIPPET + "w = 2\n")
+    (old / "pkg" / "gone.py").write_text("x = 1\ny = 2\n")
+    (new / "pkg" / "added.py").write_text("x = 1\n")
+    monkeypatch.chdir(new)
+    assert src_lines.main(["--against", str(old), "pkg"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [
+        ["9", "10", "+1", os.path.join("pkg", "a.py")],
+        ["0", "1", "+1", os.path.join("pkg", "added.py")],
+        ["2", "0", "-2", os.path.join("pkg", "gone.py")],
+        ["11", "11", "+0", "total"],
+    ]

@@ -7,10 +7,17 @@ opens a module, class or function body).
     python tools/src_lines.py [PATH ...]    # default: src
 
 prints one line per file and the total.
+
+    python tools/src_lines.py --against DIR [PATH ...]
+
+counts the same PATHs (relative ones) under DIR, another checkout, as
+well, and prints per file and in total the code lines in DIR, here, and
+the difference; a file missing from one side counts 0 there.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import os
@@ -64,16 +71,32 @@ def python_files(path):
     )
 
 
-def main(argv=None):
-    paths = (sys.argv[1:] if argv is None else argv) or ["src"]
-    total = 0
+def count(paths, root=""):
+    """{file name: code lines} for the Python files under `paths`, read in `root`."""
+    out = {}
     for path in paths:
-        for name in python_files(path):
+        for name in python_files(os.path.join(root, path)):
             with open(name, encoding="utf-8") as fh:
-                n = code_lines(fh.read())
-            total += n
+                out[os.path.relpath(name, root) if root else name] = code_lines(fh.read())
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Count code lines of Python files.")
+    parser.add_argument("paths", nargs="*", default=["src"], metavar="PATH")
+    parser.add_argument("--against", metavar="DIR", help="compare with the same paths in DIR")
+    args = parser.parse_args(argv)
+    here = count(args.paths)
+    if args.against is None:
+        for name, n in here.items():
             print(f"{n:6d}  {name}")
-    print(f"{total:6d}  total")
+        print(f"{sum(here.values()):6d}  total")
+        return 0
+    there = count(args.paths, args.against)
+    rows = [(there.get(n, 0), here.get(n, 0), n) for n in sorted(here.keys() | there.keys())]
+    rows.append((sum(there.values()), sum(here.values()), "total"))
+    for old, new, name in rows:
+        print(f"{old:6d}  {new:6d}  {new - old:+6d}  {name}")
     return 0
 
 
