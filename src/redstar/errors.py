@@ -45,10 +45,6 @@ class InvarianceError(RedstarError):
     """An input to a reduced operation is not certified invariant."""
 
 
-class ClosednessError(RedstarError):
-    """A cochain input is not closed under the transferred differential."""
-
-
 class ParseError(RedstarError):
     """Syntax error in a polynomial expression, with position info."""
 

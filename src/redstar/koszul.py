@@ -103,6 +103,9 @@ class KoszulSpace:
     A slice is K_i at one grade vector.  Each slice's basis and index, its
     differential to K_{i-1} (sparse columns) and its solver are built once;
     `apply_diff`, `reduce` and the homotopy act on slice coordinate vectors.
+    The quotient model H_0 = K_0 / (J) is read off the K_1 -> K_0 solvers:
+    one elimination per grade gives the standard monomials, the normal form
+    and the degree-0 homotopy.
     """
 
     def __init__(self, moment, degree_bound):
@@ -114,7 +117,6 @@ class KoszulSpace:
         self._slices = {}
         self._diffs = {}
         self._solvers = {}
-        self._ideal = {}
 
     # -- slice bases -------------------------------------------------------
 
@@ -224,32 +226,16 @@ class KoszulSpace:
 
     # -- quotient model -----------------------------------------------------
 
-    def ideal_data(self, grade):
-        """(reduced rows, pivot columns) of the ideal slice over the K_0 basis.
-
-        The ideal slice is spanned by the images J_a m, the columns of
-        K_1 -> K_0, which are the rows eliminated here.  Reduced rows are
-        sparse tuples of (position, entry).
-        """
-        hit = self._ideal.get(grade)
-        if hit is not None:
-            return hit
-        ncols = len(self.slice_basis(0, grade))
-        solver = SliceSolver(self.diff_columns(1, grade), ncols, self.ctx.field)
-        hit = self._ideal[grade] = (solver.reduced_rows(), tuple(c for _, c in solver.pivots))
-        return hit
-
     def reduce(self, grade, v):
-        """Normal form of K_0 coordinates: v minus its component in the ideal slice."""
-        reduced, pivots = self.ideal_data(grade)
-        v = list(v)
-        for row, pc in zip(reduced, pivots):
-            factor = v[pc]
-            if not factor:
-                continue
-            for k, entry in row:
-                v[k] = v[k] - factor * entry
-        return v
+        """Normal form of K_0 coordinates: the residual of v on the K_1 -> K_0 solver.
+
+        It is zero on the solver's pivot rows, and v minus it lies in the
+        ideal slice.  Where K_1 has no basis the ideal slice is zero and v
+        is its own normal form.
+        """
+        if not self.slice_basis(1, grade):
+            return v
+        return self.solver(1, grade).solve(v)[1]
 
     def normal_form_poly(self, p):
         """Reduce a polynomial to the canonical complement modulo the ideal."""
@@ -265,9 +251,13 @@ class KoszulSpace:
         return Poly(self.ctx, out, _clean=True)
 
     def complement_monomials(self, grade):
-        """The standard monomials (quotient model basis) at one grade."""
-        pivset = set(self.ideal_data(grade)[1])
-        return tuple(m for k, (_, m) in enumerate(self.slice_basis(0, grade)) if k not in pivset)
+        """The standard monomials (quotient model basis) at one grade.
+
+        The K_0 basis minus the pivot rows of the K_1 -> K_0 solver: the
+        monomials on which `reduce` leaves its residual.
+        """
+        pivots = {r for r, _ in self.solver(1, grade).pivots} if self.slice_basis(1, grade) else ()
+        return tuple(m for k, (_, m) in enumerate(self.slice_basis(0, grade)) if k not in pivots)
 
 
 class KoszulContraction:
@@ -285,22 +275,24 @@ class KoszulContraction:
     def _h_vec(self, i, grade, v):
         """The homotopy K_i -> K_{i+1} on slice coordinates.
 
-        The canonical solve of d x = v - h(d v), or of d x = v - nf(v) in
-        degree 0.  Where d v = 0 the recursion is skipped, since h(0) = 0.
-        Where K_{i+1} has no basis at this grade the only solution is the
-        empty vector, for rhs = 0, and no solver is built.
+        The canonical solution of the solve of v in degree 0, and of
+        v - h(d v) above; where d v = 0 the recursion is skipped, since
+        h(0) = 0.  In degree 0 the residual is the normal form of v, the
+        part that the quotient model keeps; above degree 0 a nonzero
+        residual means the complex is not exact there.  Where K_{i+1} has
+        no basis at this grade the solution is the empty vector, the
+        residual is the whole right-hand side, and no solver is built.
         """
         space = self.space
-        if i == 0:
-            rhs = _vsub(v, space.reduce(grade, v))
-        else:
+        if i:
             dv = space.apply_diff(i, grade, v)
-            rhs = _vsub(v, self._h_vec(i - 1, grade, dv)) if any(dv) else v
+            if any(dv):
+                v = _vsub(v, self._h_vec(i - 1, grade, dv))
         if space.slice_basis(i + 1, grade):
-            x = space.solver(i + 1, grade).solve(rhs)
+            x, r = space.solver(i + 1, grade).solve(v)
         else:
-            x = None if any(rhs) else []
-        if x is None:
+            x, r = [], v
+        if i and any(r):
             raise AcyclicityError(
                 f"no homotopy preimage in homological degree {i + 1} at grade {grade}; "
                 "the complex is not exact there"
@@ -475,7 +467,7 @@ def check_acyclicity(moment, degree_bound):
                     solver_i = space.solver(i, grade)
                     up_solver = space.solver(i + 1, grade) if up else None
                     for k in solver_i.kernel_basis():
-                        if up_solver is None or up_solver.solve(k) is None:
+                        if up_solver is None or any(up_solver.solve(k)[1]):
                             witness = space.unvectorize(k, i, grade)
                             witness_slice = (i, grade)
                             break

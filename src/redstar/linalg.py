@@ -2,9 +2,16 @@
 
 Matrices are sparse rows: a row is a sequence of (column, nonzero entry)
 pairs, and entries are Rational or GaussianRational.  Elimination touches
-only the stored entries, so the sparse slice matrices stay cheap.  The
-canonical solution of a solvable system puts every free variable to zero,
-which makes all derived homotopy operators deterministic.
+only the stored entries, so the sparse slice matrices stay cheap.
+
+`SliceSolver.solve(b)` returns (x, r) with b = A x + r: the canonical
+solution x puts every free variable to zero, which makes all derived
+homotopy operators deterministic, and the residual r vanishes on the pivot
+rows.  The pivot of each column is the first row without a pivot that holds
+it, so the pivot rows are the lex-first basis of the row space, and r is b
+reduced to the complement of the column span on the remaining rows.  That
+rule fixes the quotient complement: the normal form modulo the ideal is the
+residual of the K_1 -> K_0 slice solver (`koszul.KoszulSpace.reduce`).
 """
 
 from __future__ import annotations
@@ -17,7 +24,8 @@ class SliceSolver:
 
     Built once per slice and reused for every solve against it.  Rows are
     dicts {column: entry} that never move: the pivot row of a column is the
-    first row without a pivot that holds it.  Each pivot's row operations
+    first row without a pivot that holds it, so each row that ends without
+    a pivot is a combination of earlier rows.  Each pivot's row operations
     are recorded once and replayed on right-hand sides.
     """
 
@@ -36,11 +44,11 @@ class SliceSolver:
             self._rows.append(entries)
         self._ops = []  # (pivot row, inverse pivot or None, ((row, factor), ...))
         self.pivots = []  # list of (row, col), by increasing column
-        self._free = list(range(self.nrows))  # rows without a pivot, in order
         self._reduce()
 
     def _reduce(self):
-        rows, free = self._rows, self._free
+        rows = self._rows
+        free = list(range(self.nrows))  # rows without a pivot, in order
         for col in range(self.ncols):
             pr = next((r for r in free if col in rows[r]), None)
             if pr is None:
@@ -75,15 +83,15 @@ class SliceSolver:
     def rank(self):
         return len(self.pivots)
 
-    def reduced_rows(self):
-        """The nonzero rows of the reduced row echelon form, in pivot order, as sparse rows."""
-        return tuple(tuple(sorted(self._rows[r].items())) for r, _ in self.pivots)
-
     def solve(self, b):
-        """Canonical solution x of A x = b, or None if b is outside the span.
+        """(x, r) with A x + r = b, from one replay of the row operations on b.
 
-        Free variables are set to zero, so the result is unique and
-        reproducible across runs.
+        x is the canonical solution: free variables are set to zero, so it
+        is unique and reproducible across runs.  A pivot row only ever
+        receives multiples of pivot rows, so x depends on b's pivot rows
+        alone, and the residual r = b - A x is zero on the pivot rows and
+        holds the replayed b on the others.  r = 0 exactly when b is in the
+        column span; otherwise x solves A x = b - r.
         """
         if len(b) != self.nrows:
             raise ShapeError("right-hand side length does not match row count")
@@ -96,12 +104,11 @@ class SliceSolver:
                 v = b[pr] = v * inv
             for r, f in axpys:
                 b[r] = b[r] + f * v
-        if any(b[r] for r in self._free):
-            return None
-        x = [self.field.zero] * self.ncols
+        zero = self.field.zero
+        x = [zero] * self.ncols
         for r, col in self.pivots:
-            x[col] = b[r]
-        return x
+            x[col], b[r] = b[r], zero
+        return x, b
 
     def kernel_basis(self):
         """Basis of the null space, one vector per free column."""
@@ -117,11 +124,6 @@ class SliceSolver:
                 if fc != col:
                     basis[fc][col] = -entry
         return list(basis.values())
-
-
-def matrix_rank(rows, ncols, field):
-    """Exact rank of a matrix given as sparse rows."""
-    return SliceSolver(rows, ncols, field).rank
 
 
 def mat_vec(rows, x, field):

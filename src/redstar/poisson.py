@@ -48,7 +48,7 @@ from fractions import Fraction
 from operator import add
 
 from .errors import ContextError, ShapeError
-from .linalg import matrix_rank
+from .linalg import SliceSolver
 from .poly import Poly
 from .series import Series
 
@@ -86,7 +86,7 @@ def poisson_data(ctx, entries):
     rows = [[] for _ in range(n)]
     for a, b, v in full:
         rows[a].append((b, v))
-    if matrix_rank(rows, n, ctx.field) != n:
+    if SliceSolver(rows, n, ctx.field).rank != n:
         raise ShapeError("Poisson matrix must be invertible (symplectic)")
     half = tuple((a, b, v * Fraction(1, 2)) for a, b, v in full)
     return PoissonData(ctx, full, half)

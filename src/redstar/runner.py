@@ -928,7 +928,7 @@ def stage_reduced_star(state):
         fx, gx = pipe.embed(f), pipe.embed(g)
         # both classes closed: residuals of this check, so the rule truncates them
         items += [(f"[f] closed ({k})", qc.d_X(fx)), (f"[g] closed ({k})", qc.d_X(gx))]
-        via_classes = reduced_star_cohomology(fx, gx, pipe, check_closed=False)
+        via_classes = reduced_star_cohomology(fx, gx, pipe)
         direct = reduced_star(f, g, pipe)
         items.append((f"degree-0 classes ({k})", via_classes - SuperElement.scalar(direct, dim)))
     run.check(
@@ -941,9 +941,7 @@ def stage_reduced_star(state):
     onex = pipe.embed(Series.from_poly(one, state.work_order))
     for k in range(3):
         ga = pipe.embed(gens[k % len(gens)])
-        items.append(
-            (f"[1]*[g] ({k})", reduced_star_cohomology(onex, ga, pipe, check_closed=False) - ga)
-        )
+        items.append((f"[1]*[g] ({k})", reduced_star_cohomology(onex, ga, pipe) - ga))
     run.check("unit", "the class of 1 is a two-sided unit", items)
     # exact shifts multiply to exact elements, with an explicit primitive
     items = []
@@ -973,7 +971,7 @@ def stage_reduced_star(state):
                 {((1,), ()): Series.from_poly(f, state.work_order)},
             )
             items.append((f"degree-one closed ({k})", qc.d_X(cochain)))
-            prod = reduced_star_cohomology(pipe.embed(g), cochain, pipe, check_closed=False)
+            prod = reduced_star_cohomology(pipe.embed(g), cochain, pipe)
             items.append((f"product closed ({k})", qc.d_X(prod)))
             bad = SuperElement(
                 state.ctx, dim, state.work_order,

@@ -504,11 +504,32 @@ def sparse_rows(rows):
     return [[(k, e) for k, e in enumerate(row) if e] for row in rows]
 
 
+def dense_rref(rows, ncols):
+    """(nonzero rows of the RREF, pivot columns) by Gauss-Jordan elimination with row swaps."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        k = len(pivots)
+        pr = next((r for r in range(k, len(rows)) if rows[r][col]), None)
+        if pr is None:
+            continue
+        rows[k], rows[pr] = rows[pr], rows[k]
+        inv = 1 / rows[k][col]
+        rows[k] = [e * inv for e in rows[k]]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if r != k and f:
+                rows[r] = [a - f * b for a, b in zip(row, rows[k])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
 class ChainKoszul:
     """Test-only reference: the Koszul maps as they were written on Poly chains.
 
-    Slice bases, the differential matrix loop, the ideal-slice matrix loop
-    and the normal form are rebuilt here independently of `KoszulSpace`;
+    Slice bases, the differential matrix loop, the ideal-slice matrix loop,
+    its RREF (by dense elimination, not `SliceSolver`) and the normal form
+    are rebuilt here independently of `KoszulSpace`;
     `h_fn` and `res_fn` regrade {antighost set: Poly} chains at every level
     of the homotopy recursion.
     """
@@ -591,9 +612,8 @@ class ChainKoszul:
                         tm = tuple(x + y for x, y in zip(m, jm))
                         row[index[tm]] = row[index[tm]] + jc
                     rows.append(row)
-            solver = SliceSolver(sparse_rows(rows), len(monos), self.ctx.field)
-            reduced = solver.reduced_rows()
-            self._ideal[grade] = (reduced, [c for _, c in solver.pivots], monos, index)
+            reduced, pivots = dense_rref(rows, len(monos))
+            self._ideal[grade] = (sparse_rows(reduced), pivots, monos, index)
         return self._ideal[grade]
 
     def normal_form_poly(self, p):
@@ -629,8 +649,8 @@ class ChainKoszul:
                 for aset, p in self._h_chain(self._diff_chain(terms)).items():
                     rhs_terms[aset] = rhs_terms.get(aset, Poly.zero(self.ctx)) - p
                 rhs = self.vectorize(rhs_terms, i, grade)
-            x = self.solver(i + 1, grade).solve(rhs)
-            if x is None:
+            x, r = self.solver(i + 1, grade).solve(rhs)
+            if any(r):
                 raise AcyclicityError("not exact")
             for aset, p in self.unvectorize(x, i + 1, grade).items():
                 out[aset] = out.get(aset, Poly.zero(self.ctx)) + p
@@ -766,6 +786,23 @@ def test_slice_matrices_and_normal_form_match_chain_reference(name, bound):
     for _ in range(30):
         p = random_poly(ctx, rng, bound, terms=5)
         assert space.normal_form_poly(p) == ref.normal_form_poly(p)
+
+
+def test_acyclicity_builds_one_solver_per_slice_map(monkeypatch):
+    # the quotient model reads the K_1 -> K_0 solvers that the rank checks
+    # build, so no slice map is eliminated twice
+    state = loaded("t2-c4", 5)
+    built = []
+    init = SliceSolver.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(SliceSolver, "__init__", counted)
+    report = check_acyclicity(state.moment, 5)
+    assert report.acyclic and report.space._solvers
+    assert sorted(map(id, built)) == sorted(map(id, report.space._solvers.values()))
 
 
 def test_exact_input_matches_the_reference_and_is_cached(monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from redstar.errors import ShapeError
-from redstar.linalg import SliceSolver, mat_vec, matrix_rank
+from redstar.linalg import SliceSolver, mat_vec
 from redstar.scalars import QQ, QQ_I, GaussianRational
 
 F = Fraction
@@ -134,12 +134,14 @@ class DenseSolver:
 
 def test_diagonal_solve():
     s = solver([[1, 0], [0, 0]], 2)
-    assert s.solve([F(3), F(0)]) == [F(3), F(0)]
+    x, r = s.solve([F(3), F(0)])
+    assert x == [F(3), F(0)] and not any(r)
 
 
 def test_outside_span():
     s = solver([[1, 0], [0, 0]], 2)
-    assert s.solve([F(0), F(1)]) is None
+    _, r = s.solve([F(0), F(1)])
+    assert any(r)
 
 
 def test_koszul_slice_hand_solve():
@@ -154,15 +156,16 @@ def test_koszul_slice_hand_solve():
     ]
     s = solver(rows, 3)
     # b = coefficients of q p^2 -> x = coefficients of p^2  (hand solve q*p^2 = qp^2)
-    x = s.solve([F(0), F(0), F(1), F(0)])
-    assert x == [F(0), F(0), F(1)]
-    assert s.solve([F(0), F(0), F(0), F(1)]) is None  # p^3 not divisible by q
+    x, r = s.solve([F(0), F(0), F(1), F(0)])
+    assert x == [F(0), F(0), F(1)] and not any(r)
+    _, r = s.solve([F(0), F(0), F(0), F(1)])
+    assert any(r)  # p^3 not divisible by q
 
 
 def test_rank_zero_and_identity():
-    assert matrix_rank(sparse([[0] * 3 for _ in range(3)]), 3, QQ) == 0
+    assert solver([[0] * 3 for _ in range(3)], 3).rank == 0
     eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    assert matrix_rank(sparse(eye), 4, QQ) == 4
+    assert solver(eye, 4).rank == 4
 
 
 def test_repeated_constraint_rank_deficit():
@@ -190,15 +193,16 @@ def test_solution_reproduces_rhs():
     rows = [[2, 1, 0], [0, 1, 1], [2, 2, 1]]
     s = solver(rows, 3)
     b = [F(4), F(3), F(7)]
-    x = s.solve(b)
-    assert x is not None
+    x, r = s.solve(b)
+    assert not any(r)
     assert mat_vec(sparse(rows), x, QQ) == b
 
 
 def test_canonical_solution_free_vars_zero():
     # one pivot, two free columns: canonical solution has zeros there
     s = solver([[1, 2, 3]], 3)
-    assert s.solve([F(6)]) == [F(6), F(0), F(0)]
+    x, r = s.solve([F(6)])
+    assert x == [F(6), F(0), F(0)] and not any(r)
 
 
 def test_shape_errors():
@@ -260,11 +264,8 @@ def test_sparse_solver_matches_dense_reference(field, data):
     rows, ncols = data.draw(dense_matrices(field))
     sparse_rows = [[(k, e) for k, e in enumerate(r) if e] for r in rows]
     got, want = SliceSolver(sparse_rows, ncols, field), DenseSolver(rows, ncols, field)
-    assert got.rank == want.rank == matrix_rank(sparse_rows, ncols, field)
+    assert got.rank == want.rank
     assert [c for _, c in got.pivots] == [c for _, c in want.pivots]
-    assert [list(r) for r in got.reduced_rows()] == [
-        [(k, e) for k, e in enumerate(want._rows[r]) if e] for r, _ in want.pivots
-    ]
     assert got.kernel_basis() == want.kernel_basis()
     for v in got.kernel_basis():
         assert not any(mat_vec(sparse_rows, v, field))
@@ -272,6 +273,41 @@ def test_sparse_solver_matches_dense_reference(field, data):
     image = mat_vec(sparse_rows, x, field)
     anywhere = [data.draw(scalars(field)) for _ in rows]
     for b in (image, anywhere):
-        assert got.solve(b) == want.solve(b)
-    solution = got.solve(image)
-    assert solution is not None and mat_vec(sparse_rows, solution, field) == image
+        x, r = got.solve(b)
+        assert (None if any(r) else x) == want.solve(b)
+    solution, r = got.solve(image)
+    assert not any(r) and mat_vec(sparse_rows, solution, field) == image
+
+
+def reduce_by_rref(b, rref):
+    """b minus its component along the row space of a reduced `DenseSolver`."""
+    b = list(b)
+    for r, col in rref.pivots:
+        factor = b[col]
+        if factor:
+            b = [v - factor * e if e else v for v, e in zip(b, rref._rows[r])]
+    return b
+
+
+@pytest.mark.parametrize("field", [QQ, QQ_I], ids=["QQ", "QQ_I"])
+@ORACLE
+@given(data=st.data())
+def test_residual_is_the_normal_form_modulo_the_column_span(field, data):
+    # b = A x + r with r zero on the pivot rows; r = 0 exactly when b is in
+    # the column span; and r is b reduced by the RREF of the transpose, so
+    # the pivot rows are the lex-first row basis
+    rows, ncols = data.draw(dense_matrices(field))
+    sparse_rows = [[(k, e) for k, e in enumerate(r) if e] for r in rows]
+    got, want = SliceSolver(sparse_rows, ncols, field), DenseSolver(rows, ncols, field)
+    transposed = [[row[c] for row in rows] for c in range(ncols)]
+    rref_t = DenseSolver(transposed, len(rows), field)
+    assert {r for r, _ in got.pivots} == {c for _, c in rref_t.pivots}
+    x = [data.draw(st.one_of(st.just(field.zero), scalars(field))) for _ in range(ncols)]
+    image = mat_vec(sparse_rows, x, field)
+    anywhere = [data.draw(st.one_of(st.just(field.zero), scalars(field))) for _ in rows]
+    for b in (image, anywhere, [u + v for u, v in zip(image, anywhere)]):
+        x, r = got.solve(b)
+        assert not any(r[p] for p, _ in got.pivots)
+        assert [u + v for u, v in zip(mat_vec(sparse_rows, x, field), r)] == b
+        assert (None if any(r) else x) == want.solve(b)
+        assert r == reduce_by_rref(b, rref_t)

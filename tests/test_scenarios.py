@@ -404,6 +404,21 @@ def test_cli_check_single_stage(capsys):
     assert rc == 0
 
 
+def test_cli_check_never_passes_a_stage_it_did_not_evaluate(capsys):
+    # a stage the scenario does not configure: a usage error naming both
+    rc = main(["check", "reduced-star", "broken-sign-star"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "reduced-star" in captured.err and "broken-sign-star" in captured.err
+    assert "verdict: PASS" not in captured.out
+    # a stage after a failed one: a failed check naming the failed stage
+    rc = main(["check", "contraction", "negative-control-qq"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "'acyclicity' failed" in captured.err
+    assert "verdict: PASS" not in captured.out + captured.err
+
+
 def test_only_stage_records_equal_the_full_run():
     untimed = lambda records: [dataclasses.replace(r, wall_time_s=0.0) for r in records]
     names = ("negative-control-qq", "cubic-moment-map", "broken-sign-star")
