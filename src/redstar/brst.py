@@ -17,16 +17,18 @@ from fractions import Fraction
 from .errors import InvarianceError
 from .hpt import perturb_v1
 from .koszul import Contraction, koszul_operator
-from .poisson import poisson_bracket
+from .poisson import poisson_bracket, poisson_bracket_into
 from .series import Series
 from .superalg import (
+    CoefficientAction,
+    CoefficientMap,
     OperatorHandle,
+    Piece,
     SuperElement,
     canonical_monomial,
     contract_antighost,
     contract_ghost,
     graded_poisson,
-    left_monomial,
     op_scale,
     op_sum,
 )
@@ -52,27 +54,38 @@ def classical_brst_diff(theta, lam):
     )
 
 
+def bracket_with(j, lam):
+    """The coefficient map c -> {J, c}, the Poisson bracket slot by slot."""
+
+    def write(c, n, slots):
+        for p, slot in zip(c.coeffs, slots):
+            if p.terms:
+                poisson_bracket_into(slot, j, p, lam, n)
+
+    return CoefficientMap("{J,.}", write)
+
+
 def poisson_action(lam):
     """The classical coefficient action (j, x) -> {j, .} on every coefficient of x."""
-    return lambda j, x: x.map_coefficients(lambda p: poisson_bracket(j, p, lam))
+    return CoefficientAction(lambda j: bracket_with(j, lam))
 
 
 def build_delta(moment, action, name="delta"):
-    """The Lie-algebra codifferential on the BRST algebra.
+    """The Lie-algebra codifferential on the BRST algebra, as one `op_sum`.
 
     delta = -1/2 f_ab^c e^a e^b i_c + f_ab^c e^a e_c i^b + e^a action(J_a, .),
     where the last piece acts on coefficients only: the Poisson bracket
     (`poisson_action`) classically, the (1/nu) star commutator
-    (`quantum.star_action`) for the deformed codifferential.
+    (`quantum.star_action`) for the deformed codifferential.  The
+    coefficient action writes each term's image into the slots of its
+    output key, which the two structure-constant pieces share.
     """
-    pieces = []  # (contraction path, left multiplication), in entry order
+    pieces = []
     for a, b, c, v in moment.lie.entries:
-        ghost2 = left_monomial((a + 1, b + 1), (), Fraction(-1, 2) * v)
-        pieces.append((((contract_ghost, c + 1),), ghost2))
-        pieces.append((((contract_antighost, b + 1),), left_monomial((a + 1,), (c + 1,), v)))
+        pieces.append(Piece(((contract_ghost, c + 1),), ((a + 1, b + 1), ()), Fraction(-1, 2) * v))
+        pieces.append(Piece(((contract_antighost, b + 1),), ((a + 1,), (c + 1,)), v))
     for a, j in enumerate(moment.components):
-        ghost = left_monomial((a + 1,))
-        pieces.append(((), lambda y, j=j, ghost=ghost: ghost(action(j, y))))
+        pieces.append(action.piece(j, (a + 1,)))
     return op_sum(name, +1, pieces, frozenset({"ghost"}))
 
 

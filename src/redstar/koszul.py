@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
+from operator import add
 
 from .errors import AcyclicityError, ContextError, DegreeOverflowError
 from .linalg import SliceSolver
@@ -23,7 +24,9 @@ from .poisson import poisson_bracket
 from .poly import Poly
 from .series import Series
 from .superalg import (
+    CoefficientMap,
     OperatorHandle,
+    Piece,
     SuperElement,
     contract_antighost,
     op_columns,
@@ -70,13 +73,35 @@ class MomentMapData:
         return out
 
 
-def koszul_operator(moment):
-    """The Koszul differential sum_a J_a i^a as an operator handle of degree -1."""
-    pieces = [
-        (((contract_antighost, a + 1),), lambda y, j=j: y.map_coefficients(lambda p: p * j))
+def times(j):
+    """The coefficient map c -> c J of a polynomial J, written monomial by monomial."""
+    jterms = tuple(j.terms.items())
+
+    def write(c, n, slots):
+        scaled = n != 1
+        for p, slot in zip(c.coeffs, slots):
+            for m, v in p.terms.items():
+                if scaled:
+                    v = v * n
+                for mj, vj in jterms:
+                    key = tuple(map(add, m, mj))
+                    w = slot.get(key)
+                    slot[key] = v * vj if w is None else w + v * vj
+
+    return CoefficientMap("*J", write, exact=bool(jterms))
+
+
+def koszul_pieces(moment):
+    """The pieces J_a i^a of the Koszul differential, one per component."""
+    return [
+        Piece(((contract_antighost, a + 1),), coeff=times(j))
         for a, j in enumerate(moment.components)
     ]
-    return op_sum("koszul", -1, pieces)
+
+
+def koszul_operator(moment):
+    """The Koszul differential sum_a J_a i^a, of degree +1 (it removes an antighost)."""
+    return op_sum("koszul", +1, koszul_pieces(moment))
 
 
 def koszul_diff(x, moment):
@@ -379,7 +404,7 @@ def koszul_contraction(space):
     return Contraction(
         p=op_columns(OperatorHandle("res", kc.res_fn, 0), name="res", nu_free=True),
         i=OperatorHandle("prol", lambda x: x, 0),
-        h=op_columns(OperatorHandle("h", kc.h_fn, +1), name="h", nu_free=True),
+        h=op_columns(OperatorHandle("h", kc.h_fn, -1), name="h", nu_free=True),
         d_X=OperatorHandle("0", lambda x: x.scale(0), +1),
         d_Y=koszul_operator(space.moment),
     )
@@ -410,7 +435,7 @@ def enforce_side_conditions(c):
     h_second = OperatorHandle(
         "h''",
         lambda x: h_prime(d(h_prime(x))),
-        +1,
+        -1,
         c.h.raises_filtration,
     )
     return replace(c, h=h_second)

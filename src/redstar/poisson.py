@@ -30,13 +30,16 @@ therefore gives f * g = E + O, g * f = E - O and f * g - g * f = 2 O,
 all exact; the commutator drops the even leaves altogether.
 
 There are four ways into the kernel: `moyal_term` gives one order k at
-the weights L_e (the Poisson bracket is its k = 1 term); at the weights
+the weights L_e (the Poisson bracket is its k = 1 term), and
+`poisson_bracket_into` adds that k = 1 term into a slot dict its caller
+owns (the classical codifferential's coefficient action); at the weights
 L_e / 2, `moyal_star_series` gives the product (`moyal_star` is that
-product on two polynomials), `moyal_bracket_series` the star commutator
-from the odd leaves alone, and `star_pass` is the pass they share, which
-writes E and O into slot dicts its caller owns: the graded star product
-of `superalg` and its supercommutator run it, once per term pair, into
-one accumulator of per-key nu slots.
+product on two polynomials), and `star_pass` is the pass behind it,
+which writes E and O into slot dicts its caller owns: the graded star
+product of `superalg` and its supercommutator run it, once per term
+pair, into one accumulator of per-key nu slots, and the `op_sum` plans
+run it once per term, for R (`quantum.star_right_multiply`) and for the
+star commutator of the deformed codifferential (the odd leaves alone).
 `moyal_commutator` stays two `moyal_star` calls: it is the independent
 route by which the covariance checks verify the kernel.
 """
@@ -97,6 +100,11 @@ def poisson_bracket(f, g, lam):
     if f.ctx != g.ctx or f.ctx != lam.ctx:
         raise ContextError("bracket operands live in different contexts")
     return moyal_term(f, g, lam, 1)
+
+
+def poisson_bracket_into(slot, f, g, lam, n=1):
+    """Add n {f, g} into the dict `slot` (the k = 1 Moyal leaves, zeros kept)."""
+    _moyal_into([None, slot], f, g, lam.entries, n)
 
 
 def _moyal_into(out, f, g, entries, n=1):
@@ -196,14 +204,6 @@ def moyal_star_series(a, b, lam, order=None):
     out = [{} for _ in range(a.order + 1)]
     star_pass(a, b, lam, out, out)
     return Series.from_slots(a.ctx, a.order, out, min(a.reliable, b.reliable))
-
-
-def moyal_bracket_series(a, b, lam):
-    """a * b - b * a from one pass: twice the odd orders of a * b."""
-    a, b = _operands(a, b, lam, None)
-    odd = [{} for _ in range(a.order + 1)]
-    star_pass(a, b, lam, [None] * (a.order + 1), odd, n=2)
-    return Series.from_slots(a.ctx, a.order, odd, min(a.reliable, b.reliable))
 
 
 def moyal_commutator(f, g, lam, order):

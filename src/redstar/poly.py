@@ -187,10 +187,17 @@ class Poly:
         if self.ctx != other.ctx:
             raise ContextError("polynomials live in different variable contexts")
 
+    # + - negation and scale hand back an operand that they leave unchanged,
+    # a zero above all, without copying: a Poly is never mutated
+
     def __add__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for m, c in other.terms.items():
             s = out.get(m)
@@ -208,6 +215,8 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
+        if not other.terms:
+            return self
         out = dict(self.terms)
         for m, c in other.terms.items():
             s = out.get(m)
@@ -222,6 +231,8 @@ class Poly:
         return Poly(self.ctx, out, _clean=True)
 
     def __neg__(self):
+        if not self.terms:
+            return self
         return Poly(self.ctx, {m: -c for m, c in self.terms.items()}, _clean=True)
 
     def __mul__(self, other):
@@ -246,8 +257,10 @@ class Poly:
         return self.scale(other)
 
     def scale(self, c):
-        # Koszul signs scale by the ints 1 and -1; a Poly is never mutated,
-        # so sharing self needs no copy and no coerced field element
+        # Koszul signs scale by the ints 1 and -1; sharing self needs no
+        # copy and no coerced field element
+        if not self.terms:
+            return self
         if type(c) is int:
             if c == 1:
                 return self

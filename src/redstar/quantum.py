@@ -13,13 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poisson import moyal_bracket_series, moyal_star_series
-from .series import Series
+from .koszul import koszul_pieces
+from .poisson import star_pass
+from .series import Series, add_shifted
 from .superalg import (
+    CoefficientAction,
+    CoefficientMap,
     OperatorHandle,
+    Piece,
     SuperElement,
+    apply_coefficient_map,
     contract_antighost,
-    left_monomial,
     op_sum,
 )
 from .brst import build_delta, classical_charge, splitting_residuals
@@ -36,54 +40,98 @@ def quantum_charge(moment, order):
     return theta + SuperElement(moment.ctx, moment.lie.dim, order, correction)
 
 
-def star_right_multiply(x, j, star):
-    """x * J for a ghost-free polynomial J (Moyal on coefficients only)."""
+def star_right_multiply(x, j, star, slots=None, n=1):
+    """x * J for a ghost-free polynomial J (Moyal on coefficients only).
+
+    With `slots`, x is one Series coefficient and n (x * J) is written into
+    those nu slots: R's coefficient map (`right_star`) in its op_sum plans.
+    """
+    if slots is None:
+        return apply_coefficient_map(x, right_star(j, star))
     jser = Series.from_poly(j, x.order)
-    return x.map_terms(lambda c: moyal_star_series(c, jser, star.lam))
+    if type(n) is int:
+        star_pass(x, jser, star.lam, slots, slots, n)
+    else:
+        scratch = [{} for _ in slots]
+        star_pass(x, jser, star.lam, scratch, scratch)
+        add_shifted(slots, scratch, 0, n)
+
+
+def right_star(j, star):
+    """The coefficient map c -> c * J, through `star_right_multiply`."""
+    write = lambda c, n, slots: star_right_multiply(c, j, star, slots, n)
+    return CoefficientMap("*J", write, exact=not j.is_zero())
+
+
+def _antighost_paths(*indices):
+    return tuple((contract_antighost, a + 1) for a in indices)
+
+
+def r_pieces(moment, star):
+    """R(x) = sum_a (i^a x) * J_a: right star multiplication."""
+    return [
+        Piece(_antighost_paths(a), coeff=right_star(j, star))
+        for a, j in enumerate(moment.components)
+    ]
+
+
+def q_pieces(moment):
+    """q(x) = -1/2 sum f_ab^c e_c i^a i^b x."""
+    return [
+        Piece(_antighost_paths(b, a), ((), (c + 1,)), Fraction(-1, 2) * v)
+        for a, b, c, v in moment.lie.entries
+    ]
+
+
+def u_pieces(moment):
+    """u(x) = sum_a tr(ad e_a) i^a x (the unimodular term)."""
+    return [Piece(_antighost_paths(a), scalar=t) for a, t in enumerate(moment.lie.traces) if t]
 
 
 def build_R(moment, star):
-    """R(x) = sum_a (i^a x) * J_a: right star multiplication."""
-    pieces = [
-        (((contract_antighost, a + 1),), lambda y, j=j: star_right_multiply(y, j, star))
-        for a, j in enumerate(moment.components)
-    ]
-    return op_sum("R", +1, pieces)
+    return op_sum("R", +1, r_pieces(moment, star))
 
 
 def build_q(moment):
-    """q(x) = -1/2 sum f_ab^c e_c i^a i^b x."""
-    pieces = [
-        (
-            ((contract_antighost, b + 1), (contract_antighost, a + 1)),
-            left_monomial((), (c + 1,), Fraction(-1, 2) * v),
-        )
-        for a, b, c, v in moment.lie.entries
-    ]
-    return op_sum("q", +1, pieces)
+    return op_sum("q", +1, q_pieces(moment))
 
 
 def build_u(moment):
-    """u(x) = sum_a tr(ad e_a) i^a x (the unimodular term)."""
-    pieces = [
-        (((contract_antighost, a + 1),), lambda y, t=t: y.scale(t))
-        for a, t in enumerate(moment.lie.traces)
-        if t
-    ]
-    return op_sum("u", +1, pieces)
+    return op_sum("u", +1, u_pieces(moment))
+
+
+def quantum_koszul_pieces(moment, star):
+    """The pieces of R + nu (u/2 - q): those of R, u and q, the last two shifted by nu."""
+    nu = lambda pieces, w: [p._replace(scalar=p.scalar * w, shift=1) for p in pieces]
+    return r_pieces(moment, star) + nu(u_pieces(moment), Fraction(1, 2)) + nu(q_pieces(moment), -1)
 
 
 def build_quantum_koszul(moment, star):
-    """The deformed Koszul differential R + nu (u/2 - q)."""
-    r = build_R(moment, star)
-    q = build_q(moment)
-    u = build_u(moment)
+    """The deformed Koszul differential R + nu (u/2 - q), one op_sum over the pieces of all three.
 
-    def fn(x):
-        correction = u(x).scale(Fraction(1, 2)) - q(x)
-        return r(x) + correction.shift_nu(1)
+    Each term of x passes once through the plan of its key: the u and q
+    entries write their coefficient one nu slot up, into the same output
+    slots as R's right star products.
+    """
+    return op_sum("koszul_nu", +1, quantum_koszul_pieces(moment, star))
 
-    return OperatorHandle("koszul_nu", fn, +1)
+
+def koszul_difference(moment, star):
+    """t = koszul_nu - koszul: the pieces of koszul_nu and those of koszul negated."""
+    neg = [p._replace(scalar=-p.scalar) for p in koszul_pieces(moment)]
+    return op_sum(
+        "(koszul_nu-koszul)", +1, quantum_koszul_pieces(moment, star) + neg, frozenset({"nu"})
+    )
+
+
+def commutator_with(j, star):
+    """The coefficient map c -> [J, c]_* = J * c - c * J, twice the odd Moyal orders."""
+
+    def write(c, n, slots):
+        order = c.order
+        star_pass(Series.from_poly(j, order), c, star.lam, [None] * (order + 1), slots, 2 * n)
+
+    return CoefficientMap("[J,.]", write)
 
 
 def star_action(star):
@@ -92,12 +140,7 @@ def star_action(star):
     The division by nu is exact under quantum covariance and drops one
     reliable order.
     """
-
-    def act(j, x):
-        jser = Series.from_poly(j, x.order)
-        return x.map_terms(lambda c: moyal_bracket_series(jser, c, star.lam).div_nu(), drop=1)
-
-    return act
+    return CoefficientAction(lambda j: commutator_with(j, star), shift=-1)
 
 
 def quantum_brst_diff(theta_nu, star):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .brst import brst_transfer, certify_invariant
 from .hpt import neumann_inverse, perturb_v2
 from .poly import Poly
-from .quantum import build_quantum_koszul
+from .quantum import koszul_difference
 from .series import Series, add_shifted
 from .superalg import OperatorHandle, SuperElement, op_columns, op_compose
 
@@ -24,18 +24,13 @@ def deformed_restriction(koszul_contraction, moment, star, probes_X=(), probes_Y
     """Contraction of the deformed Koszul complex via the second lemma.
 
     Returns (contraction, t) where the contraction carries res_nu and the
-    deformed homotopy, and t = koszul_nu - koszul is the initiator.  res_nu
+    deformed homotopy, and t = koszul_nu - koszul (`quantum.koszul_difference`,
+    one op_sum over the pieces of both) is the initiator.  res_nu
     is C[[nu]]-linear, so it is evaluated once per basis column
     (`op_columns`); the cache lives on this contraction's handle.
     """
-    knu = build_quantum_koszul(moment, star)
-    t = OperatorHandle(
-        "(koszul_nu-koszul)",
-        lambda x: knu(x) - koszul_contraction.d_Y(x),
-        -1,
-        frozenset({"nu"}),
-    )
-    t_x = OperatorHandle("0", lambda x: x.scale(0), -1, frozenset({"nu"}))
+    t = koszul_difference(moment, star)
+    t_x = OperatorHandle("0", lambda x: x.scale(0), +1, frozenset({"nu"}))
     out = perturb_v2(
         koszul_contraction, t, t_x, probes_X, probes_Y, upto=upto
     )

@@ -50,10 +50,15 @@ class Series:
 
         The slot convention of every sum over nu powers (`star_pass`,
         `add_shifted`): the dicts may keep zero values, which are dropped
-        here.  A term that vanishes altogether is a zero series that keeps
-        `reliable`; `SuperElement` turns it into a lowered floor.
+        here.  An empty slot is one zero Poly shared by the whole series.  A
+        term that vanishes altogether is a zero series that keeps `reliable`;
+        `SuperElement` turns it into a lowered floor.
         """
-        coeffs = [Poly(ctx, {m: c for m, c in t.items() if c}, _clean=True) for t in slots]
+        zero = Poly.zero(ctx)
+        coeffs = []
+        for t in slots:
+            terms = {m: c for m, c in t.items() if c}
+            coeffs.append(Poly(ctx, terms, _clean=True) if terms else zero)
         return cls(ctx, order, coeffs, reliable)
 
     @classmethod

@@ -24,10 +24,11 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
 from math import factorial
+from typing import NamedTuple
 
-from .errors import ContextError, ReliabilityError
+from .errors import ContextError, DivisibilityError, ReliabilityError
 from .poisson import poisson_bracket, star_pass
-from .poly import Poly
+from .poly import Poly, VarContext
 from .series import Series, add_shifted
 
 
@@ -266,12 +267,6 @@ class SuperElement:
     def div_nu(self):
         return self.map_terms(Series.div_nu, drop=1)
 
-    def map_coefficients(self, fn):
-        """Apply a Poly -> Poly linear map to every nu-slot of every term."""
-        return self.map_terms(
-            lambda c: Series(self.ctx, self.order, [fn(p) for p in c.coeffs], c.reliable)
-        )
-
     # -- structure queries ----------------------------------------------------
 
     def is_zero(self, upto=None):
@@ -434,7 +429,8 @@ def left_monomial(ghosts=(), antighosts=(), coeff=1):
     """The map x -> coeff * e^{g_1} ... e^{g_k} e_{a_1} ... e_{a_m} * x.
 
     The monomial is put into canonical form once, here; each call builds it
-    at the order of x and multiplies with `super_mul`.
+    at the order of x and multiplies with `super_mul`.  `op_sum` applies it
+    to one unit term per ghost key, when it builds that key's plan.
     """
     sign, key = canonical_monomial(ghosts, antighosts)
     c = coeff * sign
@@ -691,30 +687,188 @@ def op_scale(f, c, name=None):
     )
 
 
-def op_sum(name, degree, pieces, raises_filtration=frozenset()):
-    """The operator x -> sum act(path(x)) over `pieces`, each a (path, act) pair.
+class CoefficientMap(NamedTuple):
+    """A map on Series coefficients that writes its kernel leaves into nu slots.
 
-    The one sum over contractions behind the Koszul differential, R, q, u
-    and the codifferential.  A path is a tuple of (`contract_ghost` or
-    `contract_antighost`, index) pairs, applied in order; act is a left
-    multiplication, a coefficient map or a scale.  The sum starts at x's
-    floor and adds every piece's image, terms or not, so a piece that
-    vanished leaves its floor behind; only an exactly zero piece (no terms
-    and no floor) is skipped.
+    write(c, n, slots) adds n times the image of the Series c into `slots`,
+    one {monomial: coefficient} dict per nu power from 0 up, which may be
+    shorter than c (the powers past its end are dropped).  An `exact` map
+    sends a nonzero series to one that is nonzero in the same lowest nu
+    slot (the identity, x J or * J for J != 0), so its image vanishes only
+    by truncation; the evaluator then gives it any weight n and its
+    caller's slots.  Any other map is called with n = 1 on scratch slots.
+    """
+
+    name: str
+    write: object
+    exact: bool = False
+
+
+def _write_scaled(c, n, slots):
+    """The identity map's writer: add n c into slots."""
+    scaled = n != 1
+    for p, slot in zip(c.coeffs, slots):
+        for m, v in p.terms.items():
+            if scaled:
+                v = v * n
+            w = slot.get(m)
+            slot[m] = v if w is None else w + v
+
+
+IDENTITY = CoefficientMap("id", _write_scaled, exact=True)
+
+
+class Piece(NamedTuple):
+    """One summand x -> scalar * monomial * coeff(path(x)) * nu^shift of an `op_sum`.
+
+    `path` is a tuple of (`contract_ghost` or `contract_antighost`, index)
+    pairs, applied in order; `monomial` is (ghosts, antighosts), multiplied
+    on the left; `coeff` acts on the coefficients; `shift` multiplies by
+    that power of nu (-1 divides by nu, costing one reliable order).
+    """
+
+    path: tuple = ()
+    monomial: tuple = ((), ())
+    scalar: object = 1
+    coeff: CoefficientMap = IDENTITY
+    shift: int = 0
+
+
+_SIGNS = VarContext(())  # no variables: its unit terms carry only a ghost key and a sign
+
+
+@lru_cache(maxsize=None)
+def _ghost_step(path, monomial, key):
+    """(sign, output key) of monomial * path(unit term of key), or None if either kills it.
+
+    The path's contractions act on the key alone; `left_monomial` (one
+    `super_mul`) then multiplies the signed unit term of the contracted key
+    over a context without variables.  Computed once per (path, monomial,
+    key) in a process; every `op_sum` plan reads it.
+    """
+    sign = 1
+    for contract, a in path:
+        hit = (_remove_ghost if contract is contract_ghost else _remove_antighost)(key, a)
+        if hit is None:
+            return None
+        s, key = hit
+        sign *= s
+    if not _merge_terms(canonical_monomial(*monomial)[1], key)[0]:
+        return None
+    y = SuperElement(_SIGNS, 0, 0, {key: Series.const(_SIGNS, sign, 0)}, _clean=True)
+    ((out_key, coeff),) = left_monomial(*monomial)(y).terms.items()
+    return (1 if coeff.coeffs[0].constant_term() == 1 else -1), out_key
+
+
+def op_sum(name, degree, pieces, raises_filtration=frozenset()):
+    """The operator x -> sum over `pieces` (`Piece`s), evaluated from per-key plans.
+
+    The one sum over contractions behind the Koszul differential, R, q, u,
+    koszul_nu, t = koszul_nu - koszul and the codifferentials.  The plan of
+    an input ghost key K is built on first use, once per handle, from
+    `_ghost_step`: each piece's path acts on K and its monomial multiplies
+    the result through `left_monomial`, and the pieces that survive give
+    entries (output key, sign times scalar, coefficient map, nu shift).
+    Each output key must change `term_degree` by `degree`.
+    One pass over the terms of x then writes every entry's image into one
+    table of nu slots per output key, and each key becomes one Series.
+
+    Floor rule: the sum starts at x's floor (lowered by one if a piece
+    divides by nu).  An entry whose image vanishes (a map's leaves that
+    cancel, or an image shifted past the truncation) lowers the floor to
+    its reliable order, min(c.reliable, order) less the divisions; any
+    other entry lowers its key's reliable order to it, and a key whose
+    entries cancel lowers the floor in the SuperElement constructor.  A
+    piece whose path or monomial kills a key contributes exactly zero and
+    lowers nothing.  A division by nu raises DivisibilityError on a
+    nonzero leaf in nu slot 0 rather than drop it.
     """
     pieces = tuple(pieces)
+    drop = max([0] + [-p.shift for p in pieces])
+    plans = {}  # input key -> ((out key, weight, write, direct, shift), ...)
+
+    def plan(x, key):
+        entries = []
+        for piece in pieces:
+            step = _ghost_step(piece.path, piece.monomial, key)
+            if step is None or not piece.scalar:
+                continue
+            sign, out_key = step
+            if term_degree(out_key) - term_degree(key) != degree:
+                raise ValueError(f"{name} declares degree {degree:+d} but maps {key} to {out_key}")
+            w = sign * piece.scalar
+            w = 1 if w == 1 else -1 if w == -1 else x.ctx.field.coerce(w)
+            direct = piece.coeff.exact and piece.shift >= 0
+            entries.append((out_key, w, piece.coeff.write, direct, piece.shift))
+        entries = plans[key] = tuple(entries)
+        return entries
 
     def fn(x):
-        out = SuperElement(x.ctx, x.dim, x.order, {}, _clean=True, floor=x.floor)
-        for path, act in pieces:
-            y = x
-            for contract, a in path:
-                y = contract(y, a)
-            if y.terms or y.floor is not None:
-                out = out + act(y)
-        return out
+        order = x.order
+        floor = None if x.floor is None else min(x.floor - drop, order)
+        acc = {}  # out key -> [reliable, {monomial: coefficient} per nu power]
+
+        def target(key, reliable):
+            out = acc.get(key)
+            if out is None:
+                out = acc[key] = [reliable, [{} for _ in range(order + 1)]]
+            elif reliable < out[0]:
+                out[0] = reliable
+            return out[1]
+
+        for key, c in x.terms.items():
+            entries = plans.get(key)
+            if entries is None:
+                entries = plan(x, key)
+            for out_key, w, write, direct, shift in entries:
+                reliable = c.reliable + shift if shift < 0 else c.reliable
+                if direct:
+                    if shift and all(not p.terms for p in c.coeffs[: order + 1 - shift]):
+                        floor = _lower(floor, reliable)
+                    elif shift:
+                        write(c, w, target(out_key, reliable)[shift:])
+                    else:
+                        write(c, w, target(out_key, reliable))
+                    continue
+                scratch = [{} for _ in range(order + 1)]
+                write(c, 1, scratch)
+                if shift < 0 and any(v for s in scratch[:-shift] for v in s.values()):
+                    lost = Poly(x.ctx, {m: v for m, v in scratch[0].items() if v}, _clean=True)
+                    raise DivisibilityError(
+                        f"series is not divisible by nu (nonzero constant term): {lost}"
+                    )
+                live = scratch[-shift:] if shift < 0 else scratch[: order + 1 - shift]
+                if any(v for s in live for v in s.values()):
+                    add_shifted(target(out_key, reliable), live, max(shift, 0), w)
+                else:
+                    floor = _lower(floor, reliable)
+        terms = {k: Series.from_slots(x.ctx, order, t, r) for k, (r, t) in acc.items()}
+        return SuperElement(x.ctx, x.dim, order, terms, floor=floor)
 
     return OperatorHandle(name, fn, degree, raises_filtration)
+
+
+def apply_coefficient_map(x, cmap, shift=0):
+    """cmap on every coefficient of x, times nu^shift: a one-piece `op_sum`."""
+    return op_sum(cmap.name, 0, [Piece(coeff=cmap, shift=shift)])(x)
+
+
+@dataclass(frozen=True)
+class CoefficientAction:
+    """An action (j, x) -> j . x on the coefficients of x, one CoefficientMap per j.
+
+    `make(j)` is the map, applied with `shift` powers of nu (-1 for the
+    (1/nu) star commutator).  `piece` puts it into a codifferential.
+    """
+
+    make: object
+    shift: int = 0
+
+    def piece(self, j, ghosts=()):
+        return Piece(monomial=(ghosts, ()), coeff=self.make(j), shift=self.shift)
+
+    def __call__(self, j, x):
+        return apply_coefficient_map(x, self.make(j), self.shift)
 
 
 _UNBOUNDED = float("inf")  # the reliable order of a nu-free column
@@ -727,15 +881,18 @@ def op_columns(f, name=None, nu_free=False):
     it: it serves the Koszul `res` and `h`, the deformed res_nu and the
     classical Phi and H.  A column is f of one basis element m*g (a
     monomial m under a ghost key g) at truncation order N, keyed by
-    (N, g, m) and computed on first use.  It is kept as its reliable order
-    and a flat tuple of (out key, nu power, monomial, coefficient) entries.
+    (N, g, m) and computed on first use.  It is kept as its reliable order,
+    the floor of an image without terms (None for a nu-free f) and a flat
+    tuple of (out key, nu power, monomial, coefficient) entries.
     Then f(x) is the sum over the terms c * nu^s * m * g of x of
     c * nu^s * f(m g), truncated at x.order.  An output term is reliable to
     the minimum of x.reliable (the whole input's, as the Koszul maps take
     it) and the reliable orders of the columns that feed it.  The slot sums
     keep cancelled entries, which `Series.from_slots` drops; an output term
     that cancels altogether lowers the floor to that order, in the
-    SuperElement constructor.
+    SuperElement constructor.  A column whose image has no terms but a
+    floor (it vanished) lowers the floor of every image it feeds to that
+    floor, as f itself would.
 
     A `nu_free` f (one that neither reads nor makes nu powers, like the
     Koszul `res` and `h`) has one column per (g, m), filled at order 0 and
@@ -753,6 +910,7 @@ def op_columns(f, name=None, nu_free=False):
             image = f(SuperElement(x.ctx, x.dim, order, {key: unit}, _clean=True))
             col = columns[ckey] = (
                 _UNBOUNDED if nu_free else image.reliable,
+                None if nu_free or image.terms else image.floor,
                 tuple(
                     (out_key, t, m, c)
                     for out_key, series in image.terms.items()
@@ -764,11 +922,14 @@ def op_columns(f, name=None, nu_free=False):
 
     def fn(x):
         order = x.order
+        floor = x.floor
         acc = {}  # out key -> [reliable, {monomial: coefficient} per nu power]
         for key, series in x.terms.items():
             for s, p in enumerate(series.coeffs):
                 for mono, c in p.terms.items():
-                    reliable, entries = column(x, key, mono)
+                    reliable, vanished, entries = column(x, key, mono)
+                    if vanished is not None:
+                        floor = _lower(floor, vanished)
                     for out_key, t, m, v in entries:
                         if s + t > order:
                             continue
@@ -782,6 +943,6 @@ def op_columns(f, name=None, nu_free=False):
                         slot[m] = c * v if w is None else w + c * v
         cap = x.reliable
         terms = {k: Series.from_slots(x.ctx, order, t, min(r, cap)) for k, (r, t) in acc.items()}
-        return SuperElement(x.ctx, x.dim, order, terms, floor=x.floor)
+        return SuperElement(x.ctx, x.dim, order, terms, floor=floor)
 
     return OperatorHandle(name or f"cols({f.name})", fn, f.degree, f.raises_filtration)

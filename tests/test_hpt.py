@@ -21,7 +21,7 @@ def test_neumann_geometric_series():
     ctx, (q, p) = poly_ring(("q", "p"))
 
     def mul_nu_q(x):
-        return x.map_coefficients(lambda c: c * q).shift_nu(1)
+        return x.map_terms(lambda c: c * q).shift_nu(1)
 
     t = OperatorHandle("nu*q", mul_nu_q, 0, frozenset({"nu"}))
     inv = neumann_inverse(t, cap=6)

@@ -476,13 +476,15 @@ def test_operator_linearity_and_degree_shift():
     # degree shifts on homogeneous inputs
     from redstar.superalg import term_degree
 
+    # the declared degree is the change of term_degree
     e1 = SuperElement.generator(ctx, 1, 0, antighosts=(1,))
-    assert c.d_Y.degree == -1
+    assert c.d_Y.degree == +1
     out = koszul_diff(e1, moment)
-    assert all(term_degree(k) == term_degree(((), (1,))) + 1 for k in out.terms)
+    assert out.terms
+    assert all(term_degree(k) == term_degree(((), (1,))) + c.d_Y.degree for k in out.terms)
     hx = c.h(SuperElement.from_poly(J, 1, 0))
-    assert c.h.degree == +1
-    assert all(term_degree(k) == -1 for k in hx.terms)
+    assert c.h.degree == -1
+    assert hx.terms and all(term_degree(k) == c.h.degree for k in hx.terms)
 
 
 def test_determinism_rebuild():

@@ -17,11 +17,18 @@ from fractions import Fraction
 import pytest
 
 from redstar.brst import RepresentationHandle, build_delta, classical_charge, poisson_action
-from redstar.koszul import MomentMapData
-from redstar.poisson import check_quantum_covariance, moyal_commutator, poisson_bracket
-from redstar.poly import Poly
+from redstar.koszul import MomentMapData, koszul_operator
+from redstar.poisson import (
+    check_quantum_covariance,
+    moyal_commutator,
+    moyal_star_series,
+    poisson_bracket,
+    poisson_data,
+)
+from redstar.poly import Poly, VarContext
 from redstar.probes import random_poly, random_super
-from redstar.quantum import build_q, build_u, quantum_charge, star_action
+from redstar.quantum import build_q, build_quantum_koszul, build_u, quantum_charge, star_action
+from redstar.scalars import QQ_I
 from redstar.runner import RunState, stage_load
 from redstar.scenarios import get_scenario
 from redstar.series import Series
@@ -94,29 +101,50 @@ def ref_quantum_charge(moment, order):
     return theta
 
 
-def ref_delta(moment, action):
+# The references follow the floor rule of `superalg.op_sum`: the sum starts
+# at the input's floor (one order lower for a division by nu), and every
+# piece whose image has terms or a floor is added in.  A ghost e^a times a
+# term that already holds e^a is exactly zero, so the coefficient action
+# reads only the terms without e^a.
+
+
+def _start(x, drop=0):
+    floor = None if x.floor is None else min(x.floor - drop, x.order)
+    return SuperElement(x.ctx, x.dim, x.order, {}, _clean=True, floor=floor)
+
+
+def _live(y):
+    return y.terms or y.floor is not None
+
+
+def _without_ghost(x, a):
+    terms = {k: c for k, c in x.terms.items() if a not in k[0]}
+    return SuperElement(x.ctx, x.dim, x.order, terms, floor=x.floor)
+
+
+def ref_delta(moment, action, drop=0):
     ctx, dim = moment.ctx, moment.lie.dim
     triples = _triples(moment.lie)
 
     def fn(x):
         order = x.order
-        out = SuperElement.zero(ctx, dim, order)
+        out = _start(x, drop)
         for a, b, c, v in triples:
             ic = contract_ghost(x, c + 1)
-            if ic.terms:
+            if _live(ic):
                 ghost2 = super_mul(
                     _gen(ctx, dim, order, (a + 1,)), _gen(ctx, dim, order, (b + 1,))
                 )
                 out = out + super_mul(ghost2, ic).scale(Fraction(-1, 2) * v)
             ib = contract_antighost(x, b + 1)
-            if ib.terms:
+            if _live(ib):
                 ga_ec = super_mul(
                     _gen(ctx, dim, order, (a + 1,)), _gen(ctx, dim, order, (), (c + 1,))
                 )
                 out = out + super_mul(ga_ec, ib).scale(v)
         for a in range(dim):
-            acted = action(moment.components[a], x)
-            if acted.terms:
+            acted = action(moment.components[a], _without_ghost(x, a + 1))
+            if _live(acted):
                 out = out + super_mul(_gen(ctx, dim, order, (a + 1,)), acted)
         return out
 
@@ -127,10 +155,10 @@ def ref_q(moment):
     ctx, dim = moment.ctx, moment.lie.dim
 
     def fn(x):
-        out = SuperElement.zero(ctx, dim, x.order)
+        out = _start(x)
         for a, b, c, v in _triples(moment.lie):
             inner = contract_antighost(contract_antighost(x, b + 1), a + 1)
-            if inner.terms:
+            if _live(inner):
                 out = out + super_mul(
                     _gen(ctx, dim, x.order, (), (c + 1,)), inner
                 ).scale(Fraction(-1, 2) * v)
@@ -143,16 +171,64 @@ def ref_u(moment):
     dim, f = moment.lie.dim, dense(moment.lie)
 
     def fn(x):
-        out = SuperElement.zero(x.ctx, dim, x.order)
+        out = _start(x)
         for a in range(dim):
             trace = sum(f[a][b][b] for b in range(dim))
             if trace:
                 piece = contract_antighost(x, a + 1)
-                if piece.terms:
+                if _live(piece):
                     out = out + piece.scale(trace)
         return out
 
     return fn
+
+
+def ref_koszul(moment):
+    """sum_a J_a i^a, each J_a a ghost-free element multiplied in by `super_mul`."""
+    dim = moment.lie.dim
+
+    def fn(x):
+        out = _start(x)
+        for a, j in enumerate(moment.components):
+            piece = contract_antighost(x, a + 1)
+            if _live(piece):
+                out = out + super_mul(SuperElement.from_poly(j, dim, x.order), piece)
+        return out
+
+    return fn
+
+
+def ref_koszul_nu(moment, lam):
+    """R + nu (u/2 - q), with R(x) = sum_a (i^a x) * J_a from `moyal_star_series`."""
+    u, q = ref_u(moment), ref_q(moment)
+
+    def R(x):
+        out = _start(x)
+        for a, j in enumerate(moment.components):
+            piece = contract_antighost(x, a + 1)
+            if _live(piece):
+                jser = Series.from_poly(j, x.order)
+                out = out + piece.map_terms(lambda c: moyal_star_series(c, jser, lam))
+        return out
+
+    return lambda x: R(x) + (u(x).scale(Fraction(1, 2)) - q(x)).shift_nu(1)
+
+
+def ref_poisson_action(lam):
+    def act(j, x):
+        bracket = lambda c: Series(x.ctx, x.order, [poisson_bracket(j, p, lam) for p in c.coeffs], c.reliable)
+        return x.map_terms(bracket)
+
+    return act
+
+
+def ref_star_action(lam):
+    def act(j, x):
+        jser = Series.from_poly(j, x.order)
+        bracket = lambda c: moyal_star_series(jser, c, lam) - moyal_star_series(c, jser, lam)
+        return x.map_terms(lambda c: bracket(c).div_nu(), drop=1)
+
+    return act
 
 
 def ref_equivariance(moment, lam):
@@ -302,3 +378,80 @@ def test_residual_loops_match_dense_reference(model, order):
     assert [label for label, _ in got] == [label for label, _ in want]
     for (_, g), (_, w) in zip(got, want):
         assert_same(g, w)
+
+
+# -- the op_sum plans against the references, over QQ and QQ_I ------------------------
+
+
+def over_gaussian(ctx, lam, moment):
+    """The same model over QQ_I: context, bivector and moment map rebuilt there."""
+    gctx = VarContext(ctx.names, QQ_I, ctx.gradings)
+    names = ctx.names
+    glam = poisson_data(gctx, [(names[a], names[b], v) for a, b, v in lam.entries if a < b])
+    comps = tuple(Poly(gctx, j.terms) for j in moment.components)
+    return gctx, glam, MomentMapData(gctx, comps, moment.lie)
+
+
+def with_floor(x, rng):
+    """x plus and minus a term, under a key x lacks, reliable below the order: x with a floor."""
+    keys = [((), tuple(range(1, n + 1))) for n in range(1, x.dim + 1)]
+    key = rng.choice([k for k in keys if k not in x.terms])
+    coeff = Series(x.ctx, x.order, [random_poly(x.ctx, rng, 2, 2)], rng.randint(0, x.order))
+    b = SuperElement(x.ctx, x.dim, x.order, {key: coeff})
+    out = x + b - b
+    assert out.floor is not None
+    return out
+
+
+def zero_images(moment, order):
+    """Inputs whose images vanish under some of the operators.
+
+    The constant 1 (every action and Koszul piece vanishes or finds nothing),
+    a constant under all ghosts (every delta piece is killed) and
+    J_2 e_1 - J_1 e_2 (whose Koszul image cancels), reliable one order low.
+    """
+    ctx, dim = moment.ctx, moment.lie.dim
+    low = max(order - 1, 0)
+    j1, j2 = moment.components[:2]
+    ser = lambda p: Series(ctx, order, [p], low)
+    return [
+        SuperElement.from_poly(Poly.const(ctx, 1), dim, order),
+        SuperElement(ctx, dim, order, {(tuple(range(1, dim + 1)), ()): ser(Poly.const(ctx, 3))}),
+        SuperElement(ctx, dim, order, {((), (1,)): ser(j2), ((), (2,)): ser(-j1)}),
+    ]
+
+
+@pytest.mark.parametrize("field", ["QQ", "QQ_I"])
+@pytest.mark.parametrize("model", ["so3", "ax+b"])
+@pytest.mark.parametrize("order", ORDERS)
+def test_plans_match_references(model, field, order):
+    ctx, lam, moment = MODELS[model]()
+    if field == "QQ_I":
+        ctx, lam, moment = over_gaussian(ctx, lam, moment)
+    dim = moment.lie.dim
+    star = StarProduct(lam)
+    rng = random.Random(f"plans:{model}:{field}:{order}")
+    xs = probes(ctx, dim, order, rng) + zero_images(moment, order)
+    xs += [with_floor(x, rng) for x in xs]
+    cases = {
+        "koszul": (koszul_operator(moment), ref_koszul(moment)),
+        "koszul_nu": (build_quantum_koszul(moment, star), ref_koszul_nu(moment, lam)),
+        "delta": (
+            build_delta(moment, poisson_action(lam)),
+            ref_delta(moment, ref_poisson_action(lam)),
+        ),
+        "delta_nu": (
+            build_delta(moment, star_action(star), "delta_nu"),
+            ref_delta(moment, ref_star_action(lam), drop=1),
+        ),
+    }
+    zeros = 0
+    for name, (op, ref) in cases.items():
+        for k, x in enumerate(xs):
+            got, want = op(x), ref(x)
+            assert_same(got, want)
+            assert got.reliable == want.reliable, (name, k)
+            if not want.terms:
+                zeros += 1
+                assert got.floor == want.floor, (name, k)
+    assert zeros

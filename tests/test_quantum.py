@@ -16,12 +16,13 @@ from redstar.quantum import (
     build_u,
     check_quantum_splitting,
     quantum_charge,
+    r_pieces,
     star_action,
 )
 from redstar.runner import RunState, stage_load
 from redstar.scenarios import get_scenario
 from redstar.series import Series
-from redstar.superalg import LieAlgebraData, StarProduct, SuperElement
+from redstar.superalg import LieAlgebraData, StarProduct, SuperElement, op_sum
 
 N = 5  # working order: asserts run at N - 2 where divisions occur
 
@@ -78,6 +79,16 @@ def test_R_on_generator():
     R = build_R(moment, star)
     e1 = SuperElement.generator(ctx, 2, N, antighosts=(1,))
     assert R(e1) == SuperElement.from_poly(moment.components[0], 2, N)
+
+
+def test_a_fractional_weight_on_R_scales_its_image():
+    # R's pieces at weight 1/2 take the scratch route of `star_right_multiply`
+    ctx, lam, moment, star = so3()
+    half = op_sum("R/2", +1, [p._replace(scalar=Fraction(1, 2)) for p in r_pieces(moment, star)])
+    rng = random.Random(3)
+    for _ in range(4):
+        x = random_super(ctx, 3, N, rng, 3, 3)
+        assert half(x) == build_R(moment, star)(x).scale(Fraction(1, 2))
 
 
 def test_q_u_vanish_abelian():

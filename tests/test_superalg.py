@@ -7,7 +7,8 @@ from math import factorial
 import pytest
 
 from redstar import poisson
-from redstar.errors import ReliabilityError
+from redstar.errors import DivisibilityError, ReliabilityError
+from redstar.koszul import times
 from redstar.poisson import moyal_star, moyal_star_series, poisson_bracket, poisson_data
 from redstar.poly import Poly, poly_ring
 from redstar.probes import random_poly, random_super
@@ -16,14 +17,18 @@ from redstar.runner import RunState, stage_load
 from redstar.scenarios import get_scenario
 from redstar.series import Series
 from redstar.superalg import (
+    CoefficientAction,
+    CoefficientMap,
     LieAlgebraData,
     OperatorHandle,
+    Piece,
     StarProduct,
     SuperElement,
     _merge_terms,
     contract_antighost,
     contract_ghost,
     graded_poisson,
+    _write_scaled,
     op_columns,
     op_sum,
     super_mul,
@@ -267,7 +272,6 @@ def test_vanished_terms_keep_their_reliable_order():
         "shift_nu": (z.shift_nu(1), zero.shift_nu(1)),
         "div_nu": (z.div_nu(), zero.div_nu()),
         "truncate": (z.truncate(0), zero.truncate(0)),
-        "map_coefficients": (z.map_coefficients(lambda f: f * p), zero),
         "star_right_multiply": (
             star_right_multiply(z, q, star),
             moyal_star_series(zero, jser, lam),
@@ -286,27 +290,85 @@ def test_vanished_terms_keep_their_reliable_order():
 
 
 def test_op_sum_skips_only_exactly_zero_pieces():
-    # act runs on every piece with terms or a floor, never on an exactly
-    # zero one, and the sum starts at the input's floor
+    # a piece's coefficient map runs on every term its path and monomial
+    # keep, never on a key they kill; an image that vanishes leaves its
+    # floor; and the sum starts at the input's floor
     ctx, q, p, lam = setup()
     calls = []
 
-    def act(y):
-        calls.append(y)
-        return y.scale(2)
+    def write(c, n, slots):
+        calls.append(c)
+        _write_scaled(c, n, slots)
 
-    op = op_sum("2 (i_1 + i_2)", -1, [(((contract_ghost, a),), act) for a in (1, 2)])
+    record = CoefficientMap("recorded id", write)
+    op = op_sum("2 (i_1 + i_2)", -1, [Piece(((contract_ghost, a),), scalar=2, coeff=record) for a in (1, 2)])
     out = op(SuperElement.generator(ctx, DIM, 2, ghosts=(1,)))
     assert out == SuperElement.generator(ctx, DIM, 2, coeff=2) and out.floor is None
     assert len(calls) == 1
-    # e^2 (q - q), the first q reliable only to 1: both pieces run
+    # q / nu is reliable only to 1: a map that writes nothing, and two
+    # entries that cancel, each leave that floor on an image without terms
     s1 = Series(ctx, 2, [Poly.zero(ctx), q, Poly.zero(ctx)]).div_nu()
-    e2 = ((2,), ())
+    e1, e2 = ((1,), ()), ((2,), ())
+    x = SuperElement(ctx, DIM, 2, {e1: s1})
+    nothing = CoefficientMap("0", lambda c, n, slots: None)
+    vanished = {
+        "map": op_sum("0 i_1", -1, [Piece(((contract_ghost, 1),), coeff=nothing)]),
+        "cancel": op_sum("i_1 - i_1", -1, [Piece(((contract_ghost, 1),), scalar=w) for w in (1, -1)]),
+    }
+    for case, f in vanished.items():
+        out = f(x)
+        assert not out.terms and out.floor == 1, case
+        with pytest.raises(ReliabilityError):
+            out.is_zero(2)
+    # e^2 (q - q): no terms, floor 1; no map runs, and the image keeps the floor
     z = SuperElement(ctx, DIM, 2, {e2: s1}) - SuperElement(ctx, DIM, 2, {e2: Series.from_poly(q, 2)})
     calls.clear()
     out = op(z)
-    assert len(calls) == 2 and not out.terms and out.floor == 1
+    assert not calls and not out.terms and out.floor == 1
     assert op_sum("0", 0, [])(z).floor == 1
+
+
+def test_op_columns_keeps_the_floor_of_a_column_that_vanished():
+    # each column of f is (e - e) / nu, no terms and reliable to 2 at order
+    # 3: the assembled image must refuse a zero test at 3, as f(x) does
+    ctx, (x, y) = poly_ring(("x", "y"))
+    f = OperatorHandle("vanish/nu", lambda e: (e - e).div_nu(), 0)
+    z = SuperElement.from_poly(x * y + x, 1, 3)
+    direct = f(z)
+    assert not direct.terms and direct.floor == 2
+    for image in (direct, op_columns(f)(z)):
+        assert not image.terms and image.floor == 2 and image.reliable == 2
+        assert image.is_zero(2)
+        with pytest.raises(ReliabilityError):
+            image.is_zero(3)
+    # a nu-free column serves every order and bounds no reliable order
+    assert op_columns(f, nu_free=True)(z).floor is None
+    # an exactly zero column lowers nothing
+    zero = OperatorHandle("0", lambda e: SuperElement.zero(e.ctx, e.dim, e.order), 0)
+    assert op_columns(zero)(z).floor is None
+
+
+def test_a_nu_division_raises_on_a_nonzero_slot_zero_leaf():
+    # the identity divided by nu: a term with a nu^0 part is not divisible
+    ctx, q, p, lam = setup()
+    div = op_sum("1/nu", 0, [Piece(shift=-1)])
+    with pytest.raises(DivisibilityError):
+        div(SuperElement.from_poly(q * p + q, DIM, 3))
+    # nu q divides to q, reliable one order less, and the division lowers
+    # the input's floor by one
+    x = SuperElement.from_poly(q, DIM, 3).shift_nu(1)
+    out = div(x)
+    assert out.terms == {((), ()): Series(ctx, 3, [q], 2)} and out.reliable == 2
+    y = x + SuperElement(ctx, DIM, 3, {((1,), ()): Series(ctx, 3, [q], 2)}) - SuperElement(
+        ctx, DIM, 3, {((1,), ()): Series.from_poly(q, 3)}
+    )
+    assert y.floor == 2 and div(y).floor == 1
+    # the (1/nu) star commutator meets a nu^0 leaf only through a broken map
+    star = StarProduct(lam)
+    broken = CoefficientAction(lambda j: CoefficientMap("J.", times(j).write, exact=True), shift=-1)
+    with pytest.raises(DivisibilityError):
+        broken(p, SuperElement.from_poly(q, DIM, 3))
+    assert star_action(star)(p, SuperElement.from_poly(q, DIM, 3)).is_zero(2) is False
 
 
 # -- reference implementations ---------------------------------------------------
@@ -679,13 +741,6 @@ def test_derivations_and_termwise_maps_match_reference(name):
         assert_same(shifted.div_nu(), _ref_termwise(shifted, lambda s: s.div_nu()))
         for order in range(x.order + 1):
             assert_same(x.truncate(order), _ref_termwise(x, lambda s: s.truncate(order), order))
-        square = lambda p: p * p
-        assert_same(
-            x.map_coefficients(square),
-            _ref_termwise(
-                x, lambda s: Series(ctx, x.order, [square(p) for p in s.coeffs], s.reliable)
-            ),
-        )
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
