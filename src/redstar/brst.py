@@ -17,17 +17,18 @@ from fractions import Fraction
 from .errors import InvarianceError
 from .hpt import perturb_v1
 from .koszul import Contraction, koszul_operator
-from .poisson import poisson_bracket, poisson_bracket_into
+from .poisson import poisson_bracket
 from .series import Series
 from .superalg import (
     CoefficientAction,
-    CoefficientMap,
     OperatorHandle,
     Piece,
     SuperElement,
+    _remove_antighost,
+    _remove_ghost,
+    bracket_pieces,
+    bracket_with,
     canonical_monomial,
-    contract_antighost,
-    contract_ghost,
     graded_poisson,
     op_scale,
     op_sum,
@@ -48,21 +49,8 @@ def classical_charge(moment, order=0):
 
 
 def classical_brst_diff(theta, lam):
-    """D = {theta, .} as an operator handle."""
-    return OperatorHandle(
-        "D", lambda x: graded_poisson(theta, x, lam), +1, frozenset({"ghost"})
-    )
-
-
-def bracket_with(j, lam):
-    """The coefficient map c -> {J, c}, the Poisson bracket slot by slot."""
-
-    def write(c, n, slots):
-        for p, slot in zip(c.coeffs, slots):
-            if p.terms:
-                poisson_bracket_into(slot, j, p, lam, n)
-
-    return CoefficientMap("{J,.}", write)
+    """D = {theta, .}: the `op_sum` of theta's bracket pieces, whose plans are built once."""
+    return op_sum("D", +1, bracket_pieces(theta, lam), frozenset({"ghost"}))
 
 
 def poisson_action(lam):
@@ -82,8 +70,8 @@ def build_delta(moment, action, name="delta"):
     """
     pieces = []
     for a, b, c, v in moment.lie.entries:
-        pieces.append(Piece(((contract_ghost, c + 1),), ((a + 1, b + 1), ()), Fraction(-1, 2) * v))
-        pieces.append(Piece(((contract_antighost, b + 1),), ((a + 1,), (c + 1,)), v))
+        pieces.append(Piece(((_remove_ghost, c + 1),), ((a + 1, b + 1), ()), Fraction(-1, 2) * v))
+        pieces.append(Piece(((_remove_antighost, b + 1),), ((a + 1,), (c + 1,)), v))
     for a, j in enumerate(moment.components):
         pieces.append(action.piece(j, (a + 1,)))
     return op_sum(name, +1, pieces, frozenset({"ghost"}))
@@ -115,12 +103,13 @@ def quotient_representation(moment, action, res, prol):
     `quantum.star_action(star)`, with the deformed restriction as `res`, for
     the deformed one.  It acts on coefficients only, so this is the quotient
     representation on ghost- and antighost-free quotient elements, where the
-    adjoint and coadjoint terms vanish.
+    adjoint and coadjoint terms vanish.  Each action(J_a, .) is one
+    `op_sum` handle, built here once.
     """
 
     def make(a):
-        j = moment.components[a]
-        return OperatorHandle(f"Lz_{a + 1}", lambda x: res(action(j, prol(x))), 0)
+        act = op_sum(f"J_{a + 1}.", 0, [action.piece(moment.components[a])])
+        return OperatorHandle(f"Lz_{a + 1}", lambda x: res(act(prol(x))), 0)
 
     return RepresentationHandle(moment.lie, tuple(make(a) for a in range(moment.lie.dim)))
 

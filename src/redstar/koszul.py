@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
-from operator import add
 
 from .errors import AcyclicityError, ContextError, DegreeOverflowError
 from .linalg import SliceSolver
@@ -24,14 +23,14 @@ from .poisson import poisson_bracket
 from .poly import Poly
 from .series import Series
 from .superalg import (
-    CoefficientMap,
     OperatorHandle,
     Piece,
     SuperElement,
-    contract_antighost,
+    _remove_antighost,
     op_columns,
     op_compose,
     op_sum,
+    times,
 )
 
 
@@ -73,28 +72,10 @@ class MomentMapData:
         return out
 
 
-def times(j):
-    """The coefficient map c -> c J of a polynomial J, written monomial by monomial."""
-    jterms = tuple(j.terms.items())
-
-    def write(c, n, slots):
-        scaled = n != 1
-        for p, slot in zip(c.coeffs, slots):
-            for m, v in p.terms.items():
-                if scaled:
-                    v = v * n
-                for mj, vj in jterms:
-                    key = tuple(map(add, m, mj))
-                    w = slot.get(key)
-                    slot[key] = v * vj if w is None else w + v * vj
-
-    return CoefficientMap("*J", write, exact=bool(jterms))
-
-
 def koszul_pieces(moment):
     """The pieces J_a i^a of the Koszul differential, one per component."""
     return [
-        Piece(((contract_antighost, a + 1),), coeff=times(j))
+        Piece(((_remove_antighost, a + 1),), coeff=times(j))
         for a, j in enumerate(moment.components)
     ]
 
@@ -102,11 +83,6 @@ def koszul_pieces(moment):
 def koszul_operator(moment):
     """The Koszul differential sum_a J_a i^a, of degree +1 (it removes an antighost)."""
     return op_sum("koszul", +1, koszul_pieces(moment))
-
-
-def koszul_diff(x, moment):
-    """The Koszul differential: multiply by J_a for each antighost slot."""
-    return koszul_operator(moment)(x)
 
 
 def _add_grades(g1, g2):

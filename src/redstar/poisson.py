@@ -32,16 +32,17 @@ all exact; the commutator drops the even leaves altogether.
 There are four ways into the kernel: `moyal_term` gives one order k at
 the weights L_e (the Poisson bracket is its k = 1 term), and
 `poisson_bracket_into` adds that k = 1 term into a slot dict its caller
-owns (the classical codifferential's coefficient action); at the weights
-L_e / 2, `moyal_star_series` gives the product (`moyal_star` is that
-product on two polynomials), and `star_pass` is the pass behind it,
-which writes E and O into slot dicts its caller owns: the graded star
-product of `superalg` and its supercommutator run it, once per term
-pair, into one accumulator of per-key nu slots, and the `op_sum` plans
-run it once per term, for R (`quantum.star_right_multiply`) and for the
-star commutator of the deformed codifferential (the odd leaves alone).
-`moyal_commutator` stays two `moyal_star` calls: it is the independent
-route by which the covariance checks verify the kernel.
+owns (the coefficient map {J, .} of the graded Poisson bracket and the
+classical codifferential); at the weights L_e / 2, `moyal_star_series`
+gives the product (`moyal_star` is that product on two polynomials), and
+`star_pass` is the pass behind it, which writes E and O into slot dicts
+its caller owns.  The coefficient maps J * ., . * J and [J, .]* of
+`superalg` run `star_pass` with the polynomial J as one operand, once per
+term of the other, in the `op_sum` plans of the graded star product, its
+supercommutator, R and the deformed codifferential (the commutator keeps
+the odd leaves alone).  `moyal_commutator` stays two `moyal_star` calls:
+it is the independent route by which the covariance checks verify the
+kernel.
 """
 
 from __future__ import annotations
@@ -107,23 +108,25 @@ def poisson_bracket_into(slot, f, g, lam, n=1):
     _moyal_into([None, slot], f, g, lam.entries, n)
 
 
-def _moyal_into(out, f, g, entries, n=1):
-    """Add n times the Moyal terms of f, g into the dicts out[k], by order k.
+def _moyal_into(out, f, g, entries, w=1):
+    """Add w times the Moyal terms of f, g into the dicts out[k], by order k.
 
-    An order k whose out[k] is None is dropped.  Counts k_e over `entries`
-    (a, b, w) weigh prod_e w^{k_e} / k_e!, so w is L_e for the bare
-    coefficient and L_e / 2 for the star product.
+    w is an int or a field element; it multiplies each coefficient of f
+    once.  An order k whose out[k] is None is dropped.  Counts k_e over
+    `entries` (a, b, L) weigh prod_e L^{k_e} / k_e!, so L is L_e for the
+    bare coefficient and L_e / 2 for the star product.
     """
     zero = out[0]
     for alpha, cf in f.terms.items():
+        if w != 1:
+            cf = cf * w
         rows = [e for e in entries if alpha[e[0]]]
         for beta, cg in g.terms.items():
             live = [e for e in rows if beta[e[1]]]
             if live:
-                _visit(out, live, 0, 0, list(alpha), list(beta), cf * cg, n)
+                _visit(out, live, 0, 0, list(alpha), list(beta), cf * cg, 1)
             elif zero is not None:
-                c = cf * cg
-                _add(zero, tuple(map(add, alpha, beta)), c * n if n != 1 else c)
+                _add(zero, tuple(map(add, alpha, beta)), cf * cg)
 
 
 def _visit(out, live, t, k, ra, rb, c, n):
@@ -179,23 +182,28 @@ def _operands(a, b, lam, order):
 def star_pass(a, b, lam, even, odd, n=1):
     """One kernel pass at the weights L_e / 2 over the coefficient pairs of a, b.
 
-    a and b are Series of one order N, and even and odd lists of N + 1
-    slots.  The leaf of order k on a_i, b_j adds n times its value to the
-    dict even[i + j + k] for even k and odd[i + j + k] for odd k, and is
-    dropped where that slot is None; a slot pair whose slots are all None
-    is skipped.  The dicts may keep zero values, as `Series.from_slots`,
-    which turns them into a Series, allows.  Passing the same dicts twice
-    gives a * b; E + O = a * b and E - O = b * a.
+    a and b are each a Series or a Poly (the series with one slot), and
+    even and odd equally long lists of slots, the nu powers 0 up to the
+    truncation.  The leaf of order k on a_i, b_j adds n times its value to
+    the dict even[i + j + k] for even k and odd[i + j + k] for odd k, and
+    is dropped where that slot is None or past the end; a slot pair whose
+    slots are all None is skipped.  The dicts may keep zero values, as
+    `Series.from_slots`, which turns them into a Series, allows.  Passing
+    the same dicts twice gives a * b; E + O = a * b and E - O = b * a.
     """
-    top = a.order
+    top = len(even) - 1
     half = lam.half_entries
-    for i, ci in enumerate(a.coeffs):
-        for j, cj in enumerate(b.coeffs[: top + 1 - i]):
+    for i, ci in enumerate(_slots(a)[: top + 1]):
+        for j, cj in enumerate(_slots(b)[: top + 1 - i]):
             if ci.terms and cj.terms:
                 out = even[i + j :]
                 out[1::2] = odd[i + j + 1 :: 2]
                 if out.count(None) < len(out):
                     _moyal_into(out, ci, cj, half, n)
+
+
+def _slots(a):
+    return (a,) if isinstance(a, Poly) else a.coeffs
 
 
 def moyal_star_series(a, b, lam, order=None):

@@ -14,17 +14,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .koszul import koszul_pieces
-from .poisson import star_pass
-from .series import Series, add_shifted
-from .superalg import (
+from .series import Series
+from .superalg import (  # noqa: F401 (star_right_multiply: R's writer, traced under this module)
     CoefficientAction,
-    CoefficientMap,
     OperatorHandle,
     Piece,
     SuperElement,
-    apply_coefficient_map,
-    contract_antighost,
+    _remove_antighost,
+    commutator_with,
     op_sum,
+    right_star,
+    star_right_multiply,
 )
 from .brst import build_delta, classical_charge, splitting_residuals
 
@@ -40,37 +40,14 @@ def quantum_charge(moment, order):
     return theta + SuperElement(moment.ctx, moment.lie.dim, order, correction)
 
 
-def star_right_multiply(x, j, star, slots=None, n=1):
-    """x * J for a ghost-free polynomial J (Moyal on coefficients only).
-
-    With `slots`, x is one Series coefficient and n (x * J) is written into
-    those nu slots: R's coefficient map (`right_star`) in its op_sum plans.
-    """
-    if slots is None:
-        return apply_coefficient_map(x, right_star(j, star))
-    jser = Series.from_poly(j, x.order)
-    if type(n) is int:
-        star_pass(x, jser, star.lam, slots, slots, n)
-    else:
-        scratch = [{} for _ in slots]
-        star_pass(x, jser, star.lam, scratch, scratch)
-        add_shifted(slots, scratch, 0, n)
-
-
-def right_star(j, star):
-    """The coefficient map c -> c * J, through `star_right_multiply`."""
-    write = lambda c, n, slots: star_right_multiply(c, j, star, slots, n)
-    return CoefficientMap("*J", write, exact=not j.is_zero())
-
-
 def _antighost_paths(*indices):
-    return tuple((contract_antighost, a + 1) for a in indices)
+    return tuple((_remove_antighost, a + 1) for a in indices)
 
 
 def r_pieces(moment, star):
-    """R(x) = sum_a (i^a x) * J_a: right star multiplication."""
+    """R(x) = sum_a (i^a x) * J_a: right star multiplication (`superalg.star_right_multiply`)."""
     return [
-        Piece(_antighost_paths(a), coeff=right_star(j, star))
+        Piece(_antighost_paths(a), coeff=right_star(j, star.lam))
         for a, j in enumerate(moment.components)
     ]
 
@@ -124,32 +101,23 @@ def koszul_difference(moment, star):
     )
 
 
-def commutator_with(j, star):
-    """The coefficient map c -> [J, c]_* = J * c - c * J, twice the odd Moyal orders."""
-
-    def write(c, n, slots):
-        order = c.order
-        star_pass(Series.from_poly(j, order), c, star.lam, [None] * (order + 1), slots, 2 * n)
-
-    return CoefficientMap("[J,.]", write)
-
-
 def star_action(star):
     """The quantum coefficient action (j, x) -> (1/nu)[j, .]* on every coefficient of x.
 
     The division by nu is exact under quantum covariance and drops one
     reliable order.
     """
-    return CoefficientAction(lambda j: commutator_with(j, star), shift=-1)
+    return CoefficientAction(lambda j: commutator_with(j, star.lam), shift=-1)
 
 
 def quantum_brst_diff(theta_nu, star):
-    """D_nu = (1/nu) ad_*(theta_nu)."""
+    """D_nu = (1/nu) ad_*(theta_nu): the `op_sum` of theta_nu's commutator pieces.
 
-    def fn(x):
-        return star.commutator(theta_nu, x).div_nu()
-
-    return OperatorHandle("D_nu", fn, +1, frozenset({"ghost"}))
+    Each piece's nu shift is lowered by one, so the level-0 pieces of the
+    nu^0 slot divide by nu; the plans are built once, like D's.
+    """
+    pieces = [p._replace(shift=p.shift - 1) for p in star.commutator_pieces(theta_nu)]
+    return op_sum("D_nu", +1, pieces, frozenset({"ghost"}))
 
 
 @dataclass

@@ -63,7 +63,7 @@ from .koszul import (
     build_koszul_contraction,
     check_acyclicity,
     koszul_contraction,
-    koszul_diff,
+    koszul_operator,
 )
 from .parsing import parse_polynomial
 from .poisson import (
@@ -650,12 +650,11 @@ def stage_quantum_brst(state):
     theta0 = classical_charge(state.moment, 0)
     D0 = classical_brst_diff(theta0, state.lam)
     delta0 = build_delta(state.moment, poisson_action(state.lam))
+    koszul0 = koszul_operator(state.moment)
     items = []
     for x in probes[:8]:
         x0 = x.classical_part()
-        items.append(
-            ("koszul_nu|nu=0 - koszul", qops.koszul_nu(x).classical_part() - koszul_diff(x0, state.moment))
-        )
+        items.append(("koszul_nu|nu=0 - koszul", qops.koszul_nu(x).classical_part() - koszul0(x0)))
         items.append(("delta_nu|nu=0 - delta", qops.delta_nu(x).classical_part() - delta0(x0)))
         items.append(("D_nu|nu=0 - D", qops.D(x).classical_part() - D0(x0)))
     run.check(

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from operator import add
 from typing import NamedTuple
 
 from .errors import ContextError, DivisibilityError, ReliabilityError
-from .poisson import poisson_bracket, star_pass
+from .poisson import poisson_bracket_into, star_pass
 from .poly import Poly, VarContext
 from .series import Series, add_shifted
 
@@ -167,8 +167,7 @@ class SuperElement:
     every contribution that vanished on the way to this element (None if
     none did), as a Series sum keeps the minimum of its summands'.  That
     vanish-to-floor rule lives in the constructor and in `__add__` only; a
-    `_clean=True` element stores its terms as given, so one that keeps a
-    vanished term hands it to the next `+` (as `_clifford_expansion` does).
+    `_clean=True` element stores its terms as given.
     """
 
     __slots__ = ("ctx", "dim", "order", "terms", "floor")
@@ -351,30 +350,6 @@ class SuperElement:
         return f"SuperElement({self})"
 
 
-# -- derivations ---------------------------------------------------------------
-
-
-def _contract(x, remove, a):
-    """The odd left derivation whose action on one term is remove(key, a)."""
-    out = {}
-    for key, coeff in x.terms.items():
-        hit = remove(key, a)
-        if hit is not None:
-            sign, new_key = hit
-            out[new_key] = coeff.scale(sign)
-    return SuperElement(x.ctx, x.dim, x.order, out, floor=x.floor)
-
-
-def contract_ghost(x, a):
-    """i_a: the odd left derivation dual to the ghost e^a."""
-    return _contract(x, _remove_ghost, a)
-
-
-def contract_antighost(x, a):
-    """i^a: the odd left derivation dual to the antighost e_a."""
-    return _contract(x, _remove_antighost, a)
-
-
 # -- products -------------------------------------------------------------------
 
 
@@ -442,215 +417,6 @@ def left_monomial(ghosts=(), antighosts=(), coeff=1):
     return mul
 
 
-def _pairings(kx, ky):
-    """One application of T(x (x) y) = sum_a (-1)^{|x|} i^a(x) (x) i_a(y) to two keys.
-
-    Yields (sign, kx without e_a, ky without e^a) for each index a that
-    pairs an antighost of kx with a ghost of ky.
-    """
-    parity_sign = (-1) ** term_parity(kx)
-    for a in kx[1]:
-        if a in ky[0]:
-            s1, kx2 = _remove_antighost(kx, a)
-            s2, ky2 = _remove_ghost(ky, a)
-            yield parity_sign * s1 * s2, kx2, ky2
-
-
-@lru_cache(maxsize=None)
-def _clifford_ghost_terms(key1, key2, max_k):
-    """Contraction expansion of two ghost monomials, up to level max_k.
-
-    The tuple of (k, coefficient, merged key) for mu(T^k(x (x) y)) / k!,
-    with T as in `_pairings`, in increasing k.  The coefficient is an int
-    for k < 2 (so level 0 scales by the int sign) and a Fraction beyond.
-    """
-    out = []
-    level = [(key1, key2, 1)]
-    k = 0
-    while level and k <= max_k:
-        for kx, ky, c in level:
-            sign, merged = _merge_terms(kx, ky)
-            if sign != 0:
-                out.append((k, c * sign if k < 2 else Fraction(c * sign, factorial(k)), merged))
-        level = [(kx2, ky2, c * s) for kx, ky, c in level for s, kx2, ky2 in _pairings(kx, ky)]
-        k += 1
-    return tuple(out)
-
-
-def _accumulate(out, key, series, floor):
-    """Add `series` into out[key] unless it vanishes in every nu slot.
-
-    A skipped zero leaves the reliable order of out[key] alone and lowers
-    the returned floor instead.
-    """
-    if all(p.is_zero() for p in series.coeffs):
-        return _lower(floor, series.reliable)
-    cur = out.get(key)
-    out[key] = series if cur is None else cur + series
-    return floor
-
-
-@dataclass(frozen=True)
-class StarProduct:
-    """The graded star product: Moyal on coefficients, Clifford on ghosts.
-
-    A term pair (c1 under key k1, c2 under key k2) gives x y, at each
-    Clifford contraction level k of (k1, k2), s c^k nu^k (c1 * c2), with s
-    and the merged key from `_clifford_ghost_terms` and c the Clifford
-    coefficient.  Both products hand these levels to `_clifford_expansion`
-    as weights on the even and odd Moyal orders E and O of c1 * c2.
-    """
-
-    lam: object  # PoissonData
-    clifford_coeff: Fraction = Fraction(-2)
-
-    def _levels(self, k1, k2, order):
-        """(k, key, s c^k) for the contraction levels k <= order of (k1, k2); an int at k = 0."""
-        c = self.clifford_coeff
-        terms = _clifford_ghost_terms(k1, k2, order)
-        return [(k, key, s * c**k if k else s) for k, s, key in terms]
-
-    def star(self, x, y):
-        """x y: each level of a term pair weighs E and O alike."""
-        levels = lambda k1, k2: [(k, key, w, w) for k, key, w in self._levels(k1, k2, x.order)]
-        return _clifford_expansion(x, y, self.lam, [(_terms(x), _terms(y), levels)])
-
-    def commutator(self, x, y):
-        """Graded star commutator [x, y] = x y - (-1)^{|x||y|} y x.
-
-        y x takes the levels of (k2, k1) with c2 * c1 = E - O.  At level 0
-        both products land on one key: the ghosts are odd, so k2 k1 =
-        (-1)^{|k1||k2|} k1 k2, and after the graded sign y x takes s (E - O)
-        from the s (E + O) of x y, leaving 2 s O.  So a term pair gives
-        2 s O at level 0, s c^k (E + O) at each level k >= 1 of (k1, k2) and
-        -(-1)^{|x||y|} s c^k (E - O) at each level k >= 1 of (k2, k1), times
-        nu^k.  The four parity blocks (x's even or odd terms against y's)
-        are expanded one after another.
-        """
-
-        def levels(k1, k2, sign):
-            xy, yx = self._levels(k1, k2, x.order), self._levels(k2, k1, x.order)
-            return (
-                [(0, key, 0, 2 * w) for k, key, w in xy if not k]
-                + [(k, key, w, w) for k, key, w in xy if k]
-                + [(k, key, -sign * w, sign * w) for k, key, w in yx if k]
-            )
-
-        def pieces(z):
-            terms = _terms(z)
-            return [[t for t in terms if term_parity(t[0]) == p] for p in (0, 1)]
-
-        blocks = [
-            (xs, ys, partial(levels, sign=(-1) ** (px * py)))
-            for px, xs in enumerate(pieces(x))
-            for py, ys in enumerate(pieces(y))
-        ]
-        return _clifford_expansion(x, y, self.lam, blocks)
-
-
-def _terms(z):
-    """(key, coefficient, lowest nonzero nu slot) for each term of z."""
-    return [
-        (key, c, next(i for i, p in enumerate(c.coeffs) if p.terms)) for key, c in z.terms.items()
-    ]
-
-
-def _clifford_expansion(x, y, lam, blocks):
-    """The sum over `blocks` of the Clifford expansions of their term pairs.
-
-    A block is (xs, ys, levels): xs and ys hold (key, coefficient, lowest
-    slot) for terms of x and y, as `_terms` gives them, and levels(k1, k2)
-    lists (k, key, e, o) for a term pair: nu^k (e E + o O) goes under key,
-    E and O being the even and odd Moyal orders of c1 * c2.  At k = 0 the
-    weights are (n, n) or (0, n) for an int n.
-
-    A contribution counts toward its key's reliable order min(c1.reliable,
-    c2.reliable) when k <= order - i0 - j0 for the lowest slots i0, j0 and
-    (e, o) != (0, 0); each other one lowers the floor to that order.  The
-    rule is exact for E + O and E - O, whose lowest slot i0 + j0 holds
-    c1_{i0} c2_{j0} != 0.  A pair whose one counted contribution is at
-    level 0 runs `star_pass` at the int weight n straight into the key's
-    nu slots; any other counted pair runs one pass into scratch slots and
-    adds them in at each level (`add_shifted`).  Each block is summed per
-    key and added in with `+` as a `_clean=True` element that keeps its
-    vanished keys: `SuperElement.__add__` lowers an earlier block's term
-    under such a key to its reliable order, or else the floor.
-    """
-    x._check(y)
-    if lam.ctx != x.ctx:
-        raise ContextError("star operands live in different contexts")
-    order = x.order
-    out = SuperElement(x.ctx, x.dim, order, {}, _clean=True, floor=_floors(x, y))
-    none = [None] * (order + 1)
-
-    def slots(acc, key, reliable):
-        entry = acc.get(key)
-        if entry is None:
-            entry = acc[key] = [reliable, [{} for _ in range(order + 1)]]
-        elif reliable < entry[0]:
-            entry[0] = reliable
-        return entry[1]
-
-    for xs, ys, levels in blocks:
-        acc, floor = {}, None  # key -> [reliable, {monomial: coefficient} per nu power]
-        for k1, c1, i0 in xs:
-            for k2, c2, j0 in ys:
-                reliable, top = min(c1.reliable, c2.reliable), order - i0 - j0
-                live = []
-                for term in levels(k1, k2):
-                    if term[0] <= top and (term[2] or term[3]):
-                        live.append(term)
-                    else:
-                        floor = _lower(floor, reliable)
-                if len(live) == 1 and live[0][0] == 0:
-                    _, key, e, o = live[0]
-                    target = slots(acc, key, reliable)
-                    star_pass(c1, c2, lam, target if e else none, target if o else none, o)
-                elif live:
-                    even, odd = [{} for _ in range(order + 1)], [{} for _ in range(order + 1)]
-                    star_pass(c1, c2, lam, even, odd)
-                    for k, key, e, o in live:
-                        target = slots(acc, key, reliable)
-                        add_shifted(target, even, k, e)
-                        add_shifted(target, odd, k, o)
-        block = {key: Series.from_slots(x.ctx, order, t, r) for key, (r, t) in acc.items()}
-        out = out + SuperElement(x.ctx, x.dim, order, block, _clean=True, floor=floor)
-    return out
-
-
-def graded_poisson(x, y, lam):
-    """The even graded Poisson bracket.
-
-    Extends the coefficient Poisson bracket; ghosts pair with antighosts at
-    strength 2 (see the module docstring).  Bilinear over nu slots.
-    """
-    x._check(y)
-    bracket = lambda a, b: poisson_bracket(a, b, lam)
-    out = {}
-    floor = _floors(x, y)
-    for k1, c1 in x.terms.items():
-        p1 = term_parity(k1)
-        for k2, c2 in y.terms.items():
-            p2 = term_parity(k2)
-            # coefficient bracket, ghost parts multiply
-            sign, key = _merge_terms(k1, k2)
-            if sign != 0:
-                floor = _accumulate(out, key, c1.convolve(c2, bracket).scale(sign), floor)
-            # ghost pairing at strength 2: antighosts of x with ghosts of y,
-            # then antighosts of y with ghosts of x
-            prod = None  # c1 * c2, computed on first use
-            for pairs, weight in (
-                (_pairings(k1, k2), -2),
-                (_pairings(k2, k1), 2 * (-1) ** (p1 * p2)),
-            ):
-                for s, kx, ky in pairs:
-                    msign, key2 = _merge_terms(kx, ky)
-                    if msign != 0:
-                        if prod is None:
-                            prod = c1 * c2
-                        floor = _accumulate(out, key2, prod.scale(weight * s * msign), floor)
-    return SuperElement(x.ctx, x.dim, x.order, out, floor=floor)
-
 
 # -- operator handles -----------------------------------------------------------
 
@@ -687,16 +453,20 @@ def op_scale(f, c, name=None):
     )
 
 
+# -- coefficient maps -------------------------------------------------------------
+
+
 class CoefficientMap(NamedTuple):
     """A map on Series coefficients that writes its kernel leaves into nu slots.
 
     write(c, n, slots) adds n times the image of the Series c into `slots`,
     one {monomial: coefficient} dict per nu power from 0 up, which may be
-    shorter than c (the powers past its end are dropped).  An `exact` map
-    sends a nonzero series to one that is nonzero in the same lowest nu
-    slot (the identity, x J or * J for J != 0), so its image vanishes only
-    by truncation; the evaluator then gives it any weight n and its
-    caller's slots.  Any other map is called with n = 1 on scratch slots.
+    shorter than c (the powers past its end are dropped); n is an int or a
+    field element.  An `exact` map sends a nonzero series to one that is
+    nonzero in the same lowest nu slot (the identity, x J, J * x or x * J
+    for J != 0), so its image vanishes only by truncation; the evaluator
+    then gives it any weight n and its caller's slots.  Any other map is
+    called with n = 1 on scratch slots.
     """
 
     name: str
@@ -718,13 +488,77 @@ def _write_scaled(c, n, slots):
 IDENTITY = CoefficientMap("id", _write_scaled, exact=True)
 
 
+def times(j):
+    """The coefficient map c -> c J of a polynomial J, written monomial by monomial."""
+    jterms = tuple(j.terms.items())
+
+    def write(c, n, slots):
+        scaled = n != 1
+        for p, slot in zip(c.coeffs, slots):
+            for m, v in p.terms.items():
+                if scaled:
+                    v = v * n
+                for mj, vj in jterms:
+                    key = tuple(map(add, m, mj))
+                    w = slot.get(key)
+                    slot[key] = v * vj if w is None else w + v * vj
+
+    return CoefficientMap(".J", write, exact=bool(jterms))
+
+
+def bracket_with(j, lam):
+    """The coefficient map c -> {J, c}, the Poisson bracket slot by slot."""
+
+    def write(c, n, slots):
+        for p, slot in zip(c.coeffs, slots):
+            if p.terms:
+                poisson_bracket_into(slot, j, p, lam, n)
+
+    return CoefficientMap("{J,.}", write)
+
+
+def left_star(j, lam):
+    """The coefficient map c -> J * c, one `star_pass` with J on the left."""
+    write = lambda c, n, slots: star_pass(j, c, lam, slots, slots, n)
+    return CoefficientMap("J*.", write, exact=not j.is_zero())
+
+
+def star_right_multiply(c, j, lam, slots, n=1):
+    """Add n (c * J) into the nu slots `slots`, for a Series c and a polynomial J.
+
+    The one writer of right star multiplication: `right_star` calls it
+    through this module's global, for R and for the y x pieces of the
+    star commutator.
+    """
+    star_pass(c, j, lam, slots, slots, n)
+
+
+def right_star(j, lam):
+    """The coefficient map c -> c * J, through `star_right_multiply`."""
+    write = lambda c, n, slots: star_right_multiply(c, j, lam, slots, n)
+    return CoefficientMap(".*J", write, exact=not j.is_zero())
+
+
+def commutator_with(j, lam):
+    """The coefficient map c -> [J, c]_* = J * c - c * J, twice the odd Moyal orders."""
+    write = lambda c, n, slots: star_pass(j, c, lam, [None] * len(slots), slots, 2 * n)
+    return CoefficientMap("[J,.]", write)
+
+
+# -- sums over contractions -------------------------------------------------------
+
+_UNBOUNDED = float("inf")  # the reliable order of a nu-free column or an uncapped piece
+
+
 class Piece(NamedTuple):
     """One summand x -> scalar * monomial * coeff(path(x)) * nu^shift of an `op_sum`.
 
-    `path` is a tuple of (`contract_ghost` or `contract_antighost`, index)
-    pairs, applied in order; `monomial` is (ghosts, antighosts), multiplied
-    on the left; `coeff` acts on the coefficients; `shift` multiplies by
-    that power of nu (-1 divides by nu, costing one reliable order).
+    `path` is a tuple of (`_remove_ghost` or `_remove_antighost`, index)
+    pairs, the derivations i_a and i^a applied in order; `monomial` is
+    (ghosts, antighosts), multiplied on the left; `coeff` acts on the
+    coefficients; `shift` multiplies by that power of nu (-1 divides by
+    nu, costing one reliable order); `reliable` caps the reliable order of
+    the piece's image (a product's piece carries its left factor's).
     """
 
     path: tuple = ()
@@ -732,6 +566,7 @@ class Piece(NamedTuple):
     scalar: object = 1
     coeff: CoefficientMap = IDENTITY
     shift: int = 0
+    reliable: object = _UNBOUNDED
 
 
 _SIGNS = VarContext(())  # no variables: its unit terms carry only a ghost key and a sign
@@ -744,11 +579,11 @@ def _ghost_step(path, monomial, key):
     The path's contractions act on the key alone; `left_monomial` (one
     `super_mul`) then multiplies the signed unit term of the contracted key
     over a context without variables.  Computed once per (path, monomial,
-    key) in a process; every `op_sum` plan reads it.
+    key) in a process; every plan reads it.
     """
     sign = 1
-    for contract, a in path:
-        hit = (_remove_ghost if contract is contract_ghost else _remove_antighost)(key, a)
+    for remove, a in path:
+        hit = remove(key, a)
         if hit is None:
             return None
         s, key = hit
@@ -760,97 +595,113 @@ def _ghost_step(path, monomial, key):
     return (1 if coeff.coeffs[0].constant_term() == 1 else -1), out_key
 
 
+def _plan(pieces, key, field, name=None, degree=None):
+    """The plan of one input ghost key: an entry per piece that keeps the key.
+
+    An entry is (output key, sign times scalar in the field, writer,
+    direct, shift, reliable cap), the sign and key from `_ghost_step`; a
+    piece whose path or monomial kills the key, or whose scalar is zero,
+    has none.  With a `degree`, each output key must change `term_degree`
+    by it.
+    """
+    entries = []
+    for piece in pieces:
+        step = _ghost_step(piece.path, piece.monomial, key) if piece.scalar else None
+        if step is None:
+            continue
+        sign, out_key = step
+        if degree is not None and term_degree(out_key) - term_degree(key) != degree:
+            raise ValueError(f"{name} declares degree {degree:+d} but maps {key} to {out_key}")
+        w = sign * piece.scalar
+        w = 1 if w == 1 else -1 if w == -1 else field.coerce(w)
+        direct = piece.coeff.exact and piece.shift >= 0
+        entries.append((out_key, w, piece.coeff.write, direct, piece.shift, piece.reliable))
+    return tuple(entries)
+
+
+def _evaluate(x, plans, build, floor, drop=0):
+    """One pass over the terms of x through the plans of their keys.
+
+    plans maps an input key to its entries (`_plan`); build(key) makes a
+    missing one, which is kept.  Every entry's image goes into one table
+    of nu slots per output key, and each key becomes one Series.
+
+    Floor rule: the sum starts at `floor` (lowered by `drop`, the number of
+    divisions by nu).  An entry is reliable to min(c.reliable, its cap)
+    less its division.  An entry whose image vanishes (a map's leaves that
+    cancel, or an image shifted past the truncation) lowers the floor to
+    that order; any other entry lowers its key's reliable order to it, and
+    a key whose entries cancel lowers the floor in the SuperElement
+    constructor.  A division by nu raises DivisibilityError on a nonzero
+    leaf in nu slot 0 rather than drop it.
+    """
+    order = x.order
+    floor = None if floor is None else min(floor - drop, order)
+    acc = {}  # out key -> [reliable, {monomial: coefficient} per nu power]
+
+    def target(key, reliable):
+        out = acc.get(key)
+        if out is None:
+            out = acc[key] = [reliable, [{} for _ in range(order + 1)]]
+        elif reliable < out[0]:
+            out[0] = reliable
+        return out[1]
+
+    for key, c in x.terms.items():
+        entries = plans.get(key)
+        if entries is None:
+            entries = plans[key] = build(key)
+        for out_key, w, write, direct, shift, cap in entries:
+            reliable = c.reliable if c.reliable < cap else cap
+            if shift < 0:
+                reliable += shift
+            if direct:
+                if shift and all(not p.terms for p in c.coeffs[: max(order + 1 - shift, 0)]):
+                    floor = _lower(floor, reliable)
+                elif shift:
+                    write(c, w, target(out_key, reliable)[shift:])
+                else:
+                    write(c, w, target(out_key, reliable))
+                continue
+            # the slots below the truncation once shifted, all of them before a division
+            scratch = [{} for _ in range(order + 1 - max(shift, 0))]
+            if scratch:
+                write(c, 1, scratch)
+            if shift < 0 and any(v for s in scratch[:-shift] for v in s.values()):
+                lost = Poly(x.ctx, {m: v for m, v in scratch[0].items() if v}, _clean=True)
+                raise DivisibilityError(
+                    f"series is not divisible by nu (nonzero constant term): {lost}"
+                )
+            live = scratch[-shift:] if shift < 0 else scratch
+            if any(v for s in live for v in s.values()):
+                add_shifted(target(out_key, reliable), live, max(shift, 0), w)
+            else:
+                floor = _lower(floor, reliable)
+    terms = {k: Series.from_slots(x.ctx, order, t, r) for k, (r, t) in acc.items()}
+    return SuperElement(x.ctx, x.dim, order, terms, floor=floor)
+
+
 def op_sum(name, degree, pieces, raises_filtration=frozenset()):
     """The operator x -> sum over `pieces` (`Piece`s), evaluated from per-key plans.
 
     The one sum over contractions behind the Koszul differential, R, q, u,
-    koszul_nu, t = koszul_nu - koszul and the codifferentials.  The plan of
-    an input ghost key K is built on first use, once per handle, from
-    `_ghost_step`: each piece's path acts on K and its monomial multiplies
-    the result through `left_monomial`, and the pieces that survive give
-    entries (output key, sign times scalar, coefficient map, nu shift).
-    Each output key must change `term_degree` by `degree`.
-    One pass over the terms of x then writes every entry's image into one
-    table of nu slots per output key, and each key becomes one Series.
-
-    Floor rule: the sum starts at x's floor (lowered by one if a piece
-    divides by nu).  An entry whose image vanishes (a map's leaves that
-    cancel, or an image shifted past the truncation) lowers the floor to
-    its reliable order, min(c.reliable, order) less the divisions; any
-    other entry lowers its key's reliable order to it, and a key whose
-    entries cancel lowers the floor in the SuperElement constructor.  A
-    piece whose path or monomial kills a key contributes exactly zero and
-    lowers nothing.  A division by nu raises DivisibilityError on a
-    nonzero leaf in nu slot 0 rather than drop it.
+    koszul_nu, t = koszul_nu - koszul, the codifferentials and the BRST
+    differentials D and D_nu, whose pieces are read off the charge
+    (`bracket_pieces`, `StarProduct.commutator_pieces`).  The plan of an
+    input ghost key is built on first use, once per handle (`_plan`), and
+    each plan entry must change `term_degree` by `degree`; one pass over
+    the terms of x (`_evaluate`) then writes every entry's image, starting
+    at x's floor.
     """
     pieces = tuple(pieces)
     drop = max([0] + [-p.shift for p in pieces])
-    plans = {}  # input key -> ((out key, weight, write, direct, shift), ...)
-
-    def plan(x, key):
-        entries = []
-        for piece in pieces:
-            step = _ghost_step(piece.path, piece.monomial, key)
-            if step is None or not piece.scalar:
-                continue
-            sign, out_key = step
-            if term_degree(out_key) - term_degree(key) != degree:
-                raise ValueError(f"{name} declares degree {degree:+d} but maps {key} to {out_key}")
-            w = sign * piece.scalar
-            w = 1 if w == 1 else -1 if w == -1 else x.ctx.field.coerce(w)
-            direct = piece.coeff.exact and piece.shift >= 0
-            entries.append((out_key, w, piece.coeff.write, direct, piece.shift))
-        entries = plans[key] = tuple(entries)
-        return entries
+    plans = {}  # input key -> its plan entries
 
     def fn(x):
-        order = x.order
-        floor = None if x.floor is None else min(x.floor - drop, order)
-        acc = {}  # out key -> [reliable, {monomial: coefficient} per nu power]
-
-        def target(key, reliable):
-            out = acc.get(key)
-            if out is None:
-                out = acc[key] = [reliable, [{} for _ in range(order + 1)]]
-            elif reliable < out[0]:
-                out[0] = reliable
-            return out[1]
-
-        for key, c in x.terms.items():
-            entries = plans.get(key)
-            if entries is None:
-                entries = plan(x, key)
-            for out_key, w, write, direct, shift in entries:
-                reliable = c.reliable + shift if shift < 0 else c.reliable
-                if direct:
-                    if shift and all(not p.terms for p in c.coeffs[: order + 1 - shift]):
-                        floor = _lower(floor, reliable)
-                    elif shift:
-                        write(c, w, target(out_key, reliable)[shift:])
-                    else:
-                        write(c, w, target(out_key, reliable))
-                    continue
-                scratch = [{} for _ in range(order + 1)]
-                write(c, 1, scratch)
-                if shift < 0 and any(v for s in scratch[:-shift] for v in s.values()):
-                    lost = Poly(x.ctx, {m: v for m, v in scratch[0].items() if v}, _clean=True)
-                    raise DivisibilityError(
-                        f"series is not divisible by nu (nonzero constant term): {lost}"
-                    )
-                live = scratch[-shift:] if shift < 0 else scratch[: order + 1 - shift]
-                if any(v for s in live for v in s.values()):
-                    add_shifted(target(out_key, reliable), live, max(shift, 0), w)
-                else:
-                    floor = _lower(floor, reliable)
-        terms = {k: Series.from_slots(x.ctx, order, t, r) for k, (r, t) in acc.items()}
-        return SuperElement(x.ctx, x.dim, order, terms, floor=floor)
+        build = lambda key: _plan(pieces, key, x.ctx.field, name, degree)
+        return _evaluate(x, plans, build, x.floor, drop)
 
     return OperatorHandle(name, fn, degree, raises_filtration)
-
-
-def apply_coefficient_map(x, cmap, shift=0):
-    """cmap on every coefficient of x, times nu^shift: a one-piece `op_sum`."""
-    return op_sum(cmap.name, 0, [Piece(coeff=cmap, shift=shift)])(x)
 
 
 @dataclass(frozen=True)
@@ -858,7 +709,8 @@ class CoefficientAction:
     """An action (j, x) -> j . x on the coefficients of x, one CoefficientMap per j.
 
     `make(j)` is the map, applied with `shift` powers of nu (-1 for the
-    (1/nu) star commutator).  `piece` puts it into a codifferential.
+    (1/nu) star commutator).  `piece` puts it into an `op_sum`: a
+    codifferential, or one operator L_a of the quotient representation.
     """
 
     make: object
@@ -867,11 +719,143 @@ class CoefficientAction:
     def piece(self, j, ghosts=()):
         return Piece(monomial=(ghosts, ()), coeff=self.make(j), shift=self.shift)
 
-    def __call__(self, j, x):
-        return apply_coefficient_map(x, self.make(j), self.shift)
+
+# -- the products, as plans of their left operand ---------------------------------
 
 
-_UNBOUNDED = float("inf")  # the reliable order of a nu-free column
+@lru_cache(maxsize=None)
+def _contractions(key, right):
+    """(k, path, rest, sign) for each set S of k indices that a term under key contracts.
+
+    With x's term e^key on the left of y (right False), the antighosts S
+    of key meet ghosts of y: `path` removes those ghosts from y, in
+    increasing order, and the sign is the signs of removing S from key in
+    the same order times the (-1)^{|x|} of each Clifford step,
+    (-1)^{k |key| + k (k - 1) / 2}.  For y x (right True) the ghosts S of
+    key meet antighosts of y, and the removal signs are times
+    -(-1)^{k (k - 1) / 2 + k |key| + k}: that folds in the -(-1)^{|x||y|}
+    of the supercommutator, the (-1)^{|y|} of each step and the reordering
+    of y's rest past key's, in which |y| cancels.  `rest` is key without S.
+    """
+    ghosts, antighosts = key
+    if right:
+        own, remove, other = ghosts, _remove_ghost, _remove_antighost
+    else:
+        own, remove, other = antighosts, _remove_antighost, _remove_ghost
+    parity = term_parity(key)
+    out = []
+    for k in range(len(own) + 1):
+        step = (-1) ** (k * parity + k * (k - 1) // 2) * (-((-1) ** k) if right else 1)
+        for indices in combinations(own, k):
+            sign, rest = step, key
+            for a in indices:
+                s, rest = remove(rest, a)
+                sign *= s
+            out.append((k, tuple((other, a) for a in indices), rest, sign))
+    return tuple(out)
+
+
+def _left_pieces(x, top, levels):
+    """The pieces of y -> P(x, y), a product read off the terms of x.
+
+    For each term c under a key of x, contraction (k, path, rest, sign) of
+    `_contractions` with k <= top, and nonzero nu slot p = c_i,
+    levels(k, right) is None or (weight, map of p, nu power s): the piece
+    contracts path on y, multiplies by rest and by sign times weight, maps
+    y's coefficient by the map of p, shifts by nu^(i + s) and caps the
+    reliable order at c's.
+    """
+    pieces = []
+    for key, c in x.terms.items():
+        slots = [(i, p) for i, p in enumerate(c.coeffs) if p.terms]
+        for right in (False, True):
+            for k, path, rest, sign in _contractions(key, right):
+                level = levels(k, right) if k <= top else None
+                if level and level[0]:
+                    w, make, s = level
+                    pieces += [
+                        Piece(path, rest, sign * w, make(p), i + s, c.reliable) for i, p in slots
+                    ]
+    return pieces
+
+
+def _product(x, y, pieces):
+    """The pieces read off x, evaluated on y in one plan pass; no handle is built."""
+    x._check(y)
+    field = x.ctx.field
+    return _evaluate(y, {}, lambda key: _plan(pieces, key, field), _floors(x, y))
+
+
+@dataclass(frozen=True)
+class StarProduct:
+    """The graded star product: Moyal on coefficients, Clifford on ghosts.
+
+    x y = mu(exp(c nu T)(x (x) y)), T as in the module docstring.  It is
+    read off x as left multiplication: for a term c1 e^K1 of x, a nonzero
+    nu slot p of c1 and a set S of k antighosts of K1, one piece contracts
+    the ghosts S of y, multiplies by K1 without S and by c^k times the
+    signs of `_contractions`, maps y's coefficient by p * . and shifts by
+    nu^(i + k), i being p's slot.  The supercommutator adds the pieces of
+    y x at each level k >= 1 (y's antighosts against K1's ghosts, . * p),
+    and at level 0 the two products land on one key, where they leave
+    [p, .]* = 2 O (see `poisson`): one piece.
+    """
+
+    lam: object  # PoissonData
+    clifford_coeff: Fraction = Fraction(-2)
+
+    def _pieces(self, x, commutator):
+        if self.lam.ctx != x.ctx:
+            raise ContextError("star operands live in different contexts")
+        c, lam = self.clifford_coeff, self.lam
+
+        def levels(k, right):
+            if not k:
+                make = commutator_with if commutator else left_star
+                return None if right else (1, lambda p: make(p, lam), 0)
+            if right and not commutator:
+                return None
+            return c**k, lambda p: (right_star if right else left_star)(p, lam), k
+
+        return _left_pieces(x, x.order, levels)
+
+    def commutator_pieces(self, x):
+        """The pieces of y -> [x, y] = x y - (-1)^{|x||y|} y x."""
+        return self._pieces(x, True)
+
+    def star(self, x, y):
+        """x y, from the pieces of x."""
+        return _product(x, y, self._pieces(x, False))
+
+    def commutator(self, x, y):
+        """The graded star commutator [x, y], from the pieces of x."""
+        return _product(x, y, self.commutator_pieces(x))
+
+
+def bracket_pieces(x, lam):
+    """The pieces of y -> {x, y}, the graded Poisson bracket.
+
+    The first order of the supercommutator's pieces: at level 0 the
+    coefficient bracket {p, .} under the product of the keys, at level 1
+    each ghost pairing at strength 2 (c = -2) with the coefficients
+    multiplied; no power of nu beyond p's slot.
+    """
+
+    def levels(k, right):
+        if not k:
+            return None if right else (1, lambda p: bracket_with(p, lam), 0)
+        return Fraction(-2), times, 0
+
+    return _left_pieces(x, 1, levels)
+
+
+def graded_poisson(x, y, lam):
+    """The even graded Poisson bracket {x, y}, from the plan of x (`bracket_pieces`).
+
+    Extends the coefficient Poisson bracket; ghosts pair with antighosts at
+    strength 2 (see the module docstring).  Bilinear over nu slots.
+    """
+    return _product(x, y, bracket_pieces(x, lam))
 
 
 def op_columns(f, name=None, nu_free=False):

@@ -4,7 +4,7 @@ import importlib.util
 import json
 import os
 
-from redstar import brst, quantum
+from redstar import brst, quantum, superalg
 from redstar.scenarios import get_scenario
 
 TOOL = os.path.join(os.path.dirname(__file__), "..", "tools", "op_time.py")
@@ -14,13 +14,16 @@ spec.loader.exec_module(op_time)
 
 
 def test_prints_one_json_line_for_commuting_n2(capsys):
-    original = brst.splitting_residuals
+    original, mul = brst.splitting_residuals, superalg.super_mul
     assert op_time.main(["commuting-n2", "3"]) == 0
     assert brst.splitting_residuals is quantum.splitting_residuals is original
+    assert superalg.super_mul is mul
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 1
     got = json.loads(out[0])
     assert got["scenario"] == "commuting-n2" and got["bound"] == 3 and got["passed"] is True
+    # the run starts from an empty plan cache, so it builds plans
+    assert type(got["plan_builds"]) is int and got["plan_builds"] > 0
     n = get_scenario("commuting-n2").probe_counts()["splitting"]
     ops = got["operators"]
     assert set(ops) == {"D", "delta", "koszul", "D_nu", "delta_nu", "koszul_nu"}

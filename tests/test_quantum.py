@@ -3,18 +3,27 @@ from fractions import Fraction
 
 import pytest
 
-from redstar.brst import build_delta, check_classical_splitting, classical_charge, poisson_action
+from redstar.brst import (
+    build_delta,
+    check_classical_splitting,
+    classical_brst_diff,
+    classical_charge,
+    poisson_action,
+)
 from redstar.errors import DivisibilityError, ReliabilityError
-from redstar.koszul import MomentMapData, koszul_diff, koszul_operator
-from redstar.poisson import poisson_bracket, poisson_data
+from redstar.koszul import MomentMapData, koszul_operator
+from redstar.poisson import moyal_star_series, poisson_bracket, poisson_data
 from redstar.poly import Poly, VarContext
 from redstar.probes import random_bounded_super, random_poly, random_super
 from redstar.quantum import (
     build_quantum_operators,
     build_R,
     build_q,
+    build_quantum_koszul,
     build_u,
     check_quantum_splitting,
+    koszul_difference,
+    quantum_brst_diff,
     quantum_charge,
     r_pieces,
     star_action,
@@ -82,7 +91,7 @@ def test_R_on_generator():
 
 
 def test_a_fractional_weight_on_R_scales_its_image():
-    # R's pieces at weight 1/2 take the scratch route of `star_right_multiply`
+    # R's pieces at weight 1/2 write through `star_right_multiply` at that field weight
     ctx, lam, moment, star = so3()
     half = op_sum("R/2", +1, [p._replace(scalar=Fraction(1, 2)) for p in r_pieces(moment, star)])
     rng = random.Random(3)
@@ -112,16 +121,17 @@ def test_quantum_koszul_abelian_is_right_multiplication():
     ctx, lam, moment, star = abelian_two()
     ops = build_quantum_operators(moment, star, quantum_charge(moment, N))
     rng = random.Random(2)
-    from redstar.quantum import star_right_multiply
-    from redstar.superalg import contract_antighost
-
     for _ in range(8):
         x = random_bounded_super(ctx, 2, N, rng, 5, (2, 2), terms=2)
         expect = SuperElement.zero(ctx, 2, N)
         for a in (1, 2):
-            piece = contract_antighost(x, a)
-            if piece.terms:
-                expect = expect + star_right_multiply(piece, moment.components[a - 1], star)
+            jser = Series.from_poly(moment.components[a - 1], N)
+            for (ghosts, antighosts), c in x.terms.items():
+                if a in antighosts:  # i^a: the sign of moving e_a to the front
+                    pos = len(ghosts) + antighosts.index(a)
+                    key = (ghosts, tuple(b for b in antighosts if b != a))
+                    term = moyal_star_series(c, jser, lam).scale((-1) ** pos)
+                    expect = expect + SuperElement(ctx, 2, N, {key: term})
         assert ops.koszul_nu(x) == expect
 
 
@@ -132,7 +142,7 @@ def test_quantum_koszul_classical_limit():
     for _ in range(6):
         x = random_bounded_super(ctx, 3, N, rng, 5, (2, 2, 2), terms=2)
         assert (
-            ops.koszul_nu(x).classical_part() - koszul_diff(x.classical_part(), moment)
+            ops.koszul_nu(x).classical_part() - koszul_operator(moment)(x.classical_part())
         ).is_zero()
 
 
@@ -279,15 +289,22 @@ def _floor_cases():
         ("u", build_u(moment_u), moment_u),
         ("delta", build_delta(moment, poisson_action(lam)), moment),
         ("delta_nu", build_delta(moment, star_action(star), "delta_nu"), moment),
+        ("koszul_nu", build_quantum_koszul(moment, star), moment),
+        ("t", koszul_difference(moment, star), moment),
+        ("D", classical_brst_diff(classical_charge(moment, N), lam), moment),
+        ("D_nu", quantum_brst_diff(quantum_charge(moment, N), star), moment),
     ]
 
 
-@pytest.mark.parametrize("name", ["koszul", "R", "q", "u", "delta", "delta_nu"])
+OP_SUMS = ["koszul", "R", "q", "u", "delta", "delta_nu", "koszul_nu", "t", "D", "D_nu"]
+
+
+@pytest.mark.parametrize("name", OP_SUMS)
 def test_a_vanished_term_keeps_its_floor_through_each_operator(name):
     # 1 + b - b, where b (antighosts e_1 e_2) is reliable only to 2: every
     # piece that reads b finds nothing, and the image of 1 is zero, so the
     # image has no terms and must stay reliable only to 2 (1 after the
-    # division by nu in delta_nu)
+    # division by nu in delta_nu and D_nu)
     _, op, moment = next(case for case in _floor_cases() if case[0] == name)
     ctx, dim = moment.ctx, moment.lie.dim
     coeff = Series(ctx, N, [Poly.variable(ctx, ctx.names[0])] + [Poly.zero(ctx)] * N, 2)
@@ -295,13 +312,13 @@ def test_a_vanished_term_keeps_its_floor_through_each_operator(name):
     x = SuperElement.from_poly(Poly.const(ctx, 1), dim, N) + b - b
     assert x.floor == 2 and list(x.terms) == [((), ())]
     out = op(x)
-    floor = 1 if name == "delta_nu" else 2
+    floor = 1 if name in ("delta_nu", "D_nu") else 2
     assert not out.terms and out.floor == floor and out.reliable == floor
     with pytest.raises(ReliabilityError):
         out.is_zero(floor + 1)
 
 
-@pytest.mark.parametrize("name", ["koszul", "R", "q", "u", "delta", "delta_nu"])
+@pytest.mark.parametrize("name", OP_SUMS)
 def test_an_exactly_zero_input_stays_exactly_zero(name):
     _, op, moment = next(case for case in _floor_cases() if case[0] == name)
     out = op(SuperElement.zero(moment.ctx, moment.lie.dim, N))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from redstar import runner
 from redstar.brst import build_delta, poisson_action, quotient_representation
 from redstar.errors import InvarianceError
 from redstar.hpt import perturb_v2
@@ -33,8 +34,8 @@ from redstar.superalg import (
 )
 from test_koszul import with_nu_content
 
-NW = 6  # working order
 N = 4  # asserted order
+NW = N + runner.NU_HEADROOM  # working order, as the runner sets it
 
 
 def circle_c2():

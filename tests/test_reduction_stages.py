@@ -20,7 +20,7 @@ import pytest
 
 from redstar import reduction, runner
 from redstar.brst import brst_transfer
-from redstar.koszul import koszul_diff
+from redstar.koszul import koszul_operator
 from redstar.probes import random_bounded_super
 from redstar.reduction import ReductionPipeline, reduced_star, reduced_star_table
 from redstar.scenarios import REGISTRY_BUILDERS
@@ -86,7 +86,8 @@ def test_column_phi_and_h_equal_the_direct_transfer(state):
     rng = random.Random(19)
     draw = lambda: random_bounded_super(state.ctx, dim, 0, rng, state.bound, state.jdegs, 3)
     # an exact part keeps h, and so H, from vanishing
-    probes = [draw() + koszul_diff(draw(), state.moment) for _ in range(6)]
+    koszul = koszul_operator(state.moment)
+    probes = [draw() + koszul(draw()) for _ in range(6)]
     assert state.cc.i.name == "Phi" and state.cc.h.name == "H"
     for op in ("i", "h"):
         for x in gens + probes + [state.kc.p(y) for y in probes]:

@@ -2,17 +2,17 @@ import functools
 import random
 from fractions import Fraction
 from itertools import combinations
+from collections import Counter
 from math import factorial
 
 import pytest
 
 from redstar import poisson
 from redstar.errors import DivisibilityError, ReliabilityError
-from redstar.koszul import times
 from redstar.poisson import moyal_star, moyal_star_series, poisson_bracket, poisson_data
 from redstar.poly import Poly, poly_ring
 from redstar.probes import random_poly, random_super
-from redstar.quantum import star_action, star_right_multiply
+from redstar.quantum import star_action
 from redstar.runner import RunState, stage_load
 from redstar.scenarios import get_scenario
 from redstar.series import Series
@@ -25,13 +25,15 @@ from redstar.superalg import (
     StarProduct,
     SuperElement,
     _merge_terms,
-    contract_antighost,
-    contract_ghost,
+    _remove_antighost,
+    _remove_ghost,
     graded_poisson,
     _write_scaled,
     op_columns,
     op_sum,
+    right_star,
     super_mul,
+    times,
 )
 
 DIM = 3
@@ -46,6 +48,16 @@ def setup():
 
 def gen(ctx, g=(), a=(), c=1):
     return SuperElement.generator(ctx, DIM, N, g, a, c)
+
+
+def derivation(remove, a):
+    """i^a (remove = _remove_antighost) or i_a (_remove_ghost), as a one-piece op_sum."""
+    return op_sum(f"i{a}", 1 if remove is _remove_antighost else -1, [Piece(((remove, a),))])
+
+
+def acting(action, j):
+    """The coefficient action (j, .) of `action` as a one-piece op_sum handle."""
+    return op_sum("act", 0, [action.piece(j)])
 
 
 def test_odd_odd_anticommute():
@@ -73,10 +85,11 @@ def test_coefficientwise_product():
 def test_dual_pairing_derivations():
     ctx, q, p, lam = setup()
     e_12 = gen(ctx, a=(1, 2))
-    assert contract_antighost(e_12, 1) == gen(ctx, a=(2,))
-    assert contract_antighost(gen(ctx, a=(2,)), 1).is_zero()
+    i_up = derivation(_remove_antighost, 1)
+    assert i_up(e_12) == gen(ctx, a=(2,))
+    assert i_up(gen(ctx, a=(2,))).is_zero()
     # i_2(e^1 e^2) = -e^1 (the derivation passes e^1 first)
-    assert contract_ghost(gen(ctx, g=(1, 2)), 2) == gen(ctx, g=(1,), c=-1)
+    assert derivation(_remove_ghost, 2)(gen(ctx, g=(1, 2))) == gen(ctx, g=(1,), c=-1)
 
 
 def test_derivation_leibniz_random():
@@ -86,11 +99,12 @@ def test_derivation_leibniz_random():
         x = random_super(ctx, DIM, N, rng, 2, 2)
         y = random_super(ctx, DIM, N, rng, 2, 2)
         for a in (1, 2):
-            lhs = contract_antighost(super_mul(x, y), a)
+            i_up = derivation(_remove_antighost, a)
+            lhs = i_up(super_mul(x, y))
             rhs = SuperElement.zero(ctx, DIM, N)
             for par, xpart in zip((0, 1), x.parity_components()):
-                term = super_mul(contract_antighost(xpart, a), y)
-                term = term + super_mul(xpart, contract_antighost(y, a)).scale((-1) ** par)
+                term = super_mul(i_up(xpart), y)
+                term = term + super_mul(xpart, i_up(y)).scale((-1) ** par)
                 rhs = rhs + term
             assert (lhs - rhs).is_zero()
 
@@ -273,11 +287,11 @@ def test_vanished_terms_keep_their_reliable_order():
         "div_nu": (z.div_nu(), zero.div_nu()),
         "truncate": (z.truncate(0), zero.truncate(0)),
         "star_right_multiply": (
-            star_right_multiply(z, q, star),
+            op_sum("*q", 0, [Piece(coeff=right_star(q, lam))])(z),
             moyal_star_series(zero, jser, lam),
         ),
         "star_action": (
-            star_action(star)(q, z),
+            acting(star_action(star), q)(z),
             (moyal_star_series(jser, zero, lam) - moyal_star_series(zero, jser, lam)).div_nu(),
         ),
     }
@@ -301,7 +315,7 @@ def test_op_sum_skips_only_exactly_zero_pieces():
         _write_scaled(c, n, slots)
 
     record = CoefficientMap("recorded id", write)
-    op = op_sum("2 (i_1 + i_2)", -1, [Piece(((contract_ghost, a),), scalar=2, coeff=record) for a in (1, 2)])
+    op = op_sum("2 (i_1 + i_2)", -1, [Piece(((_remove_ghost, a),), scalar=2, coeff=record) for a in (1, 2)])
     out = op(SuperElement.generator(ctx, DIM, 2, ghosts=(1,)))
     assert out == SuperElement.generator(ctx, DIM, 2, coeff=2) and out.floor is None
     assert len(calls) == 1
@@ -312,8 +326,8 @@ def test_op_sum_skips_only_exactly_zero_pieces():
     x = SuperElement(ctx, DIM, 2, {e1: s1})
     nothing = CoefficientMap("0", lambda c, n, slots: None)
     vanished = {
-        "map": op_sum("0 i_1", -1, [Piece(((contract_ghost, 1),), coeff=nothing)]),
-        "cancel": op_sum("i_1 - i_1", -1, [Piece(((contract_ghost, 1),), scalar=w) for w in (1, -1)]),
+        "map": op_sum("0 i_1", -1, [Piece(((_remove_ghost, 1),), coeff=nothing)]),
+        "cancel": op_sum("i_1 - i_1", -1, [Piece(((_remove_ghost, 1),), scalar=w) for w in (1, -1)]),
     }
     for case, f in vanished.items():
         out = f(x)
@@ -367,8 +381,8 @@ def test_a_nu_division_raises_on_a_nonzero_slot_zero_leaf():
     star = StarProduct(lam)
     broken = CoefficientAction(lambda j: CoefficientMap("J.", times(j).write, exact=True), shift=-1)
     with pytest.raises(DivisibilityError):
-        broken(p, SuperElement.from_poly(q, DIM, 3))
-    assert star_action(star)(p, SuperElement.from_poly(q, DIM, 3)).is_zero(2) is False
+        acting(broken, p)(SuperElement.from_poly(q, DIM, 3))
+    assert acting(star_action(star), p)(SuperElement.from_poly(q, DIM, 3)).is_zero(2) is False
 
 
 # -- reference implementations ---------------------------------------------------
@@ -473,18 +487,49 @@ def ref_star(star, x, y):
 
 
 def ref_commutator(star, x, y):
-    """x * y - (-1)^{|x||y|} y * x, summed over the parity pieces of x and y."""
+    """x * y - (-1)^{|x||y|} y * x, term pair by term pair.
 
-    def pieces(z):
-        for p in (0, 1):
-            terms = {k: c for k, c in z.terms.items() if _ref_parity(k) == p}
-            yield p, SuperElement(z.ctx, z.dim, z.order, terms)
+    Each Clifford level of x * y and of y * x is a contribution; a pair's
+    two level-0 parts land on one key and count as one contribution,
+    their sum.  A contribution that vanishes (truncated away, or a level-0
+    sum that cancels) lowers the floor to its reliable order; one whose
+    weight is exactly zero (no ghost pairing) lowers nothing.
+    """
+    lam, coeff = star.lam, star.clifford_coeff
+    out, floor = {}, _ref_floor(x, y)
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            reliable = min(c1.reliable, c2.reliable)
+            sign = (-1) ** (_ref_parity(k1) * _ref_parity(k2))
+            contribs = {}  # level 0 summed under its key; the higher levels apart
+            for d, (a, b, base, w) in enumerate(
+                (
+                    (k1, k2, moyal_star_series(c1, c2, lam), 1),
+                    (k2, k1, moyal_star_series(c2, c1, lam), -sign),
+                )
+            ):
+                for n, (k, s, key) in enumerate(_ref_clifford_ghost_terms(a, b, x.dim, x.order)):
+                    weight = w * s * coeff**k
+                    if not weight:
+                        continue
+                    contrib = base.scale(weight).shift_nu(k)
+                    slot = (0, key) if k == 0 else (d + 1, n)
+                    if slot in contribs:
+                        contribs[slot] = (key, contribs[slot][1] + contrib)
+                    else:
+                        contribs[slot] = (key, contrib)
+            for key, contrib in contribs.values():
+                if all(p.is_zero() for p in contrib.coeffs):
+                    floor = reliable if floor is None else min(floor, reliable)
+                    continue
+                cur = out.get(key)
+                out[key] = contrib if cur is None else cur + contrib
+    return SuperElement(x.ctx, x.dim, x.order, out, floor=floor)
 
-    out = SuperElement.zero(x.ctx, x.dim, x.order)
-    for px, xp in pieces(x):
-        for py, yp in pieces(y):
-            out = out + ref_star(star, xp, yp) - ref_star(star, yp, xp).scale((-1) ** (px * py))
-    return out
+
+def _ref_floor(x, y):
+    floors = [f for f in (x.floor, y.floor) if f is not None]
+    return min(floors) if floors else None
 
 
 def ref_graded_poisson(x, y, lam):
@@ -532,19 +577,6 @@ def ref_graded_poisson(x, y, lam):
                     continue
                 accumulate(key2, prod.scale(2 * ((-1) ** (p1 * p2 + p2)) * s1 * s2 * msign))
     return SuperElement(x.ctx, x.dim, x.order, terms_out)
-
-
-def _ref_contract(x, remove, a):
-    out = {}
-    for key, coeff in x.terms.items():
-        hit = remove(key, a)
-        if hit is None:
-            continue
-        sign, new_key = hit
-        s = coeff.scale(sign)
-        cur = out.get(new_key)
-        out[new_key] = s if cur is None else cur + s
-    return SuperElement(x.ctx, x.dim, x.order, out)
 
 
 def _ref_termwise(x, fn, order=None):
@@ -618,50 +650,60 @@ def test_merge_terms_matches_encoded_merge():
             assert _merge_terms(k1, k2) == _ref_merge_terms(k1, k2, dim), (k1, k2)
 
 
-def _commutator_passes(x, y):
-    """The kernel passes of `StarProduct.commutator`, one per live slot pair.
+def _entries(k1, k2, dim, order):
+    """{k: plan entries} of a term pair: the Clifford level-k contraction sets of (k1, k2).
 
-    A term pair whose lowest nonzero slots i0, j0 leave no Clifford level k
-    with i0 + j0 + k <= order in either order of the keys makes none.  One
-    whose only level is 0 runs the odd leaves alone, and the slot pairs with
-    i + j = order carry no odd leaf; every other pair runs all nonzero slot
-    pairs i, j with i + j <= order.
+    The reference lists each set once per order of its k indices.
     """
-    live = lambda c: [i for i, p in enumerate(c.coeffs) if not p.is_zero()]
-    order, passes = x.order, 0
-    for k1, c1 in x.terms.items():
-        for k2, c2 in y.terms.items():
-            i, j = live(c1), live(c2)
-            if not i or not j or i[0] + j[0] > order:
-                continue
-            hi = order - i[0] - j[0]
-            levels = {
-                k
-                for a, b in ((k1, k2), (k2, k1))
-                for k, _, _ in _ref_clifford_ghost_terms(a, b, x.dim, hi)
-            }
-            top = order - 1 if levels == {0} else order
-            if levels:
-                passes += sum(1 for a in i for b in j if a + b <= top)
-    return passes
+    levels = Counter(k for k, _, _ in _ref_clifford_ghost_terms(k1, k2, dim, order))
+    return {k: n // factorial(k) for k, n in levels.items()}
+
+
+def _live(c):
+    return [i for i, p in enumerate(c.coeffs) if not p.is_zero()]
 
 
 def _star_passes(x, y):
-    """The kernel passes of `StarProduct.star`, one per live slot pair.
+    """The kernel passes of `StarProduct.star`, one per plan entry and live slot pair.
 
-    A term pair makes one pass per pair of nonzero slots i, j with
-    i + j <= order, when its keys have a Clifford level k with
-    i0 + j0 + k <= order for its lowest nonzero slots i0, j0; else none.
+    The plan of x holds one piece per term, nonzero nu slot i and
+    contraction set of k antighosts; on a term of y with the matching
+    ghosts it runs one pass per nonzero slot j of y's coefficient with
+    i + j + k <= order.
     """
-    live = lambda c: [i for i, p in enumerate(c.coeffs) if not p.is_zero()]
     order, passes = x.order, 0
     for k1, c1 in x.terms.items():
         for k2, c2 in y.terms.items():
-            i, j = live(c1), live(c2)
-            hi = order - i[0] - j[0]
-            if hi >= 0 and _ref_clifford_ghost_terms(k1, k2, x.dim, hi):
-                passes += sum(1 for a in i for b in j if a + b <= order)
+            for k, n in _entries(k1, k2, x.dim, order).items():
+                passes += n * sum(1 for a in _live(c1) for b in _live(c2) if a + b + k <= order)
     return passes
+
+
+def _commutator_passes(x, y):
+    """The kernel passes of `StarProduct.commutator`, one per plan entry and live slot pair.
+
+    The entries of x y and y x at each level k >= 1 run as in
+    `_star_passes`.  The one level-0 entry of a term pair writes the odd
+    leaves alone, so its slot pairs with i + j = order carry none and make
+    no pass.
+    """
+    order, passes = x.order, 0
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            pairs = [(a, b) for a in _live(c1) for b in _live(c2)]
+            for keys in ((k1, k2), (k2, k1)):
+                for k, n in _entries(*keys, x.dim, order).items():
+                    if k:
+                        passes += n * sum(1 for a, b in pairs if a + b + k <= order)
+            if 0 in _entries(k1, k2, x.dim, order):
+                passes += sum(1 for a, b in pairs if a + b < order)
+    return passes
+
+
+def assert_same_element(got, want):
+    """`assert_same`, and the same reliable order of the whole element."""
+    assert_same(got, want)
+    assert got.reliable == want.reliable
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -680,11 +722,11 @@ def test_products_match_reference(name, monkeypatch):
         commutator = star.commutator(x, y)
         # one pass per coefficient pair gives both c1 * c2 and c2 * c1
         assert len(calls) == _commutator_passes(x, y)
-        assert_same(commutator, ref_commutator(star, x, y))
+        assert_same_element(commutator, ref_commutator(star, x, y))
         # with no ghost pairing only the level-0 terms count toward a key
         unpaired = StarProduct(lam, Fraction(0))
         assert_same(unpaired.star(x, y), ref_star(unpaired, x, y))
-        assert_same(unpaired.commutator(x, y), ref_commutator(unpaired, x, y))
+        assert_same_element(unpaired.commutator(x, y), ref_commutator(unpaired, x, y))
 
 
 def _mixed_parity_element(ctx, dim, order, rng):
@@ -716,8 +758,8 @@ def test_commutator_matches_reference_across_parity_blocks(name):
         for _ in range(4):
             x = _mixed_parity_element(ctx, dim, order, rng)
             y = _mixed_parity_element(ctx, dim, order, rng)
-            assert_same(star.commutator(x, y), ref_commutator(star, x, y))
-            assert_same(unpaired.commutator(x, y), ref_commutator(unpaired, x, y))
+            assert_same_element(star.commutator(x, y), ref_commutator(star, x, y))
+            assert_same_element(unpaired.commutator(x, y), ref_commutator(unpaired, x, y))
             (xe, xo), (ye, yo) = x.parity_components(), y.parity_components()
             for a, b in (((xe, ye), (xo, yo)), ((xe, yo), (xo, ye))):
                 keys = [set(ref_commutator(star, *pair).terms) for pair in (a, b)]
@@ -729,9 +771,6 @@ def test_commutator_matches_reference_across_parity_blocks(name):
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_derivations_and_termwise_maps_match_reference(name):
     for ctx, lam, x, y in _random_pairs(name, 6):
-        for a in range(1, x.dim + 1):
-            assert_same(contract_ghost(x, a), _ref_contract(x, _ref_remove_ghost, a))
-            assert_same(contract_antighost(x, a), _ref_contract(x, _ref_remove_antighost, a))
         assert_same(-x, _ref_termwise(x, lambda c: -c))
         for c in (0, -1, Fraction(3, 2)):
             assert_same(x.scale(c), _ref_termwise(x, lambda s: s.scale(c)))
@@ -750,12 +789,12 @@ def test_quantum_termwise_maps_match_reference(name):
         j = random_poly(ctx, random.Random(x.order), 2, terms=3)
         jser = Series.from_poly(j, x.order)
         assert_same(
-            star_right_multiply(x, j, star),
+            op_sum("*J", 0, [Piece(coeff=right_star(j, lam))])(x),
             _ref_termwise(x, lambda c: moyal_star_series(c, jser, lam)),
         )
         comm = lambda c: (moyal_star_series(jser, c, lam) - moyal_star_series(c, jser, lam))
         nu_x = x.shift_nu(1)
         assert_same(
-            star_action(star)(j, nu_x),
+            acting(star_action(star), j)(nu_x),
             _ref_termwise(nu_x, lambda c: comm(c).div_nu()),
         )

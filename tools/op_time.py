@@ -11,7 +11,10 @@ classically, D_nu, delta_nu and koszul_nu after deformation.  It prints one
 JSON line: whether `quantum-brst` passed and, per operator, the seconds
 spent in it, its calls and the monomials of its inputs
 (`SuperElement.nonzero_term_count`), in total and split by input: the probe
-x and the images Dx, deltax and koszulx of the same side.  The package is
+x and the images Dx, deltax and koszulx of the same side.  `plan_builds` is
+the number of `super_mul` calls that `superalg._ghost_step` makes on its
+cache misses in the run, started from an empty cache: the one-off cost of
+building the plans, which every fresh interpreter pays.  The package is
 imported from the `src` directory next to this script, so a copy of the
 script in another checkout times that checkout.  Nothing here changes a
 report.
@@ -28,7 +31,7 @@ from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from redstar import brst, quantum  # noqa: E402
+from redstar import brst, quantum, superalg  # noqa: E402
 from redstar.runner import run_scenario  # noqa: E402
 from redstar.scenarios import get_scenario  # noqa: E402
 from redstar.superalg import OperatorHandle  # noqa: E402
@@ -72,13 +75,24 @@ def op_time(name, bound=None):
             timed(D, "Dx"), timed(delta, "deltax"), timed(koszul, "koszulx"), probes, s
         )
 
+    plan_builds = 0
+    super_mul = superalg.super_mul
+
+    def counted_mul(x, y):  # `_ghost_step` multiplies over its variable-free context
+        nonlocal plan_builds
+        plan_builds += x.ctx is superalg._SIGNS
+        return super_mul(x, y)
+
+    superalg._ghost_step.cache_clear()
     brst.splitting_residuals = quantum.splitting_residuals = timed_splitting
+    superalg.super_mul = counted_mul
     try:
         config = get_scenario(name)
         config = replace(config, stages=tuple(s for s in config.stages if s in STAGES))
         report = run_scenario(config, degree_bound=bound, only_stage="quantum-brst")
     finally:
         brst.splitting_residuals = quantum.splitting_residuals = original
+        superalg.super_mul = super_mul
     for stats in ops.values():
         stats["seconds"] = round(stats["seconds"], 4)
         stats["inputs"] = {
@@ -89,6 +103,7 @@ def op_time(name, bound=None):
         "scenario": name,
         "bound": bound,
         "passed": all(r.status == "pass" for r in report.records),
+        "plan_builds": plan_builds,
         "operators": ops,
     }
 
