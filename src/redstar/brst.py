@@ -20,7 +20,6 @@ from .koszul import Contraction, koszul_operator
 from .poisson import poisson_bracket
 from .series import Series
 from .superalg import (
-    CoefficientAction,
     OperatorHandle,
     Piece,
     SuperElement,
@@ -54,8 +53,8 @@ def classical_brst_diff(theta, lam):
 
 
 def poisson_action(lam):
-    """The classical coefficient action (j, x) -> {j, .} on every coefficient of x."""
-    return CoefficientAction(lambda j: bracket_with(j, lam))
+    """The classical action's piece builder: (J, ghosts) -> e^ghosts {J, .} on each coefficient."""
+    return lambda j, ghosts=(): Piece(monomial=(ghosts, ()), coeff=bracket_with(j, lam))
 
 
 def build_delta(moment, action, name="delta"):
@@ -73,7 +72,7 @@ def build_delta(moment, action, name="delta"):
         pieces.append(Piece(((_remove_ghost, c + 1),), ((a + 1, b + 1), ()), Fraction(-1, 2) * v))
         pieces.append(Piece(((_remove_antighost, b + 1),), ((a + 1,), (c + 1,)), v))
     for a, j in enumerate(moment.components):
-        pieces.append(action.piece(j, (a + 1,)))
+        pieces.append(action(j, (a + 1,)))
     return op_sum(name, +1, pieces, frozenset({"ghost"}))
 
 
@@ -108,7 +107,7 @@ def quotient_representation(moment, action, res, prol):
     """
 
     def make(a):
-        act = op_sum(f"J_{a + 1}.", 0, [action.piece(moment.components[a])])
+        act = op_sum(f"J_{a + 1}.", 0, [action(moment.components[a])])
         return OperatorHandle(f"Lz_{a + 1}", lambda x: res(act(prol(x))), 0)
 
     return RepresentationHandle(moment.lie, tuple(make(a) for a in range(moment.lie.dim)))

@@ -103,9 +103,10 @@ class KoszulSpace:
 
     A slice is K_i at one grade vector.  Each slice's basis and index, its
     differential to K_{i-1} (sparse columns) and its solver are built once;
-    `apply_diff`, `reduce` and the homotopy act on slice coordinate vectors.
-    The quotient model H_0 = K_0 / (J) is read off the K_1 -> K_0 solvers:
-    one elimination per grade gives the standard monomials, the normal form
+    `apply_diff` and the homotopy act on slice coordinate vectors.  The
+    quotient model H_0 = K_0 / (J) is read off the K_1 -> K_0 solvers: one
+    elimination per grade gives the standard monomials, the normal form
+    (`normal_form_poly`, the one reader of the model, which `res` calls too)
     and the degree-0 homotopy.
     """
 
@@ -227,19 +228,14 @@ class KoszulSpace:
 
     # -- quotient model -----------------------------------------------------
 
-    def reduce(self, grade, v):
-        """Normal form of K_0 coordinates: the residual of v on the K_1 -> K_0 solver.
-
-        It is zero on the solver's pivot rows, and v minus it lies in the
-        ideal slice.  Where K_1 has no basis the ideal slice is zero and v
-        is its own normal form.
-        """
-        if not self.slice_basis(1, grade):
-            return v
-        return self.solver(1, grade).solve(v)[1]
-
     def normal_form_poly(self, p):
-        """Reduce a polynomial to the canonical complement modulo the ideal."""
+        """Reduce a polynomial to the canonical complement modulo the ideal.
+
+        Per grade, the normal form of the K_0 coordinates is their residual
+        on the K_1 -> K_0 solver: zero on its pivot rows, and differing from
+        them by an element of the ideal slice.  Where K_1 has no basis the
+        ideal slice is zero and the coordinates are their own normal form.
+        """
         if p.is_zero():
             return p
         chains = {}
@@ -247,7 +243,9 @@ class KoszulSpace:
             chains.setdefault(self.ctx.grade_of_mono(m), {})[((), m)] = c
         out = {}
         for grade, chain in chains.items():
-            v = self.reduce(grade, self.vectorize(chain, 0, grade))
+            v = self.vectorize(chain, 0, grade)
+            if self.slice_basis(1, grade):
+                v = self.solver(1, grade).solve(v)[1]
             out.update((m, c) for c, (_, m) in zip(v, self.slice_basis(0, grade)) if c)
         return Poly(self.ctx, out, _clean=True)
 
@@ -255,7 +253,7 @@ class KoszulSpace:
         """The standard monomials (quotient model basis) at one grade.
 
         The K_0 basis minus the pivot rows of the K_1 -> K_0 solver: the
-        monomials on which `reduce` leaves its residual.
+        monomials that `normal_form_poly` writes its residual on.
         """
         pivots = {r for r, _ in self.solver(1, grade).pivots} if self.slice_basis(1, grade) else ()
         return tuple(m for k, (_, m) in enumerate(self.slice_basis(0, grade)) if k not in pivots)
@@ -300,36 +298,34 @@ class KoszulContraction:
             )
         return x
 
-    def _basis_map(self, x, fn, shift, odd):
-        """Apply a map on slice coordinates to one basis element c m e_A g.
+    def res_fn(self, x):
+        """res of one basis element c m e_A g: the normal form of c m, or zero under an antighost."""
+        ((ghosts, aset), series), = x.terms.items()
+        if aset:
+            return SuperElement.zero(x.ctx, x.dim, x.order)
+        nf = self.space.normal_form_poly(series.coeffs[0])
+        terms = {(ghosts, ()): Series.from_poly(nf, x.order)} if nf.terms else {}
+        return SuperElement(x.ctx, x.dim, x.order, terms, _clean=True)
 
-        x is the single term c m under the key (g, A) at nu^0, the input
-        `op_columns` builds for one column; fn(i, grade, v) maps the
-        coordinates v on K_i to coordinates on K_{i+shift} at the same grade.
-        An odd map takes the Koszul sign (-1)^|g|.
+    def h_fn(self, x):
+        """h of one basis element c m e_A g, the input `op_columns` builds for one column.
+
+        x is the single term c m under the key (g, A) at nu^0; its
+        coordinates on K_i map to coordinates on K_{i+1} at the same grade,
+        and the odd homotopy takes the Koszul sign (-1)^|g|.
         """
         space = self.space
         ((ghosts, aset), series), = x.terms.items()
         (m, c), = series.coeffs[0].terms.items()
         i, grade = len(aset), _add_grades(x.ctx.grade_of_mono(m), space.antighost_offset(aset))
-        w = fn(i, grade, space.vectorize({(aset, m): c}, i, grade))
-        negate = odd and len(ghosts) % 2
+        w = self._h_vec(i, grade, space.vectorize({(aset, m): c}, i, grade))
+        negate = len(ghosts) % 2
         out = {}
-        for v, (a, mono) in zip(w, space.slice_basis(i + shift, grade)):
+        for v, (a, mono) in zip(w, space.slice_basis(i + 1, grade)):
             if v:
                 out.setdefault((ghosts, a), {})[mono] = -v if negate else v
         terms = {key: Series.from_slots(x.ctx, x.order, [t]) for key, t in out.items()}
         return SuperElement(x.ctx, x.dim, x.order, terms, _clean=True)
-
-    def res_fn(self, x):
-        """res of one basis element: the normal form, or zero under an antighost."""
-        if any(aset for _, aset in x.terms):
-            return SuperElement.zero(x.ctx, x.dim, x.order)
-        return self._basis_map(x, lambda i, grade, v: self.space.reduce(grade, v), 0, False)
-
-    def h_fn(self, x):
-        """h of one basis element."""
-        return self._basis_map(x, self._h_vec, 1, True)
 
 
 @dataclass

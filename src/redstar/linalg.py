@@ -11,7 +11,7 @@ rows.  The pivot of each column is the first row without a pivot that holds
 it, so the pivot rows are the lex-first basis of the row space, and r is b
 reduced to the complement of the column span on the remaining rows.  That
 rule fixes the quotient complement: the normal form modulo the ideal is the
-residual of the K_1 -> K_0 slice solver (`koszul.KoszulSpace.reduce`).
+residual of the K_1 -> K_0 slice solver (`koszul.KoszulSpace.normal_form_poly`).
 """
 
 from __future__ import annotations

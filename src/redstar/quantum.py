@@ -16,7 +16,6 @@ from fractions import Fraction
 from .koszul import koszul_pieces
 from .series import Series
 from .superalg import (  # noqa: F401 (star_right_multiply: R's writer, traced under this module)
-    CoefficientAction,
     OperatorHandle,
     Piece,
     SuperElement,
@@ -65,18 +64,6 @@ def u_pieces(moment):
     return [Piece(_antighost_paths(a), scalar=t) for a, t in enumerate(moment.lie.traces) if t]
 
 
-def build_R(moment, star):
-    return op_sum("R", +1, r_pieces(moment, star))
-
-
-def build_q(moment):
-    return op_sum("q", +1, q_pieces(moment))
-
-
-def build_u(moment):
-    return op_sum("u", +1, u_pieces(moment))
-
-
 def quantum_koszul_pieces(moment, star):
     """The pieces of R + nu (u/2 - q): those of R, u and q, the last two shifted by nu."""
     nu = lambda pieces, w: [p._replace(scalar=p.scalar * w, shift=1) for p in pieces]
@@ -102,12 +89,14 @@ def koszul_difference(moment, star):
 
 
 def star_action(star):
-    """The quantum coefficient action (j, x) -> (1/nu)[j, .]* on every coefficient of x.
+    """The quantum action's piece builder: (J, ghosts) -> e^ghosts (1/nu)[J, .]* on each coefficient.
 
     The division by nu is exact under quantum covariance and drops one
     reliable order.
     """
-    return CoefficientAction(lambda j: commutator_with(j, star.lam), shift=-1)
+    return lambda j, ghosts=(): Piece(
+        monomial=(ghosts, ()), coeff=commutator_with(j, star.lam), shift=-1
+    )
 
 
 def quantum_brst_diff(theta_nu, star):

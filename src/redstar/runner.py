@@ -878,7 +878,9 @@ def stage_reduced_star(state):
 
     def associativity():  # the table and each residual live only while the check runs
         # the table evaluates one reduced_star per distinct monomial pair, the
-        # direct route two per triple: take whichever evaluates fewer
+        # direct route two per triple: take whichever evaluates fewer.  Both
+        # routes run on the benchmark (the table on s1-c4, t2-c4 and
+        # angular-momentum-m2, the direct route on commuting-n2), so both stay
         entries = table_size((side for t in triples for side in sides(*t)), pipe.order)
         if entries <= 2 * len(triples):
             product = reduced_star_table(pipe)

@@ -391,14 +391,8 @@ def _make(a, b, d):
 
 
 def _ratio(x):
-    """(numerator, denominator) of x in lowest terms, as a Fraction would hold it."""
-    if type(x) is int:
-        return x, 1
-    if type(x) is Rational:
-        return x._n, x._d
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    return x.numerator, x.denominator
+    """(numerator, denominator) of x in lowest terms; text and other input go through Fraction."""
+    return _pair(x) or _pair(Fraction(x))
 
 
 def _parts(x):

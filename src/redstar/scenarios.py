@@ -207,11 +207,9 @@ def s1_c4():
         gradings=gradings,
         torus_rows=(0,),
         poisson_entries=tuple((f"z{k}", f"zb{k}", "2*i") for k in range(1, 5)),
-        lie_dim=1,
         moment_map=("1/2*(z3*zb3 + z4*zb4 - z1*zb1 - z2*zb2)",),
         action=_torus_action_entries(variables, gradings, (0,), 1),
         degree_bound=6,
-        invariant_mode="weights",
         star_triples="all",
         justification=(
             "indefinite diagonal quadratic moment map on C^4: the components "
@@ -247,7 +245,6 @@ def t2_c4(alpha=-1, beta=1):
         ),
         action=_torus_action_entries(variables, gradings, (0, 1), 2),
         degree_bound=6,
-        invariant_mode="weights",
         params=(("alpha", str(alpha)), ("beta", str(beta))),
         justification=(
             "diagonal torus moment map with alpha < 0: both components are "
@@ -291,14 +288,11 @@ def angular_momentum(m=2):
         name=f"angular-momentum-m{m}",
         description=f"{m} particles in the plane with zero total angular momentum",
         variables=variables,
-        field_name="rational",
         grading_names=("qdeg", "pdeg"),
         gradings=(qrow, prow),
-        torus_rows=(),
         poisson_entries=tuple(
             (f"q{ax}{i}", f"p{ax}{i}", "1") for i in range(1, m + 1) for ax in ("x", "y")
         ),
-        lie_dim=1,
         moment_map=(jterms,),
         action=tuple(action),
         degree_bound=6,
@@ -409,10 +403,8 @@ def commuting_variety(n=2):
         name=f"commuting-n{n}",
         description=f"commuting variety: conjugation on symmetric {n}x{n} matrix pairs",
         variables=variables,
-        field_name="rational",
         grading_names=("qdeg", "pdeg"),
         gradings=gradings,
-        torus_rows=(),
         poisson_entries=poisson,
         lie_dim=1 if n == 2 else 3,
         structure_constants=tuple(f_entries),
@@ -437,17 +429,12 @@ def negative_control_qq():
         name="negative-control-qq",
         description="repeated linear constraint; homology in degree one",
         variables=("q", "p"),
-        field_name="rational",
-        grading_names=(),
-        gradings=(),
-        torus_rows=(),
         poisson_entries=(("q", "p", "1"),),
         lie_dim=2,
         moment_map=("q", "q"),
         action=((1, "q", "0"), (1, "p", "1"), (2, "q", "0"), (2, "p", "1")),
         degree_bound=6,
         invariant_mode="declared",
-        declared_invariants=(),
         stages=(
             "load",
             "covariance",
@@ -480,17 +467,11 @@ def cubic_moment_map():
         name="cubic-moment-map",
         description="negative control: cubic perturbation of a quadratic constraint",
         variables=("q", "p"),
-        field_name="rational",
-        grading_names=(),
-        gradings=(),
-        torus_rows=(),
         poisson_entries=(("q", "p", "1"),),
-        lie_dim=1,
         moment_map=("q^2 + q^3",),
         action=((1, "q", "0"), (1, "p", "2*q + 3*q^2")),
         degree_bound=6,
         invariant_mode="declared",
-        declared_invariants=(),
         stages=("load", "covariance", "strong-invariance", "acyclicity"),
         justification="negative control: cubic term breaks strong invariance at nu^3",
     )
@@ -536,11 +517,29 @@ def _rational(text, what):
         raise ConfigError(f"{what} must be a rational number, got {text!r}") from None
 
 
+def _text(text, what):
+    return text
+
+
+# Each [scenario] key: the ScenarioConfig field it sets and the reader of its
+# text.  A key the file omits leaves its field at the ScenarioConfig default.
+SCENARIO_KEYS = {
+    "name": ("name", _text),
+    "description": ("description", _text),
+    "field": ("field_name", _text),
+    "order": ("order", _int),
+    "degree_bound": ("degree_bound", _int),
+    "seed": ("seed", _int),
+    "stages": ("stages", lambda text, what: tuple(text.split())),
+    "clifford_coeff": ("clifford_coeff", _text),
+    "star_triples": ("star_triples", _text),
+    "justification": ("justification", _text),
+}
+
 # The sections of a config file, each with the pattern its keys must match.
 # The keys of the sections that match any key are validated as they are read.
 SECTION_KEYS = {
-    "scenario": "name|description|field|order|degree_bound|seed|stages|clifford_coeff"
-    "|star_triples|justification",
+    "scenario": "|".join(SCENARIO_KEYS),
     "variables": r"names|torus_rows|grading\..*",
     "poisson": ".*",
     "lie": r"dim|f\..*",
@@ -576,6 +575,7 @@ def load_config(path):
             if not re.fullmatch(SECTION_KEYS[name], key):
                 raise ConfigError(f"unknown key {key!r} in section [{name}]")
     sc = _section(cp, "scenario")
+    fields = {"name": "unnamed"}  # the fields the file sets; every other keeps its default
     var_section = _section(cp, "variables")
     if "names" not in var_section:
         raise ConfigError("missing key 'names' in section [variables]")
@@ -604,7 +604,8 @@ def load_config(path):
         poisson.append((parts[0], parts[1], value))
 
     lie = _section(cp, "lie")
-    lie_dim = _int(lie.get("dim", "1"), "lie dim")
+    if "dim" in lie:
+        fields["lie_dim"] = _int(lie["dim"], "lie dim")
     f_entries = []
     for key, value in lie.items():
         if key.startswith("f."):
@@ -632,12 +633,13 @@ def load_config(path):
             action.append((int(parts[0][1:]), parts[1], value))
 
     invariants = {}  # invariant number -> expression
-    mode = "weights"
-    cap = 4
     if cp.has_section("invariants"):
-        mode = cp["invariants"].get("mode", "weights")
-        cap = _int(cp["invariants"].get("degree_cap", "4"), "invariants degree_cap")
-        for key, value in cp["invariants"].items():
+        inv = cp["invariants"]
+        if "mode" in inv:
+            fields["invariant_mode"] = inv["mode"]
+        if "degree_cap" in inv:
+            fields["generator_cap"] = _int(inv["degree_cap"], "invariants degree_cap")
+        for key, value in inv.items():
             if re.fullmatch(r"g[1-9][0-9]*", key):
                 invariants[int(key[1:])] = value
             elif key not in ("mode", "degree_cap"):
@@ -645,34 +647,24 @@ def load_config(path):
                     f"invariants key must be mode, degree_cap or g1, g2, ...: {key!r}"
                 )
 
-    stages = tuple(sc.get("stages", " ".join(FULL_STAGES)).split())
     probe_overrides = []
     if cp.has_section("checks"):
         for key, value in cp["checks"].items():
             probe_overrides.append((key, value))
 
+    for key, (field, read) in SCENARIO_KEYS.items():
+        if key in sc:
+            fields[field] = read(sc[key], key)
     return ScenarioConfig(
-        name=sc.get("name", "unnamed"),
-        description=sc.get("description", ""),
         variables=variables,
-        field_name=sc.get("field", "rational"),
         grading_names=tuple(grading_names),
         gradings=tuple(gradings),
         torus_rows=torus_rows,
         poisson_entries=tuple(poisson),
-        lie_dim=lie_dim,
         structure_constants=tuple(f_entries),
         moment_map=tuple(moment[k] for k in sorted(moment)),
         action=tuple(action),
-        order=_int(sc.get("order", "4"), "order"),
-        degree_bound=_int(sc.get("degree_bound", "8"), "degree_bound"),
-        seed=_int(sc.get("seed", "7"), "seed"),
-        invariant_mode=mode,
         declared_invariants=tuple(invariants[k] for k in sorted(invariants)),
-        generator_cap=cap,
-        stages=stages,
-        clifford_coeff=sc.get("clifford_coeff", "-2"),
-        star_triples=sc.get("star_triples", "sample"),
         probe_overrides=tuple(probe_overrides),
-        justification=sc.get("justification", ""),
+        **fields,
     )

@@ -9,8 +9,6 @@ raise instead of guessing.
 
 from __future__ import annotations
 
-import operator
-
 from .errors import (
     ContextError,
     DivisibilityError,
@@ -96,9 +94,6 @@ class Series:
             raise TruncationError("cannot extend a truncated series")
         return Series(self.ctx, order, self.coeffs[: order + 1], self.reliable)
 
-    def is_nu_free(self):
-        return all(c.is_zero() for c in self.coeffs[1:])
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
@@ -114,6 +109,7 @@ class Series:
             min(self.reliable, other.reliable),
         )
 
+    # slot-wise Poly.__sub__, not self + (-other), for the reason given there
     def __sub__(self, other):
         if isinstance(other, Poly):
             other = Series.from_poly(other, self.order)
@@ -131,6 +127,7 @@ class Series:
         return Series(self.ctx, self.order, [-c for c in self.coeffs], self.reliable)
 
     def __mul__(self, other):
+        """sum_ij c_i d_j nu^(i+j), truncated; a Poly or a scalar multiplies each slot."""
         if isinstance(other, Poly):
             return Series(
                 self.ctx,
@@ -140,10 +137,6 @@ class Series:
             )
         if not isinstance(other, Series):
             return self.scale(other)
-        return self.convolve(other, operator.mul)
-
-    def convolve(self, other, product):
-        """sum_ij product(c_i, d_j) nu^(i+j), truncated; `product` is bilinear on Polys."""
         self._check(other)
         zero = Poly.zero(self.ctx)
         out = [zero] * (self.order + 1)
@@ -155,13 +148,10 @@ class Series:
                     break
                 if b.is_zero():
                     continue
-                out[i + j] = out[i + j] + product(a, b)
+                out[i + j] = out[i + j] + a * b
         return Series(self.ctx, self.order, out, min(self.reliable, other.reliable))
 
-    def __rmul__(self, other):
-        if isinstance(other, Poly):
-            return self.__mul__(other)
-        return self.scale(other)
+    __rmul__ = __mul__
 
     def scale(self, c):
         return Series(

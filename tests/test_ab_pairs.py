@@ -1,4 +1,4 @@
-"""`tools/ab_pairs.py` applies the gain rule to paired benchmark runs.
+"""`tools/ab_pairs.py` applies the gain and no-regression rules to paired benchmark runs.
 
 Fixed numbers only; no benchmark run is started.
 """
@@ -52,6 +52,35 @@ def test_higher_is_better_flips_the_direction():
     assert ab_pairs.compare(PARENT, up, better="higher")["claim"]
     assert not ab_pairs.compare(PARENT, up, better="lower")["claim"]
     assert ab_pairs.compare(PARENT, up, better="lower")["wins"] == 0
+
+
+def test_a_median_worse_by_more_than_the_bound_is_worse():
+    # bound 0.25 of the parent median 14.5 allows 3.625; the change is 4 worse
+    r = ab_pairs.compare(PARENT, [p + 4 for p in PARENT], bound=0.25)
+    assert r["verdict"] == "worse"
+    assert ab_pairs.compare(PARENT, PARENT)["verdict"] is None
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    # the parent IQR 4.5 exceeds the allowed 3.625: a change 1 worse is unresolved
+    r = ab_pairs.compare(PARENT, [p + 1 for p in PARENT], bound=0.25)
+    assert r["verdict"] == "unresolved"
+    # unless every change run beats every parent run
+    r = ab_pairs.compare(PARENT, [p - 10 for p in PARENT], bound=0.25)
+    assert r["verdict"] == "within bound"
+
+
+def test_a_change_inside_a_wide_bound_is_within_bound():
+    # bound 0.5 allows 7.25, wider than the parent IQR
+    r = ab_pairs.compare(PARENT, [p + 1 for p in PARENT], bound=0.5)
+    assert r["verdict"] == "within bound"
+
+
+def test_the_verdict_follows_higher_is_better():
+    assert ab_pairs.compare(PARENT, [p - 4 for p in PARENT], "higher", 0.25)["verdict"] == "worse"
+    assert ab_pairs.compare(PARENT, [p + 4 for p in PARENT], "lower", 0.25)["verdict"] == "worse"
+    r = ab_pairs.compare(PARENT, [p + 10 for p in PARENT], "higher", 0.25)
+    assert r["verdict"] == "within bound"
 
 
 def test_unpaired_runs_are_rejected():

@@ -923,3 +923,56 @@ def test_homotopy_builds_no_solver_for_an_empty_slice():
     with pytest.raises(AcyclicityError):
         koszul_contraction(space).h(cycle)
     assert not space.slice_basis(2, (1,)) and (2, (1,)) not in space._solvers
+
+
+
+def _to_sympy(sympy, gens, p):
+    """A Poly as a sympy expression in gens; a Gaussian coefficient is re + I im."""
+    num = lambda x: sympy.Rational(x.numerator, x.denominator)
+    expr = sympy.S.Zero
+    for m, c in p.terms.items():
+        coeff = num(getattr(c, "re", c)) + sympy.I * num(getattr(c, "im", 0))
+        expr += coeff * sympy.Mul(*[g**e for g, e in zip(gens, m)])
+    return expr
+
+
+def _normal_form_faults(space, ideal, to_sympy, p, nf):
+    """The properties of a normal form nf of p that fail against a Groebner basis of (J)."""
+    faults = set()
+    if not ideal.contains(to_sympy(p - nf)):
+        faults.add("p - nf(p) outside the ideal")
+    if space.normal_form_poly(nf) != nf:
+        faults.add("nf not idempotent")
+    for m in nf.terms:
+        if m not in space.complement_monomials(space.ctx.grade_of_mono(m)):
+            faults.add("monomial outside the complement")
+    return faults
+
+
+@pytest.mark.parametrize("name", ["commuting-n2", "t2-c4", "commuting-n3"])
+def test_normal_form_against_a_groebner_oracle(name):
+    # the one reader of the quotient model (res calls it too) against sympy's
+    # reduction modulo a Groebner basis of the moment-map ideal: p - nf(p) is
+    # in (J), nf is idempotent and it writes only complement monomials
+    sympy = pytest.importorskip("sympy")
+    state = loaded(name, 4)
+    ctx = state.ctx
+    gens = sympy.symbols(ctx.names)
+    to_sympy = lambda p: _to_sympy(sympy, gens, p)
+    domain = "QQ_I" if ctx.field is QQ_I else "QQ"
+    ideal = sympy.groebner(
+        [to_sympy(j) for j in state.moment.components], *gens, order="grevlex", domain=domain
+    )
+    space = KoszulSpace(state.moment, 4)
+    rng = random.Random(f"groebner:{name}")
+    draws = [random_poly(ctx, rng, 4) for _ in range(20)]
+    for p in draws:
+        assert not _normal_form_faults(space, ideal, to_sympy, p, space.normal_form_poly(p))
+    # negative control: a variable added to the normal form is not in (J)
+    x = Poly.variable(ctx, ctx.names[0])
+    assert not ideal.contains(to_sympy(x))
+    for p in draws:
+        wrong = space.normal_form_poly(p) + x
+        assert _normal_form_faults(space, ideal, to_sympy, p, wrong) == {
+            "p - nf(p) outside the ideal"
+        }

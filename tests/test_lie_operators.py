@@ -27,7 +27,7 @@ from redstar.poisson import (
 )
 from redstar.poly import Poly, VarContext
 from redstar.probes import random_poly, random_super
-from redstar.quantum import build_q, build_quantum_koszul, build_u, quantum_charge, star_action
+from redstar.quantum import build_quantum_koszul, q_pieces, quantum_charge, star_action, u_pieces
 from redstar.scalars import QQ_I
 from redstar.runner import RunState, stage_load
 from redstar.scenarios import get_scenario
@@ -116,7 +116,7 @@ def contract(x, a, ghost):
 
 def applied(action):
     """(j, x) -> action(j, .) on x, through one op_sum handle per call."""
-    return lambda j, x: op_sum("act", 0, [action.piece(j)])(x)
+    return lambda j, x: op_sum("act", 0, [action(j)])(x)
 
 
 def _start(x, drop=0):
@@ -348,8 +348,8 @@ def test_operators_match_dense_reference(model, order):
     dim = moment.lie.dim
     rng = random.Random(f"{model}:{order}")
     pairs = [
-        (build_q(moment), ref_q(moment)),
-        (build_u(moment), ref_u(moment)),
+        (op_sum("q", +1, q_pieces(moment)), ref_q(moment)),
+        (op_sum("u", +1, u_pieces(moment)), ref_u(moment)),
         (build_delta(moment, poisson_action(lam)), ref_delta(moment, applied(poisson_action(lam)))),
     ]
     if order:

@@ -17,16 +17,15 @@ from redstar.poly import Poly, VarContext
 from redstar.probes import random_bounded_super, random_poly, random_super
 from redstar.quantum import (
     build_quantum_operators,
-    build_R,
-    build_q,
     build_quantum_koszul,
-    build_u,
     check_quantum_splitting,
     koszul_difference,
+    q_pieces,
     quantum_brst_diff,
     quantum_charge,
     r_pieces,
     star_action,
+    u_pieces,
 )
 from redstar.runner import RunState, stage_load
 from redstar.scenarios import get_scenario
@@ -85,7 +84,7 @@ def test_wrong_sign_breaks_nilpotency():
 
 def test_R_on_generator():
     ctx, lam, moment, star = abelian_two()
-    R = build_R(moment, star)
+    R = op_sum("R", +1, r_pieces(moment, star))
     e1 = SuperElement.generator(ctx, 2, N, antighosts=(1,))
     assert R(e1) == SuperElement.from_poly(moment.components[0], 2, N)
 
@@ -97,12 +96,12 @@ def test_a_fractional_weight_on_R_scales_its_image():
     rng = random.Random(3)
     for _ in range(4):
         x = random_super(ctx, 3, N, rng, 3, 3)
-        assert half(x) == build_R(moment, star)(x).scale(Fraction(1, 2))
+        assert half(x) == op_sum("R", +1, r_pieces(moment, star))(x).scale(Fraction(1, 2))
 
 
 def test_q_u_vanish_abelian():
     ctx, lam, moment, star = abelian_two()
-    qop, uop = build_q(moment), build_u(moment)
+    qop, uop = op_sum("q", +1, q_pieces(moment)), op_sum("u", +1, u_pieces(moment))
     rng = random.Random(1)
     for _ in range(6):
         x = random_bounded_super(ctx, 2, N, rng, 5, (2, 2), terms=2)
@@ -111,7 +110,7 @@ def test_q_u_vanish_abelian():
 
 def test_u_vanishes_so3():
     ctx, lam, moment, star = so3()
-    uop = build_u(moment)
+    uop = op_sum("u", +1, u_pieces(moment))
     e1 = SuperElement.generator(ctx, 3, N, ghosts=(1,))
     x = SuperElement.generator(ctx, 3, N, antighosts=(1,))
     assert uop(e1).is_zero() and uop(x).is_zero()
@@ -284,9 +283,9 @@ def _floor_cases():
     _, _, moment_u, _ = ax_plus_b()
     return [
         ("koszul", koszul_operator(moment), moment),
-        ("R", build_R(moment, star), moment),
-        ("q", build_q(moment), moment),
-        ("u", build_u(moment_u), moment_u),
+        ("R", op_sum("R", +1, r_pieces(moment, star)), moment),
+        ("q", op_sum("q", +1, q_pieces(moment)), moment),
+        ("u", op_sum("u", +1, u_pieces(moment_u)), moment_u),
         ("delta", build_delta(moment, poisson_action(lam)), moment),
         ("delta_nu", build_delta(moment, star_action(star), "delta_nu"), moment),
         ("koszul_nu", build_quantum_koszul(moment, star), moment),

@@ -387,6 +387,23 @@ def test_invariant_keys_are_ordered_by_number(tmp_path):
     assert cfg.declared_invariants == tuple(f"(z1*zb1)^{k}" for k in range(1, 11))
 
 
+def test_omitted_config_keys_keep_the_scenario_config_defaults(tmp_path):
+    # only the required sections and keys: every other field is ScenarioConfig's default
+    lines = ["[scenario]", "[variables]", "names = q p", "[poisson]", "q p = 1", "[lie]"]
+    path = tmp_path / "minimal.cfg"
+    path.write_text("\n".join(lines + ["[moment-map]", "J1 = q*p"]) + "\n")
+    cfg = load_config(str(path))
+    given = {
+        "name": "unnamed",
+        "variables": ("q", "p"),
+        "poisson_entries": (("q", "p", "1"),),
+        "moment_map": ("q*p",),
+    }
+    for f in dataclasses.fields(ScenarioConfig):
+        expected = given[f.name] if f.name in given else f.default
+        assert getattr(cfg, f.name) == expected, f.name
+
+
 def test_scenario_config_rejects_unknown_stage():
     # the registry path: before validation an unknown stage was dropped silently
     with pytest.raises(ConfigError, match="unknown stage 'reduced_star'"):

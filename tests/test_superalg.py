@@ -17,7 +17,6 @@ from redstar.runner import RunState, stage_load
 from redstar.scenarios import get_scenario
 from redstar.series import Series
 from redstar.superalg import (
-    CoefficientAction,
     CoefficientMap,
     LieAlgebraData,
     OperatorHandle,
@@ -57,7 +56,7 @@ def derivation(remove, a):
 
 def acting(action, j):
     """The coefficient action (j, .) of `action` as a one-piece op_sum handle."""
-    return op_sum("act", 0, [action.piece(j)])
+    return op_sum("act", 0, [action(j)])
 
 
 def test_odd_odd_anticommute():
@@ -379,7 +378,7 @@ def test_a_nu_division_raises_on_a_nonzero_slot_zero_leaf():
     assert y.floor == 2 and div(y).floor == 1
     # the (1/nu) star commutator meets a nu^0 leaf only through a broken map
     star = StarProduct(lam)
-    broken = CoefficientAction(lambda j: CoefficientMap("J.", times(j).write, exact=True), shift=-1)
+    broken = lambda j: Piece(coeff=CoefficientMap("J.", times(j).write, exact=True), shift=-1)
     with pytest.raises(DivisibilityError):
         acting(broken, p)(SuperElement.from_poly(q, DIM, 3))
     assert acting(star_action(star), p)(SuperElement.from_poly(q, DIM, 3)).is_zero(2) is False

@@ -8,9 +8,14 @@ Each directory is a checkout of the repository.  Pair k runs
 directory, one process at a time; the parent goes first in even pairs and
 the change in odd ones.  For every end-to-end metric it prints each side's
 median and quartiles, the pairs the change won (ties count for neither
-side), and whether a gain can be claimed: at least ten pairs, the change
+side), whether a gain can be claimed (at least ten pairs, the change
 winning at least nine tenths of them, and the medians differing, in the
-better direction, by more than the parent's interquartile range.
+better direction, by more than the parent's interquartile range), and the
+no-regression verdict against the metric's `bound` in BENCHMARK.json, a
+fraction of the parent median: `worse` when the change's median is worse
+by more than the bound, `unresolved` when the parent's own interquartile
+range is wider than the bound and not every change run beats every parent
+run, and `within bound` otherwise.
 """
 
 from __future__ import annotations
@@ -31,8 +36,12 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def compare(parent, change, better="lower"):
-    """The gain rule on paired runs: parent[k] and change[k] form pair k."""
+def compare(parent, change, better="lower", bound=None):
+    """The gain rule on paired runs: parent[k] and change[k] form pair k.
+
+    With a `bound` (a fraction of the parent median), "verdict" is the
+    no-regression rule's: "worse", "unresolved" or "within bound".
+    """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of parent and change runs")
     sign = 1 if better == "lower" else -1
@@ -41,6 +50,15 @@ def compare(parent, change, better="lower"):
     c1, cm, c3 = quartiles(change)
     gain = sign * (pm - cm)
     pairs = len(parent)
+    verdict = None
+    if bound is not None:
+        allowed = bound * abs(pm)
+        if -gain > allowed:
+            verdict = "worse"
+        elif p3 - p1 > allowed and not all(sign * (p - c) > 0 for p in parent for c in change):
+            verdict = "unresolved"
+        else:
+            verdict = "within bound"
     return {
         "pairs": pairs,
         "wins": wins,
@@ -49,6 +67,7 @@ def compare(parent, change, better="lower"):
         "gain": gain,
         "parent_iqr": p3 - p1,
         "claim": pairs >= 10 and 10 * wins >= 9 * pairs and gain > p3 - p1,
+        "verdict": verdict,
     }
 
 
@@ -68,10 +87,10 @@ def run_once(directory, workload, seed, seconds):
     return json.loads(lines[-1])
 
 
-def directions(directory):
-    """{metric: "lower" | "higher"} of the end-to-end metrics in BENCHMARK.json."""
+def end_to_end(directory):
+    """{metric: (better, bound)} of the end-to-end metrics in BENCHMARK.json."""
     with open(os.path.join(directory, "BENCHMARK.json"), encoding="utf-8") as fh:
-        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        return {m["name"]: (m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
 
 
 def main(argv=None):
@@ -84,7 +103,7 @@ def main(argv=None):
     parser.add_argument("--seconds", type=float, default=25)
     args = parser.parse_args(argv)
 
-    better = directions(args.parent)
+    metrics = end_to_end(args.parent)
     runs = {"parent": [], "change": []}
     for k in range(args.n):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -95,19 +114,20 @@ def main(argv=None):
                 print(f"pair {k + 1}: {side} run not correct ({res['failed']} failed)")
             runs[side].append({m: v["value"] for m, v in res["metrics"].items()})
         line = " ".join(
-            f"{m} {runs['parent'][-1][m]:.4g}->{runs['change'][-1][m]:.4g}" for m in better
+            f"{m} {runs['parent'][-1][m]:.4g}->{runs['change'][-1][m]:.4g}" for m in metrics
         )
         print(f"pair {k + 1} ({order[0]} first): {line}", flush=True)
 
     print(f"{args.workload} seed {args.seed}, {args.n} pairs, {args.seconds:g} s runs")
-    for metric, direction in better.items():
+    for metric, (direction, bound) in metrics.items():
         parent = [p[metric] for p in runs["parent"]]
-        r = compare(parent, [c[metric] for c in runs["change"]], direction)
+        r = compare(parent, [c[metric] for c in runs["change"]], direction, bound)
         (p1, pm, p3), (c1, cm, c3) = r["parent"], r["change"]
         print(
             f"{metric}: parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  change {cm:.4g} [{c1:.4g}, {c3:.4g}]"
             f"  won {r['wins']}/{r['pairs']}  gain {r['gain']:.4g} vs parent IQR"
             f" {r['parent_iqr']:.4g}  claim {'met' if r['claim'] else 'not met'}"
+            f"  bound {bound:g}: {r['verdict']}"
         )
     return 0
 
