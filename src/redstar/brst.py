@@ -11,12 +11,12 @@ the star commutator in place of the Poisson bracket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InvarianceError
 from .hpt import perturb_v1
-from .koszul import Contraction, koszul_operator
+from .koszul import ZERO, koszul_operator
 from .poisson import poisson_bracket
 from .series import Series
 from .superalg import (
@@ -138,43 +138,25 @@ def check_classical_splitting(moment, lam, theta, delta, probes):
     return splitting_residuals(D, delta, koszul_operator(moment), probes)
 
 
-def brst_base_contraction(koszul_contraction):
-    """Extend a Koszul contraction to the full BRST algebra with d_Y = 2*koszul.
-
-    The restriction, prolongation and homotopy already act on elements with
-    ghosts (the homotopy with the odd Koszul sign), so the extension only
-    rescales: the homotopy for 2*koszul is h/2.  The quantum transfer
-    extends the deformed contraction (koszul_nu, h_nu) the same way.
-    """
-    c = koszul_contraction
-    return Contraction(
-        p=c.p,
-        i=c.i,
-        h=op_scale(c.h, Fraction(1, 2), name="h/2"),
-        d_X=OperatorHandle("0", lambda x: x.scale(0), +1),
-        d_Y=op_scale(c.d_Y, 2, name="2*koszul"),
-    )
-
-
-def quotient_codifferential(delta, res, prol):
-    """The transferred codifferential on quotient cochains: res delta prol."""
-    return OperatorHandle(
-        "d_z", lambda x: res(delta(prol(x))), +1, frozenset({"ghost"})
-    )
-
-
 def brst_transfer(contraction, delta, probes_X=(), probes_Y=(), upto=None):
     """Transfer D = delta + 2 d_Y to the quotient cochains along `contraction`.
 
-    The first perturbation lemma, applied to the extension of `contraction`
-    with the codifferential `delta` as perturbation, gives the transferred
-    contraction: its `i` is Phi, its `h` is H and its `d_X` equals d_z.  Returns
-    (contraction, d_z).  Classically `contraction` is the Koszul contraction
-    and `delta` the classical codifferential; `reduction.quantum_reduction`
-    passes the deformed contraction and delta_nu.
+    The contraction extends to the full BRST algebra with d_Y = 2 koszul by
+    a rescaling only: its restriction, prolongation and homotopy already act
+    on elements with ghosts (the homotopy with the odd Koszul sign), and the
+    homotopy for 2 koszul is h/2.  The first perturbation lemma, applied to
+    that extension with the codifferential `delta` as perturbation and
+    d_z = res delta prol on the quotient cochains, gives the transferred
+    contraction: its `i` is Phi, its `h` is H and its `d_X` equals d_z.
+    Returns (contraction, d_z).  Classically `contraction` is the Koszul
+    contraction and `delta` the classical codifferential;
+    `reduction.quantum_reduction` passes the deformed contraction
+    (koszul_nu, h_nu) and delta_nu.
     """
-    base = brst_base_contraction(contraction)
-    d_z = quotient_codifferential(delta, base.p, base.i)
+    c = contraction
+    h = op_scale(c.h, Fraction(1, 2), name="h/2")
+    base = replace(c, h=h, d_X=ZERO, d_Y=op_scale(c.d_Y, 2, name="2*koszul"))
+    d_z = OperatorHandle("d_z", lambda x: c.p(delta(c.i(x))), +1, frozenset({"ghost"}))
     return perturb_v1(base, delta, d_z, probes_X, probes_Y, upto=upto), d_z
 
 

@@ -44,21 +44,23 @@ def cmd_check(args):
     """Run one stage; a stage that is not evaluated never passes.
 
     An unconfigured stage is a usage error (2).  A stage skipped because an
-    earlier one failed is a failed check (1): a full run, which stops
-    evaluating at that failure, names the stage that failed.
+    earlier one failed is a failed check (1).  The run ends after the stage
+    and holds the records of every stage before it, so its first failure
+    names the stage that failed.
     """
     cfg = _resolve(args.scenario)
     if args.stage not in cfg.stages:
         raise RedstarError(f"stage {args.stage!r} is not configured for scenario {cfg.name!r}")
     report = run_scenario(cfg, only_stage=args.stage)
-    if any(r.status == "skipped" for r in report.records):
-        failed = next(r.stage for r in run_scenario(cfg).records if r.status in ("fail", "error"))
+    failed = next((r.stage for r in report.records if r.status in ("fail", "error")), args.stage)
+    if failed != args.stage:
         print(
             f"error: stage {args.stage!r} of scenario {cfg.name!r} was not evaluated: "
             f"earlier stage {failed!r} failed",
             file=sys.stderr,
         )
         return 1
+    report.records = [r for r in report.records if r.stage == args.stage]
     sys.stdout.write(report.to_text())
     return 0 if report.verdict == "pass" else 1
 

@@ -85,6 +85,11 @@ def koszul_operator(moment):
     return op_sum("koszul", +1, koszul_pieces(moment))
 
 
+# The zero differential: d_X of the Koszul contraction and of its BRST
+# extension, and the X perturbation of the deformed restriction.
+ZERO = OperatorHandle("0", lambda x: x.scale(0), +1)
+
+
 def _add_grades(g1, g2):
     return tuple(a + b for a, b in zip(g1, g2))
 
@@ -377,7 +382,7 @@ def koszul_contraction(space):
         p=op_columns(OperatorHandle("res", kc.res_fn, 0), name="res", nu_free=True),
         i=OperatorHandle("prol", lambda x: x, 0),
         h=op_columns(OperatorHandle("h", kc.h_fn, -1), name="h", nu_free=True),
-        d_X=OperatorHandle("0", lambda x: x.scale(0), +1),
+        d_X=ZERO,
         d_Y=koszul_operator(space.moment),
     )
 

@@ -34,13 +34,14 @@ the weights L_e (the Poisson bracket is its k = 1 term), and
 `poisson_bracket_into` adds that k = 1 term into a slot dict its caller
 owns (the coefficient map {J, .} of the graded Poisson bracket and the
 classical codifferential); at the weights L_e / 2, `moyal_star_series`
-gives the product (`moyal_star` is that product on two polynomials), and
-`star_pass` is the pass behind it, which writes E and O into slot dicts
-its caller owns.  The coefficient maps J * ., . * J and [J, .]* of
-`superalg` run `star_pass` with the polynomial J as one operand, once per
-term of the other, in the `op_sum` plans of the graded star product, its
-supercommutator, R and the deformed codifferential (the commutator keeps
-the odd leaves alone).  `moyal_commutator` stays two `moyal_star` calls:
+gives the product (`moyal_star` is that product on two polynomials, and
+`reduction.reduced_star` multiplies two ghost-free invariants with it
+before res_nu), and `star_pass` is the pass behind it, which writes E and
+O into slot dicts its caller owns.  The coefficient maps J * ., . * J and
+[J, .]* of `superalg` run `star_pass` with the polynomial J as one
+operand, once per term of the other, in the `op_sum` plans of the graded
+star product, its supercommutator, R and the deformed codifferential (the
+commutator keeps the odd leaves alone).  `moyal_commutator` stays two `moyal_star` calls:
 it is the independent route by which the covariance checks verify the
 kernel.
 """

@@ -238,19 +238,16 @@ class Poly:
         return Poly(self.ctx, {m: -c for m, c in self.terms.items()}, _clean=True)
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            self._check(other)
-            out = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = tuple(a + b for a, b in zip(m1, m2))
-                    s = out.get(m)
-                    out[m] = c1 * c2 if s is None else s + c1 * c2
-            return Poly(self.ctx, {m: c for m, c in out.items() if c}, _clean=True)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        self._check(other)
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = tuple(a + b for a, b in zip(m1, m2))
+                s = out.get(m)
+                out[m] = c1 * c2 if s is None else s + c1 * c2
+        return Poly(self.ctx, {m: c for m, c in out.items() if c}, _clean=True)
 
     def scale(self, c):
         # Koszul signs scale by the ints 1 and -1; sharing self needs no

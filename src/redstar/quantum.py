@@ -111,7 +111,6 @@ def quantum_brst_diff(theta_nu, star):
 
 @dataclass
 class QuantumOperators:
-    theta_nu: SuperElement
     D: OperatorHandle
     koszul_nu: OperatorHandle
     delta_nu: OperatorHandle
@@ -120,7 +119,6 @@ class QuantumOperators:
 def build_quantum_operators(moment, star, theta_nu):
     """The deformed operators around the charge theta_nu (see `quantum_charge`)."""
     return QuantumOperators(
-        theta_nu=theta_nu,
         D=quantum_brst_diff(theta_nu, star),
         koszul_nu=build_quantum_koszul(moment, star),
         delta_nu=build_delta(moment, star_action(star), "delta_nu"),

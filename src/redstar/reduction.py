@@ -3,8 +3,11 @@
 The deformed restriction comes from the second perturbation lemma applied
 to the deformed Koszul differential; the full quantum transfer from the
 first lemma applied to the quantum BRST differential.  The reduced star
-product of two certified invariants is the deformed restriction of the star
-product of their prolongations; on general cochain classes the transferred
+product of two certified invariants is res_nu(prol f * prol g).  The second
+lemma keeps the inclusion, so prol is the identity, and the graded star
+product of two ghost-free elements is the Moyal product of their
+coefficients: for ghost-free invariants the reduced product is the Moyal
+product followed by res_nu.  On general cochain classes the transferred
 product routes through the perturbed inclusion.
 """
 
@@ -14,6 +17,8 @@ from dataclasses import dataclass, replace
 
 from .brst import brst_transfer, certify_invariant
 from .hpt import neumann_inverse, perturb_v2
+from .koszul import ZERO
+from .poisson import moyal_star_series
 from .poly import Poly
 from .quantum import koszul_difference
 from .series import Series, add_shifted
@@ -30,10 +35,7 @@ def deformed_restriction(koszul_contraction, moment, star, probes_X=(), probes_Y
     (`op_columns`); the cache lives on this contraction's handle.
     """
     t = koszul_difference(moment, star)
-    t_x = OperatorHandle("0", lambda x: x.scale(0), +1, frozenset({"nu"}))
-    out = perturb_v2(
-        koszul_contraction, t, t_x, probes_X, probes_Y, upto=upto
-    )
+    out = perturb_v2(koszul_contraction, t, ZERO, probes_X, probes_Y, upto=upto)
     return replace(out, p=op_columns(out.p, name="res_nu")), t
 
 
@@ -73,40 +75,33 @@ class ReductionPipeline:
     def res_nu(self):
         return self.deformed_contraction.p
 
-    @property
-    def prol(self):
-        return self.deformed_contraction.i
-
     def embed(self, f):
+        """A Poly (at the pipeline's order) or a Series as a ghost-free element."""
         if isinstance(f, Poly):
             return SuperElement.from_poly(f, self.moment.lie.dim, self.order)
-        if isinstance(f, Series):
-            return SuperElement.scalar(f, self.moment.lie.dim)
-        return f
+        return SuperElement.scalar(f, self.moment.lie.dim)
 
     def certify(self, f):
-        """Certify that a Poly or Series operand is invariant (`certify_invariant`).
+        """Certify that a Poly is invariant (`certify_invariant`).
 
         The pipeline certifies its generators once, in `classical-reduction`,
         and never calls this; tests and demos do, and perfbench traces it.
         """
-        if isinstance(f, Series):
-            for c in f.coeffs:
-                certify_invariant(c, self.moment, self.lam, self.space, self.torus_rows)
-        else:
-            certify_invariant(f, self.moment, self.lam, self.space, self.torus_rows)
+        certify_invariant(f, self.moment, self.lam, self.space, self.torus_rows)
 
 
 def reduced_star(f, g, pipe):
-    """f * g = res_nu(prol f * prol g) for invariants (see `ReductionPipeline.certify`).
+    """The reduced product res_nu(prol f * prol g) of invariants (see `ReductionPipeline.certify`).
 
+    prol is the identity (the second lemma keeps the inclusion), and the
+    graded star product of two ghost-free operands is the Moyal product of
+    their coefficients, so this is `moyal_star_series` followed by res_nu.
     Accepts Poly or Series in the quotient model; returns a Series in the
     quotient model.  It is C[[nu]]-bilinear: a check that multiplies many
     operands can read it off monomial products (`reduced_star_table`).
     """
-    fx = pipe.prol(pipe.embed(f))
-    gx = pipe.prol(pipe.embed(g))
-    return pipe.res_nu(pipe.star.star(fx, gx)).as_series()
+    product = moyal_star_series(f, g, pipe.lam, pipe.order)
+    return pipe.res_nu(SuperElement.scalar(product, pipe.moment.lie.dim)).as_series()
 
 
 def reduced_star_table(pipe):

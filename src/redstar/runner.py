@@ -18,7 +18,10 @@ The three perturbation-lemma transfers (the deformed restriction, then the
 classical and the quantum BRST transfer) run one path, `StageRun.lemma`:
 draw Y probes, set X = res(Y), check the lemma hypotheses on the first few
 (a failure is a "hypotheses" record, success a "build" record), then the
-contraction axioms on every pair.
+contraction axioms on every pair.  Each stage states its transfer's facts
+at the call: the nu-order and number of the Y probes, how many of them the
+hypotheses are checked on and the build anchor; the two BRST transfers
+(`StageRun.reduction`) add their operator suffix and closed-form anchor.
 
 `STAGE_FUNCTIONS` maps each stage of `STAGE_ORDER` to its function
 `stage_<name>`.  A record's wall time runs from the stage's previous record
@@ -123,36 +126,6 @@ def _transfer_anchors(s):
     }
 
 
-# The perturbation-lemma transfers: the Y probes drawn (a count, or the
-# config's probe count of that name), how many of them the lemma checks its
-# hypotheses on, and the build anchor; the two BRST transfers also name their
-# operator suffix and closed forms.  Only the classical probes are nu-free.
-TRANSFERS = {
-    "classical-reduction": dict(
-        probes=6,
-        lemma=3,
-        classical=True,
-        s="",
-        build="transfer of D along the extended contraction (lemma version 1)",
-        closed_forms="lemma output equals H = h/2 sum (-1/2)^j (h delta + delta h)^j and "
-        "Phi = prol - H(delta prol - prol d_z)",
-    ),
-    "deformed-restriction": dict(
-        probes="restriction",
-        lemma=3,
-        build="lemma version 2 applied to the deformed Koszul differential",
-    ),
-    "quantum-reduction": dict(
-        probes=5,
-        lemma=2,
-        s="_nu",
-        build="lemma version 1 applied to the quantum BRST differential",
-        closed_forms="H_nu = h_nu/2 sum (-1/2)^j (h_nu delta_nu + delta_nu h_nu)^j; "
-        "Phi_nu = prol - H_nu(delta_nu prol - prol d_z_nu)",
-    ),
-}
-
-
 # Anchors of the seven contraction axioms (labels of Contraction.axiom_residuals),
 # per stage that checks a contraction.
 AXIOM_ANCHORS = {
@@ -215,12 +188,10 @@ class RunState:
 
 
 def _summary(obj):
-    terms = getattr(obj, "nonzero_term_count", None)
-    if terms is not None:
-        return obj.nonzero_term_count(), obj.max_degree()
+    """(terms, max degree) of a Poly, Series or SuperElement residual."""
     if isinstance(obj, Poly):
         return len(obj.terms), obj.degree()
-    return (0, -1)
+    return obj.nonzero_term_count(), obj.max_degree()
 
 
 def _trim(text, n=400):
@@ -311,51 +282,46 @@ class StageRun:
         items = (item for x, y in pairs for item in contraction.axiom_residuals(x, y).items())
         self.by_label(AXIOM_ANCHORS[self.stage], items)
 
-    def lemma(self, transfer):
-        """The stage's perturbation-lemma transfer, then the contraction axioms.
+    def lemma(self, transfer, order, probes, lemma, build):
+        """A perturbation-lemma transfer, then the contraction axioms.
 
-        Draws the Y probes at the work order (order 0 for the classical
-        transfer) and sets X = res(Y); runs `transfer(probes_X, probes_Y,
-        upto)` with the lemma hypotheses checked on the first few pairs, then
-        checks the axioms of the transferred contraction on every pair.
-        Returns (contraction, the transfer's second output, X probes,
-        Y probes), or None after a failed hypothesis.
+        Draws `probes` Y probes at nu-order `order` and sets X = res(Y); runs
+        `transfer(probes_X, probes_Y, upto)` with the lemma hypotheses checked
+        on the first `lemma` pairs (success is the "build" record, anchored
+        at `build`), then checks the axioms of the transferred contraction on
+        every pair.  Returns (contraction, the transfer's second output, X
+        probes, Y probes), or None after a failed hypothesis.
         """
-        st, spec = self.state, TRANSFERS[self.stage]
-        order = 0 if spec.get("classical") else st.work_order
-        n, k = spec["probes"], spec["lemma"]
-        if isinstance(n, str):
-            n = st.config.probe_counts()[n]
-        probes_Y = [self.element(order) for _ in range(n)]
-        probes_X = [st.kc.p(y) for y in probes_Y]
+        probes_Y = [self.element(order) for _ in range(probes)]
+        probes_X = [self.state.kc.p(y) for y in probes_Y]
         try:
-            out, second = transfer(probes_X[:k], probes_Y[:k], upto=self.truncation(order))
+            out, second = transfer(probes_X[:lemma], probes_Y[:lemma], upto=self.truncation(order))
         except LemmaHypothesisError as exc:
             self.record("hypotheses", "transfer lemma hypotheses", "fail", witness=_trim(exc))
             return None
-        self.record("build", spec["build"])
+        self.record("build", build)
         self.axioms(out, zip(probes_X, probes_Y))
         return out, second, probes_X, probes_Y
 
-    def reduction(self, transfer, contraction, delta):
+    def reduction(self, transfer, contraction, delta, order, probes, lemma, s, build, closed_forms):
         """The BRST transfer of `delta` along `contraction` and its checks.
 
         The lemma path with `transfer(contraction, delta, ...)`, then the
-        closed forms of H and Phi and, on torus scenarios, Phi = prol.
-        Returns the transferred contraction and the Y probes, or None after a
-        failed hypothesis.
+        closed forms of H and Phi (anchored at `closed_forms`, labels with the
+        operator suffix `s`) and, on torus scenarios, Phi = prol.  Returns the
+        transferred contraction and the Y probes, or None after a failed
+        hypothesis.
         """
-        built = self.lemma(functools.partial(transfer, contraction, delta))
+        transfer = functools.partial(transfer, contraction, delta)
+        built = self.lemma(transfer, order, probes, lemma, build)
         if built is None:
             return None
         out, d_z, probes_X, probes_Y = built
-        spec = TRANSFERS[self.stage]
-        s = spec["s"]
         Hcf = closed_form_H(contraction, delta, self.state.moment.lie.dim)
         Phicf = closed_form_Phi(contraction, delta, out.h, d_z)
         items = [(f"H{s} - closed form", out.h(y) - Hcf(y)) for y in probes_Y]
         items += [(f"Phi{s} - closed form", out.i(x) - Phicf(x)) for x in probes_X]
-        self.check("closed-forms", spec["closed_forms"], items)
+        self.check("closed-forms", closed_forms, items)
         if self.state.torus:
             items = [(f"Phi{s} - prol", out.i(x) - contraction.i(x)) for x in probes_X]
             self.check("equivariant-phi", f"equivariant prolongation: Phi{s} = prol", items)
@@ -555,7 +521,12 @@ def stage_classical_reduction(state):
     cfg = state.config
     run = StageRun(state, "classical-reduction")
     dim = state.moment.lie.dim
-    built = run.reduction(brst_transfer, state.kc, state.delta)
+    built = run.reduction(
+        brst_transfer, state.kc, state.delta, order=0, probes=6, lemma=3, s="",
+        build="transfer of D along the extended contraction (lemma version 1)",
+        closed_forms="lemma output equals H = h/2 sum (-1/2)^j (h delta + delta h)^j and "
+        "Phi = prol - H(delta prol - prol d_z)",
+    )
     if built is None:
         return run.records
     cc = built[0]
@@ -688,7 +659,11 @@ def stage_quantum_brst(state):
 def stage_deformed_restriction(state):
     run = StageRun(state, "deformed-restriction")
     dim = state.moment.lie.dim
-    built = run.lemma(functools.partial(deformed_restriction, state.kc, state.moment, state.star))
+    built = run.lemma(
+        functools.partial(deformed_restriction, state.kc, state.moment, state.star),
+        order=state.work_order, probes=state.config.probe_counts()["restriction"], lemma=3,
+        build="lemma version 2 applied to the deformed Koszul differential",
+    )
     if built is None:
         return run.records
     dc, t, _, probes_Y = built
@@ -785,7 +760,12 @@ def stage_equivariance_lemma(state):
 def stage_quantum_reduction(state):
     run = StageRun(state, "quantum-reduction")
     delta_nu = build_delta(state.moment, star_action(state.star), "delta_nu")
-    built = run.reduction(quantum_reduction, state.dc, delta_nu)
+    built = run.reduction(
+        quantum_reduction, state.dc, delta_nu, order=state.work_order, probes=5, lemma=2, s="_nu",
+        build="lemma version 1 applied to the quantum BRST differential",
+        closed_forms="H_nu = h_nu/2 sum (-1/2)^j (h_nu delta_nu + delta_nu h_nu)^j; "
+        "Phi_nu = prol - H_nu(delta_nu prol - prol d_z_nu)",
+    )
     if built is None:
         return run.records
     qc, probes_Y = built
@@ -994,7 +974,11 @@ STAGE_FUNCTIONS = {name: globals()[f"stage_{name.replace('-', '_')}"] for name i
 
 
 def run_scenario(config, order=None, degree_bound=None, only_stage=None):
-    """Execute the scenario's verification stages and assemble the report."""
+    """Execute the scenario's verification stages and assemble the report.
+
+    With `only_stage` the run ends after that stage: the report holds the
+    records of every stage up to and including it.
+    """
     if order is not None or degree_bound is not None:
         config = replace(
             config,
@@ -1031,6 +1015,5 @@ def run_scenario(config, order=None, degree_bound=None, only_stage=None):
                     )
                 ]
             failed = any(r.status in ("fail", "error") for r in records)
-        if only_stage in (None, stage):
-            report.records.extend(records)
+        report.records.extend(records)
     return report

@@ -452,8 +452,6 @@ class RationalField(Field):
             if x._b != 0:
                 raise TypeError("cannot coerce a complex value into the rationals")
             return _canonical_q(x._a, x._d)
-        if isinstance(x, str):
-            return Rational(x)
         raise TypeError(f"cannot coerce {x!r} into the rationals")
 
     def random(self, rng, span=6):
@@ -474,8 +472,6 @@ class GaussianField(Field):
             return x
         if isinstance(x, (int, Fraction, Rational)):
             return GaussianRational(x, 0)
-        if isinstance(x, str):
-            return GaussianRational(Fraction(x), 0)
         raise TypeError(f"cannot coerce {x!r} into the Gaussian rationals")
 
     def random(self, rng, span=6):

@@ -97,8 +97,6 @@ class Series:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Poly):
-            other = Series.from_poly(other, self.order)
         if not isinstance(other, Series):
             return NotImplemented
         self._check(other)
@@ -111,8 +109,6 @@ class Series:
 
     # slot-wise Poly.__sub__, not self + (-other), for the reason given there
     def __sub__(self, other):
-        if isinstance(other, Poly):
-            other = Series.from_poly(other, self.order)
         if not isinstance(other, Series):
             return NotImplemented
         self._check(other)
@@ -127,7 +123,7 @@ class Series:
         return Series(self.ctx, self.order, [-c for c in self.coeffs], self.reliable)
 
     def __mul__(self, other):
-        """sum_ij c_i d_j nu^(i+j), truncated; a Poly or a scalar multiplies each slot."""
+        """sum_ij c_i d_j nu^(i+j), truncated; a Poly multiplies each slot."""
         if isinstance(other, Poly):
             return Series(
                 self.ctx,
@@ -136,7 +132,7 @@ class Series:
                 self.reliable,
             )
         if not isinstance(other, Series):
-            return self.scale(other)
+            return NotImplemented
         self._check(other)
         zero = Poly.zero(self.ctx)
         out = [zero] * (self.order + 1)
@@ -203,8 +199,6 @@ class Series:
         return all(self.coeffs[j].is_zero() for j in range(0, k + 1))
 
     def __eq__(self, other):
-        if isinstance(other, Poly):
-            other = Series.from_poly(other, self.order)
         if not isinstance(other, Series):
             return NotImplemented
         return (

@@ -183,8 +183,6 @@ class SuperElement:
         else:
             clean = {}
             for key, coeff in terms.items():
-                if isinstance(coeff, Poly):
-                    coeff = Series.from_poly(coeff, order)
                 if not all(c.is_zero() for c in coeff.coeffs):
                     clean[key] = coeff
                 else:
@@ -314,10 +312,6 @@ class SuperElement:
         """The nu^0 part, as an order-0 element."""
         return self.truncate(0)
 
-    def coefficient(self, ghosts=(), antighosts=()):
-        key = (tuple(ghosts), tuple(antighosts))
-        return self.terms.get(key, Series.zero(self.ctx, self.order))
-
     def __eq__(self, other):
         if not isinstance(other, SuperElement):
             return NotImplemented
@@ -327,9 +321,6 @@ class SuperElement:
             and self.order == other.order
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.ctx, self.dim, self.order, frozenset(self.terms)))
 
     def max_degree(self):
         return max((c.max_degree() for c in self.terms.values()), default=-1)
@@ -466,10 +457,10 @@ class CoefficientMap(NamedTuple):
     nonzero in the same lowest nu slot (the identity, x J, J * x or x * J
     for J != 0), so its image vanishes only by truncation; the evaluator
     then gives it any weight n and its caller's slots.  Any other map is
-    called with n = 1 on scratch slots.
+    called with n = 1 on scratch slots.  A map is its writer and that flag;
+    a plan entry keeps both.
     """
 
-    name: str
     write: object
     exact: bool = False
 
@@ -485,7 +476,7 @@ def _write_scaled(c, n, slots):
             slot[m] = v if w is None else w + v
 
 
-IDENTITY = CoefficientMap("id", _write_scaled, exact=True)
+IDENTITY = CoefficientMap(_write_scaled, exact=True)
 
 
 def times(j):
@@ -503,7 +494,7 @@ def times(j):
                     w = slot.get(key)
                     slot[key] = v * vj if w is None else w + v * vj
 
-    return CoefficientMap(".J", write, exact=bool(jterms))
+    return CoefficientMap(write, exact=bool(jterms))
 
 
 def bracket_with(j, lam):
@@ -514,13 +505,13 @@ def bracket_with(j, lam):
             if p.terms:
                 poisson_bracket_into(slot, j, p, lam, n)
 
-    return CoefficientMap("{J,.}", write)
+    return CoefficientMap(write)
 
 
 def left_star(j, lam):
     """The coefficient map c -> J * c, one `star_pass` with J on the left."""
     write = lambda c, n, slots: star_pass(j, c, lam, slots, slots, n)
-    return CoefficientMap("J*.", write, exact=not j.is_zero())
+    return CoefficientMap(write, exact=not j.is_zero())
 
 
 def star_right_multiply(c, j, lam, slots, n=1):
@@ -536,13 +527,13 @@ def star_right_multiply(c, j, lam, slots, n=1):
 def right_star(j, lam):
     """The coefficient map c -> c * J, through `star_right_multiply`."""
     write = lambda c, n, slots: star_right_multiply(c, j, lam, slots, n)
-    return CoefficientMap(".*J", write, exact=not j.is_zero())
+    return CoefficientMap(write, exact=not j.is_zero())
 
 
 def commutator_with(j, lam):
     """The coefficient map c -> [J, c]_* = J * c - c * J, twice the odd Moyal orders."""
     write = lambda c, n, slots: star_pass(j, c, lam, [None] * len(slots), slots, 2 * n)
-    return CoefficientMap("[J,.]", write)
+    return CoefficientMap(write)
 
 
 # -- sums over contractions -------------------------------------------------------

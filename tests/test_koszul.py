@@ -51,7 +51,9 @@ def circle_c4():
 
 
 def el(ctx, dim, terms, order=0):
-    return SuperElement(ctx, dim, order, terms)
+    """An element from Poly or Series coefficients, each Poly lifted at `order`."""
+    lift = lambda c: Series.from_poly(c, order) if isinstance(c, Poly) else c
+    return SuperElement(ctx, dim, order, {key: lift(c) for key, c in terms.items()})
 
 
 def _axioms(c, probes_X, probes_Y):

@@ -58,7 +58,7 @@ def test_imaginary_unit_needs_gaussian_field():
 
 def test_powers_and_unary_minus():
     ctx, (q, p) = poly_ring(("q", "p"))
-    assert parse_polynomial("-q^2 + 3/2*p^3", ctx) == -(q * q) + (p ** 3).scale("3/2")
+    assert parse_polynomial("-q^2 + 3/2*p^3", ctx) == -(q * q) + (p ** 3).scale(Fraction(3, 2))
     assert parse_polynomial("--q", ctx) == q
     assert parse_polynomial("(q + p)^2", ctx) == (q + p) * (q + p)
 

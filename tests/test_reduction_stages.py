@@ -8,7 +8,9 @@ on every triple, in value and reliable order; and a work-count guard pins
 how many times the run evaluates `reduced_star` and the direct Phi, so a
 change that brings back the recomputation fails here.  A second guard pins
 the `reduced_star` calls of commuting-n2 at the `rational` workload's size,
-where associativity takes the direct route instead of the table.
+where associativity takes the direct route instead of the table.  On both
+scenarios `reduced_star`, the Moyal product followed by res_nu, equals the
+graded-star route res_nu(prol f * prol g) in value and reliable order.
 """
 
 import dataclasses
@@ -21,6 +23,7 @@ import pytest
 from redstar import reduction, runner
 from redstar.brst import brst_transfer
 from redstar.koszul import koszul_operator
+from redstar.poly import Poly
 from redstar.probes import random_bounded_super
 from redstar.reduction import ReductionPipeline, reduced_star, reduced_star_table
 from redstar.scenarios import REGISTRY_BUILDERS
@@ -63,14 +66,27 @@ def _count_reduced_star(monkeypatch):
     return counts
 
 
+def _before_reduced_star(config):
+    """The run state of `config` after every configured stage before reduced-star."""
+    st = runner.RunState(config)
+    for stage in runner.STAGE_ORDER[: runner.STAGE_ORDER.index("reduced-star")]:
+        if stage in config.stages:
+            records = runner.STAGE_FUNCTIONS[stage](st)
+            assert all(r.status == "pass" for r in records), stage
+    return st
+
+
+def _pipeline(st):
+    return ReductionPipeline(
+        st.moment, st.lam, st.star, st.space, st.work_order,
+        st.dc, st.qc, torus_rows=st.config.torus_rows,
+    )
+
+
 @pytest.fixture(scope="module")
 def state():
     """s1-c4 through every stage before reduced-star."""
-    st = runner.RunState(CONFIG)
-    for stage in runner.STAGE_ORDER[: runner.STAGE_ORDER.index("reduced-star")]:
-        records = runner.STAGE_FUNCTIONS[stage](st)
-        assert all(r.status == "pass" for r in records), stage
-    return st
+    return _before_reduced_star(CONFIG)
 
 
 def _reliables(x):
@@ -99,10 +115,7 @@ def test_column_phi_and_h_equal_the_direct_transfer(state):
 
 def test_product_table_equals_reduced_star_on_every_triple(state):
     gens = [state.space.normal_form_poly(g) for g in state.generators]
-    pipe = ReductionPipeline(
-        state.moment, state.lam, state.star, state.space, state.work_order,
-        state.dc, state.qc, torus_rows=CONFIG.torus_rows,
-    )
+    pipe = _pipeline(state)
     degs = [g.degree() for g in gens]
     idx = range(len(gens))
     triples = [
@@ -129,6 +142,42 @@ def test_product_table_equals_reduced_star_on_every_triple(state):
     f = Series(state.ctx, state.work_order, pairs[(a, b)].coeffs, state.work_order - 2)
     got, want = product(f, gens[c]), reduced_star(f, gens[c], pipe)
     assert got == want and got.reliable == want.reliable == f.order - 2
+
+
+@pytest.mark.parametrize("workload, scenario", [("circle", "s1-c4"), ("rational", "commuting-n2")])
+def test_reduced_star_equals_the_graded_star_route(workload, scenario, request):
+    # reduced_star is the Moyal product followed by res_nu; the reference is
+    # res_nu(prol f * prol g) through the graded star product, prol = id
+    if scenario == "s1-c4":
+        st = request.getfixturevalue("state")
+    else:
+        st = _before_reduced_star(_workload_config(workload, scenario))
+    pipe, dim, gens = _pipeline(st), st.moment.lie.dim, st.generators
+
+    def lift(f):
+        if isinstance(f, Series):
+            return SuperElement.scalar(f, dim)
+        return SuperElement.from_poly(f, dim, pipe.order)
+
+    def reference(f, g):
+        prol = st.dc.i
+        return pipe.res_nu(st.star.star(prol(lift(f)), prol(lift(g)))).as_series()
+
+    degs = [g.degree() for g in gens]
+    idx = range(len(gens))
+    operands = [(gens[a], gens[b]) for a in idx for b in idx if degs[a] + degs[b] <= st.bound]
+    # a product of two generators with nu content as the left operand, as in associativity
+    triples = [
+        (a, b, c) for a in idx for b in idx for c in idx if degs[a] + degs[b] + degs[c] <= st.bound
+    ]
+    products = ((reduced_star(gens[a], gens[b], pipe), c) for a, b, c in triples)
+    pair, c = next((f, c) for f, c in products if any(not p.is_zero() for p in f.coeffs[1:]))
+    lowered = Series(st.ctx, pipe.order, pair.coeffs, pipe.order - 2)  # reliable below the order
+    zero = Poly.zero(st.ctx)
+    operands += [(pair, gens[c]), (lowered, gens[c]), (zero, gens[-1]), (gens[-1], zero)]
+    for f, g in operands:
+        got, want = reduced_star(f, g, pipe), reference(f, g)
+        assert got == want and got.reliable == want.reliable, (f, g)
 
 
 def test_work_counts_on_the_circle_workload(monkeypatch):

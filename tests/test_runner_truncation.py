@@ -35,7 +35,7 @@ def test_residual_at_another_order_is_a_stage_error(monkeypatch):
 
     monkeypatch.setattr(runner, "check_quantum_covariance", covariance)
     report = runner.run_scenario(CONFIG, only_stage="covariance")
-    [record] = report.records
+    [record] = [r for r in report.records if r.stage == "covariance"]
     assert (record.check_id, record.status) == ("covariance.error", "error")
     assert f"nu-order {runner.RunState(CONFIG).work_order - 1}" in record.witness
     run, state = _stage_run("covariance")

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from redstar import runner
 from redstar.cli import main
 from redstar.errors import ConfigError
 from redstar.report import emit_report
@@ -436,6 +437,21 @@ def test_cli_check_never_passes_a_stage_it_did_not_evaluate(capsys):
     assert "verdict: PASS" not in captured.out + captured.err
 
 
+def test_cli_check_evaluates_each_stage_once(monkeypatch, capsys):
+    # the failed stage is named from the same run, not from a second full run
+    calls = []
+    acyclicity = runner.STAGE_FUNCTIONS["acyclicity"]
+
+    def counted(state):
+        calls.append(state.config.name)
+        return acyclicity(state)
+
+    monkeypatch.setitem(runner.STAGE_FUNCTIONS, "acyclicity", counted)
+    assert main(["check", "contraction", "negative-control-qq"]) == 1
+    assert "'acyclicity' failed" in capsys.readouterr().err
+    assert calls == ["negative-control-qq"]
+
+
 def test_only_stage_records_equal_the_full_run():
     untimed = lambda records: [dataclasses.replace(r, wall_time_s=0.0) for r in records]
     names = ("negative-control-qq", "cubic-moment-map", "broken-sign-star")
@@ -451,8 +467,10 @@ def test_only_stage_records_equal_the_full_run():
         full = untimed(run_scenario(cfg).records)
         statuses.update(r.status for r in full)
         for stage in STAGE_ORDER:
+            # the run ends after the stage: the full run's records through it
+            through = STAGE_ORDER[: STAGE_ORDER.index(stage) + 1]
             only = untimed(run_scenario(cfg, only_stage=stage).records)
-            assert only == [r for r in full if r.stage == stage], (cfg.name, stage)
+            assert only == [r for r in full if r.stage in through], (cfg.name, stage)
     # between them: not-attempted, skipped, error and failing records
     assert statuses >= {"not-attempted", "skipped", "error", "fail"}
 

@@ -313,7 +313,7 @@ def test_op_sum_skips_only_exactly_zero_pieces():
         calls.append(c)
         _write_scaled(c, n, slots)
 
-    record = CoefficientMap("recorded id", write)
+    record = CoefficientMap(write)
     op = op_sum("2 (i_1 + i_2)", -1, [Piece(((_remove_ghost, a),), scalar=2, coeff=record) for a in (1, 2)])
     out = op(SuperElement.generator(ctx, DIM, 2, ghosts=(1,)))
     assert out == SuperElement.generator(ctx, DIM, 2, coeff=2) and out.floor is None
@@ -323,7 +323,7 @@ def test_op_sum_skips_only_exactly_zero_pieces():
     s1 = Series(ctx, 2, [Poly.zero(ctx), q, Poly.zero(ctx)]).div_nu()
     e1, e2 = ((1,), ()), ((2,), ())
     x = SuperElement(ctx, DIM, 2, {e1: s1})
-    nothing = CoefficientMap("0", lambda c, n, slots: None)
+    nothing = CoefficientMap(lambda c, n, slots: None)
     vanished = {
         "map": op_sum("0 i_1", -1, [Piece(((_remove_ghost, 1),), coeff=nothing)]),
         "cancel": op_sum("i_1 - i_1", -1, [Piece(((_remove_ghost, 1),), scalar=w) for w in (1, -1)]),
@@ -378,7 +378,7 @@ def test_a_nu_division_raises_on_a_nonzero_slot_zero_leaf():
     assert y.floor == 2 and div(y).floor == 1
     # the (1/nu) star commutator meets a nu^0 leaf only through a broken map
     star = StarProduct(lam)
-    broken = lambda j: Piece(coeff=CoefficientMap("J.", times(j).write, exact=True), shift=-1)
+    broken = lambda j: Piece(coeff=CoefficientMap(times(j).write, exact=True), shift=-1)
     with pytest.raises(DivisibilityError):
         acting(broken, p)(SuperElement.from_poly(q, DIM, 3))
     assert acting(star_action(star), p)(SuperElement.from_poly(q, DIM, 3)).is_zero(2) is False

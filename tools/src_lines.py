@@ -51,13 +51,18 @@ def docstring_lines(tree):
     return lines
 
 
-def code_lines(source):
-    """The number of code lines in a Python source text."""
+def code_line_numbers(source):
+    """The line numbers of the code lines in a Python source text."""
     lines = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in LAYOUT:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docstring_lines(ast.parse(source)))
+    return lines - docstring_lines(ast.parse(source))
+
+
+def code_lines(source):
+    """The number of code lines in a Python source text."""
+    return len(code_line_numbers(source))
 
 
 def python_files(path):
