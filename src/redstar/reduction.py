@@ -16,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .brst import brst_transfer, certify_invariant
+from .errors import ContextError, TruncationError
 from .hpt import neumann_inverse, perturb_v2
 from .koszul import ZERO
-from .poisson import moyal_star_series
+from .poisson import star_pass
 from .poly import Poly
 from .quantum import koszul_difference
-from .series import Series, add_shifted
+from .series import Series
 from .superalg import OperatorHandle, SuperElement, op_columns, op_compose
 
 
@@ -95,61 +96,153 @@ def reduced_star(f, g, pipe):
 
     prol is the identity (the second lemma keeps the inclusion), and the
     graded star product of two ghost-free operands is the Moyal product of
-    their coefficients, so this is `moyal_star_series` followed by res_nu.
-    Accepts Poly or Series in the quotient model; returns a Series in the
+    their coefficients.  So one `star_pass` writes f * g into nu slot
+    dicts, and res_nu's `column_sum` (`op_columns`) adds its cached columns
+    over the nonzero leaves straight into the result's slots; a leaf that
+    cancelled reads no column, and no product Series or SuperElement is
+    built.  The reliable order is op_columns' on the ghost-free element
+    f * g: at most min(f.reliable, g.reliable), lowered by the columns it
+    reads and by a vanished column's floor; a product that cancels
+    altogether is zero to that minimum.  Accepts Poly or Series operands in
+    the quotient model at the pipeline's order; returns a Series in the
     quotient model.  It is C[[nu]]-bilinear: a check that multiplies many
     operands can read it off monomial products (`reduced_star_table`).
     """
-    product = moyal_star_series(f, g, pipe.lam, pipe.order)
-    return pipe.res_nu(SuperElement.scalar(product, pipe.moment.lie.dim)).as_series()
+    ctx, order = pipe.moment.ctx, pipe.order
+    reliable = min(_reliable(f, ctx, order), _reliable(g, ctx, order))
+    slots = [{} for _ in range(order + 1)]
+    star_pass(f, g, pipe.lam, slots, slots)
+    floor = None if any(any(s.values()) for s in slots) else reliable
+    items = [(((), ()), slots)]
+    acc, floor = pipe.res_nu.column_sum(ctx, pipe.moment.lie.dim, order, items, reliable, floor)
+    reliable, out = acc.pop(((), ()), (order, ()))
+    if acc:
+        raise ValueError("res_nu image has ghost or antighost content")
+    if floor is not None and floor < reliable:
+        reliable = floor
+    return Series.from_slots(ctx, order, out, reliable)
+
+
+def _reliable(f, ctx, order):
+    """The reliable order of a Poly or Series operand of a product at `order` in `ctx`."""
+    if f.ctx != ctx:
+        raise ContextError("star operands live in different contexts")
+    if isinstance(f, Poly):
+        return order
+    if f.order != order:
+        raise TruncationError(f"truncation orders differ: {f.order} vs {order}")
+    return f.reliable
+
+
+class ProductTable:
+    """A C[[nu]]-bilinear product of Poly or Series operands read off a lazy table.
+
+    f * g is the sum of c1 c2 nu^(s+t) T[(m1, m2)] over the terms c1 nu^s m1
+    of f and c2 nu^t m2 of g with s + t within `order`, truncated there.
+    The entry T[(m1, m2)] is fill(m1, m2), a Series, on first use, kept as
+    its reliable order and a flat tuple of (nu power, monomial, coefficient)
+    terms.  A product is reliable to the minimum of f's, g's and every
+    entry's it used.  Each operand's term list is read once per table,
+    keyed by the operand object, which the table keeps alive so that its
+    id stays its own; `table_size` reads the same lists.
+    """
+
+    def __init__(self, ctx, order, fill):
+        self.ctx = ctx
+        self.order = order
+        self.fill = fill
+        self.entries = {}  # (m1, m2) -> (reliable, ((nu power, monomial, coefficient), ...))
+        self.operands = {}  # id(operand) -> (operand, reliable, terms)
+
+    def terms(self, f):
+        """f's reliable order and its (nu power, monomial, coefficient) terms."""
+        got = self.operands.get(id(f))
+        if got is None:
+            if isinstance(f, Poly):
+                terms = [(0, m, c) for m, c in f.terms.items()]
+                got = (f, self.order, terms)
+            else:
+                terms = [(s, m, c) for s, p in enumerate(f.coeffs) for m, c in p.terms.items()]
+                got = (f, f.reliable, terms)
+            self.operands[id(f)] = got
+        return got[1], got[2]
+
+    def _add(self, slots, f, g, negate, reliable):
+        """Add f * g (its negative if `negate`) into slots; `reliable` lowered by what it read."""
+        order, entries = self.order, self.entries
+        f_reliable, f_terms = self.terms(f)
+        g_reliable, g_terms = self.terms(g)
+        reliable = min(reliable, f_reliable, g_reliable)
+        for s, m1, c1 in f_terms:
+            for t, m2, c2 in g_terms:
+                st = s + t
+                if st > order:
+                    continue
+                entry = entries.get((m1, m2))
+                if entry is None:
+                    value = self.fill(m1, m2)
+                    entry = entries[(m1, m2)] = (
+                        value.reliable,
+                        tuple(
+                            (u, m, v)
+                            for u, p in enumerate(value.coeffs)
+                            for m, v in p.terms.items()
+                        ),
+                    )
+                if entry[0] < reliable:
+                    reliable = entry[0]
+                w = -(c1 * c2) if negate else c1 * c2
+                for u, m, v in entry[1]:
+                    k = st + u
+                    if k <= order:
+                        slot = slots[k]
+                        x = slot.get(m)
+                        slot[m] = v * w if x is None else x + v * w
+        return reliable
+
+    def __call__(self, f, g):
+        """f * g."""
+        slots = [{} for _ in range(self.order + 1)]
+        reliable = self._add(slots, f, g, False, self.order)
+        return Series.from_slots(self.ctx, self.order, slots, reliable)
+
+    def residual(self, left, right):
+        """f * g - f2 * g2 for left = (f, g) and right = (f2, g2), summed into one slot table."""
+        slots = [{} for _ in range(self.order + 1)]
+        reliable = self._add(slots, *left, False, self.order)
+        reliable = self._add(slots, *right, True, reliable)
+        return Series.from_slots(self.ctx, self.order, slots, reliable)
 
 
 def reduced_star_table(pipe):
-    """The reduced product of Poly or Series operands from a lazy product table.
+    """The reduced product as a `ProductTable` whose entries T[(m1, m2)] are `reduced_star`(m1, m2).
 
-    `reduced_star` is C[[nu]]-bilinear, so f * g is the sum of
-    c1 c2 nu^(s+t) T[(m1, m2)] over the terms c1 nu^s m1 of f and c2 nu^t m2
-    of g, truncated at the pipeline's order, where the table entry
-    T[(m1, m2)] = `reduced_star`(m1, m2) is filled on first use.  The result
-    is reliable to the minimum of f's, g's and every table entry's it used.
-    The table lives as long as the returned function.
+    `reduced_star` is C[[nu]]-bilinear, so the table's f * g equals
+    `reduced_star`(f, g) in value and reliable order.  `table(f, g)` is
+    f * g and `table.residual((f, g), (f2, g2))` is f * g - f2 * g2 in one
+    Series, the form `reduced-star.associativity` reads.  The table lives
+    as long as the returned object.
     """
-    ctx, order = pipe.moment.ctx, pipe.order
-    table = {}
+    ctx = pipe.moment.ctx
 
-    def product(f, g):
-        (f_reliable, f_terms), (g_reliable, g_terms) = _terms(f, order), _terms(g, order)
-        reliable = min(f_reliable, g_reliable)
-        slots = [{} for _ in range(order + 1)]
-        for s, m1, c1 in f_terms:
-            for t, m2, c2 in g_terms:
-                if s + t > order:
-                    continue
-                entry = table.get((m1, m2))
-                if entry is None:
-                    entry = table[(m1, m2)] = reduced_star(
-                        Poly.monomial(ctx, m1), Poly.monomial(ctx, m2), pipe
-                    )
-                reliable = min(reliable, entry.reliable)
-                add_shifted(slots, [p.terms for p in entry.coeffs], s + t, c1 * c2)
-        return Series.from_slots(ctx, order, slots, reliable)
+    def fill(m1, m2):
+        return reduced_star(Poly.monomial(ctx, m1), Poly.monomial(ctx, m2), pipe)
 
-    return product
+    return ProductTable(ctx, pipe.order, fill)
 
 
-def _terms(f, order):
-    """A Poly or Series operand's reliable order and its (nu power, monomial, coefficient) terms."""
-    if isinstance(f, Poly):
-        f = Series.from_poly(f, order)
-    return f.reliable, [(s, m, c) for s, p in enumerate(f.coeffs) for m, c in p.terms.items()]
+def table_size(products, table):
+    """How many entries of `table` the products f * g, (f, g) in `products`, read, filled or not.
 
-
-def table_size(products, order):
-    """How many `reduced_star_table` entries the products f * g, (f, g) in `products`, read."""
+    It reads the operands' term lists through the table, which keeps them
+    for the products themselves.
+    """
     pairs = set()
     for f, g in products:
-        f_terms, g_terms = _terms(f, order)[1], _terms(g, order)[1]
-        pairs.update((m1, m2) for s, m1, _ in f_terms for t, m2, _ in g_terms if s + t <= order)
+        f_terms, g_terms = table.terms(f)[1], table.terms(g)[1]
+        pairs.update(
+            (m1, m2) for s, m1, _ in f_terms for t, m2, _ in g_terms if s + t <= table.order
+        )
     return len(pairs)
 
 

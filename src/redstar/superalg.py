@@ -836,6 +836,13 @@ def graded_poisson(x, y, lam):
     return _product(x, y, bracket_pieces(x, lam))
 
 
+@dataclass(repr=False)
+class ColumnMap(OperatorHandle):
+    """An `op_columns` handle; `column_sum` is the loop behind its `fn` (see there)."""
+
+    column_sum: object = None
+
+
 def op_columns(f, name=None, nu_free=False):
     """A C[[nu]]-linear f evaluated once per basis column.
 
@@ -846,30 +853,36 @@ def op_columns(f, name=None, nu_free=False):
     (N, g, m) and computed on first use.  It is kept as its reliable order,
     the floor of an image without terms (None for a nu-free f) and a flat
     tuple of (out key, nu power, monomial, coefficient) entries.
-    Then f(x) is the sum over the terms c * nu^s * m * g of x of
-    c * nu^s * f(m g), truncated at x.order.  An output term is reliable to
-    the minimum of x.reliable (the whole input's, as the Koszul maps take
-    it) and the reliable orders of the columns that feed it.  The slot sums
-    keep cancelled entries, which `Series.from_slots` drops; an output term
-    that cancels altogether lowers the floor to that order, in the
-    SuperElement constructor.  A column whose image has no terms but a
-    floor (it vanished) lowers the floor of every image it feeds to that
-    floor, as f itself would.
+
+    The handle's `column_sum(ctx, dim, order, items, cap, floor)` is the
+    one loop that sums columns: over items (g, slots), slots[s] a
+    {monomial: coefficient} dict of nu power s, it adds c * nu^s * f(m g)
+    for every nonzero c, truncated at `order`, and returns
+    ({out key: [reliable, slot dicts]}, floor).  An output key is reliable
+    to the minimum of `cap` and the reliable orders of the columns that
+    feed it; a column whose image has no terms but a floor (it vanished)
+    lowers `floor` to that floor, as f itself would.  The slot sums keep
+    cancelled entries, which `Series.from_slots` drops.  f(x) is that sum
+    over the terms of x, capped at x.reliable (the whole input's, as the
+    Koszul maps take it) and starting at x's floor; an output term that
+    cancels altogether lowers the floor to its order, in the SuperElement
+    constructor.  `reduction.reduced_star` runs the same sum on the slots
+    of a Moyal product.
 
     A `nu_free` f (one that neither reads nor makes nu powers, like the
     Koszul `res` and `h`) has one column per (g, m), filled at order 0 and
     served at every order; it bounds no reliable order, so an output term
-    is reliable to x.reliable.
+    is reliable to the cap.
     """
     columns = {}
 
-    def column(x, key, mono):
-        ckey = (key, mono) if nu_free else (x.order, key, mono)
+    def column(ctx, dim, order, key, mono):
+        ckey = (key, mono) if nu_free else (order, key, mono)
         col = columns.get(ckey)
         if col is None:
-            order = 0 if nu_free else x.order
-            unit = Series(x.ctx, order, [Poly(x.ctx, {mono: x.ctx.field.one}, _clean=True)])
-            image = f(SuperElement(x.ctx, x.dim, order, {key: unit}, _clean=True))
+            order = 0 if nu_free else order
+            unit = Series(ctx, order, [Poly(ctx, {mono: ctx.field.one}, _clean=True)])
+            image = f(SuperElement(ctx, dim, order, {key: unit}, _clean=True))
             col = columns[ckey] = (
                 _UNBOUNDED if nu_free else image.reliable,
                 None if nu_free or image.terms else image.floor,
@@ -882,16 +895,18 @@ def op_columns(f, name=None, nu_free=False):
             )
         return col
 
-    def fn(x):
-        order = x.order
-        floor = x.floor
+    def column_sum(ctx, dim, order, items, cap, floor):
         acc = {}  # out key -> [reliable, {monomial: coefficient} per nu power]
-        for key, series in x.terms.items():
-            for s, p in enumerate(series.coeffs):
-                for mono, c in p.terms.items():
-                    reliable, vanished, entries = column(x, key, mono)
+        for key, slots in items:
+            for s, terms in enumerate(slots):
+                for mono, c in terms.items():
+                    if not c:
+                        continue
+                    reliable, vanished, entries = column(ctx, dim, order, key, mono)
                     if vanished is not None:
                         floor = _lower(floor, vanished)
+                    if cap < reliable:
+                        reliable = cap
                     for out_key, t, m, v in entries:
                         if s + t > order:
                             continue
@@ -903,8 +918,12 @@ def op_columns(f, name=None, nu_free=False):
                         slot = out[1][s + t]
                         w = slot.get(m)
                         slot[m] = c * v if w is None else w + c * v
-        cap = x.reliable
-        terms = {k: Series.from_slots(x.ctx, order, t, min(r, cap)) for k, (r, t) in acc.items()}
-        return SuperElement(x.ctx, x.dim, order, terms, floor=floor)
+        return acc, floor
 
-    return OperatorHandle(name or f"cols({f.name})", fn, f.degree, f.raises_filtration)
+    def fn(x):
+        items = ((key, [p.terms for p in series.coeffs]) for key, series in x.terms.items())
+        acc, floor = column_sum(x.ctx, x.dim, x.order, items, x.reliable, x.floor)
+        terms = {k: Series.from_slots(x.ctx, x.order, t, r) for k, (r, t) in acc.items()}
+        return SuperElement(x.ctx, x.dim, x.order, terms, floor=floor)
+
+    return ColumnMap(name or f"cols({f.name})", fn, f.degree, f.raises_filtration, column_sum)

@@ -88,3 +88,31 @@ def test_unpaired_runs_are_rejected():
         ab_pairs.compare(PARENT, PARENT[:-1])
     with pytest.raises(ValueError):
         ab_pairs.compare([], [])
+
+
+def _line(value, correct=True, failed=0, attempted=4):
+    return {
+        "correct": correct,
+        "failed": failed,
+        "attempted": attempted,
+        "metrics": {"run_s": {"value": value}},
+    }
+
+
+def test_a_failed_run_counts_toward_no_metric_and_more_failures_block_the_claim():
+    metrics = {"run_s": ("lower", 0.5)}
+    parent = [_line(p) for p in PARENT + [1]]
+    change = [_line(p - 6) for p in PARENT] + [_line(1000, correct=False, failed=1)]
+    # the eleventh pair, whose change run failed, is left out: 10/10 wins remain
+    results, tallies = ab_pairs.summarize(parent, change, metrics)
+    r = results["run_s"]
+    assert (r["pairs"], r["wins"]) == (10, 10) and r["change"] == (6.25, 8.5, 10.75)
+    assert tallies == {"parent": (0, 44), "change": (1, 44)}
+    assert r["verdict"] == "within bound" and not r["claim"]
+    # the same failed share on both sides does not block the claim
+    parent[-1] = _line(1, correct=False, failed=1)
+    results, tallies = ab_pairs.summarize(parent, change, metrics)
+    assert tallies["parent"] == (1, 44) and results["run_s"]["claim"]
+    # with no clean pair there is nothing to compare
+    results, _ = ab_pairs.summarize(parent[-1:], change[-1:], metrics)
+    assert results == {"run_s": None}

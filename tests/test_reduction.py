@@ -158,9 +158,10 @@ def test_reduced_star_associativity_sample():
 
 
 def test_product_table_takes_the_lowest_reliable_entry():
-    # a res_nu that trusts images of degree 4 one order less: the table's
-    # product is as reliable as the least reliable entry it used, as the
-    # direct product is, and an entry it did not use lowers nothing
+    # a res_nu whose degree-4 columns are one order less reliable (reduced_star
+    # reads res_nu's op_columns columns): the table's product is as reliable
+    # as the least reliable entry it used, as the direct product is, and an
+    # entry it did not use lowers nothing
     ctx, lam, moment, kc, star, space = circle_c2()
     pipe = build_pipe(ctx, lam, moment, kc, star, space)
     res_nu = pipe.res_nu
@@ -172,7 +173,8 @@ def test_product_table_takes_the_lowest_reliable_entry():
         terms = {k: Series(ctx, NW, c.coeffs, NW - 1) for k, c in out.terms.items()}
         return SuperElement(ctx, x.dim, NW, terms, _clean=True, floor=NW - 1)
 
-    lowered_dc = replace(pipe.deformed_contraction, p=OperatorHandle("res_nu", lowered))
+    lowered_res_nu = op_columns(OperatorHandle("res_nu", lowered), name="res_nu")
+    lowered_dc = replace(pipe.deformed_contraction, p=lowered_res_nu)
     pipe = replace(pipe, deformed_contraction=lowered_dc)
     v = lambda n: Poly.variable(ctx, n)
     g = space.normal_form_poly(v("z1") * v("zb1"))

@@ -4,13 +4,18 @@ s1-c4 runs at the `circle` benchmark workload's size (degree bound 4, its
 probe counts, seed 7).  The classical Phi and H kept after
 `classical-reduction` are column maps and equal the direct transfer; the
 product table behind `reduced-star.associativity` equals `reduced_star`
-on every triple, in value and reliable order; and a work-count guard pins
-how many times the run evaluates `reduced_star` and the direct Phi, so a
-change that brings back the recomputation fails here.  A second guard pins
-the `reduced_star` calls of commuting-n2 at the `rational` workload's size,
-where associativity takes the direct route instead of the table.  On both
-scenarios `reduced_star`, the Moyal product followed by res_nu, equals the
-graded-star route res_nu(prol f * prol g) in value and reliable order.
+on every triple, in value and reliable order; on s1-c4 and t2-c4 (t2-c4
+at the `torus` workload's size) every table entry over the quotient-model
+monomial pairs within the bound equals `reduced_star` of its pair, and so
+do the generator pair products that the stage reads off the table there;
+and a work-count guard pins how many times the run evaluates
+`reduced_star` and the direct Phi, so a change that brings back the
+recomputation fails here.  A second guard pins the `reduced_star` calls of
+commuting-n2 at the `rational` workload's size, where associativity takes
+the direct route instead of the table.  On s1-c4, t2-c4, commuting-n2 and
+angular-momentum-m2, `reduced_star`, the Moyal product followed by res_nu,
+equals the graded-star route res_nu(prol f * prol g) in value and
+reliable order.
 """
 
 import dataclasses
@@ -89,6 +94,12 @@ def state():
     return _before_reduced_star(CONFIG)
 
 
+@pytest.fixture(scope="module")
+def torus_state():
+    """t2-c4 at the `torus` workload's size through every stage before reduced-star."""
+    return _before_reduced_star(_workload_config("torus", "t2-c4"))
+
+
 def _reliables(x):
     return {k: c.reliable for k, c in x.terms.items()}
 
@@ -144,12 +155,49 @@ def test_product_table_equals_reduced_star_on_every_triple(state):
     assert got == want and got.reliable == want.reliable == f.order - 2
 
 
-@pytest.mark.parametrize("workload, scenario", [("circle", "s1-c4"), ("rational", "commuting-n2")])
+@pytest.mark.parametrize("scenario_state", ["state", "torus_state"])
+def test_every_table_entry_equals_reduced_star(scenario_state, request):
+    # over every pair of quotient-model monomials within the degree bound:
+    # the table's entry, read back as a product, equals reduced_star of the
+    # pair in value and reliable order, and the generator pair products,
+    # which the stage reads off the table on these scenarios, equal the
+    # direct ones
+    st = request.getfixturevalue(scenario_state)
+    pipe, ctx = _pipeline(st), st.ctx
+    grades = {g for deg in range(st.bound + 1) for g in ctx.grades_of_degree(deg)}
+    monomials = [Poly.monomial(ctx, m) for g in grades for m in st.space.complement_monomials(g)]
+    table = reduced_star_table(pipe)
+    pairs = [(f, g) for f in monomials for g in monomials if f.degree() + g.degree() <= st.bound]
+    for f, g in pairs:
+        got, want = table(f, g), reduced_star(f, g, pipe)
+        assert got == want and got.reliable == want.reliable, (f, g)
+        assert table.entries[(*f.terms, *g.terms)][0] == want.reliable
+    assert len(table.entries) == len(pairs) > 100
+    gens = st.generators
+    assert any(len(g.terms) > 1 for g in gens)
+    for f in gens:
+        for g in gens:
+            if f.degree() + g.degree() <= st.bound:
+                got, want = table(f, g), reduced_star(f, g, pipe)
+                assert got == want and got.reliable == want.reliable, (f, g)
+
+
+@pytest.mark.parametrize(
+    "workload, scenario",
+    [
+        ("circle", "s1-c4"),
+        ("rational", "commuting-n2"),
+        ("torus", "t2-c4"),
+        ("rational", "angular-momentum-m2"),
+    ],
+)
 def test_reduced_star_equals_the_graded_star_route(workload, scenario, request):
     # reduced_star is the Moyal product followed by res_nu; the reference is
-    # res_nu(prol f * prol g) through the graded star product, prol = id
-    if scenario == "s1-c4":
-        st = request.getfixturevalue("state")
+    # res_nu(prol f * prol g) through the graded star product, prol = id.
+    # t2-c4 has 3 grading rows; angular-momentum-m2 and commuting-n2 have
+    # polynomial generators, on which the stage takes the direct route
+    if scenario in ("s1-c4", "t2-c4"):
+        st = request.getfixturevalue("state" if scenario == "s1-c4" else "torus_state")
     else:
         st = _before_reduced_star(_workload_config(workload, scenario))
     pipe, dim, gens = _pipeline(st), st.moment.lie.dim, st.generators
@@ -166,26 +214,42 @@ def test_reduced_star_equals_the_graded_star_route(workload, scenario, request):
     degs = [g.degree() for g in gens]
     idx = range(len(gens))
     operands = [(gens[a], gens[b]) for a in idx for b in idx if degs[a] + degs[b] <= st.bound]
-    # a product of two generators with nu content as the left operand, as in associativity
-    triples = [
-        (a, b, c) for a in idx for b in idx for c in idx if degs[a] + degs[b] + degs[c] <= st.bound
-    ]
-    products = ((reduced_star(gens[a], gens[b], pipe), c) for a, b, c in triples)
-    pair, c = next((f, c) for f, c in products if any(not p.is_zero() for p in f.coeffs[1:]))
+    # a product of two generators with nu content as the left operand, as in
+    # associativity; the right one a generator within the bound, or 1 where
+    # none fits (angular-momentum-m2 has no generator triple within it)
+    thirds = gens + [Poly.const(st.ctx, 1)]
+    products = (
+        (reduced_star(gens[a], gens[b], pipe), h)
+        for a in idx
+        for b in idx
+        for h in thirds
+        if degs[a] + degs[b] + h.degree() <= st.bound
+    )
+    pair, h = next((f, h) for f, h in products if any(not p.is_zero() for p in f.coeffs[1:]))
     lowered = Series(st.ctx, pipe.order, pair.coeffs, pipe.order - 2)  # reliable below the order
     zero = Poly.zero(st.ctx)
-    operands += [(pair, gens[c]), (lowered, gens[c]), (zero, gens[-1]), (gens[-1], zero)]
+    operands += [(pair, h), (lowered, h), (zero, gens[-1]), (gens[-1], zero)]
     for f, g in operands:
         got, want = reduced_star(f, g, pipe), reference(f, g)
         assert got == want and got.reliable == want.reliable, (f, g)
 
 
 def test_work_counts_on_the_circle_workload(monkeypatch):
-    # reduced_star calls: unit 2 per generator (up to 8), the pair products
-    # of classical-part, the cohomology-star direct products and the
-    # product table's entries.  Direct classical Phi evaluations: the
-    # transfer's axiom and closed-form checks, then one per basis column
+    # reduced_star calls: unit 2 per generator (up to 8), ideal-invariance 2
+    # per probe (4), the cohomology-star direct products (4) and the stage's
+    # product table's 424 entries.  The pair products of classical-part read
+    # the table (every monomial of an s1-c4 generator is a generator), and
+    # associativity reads each entry they fill again through 1 * g = g.
+    # Direct classical Phi evaluations: the transfer's axiom and closed-form
+    # checks, then one per basis column
     counts = _count_reduced_star(monkeypatch)
+    tables = []
+
+    def recorded_table(pipe):
+        tables.append(reduction.reduced_star_table(pipe))
+        return tables[-1]
+
+    monkeypatch.setattr(runner, "reduced_star_table", recorded_table)
     counts["Phi"] = 0
     original_transfer = runner.brst_transfer
 
@@ -203,16 +267,19 @@ def test_work_counts_on_the_circle_workload(monkeypatch):
     monkeypatch.setattr(runner, "brst_transfer", counted_transfer)
     report = runner.run_scenario(CONFIG)
     assert report.verdict == "pass"
-    assert counts == {"reduced_star": 733, "Phi": 46}
+    assert counts == {"reduced_star": 452, "Phi": 46}
+    assert [len(table.entries) for table in tables] == [424]
 
 
 def test_work_counts_on_the_rational_workload(monkeypatch):
     # commuting-n2 samples 20 triples of generators with many monomials: the
     # product table would need 305 distinct monomial pairs, more than the 40
     # reduced_star calls of the direct route, so associativity takes the
-    # direct route; the other 39 calls are unit, the pair products and
-    # cohomology-star (the table route made 344 calls in all)
+    # direct route; the other 47 calls are unit, the pair products (which
+    # take reduced_star directly: these generators are not sums of generator
+    # monomials), ideal-invariance and cohomology-star (the table route would
+    # make 352 calls in all)
     counts = _count_reduced_star(monkeypatch)
     report = runner.run_scenario(_workload_config("rational", "commuting-n2"))
     assert report.verdict == "pass"
-    assert counts == {"reduced_star": 79}
+    assert counts == {"reduced_star": 87}

@@ -16,6 +16,11 @@ fraction of the parent median: `worse` when the change's median is worse
 by more than the bound, `unresolved` when the parent's own interquartile
 range is wider than the bound and not every change run beats every parent
 run, and `within bound` otherwise.
+
+A run that is not `correct`, or that has failed scenario runs, is named in
+its pair line, and its pair counts toward no metric.  The summary prints
+each side's failed and attempted runs summed over all pairs, and a gain is
+claimed only if the change's failed share is no larger than the parent's.
 """
 
 from __future__ import annotations
@@ -71,6 +76,44 @@ def compare(parent, change, better="lower", bound=None):
     }
 
 
+def clean(result):
+    """Whether a benchmark result line is correct with no failed runs."""
+    return result["correct"] and not result["failed"]
+
+
+def summarize(parent, change, metrics):
+    """The rules on paired result lines: parent[k] and change[k] form pair k.
+
+    `metrics` maps each end-to-end metric to (better, bound).  Returns
+    ({metric: `compare` result, or None when no pair is clean}, tallies):
+    only pairs whose two runs are both `clean` count toward a metric, and
+    tallies[side] is that side's (failed, attempted) summed over every run.
+    A claim also needs the change's failed share to be no larger than the
+    parent's.
+    """
+    tallies = {
+        side: (sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs))
+        for side, runs in (("parent", parent), ("change", change))
+    }
+    (pf, pa), (cf, ca) = tallies["parent"], tallies["change"]
+    more_failed = cf * pa > pf * ca  # cf / ca > pf / pa without dividing by zero
+    pairs = [(p, c) for p, c in zip(parent, change) if clean(p) and clean(c)]
+    results = {}
+    for metric, (better, bound) in metrics.items():
+        if not pairs:
+            results[metric] = None
+            continue
+        r = compare(
+            [p["metrics"][metric]["value"] for p, _ in pairs],
+            [c["metrics"][metric]["value"] for _, c in pairs],
+            better,
+            bound,
+        )
+        r["claim"] = r["claim"] and not more_failed
+        results[metric] = r
+    return results, tallies
+
+
 def run_once(directory, workload, seed, seconds):
     """One benchmark run in `directory`; its parsed result line."""
     proc = subprocess.run(
@@ -108,20 +151,22 @@ def main(argv=None):
     for k in range(args.n):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            directory = getattr(args, side)
-            res = run_once(directory, args.workload, args.seed, args.seconds)
-            if not res["correct"] or res["failed"]:
-                print(f"pair {k + 1}: {side} run not correct ({res['failed']} failed)")
-            runs[side].append({m: v["value"] for m, v in res["metrics"].items()})
-        line = " ".join(
-            f"{m} {runs['parent'][-1][m]:.4g}->{runs['change'][-1][m]:.4g}" for m in metrics
-        )
+            res = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
+            if not clean(res):
+                print(f"pair {k + 1}: {side} run not correct ({res['failed']} failed); pair left out")
+            runs[side].append(res)
+        parent, change = (runs[side][-1]["metrics"] for side in ("parent", "change"))
+        line = " ".join(f"{m} {parent[m]['value']:.4g}->{change[m]['value']:.4g}" for m in metrics)
         print(f"pair {k + 1} ({order[0]} first): {line}", flush=True)
 
+    results, tallies = summarize(runs["parent"], runs["change"], metrics)
     print(f"{args.workload} seed {args.seed}, {args.n} pairs, {args.seconds:g} s runs")
+    print(" ".join(f"{side} failed {f}/{a}" for side, (f, a) in tallies.items()))
     for metric, (direction, bound) in metrics.items():
-        parent = [p[metric] for p in runs["parent"]]
-        r = compare(parent, [c[metric] for c in runs["change"]], direction, bound)
+        r = results[metric]
+        if r is None:
+            print(f"{metric}: no pair with two correct runs; claim not met")
+            continue
         (p1, pm, p3), (c1, cm, c3) = r["parent"], r["change"]
         print(
             f"{metric}: parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  change {cm:.4g} [{c1:.4g}, {c3:.4g}]"
