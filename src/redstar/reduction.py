@@ -106,7 +106,7 @@ def reduced_star(f, g, pipe):
     altogether is zero to that minimum.  Accepts Poly or Series operands in
     the quotient model at the pipeline's order; returns a Series in the
     quotient model.  It is C[[nu]]-bilinear: a check that multiplies many
-    operands can read it off monomial products (`reduced_star_table`).
+    operands can read it off monomial products (`ProductTable`).
     """
     ctx, order = pipe.moment.ctx, pipe.order
     reliable = min(_reliable(f, ctx, order), _reliable(g, ctx, order))
@@ -135,22 +135,26 @@ def _reliable(f, ctx, order):
 
 
 class ProductTable:
-    """A C[[nu]]-bilinear product of Poly or Series operands read off a lazy table.
+    """The reduced product of Poly or Series operands read off a lazy table of monomial pairs.
 
-    f * g is the sum of c1 c2 nu^(s+t) T[(m1, m2)] over the terms c1 nu^s m1
-    of f and c2 nu^t m2 of g with s + t within `order`, truncated there.
-    The entry T[(m1, m2)] is fill(m1, m2), a Series, on first use, kept as
-    its reliable order and a flat tuple of (nu power, monomial, coefficient)
-    terms.  A product is reliable to the minimum of f's, g's and every
-    entry's it used.  Each operand's term list is read once per table,
-    keyed by the operand object, which the table keeps alive so that its
-    id stays its own; `table_size` reads the same lists.
+    `reduced_star` is C[[nu]]-bilinear, so f * g is the sum of
+    c1 c2 nu^(s+t) T[(m1, m2)] over the terms c1 nu^s m1 of f and
+    c2 nu^t m2 of g with s + t within the pipeline's order, truncated
+    there, and equals `reduced_star`(f, g) in value and reliable order.
+    The entry T[(m1, m2)] is `reduced_star` of the monomial pair, on first
+    use, kept as its reliable order and a flat tuple of (nu power,
+    monomial, coefficient) terms.  A product is reliable to the minimum of
+    f's, g's and every entry's it used.  Each operand's term list is read
+    once per table, keyed by the operand object, which the table keeps
+    alive so that its id stays its own.  `table(f, g)` is f * g and
+    `table.residual((f, g), (f2, g2))` is f * g - f2 * g2 in one Series,
+    the form `reduced-star.associativity` reads.
     """
 
-    def __init__(self, ctx, order, fill):
-        self.ctx = ctx
-        self.order = order
-        self.fill = fill
+    def __init__(self, pipe):
+        self.pipe = pipe
+        self.ctx = pipe.moment.ctx
+        self.order = pipe.order
         self.entries = {}  # (m1, m2) -> (reliable, ((nu power, monomial, coefficient), ...))
         self.operands = {}  # id(operand) -> (operand, reliable, terms)
 
@@ -169,7 +173,7 @@ class ProductTable:
 
     def _add(self, slots, f, g, negate, reliable):
         """Add f * g (its negative if `negate`) into slots; `reliable` lowered by what it read."""
-        order, entries = self.order, self.entries
+        ctx, order, entries = self.ctx, self.order, self.entries
         f_reliable, f_terms = self.terms(f)
         g_reliable, g_terms = self.terms(g)
         reliable = min(reliable, f_reliable, g_reliable)
@@ -180,7 +184,7 @@ class ProductTable:
                     continue
                 entry = entries.get((m1, m2))
                 if entry is None:
-                    value = self.fill(m1, m2)
+                    value = reduced_star(Poly.monomial(ctx, m1), Poly.monomial(ctx, m2), self.pipe)
                     entry = entries[(m1, m2)] = (
                         value.reliable,
                         tuple(
@@ -212,38 +216,6 @@ class ProductTable:
         reliable = self._add(slots, *left, False, self.order)
         reliable = self._add(slots, *right, True, reliable)
         return Series.from_slots(self.ctx, self.order, slots, reliable)
-
-
-def reduced_star_table(pipe):
-    """The reduced product as a `ProductTable` whose entries T[(m1, m2)] are `reduced_star`(m1, m2).
-
-    `reduced_star` is C[[nu]]-bilinear, so the table's f * g equals
-    `reduced_star`(f, g) in value and reliable order.  `table(f, g)` is
-    f * g and `table.residual((f, g), (f2, g2))` is f * g - f2 * g2 in one
-    Series, the form `reduced-star.associativity` reads.  The table lives
-    as long as the returned object.
-    """
-    ctx = pipe.moment.ctx
-
-    def fill(m1, m2):
-        return reduced_star(Poly.monomial(ctx, m1), Poly.monomial(ctx, m2), pipe)
-
-    return ProductTable(ctx, pipe.order, fill)
-
-
-def table_size(products, table):
-    """How many entries of `table` the products f * g, (f, g) in `products`, read, filled or not.
-
-    It reads the operands' term lists through the table, which keeps them
-    for the products themselves.
-    """
-    pairs = set()
-    for f, g in products:
-        f_terms, g_terms = table.terms(f)[1], table.terms(g)[1]
-        pairs.update(
-            (m1, m2) for s, m1, _ in f_terms for t, m2, _ in g_terms if s + t <= table.order
-        )
-    return len(pairs)
 
 
 def reduced_star_cohomology(a, b, pipe):

@@ -85,6 +85,7 @@ from .quantum import (
     star_action,
 )
 from .reduction import (
+    ProductTable,
     ReductionPipeline,
     closed_form_res_nu,
     deformed_restriction,
@@ -92,8 +93,6 @@ from .reduction import (
     quantum_reduction,
     reduced_star,
     reduced_star_cohomology,
-    reduced_star_table,
-    table_size,
 )
 from .report import CheckRecord, Report
 from .scenarios import FULL_STAGES as STAGE_ORDER
@@ -544,14 +543,12 @@ def stage_classical_reduction(state):
     nf = state.space.normal_form_poly
     for g in gens:
         normal = nf(g)
+        # the stored normal form is certified: the normal form keeps each
+        # monomial's grade, torus rows included, and on the bracket route
+        # {J_a, J_b h} = f_ab^c J_c h + J_b {J_a, h} lies in the ideal, so g
+        # and its normal form get the same verdict
         try:
-            certify_invariant(
-                normal if cfg.invariant_mode == "declared" else g,
-                state.moment,
-                state.lam,
-                state.space,
-                cfg.torus_rows,
-            )
+            certify_invariant(normal, state.moment, state.lam, state.space, cfg.torus_rows)
             state.generators.append(normal)
             items.append((f"generator {g}", Poly.zero(state.ctx)))
         except InvarianceError:
@@ -802,23 +799,26 @@ def stage_reduced_star(state):
     )
     nf = state.space.normal_form_poly
     one = Poly.const(state.ctx, 1)
-    star = state.star.star
-    # one product table for the stage.  Generator pairs read it when every
-    # monomial of a generator is itself a one-monomial generator (s1-c4 and
-    # t2-c4, whose generators are monomials or, after the normal form, sums
-    # of them): then each entry a pair reads is, up to its coefficient, a
-    # generator pair's product, which associativity reads again through
-    # 1 * g = g.  Otherwise (angular-momentum-m2, commuting-n2) a pair takes
-    # reduced_star directly
-    table = reduced_star_table(pipe)
+    # one route for the generator-level products.  When every monomial of a
+    # generator is itself a one-monomial generator (s1-c4 and t2-c4, whose
+    # generators are monomials or, after the normal form, sums of them),
+    # each table entry a product reads is, up to its coefficient, a
+    # generator pair's product, read again by the other checks (through
+    # 1 * g = g in associativity), so they all read one ProductTable.
+    # Otherwise (angular-momentum-m2, commuting-n2, with polynomial
+    # generators) the table would fill many entries that are read once, and
+    # each product calls reduced_star directly
     monomials = {m for g in gens if len(g.terms) == 1 for m in g.terms}
-    monomial_gens = all(m in monomials for g in gens for m in g.terms)
+    if all(m in monomials for g in gens for m in g.terms):
+        reduced = ProductTable(pipe)
+        residual = reduced.residual
+    else:
+        reduced = lambda f, g: reduced_star(f, g, pipe)
+        residual = lambda left, right: reduced(*left) - reduced(*right)
 
     @functools.cache
     def star_pair(ia, ib):
-        if monomial_gens:
-            return table(gens[ia], gens[ib])
-        return reduced_star(gens[ia], gens[ib], pipe)
+        return reduced(gens[ia], gens[ib])
 
     @functools.cache
     def nf_product(ia, ib):  # the classical product commutes: once per unordered pair
@@ -828,8 +828,8 @@ def stage_reduced_star(state):
     items = []
     for k in range(min(len(gens), 8)):
         g = Series.from_poly(gens[k], state.work_order)
-        items.append((f"1*g ({k})", reduced_star(one, gens[k], pipe) - g))
-        items.append((f"g*1 ({k})", reduced_star(gens[k], one, pipe) - g))
+        items.append((f"1*g ({k})", reduced(one, gens[k]) - g))
+        items.append((f"g*1 ({k})", reduced(gens[k], one) - g))
     run.check("unit", "f * 1 = 1 * f = f", items)
 
     # classical part and first-order correspondence on all pairs
@@ -875,21 +875,8 @@ def stage_reduced_star(state):
         return (star_pair(a, b), gens[c]), (gens[a], star_pair(b, c))
 
     def associativity():  # each residual lives only while the check runs
-        # the table evaluates at most one reduced_star per distinct monomial
-        # pair (none for an entry the pair products filled), the direct
-        # route two per triple: take whichever the count of pairs says is
-        # fewer.  Both routes run on the benchmark (the table on s1-c4 and
-        # t2-c4, the direct route on commuting-n2), so both stay.  The table
-        # gives each residual as one Series
-        entries = table_size((side for t in triples for side in sides(*t)), table)
-        use_table = entries <= 2 * len(triples)
         for a, b, c in triples:
-            left, right = sides(a, b, c)
-            if use_table:
-                residual = table.residual(left, right)
-            else:
-                residual = reduced_star(*left, pipe) - reduced_star(*right, pipe)
-            yield f"assoc ({a},{b},{c})", residual
+            yield f"assoc ({a},{b},{c})", residual(*sides(a, b, c))
 
     run.check(
         "associativity",
@@ -907,7 +894,9 @@ def stage_reduced_star(state):
         G = gens[run.rng.randrange(len(gens))]
         room = max(0, state.bound - state.jdegs[a] - G.degree())
         g = random_poly(state.ctx, run.rng, room, 2)
-        # ghost-free operands: the Moyal product, then res_nu, as reduced_star takes them
+        # ghost-free operands: the Moyal product, then res_nu, as reduced_star
+        # takes them.  g * J_a is a one-off Series, so table entries for it
+        # would be filled and never read again: both routes call reduced_star
         ideal = moyal_star_series(g, state.moment.components[a], state.lam, state.work_order)
         items.append((f"left shift ({k})", reduced_star(ideal, G, pipe)))
         items.append((f"right shift ({k})", reduced_star(G, ideal, pipe)))
@@ -923,12 +912,12 @@ def stage_reduced_star(state):
     run.prefix = "cohomology-star"
     items = []
     for k in range(4):
-        f, g = gens[k % len(gens)], gens[(k + 1) % len(gens)]
-        fx, gx = pipe.embed(f), pipe.embed(g)
+        ia, ib = k % len(gens), (k + 1) % len(gens)
+        fx, gx = pipe.embed(gens[ia]), pipe.embed(gens[ib])
         # both classes closed: residuals of this check, so the rule truncates them
         items += [(f"[f] closed ({k})", qc.d_X(fx)), (f"[g] closed ({k})", qc.d_X(gx))]
         via_classes = reduced_star_cohomology(fx, gx, pipe)
-        direct = reduced_star(f, g, pipe)
+        direct = star_pair(ia, ib)
         items.append((f"degree-0 classes ({k})", via_classes - SuperElement.scalar(direct, dim)))
     run.check(
         "degree-zero",
@@ -949,8 +938,8 @@ def stage_reduced_star(state):
         room = min(3, state.bound - gens[k % len(gens)].degree())
         c_el = pipe.embed(nf(random_poly(state.ctx, run.rng, room, 2)))
         dc_el = qc.d_X(c_el)
-        lhs = pipe.res_nu(star(qc.i(a_el), qc.i(dc_el)))
-        prim = pipe.res_nu(star(qc.i(a_el), qc.i(c_el)))
+        lhs = reduced_star_cohomology(a_el, dc_el, pipe)
+        prim = reduced_star_cohomology(a_el, c_el, pipe)
         items.append((f"exact shift ({k})", lhs - qc.d_X(prim)))
     run.check(
         "exact-shift",

@@ -14,13 +14,13 @@ from redstar.poly import Poly, VarContext
 from redstar.probes import random_bounded_super, random_poly
 from redstar.quantum import star_action
 from redstar.reduction import (
+    ProductTable,
     ReductionPipeline,
     closed_form_res_nu,
     deformed_restriction,
     invariant_generators,
     quantum_reduction,
     reduced_star,
-    reduced_star_table,
     weight_zero_monomials,
 )
 from redstar.scalars import QQ_I, GaussianRational
@@ -179,7 +179,7 @@ def test_product_table_takes_the_lowest_reliable_entry():
     v = lambda n: Poly.variable(ctx, n)
     g = space.normal_form_poly(v("z1") * v("zb1"))
     one = Poly.const(ctx, 1)
-    product = reduced_star_table(pipe)
+    product = ProductTable(pipe)
     nu_g = Series.from_poly(g, NW).shift_nu(1)
     for f, reliable in ((g + one, NW - 1), (one, NW), (nu_g, NW - 1)):
         got, want = product(f, g), reduced_star(f, g, pipe)

@@ -3,16 +3,17 @@
 s1-c4 runs at the `circle` benchmark workload's size (degree bound 4, its
 probe counts, seed 7).  The classical Phi and H kept after
 `classical-reduction` are column maps and equal the direct transfer; the
-product table behind `reduced-star.associativity` equals `reduced_star`
-on every triple, in value and reliable order; on s1-c4 and t2-c4 (t2-c4
-at the `torus` workload's size) every table entry over the quotient-model
-monomial pairs within the bound equals `reduced_star` of its pair, and so
-do the generator pair products that the stage reads off the table there;
-and a work-count guard pins how many times the run evaluates
-`reduced_star` and the direct Phi, so a change that brings back the
-recomputation fails here.  A second guard pins the `reduced_star` calls of
-commuting-n2 at the `rational` workload's size, where associativity takes
-the direct route instead of the table.  On s1-c4, t2-c4, commuting-n2 and
+`ProductTable` that `reduced-star` reads on s1-c4 and t2-c4 equals
+`reduced_star` on every triple, in value and reliable order; on s1-c4 and
+t2-c4 (t2-c4 at the `torus` workload's size and at its registry size)
+every table entry over the quotient-model monomial pairs within the bound
+equals `reduced_star` of its pair, and so do the generator pair products
+that the stage reads off the table there; and a work-count guard pins how
+many times the run evaluates `reduced_star` and the direct Phi, so a
+change that brings back the recomputation fails here.  A second guard
+pins the `reduced_star` calls of commuting-n2 at the `rational`
+workload's size, whose stage builds no table and calls `reduced_star`
+directly.  On s1-c4, t2-c4, commuting-n2 and
 angular-momentum-m2, `reduced_star`, the Moyal product followed by res_nu,
 equals the graded-star route res_nu(prol f * prol g) in value and
 reliable order.
@@ -30,7 +31,7 @@ from redstar.brst import brst_transfer
 from redstar.koszul import koszul_operator
 from redstar.poly import Poly
 from redstar.probes import random_bounded_super
-from redstar.reduction import ReductionPipeline, reduced_star, reduced_star_table
+from redstar.reduction import ProductTable, ReductionPipeline, reduced_star
 from redstar.scenarios import REGISTRY_BUILDERS
 from redstar.series import Series
 from redstar.superalg import OperatorHandle, SuperElement
@@ -100,6 +101,12 @@ def torus_state():
     return _before_reduced_star(_workload_config("torus", "t2-c4"))
 
 
+@pytest.fixture(scope="module")
+def torus_registry_state():
+    """t2-c4 at its registry size through every stage before reduced-star."""
+    return _before_reduced_star(REGISTRY_BUILDERS["t2-c4"]())
+
+
 def _reliables(x):
     return {k: c.reliable for k, c in x.terms.items()}
 
@@ -143,7 +150,7 @@ def test_product_table_equals_reduced_star_on_every_triple(state):
         for b in idx
         if degs[a] + degs[b] <= state.bound
     }
-    product = reduced_star_table(pipe)
+    product = ProductTable(pipe)
     for a, b, c in triples:
         for f, g in ((pairs[(a, b)], gens[c]), (gens[a], pairs[(b, c)])):
             got, want = product(f, g), reduced_star(f, g, pipe)
@@ -155,18 +162,20 @@ def test_product_table_equals_reduced_star_on_every_triple(state):
     assert got == want and got.reliable == want.reliable == f.order - 2
 
 
-@pytest.mark.parametrize("scenario_state", ["state", "torus_state"])
+@pytest.mark.parametrize("scenario_state", ["state", "torus_state", "torus_registry_state"])
 def test_every_table_entry_equals_reduced_star(scenario_state, request):
     # over every pair of quotient-model monomials within the degree bound:
     # the table's entry, read back as a product, equals reduced_star of the
     # pair in value and reliable order, and the generator pair products,
     # which the stage reads off the table on these scenarios, equal the
-    # direct ones
+    # direct ones.  t2-c4 at its registry size is where associativity reads
+    # the table although it fills more entries than the direct route's two
+    # products per triple
     st = request.getfixturevalue(scenario_state)
     pipe, ctx = _pipeline(st), st.ctx
     grades = {g for deg in range(st.bound + 1) for g in ctx.grades_of_degree(deg)}
     monomials = [Poly.monomial(ctx, m) for g in grades for m in st.space.complement_monomials(g)]
-    table = reduced_star_table(pipe)
+    table = ProductTable(pipe)
     pairs = [(f, g) for f in monomials for g in monomials if f.degree() + g.degree() <= st.bound]
     for f, g in pairs:
         got, want = table(f, g), reduced_star(f, g, pipe)
@@ -234,22 +243,28 @@ def test_reduced_star_equals_the_graded_star_route(workload, scenario, request):
         assert got == want and got.reliable == want.reliable, (f, g)
 
 
-def test_work_counts_on_the_circle_workload(monkeypatch):
-    # reduced_star calls: unit 2 per generator (up to 8), ideal-invariance 2
-    # per probe (4), the cohomology-star direct products (4) and the stage's
-    # product table's 424 entries.  The pair products of classical-part read
-    # the table (every monomial of an s1-c4 generator is a generator), and
-    # associativity reads each entry they fill again through 1 * g = g.
-    # Direct classical Phi evaluations: the transfer's axiom and closed-form
-    # checks, then one per basis column
-    counts = _count_reduced_star(monkeypatch)
+def _record_tables(monkeypatch):
+    """The list of every ProductTable the runner builds."""
     tables = []
 
     def recorded_table(pipe):
-        tables.append(reduction.reduced_star_table(pipe))
+        tables.append(reduction.ProductTable(pipe))
         return tables[-1]
 
-    monkeypatch.setattr(runner, "reduced_star_table", recorded_table)
+    monkeypatch.setattr(runner, "ProductTable", recorded_table)
+    return tables
+
+
+def test_work_counts_on_the_circle_workload(monkeypatch):
+    # reduced_star calls: ideal-invariance 2 per probe (4) and the stage's
+    # product table's 424 entries.  Every monomial of an s1-c4 generator is
+    # a generator, so unit, the pair products of classical-part,
+    # associativity and the direct side of cohomology-star.degree-zero all
+    # read the table, and each entry is filled once.  Direct classical Phi
+    # evaluations: the transfer's axiom and closed-form checks, then one
+    # per basis column
+    counts = _count_reduced_star(monkeypatch)
+    tables = _record_tables(monkeypatch)
     counts["Phi"] = 0
     original_transfer = runner.brst_transfer
 
@@ -267,19 +282,20 @@ def test_work_counts_on_the_circle_workload(monkeypatch):
     monkeypatch.setattr(runner, "brst_transfer", counted_transfer)
     report = runner.run_scenario(CONFIG)
     assert report.verdict == "pass"
-    assert counts == {"reduced_star": 452, "Phi": 46}
+    assert counts == {"reduced_star": 432, "Phi": 46}
     assert [len(table.entries) for table in tables] == [424]
 
 
 def test_work_counts_on_the_rational_workload(monkeypatch):
-    # commuting-n2 samples 20 triples of generators with many monomials: the
-    # product table would need 305 distinct monomial pairs, more than the 40
-    # reduced_star calls of the direct route, so associativity takes the
-    # direct route; the other 47 calls are unit, the pair products (which
-    # take reduced_star directly: these generators are not sums of generator
-    # monomials), ideal-invariance and cohomology-star (the table route would
-    # make 352 calls in all)
+    # commuting-n2's generators are not sums of generator monomials, so the
+    # stage builds no product table and every product calls reduced_star
+    # directly: associativity's 20 sampled triples 2 each, and unit, the
+    # pair products and ideal-invariance.  The direct side of
+    # cohomology-star.degree-zero reads the cached pair products (a table
+    # would need 305 distinct monomial pairs for associativity alone)
     counts = _count_reduced_star(monkeypatch)
+    tables = _record_tables(monkeypatch)
     report = runner.run_scenario(_workload_config("rational", "commuting-n2"))
     assert report.verdict == "pass"
-    assert counts == {"reduced_star": 87}
+    assert counts == {"reduced_star": 83}
+    assert tables == []
