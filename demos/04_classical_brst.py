@@ -13,12 +13,13 @@ from fractions import Fraction
 
 from redstar.brst import (
     build_delta,
-    check_classical_splitting,
     brst_transfer,
     certify_invariant,
     classical_charge,
+    classical_operators,
     poisson_action,
     reduced_poisson,
+    splitting_residuals,
 )
 from redstar.koszul import KoszulSpace, MomentMapData, koszul_contraction
 from redstar.poisson import poisson_data
@@ -65,10 +66,10 @@ ghost_cubics = sum(1 for k in theta.terms if len(k[0]) == 2 and len(k[1]) == 1)
 print("charge has", ghost_cubics, "structure-constant (ghost-cubic) terms")
 print("{theta, theta} = 0:", graded_poisson(theta, theta, lam).is_zero())
 
-delta = build_delta(moment, poisson_action(lam))
+ops = classical_operators(moment, lam, theta)  # D = {theta, .}, delta and koszul
 rng = random.Random(2)
 probes = [random_bounded_super(ctx, 3, 0, rng, 4, (2, 2, 2), terms=2) for _ in range(10)]
-residuals = check_classical_splitting(moment, lam, theta, delta, probes)
+residuals = splitting_residuals(ops, probes)
 print("splitting identities on 10 random elements:",
       "all zero" if all(r.is_zero() for _, r in residuals) else "FAILED")
 

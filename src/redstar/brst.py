@@ -1,12 +1,16 @@
-"""Classical BRST: charge, differential, codifferential and the transfer.
+"""Classical BRST: charge, operator set, splitting checks and the transfer.
 
 The charge combines the structure constants and the moment map; its graded
 self-bracket vanishes exactly and its adjoint action splits as the
-codifferential plus twice the Koszul differential.  The codifferential,
-the quotient representation and the transfer to the quotient cochains (the
-first perturbation lemma applied to an extended contraction) are written
-once for a given coefficient action, so the quantum side reuses them with
-the star commutator in place of the Poisson bracket.
+codifferential plus twice the Koszul differential.  Each side holds its
+three operators in one `BrstOperators` set (`classical_operators` here,
+`quantum.build_quantum_operators` after deformation), which the splitting
+checks read and whose codifferential the BRST transfer moves along.  The
+codifferential, the quotient representation and the transfer to the
+quotient cochains (the first perturbation lemma applied to an extended
+contraction) are written once for a given coefficient action, so the
+quantum side reuses them with the star commutator in place of the Poisson
+bracket.
 """
 
 from __future__ import annotations
@@ -113,12 +117,31 @@ def quotient_representation(moment, action, res, prol):
     return RepresentationHandle(moment.lie, tuple(make(a) for a in range(moment.lie.dim)))
 
 
-def splitting_residuals(D, delta, koszul, probes, s=""):
+@dataclass
+class BrstOperators:
+    """One side's BRST operators: D, the codifferential delta and the Koszul differential."""
+
+    D: OperatorHandle
+    delta: OperatorHandle
+    koszul: OperatorHandle
+
+
+def classical_operators(moment, lam, theta):
+    """The classical set around the charge theta: D = {theta, .}, delta and koszul."""
+    return BrstOperators(
+        D=classical_brst_diff(theta, lam),
+        delta=build_delta(moment, poisson_action(lam)),
+        koszul=koszul_operator(moment),
+    )
+
+
+def splitting_residuals(ops, probes, s=""):
     """Residuals of D = delta + 2 koszul, the three squares and the supercommutator.
 
     Labels carry the operator suffix `s` ("" classically, "_nu" for the
-    deformed operators) and the probe index in brackets.
+    deformed set) and the probe index in brackets.
     """
+    D, delta, koszul = ops.D, ops.delta, ops.koszul
     out = []
     for k, x in enumerate(probes):
         dx, delta_x, koszul_x = D(x), delta(x), koszul(x)
@@ -132,12 +155,6 @@ def splitting_residuals(D, delta, koszul, probes, s=""):
     return out
 
 
-def check_classical_splitting(moment, lam, theta, delta, probes):
-    """Residuals of the splitting identities on each probe."""
-    D = classical_brst_diff(theta, lam)
-    return splitting_residuals(D, delta, koszul_operator(moment), probes)
-
-
 def brst_transfer(contraction, delta, probes_X=(), probes_Y=(), upto=None):
     """Transfer D = delta + 2 d_Y to the quotient cochains along `contraction`.
 
@@ -149,9 +166,9 @@ def brst_transfer(contraction, delta, probes_X=(), probes_Y=(), upto=None):
     d_z = res delta prol on the quotient cochains, gives the transferred
     contraction: its `i` is Phi, its `h` is H and its `d_X` equals d_z.
     Returns (contraction, d_z).  Classically `contraction` is the Koszul
-    contraction and `delta` the classical codifferential;
+    contraction and `delta` the classical set's codifferential;
     `reduction.quantum_reduction` passes the deformed contraction
-    (koszul_nu, h_nu) and delta_nu.
+    (koszul_nu, h_nu) and the deformed set's delta_nu.
     """
     c = contraction
     h = op_scale(c.h, Fraction(1, 2), name="h/2")

@@ -1,22 +1,23 @@
-"""Quantum BRST: deformed charge, differentials and the splitting check.
+"""Quantum BRST: deformed charge, operator set and the splitting check.
 
 The deformed Koszul differential is right star multiplication by the
 moment map plus structure-constant corrections; the deformed
 codifferential replaces the coefficient Poisson action by the rescaled
-star commutator.  Dividing by nu costs one reliable order, which the
-Series layer tracks; callers give themselves headroom by working at a
-truncation above the order they assert.
+star commutator.  The three deformed operators form one
+`brst.BrstOperators` set (`build_quantum_operators`), the one the
+splitting checks read and the quantum BRST transfer moves delta_nu from.
+Dividing by nu costs one reliable order, which the Series layer tracks;
+callers give themselves headroom by working at a truncation above the
+order they assert.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .koszul import koszul_pieces
 from .series import Series
 from .superalg import (  # noqa: F401 (star_right_multiply: R's writer, traced under this module)
-    OperatorHandle,
     Piece,
     SuperElement,
     _remove_antighost,
@@ -25,7 +26,7 @@ from .superalg import (  # noqa: F401 (star_right_multiply: R's writer, traced u
     right_star,
     star_right_multiply,
 )
-from .brst import build_delta, classical_charge, splitting_residuals
+from .brst import BrstOperators, build_delta, classical_charge, splitting_residuals
 
 
 def quantum_charge(moment, order):
@@ -109,19 +110,15 @@ def quantum_brst_diff(theta_nu, star):
     return op_sum("D_nu", +1, pieces, frozenset({"ghost"}))
 
 
-@dataclass
-class QuantumOperators:
-    D: OperatorHandle
-    koszul_nu: OperatorHandle
-    delta_nu: OperatorHandle
-
-
 def build_quantum_operators(moment, star, theta_nu):
-    """The deformed operators around the charge theta_nu (see `quantum_charge`)."""
-    return QuantumOperators(
+    """The deformed set around the charge theta_nu (see `quantum_charge`).
+
+    Its handles are named D_nu, koszul_nu and delta_nu.
+    """
+    return BrstOperators(
         D=quantum_brst_diff(theta_nu, star),
-        koszul_nu=build_quantum_koszul(moment, star),
-        delta_nu=build_delta(moment, star_action(star), "delta_nu"),
+        koszul=build_quantum_koszul(moment, star),
+        delta=build_delta(moment, star_action(star), "delta_nu"),
     )
 
 
@@ -131,4 +128,4 @@ def check_quantum_splitting(ops, probes):
     D_nu = delta_nu + 2 koszul_nu, each square zero, and the two pieces
     anticommute; all modulo the truncation.
     """
-    return splitting_residuals(ops.D, ops.delta_nu, ops.koszul_nu, probes, "_nu")
+    return splitting_residuals(ops, probes, "_nu")

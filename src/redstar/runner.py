@@ -22,6 +22,9 @@ contraction axioms on every pair.  Each stage states its transfer's facts
 at the call: the nu-order and number of the Y probes, how many of them the
 hypotheses are checked on and the build anchor; the two BRST transfers
 (`StageRun.reduction`) add their operator suffix and closed-form anchor.
+Each BRST stage builds its side's `brst.BrstOperators` set once and stores
+it on `RunState`, and each BRST transfer moves the delta of the set that
+its BRST stage checked.
 
 `STAGE_FUNCTIONS` maps each stage of `STAGE_ORDER` to its function
 `stage_<name>`.  A record's wall time runs from the stage's previous record
@@ -42,16 +45,15 @@ from fractions import Fraction
 from . import __version__
 from .brst import (
     brst_transfer,
-    build_delta,
     certify_invariant,
-    check_classical_splitting,
-    classical_brst_diff,
     classical_charge,
+    classical_operators,
     closed_form_H,
     closed_form_Phi,
     poisson_action,
     quotient_representation,
     reduced_poisson,
+    splitting_residuals,
 )
 from .errors import (
     ConfigError,
@@ -66,7 +68,6 @@ from .koszul import (
     build_koszul_contraction,
     check_acyclicity,
     koszul_contraction,
-    koszul_operator,
 )
 from .parsing import parse_polynomial
 from .poisson import (
@@ -162,7 +163,8 @@ class RunState:
     jdegs: tuple = ()
     kc: object = None
     space: object = None
-    delta: object = None
+    classical: object = None  # classical-brst's BrstOperators: D, delta, koszul
+    quantum: object = None  # quantum-brst's BrstOperators: D_nu, delta_nu, koszul_nu
     cc: object = None  # classical transfer: Phi, H and d_z
     dc: object = None
     qc: object = None  # quantum transfer: Phi_nu, H_nu and d_z_nu
@@ -509,11 +511,10 @@ def stage_classical_brst(state):
         [("{theta,theta}", graded_poisson(theta, theta, state.lam))],
         probes=0,
     )
-    delta = state.delta = build_delta(state.moment, poisson_action(state.lam))
+    ops = state.classical = classical_operators(state.moment, state.lam, theta)
     n = state.config.probe_counts()["splitting"]
     probes = [run.element(0) for _ in range(n)]
-    items = check_classical_splitting(state.moment, state.lam, theta, delta, probes)
-    run.by_label(_splitting_anchors(""), items)
+    run.by_label(_splitting_anchors(""), splitting_residuals(ops, probes))
     return run.records
 
 
@@ -522,7 +523,7 @@ def stage_classical_reduction(state):
     run = StageRun(state, "classical-reduction")
     dim = state.moment.lie.dim
     built = run.reduction(
-        brst_transfer, state.kc, state.delta, order=0, probes=6, lemma=3, s="",
+        brst_transfer, state.kc, state.classical.delta, order=0, probes=6, lemma=3, s="",
         build="transfer of D along the extended contraction (lemma version 1)",
         closed_forms="lemma output equals H = h/2 sum (-1/2)^j (h delta + delta h)^j and "
         "Phi = prol - H(delta prol - prol d_z)",
@@ -543,6 +544,9 @@ def stage_classical_reduction(state):
     nf = state.space.normal_form_poly
     for g in gens:
         normal = nf(g)
+        if normal.is_zero():  # a zero generator would pass every degree filter
+            items.append((f"generator {g} lies in the ideal", g))
+            continue
         # the stored normal form is certified: the normal form keeps each
         # monomial's grade, torus rows included, and on the bracket route
         # {J_a, J_b h} = f_ab^c J_c h + J_b {J_a, h} lies in the ideal, so g
@@ -554,10 +558,13 @@ def stage_classical_reduction(state):
         except InvarianceError:
             items.append((f"generator {g}", g))
     anchor = "invariant generators certified (weight zero or bracket into the ideal)"
-    if gens:
-        run.check("generators", anchor, items, detail=f"{len(state.generators)} generator(s)")
-    else:  # with no candidate, a pass would have evaluated nothing
+    detail = f"{len(state.generators)} generator(s)"
+    if not gens:  # with no candidate, a pass would have evaluated nothing
         run.record("generators", anchor, "fail", detail="no candidate generators")
+    elif any(g.degree() > 0 for g in state.generators) or any(not r.is_zero() for _, r in items):
+        run.check("generators", anchor, items, detail=detail)
+    else:  # constants alone: reduced-star would multiply nothing of positive degree
+        run.record("generators", anchor, "fail", detail=f"{detail}, none of positive degree")
     # reduced Poisson bracket checks
     gens = state.generators
     if not gens:
@@ -610,22 +617,18 @@ def stage_quantum_brst(state):
     )
     if charge.status == "fail":
         return run.records
-    qops = build_quantum_operators(state.moment, star, theta_nu)
+    qops = state.quantum = build_quantum_operators(state.moment, star, theta_nu)
     probes = [run.element(state.work_order) for _ in range(cfg.probe_counts()["splitting"])]
-    items = check_quantum_splitting(qops, probes)
-    run.by_label(_splitting_anchors("_nu"), items)
+    run.by_label(_splitting_anchors("_nu"), check_quantum_splitting(qops, probes))
 
-    # classical limits
-    theta0 = classical_charge(state.moment, 0)
-    D0 = classical_brst_diff(theta0, state.lam)
-    delta0 = build_delta(state.moment, poisson_action(state.lam))
-    koszul0 = koszul_operator(state.moment)
+    # classical limits, against a classical set of this stage's own
+    cops = classical_operators(state.moment, state.lam, classical_charge(state.moment, 0))
     items = []
     for x in probes[:8]:
         x0 = x.classical_part()
-        items.append(("koszul_nu|nu=0 - koszul", qops.koszul_nu(x).classical_part() - koszul0(x0)))
-        items.append(("delta_nu|nu=0 - delta", qops.delta_nu(x).classical_part() - delta0(x0)))
-        items.append(("D_nu|nu=0 - D", qops.D(x).classical_part() - D0(x0)))
+        for op in ("koszul", "delta", "D"):
+            limit = getattr(qops, op)(x).classical_part() - getattr(cops, op)(x0)
+            items.append((f"{op}_nu|nu=0 - {op}", limit))
     run.check(
         "classical-limit",
         "each deformed operator restricts to its classical counterpart at nu = 0",
@@ -639,8 +642,8 @@ def stage_quantum_brst(state):
         fpoly = random_poly(state.ctx, run.rng, 2, 2)
         fel = SuperElement.from_poly(fpoly, state.moment.lie.dim, state.work_order)
         x = run.element(state.work_order, state.bound - 2)
-        lhs = qops.koszul_nu(star.star(fel, x))
-        rhs = star.star(fel, qops.koszul_nu(x))
+        lhs = qops.koszul(star.star(fel, x))
+        rhs = star.star(fel, qops.koszul(x))
         items.append((f"module ({k})", lhs - rhs))
     run.check("left-module", "koszul_nu(f * x) = f * koszul_nu(x) for scalar f", items)
 
@@ -757,9 +760,9 @@ def stage_equivariance_lemma(state):
 
 def stage_quantum_reduction(state):
     run = StageRun(state, "quantum-reduction")
-    delta_nu = build_delta(state.moment, star_action(state.star), "delta_nu")
     built = run.reduction(
-        quantum_reduction, state.dc, delta_nu, order=state.work_order, probes=5, lemma=2, s="_nu",
+        quantum_reduction, state.dc, state.quantum.delta, order=state.work_order, probes=5,
+        lemma=2, s="_nu",
         build="lemma version 1 applied to the quantum BRST differential",
         closed_forms="H_nu = h_nu/2 sum (-1/2)^j (h_nu delta_nu + delta_nu h_nu)^j; "
         "Phi_nu = prol - H_nu(delta_nu prol - prol d_z_nu)",
@@ -768,16 +771,13 @@ def stage_quantum_reduction(state):
         return run.records
     qc, probes_Y = built
     state.qc = qc
-    if state.cc is not None:
-        items = [
-            ("H_nu|nu=0 - H", qc.h(y).classical_part() - state.cc.h(y.classical_part()))
-            for y in probes_Y
-        ]
-        run.check(
-            "classical-limit",
-            "H_nu = H + O(nu) (classical contraction recovered at nu = 0)",
-            items,
-        )
+    items = [
+        ("H_nu|nu=0 - H", qc.h(y).classical_part() - state.cc.h(y.classical_part()))
+        for y in probes_Y
+    ]
+    run.check(
+        "classical-limit", "H_nu = H + O(nu) (classical contraction recovered at nu = 0)", items
+    )
     return run.records
 
 

@@ -33,7 +33,8 @@ PREREQUISITES = {
     "quantum-brst": ("load",),
     "deformed-restriction": ("contraction",),  # kc
     "equivariance-lemma": ("deformed-restriction",),  # dc
-    "quantum-reduction": ("deformed-restriction",),  # dc
+    # dc; delta_nu; H, whose classical limit it checks
+    "quantum-reduction": ("deformed-restriction", "quantum-brst", "classical-reduction"),
     "reduced-star": ("classical-reduction", "quantum-reduction"),  # phi; the quantum transfer
 }
 FULL_STAGES = tuple(PREREQUISITES)
@@ -322,14 +323,12 @@ def _symmetric_matrix_scenario(n):
     return variables, (qrow, prow), poisson
 
 
-def _so_n_structure_constants(n):
-    """Entries f_ab^c of [X_a, X_b] = f_ab^c X_c for antisymmetric basis matrices X_a."""
-    if n == 2:
-        return []  # one generator, abelian
-    if n == 3:
-        # X_a has entries -eps_{a j k}, so f_ab^c = eps_{abc}
-        return [(1, 2, 3, "1"), (1, 3, 2, "-1"), (2, 3, 1, "1")]
-    raise ConfigError("only n = 2 and n = 3 are configured")
+# The so(n) basis of the conjugation scenarios: X_a is the antisymmetric
+# matrix with -1 at (r, c) and 1 at (c, r) for the a-th axis (r, c), and
+# J_a = 2 [Q, P]_rc.  SO_STRUCTURE holds the entries f_ab^c of
+# [X_a, X_b] = f_ab^c X_c: none for the abelian so(2), eps_abc for so(3).
+SO_AXES = {2: ((1, 2),), 3: ((2, 3), (3, 1), (1, 2))}
+SO_STRUCTURE = {2: (), 3: ((1, 2, 3, "1"), (1, 3, 2, "-1"), (2, 3, 1, "1"))}
 
 
 def _commuting_moment_exprs(n, variables):
@@ -346,26 +345,13 @@ def _commuting_moment_exprs(n, variables):
             out = out + var("q", r, k) * var("p", k, c) - var("p", r, k) * var("q", k, c)
         return out
 
-    if n == 2:
-        comps = [entry(1, 2).scale(2)]
-    else:
-        comps = [entry(2, 3).scale(2), entry(3, 1).scale(2), entry(1, 2).scale(2)]
+    comps = [entry(r, c).scale(2) for r, c in SO_AXES[n]]
 
     # calibration table: {J_a, x} = -[X_a, M]-entry for M in {Q, P}
-    def xmat(a):
-        m = [[0] * n for _ in range(n)]
-        if n == 2:
-            m[0][1], m[1][0] = -1, 1
-        else:
-            axes = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
-            r, c = axes[a]
-            m[r - 1][c - 1] = -1
-            m[c - 1][r - 1] = 1
-        return m
-
     action = []
-    for a in range(1, (1 if n == 2 else 3) + 1):
-        X = xmat(a)
+    for a, (r, c) in enumerate(SO_AXES[n], 1):
+        X = [[0] * n for _ in range(n)]
+        X[r - 1][c - 1], X[c - 1][r - 1] = -1, 1
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 for sym in "qp":
@@ -382,8 +368,9 @@ def _commuting_moment_exprs(n, variables):
 
 def commuting_variety(n=2):
     """Conjugation on pairs of symmetric matrices; moment map the commutator."""
+    if n not in SO_AXES:
+        raise ConfigError("only n = 2 and n = 3 are configured")
     variables, gradings, poisson = _symmetric_matrix_scenario(n)
-    f_entries = _so_n_structure_constants(n)
     comps, action = _commuting_moment_exprs(n, variables)
     if n == 2:
         stages = tuple(s for s in FULL_STAGES if s != "equivariance-lemma")
@@ -406,8 +393,8 @@ def commuting_variety(n=2):
         grading_names=("qdeg", "pdeg"),
         gradings=gradings,
         poisson_entries=poisson,
-        lie_dim=1 if n == 2 else 3,
-        structure_constants=tuple(f_entries),
+        lie_dim=len(SO_AXES[n]),
+        structure_constants=SO_STRUCTURE[n],
         moment_map=tuple(comps),
         action=tuple(action),
         degree_bound=6,

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from redstar.brst import (
+    BrstOperators,
     brst_transfer,
     build_delta,
     certify_invariant,
-    check_classical_splitting,
     classical_brst_diff,
     classical_charge,
+    classical_operators,
     closed_form_H,
     poisson_action,
     quotient_representation,
@@ -22,7 +23,6 @@ from redstar.koszul import (
     MomentMapData,
     build_koszul_contraction,
     koszul_contraction,
-    koszul_operator,
 )
 from redstar.poisson import poisson_bracket, poisson_data
 from redstar.poly import Poly, VarContext, poly_ring
@@ -116,23 +116,21 @@ def test_splitting_identities():
     for setup in (abelian_toy, so3_commuting):
         out = setup()
         ctx, lam, moment = out[0], out[-2], out[-1]
-        theta = classical_charge(moment, 0)
-        delta = build_delta(moment, poisson_action(lam))
+        ops = classical_operators(moment, lam, classical_charge(moment, 0))
         rng = random.Random(5)
         jdegs = tuple(j.degree() for j in moment.components)
         probes = [
             random_bounded_super(ctx, moment.lie.dim, 0, rng, 6, jdegs, terms=2)
             for _ in range(12)
         ]
-        resid = check_classical_splitting(moment, lam, theta, delta, probes)
+        resid = splitting_residuals(ops, probes)
         assert all(r.is_zero() for _, r in resid)
 
 
 def test_splitting_residuals_apply_each_operator_once_per_use():
     ctx, lam, moment = so3_commuting()
-    delta = build_delta(moment, poisson_action(lam))
-    koszul = koszul_operator(moment)
-    D = classical_brst_diff(classical_charge(moment, 0), lam)
+    ops = classical_operators(moment, lam, classical_charge(moment, 0))
+    assert (ops.D.name, ops.delta.name, ops.koszul.name) == ("D", "delta", "koszul")
     counts = {"D": 0, "delta": 0, "koszul": 0}
 
     def counted(name, op):
@@ -145,11 +143,10 @@ def test_splitting_residuals_apply_each_operator_once_per_use():
     rng = random.Random(9)
     jdegs = tuple(j.degree() for j in moment.components)
     probes = [random_bounded_super(ctx, 3, 0, rng, 6, jdegs, terms=2) for _ in range(4)]
-    resid = splitting_residuals(
-        counted("D", D), counted("delta", delta), counted("koszul", koszul), probes
-    )
+    counted_ops = BrstOperators(**{name: counted(name, getattr(ops, name)) for name in counts})
+    resid = splitting_residuals(counted_ops, probes)
     assert counts == {"D": 2 * 4, "delta": 3 * 4, "koszul": 3 * 4}
-    assert resid == check_classical_splitting(moment, lam, classical_charge(moment, 0), delta, probes)
+    assert resid == splitting_residuals(ops, probes)
 
 
 def test_delta_basics():
@@ -185,10 +182,9 @@ def test_corrupted_charge_fails_splitting():
         ctx, 1, 0,
         {((1,), ()): Series.from_poly(q ** 3, 0)},
     )
-    delta = build_delta(moment, poisson_action(lam))
     rng = random.Random(8)
     probes = [random_bounded_super(ctx, 1, 0, rng, 4, (2,), terms=2) for _ in range(6)]
-    resid = check_classical_splitting(moment, lam, theta, delta, probes)
+    resid = splitting_residuals(classical_operators(moment, lam, theta), probes)
     assert any(not r.is_zero() for _, r in resid)
 
 

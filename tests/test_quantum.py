@@ -5,10 +5,11 @@ import pytest
 
 from redstar.brst import (
     build_delta,
-    check_classical_splitting,
     classical_brst_diff,
     classical_charge,
+    classical_operators,
     poisson_action,
+    splitting_residuals,
 )
 from redstar.errors import DivisibilityError, ReliabilityError
 from redstar.koszul import MomentMapData, koszul_operator
@@ -131,7 +132,7 @@ def test_quantum_koszul_abelian_is_right_multiplication():
                     key = (ghosts, tuple(b for b in antighosts if b != a))
                     term = moyal_star_series(c, jser, lam).scale((-1) ** pos)
                     expect = expect + SuperElement(ctx, 2, N, {key: term})
-        assert ops.koszul_nu(x) == expect
+        assert ops.koszul(x) == expect
 
 
 def test_quantum_koszul_classical_limit():
@@ -141,7 +142,7 @@ def test_quantum_koszul_classical_limit():
     for _ in range(6):
         x = random_bounded_super(ctx, 3, N, rng, 5, (2, 2, 2), terms=2)
         assert (
-            ops.koszul_nu(x).classical_part() - koszul_operator(moment)(x.classical_part())
+            ops.koszul(x).classical_part() - koszul_operator(moment)(x.classical_part())
         ).is_zero()
 
 
@@ -151,7 +152,7 @@ def test_quantum_koszul_squares_to_zero():
     rng = random.Random(4)
     for _ in range(6):
         x = random_bounded_super(ctx, 3, N, rng, 5, (2, 2, 2), terms=2)
-        assert ops.koszul_nu(ops.koszul_nu(x)).is_zero()
+        assert ops.koszul(ops.koszul(x)).is_zero()
 
 
 def test_delta_nu_equals_delta_under_strong_invariance():
@@ -160,10 +161,10 @@ def test_delta_nu_equals_delta_under_strong_invariance():
     delta = build_delta(moment, poisson_action(lam))
     rng = random.Random(5)
     one = SuperElement.from_poly(Poly.const(ctx, 1), 3, N)
-    assert ops.delta_nu(one).is_zero()
+    assert ops.delta(one).is_zero()
     for _ in range(6):
         x = random_bounded_super(ctx, 3, N, rng, 4, (2, 2, 2), terms=2)
-        lhs = ops.delta_nu(x)
+        lhs = ops.delta(x)
         # classical delta applied slotwise
         rhs_terms = {}
         for k in range(N + 1):
@@ -211,6 +212,7 @@ def test_quantum_splitting_all_zero():
     for setup in (abelian_two, so3):
         ctx, lam, moment, star = setup()
         ops = build_quantum_operators(moment, star, quantum_charge(moment, N))
+        assert (ops.D.name, ops.delta.name, ops.koszul.name) == ("D_nu", "delta_nu", "koszul_nu")
         rng = random.Random(7)
         jdegs = tuple(j.degree() for j in moment.components)
         probes = [
@@ -267,10 +269,9 @@ def test_non_unimodular_charge_and_splittings():
     ops = build_quantum_operators(moment, star, theta)
     for label, r in check_quantum_splitting(ops, probes):
         assert r.is_zero(upto=N - 2), label
-    theta0 = classical_charge(moment, 0)
-    delta = build_delta(moment, poisson_action(lam))
+    ops0 = classical_operators(moment, lam, classical_charge(moment, 0))
     probes0 = [x.classical_part() for x in probes]
-    for label, r in check_classical_splitting(moment, lam, theta0, delta, probes0):
+    for label, r in splitting_residuals(ops0, probes0):
         assert r.is_zero(), label
 
 

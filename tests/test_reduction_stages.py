@@ -112,7 +112,7 @@ def _reliables(x):
 
 
 def test_column_phi_and_h_equal_the_direct_transfer(state):
-    direct, _ = brst_transfer(state.kc, state.delta)
+    direct, _ = brst_transfer(state.kc, state.classical.delta)
     dim = state.moment.lie.dim
     gens = [
         SuperElement.from_poly(state.space.normal_form_poly(g), dim, 0) for g in state.generators

@@ -510,6 +510,17 @@ def test_parameterized_builders():
     assert report.verdict == "pass"
 
 
+def test_conjugation_scenarios_read_one_so_n_table():
+    from redstar.scenarios import SO_AXES, SO_STRUCTURE, commuting_variety
+
+    for n in (2, 3):
+        cfg = get_scenario(f"commuting-n{n}")
+        assert cfg.lie_dim == len(SO_AXES[n]) == len(cfg.moment_map)
+        assert cfg.structure_constants == SO_STRUCTURE[n]
+    with pytest.raises(ConfigError, match="only n = 2 and n = 3 are configured"):
+        commuting_variety(4)
+
+
 def test_run_scenario_with_overrides():
     cfg = get_scenario("cubic-moment-map")
     report = run_scenario(cfg, order=3, degree_bound=5)

@@ -6,8 +6,10 @@ runs the registry scenario (at degree bound BOUND if given) up to the
 `quantum-brst` stage, with only the stages that the splitting checks need
 (`load`, `classical-brst` and `quantum-brst`; the others call none of these
 operators, and probes are seeded per stage), and wraps the three handles
-that `brst.splitting_residuals` receives on each side: D, delta and koszul
-classically, D_nu, delta_nu and koszul_nu after deformation.  It prints one
+of the `brst.BrstOperators` set that `splitting_residuals` receives on each
+side: D, delta and koszul classically, D_nu, delta_nu and koszul_nu after
+deformation.  Every module that binds `splitting_residuals` (`brst`,
+`quantum` and `runner`) is patched for the run.  It prints one
 JSON line: whether `quantum-brst` passed and, per operator, the seconds
 spent in it, its calls and the monomials of its inputs
 (`SuperElement.nonzero_term_count`), in total and split by input: the probe
@@ -31,13 +33,13 @@ from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from redstar import brst, quantum, superalg  # noqa: E402
-from redstar.runner import run_scenario  # noqa: E402
+from redstar import brst, quantum, runner, superalg  # noqa: E402
 from redstar.scenarios import get_scenario  # noqa: E402
 from redstar.superalg import OperatorHandle  # noqa: E402
 
 INPUTS = ("x", "Dx", "deltax", "koszulx")
 STAGES = ("load", "classical-brst", "quantum-brst")
+PATCHED = (brst, quantum, runner)  # the modules that bind splitting_residuals
 
 
 def _new_stats():
@@ -49,7 +51,7 @@ def op_time(name, bound=None):
     ops = {}  # operator name -> totals and a split by input
     original = brst.splitting_residuals
 
-    def timed_splitting(D, delta, koszul, probes, s=""):
+    def timed_splitting(side_ops, probes, s=""):
         kinds = {id(x): "x" for x in probes}  # id of an input -> its kind
         keep = list(probes)  # keeps every id in kinds alive
 
@@ -71,9 +73,13 @@ def op_time(name, bound=None):
 
             return OperatorHandle(handle.name, fn, handle.degree, handle.raises_filtration)
 
-        return original(
-            timed(D, "Dx"), timed(delta, "deltax"), timed(koszul, "koszulx"), probes, s
+        timed_set = replace(
+            side_ops,
+            D=timed(side_ops.D, "Dx"),
+            delta=timed(side_ops.delta, "deltax"),
+            koszul=timed(side_ops.koszul, "koszulx"),
         )
+        return original(timed_set, probes, s)
 
     plan_builds = 0
     super_mul = superalg.super_mul
@@ -84,14 +90,16 @@ def op_time(name, bound=None):
         return super_mul(x, y)
 
     superalg._ghost_step.cache_clear()
-    brst.splitting_residuals = quantum.splitting_residuals = timed_splitting
+    for module in PATCHED:
+        module.splitting_residuals = timed_splitting
     superalg.super_mul = counted_mul
     try:
         config = get_scenario(name)
         config = replace(config, stages=tuple(s for s in config.stages if s in STAGES))
-        report = run_scenario(config, degree_bound=bound, only_stage="quantum-brst")
+        report = runner.run_scenario(config, degree_bound=bound, only_stage="quantum-brst")
     finally:
-        brst.splitting_residuals = quantum.splitting_residuals = original
+        for module in PATCHED:
+            module.splitting_residuals = original
         superalg.super_mul = super_mul
     for stats in ops.values():
         stats["seconds"] = round(stats["seconds"], 4)
