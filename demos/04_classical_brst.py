@@ -89,7 +89,7 @@ phi = brst_transfer(kc, build_delta(zmoment, poisson_action(zlam)))[0].i
 a = space.normal_form_poly(zv("z1") * zv("zb1"))
 b = space.normal_form_poly(zv("z1") * zv("z2"))
 for p in (a, b):
-    certify_invariant(p, zmoment, zlam, space, torus_rows=(0,))
+    certify_invariant(p, zmoment, zlam, space)
 rb = reduced_poisson(a, b, phi, kc.p, zlam, 1)
 print("\nreduced bracket of two invariants on the cone:")
 print("  {", a, ",", b, "} =", rb)

@@ -50,7 +50,7 @@ print("deforming the restriction ...")
 dc, t = deformed_restriction(kc, moment, star)
 print("transferring the quantum differential ...")
 qc, d_z_nu = quantum_reduction(dc, build_delta(moment, star_action(star), "delta_nu"))
-pipe = ReductionPipeline(moment, lam, star, space, WORK, dc, qc, torus_rows=(0,))
+pipe = ReductionPipeline(moment, lam, star, space, WORK, dc, qc)
 
 gens = [g for g in invariant_generators(ctx, (0,), 4) if g.degree() > 0]
 print(f"\n{len(gens)} quadratic invariant generators on the cone, e.g.",

@@ -206,21 +206,13 @@ def closed_form_Phi(koszul_contraction, delta, h_transfer, d_z):
     return OperatorHandle("Phi_closed", fn, 0)
 
 
-def certify_invariant(p, moment, lam, space, torus_rows=()):
+def certify_invariant(p, moment, lam, space):
     """Certify that a quotient-model element is invariant.
 
-    Torus route: every monomial has weight zero on the declared rows.
-    Bracket route: {J_a, p} reduces to zero modulo the ideal for every a.
-    Raises InvarianceError otherwise.
+    This is the paper's invariance condition on the quotient: {J_a, p}
+    lies in the vanishing ideal, that is, reduces to zero modulo the ideal,
+    for every a.  Raises InvarianceError otherwise.
     """
-    if torus_rows:
-        for m in p.terms:
-            for r, w in zip(torus_rows, p.ctx.torus_weights(m, torus_rows)):
-                if w:
-                    raise InvarianceError(
-                        f"monomial {m} has nonzero weight on torus row {r}"
-                    )
-        return True
     for a, j in enumerate(moment.components):
         residual = space.normal_form_poly(poisson_bracket(j, p, lam))
         if not residual.is_zero():

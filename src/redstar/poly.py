@@ -289,17 +289,6 @@ class Poly:
             out[tuple(dm)] = c * e
         return Poly(self.ctx, out, _clean=True)
 
-    # -- grading ------------------------------------------------------------
-
-    def grade_components(self):
-        """Decompose into grade-homogeneous pieces: {grade: Poly}."""
-        buckets = {}
-        for m, c in self.terms.items():
-            buckets.setdefault(self.ctx.grade_of_mono(m), {})[m] = c
-        return {
-            g: Poly(self.ctx, t, _clean=True) for g, t in sorted(buckets.items())
-        }
-
     # -- comparisons / display ------------------------------------------------
 
     def __eq__(self, other):

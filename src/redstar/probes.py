@@ -21,30 +21,6 @@ def random_poly(ctx, rng, max_degree=3, terms=4, span=5):
     return Poly(ctx, out)
 
 
-def random_series(ctx, rng, order, max_degree=3, terms=3):
-    return Series(
-        ctx,
-        order,
-        [random_poly(ctx, rng, max_degree, terms) for _ in range(order + 1)],
-    )
-
-
-def random_super(ctx, dim, order, rng, max_degree=3, terms=3):
-    """A random BRST element with arbitrary ghost/antighost content."""
-    out = {}
-    subsets = [()]
-    for r in range(1, dim + 1):
-        subsets.extend(combinations(range(1, dim + 1), r))
-    for _ in range(terms):
-        g = subsets[rng.randrange(len(subsets))]
-        a = subsets[rng.randrange(len(subsets))]
-        coeff = Series.from_poly(random_poly(ctx, rng, max_degree, terms=2), order)
-        key = (g, a)
-        cur = out.get(key)
-        out[key] = coeff if cur is None else cur + coeff
-    return SuperElement(ctx, dim, order, out)
-
-
 def random_bounded_super(ctx, dim, order, rng, bound, jgrade_degs, terms=3, hdegree=None):
     """A random BRST element whose every term stays within the degree bound.
 

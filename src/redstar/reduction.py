@@ -61,7 +61,11 @@ def quantum_reduction(deformed_contraction, delta_nu, probes_X=(), probes_Y=(), 
 
 @dataclass
 class ReductionPipeline:
-    """Everything needed to evaluate the reduced star product."""
+    """Everything needed to evaluate the reduced star product.
+
+    Its operands are invariants, certified by the bracket criterion of
+    `certify_invariant` from the moment map, lam and the quotient space.
+    """
 
     moment: object
     lam: object
@@ -70,7 +74,6 @@ class ReductionPipeline:
     order: int
     deformed_contraction: object
     quantum_contraction: object  # from `quantum_reduction`: Phi_nu, H_nu, d_z_nu
-    torus_rows: tuple = ()
 
     @property
     def res_nu(self):
@@ -88,7 +91,7 @@ class ReductionPipeline:
         The pipeline certifies its generators once, in `classical-reduction`,
         and never calls this; tests and demos do, and perfbench traces it.
         """
-        certify_invariant(f, self.moment, self.lam, self.space, self.torus_rows)
+        certify_invariant(f, self.moment, self.lam, self.space)
 
 
 def reduced_star(f, g, pipe):

@@ -547,12 +547,11 @@ def stage_classical_reduction(state):
         if normal.is_zero():  # a zero generator would pass every degree filter
             items.append((f"generator {g} lies in the ideal", g))
             continue
-        # the stored normal form is certified: the normal form keeps each
-        # monomial's grade, torus rows included, and on the bracket route
-        # {J_a, J_b h} = f_ab^c J_c h + J_b {J_a, h} lies in the ideal, so g
-        # and its normal form get the same verdict
+        # the stored normal form is certified: {J_a, J_b h} = f_ab^c J_c h
+        # + J_b {J_a, h} lies in the ideal, so g and its normal form get the
+        # same verdict
         try:
-            certify_invariant(normal, state.moment, state.lam, state.space, cfg.torus_rows)
+            certify_invariant(normal, state.moment, state.lam, state.space)
             state.generators.append(normal)
             items.append((f"generator {g}", Poly.zero(state.ctx)))
         except InvarianceError:
@@ -561,6 +560,8 @@ def stage_classical_reduction(state):
     detail = f"{len(state.generators)} generator(s)"
     if not gens:  # with no candidate, a pass would have evaluated nothing
         run.record("generators", anchor, "fail", detail="no candidate generators")
+    elif any(g.is_zero() for g in gens):  # its item's residual g = 0 vanishes
+        run.record("generators", anchor, "fail", witness="generator 0 is zero", detail=detail)
     elif any(g.degree() > 0 for g in state.generators) or any(not r.is_zero() for _, r in items):
         run.check("generators", anchor, items, detail=detail)
     else:  # constants alone: reduced-star would multiply nothing of positive degree
@@ -795,7 +796,6 @@ def stage_reduced_star(state):
         state.work_order,
         state.dc,
         qc,
-        torus_rows=cfg.torus_rows,
     )
     nf = state.space.normal_form_poly
     one = Poly.const(state.ctx, 1)

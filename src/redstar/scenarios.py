@@ -176,19 +176,11 @@ class ScenarioConfig:
 
 def _torus_action_entries(variables, gradings, torus_rows, lie_dim):
     """Calibration table for diagonal torus actions: {J_a, v} = i * w * v."""
-    out = []
-    for a in range(lie_dim):
-        row = gradings[torus_rows[a]]
-        for v, w in zip(variables, row):
-            if w == 0:
-                out.append((a + 1, v, "0"))
-            elif w == 1:
-                out.append((a + 1, v, f"i*{v}"))
-            elif w == -1:
-                out.append((a + 1, v, f"-i*{v}"))
-            else:
-                out.append((a + 1, v, f"{w}*i*{v}"))
-    return tuple(out)
+    return tuple(
+        (a + 1, v, f"{w}*i*{v}")
+        for a in range(lie_dim)
+        for v, w in zip(variables, gradings[torus_rows[a]])
+    )
 
 
 def s1_c4():

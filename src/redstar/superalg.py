@@ -207,14 +207,6 @@ class SuperElement:
     def from_poly(cls, p, dim, order):
         return cls(p.ctx, dim, order, {((), ()): Series.from_poly(p, order)})
 
-    @classmethod
-    def generator(cls, ctx, dim, order, ghosts=(), antighosts=(), coeff=1):
-        key = (tuple(ghosts), tuple(antighosts))
-        if list(key[0]) != sorted(set(key[0])) or list(key[1]) != sorted(set(key[1])):
-            raise ValueError("generator index sets must be strictly increasing")
-        series = Series.const(ctx, coeff, order)
-        return cls(ctx, dim, order, {key: series})
-
     def _check(self, other):
         if self.ctx != other.ctx or self.dim != other.dim or self.order != other.order:
             raise ContextError("super elements live in different contexts")

@@ -15,7 +15,7 @@ from finite_complexes import random_contraction
 from redstar.hpt import perturb_v1, perturb_v2
 from redstar.poisson import poisson_data
 from redstar.poly import poly_ring
-from redstar.probes import random_super
+from redstar.probes import random_bounded_super
 from redstar.runner import run_scenario
 from redstar.scenarios import get_scenario
 from redstar.superalg import StarProduct
@@ -108,9 +108,9 @@ def test_criterion_04b_star_associativity_100_triples():
     rng = random.Random(404)
     ok = True
     for _ in range(100):
-        x = random_super(ctx, 3, 4, rng, 4, 2)
-        y = random_super(ctx, 3, 4, rng, 4, 2)
-        z = random_super(ctx, 3, 4, rng, 4, 2)
+        x = random_bounded_super(ctx, 3, 4, rng, 4, (0, 0, 0), 2)
+        y = random_bounded_super(ctx, 3, 4, rng, 4, (0, 0, 0), 2)
+        z = random_bounded_super(ctx, 3, 4, rng, 4, (0, 0, 0), 2)
         ok = ok and (star.star(star.star(x, y), z) - star.star(x, star.star(y, z))).is_zero()
     _conclude(4, "graded star associativity on 100 mixed triples (mod nu^5)", ok)
 

@@ -27,6 +27,9 @@ from redstar.koszul import (
 from redstar.poisson import poisson_bracket, poisson_data
 from redstar.poly import Poly, VarContext, poly_ring
 from redstar.probes import random_bounded_super, random_poly
+from redstar.reduction import invariant_generators
+from redstar.runner import RunState, stage_load
+from redstar.scenarios import get_scenario
 from redstar.series import Series
 from redstar.superalg import LieAlgebraData, OperatorHandle, SuperElement, graded_poisson
 
@@ -247,10 +250,8 @@ def test_reduced_poisson_on_invariants():
     phi = brst_transfer(kc, build_delta(moment, poisson_action(lam)))[0].i
     f = space.normal_form_poly(v("z1") * v("zb1"))
     g = space.normal_form_poly(v("z1") * v("z2"))
-    # certification passes on both routes
     for p in (f, g):
-        certify_invariant(p, moment, lam, space, torus_rows=(0,))
-        certify_invariant(p, moment, lam, space)  # bracket route
+        certify_invariant(p, moment, lam, space)
     out = reduced_poisson(f, g, phi, kc.p, lam, 1)
     # independent Dirac route: restrict the bracket of any representatives
     direct = space.normal_form_poly(poisson_bracket(f, g, lam))
@@ -258,19 +259,25 @@ def test_reduced_poisson_on_invariants():
     # antisymmetry and the trivial bracket with itself
     assert reduced_poisson(g, f, phi, kc.p, lam, 1) == -out
     assert reduced_poisson(f, f, phi, kc.p, lam, 1).is_zero()
-    # non-invariant input is refused on both routes
-    for rows in ((0,), ()):
-        with pytest.raises(InvarianceError):
-            certify_invariant(v("z1"), moment, lam, space, rows)
-
-
-def test_certify_invariant_weight_route():
-    names = ("z1", "zb1")
-    ctx = VarContext(names, gradings=((1, -1),))
-    lie = LieAlgebraData.build(1)
-    v = lambda n: Poly.variable(ctx, n)
-    moment = MomentMapData(ctx, (v("z1") * v("zb1"),), lie)
-    # weight zero passes; weight two raises
-    certify_invariant(v("z1") * v("zb1"), moment, None, None, torus_rows=(0,))
+    # non-invariant input is refused
     with pytest.raises(InvarianceError):
-        certify_invariant(v("z1") * v("z1"), moment, None, None, torus_rows=(0,))
+        certify_invariant(v("z1"), moment, lam, space)
+
+
+@pytest.mark.parametrize("name", ["s1-c4", "t2-c4"])
+def test_weights_mode_generators_pass_the_bracket_criterion(name):
+    # at registry size: every weight-zero candidate's normal form has its
+    # brackets with J in the ideal, and the first variable squared, of
+    # nonzero torus weight, does not
+    state = RunState(get_scenario(name))
+    stage_load(state)
+    space = KoszulSpace(state.moment, state.bound)
+    cfg = state.config
+    gens = invariant_generators(state.ctx, cfg.torus_rows, cfg.generator_cap)
+    assert len(gens) > 1
+    for g in gens:
+        assert certify_invariant(space.normal_form_poly(g), state.moment, state.lam, space)
+    z = Poly.variable(state.ctx, state.ctx.names[0])
+    assert any(state.ctx.torus_weights(next(iter((z * z).terms)), cfg.torus_rows))
+    with pytest.raises(InvarianceError):
+        certify_invariant(z * z, state.moment, state.lam, space)

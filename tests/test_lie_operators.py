@@ -26,7 +26,7 @@ from redstar.poisson import (
     poisson_data,
 )
 from redstar.poly import Poly, VarContext
-from redstar.probes import random_poly, random_super
+from redstar.probes import random_bounded_super, random_poly
 from redstar.quantum import build_quantum_koszul, q_pieces, quantum_charge, star_action, u_pieces
 from redstar.scalars import QQ_I
 from redstar.runner import RunState, stage_load
@@ -43,7 +43,7 @@ ORDERS = (0, 2, 4)
 
 
 def _gen(ctx, dim, order, ghosts=(), antighosts=()):
-    return SuperElement.generator(ctx, dim, order, ghosts=ghosts, antighosts=antighosts)
+    return SuperElement(ctx, dim, order, {(ghosts, antighosts): Series.const(ctx, 1, order)})
 
 
 def dense(lie):
@@ -310,7 +310,7 @@ def probes(ctx, dim, order, rng, n=4):
                 [c.coeffs[0]] + [random_poly(ctx, rng, 2, 2) for _ in range(order)],
                 rng.randint(0, order),
             )
-            for key, c in random_super(ctx, dim, order, rng, 2, 3).terms.items()
+            for key, c in random_bounded_super(ctx, dim, order, rng, 2, (0,) * dim).terms.items()
         }
         out.append(SuperElement(ctx, dim, order, terms))
     return out

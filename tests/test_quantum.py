@@ -15,7 +15,7 @@ from redstar.errors import DivisibilityError, ReliabilityError
 from redstar.koszul import MomentMapData, koszul_operator
 from redstar.poisson import moyal_star_series, poisson_bracket, poisson_data
 from redstar.poly import Poly, VarContext
-from redstar.probes import random_bounded_super, random_poly, random_super
+from redstar.probes import random_bounded_super, random_poly
 from redstar.quantum import (
     build_quantum_operators,
     build_quantum_koszul,
@@ -86,7 +86,7 @@ def test_wrong_sign_breaks_nilpotency():
 def test_R_on_generator():
     ctx, lam, moment, star = abelian_two()
     R = op_sum("R", +1, r_pieces(moment, star))
-    e1 = SuperElement.generator(ctx, 2, N, antighosts=(1,))
+    e1 = SuperElement(ctx, 2, N, {((), (1,)): Series.const(ctx, 1, N)})
     assert R(e1) == SuperElement.from_poly(moment.components[0], 2, N)
 
 
@@ -96,7 +96,7 @@ def test_a_fractional_weight_on_R_scales_its_image():
     half = op_sum("R/2", +1, [p._replace(scalar=Fraction(1, 2)) for p in r_pieces(moment, star)])
     rng = random.Random(3)
     for _ in range(4):
-        x = random_super(ctx, 3, N, rng, 3, 3)
+        x = random_bounded_super(ctx, 3, N, rng, 3, (0, 0, 0))
         assert half(x) == op_sum("R", +1, r_pieces(moment, star))(x).scale(Fraction(1, 2))
 
 
@@ -112,8 +112,8 @@ def test_q_u_vanish_abelian():
 def test_u_vanishes_so3():
     ctx, lam, moment, star = so3()
     uop = op_sum("u", +1, u_pieces(moment))
-    e1 = SuperElement.generator(ctx, 3, N, ghosts=(1,))
-    x = SuperElement.generator(ctx, 3, N, antighosts=(1,))
+    e1 = SuperElement(ctx, 3, N, {((1,), ()): Series.const(ctx, 1, N)})
+    x = SuperElement(ctx, 3, N, {((), (1,)): Series.const(ctx, 1, N)})
     assert uop(e1).is_zero() and uop(x).is_zero()
 
 
@@ -265,7 +265,7 @@ def test_non_unimodular_charge_and_splittings():
     assert theta != classical_charge(moment, N)
     assert star.star(theta, theta).is_zero(upto=N)
     rng = random.Random(11)
-    probes = [random_super(ctx, 2, N, rng, 3, 3) for _ in range(8)]
+    probes = [random_bounded_super(ctx, 2, N, rng, 3, (0, 0)) for _ in range(8)]
     ops = build_quantum_operators(moment, star, theta)
     for label, r in check_quantum_splitting(ops, probes):
         assert r.is_zero(upto=N - 2), label

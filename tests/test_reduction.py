@@ -70,7 +70,7 @@ def build_pipe(ctx, lam, moment, kc, star, space):
     dc, t = deformed_restriction(kc, moment, star, probes_X[:2], probes_Y[:2], upto=N)
     delta_nu = build_delta(moment, star_action(star), "delta_nu")
     qc, d_z_nu = quantum_reduction(dc, delta_nu, probes_X[:2], probes_Y[:2], upto=N)
-    return ReductionPipeline(moment, lam, star, space, NW, dc, qc, torus_rows=(0,))
+    return ReductionPipeline(moment, lam, star, space, NW, dc, qc)
 
 
 def test_deformed_restriction_properties():

@@ -85,7 +85,7 @@ def _before_reduced_star(config):
 def _pipeline(st):
     return ReductionPipeline(
         st.moment, st.lam, st.star, st.space, st.work_order,
-        st.dc, st.qc, torus_rows=st.config.torus_rows,
+        st.dc, st.qc,
     )
 
 

@@ -2,8 +2,9 @@
 
 A stage reads only the results of its `PREREQUISITES`, so cutting the stage
 list to a stage and its prerequisites leaves that stage's records as they
-are.  A refused lemma hypothesis is the stage's one failed record, and a
-generator set that would make `reduced-star` vacuous fails
+are.  A refused lemma hypothesis is the stage's one failed record, and so
+is a quantum charge whose star square is nonzero; a generator set that
+would make `reduced-star` vacuous, or that holds a zero candidate, fails
 `classical-reduction.generators`.
 """
 
@@ -15,6 +16,7 @@ from redstar import runner
 from redstar.errors import LemmaHypothesisError
 from redstar.runner import STAGE_ORDER, run_scenario
 from redstar.scenarios import PREREQUISITES, get_scenario
+from redstar.superalg import SuperElement
 
 BOUND = 4
 
@@ -97,6 +99,32 @@ def test_a_declared_invariant_in_the_ideal_fails_generators():
     assert generators.witness.startswith(f"generator {j} lies in the ideal: ")
     assert generators.detail == "5 generator(s)"
     assert [r.status for r in reduced_star] == ["skipped"]
+
+
+def test_a_zero_declared_invariant_fails_generators():
+    # its item's residual g = 0 vanishes, so the check alone would pass and
+    # reduced-star would run on the other five generators
+    generators, reduced_star = _generators(_with_invariant(get_scenario("commuting-n2"), "0"))
+    assert generators.status == "fail"
+    assert generators.witness == "generator 0 is zero"
+    assert generators.detail == "5 generator(s)"
+    assert [r.status for r in reduced_star] == ["skipped"]
+
+
+def test_a_charge_that_is_not_nilpotent_ends_quantum_brst(monkeypatch):
+    # J_1 as a ghost-free charge: its star square J_1 * J_1 is nonzero
+    def charge(moment, order):
+        return SuperElement.from_poly(moment.components[0], moment.lie.dim, order)
+
+    monkeypatch.setattr(runner, "quantum_charge", charge)
+    cfg = get_scenario("s1-c4")
+    records = run_scenario(cfg, degree_bound=BOUND).records
+    (rec,) = [r for r in records if r.stage == "quantum-brst"]
+    assert rec.check_id == "quantum-brst.charge" and rec.status == "fail"
+    after = lambda stage: STAGE_ORDER.index(stage) > STAGE_ORDER.index("quantum-brst")
+    later = [r for r in records if after(r.stage)]
+    assert {r.stage for r in later} == {s for s in cfg.stages if after(s)}
+    assert all(r.status == "skipped" for r in later)
 
 
 @pytest.mark.parametrize("cap", [0, 1])

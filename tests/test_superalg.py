@@ -11,7 +11,7 @@ from redstar import poisson
 from redstar.errors import DivisibilityError, ReliabilityError
 from redstar.poisson import moyal_star, moyal_star_series, poisson_bracket, poisson_data
 from redstar.poly import Poly, poly_ring
-from redstar.probes import random_poly, random_super
+from redstar.probes import random_bounded_super, random_poly
 from redstar.quantum import star_action
 from redstar.runner import RunState, stage_load
 from redstar.scenarios import get_scenario
@@ -37,6 +37,7 @@ from redstar.superalg import (
 
 DIM = 3
 N = 3
+ZEROS = (0,) * DIM  # no moment map: no antighost degree offsets
 
 
 def setup():
@@ -46,7 +47,7 @@ def setup():
 
 
 def gen(ctx, g=(), a=(), c=1):
-    return SuperElement.generator(ctx, DIM, N, g, a, c)
+    return SuperElement(ctx, DIM, N, {(g, a): Series.const(ctx, c, N)})
 
 
 def derivation(remove, a):
@@ -95,8 +96,8 @@ def test_derivation_leibniz_random():
     ctx, q, p, lam = setup()
     rng = random.Random(7)
     for _ in range(20):
-        x = random_super(ctx, DIM, N, rng, 2, 2)
-        y = random_super(ctx, DIM, N, rng, 2, 2)
+        x = random_bounded_super(ctx, DIM, N, rng, 2, ZEROS, 2)
+        y = random_bounded_super(ctx, DIM, N, rng, 2, ZEROS, 2)
         for a in (1, 2):
             i_up = derivation(_remove_antighost, a)
             lhs = i_up(super_mul(x, y))
@@ -112,7 +113,7 @@ def test_clifford_unit_and_no_pairing():
     # the Moyal part of a product with a constant factor is the plain product
     ctx, q, p, lam = setup()
     star = StarProduct(lam).star
-    x = random_super(ctx, DIM, N, random.Random(1), 2, 3)
+    x = random_bounded_super(ctx, DIM, N, random.Random(1), 2, ZEROS, 3)
     one = SuperElement.from_poly(Poly.const(ctx, 1), DIM, N)
     assert star(one, x) == x
     assert star(x, one) == x
@@ -158,9 +159,9 @@ def test_super_star_associativity_mixed():
     star = StarProduct(lam)
     rng = random.Random(5)
     for _ in range(40):
-        x = random_super(ctx, DIM, N, rng, 3, 2)
-        y = random_super(ctx, DIM, N, rng, 3, 2)
-        z = random_super(ctx, DIM, N, rng, 3, 2)
+        x = random_bounded_super(ctx, DIM, N, rng, 3, ZEROS, 2)
+        y = random_bounded_super(ctx, DIM, N, rng, 3, ZEROS, 2)
+        z = random_bounded_super(ctx, DIM, N, rng, 3, ZEROS, 2)
         assert (star.star(star.star(x, y), z) - star.star(x, star.star(y, z))).is_zero()
 
 
@@ -169,8 +170,8 @@ def test_star_nu0_is_super_mul():
     star = StarProduct(lam)
     rng = random.Random(6)
     for _ in range(15):
-        x = random_super(ctx, DIM, N, rng, 3, 2)
-        y = random_super(ctx, DIM, N, rng, 3, 2)
+        x = random_bounded_super(ctx, DIM, N, rng, 3, ZEROS, 2)
+        y = random_bounded_super(ctx, DIM, N, rng, 3, ZEROS, 2)
         assert (star.star(x, y).classical_part() - super_mul(x, y).classical_part()).is_zero()
 
 
@@ -192,8 +193,8 @@ def test_bracket_is_first_order_star_commutator_even():
     star = StarProduct(lam)
     rng = random.Random(9)
     for _ in range(20):
-        x = random_super(ctx, DIM, N, rng, 2, 2)
-        y = random_super(ctx, DIM, N, rng, 2, 2)
+        x = random_bounded_super(ctx, DIM, N, rng, 2, ZEROS, 2)
+        y = random_bounded_super(ctx, DIM, N, rng, 2, ZEROS, 2)
         xe, _ = x.parity_components()
         ye, _ = y.parity_components()
         comm = star.star(xe, ye) - star.star(ye, xe)
@@ -208,9 +209,9 @@ def test_graded_jacobi_random():
     ctx, q, p, lam = setup()
     rng = random.Random(10)
     for _ in range(12):
-        xs = random_super(ctx, DIM, N, rng, 2, 2).parity_components()
-        ys = random_super(ctx, DIM, N, rng, 2, 2).parity_components()
-        z = random_super(ctx, DIM, N, rng, 2, 2)
+        xs = random_bounded_super(ctx, DIM, N, rng, 2, ZEROS, 2).parity_components()
+        ys = random_bounded_super(ctx, DIM, N, rng, 2, ZEROS, 2).parity_components()
+        z = random_bounded_super(ctx, DIM, N, rng, 2, ZEROS, 2)
         for px, x in zip((0, 1), xs):
             for py, y in zip((0, 1), ys):
                 lhs = graded_poisson(x, graded_poisson(y, z, lam), lam)
@@ -315,8 +316,8 @@ def test_op_sum_skips_only_exactly_zero_pieces():
 
     record = CoefficientMap(write)
     op = op_sum("2 (i_1 + i_2)", -1, [Piece(((_remove_ghost, a),), scalar=2, coeff=record) for a in (1, 2)])
-    out = op(SuperElement.generator(ctx, DIM, 2, ghosts=(1,)))
-    assert out == SuperElement.generator(ctx, DIM, 2, coeff=2) and out.floor is None
+    out = op(SuperElement(ctx, DIM, 2, {((1,), ()): Series.const(ctx, 1, 2)}))
+    assert out == SuperElement(ctx, DIM, 2, {((), ()): Series.const(ctx, 2, 2)}) and out.floor is None
     assert len(calls) == 1
     # q / nu is reliable only to 1: a map that writes nothing, and two
     # entries that cancel, each leave that floor on an image without terms
