@@ -49,12 +49,8 @@ class MomentMapData:
             if j.ctx != self.ctx:
                 raise ContextError("moment map component in wrong context")
 
-    @property
-    def graded(self):
-        return all(j.is_homogeneous() and not j.is_zero() for j in self.components)
-
     def component_grades(self):
-        if not self.graded:
+        if not all(j.is_homogeneous() and not j.is_zero() for j in self.components):
             raise DegreeOverflowError(
                 "moment map components are not grade-homogeneous; slice machinery unavailable"
             )

@@ -101,29 +101,25 @@ def reduced_star(f, g, pipe):
     graded star product of two ghost-free operands is the Moyal product of
     their coefficients.  So one `star_pass` writes f * g into nu slot
     dicts, and res_nu's `column_sum` (`op_columns`) adds its cached columns
-    over the nonzero leaves straight into the result's slots; a leaf that
-    cancelled reads no column, and no product Series or SuperElement is
-    built.  The reliable order is op_columns' on the ghost-free element
-    f * g: at most min(f.reliable, g.reliable), lowered by the columns it
-    reads and by a vanished column's floor; a product that cancels
-    altogether is zero to that minimum.  Accepts Poly or Series operands in
-    the quotient model at the pipeline's order; returns a Series in the
-    quotient model.  It is C[[nu]]-bilinear: a check that multiplies many
-    operands can read it off monomial products (`ProductTable`).
+    over the nonzero leaves and returns the image, whose scalar part
+    (`SuperElement.as_series`, which refuses ghost content and caps the
+    reliable order at the floor) is the result; a leaf that cancelled
+    reads no column, and f * g is never built as a Series.  The
+    reliable order is op_columns' on the ghost-free element f * g: at most
+    min(f.reliable, g.reliable), lowered by the columns it reads and by a
+    vanished column's floor; a product that cancels altogether is zero to
+    that minimum.  Accepts Poly or Series operands in the quotient model at
+    the pipeline's order (`_reliable`, the operand rule); returns a Series
+    in the quotient model.  It is C[[nu]]-bilinear: a check that multiplies
+    many operands can read it off monomial products (`ProductTable`).
     """
-    ctx, order = pipe.moment.ctx, pipe.order
+    ctx, order, dim = pipe.moment.ctx, pipe.order, pipe.moment.lie.dim
     reliable = min(_reliable(f, ctx, order), _reliable(g, ctx, order))
     slots = [{} for _ in range(order + 1)]
     star_pass(f, g, pipe.lam, slots, slots)
     floor = None if any(any(s.values()) for s in slots) else reliable
     items = [(((), ()), slots)]
-    acc, floor = pipe.res_nu.column_sum(ctx, pipe.moment.lie.dim, order, items, reliable, floor)
-    reliable, out = acc.pop(((), ()), (order, ()))
-    if acc:
-        raise ValueError("res_nu image has ghost or antighost content")
-    if floor is not None and floor < reliable:
-        reliable = floor
-    return Series.from_slots(ctx, order, out, reliable)
+    return pipe.res_nu.column_sum(ctx, dim, order, items, reliable, floor).as_series()
 
 
 def _reliable(f, ctx, order):
@@ -147,9 +143,12 @@ class ProductTable:
     The entry T[(m1, m2)] is `reduced_star` of the monomial pair, on first
     use, kept as its reliable order and a flat tuple of (nu power,
     monomial, coefficient) terms.  A product is reliable to the minimum of
-    f's, g's and every entry's it used.  Each operand's term list is read
-    once per table, keyed by the operand object, which the table keeps
-    alive so that its id stays its own.  `table(f, g)` is f * g and
+    f's, g's and every entry's it used.  Each operand's reliable order
+    comes from `_reliable`, the operand rule of `reduced_star`, so the
+    table refuses what `reduced_star` refuses; a Poly is the one-slot
+    series [f].  Each operand's term list is read once per table, keyed by
+    the operand object, which the table keeps alive so that its id stays
+    its own.  `table(f, g)` is f * g and
     `table.residual((f, g), (f2, g2))` is f * g - f2 * g2 in one Series,
     the form `reduced-star.associativity` reads.
     """
@@ -165,13 +164,10 @@ class ProductTable:
         """f's reliable order and its (nu power, monomial, coefficient) terms."""
         got = self.operands.get(id(f))
         if got is None:
-            if isinstance(f, Poly):
-                terms = [(0, m, c) for m, c in f.terms.items()]
-                got = (f, self.order, terms)
-            else:
-                terms = [(s, m, c) for s, p in enumerate(f.coeffs) for m, c in p.terms.items()]
-                got = (f, f.reliable, terms)
-            self.operands[id(f)] = got
+            reliable = _reliable(f, self.ctx, self.order)
+            coeffs = [f] if isinstance(f, Poly) else f.coeffs
+            terms = [(s, m, c) for s, p in enumerate(coeffs) for m, c in p.terms.items()]
+            got = self.operands[id(f)] = (f, reliable, terms)
         return got[1], got[2]
 
     def _add(self, slots, f, g, negate, reliable):

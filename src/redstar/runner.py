@@ -329,12 +329,17 @@ class StageRun:
             self.check("equivariant-phi", f"equivariant prolongation: Phi{s} = prol", items)
         return out, probes_Y
 
-    def element(self, order, bound=None, terms=2):
-        """A random BRST element within the degree bound (the scenario's by default)."""
+    def element(self, order, bound=None, terms=2, hdegree=None):
+        """A random BRST element within the degree bound (the scenario's by default).
+
+        The one probe draw of every stage, from the stage's rng; with
+        `hdegree` it is a ghost-free chain of that antighost count
+        (`random_bounded_super`).
+        """
         st = self.state
         bound = st.bound if bound is None else bound
         return random_bounded_super(
-            st.ctx, st.moment.lie.dim, order, self.rng, bound, st.jdegs, terms=terms
+            st.ctx, st.moment.lie.dim, order, self.rng, bound, st.jdegs, terms, hdegree
         )
 
 
@@ -485,9 +490,7 @@ def stage_contraction(state):
     def pairs():  # drawn one at a time, so only one pair's residuals are held
         for i in range(0, dim + 1):
             for _ in range(state.config.probe_counts()["contraction"]):
-                y = random_bounded_super(
-                    state.ctx, dim, 0, run.rng, state.bound, state.jdegs, terms=2, hdegree=i
-                )
+                y = run.element(0, hdegree=i)
                 yield kc.p(run.element(0)), y
 
     run.axioms(kc, pairs())

@@ -92,6 +92,15 @@ class ScenarioConfig:
         repeated = sorted({v for v in self.variables if self.variables.count(v) > 1})
         if repeated:
             raise ConfigError(f"repeated variable name(s): {', '.join(repeated)}")
+        names, rows = len(self.grading_names), len(self.gradings)
+        if names != rows:
+            raise ConfigError(f"{names} name(s) for {rows} grading row(s)")
+        for name, row in zip(self.grading_names, self.gradings):
+            if len(row) != len(self.variables):
+                raise ConfigError(f"grading row grading.{name} has wrong length")
+        for i in self.torus_rows:
+            if not 0 <= i < rows:
+                raise ConfigError(f"torus row {i} is not the index of a grading row")
         if not self.stages:
             raise ConfigError("the stage list is empty: nothing would be evaluated")
         for stage in self.stages:
@@ -174,12 +183,29 @@ class ScenarioConfig:
 # -- registry builders ---------------------------------------------------------
 
 
-def _torus_action_entries(variables, gradings, torus_rows, lie_dim):
-    """Calibration table for diagonal torus actions: {J_a, v} = i * w * v."""
-    return tuple(
-        (a + 1, v, f"{w}*i*{v}")
-        for a in range(lie_dim)
-        for v, w in zip(variables, gradings[torus_rows[a]])
+def _torus_c4(grading_names, gradings, moment_map, **fields):
+    """A torus acting diagonally on C^4 = (z1..z4, zb1..zb4) with the Darboux bracket.
+
+    The torus rows are the first len(moment_map) gradings, and the
+    calibration table is {J_a, v} = w * i * v for the weight w of v in
+    row a.
+    """
+    variables = ("z1", "z2", "z3", "z4", "zb1", "zb2", "zb3", "zb4")
+    dim = len(moment_map)
+    return ScenarioConfig(
+        variables=variables,
+        field_name="gaussian",
+        grading_names=grading_names,
+        gradings=gradings,
+        torus_rows=tuple(range(dim)),
+        poisson_entries=tuple((f"z{k}", f"zb{k}", "2*i") for k in range(1, 5)),
+        lie_dim=dim,
+        moment_map=moment_map,
+        action=tuple(
+            (a + 1, v, f"{w}*i*{v}") for a in range(dim) for v, w in zip(variables, gradings[a])
+        ),
+        degree_bound=6,
+        **fields,
     )
 
 
@@ -189,20 +215,12 @@ def s1_c4():
     The constraint surface is a cone whose reduced space is worse than an
     orbifold; the full reduction pipeline runs with equivariant homotopies.
     """
-    variables = ("z1", "z2", "z3", "z4", "zb1", "zb2", "zb3", "zb4")
-    gradings = ((1, 1, -1, -1, -1, -1, 1, 1), (1, 1, 1, 1, -1, -1, -1, -1))
-    return ScenarioConfig(
+    return _torus_c4(
+        ("torus", "holo"),
+        ((1, 1, -1, -1, -1, -1, 1, 1), (1, 1, 1, 1, -1, -1, -1, -1)),
+        ("1/2*(z3*zb3 + z4*zb4 - z1*zb1 - z2*zb2)",),
         name="s1-c4",
         description="S^1 acting on C^4 with weights (1,1,-1,-1); cone-level singular quotient",
-        variables=variables,
-        field_name="gaussian",
-        grading_names=("torus", "holo"),
-        gradings=gradings,
-        torus_rows=(0,),
-        poisson_entries=tuple((f"z{k}", f"zb{k}", "2*i") for k in range(1, 5)),
-        moment_map=("1/2*(z3*zb3 + z4*zb4 - z1*zb1 - z2*zb2)",),
-        action=_torus_action_entries(variables, gradings, (0,), 1),
-        degree_bound=6,
         star_triples="all",
         justification=(
             "indefinite diagonal quadratic moment map on C^4: the components "
@@ -217,27 +235,18 @@ def t2_c4(alpha=-1, beta=1):
     """Two-torus action on C^4 with weight parameters alpha < 0 and beta."""
     if alpha >= 0:
         raise ConfigError("t2-c4 requires alpha < 0 (generating hypothesis)")
-    variables = ("z1", "z2", "z3", "z4", "zb1", "zb2", "zb3", "zb4")
     w1 = (alpha, 0, 1, 0, -alpha, 0, -1, 0)
     w2 = (beta, -1, 0, 1, -beta, 1, 0, -1)
     wd = (1, 1, 1, 1, -1, -1, -1, -1)
-    gradings = (w1, w2, wd)
-    return ScenarioConfig(
-        name="t2-c4",
-        description=f"T^2 acting on C^4 (alpha={alpha}, beta={beta})",
-        variables=variables,
-        field_name="gaussian",
-        grading_names=("torus1", "torus2", "holo"),
-        gradings=gradings,
-        torus_rows=(0, 1),
-        poisson_entries=tuple((f"z{k}", f"zb{k}", "2*i") for k in range(1, 5)),
-        lie_dim=2,
-        moment_map=(
+    return _torus_c4(
+        ("torus1", "torus2", "holo"),
+        (w1, w2, wd),
+        (
             f"1/2*({-alpha}*z1*zb1 - z3*zb3)",
             f"1/2*({-beta}*z1*zb1 + z2*zb2 - z4*zb4)",
         ),
-        action=_torus_action_entries(variables, gradings, (0, 1), 2),
-        degree_bound=6,
+        name="t2-c4",
+        description=f"T^2 acting on C^4 (alpha={alpha}, beta={beta})",
         params=(("alpha", str(alpha)), ("beta", str(beta))),
         justification=(
             "diagonal torus moment map with alpha < 0: both components are "
@@ -373,11 +382,9 @@ def commuting_variety(n=2):
             "q11*p11 + 2*q12*p12 + q22*p22",
             "p11^2 + 2*p12^2 + p22^2",
         )
-        mode = "declared"
     else:
         stages = ("load", "covariance", "strong-invariance", "classical-brst", "quantum-brst")
         invariants = ()
-        mode = "declared"
     return ScenarioConfig(
         name=f"commuting-n{n}",
         description=f"commuting variety: conjugation on symmetric {n}x{n} matrix pairs",
@@ -390,7 +397,7 @@ def commuting_variety(n=2):
         moment_map=tuple(comps),
         action=tuple(action),
         degree_bound=6,
-        invariant_mode=mode,
+        invariant_mode="declared",
         declared_invariants=invariants,
         stages=stages,
         params=(("n", str(n)),),
@@ -565,10 +572,7 @@ def load_config(path):
     for key, value in var_section.items():
         if key.startswith("grading."):
             grading_names.append(key.split(".", 1)[1])
-            row = tuple(_int(x, f"grading row {key}") for x in value.split())
-            if len(row) != len(variables):
-                raise ConfigError(f"grading row {key} has wrong length")
-            gradings.append(row)
+            gradings.append(tuple(_int(x, f"grading row {key}") for x in value.split()))
     torus_names = var_section.get("torus_rows", "").split()
     try:
         torus_rows = tuple(grading_names.index(n) for n in torus_names)

@@ -292,7 +292,7 @@ class SuperElement:
         """The scalar part of a ghost- and antighost-free element, reliable to at most its floor."""
         if any(k != ((), ()) for k in self.terms):
             raise ValueError("element has ghost or antighost content")
-        s = self.terms.get(((), ()), Series.zero(self.ctx, self.order))
+        s = self.terms.get(((), ())) or Series.zero(self.ctx, self.order)
         if self.floor is None or s.reliable <= self.floor:
             return s
         return Series(self.ctx, self.order, s.coeffs, self.floor)
@@ -849,17 +849,17 @@ def op_columns(f, name=None, nu_free=False):
     The handle's `column_sum(ctx, dim, order, items, cap, floor)` is the
     one loop that sums columns: over items (g, slots), slots[s] a
     {monomial: coefficient} dict of nu power s, it adds c * nu^s * f(m g)
-    for every nonzero c, truncated at `order`, and returns
-    ({out key: [reliable, slot dicts]}, floor).  An output key is reliable
-    to the minimum of `cap` and the reliable orders of the columns that
-    feed it; a column whose image has no terms but a floor (it vanished)
-    lowers `floor` to that floor, as f itself would.  The slot sums keep
-    cancelled entries, which `Series.from_slots` drops.  f(x) is that sum
-    over the terms of x, capped at x.reliable (the whole input's, as the
-    Koszul maps take it) and starting at x's floor; an output term that
-    cancels altogether lowers the floor to its order, in the SuperElement
-    constructor.  `reduction.reduced_star` runs the same sum on the slots
-    of a Moyal product.
+    for every nonzero c, truncated at `order`, and returns the sum as a
+    SuperElement.  An output key is reliable to the minimum of `cap` and
+    the reliable orders of the columns that feed it; a column whose image
+    has no terms but a floor (it vanished) lowers `floor` to that floor,
+    as f itself would.  The slot sums keep cancelled entries, which
+    `Series.from_slots` drops; an output term that cancels altogether
+    lowers the floor to its order, in the SuperElement constructor.  f(x)
+    is that sum over the terms of x, capped at x.reliable (the whole
+    input's, as the Koszul maps take it) and starting at x's floor.
+    `reduction.reduced_star` runs the same sum on the slots of a Moyal
+    product.
 
     A `nu_free` f (one that neither reads nor makes nu powers, like the
     Koszul `res` and `h`) has one column per (g, m), filled at order 0 and
@@ -910,12 +910,11 @@ def op_columns(f, name=None, nu_free=False):
                         slot = out[1][s + t]
                         w = slot.get(m)
                         slot[m] = c * v if w is None else w + c * v
-        return acc, floor
+        terms = {k: Series.from_slots(ctx, order, t, r) for k, (r, t) in acc.items()}
+        return SuperElement(ctx, dim, order, terms, floor=floor)
 
     def fn(x):
         items = ((key, [p.terms for p in series.coeffs]) for key, series in x.terms.items())
-        acc, floor = column_sum(x.ctx, x.dim, x.order, items, x.reliable, x.floor)
-        terms = {k: Series.from_slots(x.ctx, x.order, t, r) for k, (r, t) in acc.items()}
-        return SuperElement(x.ctx, x.dim, x.order, terms, floor=floor)
+        return column_sum(x.ctx, x.dim, x.order, items, x.reliable, x.floor)
 
     return ColumnMap(name or f"cols({f.name})", fn, f.degree, f.raises_filtration, column_sum)

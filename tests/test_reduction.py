@@ -6,7 +6,7 @@ import pytest
 
 from redstar import runner
 from redstar.brst import build_delta, poisson_action, quotient_representation
-from redstar.errors import InvarianceError
+from redstar.errors import ContextError, InvarianceError, TruncationError
 from redstar.hpt import perturb_v2
 from redstar.koszul import KoszulSpace, MomentMapData, koszul_contraction
 from redstar.poisson import poisson_data
@@ -184,6 +184,26 @@ def test_product_table_takes_the_lowest_reliable_entry():
     for f, reliable in ((g + one, NW - 1), (one, NW), (nu_g, NW - 1)):
         got, want = product(f, g), reduced_star(f, g, pipe)
         assert got == want and got.reliable == want.reliable == reliable
+
+
+def test_product_table_refuses_what_reduced_star_refuses():
+    # one operand rule: a Series at another truncation order and a Poly of
+    # another context raise the same error through the table as through
+    # reduced_star, on either side
+    ctx, lam, moment, kc, star, space = circle_c2()
+    pipe = build_pipe(ctx, lam, moment, kc, star, space)
+    g = space.normal_form_poly(Poly.variable(ctx, "z1") * Poly.variable(ctx, "zb1"))
+    other = VarContext(("w1", "w2", "wb1", "wb2"), QQ_I, ctx.gradings)
+    for bad, error in (
+        (Series.from_poly(g, NW - 1), TruncationError),
+        (Poly.variable(other, "w1") * Poly.variable(other, "wb1"), ContextError),
+    ):
+        for f, h in ((bad, g), (g, bad)):
+            with pytest.raises(error) as direct:
+                reduced_star(f, h, pipe)
+            with pytest.raises(error) as tabled:
+                ProductTable(pipe)(f, h)
+            assert str(tabled.value) == str(direct.value)
 
 
 def test_reduced_star_rejects_noninvariants():

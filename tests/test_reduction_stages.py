@@ -5,10 +5,12 @@ probe counts, seed 7).  The classical Phi and H kept after
 `classical-reduction` are column maps and equal the direct transfer; the
 `ProductTable` that `reduced-star` reads on s1-c4 and t2-c4 equals
 `reduced_star` on every triple, in value and reliable order; on s1-c4 and
-t2-c4 (t2-c4 at the `torus` workload's size and at its registry size)
-every table entry over the quotient-model monomial pairs within the bound
-equals `reduced_star` of its pair, and so do the generator pair products
-that the stage reads off the table there; and a work-count guard pins how
+t2-c4 at the `torus` workload's size every table entry over the
+quotient-model monomial pairs within the bound equals `reduced_star` of
+its pair; on those and on t2-c4 at its registry size so do the generator
+pair products that the stage reads off the table, and at the registry
+size every generator triple's residual and every entry the table filled
+for them; and a work-count guard pins how
 many times the run evaluates `reduced_star` and the direct Phi, so a
 change that brings back the recomputation fails here.  A second guard
 pins the `reduced_star` calls of commuting-n2 at the `rational`
@@ -164,31 +166,62 @@ def test_product_table_equals_reduced_star_on_every_triple(state):
 
 @pytest.mark.parametrize("scenario_state", ["state", "torus_state", "torus_registry_state"])
 def test_every_table_entry_equals_reduced_star(scenario_state, request):
-    # over every pair of quotient-model monomials within the degree bound:
-    # the table's entry, read back as a product, equals reduced_star of the
-    # pair in value and reliable order, and the generator pair products,
-    # which the stage reads off the table on these scenarios, equal the
-    # direct ones.  t2-c4 at its registry size is where associativity reads
-    # the table although it fills more entries than the direct route's two
-    # products per triple
+    # at bounds 4 and 5, over every pair of quotient-model monomials within
+    # the bound: the table's entry, read back as a product, equals
+    # reduced_star of the pair in value and reliable order.  On every state
+    # the generator pair products, which the stage reads off the table on
+    # these scenarios, equal the direct ones.  t2-c4 at its registry size is
+    # where associativity reads the table although it fills more entries
+    # than the direct route's two products per triple; the monomial sweep
+    # there tests the code the smaller bounds test, so that size checks
+    # what it adds: every generator triple's residual, then every entry the
+    # table filled, read back against reduced_star of its pair
     st = request.getfixturevalue(scenario_state)
-    pipe, ctx = _pipeline(st), st.ctx
-    grades = {g for deg in range(st.bound + 1) for g in ctx.grades_of_degree(deg)}
-    monomials = [Poly.monomial(ctx, m) for g in grades for m in st.space.complement_monomials(g)]
+    registry_size = scenario_state == "torus_registry_state"
+    pipe, ctx, gens = _pipeline(st), st.ctx, st.generators
+    direct = lambda f, g: reduced_star(f, g, pipe)
     table = ProductTable(pipe)
-    pairs = [(f, g) for f in monomials for g in monomials if f.degree() + g.degree() <= st.bound]
-    for f, g in pairs:
-        got, want = table(f, g), reduced_star(f, g, pipe)
-        assert got == want and got.reliable == want.reliable, (f, g)
-        assert table.entries[(*f.terms, *g.terms)][0] == want.reliable
-    assert len(table.entries) == len(pairs) > 100
-    gens = st.generators
+    if not registry_size:
+        grades = {g for deg in range(st.bound + 1) for g in ctx.grades_of_degree(deg)}
+        monomials = [
+            Poly.monomial(ctx, m) for g in grades for m in st.space.complement_monomials(g)
+        ]
+        pairs = [
+            (f, g) for f in monomials for g in monomials if f.degree() + g.degree() <= st.bound
+        ]
+        for f, g in pairs:
+            got, want = table(f, g), direct(f, g)
+            assert got == want and got.reliable == want.reliable, (f, g)
+            assert table.entries[(*f.terms, *g.terms)][0] == want.reliable
+        assert len(table.entries) == len(pairs) > 100
     assert any(len(g.terms) > 1 for g in gens)
-    for f in gens:
-        for g in gens:
-            if f.degree() + g.degree() <= st.bound:
-                got, want = table(f, g), reduced_star(f, g, pipe)
-                assert got == want and got.reliable == want.reliable, (f, g)
+    degs = [g.degree() for g in gens]
+    idx = range(len(gens))
+    products = {}
+    for a in idx:
+        for b in idx:
+            if degs[a] + degs[b] <= st.bound:
+                got, want = table(gens[a], gens[b]), direct(gens[a], gens[b])
+                assert got == want and got.reliable == want.reliable, (a, b)
+                products[(a, b)] = got
+    if not registry_size:
+        return
+    triples = [
+        (a, b, c)
+        for a in idx
+        for b in idx
+        for c in idx
+        if degs[a] + degs[b] + degs[c] <= st.bound
+    ]
+    for a, b, c in triples:
+        left, right = (products[(a, b)], gens[c]), (gens[a], products[(b, c)])
+        got, want = table.residual(left, right), direct(*left) - direct(*right)
+        assert got == want and got.reliable == want.reliable, (a, b, c)
+    for m1, m2 in list(table.entries):
+        f, g = Poly.monomial(ctx, m1), Poly.monomial(ctx, m2)
+        got, want = table(f, g), direct(f, g)
+        assert got == want and got.reliable == want.reliable == table.entries[(m1, m2)][0]
+    assert (len(products), len(triples), len(table.entries)) == (121, 547, 215)
 
 
 @pytest.mark.parametrize(

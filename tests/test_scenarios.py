@@ -209,6 +209,11 @@ MALFORMED = {
     "non-integer degree bound": ("degree_bound = 6", "degree_bound = 6.5", "degree_bound must be"),
     "non-integer seed": ("seed = 11", "seed = eleven", "seed must be an integer"),
     "non-integer grading": ("torus = -1 1 1 -1", "torus = -1 1 1 x", "grading row grading.torus"),
+    "grading row of wrong length": (
+        "torus = -1 1 1 -1",
+        "torus = -1 1 1",
+        "grading row grading.torus has wrong length",
+    ),
     "non-integer lie dim": ("dim = 1", "dim = one", "lie dim must be an integer"),
     "non-integer degree cap": ("degree_cap = 4", "degree_cap = 4x", "degree_cap must be"),
     "non-integer probe count": ("splitting = 25", "splitting = many", "probe count splitting"),
@@ -409,6 +414,28 @@ def test_scenario_config_rejects_unknown_stage():
     # the registry path: before validation an unknown stage was dropped silently
     with pytest.raises(ConfigError, match="unknown stage 'reduced_star'"):
         ScenarioConfig(name="x", stages=("load", "reduced_star"))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (
+            {"grading_names": ("deg",), "gradings": ((1,),)},
+            "grading row grading.deg has wrong length",
+        ),
+        ({"torus_rows": (3,)}, "torus row 3 is not the index of a grading row"),
+        (
+            {"grading_names": ("qdeg", "pdeg"), "gradings": ((1, 0),)},
+            "2 name(s) for 1 grading row(s)",
+        ),
+    ],
+)
+def test_scenario_config_rejects_malformed_gradings(fields, message):
+    # the registry path, which no config file reader checks: each would
+    # otherwise surface late, as a bare ValueError out of run_scenario, an
+    # IndexError in the config echo, or an echo that drops a name
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        dataclasses.replace(get_scenario("negative-control-qq"), **fields)
 
 
 def test_cli_check_single_stage(capsys):
