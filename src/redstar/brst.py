@@ -177,14 +177,18 @@ def brst_transfer(contraction, delta, probes_X=(), probes_Y=(), upto=None):
     return perturb_v1(base, delta, d_z, probes_X, probes_Y, upto=upto), d_z
 
 
-def closed_form_H(koszul_contraction, delta, lie_dim):
-    """H = 1/2 h sum_j (-1/2)^j (h delta + delta h)^j, the explicit transfer homotopy."""
+def closed_form_H(koszul_contraction, delta):
+    """H = 1/2 h sum_j (-1/2)^j (h delta + delta h)^j, the explicit transfer homotopy.
+
+    The sum runs over j = 0..dim for the Lie dimension `dim` that its
+    argument carries, and stops early at a term that vanishes.
+    """
     h = koszul_contraction.h
 
     def fn(x):
         acc = SuperElement.zero(x.ctx, x.dim, x.order)
         term = x
-        for j in range(lie_dim + 1):
+        for j in range(x.dim + 1):
             acc = acc + term.scale(Fraction(-1, 2) ** j)
             term = h(delta(term)) + delta(h(term))
             if not term.terms:

@@ -243,24 +243,13 @@ def invariant_generators(ctx, torus_rows, max_degree):
     A weight-zero monomial is kept when it does not factor into two
     nontrivial weight-zero monomials of lower degree; the survivors
     multiplicatively generate every weight-zero monomial within the cap.
+    Torus weights are linear, so the cofactor of a weight-zero divisor has
+    weight zero too: a weight-zero monomial is decomposable exactly when a
+    weight-zero monomial of lower positive degree divides it, and then the
+    least such divisor is an earlier survivor.
     """
-    invariants = weight_zero_monomials(ctx, torus_rows, max_degree)
-    inv_set = set(invariants)
     gens = []
-    for m in invariants:
-        deg = sum(m)
-        if deg == 0:
-            gens.append(m)
-            continue
-        decomposable = False
-        for d in inv_set:
-            dd = sum(d)
-            if dd == 0 or dd >= deg:
-                continue
-            rest = tuple(a - b for a, b in zip(m, d))
-            if all(e >= 0 for e in rest) and rest in inv_set:
-                decomposable = True
-                break
-        if not decomposable:
+    for m in weight_zero_monomials(ctx, torus_rows, max_degree):
+        if not any(sum(d) and all(a >= b for a, b in zip(m, d)) for d in gens):
             gens.append(m)
     return [Poly.monomial(ctx, m) for m in gens]

@@ -96,7 +96,7 @@ from .reduction import (
     reduced_star_cohomology,
 )
 from .report import CheckRecord, Report
-from .scenarios import FULL_STAGES as STAGE_ORDER
+from .scenarios import FULL_STAGES as STAGE_ORDER, GENERATOR_CAP
 from .series import Series
 from .superalg import LieAlgebraData, StarProduct, SuperElement, graded_poisson, op_columns
 
@@ -319,7 +319,7 @@ class StageRun:
         if built is None:
             return None
         out, d_z, probes_X, probes_Y = built
-        Hcf = closed_form_H(contraction, delta, self.state.moment.lie.dim)
+        Hcf = closed_form_H(contraction, delta)
         Phicf = closed_form_Phi(contraction, delta, out.h, d_z)
         items = [(f"H{s} - closed form", out.h(y) - Hcf(y)) for y in probes_Y]
         items += [(f"Phi{s} - closed form", out.i(x) - Phicf(x)) for x in probes_X]
@@ -540,7 +540,7 @@ def stage_classical_reduction(state):
     # the invariant generators, certified once and stored as normal forms;
     # reduced-star reads state.generators
     if cfg.invariant_mode == "weights":
-        gens = invariant_generators(state.ctx, cfg.torus_rows, cfg.generator_cap)
+        gens = invariant_generators(state.ctx, cfg.torus_rows, GENERATOR_CAP)
     else:
         gens = [parse_polynomial(src, state.ctx) for src in cfg.declared_invariants]
     items = []

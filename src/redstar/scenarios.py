@@ -52,9 +52,21 @@ DEFAULT_PROBES = {
 
 FIELDS = {"rational": QQ, "gaussian": QQ_I}
 
+# The degree cap of the weights-mode invariant generators
+# (`reduction.invariant_generators`).
+GENERATOR_CAP = 4
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario as it declares itself.
+
+    The Lie dimension is the number of moment-map components.  A torus
+    scenario (one with torus rows) that declares no invariant uses the
+    weights-mode generators up to `GENERATOR_CAP`; every other scenario
+    certifies its declared invariants.
+    """
+
     name: str
     description: str = ""
     variables: tuple = ()
@@ -63,16 +75,13 @@ class ScenarioConfig:
     gradings: tuple = ()  # rows of ints, parallel to grading_names
     torus_rows: tuple = ()  # indices into gradings
     poisson_entries: tuple = ()  # (var, var, value expression)
-    lie_dim: int = 1
     structure_constants: tuple = ()  # (a, b, c, value string), 1-based
     moment_map: tuple = ()  # component expressions
     action: tuple = ()  # ((component, var, expression), ...) for calibration
     order: int = 4
     degree_bound: int = 8
     seed: int = 7
-    invariant_mode: str = "weights"  # "weights" | "declared"
     declared_invariants: tuple = ()
-    generator_cap: int = 4
     stages: tuple = FULL_STAGES
     clifford_coeff: str = "-2"
     star_triples: str = "sample"  # "all" | "sample"
@@ -83,7 +92,6 @@ class ScenarioConfig:
     def __post_init__(self):
         for what, value, allowed in (
             ("field", self.field_name, tuple(FIELDS)),
-            ("invariant mode", self.invariant_mode, ("weights", "declared")),
             ("star_triples", self.star_triples, ("all", "sample")),
         ):
             if value not in allowed:
@@ -115,12 +123,8 @@ class ScenarioConfig:
             raise ConfigError(f"order must be at least 1, got {self.order}")
         if self.degree_bound < 0:
             raise ConfigError(f"degree_bound must be at least 0, got {self.degree_bound}")
-        if self.lie_dim < 1:
-            raise ConfigError(f"lie dim must be at least 1, got {self.lie_dim}")
-        if len(self.moment_map) != self.lie_dim:
-            raise ConfigError(
-                f"{len(self.moment_map)} moment-map component(s) for lie dim {self.lie_dim}"
-            )
+        if not self.moment_map:
+            raise ConfigError("the moment map is empty: it needs at least one component")
         for a, b, _ in self.poisson_entries:
             for var in (a, b):
                 if var not in self.variables:
@@ -144,6 +148,15 @@ class ScenarioConfig:
                 )
             if _int(value, f"probe count {key}") < 1:
                 raise ConfigError(f"probe count {key} must be at least 1, got {value}")
+
+    @property
+    def lie_dim(self):
+        return len(self.moment_map)
+
+    @property
+    def invariant_mode(self):
+        """"weights" on a torus scenario that declares no invariant, else "declared"."""
+        return "weights" if self.torus_rows and not self.declared_invariants else "declared"
 
     def probe_counts(self):
         counts = dict(DEFAULT_PROBES)
@@ -171,7 +184,7 @@ class ScenarioConfig:
             "degree_bound": self.degree_bound,
             "seed": self.seed,
             "invariant_mode": self.invariant_mode,
-            "generator_cap": self.generator_cap,
+            "generator_cap": GENERATOR_CAP,
             "stages": list(self.stages),
             "clifford_coeff": self.clifford_coeff,
             "star_triples": self.star_triples,
@@ -199,7 +212,6 @@ def _torus_c4(grading_names, gradings, moment_map, **fields):
         gradings=gradings,
         torus_rows=tuple(range(dim)),
         poisson_entries=tuple((f"z{k}", f"zb{k}", "2*i") for k in range(1, 5)),
-        lie_dim=dim,
         moment_map=moment_map,
         action=tuple(
             (a + 1, v, f"{w}*i*{v}") for a in range(dim) for v, w in zip(variables, gradings[a])
@@ -298,7 +310,6 @@ def angular_momentum(m=2):
         moment_map=(jterms,),
         action=tuple(action),
         degree_bound=6,
-        invariant_mode="declared",
         declared_invariants=tuple(invariants),
         stages=tuple(s for s in FULL_STAGES if s != "equivariance-lemma"),
         params=(("m", str(m)),),
@@ -392,12 +403,10 @@ def commuting_variety(n=2):
         grading_names=("qdeg", "pdeg"),
         gradings=gradings,
         poisson_entries=poisson,
-        lie_dim=len(SO_AXES[n]),
         structure_constants=SO_STRUCTURE[n],
         moment_map=tuple(comps),
         action=tuple(action),
         degree_bound=6,
-        invariant_mode="declared",
         declared_invariants=invariants,
         stages=stages,
         params=(("n", str(n)),),
@@ -416,11 +425,9 @@ def negative_control_qq():
         description="repeated linear constraint; homology in degree one",
         variables=("q", "p"),
         poisson_entries=(("q", "p", "1"),),
-        lie_dim=2,
         moment_map=("q", "q"),
         action=((1, "q", "0"), (1, "p", "1"), (2, "q", "0"), (2, "p", "1")),
         degree_bound=6,
-        invariant_mode="declared",
         stages=(
             "load",
             "covariance",
@@ -457,7 +464,6 @@ def cubic_moment_map():
         moment_map=("q^2 + q^3",),
         action=((1, "q", "0"), (1, "p", "2*q + 3*q^2")),
         degree_bound=6,
-        invariant_mode="declared",
         stages=("load", "covariance", "strong-invariance", "acyclicity"),
         justification="negative control: cubic term breaks strong invariance at nu^3",
     )
@@ -587,8 +593,7 @@ def load_config(path):
         poisson.append((parts[0], parts[1], value))
 
     lie = _section(cp, "lie")
-    if "dim" in lie:
-        fields["lie_dim"] = _int(lie["dim"], "lie dim")
+    dim = _int(lie["dim"], "lie dim") if "dim" in lie else None
     f_entries = []
     for key, value in lie.items():
         if key.startswith("f."):
@@ -606,6 +611,10 @@ def load_config(path):
     for k in range(1, len(moment) + 1):
         if k not in moment:
             raise ConfigError(f"moment-map keys must be J1..J{len(moment)}: J{k} is missing")
+    if dim is not None and dim < 1:
+        raise ConfigError(f"lie dim must be at least 1, got {dim}")
+    if dim not in (None, len(moment)):
+        raise ConfigError(f"{len(moment)} moment-map component(s) for lie dim {dim}")
 
     action = []
     if cp.has_section("action"):
@@ -617,18 +626,10 @@ def load_config(path):
 
     invariants = {}  # invariant number -> expression
     if cp.has_section("invariants"):
-        inv = cp["invariants"]
-        if "mode" in inv:
-            fields["invariant_mode"] = inv["mode"]
-        if "degree_cap" in inv:
-            fields["generator_cap"] = _int(inv["degree_cap"], "invariants degree_cap")
-        for key, value in inv.items():
-            if re.fullmatch(r"g[1-9][0-9]*", key):
-                invariants[int(key[1:])] = value
-            elif key not in ("mode", "degree_cap"):
-                raise ConfigError(
-                    f"invariants key must be mode, degree_cap or g1, g2, ...: {key!r}"
-                )
+        for key, value in cp["invariants"].items():
+            if not re.fullmatch(r"g[1-9][0-9]*", key):
+                raise ConfigError(f"invariants key must be g1, g2, ...: {key!r}")
+            invariants[int(key[1:])] = value
 
     probe_overrides = []
     if cp.has_section("checks"):

@@ -29,7 +29,7 @@ from redstar.poly import Poly, VarContext, poly_ring
 from redstar.probes import random_bounded_super, random_poly
 from redstar.reduction import invariant_generators
 from redstar.runner import RunState, stage_load
-from redstar.scenarios import get_scenario
+from redstar.scenarios import GENERATOR_CAP, get_scenario
 from redstar.series import Series
 from redstar.superalg import LieAlgebraData, OperatorHandle, SuperElement, graded_poisson
 
@@ -210,7 +210,7 @@ def test_classical_reduction_axioms():
     for x, y in zip(probes_X, probes_Y):
         assert all(r.is_zero() for r in cc.axiom_residuals(x, y).values())
     phi, H = cc.i, cc.h
-    Hcf = closed_form_H(kc, delta, 1)
+    Hcf = closed_form_H(kc, delta)
     for y in probes_Y:
         assert (H(y) - Hcf(y)).is_zero()
     for y in probes_Y:
@@ -228,8 +228,8 @@ def test_closed_form_H_keeps_the_floor_of_the_term_that_ends_its_sum():
         "delta", lambda x: delta(x) + SuperElement(x.ctx, x.dim, x.order, floor=1), +1
     )
     x = SuperElement.from_poly(p * p, 1, 2)
-    assert closed_form_H(kc, delta, 1)(x).floor is None
-    out = closed_form_H(kc, lowered, 1)(x)
+    assert closed_form_H(kc, delta)(x).floor is None
+    out = closed_form_H(kc, lowered)(x)
     assert not out.terms and out.floor == 1 and out.reliable == 1
 
 
@@ -273,7 +273,7 @@ def test_weights_mode_generators_pass_the_bracket_criterion(name):
     stage_load(state)
     space = KoszulSpace(state.moment, state.bound)
     cfg = state.config
-    gens = invariant_generators(state.ctx, cfg.torus_rows, cfg.generator_cap)
+    gens = invariant_generators(state.ctx, cfg.torus_rows, GENERATOR_CAP)
     assert len(gens) > 1
     for g in gens:
         assert certify_invariant(space.normal_form_poly(g), state.moment, state.lam, space)

@@ -81,6 +81,17 @@ def _with_invariant(cfg, invariant, **fields):
     )
 
 
+@pytest.mark.parametrize("name", ["s1-c4", "t2-c4"])
+def test_a_declared_invariant_on_a_torus_scenario_is_certified(name):
+    # declaring an invariant selects declared mode, so the declared z1, of
+    # nonzero torus weight, is what gets certified
+    generators, reduced_star = _generators(_with_invariant(get_scenario(name), "z1"))
+    assert generators.status == "fail"
+    assert generators.witness == "generator z1: z1"
+    assert generators.detail == "0 generator(s)"
+    assert [r.status for r in reduced_star] == ["skipped"]
+
+
 def test_an_uncertified_declared_invariant_fails_generators():
     generators, reduced_star = _generators(_with_invariant(get_scenario("commuting-n2"), "q11"))
     assert generators.status == "fail"
@@ -127,12 +138,10 @@ def test_a_charge_that_is_not_nilpotent_ends_quantum_brst(monkeypatch):
     assert all(r.status == "skipped" for r in later)
 
 
-@pytest.mark.parametrize("cap", [0, 1])
-def test_constants_alone_fail_generators(cap):
-    # s1-c4's invariants below degree 2 are the constants, and reduced-star
-    # would check first-order on no pair
-    cfg = dataclasses.replace(get_scenario("s1-c4"), generator_cap=cap)
-    generators, reduced_star = _generators(cfg)
+def test_constants_alone_fail_generators():
+    # the constant 1 as s1-c4's one declared invariant: reduced-star would
+    # check first-order on no pair
+    generators, reduced_star = _generators(_with_invariant(get_scenario("s1-c4"), "1"))
     assert generators.status == "fail" and generators.witness is None
     assert generators.detail == "1 generator(s), none of positive degree"
     assert [r.status for r in reduced_star] == ["skipped"]

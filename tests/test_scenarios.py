@@ -73,12 +73,12 @@ def test_check_ids_unique_in_registry_reports():
 
 
 def test_no_certified_generator_is_one_failed_record(tmp_path):
-    # declared mode without declared invariants has no candidate to certify;
-    # the generators are certified once, in classical-reduction, and a pass
-    # there would have evaluated nothing
+    # without torus rows and without declared invariants there is no
+    # candidate to certify; the generators are certified once, in
+    # classical-reduction, and a pass there would have evaluated nothing
     with open(CFG, encoding="utf-8") as fh:
         text = fh.read()
-    text = text.replace("mode = weights", "mode = declared")
+    text = text.replace("torus_rows = torus\n", "")
     text = text.replace("degree_bound = 6", "degree_bound = 4")
     path = tmp_path / "declared.cfg"
     path.write_text(text, encoding="utf-8")
@@ -215,7 +215,6 @@ MALFORMED = {
         "grading row grading.torus has wrong length",
     ),
     "non-integer lie dim": ("dim = 1", "dim = one", "lie dim must be an integer"),
-    "non-integer degree cap": ("degree_cap = 4", "degree_cap = 4x", "degree_cap must be"),
     "non-integer probe count": ("splitting = 25", "splitting = many", "probe count splitting"),
     "unknown probe count": ("splitting = 25", "splittin = 25", "unknown probe count 'splittin'"),
     "missing poisson section": (
@@ -239,11 +238,6 @@ MALFORMED = {
         "stage 'reduced-star' needs stage 'classical-reduction'",
     ),
     "zero order": ("order = 3", "order = 0", "order must be at least 1, got 0"),
-    "unknown invariant mode": (
-        "mode = weights",
-        "mode = wieghts",
-        "unknown invariant mode 'wieghts'",
-    ),
     "unknown star_triples": (
         "star_triples = all",
         "star_triples = al",
@@ -301,19 +295,29 @@ MALFORMED = {
         "moment-map keys must be J1..J1: J1 is missing",
     ),
     "invariants key other than g<k>": (
-        "degree_cap = 4",
-        "degree_cap = 4\ngarbage = z1*zb1",
-        "invariants key must be mode, degree_cap or g1, g2, ...: 'garbage'",
+        "[invariants]\n",
+        "[invariants]\ngarbage = z1*zb1\n",
+        "invariants key must be g1, g2, ...: 'garbage'",
     ),
     "invariants key without a number": (
-        "degree_cap = 4",
-        "degree_cap = 4\ninv = z1*zb1",
-        "invariants key must be mode, degree_cap or g1, g2, ...: 'inv'",
+        "[invariants]\n",
+        "[invariants]\ninv = z1*zb1\n",
+        "invariants key must be g1, g2, ...: 'inv'",
     ),
     "invariants key g0": (
-        "degree_cap = 4",
-        "degree_cap = 4\ng0 = z1*zb1",
-        "invariants key must be mode, degree_cap or g1, g2, ...: 'g0'",
+        "[invariants]\n",
+        "[invariants]\ng0 = z1*zb1\n",
+        "invariants key must be g1, g2, ...: 'g0'",
+    ),
+    "invariants mode key": (
+        "[invariants]\n",
+        "[invariants]\nmode = weights\n",
+        "invariants key must be g1, g2, ...: 'mode'",
+    ),
+    "invariants degree_cap key": (
+        "[invariants]\n",
+        "[invariants]\ndegree_cap = 4\n",
+        "invariants key must be g1, g2, ...: 'degree_cap'",
     ),
     "action key with a doubled J": (
         "J1 z1 = -i*z1",
@@ -387,7 +391,7 @@ def test_invariant_keys_are_ordered_by_number(tmp_path):
     text = open(CFG).read()
     decl = "\n".join(f"g{k} = (z1*zb1)^{k}" for k in range(10, 0, -1))
     path = tmp_path / "ten.cfg"
-    path.write_text(text.replace("mode = weights", "mode = declared\n" + decl, 1))
+    path.write_text(text.replace("[invariants]\n", "[invariants]\n" + decl + "\n", 1))
     cfg = load_config(str(path))
     assert cfg.invariant_mode == "declared"
     assert cfg.declared_invariants == tuple(f"(z1*zb1)^{k}" for k in range(1, 11))
@@ -408,6 +412,11 @@ def test_omitted_config_keys_keep_the_scenario_config_defaults(tmp_path):
     for f in dataclasses.fields(ScenarioConfig):
         expected = given[f.name] if f.name in given else f.default
         assert getattr(cfg, f.name) == expected, f.name
+
+
+def test_scenario_config_rejects_an_empty_moment_map():
+    with pytest.raises(ConfigError, match="the moment map is empty"):
+        ScenarioConfig(name="x")
 
 
 def test_scenario_config_rejects_unknown_stage():
