@@ -138,7 +138,18 @@ def test_a_charge_that_is_not_nilpotent_ends_quantum_brst(monkeypatch):
     assert all(r.status == "skipped" for r in later)
 
 
-def test_constants_alone_fail_generators():
+@pytest.mark.parametrize("cap", [0, 1])
+def test_constants_alone_fail_generators(monkeypatch, cap):
+    # s1-c4's invariants below degree 2 are the constants, and reduced-star
+    # would check first-order on no pair
+    monkeypatch.setattr(runner, "GENERATOR_CAP", cap)
+    generators, reduced_star = _generators(get_scenario("s1-c4"))
+    assert generators.status == "fail" and generators.witness is None
+    assert generators.detail == "1 generator(s), none of positive degree"
+    assert [r.status for r in reduced_star] == ["skipped"]
+
+
+def test_a_declared_constant_alone_fails_generators():
     # the constant 1 as s1-c4's one declared invariant: reduced-star would
     # check first-order on no pair
     generators, reduced_star = _generators(_with_invariant(get_scenario("s1-c4"), "1"))
