@@ -8,6 +8,8 @@ Grammar (no implicit multiplication):
     base   := RATIONAL | IDENT | '(' expr ')'
     RATIONAL := INT ('/' INT)?
 
+Parentheses nest at most MAX_NESTING deep; a deeper text is a ParseError.
+
 The identifier `i` denotes the imaginary unit in Gaussian-rational
 contexts.  The printer emits exactly this grammar, so printing a canonical
 polynomial and parsing the text returns an equal polynomial.
@@ -21,6 +23,10 @@ from fractions import Fraction
 from .errors import ParseError
 from .poly import Poly, mono_key
 from .scalars import GaussianRational
+
+# The deepest parenthesis nesting a polynomial may use; each level takes four
+# frames of the recursive descent, so a deeper text would exhaust the stack.
+MAX_NESTING = 100
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
@@ -56,6 +62,7 @@ class _Parser:
         self.ctx = ctx
         self.tokens = _tokenize(src)
         self.k = 0
+        self.depth = 0  # parentheses open at the current token
 
     def peek(self):
         return self.tokens[self.k]
@@ -148,8 +155,12 @@ class _Parser:
                 return Poly.variable(self.ctx, val)
             raise ParseError(f"unknown identifier {val!r}", pos)
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             p = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return p
         raise ParseError(f"unexpected token {val!r}", pos)
 

@@ -71,14 +71,13 @@ class Report:
             if r.wall_time_s >= 0.05:
                 line += f"  [{r.wall_time_s:.2f}s]"
             lines.append(line)
-            if r.status == "fail":
-                if r.witness:
-                    lines.append(f"      witness: {r.witness}")
-                if r.residual_terms:
-                    lines.append(
-                        f"      residual: {r.residual_terms} nonzero coefficient(s), "
-                        f"max degree {r.residual_max_degree}"
-                    )
+            if r.witness and r.status in ("fail", "error"):
+                lines.append(f"      witness: {r.witness}")
+            if r.residual_terms and r.status == "fail":
+                lines.append(
+                    f"      residual: {r.residual_terms} nonzero coefficient(s), "
+                    f"max degree {r.residual_max_degree}"
+                )
             if r.detail and r.status in ("fail", "error"):
                 lines.append(f"      detail: {r.detail}")
         lines.append(f"verdict: {self.verdict.upper()}")

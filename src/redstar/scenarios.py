@@ -528,28 +528,43 @@ SCENARIO_KEYS = {
     "justification": ("justification", _text),
 }
 
-# The sections of a config file, each with the pattern its keys must match.
-# The keys of the sections that match any key are validated as they are read.
-SECTION_KEYS = {
-    "scenario": "|".join(SCENARIO_KEYS),
-    "variables": r"names|torus_rows|grading\..*",
-    "poisson": ".*",
-    "lie": r"dim|f\..*",
-    **dict.fromkeys(("moment-map", "action", "invariants", "checks"), ".*"),
+# The sections of a config file, in the order a missing one is reported: for
+# each, whether the file must have it, the pattern each of its keys must fully
+# match (the groups are what the reader takes from the key) and the refusal of
+# a key that does not.  This table is the whole key grammar; `ScenarioConfig`
+# refuses an unknown [checks] key, and the reader the malformed values.
+UNKNOWN_KEY = "unknown key {key!r} in section [{name}]"
+SECTIONS = {
+    "scenario": (True, "|".join(SCENARIO_KEYS), UNKNOWN_KEY),
+    "variables": (True, r"names|torus_rows|grading\.(.*)", UNKNOWN_KEY),
+    "poisson": (True, r"(\S+)\s+(\S+)", "poisson key must be two variable names: {key!r}"),
+    "lie": (True, r"dim|f\..*", UNKNOWN_KEY),
+    "moment-map": (True, r"J([1-9][0-9]*)", "moment-map key must be J1, J2, ...: {key!r}"),
+    "action": (False, r"J([1-9][0-9]*)\s+(\S+)", "action key must be 'J<k> variable': {key!r}"),
+    "invariants": (False, r"g([1-9][0-9]*)", "invariants key must be g1, g2, ...: {key!r}"),
+    "checks": (False, ".*", None),
 }
 
 
-def _section(cp, name):
-    if not cp.has_section(name):
-        raise ConfigError(f"missing section [{name}]")
-    return cp[name]
+def _numbered(entries, section, letter):
+    """The values of the keys <letter><k> (k is group 1) by k; a gap in 1..n is refused."""
+    values = {int(match[1]): value for match, value in entries}
+    for k in range(1, len(values) + 1):
+        if k not in values:
+            span = f"{letter}1..{letter}{len(values)}"
+            raise ConfigError(f"{section} keys must be {span}: {letter}{k} is missing")
+    return tuple(values[k] for k in sorted(values))
 
 
 def load_config(path):
     """Read a scenario from a key-value config file with section headers.
 
-    A missing section or key, a malformed key or a non-integer numeric
-    value raises ConfigError.
+    Every key is matched against its section's pattern in `SECTIONS`
+    before any value is read, and the fields are read off those matches.
+    An unknown section or key, a missing section or key, a gap in the
+    numbered keys of [moment-map] or [invariants] and a non-integer
+    numeric value raise ConfigError; a file with several faults reports
+    one of them.
     """
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # keep case
@@ -559,96 +574,64 @@ def load_config(path):
         raise ConfigError(f"malformed config file {path!r}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
+    found = {name: [] for name in SECTIONS}  # section -> [(key match, value), ...]
     for name in cp.sections():
-        if name not in SECTION_KEYS:
-            expected = ", ".join(SECTION_KEYS)
-            raise ConfigError(f"unknown section [{name}]: expected one of {expected}")
-        for key in cp[name]:
-            if not re.fullmatch(SECTION_KEYS[name], key):
-                raise ConfigError(f"unknown key {key!r} in section [{name}]")
-    sc = _section(cp, "scenario")
-    fields = {"name": "unnamed"}  # the fields the file sets; every other keeps its default
-    var_section = _section(cp, "variables")
+        if name not in SECTIONS:
+            raise ConfigError(f"unknown section [{name}]: expected one of {', '.join(SECTIONS)}")
+        _, pattern, refusal = SECTIONS[name]
+        for key, value in cp[name].items():
+            match = re.fullmatch(pattern, key)
+            if not match:
+                raise ConfigError(refusal.format(key=key, name=name))
+            found[name].append((match, value))
+    for name, (required, _, _) in SECTIONS.items():
+        if required and not cp.has_section(name):
+            raise ConfigError(f"missing section [{name}]")
+
+    sc, var_section, lie = cp["scenario"], cp["variables"], cp["lie"]
     if "names" not in var_section:
         raise ConfigError("missing key 'names' in section [variables]")
-    variables = tuple(var_section["names"].split())
-
-    grading_names = []
-    gradings = []
-    for key, value in var_section.items():
-        if key.startswith("grading."):
-            grading_names.append(key.split(".", 1)[1])
-            gradings.append(tuple(_int(x, f"grading row {key}") for x in value.split()))
+    rows = [(match, value) for match, value in found["variables"] if match[1] is not None]
+    grading_names = [match[1] for match, _ in rows]
+    gradings = tuple(
+        tuple(_int(x, f"grading row {match[0]}") for x in value.split()) for match, value in rows
+    )
     torus_names = var_section.get("torus_rows", "").split()
     try:
         torus_rows = tuple(grading_names.index(n) for n in torus_names)
     except ValueError as exc:
         raise ConfigError(f"unknown torus grading row: {exc}") from None
 
-    poisson = []
-    for key, value in _section(cp, "poisson").items():
-        parts = key.split()
-        if len(parts) != 2:
-            raise ConfigError(f"poisson key must be two variable names: {key!r}")
-        poisson.append((parts[0], parts[1], value))
-
-    lie = _section(cp, "lie")
     dim = _int(lie["dim"], "lie dim") if "dim" in lie else None
     f_entries = []
-    for key, value in lie.items():
-        if key.startswith("f."):
-            parts = key.split(".")
+    for match, value in found["lie"]:
+        if match[0] != "dim":
+            parts = match[0].split(".")
             if len(parts) != 4:
-                raise ConfigError(f"structure constant key must be 'f.a.b.c': {key!r}")
-            a, b, c = (_int(x, f"structure constant index in {key!r}") for x in parts[1:])
+                raise ConfigError(f"structure constant key must be 'f.a.b.c': {match[0]!r}")
+            a, b, c = (_int(x, f"structure constant index in {match[0]!r}") for x in parts[1:])
             f_entries.append((a, b, c, value))
 
-    moment = {}  # component number -> expression; the parser rejects a repeated key
-    for key, value in _section(cp, "moment-map").items():
-        if not re.fullmatch(r"J[1-9][0-9]*", key):
-            raise ConfigError(f"moment-map key must be J1, J2, ...: {key!r}")
-        moment[int(key[1:])] = value
-    for k in range(1, len(moment) + 1):
-        if k not in moment:
-            raise ConfigError(f"moment-map keys must be J1..J{len(moment)}: J{k} is missing")
+    moment_map = _numbered(found["moment-map"], "moment-map", "J")
     if dim is not None and dim < 1:
         raise ConfigError(f"lie dim must be at least 1, got {dim}")
-    if dim not in (None, len(moment)):
-        raise ConfigError(f"{len(moment)} moment-map component(s) for lie dim {dim}")
+    if dim not in (None, len(moment_map)):
+        raise ConfigError(f"{len(moment_map)} moment-map component(s) for lie dim {dim}")
 
-    action = []
-    if cp.has_section("action"):
-        for key, value in cp["action"].items():
-            parts = key.split()
-            if len(parts) != 2 or not re.fullmatch(r"J[1-9][0-9]*", parts[0]):
-                raise ConfigError(f"action key must be 'J<k> variable': {key!r}")
-            action.append((int(parts[0][1:]), parts[1], value))
-
-    invariants = {}  # invariant number -> expression
-    if cp.has_section("invariants"):
-        for key, value in cp["invariants"].items():
-            if not re.fullmatch(r"g[1-9][0-9]*", key):
-                raise ConfigError(f"invariants key must be g1, g2, ...: {key!r}")
-            invariants[int(key[1:])] = value
-
-    probe_overrides = []
-    if cp.has_section("checks"):
-        for key, value in cp["checks"].items():
-            probe_overrides.append((key, value))
-
+    fields = {"name": "unnamed"}  # the fields the file sets; every other keeps its default
     for key, (field, read) in SCENARIO_KEYS.items():
         if key in sc:
             fields[field] = read(sc[key], key)
     return ScenarioConfig(
-        variables=variables,
+        variables=tuple(var_section["names"].split()),
         grading_names=tuple(grading_names),
-        gradings=tuple(gradings),
+        gradings=gradings,
         torus_rows=torus_rows,
-        poisson_entries=tuple(poisson),
+        poisson_entries=tuple((match[1], match[2], value) for match, value in found["poisson"]),
         structure_constants=tuple(f_entries),
-        moment_map=tuple(moment[k] for k in sorted(moment)),
-        action=tuple(action),
-        declared_invariants=tuple(invariants[k] for k in sorted(invariants)),
-        probe_overrides=tuple(probe_overrides),
+        moment_map=moment_map,
+        action=tuple((int(match[1]), match[2], value) for match, value in found["action"]),
+        declared_invariants=_numbered(found["invariants"], "invariants", "g"),
+        probe_overrides=tuple((match[0], value) for match, value in found["checks"]),
         **fields,
     )

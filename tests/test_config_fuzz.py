@@ -34,6 +34,11 @@ PINNED = {
         "names = z1 z2 zb1 zb2 z1\ngrading.torus = -1 1 1 -1 -1\ngrading.holo = 1 1 -1 -1 1",
         2,
     ),
+    "moment map nested 400 parentheses deep": (
+        "J1 = 1/2*(z1*zb1 - z2*zb2)",
+        "J1 = " + "(" * 400 + "z1*zb1" + ")" * 400,
+        1,
+    ),
     "moment map of mixed torus weight": (
         "J1 = 1/2*(z1*zb1 - z2*zb2)",
         "J1 = 1/2*(z1*zb1 - z2*zb2) + z1",

@@ -6,7 +6,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from redstar.errors import ParseError
-from redstar.parsing import parse_polynomial, poly_to_text
+from redstar.parsing import MAX_NESTING, parse_polynomial, poly_to_text
 from redstar.poly import Poly, VarContext, poly_ring
 from redstar.probes import random_poly
 from redstar.scalars import QQ, QQ_I, GaussianRational
@@ -48,6 +48,15 @@ def test_error_position():
     with pytest.raises(ParseError) as err:
         parse_polynomial("q + $", ctx)
     assert "position 4" in str(err.value)
+
+
+def test_nesting_bound():
+    # each level of parentheses takes four frames of the recursive descent
+    ctx, (q, _) = poly_ring(("q", "p"))
+    assert parse_polynomial("(" * MAX_NESTING + "q" + ")" * MAX_NESTING, ctx) == q
+    deeper = "(" * (MAX_NESTING + 1) + "q" + ")" * (MAX_NESTING + 1)
+    with pytest.raises(ParseError, match=r"parentheses nested deeper than 100 \(at position 100\)"):
+        parse_polynomial(deeper, ctx)
 
 
 def test_imaginary_unit_needs_gaussian_field():

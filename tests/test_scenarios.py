@@ -14,6 +14,8 @@ from redstar.scenarios import ScenarioConfig, get_scenario, load_config, registr
 
 HERE = os.path.dirname(__file__)
 CFG = os.path.join(HERE, "..", "demos", "circle_c2.cfg")
+with open(CFG, encoding="utf-8") as _fh:
+    TEXT = _fh.read()
 
 
 def test_registry_contents():
@@ -108,6 +110,7 @@ def test_degenerate_bivector_is_a_load_error(tmp_path, capsys):
     assert (first.check_id, first.status) == ("load.error", "error")
     assert "invertible" in first.witness
     assert main(["run", str(path), "--format", "text"]) == 1
+    assert f"witness: {first.witness}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("bound,rc", [(1, 1), (2, 0)])
@@ -353,6 +356,42 @@ MALFORMED = {
     ),
     "unknown lie key": ("dim = 1\n", "dim = 1\ng.1.1.1 = 1\n", "unknown key 'g.1.1.1' in section [lie]"),
     "unknown section": ("[invariants]", "[invariant]", "unknown section [invariant]"),
+    "poisson key that is not two variable names": (
+        "z2 zb2 = 2*i",
+        "z2 = 2*i",
+        "poisson key must be two variable names: 'z2'",
+    ),
+    "structure constant key of three parts": (
+        "dim = 1\n",
+        "dim = 1\nf.1.2 = 1\n",
+        "structure constant key must be 'f.a.b.c': 'f.1.2'",
+    ),
+    "structure constant index that is not an integer": (
+        "dim = 1\n",
+        "dim = 1\nf.1.x.1 = 1\n",
+        "structure constant index in 'f.1.x.1' must be an integer",
+    ),
+    "unknown torus grading row": ("torus_rows = torus", "torus_rows = toru", "unknown torus grading row"),
+    "missing scenario section": (
+        TEXT[TEXT.index("[scenario]") : TEXT.index("[variables]")],
+        "",
+        "missing section [scenario]",
+    ),
+    "missing variables section": (
+        TEXT[TEXT.index("[variables]") : TEXT.index("[poisson]")],
+        "",
+        "missing section [variables]",
+    ),
+    "missing moment-map section": (
+        "[moment-map]\nJ1 = 1/2*(z1*zb1 - z2*zb2)\n",
+        "",
+        "missing section [moment-map]",
+    ),
+    "invariants keys with a gap": (
+        "[invariants]\n",
+        "[invariants]\ng2 = z1*zb1\n",
+        "invariants keys must be g1..g1: g1 is missing",
+    ),
 }
 
 
@@ -367,6 +406,12 @@ def test_cli_rejects_malformed_config(case, tmp_path, capsys):
         load_config(str(bad))
     assert main(["run", str(bad), "--format", "text"]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_unreadable_config_file_is_a_config_error(tmp_path):
+    path = str(tmp_path / "absent.cfg")
+    with pytest.raises(ConfigError, match=re.escape(f"cannot read config file {path!r}")):
+        load_config(path)
 
 
 def test_moment_map_keys_are_ordered_by_number(tmp_path):

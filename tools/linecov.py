@@ -12,7 +12,9 @@ line tracer that traces only the files of the `redstar` package.  With
 statements that nothing executed.
 A function that nothing entered is one line with its count; any other
 function lists its unexecuted lines with their text, and `raise` marks a
-line of a raise statement.  The last line sums it up.
+line of a raise statement.  The last line sums it up.  The line numbers and
+texts are those of the package files as read before the traced work starts,
+so a file edited during a long `--tests` run is still reported as it ran.
 
 Only function bodies count: module and class bodies run at import.  A
 statement counts as executed when the tracer saw any line of it (for a
@@ -55,6 +57,17 @@ def benchmark_runs():
     """(seed, run) of every workload run, in `perfbench/workloads.py` order."""
     workloads = _load("perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
     return [(workloads.DEFAULT_SEED, run) for runs in workloads.WORKLOADS.values() for run in runs]
+
+
+def read_package():
+    """{file: source text} of every module of the package."""
+    sources = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            path = os.path.join(PACKAGE, name)
+            with open(path, encoding="utf-8") as fh:
+                sources[path] = fh.read()
+    return sources
 
 
 def trace(fn):
@@ -128,19 +141,16 @@ def _functions(tree, prefix=""):
             yield from _functions(node, prefix)
 
 
-def unexecuted(hits):
+def unexecuted(hits, sources):
     """{(module, function): (entered, code lines, [(line, is raise), ...])} for every function.
 
-    The list holds the code lines of the statements that no line event
-    reached; `entered` is whether any statement of the function ran.
+    `sources` is `read_package()` as read before the traced work.  The list
+    holds the code lines of the statements that no line event reached;
+    `entered` is whether any statement of the function ran.
     """
     out = {}
-    for name in sorted(os.listdir(PACKAGE)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(PACKAGE, name)
-        with open(path, encoding="utf-8") as fh:
-            source = fh.read()
+    for path, source in sources.items():
+        name = os.path.basename(path)
         code = src_lines.code_line_numbers(source)
         executed = hits.get(path, set())
         for qualname, node in _functions(ast.parse(source)):
@@ -164,7 +174,7 @@ def run_tests():
 
 
 def census(tests=False):
-    """`unexecuted` after the benchmark runs, and the tier-1 suite if `tests`.
+    """(`unexecuted` after the benchmark runs, and the tier-1 suite if `tests`; the sources).
 
     The package is first imported inside the trace, unless it was imported
     before (as in a test process): then a function that runs only at import
@@ -182,11 +192,12 @@ def census(tests=False):
         if tests:
             run_tests()
 
-    return unexecuted(trace(work))
+    sources = read_package()
+    return unexecuted(trace(work), sources), sources
 
 
-def render(result):
-    """The census as text lines."""
+def render(result, sources):
+    """The census as text lines, with the line texts of `sources`."""
     out = []
     never = partial = raises = 0
     for (module, qualname), (entered, total, missed) in result.items():
@@ -199,8 +210,7 @@ def render(result):
         partial += len(missed)
         raises += sum(r for _, r in missed)
         out.append(f"{module}.{qualname}: {len(missed)} of {total} code lines unexecuted")
-        with open(os.path.join(PACKAGE, f"{module}.py"), encoding="utf-8") as fh:
-            text = fh.read().splitlines()
+        text = sources[os.path.join(PACKAGE, f"{module}.py")].splitlines()
         for n, is_raise in missed:
             out.append(f"  {n:5d} {'raise' if is_raise else '     '}  {text[n - 1].strip()}")
     out.append(
@@ -214,7 +224,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tests", action="store_true", help="also run the tier-1 tests")
     args = parser.parse_args(argv)
-    print("\n".join(render(census(args.tests))))
+    print("\n".join(render(*census(args.tests))))
     return 0
 
 
